@@ -229,9 +229,10 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         return usage();
     };
 
-    // One layer at a time: each layer's raw event stream is folded into
-    // the incremental exporter and dropped before the next layer runs,
-    // so whole-model traces stay within a bounded memory footprint.
+    // One layer at a time: each layer's trace (metrics plus capped
+    // tracks; the recorder never stores the raw event stream) is folded
+    // into the incremental exporter and dropped before the next layer
+    // runs.
     let options = SimOptions::default();
     let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
     let mut layers = 0usize;

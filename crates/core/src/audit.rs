@@ -52,8 +52,8 @@ use crate::tiling::TilePolicy;
 use igo_npu_sim::{
     replay_ladder, run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector,
     AnalyticReport, AnalyticScratch, CapacityProfile, DramConfig, Engine, EngineScratch, EventLog,
-    Exactness, LadderScratch, NpuConfig, OptCache, PeArray, Schedule, ScheduleOp, SimReport,
-    TileKey, TraceEvent, Traffic,
+    Exactness, LadderScratch, MetricsFold, NpuConfig, OptCache, PeArray, RunMetrics, Schedule,
+    ScheduleOp, SimReport, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use std::collections::{HashMap, HashSet};
@@ -979,7 +979,10 @@ fn check_decision_conservation(
 /// equals the sum of fetched, written-back and streamed bytes. The
 /// schedule is additionally re-run with an [`EventLog`] recorder and the
 /// recorded `Access` events (kind and post-access occupancy) must agree
-/// with the shadow replay access by access.
+/// with the shadow replay access by access; the [`RunMetrics`] streamed
+/// from the same run by a [`MetricsFold`] must agree with the shadow's
+/// per-class accesses and hits and with the report's access count, and
+/// stay within capacity.
 ///
 /// `report` must come from running `schedule` on one core of `config`
 /// with the default OPT replacement (any violation otherwise is the
@@ -1044,13 +1047,16 @@ pub fn check_report_conservation(
         }
     }
 
-    // Observability cross-check: re-run the schedule with an event
-    // recorder attached, then verify access by access that the recorded
-    // occupancy and access kind agree with this function's independent
-    // `OptCache` shadow replay. A recorder bug (or an engine/recorder
-    // divergence) shows up as an `occupancy-replay` violation.
-    let mut log = EventLog::new();
-    engine.run_recorded(schedule, &mut EngineScratch::new(), &mut log);
+    // Observability cross-check: re-run the schedule with an event log
+    // and the streaming metrics fold attached, then verify access by
+    // access that the recorded occupancy and access kind agree with this
+    // function's independent `OptCache` shadow replay. A recorder bug (or
+    // an engine/recorder divergence) shows up as an `occupancy-replay`
+    // violation, a fold bug as a `streamed-metrics` one.
+    let mut recorders = (EventLog::new(), MetricsFold::new(engine.residency_bytes()));
+    engine.run_recorded(schedule, &mut EngineScratch::new(), &mut recorders);
+    let (log, fold) = recorders;
+    let streamed = fold.finish();
     let recorded: Vec<(TileKey, AccessKind, u64)> = log
         .events
         .iter()
@@ -1070,6 +1076,8 @@ pub fn check_report_conservation(
     let mut traffic = Traffic::new();
     let mut moved_bytes = 0u64;
     let mut accesses = 0u64;
+    // Shadow `(accesses, hits)` per class, indexed like `TensorClass::ALL`.
+    let mut per_class = [(0u64, 0u64); 7];
     let mut written_back: HashSet<TileKey> = HashSet::new();
     let mut capacity_ok = true;
     let mut pos = 0usize;
@@ -1085,6 +1093,9 @@ pub fn check_report_conservation(
                     let out = cache.access(key, bytes, dirty, next_use[pos]);
                     pos += 1;
                     accesses += 1;
+                    let class = &mut per_class[schedule.class_of(key.tensor).index()];
+                    class.0 += 1;
+                    class.1 += u64::from(out.hit);
                     if replay_diverged.is_none() {
                         let want_kind = if out.hit {
                             AccessKind::Hit
@@ -1168,6 +1179,13 @@ pub fn check_report_conservation(
             detail,
         });
     }
+    if let Some(detail) = check_streamed_metrics(&streamed, &per_class, report) {
+        violations.push(Violation {
+            seed,
+            check: "streamed-metrics",
+            detail,
+        });
+    }
     if !capacity_ok {
         violations.push(Violation {
             seed,
@@ -1231,6 +1249,42 @@ pub fn check_report_conservation(
         });
     }
     violations
+}
+
+/// Compare a run's streamed [`RunMetrics`] with an independent shadow
+/// replay's `(accesses, hits)` per class (indexed like
+/// [`TensorClass::ALL`]) and with the run's report: per-class counts must
+/// match, the total must equal `report.spm_accesses()`, and the occupancy
+/// high-water mark must not exceed the capacity. Returns the first
+/// disagreement.
+fn check_streamed_metrics(
+    metrics: &RunMetrics,
+    shadow: &[(u64, u64); 7],
+    report: &SimReport,
+) -> Option<String> {
+    for (class, &(accesses, hits)) in TensorClass::ALL.iter().zip(shadow) {
+        let m = metrics.class(*class);
+        if (m.accesses, m.hits) != (accesses, hits) {
+            return Some(format!(
+                "class {class}: streamed {} accesses / {} hits, shadow {accesses} / {hits}",
+                m.accesses, m.hits
+            ));
+        }
+    }
+    if metrics.total_accesses() != report.spm_accesses() {
+        return Some(format!(
+            "streamed {} accesses, report {}",
+            metrics.total_accesses(),
+            report.spm_accesses()
+        ));
+    }
+    if metrics.occupancy_high_water > metrics.capacity {
+        return Some(format!(
+            "streamed occupancy high-water {} exceeds capacity {}",
+            metrics.occupancy_high_water, metrics.capacity
+        ));
+    }
+    None
 }
 
 /// Execute the decided schedule on real tile data and compare the
@@ -1346,6 +1400,38 @@ mod tests {
             violations.iter().any(|v| v.check == "traffic-total"),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn corrupted_streamed_metrics_are_caught() {
+        let (s, config) = sample_schedule();
+        let engine = Engine::new(&config);
+        let report = engine.run(&s);
+        let mut fold = MetricsFold::new(engine.residency_bytes());
+        engine.run_recorded(&s, &mut EngineScratch::new(), &mut fold);
+        let good = fold.finish();
+        let mut shadow = [(0, 0); 7];
+        for (i, m) in good.per_class.iter().enumerate() {
+            shadow[i] = (m.accesses, m.hits);
+        }
+        assert_eq!(check_streamed_metrics(&good, &shadow, &report), None);
+
+        let dy = TensorClass::OutGrad.index();
+        let mut lost_hit = good.clone();
+        lost_hit.per_class[dy].hits -= 1;
+        let mut over_full = good.clone();
+        over_full.occupancy_high_water = over_full.capacity + 1;
+        let mut short_report = report;
+        short_report.spm_misses -= 1;
+        for (metrics, report, want) in [
+            (&lost_hit, &report, "class dY"),
+            (&over_full, &report, "exceeds capacity"),
+            (&good, &short_report, "report"),
+        ] {
+            let detail = check_streamed_metrics(metrics, &shadow, report)
+                .expect("the corruption must be reported");
+            assert!(detail.contains(want), "{detail}");
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod select;
 pub mod simcache;
 pub mod technique;
 pub mod tiling;
+pub mod tracks;
 
 pub use audit::{
     audit_case, check_merge_schedule, check_report_conservation, run_audit, AuditCase,
@@ -68,8 +69,7 @@ pub use pipeline::{
     LayerDecision, LayerOutcome, ModelReport, SimOptions, TrainingPhase,
 };
 pub use report_io::{
-    chrome_trace_json, dy_reuse_csv, dy_tiles_csv, ladder_csv, layers_csv, trace_metrics_csv,
-    write_chrome_trace, LadderMismatch, TraceArtifacts, TraceExport, DEFAULT_REUSE_POINTS,
+    ladder_csv, layers_csv, LadderMismatch, TraceArtifacts, TraceExport, DEFAULT_REUSE_POINTS,
 };
 pub use schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 pub use select::select_order;

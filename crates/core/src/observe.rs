@@ -2,11 +2,21 @@
 //!
 //! [`crate::pipeline`] answers *how long* a layer's backward pass takes;
 //! this module answers *what happened while it ran*. It re-executes the
-//! pipeline's decided schedule with an [`EventLog`] recorder attached,
-//! yielding the cycle-stamped event stream ([`TraceEvent`]) plus the
-//! derived [`RunMetrics`] — SPM occupancy high-water mark, per-class
-//! reuse-distance histograms, and the dY reuse ratio over time resolved
-//! per tile (the paper's Figure 5 quantity, per tile instead of summed).
+//! pipeline's decided schedule with a streaming recorder attached. The
+//! recorder never stores the cycle-stamped event stream ([`TraceEvent`]):
+//! as each event arrives it is folded into
+//!
+//! * the run's [`RunMetrics`] ([`MetricsFold`]) — SPM occupancy high-water
+//!   mark, per-class reuse-distance histograms, and the dY reuse ratio
+//!   over time resolved per tile (the paper's Figure 5 quantity, per tile
+//!   instead of summed), and
+//! * the core's timeline tracks ([`crate::tracks`]) — compute, memory and
+//!   phase slices, SPM-occupancy samples and barriers, capped per core
+//!   when the run ends.
+//!
+//! A [`CoreTrace`] therefore keeps the metrics, the capped tracks and an
+//! event count. Only `dy_timeline` (one point per dY access) and
+//! `dy_tiles` (one entry per dY tile) stay at full resolution.
 //!
 //! The decision is made exactly as in the untraced pipeline
 //! ([`simulate_layer_backward_with`]), and the execution it implies is
@@ -15,8 +25,8 @@
 //! views): one engine run per core for multi-core decisions, one chained
 //! run for single-core sequential partitions.
 //!
-//! Exporters for the collected traces — Chrome trace-event JSON
-//! (Perfetto / `chrome://tracing`) and CSV metric summaries — live in
+//! The exporter for the collected traces — Chrome trace-event JSON
+//! (Perfetto / `chrome://tracing`) and CSV metric summaries — lives in
 //! [`crate::report_io`].
 
 use crate::partition::{partition_backward_ex, PartitionScheme};
@@ -24,8 +34,10 @@ use crate::pipeline::{simulate_layer_backward_with, LayerDecision, SimOptions};
 use crate::schedule::{BackwardBuilder, LayerTensors};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
+use crate::tracks::{CoreTracks, TrackBuilder};
 use igo_npu_sim::{
-    Engine, EngineScratch, EventLog, NpuConfig, RunMetrics, Schedule, SimReport, TraceEvent,
+    Engine, EngineScratch, MetricsFold, NpuConfig, Recorder, RunMetrics, Schedule, SimReport,
+    TraceEvent,
 };
 use igo_tensor::GemmShape;
 use igo_workloads::Model;
@@ -37,10 +49,12 @@ pub struct CoreTrace {
     pub core: usize,
     /// Name of the schedule this core ran.
     pub schedule: String,
-    /// The cycle-stamped event stream, in emission order.
-    pub events: Vec<TraceEvent>,
-    /// Metrics derived from `events`.
+    /// Events the engine emitted during the run.
+    pub event_count: usize,
+    /// Metrics folded from the event stream.
     pub metrics: RunMetrics,
+    /// Capped timeline tracks folded from the event stream.
+    pub tracks: CoreTracks,
     /// The engine report of this core's run.
     pub report: SimReport,
 }
@@ -60,10 +74,6 @@ pub struct LayerTrace {
     pub report: SimReport,
     /// Per-core SPM residency capacity in bytes.
     pub capacity: u64,
-    /// DRAM bandwidth in bytes per core cycle (for exporters).
-    pub bytes_per_cycle: f64,
-    /// DRAM per-burst latency in cycles (for exporters).
-    pub burst_latency: u64,
     /// One recorded run per core (a single chained run for single-core
     /// sequential partitions, matching the engine's execution model).
     pub cores: Vec<CoreTrace>,
@@ -72,21 +82,40 @@ pub struct LayerTrace {
 impl LayerTrace {
     /// Total recorded events across all cores.
     pub fn event_count(&self) -> usize {
-        self.cores.iter().map(|c| c.events.len()).sum()
+        self.cores.iter().map(|c| c.event_count).sum()
     }
 }
 
-/// Run one core's schedule with an [`EventLog`] attached.
+/// The streaming recorder of one engine run: counts the events and folds
+/// each into the run's metrics and timeline tracks.
+struct CoreRecorder {
+    events: usize,
+    metrics: MetricsFold,
+    tracks: TrackBuilder,
+}
+
+impl Recorder for CoreRecorder {
+    fn record(&mut self, event: TraceEvent) {
+        self.events += 1;
+        self.metrics.record(event);
+        self.tracks.record(event);
+    }
+}
+
+/// Run one core's schedule with a [`CoreRecorder`] attached.
 fn record_run(engine: &Engine, schedule: &Schedule, core: usize) -> CoreTrace {
-    let mut log = EventLog::new();
-    let mut scratch = EngineScratch::new();
-    let report = engine.run_recorded(schedule, &mut scratch, &mut log);
-    let metrics = RunMetrics::from_events(&log.events, engine.residency_bytes());
+    let mut recorder = CoreRecorder {
+        events: 0,
+        metrics: MetricsFold::new(engine.residency_bytes()),
+        tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency()),
+    };
+    let report = engine.run_recorded(schedule, &mut EngineScratch::new(), &mut recorder);
     CoreTrace {
         core,
         schedule: schedule.name().to_string(),
-        events: log.events,
-        metrics,
+        event_count: recorder.events,
+        metrics: recorder.metrics.finish(),
+        tracks: recorder.tracks.finish(),
         report,
     }
 }
@@ -153,10 +182,12 @@ pub fn trace_layer_backward(
             if config.cores == 1 {
                 // Sequential chaining concatenates the segments into one
                 // stream, so residency crosses segment boundaries; record
-                // the same concatenation.
-                let mut combined = p.schedules[0].clone();
-                for s in &p.schedules[1..] {
-                    combined.append_compatible(s);
+                // the same concatenation. Each segment is dropped once
+                // appended.
+                let mut segments = p.schedules.into_iter();
+                let mut combined = segments.next().expect("a partition has segments");
+                for s in segments {
+                    combined.append_compatible(&s);
                 }
                 vec![combined]
             } else {
@@ -177,8 +208,6 @@ pub fn trace_layer_backward(
         decision,
         report,
         capacity: engine.residency_bytes(),
-        bytes_per_cycle: engine.bytes_per_cycle(),
-        burst_latency: engine.burst_latency(),
         cores,
     }
 }
@@ -287,6 +316,38 @@ mod tests {
             "one timeline point per dY access"
         );
         assert!(m.occupancy_high_water <= m.capacity);
+    }
+
+    #[test]
+    fn retained_tracks_stay_within_their_caps() {
+        use crate::tracks::{BARRIER_CAP, COUNTER_CAP, PHASE_CAP, SLICE_CAP};
+        let trace = trace_layer_backward(
+            "layer",
+            GemmShape::new(2048, 1024, 1024),
+            1.0,
+            &NpuConfig::small_edge(),
+            Technique::Interleaving,
+            false,
+            &SimOptions::sequential(),
+        );
+        assert!(trace.event_count() > 100_000, "{}", trace.event_count());
+        for core in &trace.cores {
+            let t = &core.tracks;
+            assert!(t.compute.len() <= SLICE_CAP);
+            assert!(t.memory.len() <= SLICE_CAP);
+            assert!(t.phases.len() <= PHASE_CAP);
+            // Decimation keeps the last sample on top of the cap.
+            assert!(t.occupancy.len() <= COUNTER_CAP + 1);
+            assert!(t.barriers.len() <= BARRIER_CAP + 1);
+            // The caps bit: coalesced slices account for far more ops.
+            let gemms: u64 = t.compute.iter().map(|s| s.ops).sum();
+            assert!(gemms > SLICE_CAP as u64, "{gemms} GEMMs");
+            // The dY series alone stays at full resolution.
+            assert_eq!(
+                core.metrics.dy_timeline.len() as u64,
+                core.metrics.class(TensorClass::OutGrad).accesses
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Report export: CSV writers for model reports and exporters for
+//! Report export: CSV writers for model reports and the exporter for
 //! recorded traces.
 //!
 //! Figure-style analyses usually end in a plotting tool; these writers
@@ -7,20 +7,20 @@
 //! (layer names, model names, partition labels) are RFC-4180-quoted, so a
 //! name containing a comma, quote or newline cannot shift columns.
 //!
-//! The trace exporters ([`chrome_trace_json`], [`trace_metrics_csv`],
-//! [`dy_reuse_csv`], [`dy_tiles_csv`]) serialise [`LayerTrace`] recordings
-//! from [`crate::observe`]: a Chrome trace-event JSON timeline loadable in
+//! [`TraceExport`] serialises [`LayerTrace`] recordings from
+//! [`crate::observe`]: a Chrome trace-event JSON timeline loadable in
 //! Perfetto / `chrome://tracing`, and CSV summaries of the derived
-//! metrics. See `docs/observability.md` for the event taxonomy and
-//! formats.
+//! metrics. It only serialises what a trace already holds — the capped
+//! per-core tracks ([`crate::tracks`]) and the run metrics — and never
+//! sees an event stream. See `docs/observability.md` for the event
+//! taxonomy and formats.
 
 use crate::observe::LayerTrace;
 use crate::pipeline::ModelReport;
-use igo_npu_sim::TraceEvent;
+use crate::tracks::decimate;
 use igo_tensor::TensorClass;
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::io;
 
 /// RFC-4180 field quoting: a field containing a comma, double quote or
 /// newline is wrapped in double quotes with embedded quotes doubled; any
@@ -143,28 +143,6 @@ pub fn ladder_csv(rows: &[(&ModelReport, Vec<&ModelReport>)]) -> Result<String, 
 // Trace exporters
 // ---------------------------------------------------------------------------
 
-/// Per-(layer, core) caps keeping exported traces tractable: a resnet50
-/// layer can issue ~10⁵ tile-GEMMs, so raw per-event export would produce
-/// hundreds of megabytes. Adjacent slices are coalesced (durations and
-/// byte counts are preserved in the merged slice's `args`), counters are
-/// decimated evenly.
-const SLICE_CAP: usize = 1000;
-const PHASE_CAP: usize = 400;
-const COUNTER_CAP: usize = 600;
-const BARRIER_CAP: usize = 200;
-
-/// One exported timeline slice before serialisation.
-#[derive(Debug, Clone)]
-struct Slice {
-    ts: u64,
-    dur: u64,
-    name: String,
-    /// Engine ops merged into this slice.
-    ops: u64,
-    /// Payload (bytes moved, or busy compute cycles).
-    extra: u64,
-}
-
 /// One Chrome trace event, serialised manually (no JSON dependency).
 #[derive(Debug)]
 struct ChromeEvent {
@@ -199,290 +177,101 @@ fn json_str(raw: &str) -> String {
     out
 }
 
-/// Merge `slices` down to at most `max` by grouping adjacent runs. The
-/// merged slice spans from the first slice's start to the last slice's
-/// end and sums `ops`/`extra`, so nothing is silently dropped.
-fn coalesce(slices: Vec<Slice>, max: usize) -> Vec<Slice> {
-    if slices.len() <= max {
-        return slices;
-    }
-    let group = slices.len().div_ceil(max);
-    slices
-        .chunks(group)
-        .map(|chunk| {
-            let first = &chunk[0];
-            let last = chunk.last().expect("chunks are non-empty");
-            let uniform = chunk.iter().all(|s| s.name == first.name);
-            Slice {
-                ts: first.ts,
-                dur: (last.ts + last.dur).saturating_sub(first.ts),
-                name: if uniform {
-                    first.name.clone()
-                } else {
-                    format!("{}+", first.name)
-                },
-                ops: chunk.iter().map(|s| s.ops).sum(),
-                extra: chunk.iter().map(|s| s.extra).sum(),
-            }
-        })
-        .collect()
-}
-
-/// Keep at most `max` evenly-strided samples, always retaining the last.
-fn decimate<T: Copy + PartialEq>(values: &[T], max: usize) -> Vec<T> {
-    if values.len() <= max {
-        return values.to_vec();
-    }
-    let stride = values.len().div_ceil(max);
-    let mut out: Vec<T> = values.iter().copied().step_by(stride).collect();
-    if let Some(&last) = values.last() {
-        if out.last() != Some(&last) {
-            out.push(last);
-        }
-    }
-    out
-}
-
-/// Memory-side per-op aggregation while walking the event stream.
-#[derive(Default)]
-struct MemAgg {
-    start: u64,
-    fetch: u64,
-    bursts: u64,
-    writeback: u64,
-    stream: u64,
-    accesses: bool,
-    streamed: bool,
-}
-
-impl MemAgg {
-    /// The memory slice this op contributes, reconstructed with the
-    /// engine's own cost model (`bytes / bandwidth + bursts × latency`).
-    fn into_slice(self, bytes_per_cycle: f64, burst_latency: u64) -> Option<Slice> {
-        let (name, bytes, dur) = if self.streamed {
-            let b = self.stream;
-            (
-                "stream",
-                b,
-                b as f64 / bytes_per_cycle + burst_latency as f64,
-            )
-        } else if self.accesses {
-            let b = self.fetch + self.writeback;
-            (
-                "xfer",
-                b,
-                b as f64 / bytes_per_cycle + (self.bursts.max(1) * burst_latency) as f64,
-            )
-        } else {
-            let b = self.writeback;
-            (
-                "flush",
-                b,
-                b as f64 / bytes_per_cycle + burst_latency as f64,
-            )
-        };
-        if bytes == 0 {
-            return None;
-        }
-        Some(Slice {
-            ts: self.start,
-            dur: dur.round() as u64,
-            name: name.to_string(),
-            ops: 1,
-            extra: bytes,
-        })
-    }
-}
-
 /// Convert one recorded layer into Chrome trace events, appended to
 /// `events` under process id `pid`.
+///
+/// Layout: one *process* per layer, two *threads* per core — `core*2` is
+/// the compute timeline (tile-GEMM slices and dX/dW phase begin/end
+/// markers), `core*2+1` is the memory timeline (transfer/stream/flush
+/// slices, barrier instants) — plus an SPM-occupancy counter track per
+/// core. Merged slice counts and byte totals are kept in `args`.
 fn push_layer_chrome_events(events: &mut Vec<ChromeEvent>, pid: usize, layer: &LayerTrace) {
-    {
-        events.push(ChromeEvent {
-            ts: 0,
-            dur: None,
-            ph: 'M',
-            pid,
-            tid: 0,
-            name: "process_name".to_string(),
-            args: vec![(
-                "name",
-                json_str(&format!("{} [{}]", layer.name, layer.technique.label())),
-            )],
-        });
-        for core in &layer.cores {
-            let tid_compute = core.core * 2;
-            let tid_memory = core.core * 2 + 1;
-            for (tid, label) in [(tid_compute, "compute"), (tid_memory, "memory")] {
+    events.push(ChromeEvent {
+        ts: 0,
+        dur: None,
+        ph: 'M',
+        pid,
+        tid: 0,
+        name: "process_name".to_string(),
+        args: vec![(
+            "name",
+            json_str(&format!("{} [{}]", layer.name, layer.technique.label())),
+        )],
+    });
+    for core in &layer.cores {
+        let tid_compute = core.core * 2;
+        let tid_memory = core.core * 2 + 1;
+        for (tid, label) in [(tid_compute, "compute"), (tid_memory, "memory")] {
+            events.push(ChromeEvent {
+                ts: 0,
+                dur: None,
+                ph: 'M',
+                pid,
+                tid,
+                name: "thread_name".to_string(),
+                args: vec![("name", json_str(&format!("core{} {label}", core.core)))],
+            });
+        }
+        let tracks = &core.tracks;
+        for s in &tracks.compute {
+            events.push(ChromeEvent {
+                ts: s.ts,
+                dur: Some(s.dur),
+                ph: 'X',
+                pid,
+                tid: tid_compute,
+                name: s.name(),
+                args: vec![
+                    ("ops", s.ops.to_string()),
+                    ("busy_cycles", s.extra.to_string()),
+                ],
+            });
+        }
+        for s in &tracks.memory {
+            events.push(ChromeEvent {
+                ts: s.ts,
+                dur: Some(s.dur),
+                ph: 'X',
+                pid,
+                tid: tid_memory,
+                name: s.name(),
+                args: vec![("ops", s.ops.to_string()), ("bytes", s.extra.to_string())],
+            });
+        }
+        for s in &tracks.phases {
+            for (ph, ts) in [('B', s.ts), ('E', s.ts + s.dur)] {
                 events.push(ChromeEvent {
-                    ts: 0,
+                    ts,
                     dur: None,
-                    ph: 'M',
-                    pid,
-                    tid,
-                    name: "thread_name".to_string(),
-                    args: vec![("name", json_str(&format!("core{} {label}", core.core)))],
-                });
-            }
-
-            let mut compute: Vec<Slice> = Vec::new();
-            let mut phases: Vec<Slice> = Vec::new();
-            let mut mem: Vec<Slice> = Vec::new();
-            let mut counters: Vec<(u64, u64)> = Vec::new();
-            let mut barriers: Vec<u64> = Vec::new();
-            let mut open_phase: Option<(&'static str, u64)> = None;
-            let mut cur_op: Option<u32> = None;
-            let mut agg = MemAgg::default();
-            let mem_event = |agg: &mut MemAgg,
-                             cur_op: &mut Option<u32>,
-                             mem: &mut Vec<Slice>,
-                             op: u32,
-                             cycle: u64| {
-                if *cur_op != Some(op) {
-                    if cur_op.is_some() {
-                        if let Some(s) = std::mem::take(agg)
-                            .into_slice(layer.bytes_per_cycle, layer.burst_latency)
-                        {
-                            mem.push(s);
-                        }
-                    }
-                    *cur_op = Some(op);
-                    *agg = MemAgg {
-                        start: cycle,
-                        ..MemAgg::default()
-                    };
-                }
-            };
-            for event in &core.events {
-                match *event {
-                    TraceEvent::Access {
-                        op,
-                        bytes,
-                        kind,
-                        cycle,
-                        occupancy,
-                        ..
-                    } => {
-                        mem_event(&mut agg, &mut cur_op, &mut mem, op, cycle);
-                        agg.accesses = true;
-                        if kind == igo_npu_sim::AccessKind::Fetch {
-                            agg.fetch += bytes;
-                            agg.bursts += 1;
-                        }
-                        counters.push((cycle, occupancy));
-                    }
-                    TraceEvent::WriteBack {
-                        op, bytes, cycle, ..
-                    } => {
-                        mem_event(&mut agg, &mut cur_op, &mut mem, op, cycle);
-                        agg.writeback += bytes;
-                    }
-                    TraceEvent::StreamIo {
-                        op,
-                        read_bytes,
-                        write_bytes,
-                        cycle,
-                        ..
-                    } => {
-                        mem_event(&mut agg, &mut cur_op, &mut mem, op, cycle);
-                        agg.streamed = true;
-                        agg.stream += read_bytes + write_bytes;
-                    }
-                    TraceEvent::GemmIssue {
-                        start,
-                        cycles,
-                        phase,
-                        ..
-                    } => compute.push(Slice {
-                        ts: start,
-                        dur: cycles,
-                        name: phase.label().to_string(),
-                        ops: 1,
-                        extra: cycles,
-                    }),
-                    TraceEvent::PhaseBegin { phase, cycle, .. } => {
-                        open_phase = Some((phase.label(), cycle));
-                    }
-                    TraceEvent::PhaseEnd { cycle, .. } => {
-                        if let Some((label, begin)) = open_phase.take() {
-                            phases.push(Slice {
-                                ts: begin,
-                                dur: cycle.saturating_sub(begin),
-                                name: label.to_string(),
-                                ops: 1,
-                                extra: 0,
-                            });
-                        }
-                    }
-                    TraceEvent::Barrier { cycle, .. } => barriers.push(cycle),
-                }
-            }
-            if cur_op.is_some() {
-                if let Some(s) = agg.into_slice(layer.bytes_per_cycle, layer.burst_latency) {
-                    mem.push(s);
-                }
-            }
-
-            for s in coalesce(compute, SLICE_CAP) {
-                events.push(ChromeEvent {
-                    ts: s.ts,
-                    dur: Some(s.dur),
-                    ph: 'X',
+                    ph,
                     pid,
                     tid: tid_compute,
-                    name: s.name,
-                    args: vec![
-                        ("ops", s.ops.to_string()),
-                        ("busy_cycles", s.extra.to_string()),
-                    ],
-                });
-            }
-            for s in coalesce(mem, SLICE_CAP) {
-                events.push(ChromeEvent {
-                    ts: s.ts,
-                    dur: Some(s.dur),
-                    ph: 'X',
-                    pid,
-                    tid: tid_memory,
-                    name: s.name,
-                    args: vec![("ops", s.ops.to_string()), ("bytes", s.extra.to_string())],
-                });
-            }
-            for s in coalesce(phases, PHASE_CAP) {
-                for (ph, ts) in [('B', s.ts), ('E', s.ts + s.dur)] {
-                    events.push(ChromeEvent {
-                        ts,
-                        dur: None,
-                        ph,
-                        pid,
-                        tid: tid_compute,
-                        name: s.name.clone(),
-                        args: Vec::new(),
-                    });
-                }
-            }
-            for (cycle, occupancy) in decimate(&counters, COUNTER_CAP) {
-                events.push(ChromeEvent {
-                    ts: cycle,
-                    dur: None,
-                    ph: 'C',
-                    pid,
-                    tid: tid_memory,
-                    name: format!("SPM core{}", core.core),
-                    args: vec![("bytes", occupancy.to_string())],
-                });
-            }
-            for cycle in decimate(&barriers, BARRIER_CAP) {
-                events.push(ChromeEvent {
-                    ts: cycle,
-                    dur: None,
-                    ph: 'i',
-                    pid,
-                    tid: tid_memory,
-                    name: "barrier".to_string(),
+                    name: s.name(),
                     args: Vec::new(),
                 });
             }
+        }
+        for &(cycle, occupancy) in &tracks.occupancy {
+            events.push(ChromeEvent {
+                ts: cycle,
+                dur: None,
+                ph: 'C',
+                pid,
+                tid: tid_memory,
+                name: format!("SPM core{}", core.core),
+                args: vec![("bytes", occupancy.to_string())],
+            });
+        }
+        for &cycle in &tracks.barriers {
+            events.push(ChromeEvent {
+                ts: cycle,
+                dur: None,
+                ph: 'i',
+                pid,
+                tid: tid_memory,
+                name: "barrier".to_string(),
+                args: Vec::new(),
+            });
         }
     }
 }
@@ -539,10 +328,13 @@ pub struct TraceArtifacts {
 }
 
 /// Incremental trace exporter: feed recorded layers one at a time with
-/// [`TraceExport::add_layer`], then [`TraceExport::finish`]. Only the
-/// coalesced export state is retained between layers, so a whole-model
-/// trace never needs more than one layer's raw event stream in memory —
-/// the caller can drop each [`LayerTrace`] right after adding it.
+/// [`TraceExport::add_layer`], then [`TraceExport::finish`].
+///
+/// Between layers it holds the serialised CSV rows and the Chrome events
+/// of every layer added so far (events are sorted by timestamp only in
+/// `finish`). Both are bounded per (layer, core) by the track caps and
+/// `max_reuse_points`, except `dy_tiles.csv`, which has one row per dY
+/// tile.
 #[derive(Debug)]
 pub struct TraceExport {
     max_reuse_points: usize,
@@ -642,56 +434,6 @@ impl TraceExport {
             dy_tiles_csv: self.tiles,
         }
     }
-}
-
-fn export_all(traces: &[LayerTrace], max_reuse_points: usize) -> TraceArtifacts {
-    let mut export = TraceExport::new(max_reuse_points);
-    for trace in traces {
-        export.add_layer(trace);
-    }
-    export.finish()
-}
-
-/// Serialise recorded layer traces as Chrome trace-event JSON (the array
-/// format Perfetto and `chrome://tracing` load directly).
-///
-/// Layout: one *process* per layer (`pid` = layer index), two *threads*
-/// per core — `core*2` is the compute timeline (tile-GEMM slices and
-/// dX/dW phase begin/end markers), `core*2+1` is the memory timeline
-/// (transfer/stream/flush slices, barrier instants). SPM occupancy is
-/// exported as a counter track per core. Events are sorted by timestamp;
-/// dense regions are coalesced, with merged slice counts and byte totals
-/// preserved in `args`.
-pub fn chrome_trace_json(traces: &[LayerTrace]) -> String {
-    export_all(traces, DEFAULT_REUSE_POINTS).trace_json
-}
-
-/// Write [`chrome_trace_json`] to `w`.
-pub fn write_chrome_trace<W: io::Write>(mut w: W, traces: &[LayerTrace]) -> io::Result<()> {
-    w.write_all(chrome_trace_json(traces).as_bytes())
-}
-
-/// Per-(layer, core, class) metrics CSV: accesses, hits, misses, SPM
-/// occupancy high-water mark and the full reuse-distance histogram
-/// (`cold` plus one `d2^i` column per log₂ bucket). Classes a core never
-/// touches are omitted.
-pub fn trace_metrics_csv(traces: &[LayerTrace]) -> String {
-    export_all(traces, DEFAULT_REUSE_POINTS).metrics_csv
-}
-
-/// dY reuse-ratio-over-time CSV (the paper's Figure 5 quantity): one row
-/// per sampled dY access with the cumulative hit ratio at that cycle.
-/// Each (layer, core) series is decimated to at most `max_points` rows,
-/// always keeping the final (total-ratio) point.
-pub fn dy_reuse_csv(traces: &[LayerTrace], max_points: usize) -> String {
-    export_all(traces, max_points).dy_reuse_csv
-}
-
-/// Per-dY-tile reuse CSV: every dY tile's accesses, hits and reuse ratio
-/// (Figure 5 resolved per tile), sorted by tile coordinate within each
-/// (layer, core).
-pub fn dy_tiles_csv(traces: &[LayerTrace]) -> String {
-    export_all(traces, DEFAULT_REUSE_POINTS).dy_tiles_csv
 }
 
 #[cfg(test)]

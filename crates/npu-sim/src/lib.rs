@@ -75,7 +75,7 @@ pub use multicore::{
 };
 pub use opt::{DenseOptCache, OptCache};
 pub use recorder::{
-    AccessKind, ClassMetrics, DyReusePoint, EventLog, NullRecorder, Phase, Recorder,
+    AccessKind, ClassMetrics, DyReusePoint, EventLog, MetricsFold, NullRecorder, Phase, Recorder,
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,
 };
 pub use spm::SpmCache;

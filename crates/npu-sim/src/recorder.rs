@@ -15,11 +15,14 @@
 //! contains no recording code at all and is the *same function body* the
 //! pre-observability engine compiled to.
 //!
-//! [`RunMetrics::from_events`] derives the per-run summary instruments
-//! from a recorded [`EventLog`]: the SPM occupancy high-water mark,
-//! per-class reuse-distance histograms, and the dY reuse ratio over time
-//! resolved per tile (the paper's Figure 5 quantity, per tile instead of
-//! summed).
+//! [`MetricsFold`] is a recorder that derives the per-run summary
+//! instruments online, as the engine emits events, without storing the
+//! stream: the SPM occupancy high-water mark, per-class reuse-distance
+//! histograms, and the dY reuse ratio over time resolved per tile (the
+//! paper's Figure 5 quantity, per tile instead of summed).
+//! [`RunMetrics::from_events`] is the same fold over an already recorded
+//! slice. [`EventLog`], which stores every event, is for checks that
+//! compare the raw stream against an independent model.
 
 use crate::trace::TileKey;
 use igo_tensor::TensorClass;
@@ -225,6 +228,21 @@ impl Recorder for EventLog {
     }
 }
 
+/// Two recorders fed the same stream, in order: `(a, b)` records into `a`
+/// then `b`.
+impl<A: Recorder, B: Recorder> Recorder for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+
+    fn record(&mut self, event: TraceEvent) {
+        if A::ENABLED {
+            self.0.record(event);
+        }
+        if B::ENABLED {
+            self.1.record(event);
+        }
+    }
+}
+
 /// Number of log₂ reuse-distance buckets ([1,2), [2,4), ... with the last
 /// bucket absorbing everything ≥ 2¹⁵).
 pub const REUSE_BUCKETS: usize = 16;
@@ -350,65 +368,16 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Compute the metrics of a recorded run with residency `capacity`.
     pub fn from_events(events: &[TraceEvent], capacity: u64) -> Self {
-        let mut out = RunMetrics {
-            capacity,
-            ..Default::default()
-        };
-        // Global access counter and last-seen positions for reuse
-        // distances (in accesses, across all classes — the stream the SPM
-        // actually sees).
-        let mut position: u64 = 0;
-        let mut last_seen: HashMap<TileKey, u64> = HashMap::new();
-        let mut dy_tiles: HashMap<TileKey, TileStats> = HashMap::new();
-        for event in events {
-            let &TraceEvent::Access {
-                key,
-                class,
-                bytes,
-                kind,
-                cycle,
-                occupancy,
-                ..
-            } = event
-            else {
-                continue;
-            };
-            out.occupancy_high_water = out.occupancy_high_water.max(occupancy);
-            let hit = kind == AccessKind::Hit;
-            let cm = &mut out.per_class[class_index(class)];
-            cm.accesses += 1;
-            cm.hits += u64::from(hit);
-            match last_seen.insert(key, position) {
-                None => cm.histogram.cold += 1,
-                Some(prev) => cm.histogram.add(position - prev),
-            }
-            position += 1;
-            if class == TensorClass::OutGrad {
-                let stats = dy_tiles.entry(key).or_insert(TileStats {
-                    key,
-                    bytes,
-                    accesses: 0,
-                    hits: 0,
-                });
-                stats.bytes = bytes;
-                stats.accesses += 1;
-                stats.hits += u64::from(hit);
-                let last = out.dy_timeline.last().copied();
-                out.dy_timeline.push(DyReusePoint {
-                    cycle,
-                    accesses: last.map_or(0, |p| p.accesses) + 1,
-                    hits: last.map_or(0, |p| p.hits) + u64::from(hit),
-                });
-            }
+        let mut fold = MetricsFold::new(capacity);
+        for &event in events {
+            fold.record(event);
         }
-        out.dy_tiles = dy_tiles.into_values().collect();
-        out.dy_tiles.sort_unstable_by_key(|t| t.key);
-        out
+        fold.finish()
     }
 
     /// Metrics for one class.
     pub fn class(&self, class: TensorClass) -> &ClassMetrics {
-        &self.per_class[class_index(class)]
+        &self.per_class[class.index()]
     }
 
     /// Total tile accesses across all classes.
@@ -427,11 +396,89 @@ impl RunMetrics {
     }
 }
 
-fn class_index(class: TensorClass) -> usize {
-    TensorClass::ALL
-        .iter()
-        .position(|&c| c == class)
-        .expect("TensorClass::ALL covers all classes")
+/// A recorder that folds each `Access` event into [`RunMetrics`] as it
+/// arrives, so a run's metrics never need its event stream stored.
+///
+/// Its state is the metrics themselves plus the last access position of
+/// every distinct tile (for reuse distances) and per-dY-tile counters:
+/// bounded by the tiles the run touches, except `dy_timeline`, which
+/// keeps one point per dY access at full resolution.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsFold {
+    out: RunMetrics,
+    /// Global access counter: reuse distances are measured in accesses
+    /// across all classes, the stream the SPM actually sees.
+    position: u64,
+    last_seen: HashMap<TileKey, u64>,
+    dy_tiles: HashMap<TileKey, TileStats>,
+}
+
+impl MetricsFold {
+    /// An empty fold for a run with residency `capacity` bytes.
+    pub fn new(capacity: u64) -> Self {
+        Self {
+            out: RunMetrics {
+                capacity,
+                ..RunMetrics::default()
+            },
+            ..Self::default()
+        }
+    }
+
+    /// The metrics of every event recorded so far; `dy_tiles` sorted by
+    /// tile key.
+    pub fn finish(self) -> RunMetrics {
+        let mut out = self.out;
+        out.dy_timeline.shrink_to_fit();
+        out.dy_tiles = self.dy_tiles.into_values().collect();
+        out.dy_tiles.sort_unstable_by_key(|t| t.key);
+        out
+    }
+}
+
+impl Recorder for MetricsFold {
+    fn record(&mut self, event: TraceEvent) {
+        let TraceEvent::Access {
+            key,
+            class,
+            bytes,
+            kind,
+            cycle,
+            occupancy,
+            ..
+        } = event
+        else {
+            return;
+        };
+        let out = &mut self.out;
+        out.occupancy_high_water = out.occupancy_high_water.max(occupancy);
+        let hit = kind == AccessKind::Hit;
+        let cm = &mut out.per_class[class.index()];
+        cm.accesses += 1;
+        cm.hits += u64::from(hit);
+        match self.last_seen.insert(key, self.position) {
+            None => cm.histogram.cold += 1,
+            Some(prev) => cm.histogram.add(self.position - prev),
+        }
+        self.position += 1;
+        if class == TensorClass::OutGrad {
+            let stats = self.dy_tiles.entry(key).or_insert(TileStats {
+                key,
+                bytes,
+                accesses: 0,
+                hits: 0,
+            });
+            stats.bytes = bytes;
+            stats.accesses += 1;
+            stats.hits += u64::from(hit);
+            let last = out.dy_timeline.last().copied();
+            out.dy_timeline.push(DyReusePoint {
+                cycle,
+                accesses: last.map_or(0, |p| p.accesses) + 1,
+                hits: last.map_or(0, |p| p.hits) + u64::from(hit),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -538,5 +585,28 @@ mod tests {
         }
         assert!(!enabled::<NullRecorder>());
         assert!(enabled::<EventLog>());
+        assert!(enabled::<(NullRecorder, MetricsFold)>());
+        assert!(!enabled::<(NullRecorder, NullRecorder)>());
+    }
+
+    #[test]
+    fn tee_feeds_both_recorders() {
+        use AccessKind::{Fetch, Hit};
+        let events = vec![
+            access(0, 0, TensorClass::OutGrad, Fetch, 100),
+            access(1, 0, TensorClass::Weight, Fetch, 200),
+            access(0, 0, TensorClass::OutGrad, Hit, 200),
+        ];
+        let mut tee = (EventLog::new(), MetricsFold::new(1000));
+        for &e in &events {
+            tee.record(e);
+        }
+        assert_eq!(tee.0.events, events, "the tee forwards every event");
+        let streamed = tee.1.finish();
+        let sliced = RunMetrics::from_events(&events, 1000);
+        assert_eq!(streamed.per_class, sliced.per_class);
+        assert_eq!(streamed.dy_timeline, sliced.dy_timeline);
+        assert_eq!(streamed.dy_tiles, sliced.dy_tiles);
+        assert_eq!(streamed.occupancy_high_water, 200);
     }
 }

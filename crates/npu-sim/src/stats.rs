@@ -1,12 +1,6 @@
 //! Simulation reports and per-class DRAM traffic accounting.
 
 use igo_tensor::TensorClass;
-fn class_index(class: TensorClass) -> usize {
-    TensorClass::ALL
-        .iter()
-        .position(|&c| c == class)
-        .expect("TensorClass::ALL covers all classes")
-}
 
 /// DRAM traffic broken down by tensor class and direction, in bytes.
 ///
@@ -26,22 +20,22 @@ impl Traffic {
 
     /// Record `bytes` read from DRAM for tensors of `class`.
     pub fn add_read(&mut self, class: TensorClass, bytes: u64) {
-        self.reads[class_index(class)] += bytes;
+        self.reads[class.index()] += bytes;
     }
 
     /// Record `bytes` written to DRAM for tensors of `class`.
     pub fn add_write(&mut self, class: TensorClass, bytes: u64) {
-        self.writes[class_index(class)] += bytes;
+        self.writes[class.index()] += bytes;
     }
 
     /// Bytes read for `class`.
     pub fn read(&self, class: TensorClass) -> u64 {
-        self.reads[class_index(class)]
+        self.reads[class.index()]
     }
 
     /// Bytes written for `class`.
     pub fn write(&self, class: TensorClass) -> u64 {
-        self.writes[class_index(class)]
+        self.writes[class.index()]
     }
 
     /// Total bytes read.

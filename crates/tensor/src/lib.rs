@@ -87,6 +87,20 @@ impl TensorClass {
         TensorClass::Partial,
     ];
 
+    /// Position of this class in [`TensorClass::ALL`], for per-class
+    /// arrays.
+    pub const fn index(self) -> usize {
+        match self {
+            TensorClass::Ifmap => 0,
+            TensorClass::Weight => 1,
+            TensorClass::Ofmap => 2,
+            TensorClass::InGrad => 3,
+            TensorClass::WGrad => 4,
+            TensorClass::OutGrad => 5,
+            TensorClass::Partial => 6,
+        }
+    }
+
     /// Short label used in printed tables (`X`, `W`, `Y`, `dX`, `dW`, `dY`, `P`).
     pub fn label(self) -> &'static str {
         match self {
@@ -145,6 +159,13 @@ mod tests {
         assert!(OutGrad.is_backward_operand());
         assert!(InGrad.is_backward_result());
         assert!(WGrad.is_backward_result());
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, class) in TensorClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 
     #[test]

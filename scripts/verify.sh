@@ -2,7 +2,8 @@
 # Offline verification gate for the IGO workspace.
 #
 # Runs the same checks CI would: formatting, lints (warnings are errors),
-# a release build, and the full test suite (unit + integration + doc).
+# a release build, the benchmark driver's build and golden digests, and
+# the full test suite (unit + integration + doc).
 # Everything is hermetic — path-only dependencies, no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,6 +18,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== igobench build + golden digests =="
+# The benchmark driver is a package of its own, outside the workspace, so
+# neither clippy nor the build above compiles it. Build it here and check
+# that the simulator still reproduces its golden digests (cycles, traffic,
+# trace event counts and exported byte counts).
+cargo build --release --offline --manifest-path igobench/Cargo.toml
+for workload in edge_trace zoo_sweep; do
+    ./igobench/target/release/igobench golden "$workload" \
+        | diff - "igobench/golden/$workload.tsv"
+done
 
 echo "== cargo bench --no-run (bench-rot gate) =="
 # The Criterion-style harnesses are excluded from `cargo test`; compiling

@@ -1,19 +1,24 @@
-//! Round-trip checks of the trace exporters.
+//! Round-trip checks of the trace exporter.
 //!
-//! The Chrome trace-event JSON emitted by `chrome_trace_json` must be
+//! The Chrome trace-event JSON emitted by `TraceExport` must be
 //! (a) valid JSON, (b) globally sorted by timestamp — Perfetto rejects
 //! files whose `ts` go backwards in array order — and (c) balanced in its
 //! duration ("B"/"E") phase events per thread. The derived metrics must
 //! account for every SPM access: each class's reuse-distance histogram
 //! totals exactly `hits + misses` as counted by the engine's own cache.
+//! The exact bytes of all four artifacts are pinned by content hashes.
 //!
 //! The JSON validator below is a deliberately tiny recursive-descent
 //! parser (the workspace is dependency-free by design) — it accepts the
 //! JSON the exporter can produce, and rejects structural damage.
 
-use igo_core::{chrome_trace_json, trace_layer_backward, SimOptions, Technique};
+use igo_core::{
+    trace_layer_backward, trace_model, LayerTrace, SimOptions, Technique, TraceArtifacts,
+    TraceExport, DEFAULT_REUSE_POINTS,
+};
 use igo_npu_sim::NpuConfig;
 use igo_tensor::{GemmShape, TensorClass};
+use igo_workloads::{zoo, ModelId};
 
 // ---------------------------------------------------------------------
 // Minimal JSON parser (validation + the few lookups the tests need).
@@ -247,7 +252,20 @@ impl<'a> Parser<'a> {
 // Tests
 // ---------------------------------------------------------------------
 
-fn sample_traces() -> Vec<igo_core::LayerTrace> {
+/// Export `traces` in order through one [`TraceExport`].
+fn export(traces: &[LayerTrace]) -> TraceArtifacts {
+    let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
+    for trace in traces {
+        export.add_layer(trace);
+    }
+    export.finish()
+}
+
+fn chrome_trace_json(traces: &[LayerTrace]) -> String {
+    export(traces).trace_json
+}
+
+fn sample_traces() -> Vec<LayerTrace> {
     let options = SimOptions::sequential();
     vec![
         trace_layer_backward(
@@ -382,4 +400,76 @@ fn reuse_histograms_account_for_every_cache_access() {
         );
         assert_eq!(hits, core.report.spm_hits, "hit count diverged");
     }
+}
+
+// ---------------------------------------------------------------------
+// Content pin
+// ---------------------------------------------------------------------
+
+/// 64-bit FNV-1a: a dependency-free content hash for the pinned artifacts.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Hash all four export artifacts of `traces`, in `TraceArtifacts` field
+/// order.
+fn artifact_hashes(traces: &[LayerTrace]) -> [u64; 4] {
+    let a = export(traces);
+    [
+        fnv1a(&a.trace_json),
+        fnv1a(&a.metrics_csv),
+        fnv1a(&a.dy_reuse_csv),
+        fnv1a(&a.dy_tiles_csv),
+    ]
+}
+
+/// Pins the exact bytes of every artifact (the benchmark's golden digest
+/// pins only byte counts). Covers chained sequential partitions on a
+/// single core (bert-tiny on `edge` under data partitioning) and a
+/// multi-core layer on `serverx2`. A change that is meant to alter the
+/// exported traces must update these hashes.
+#[test]
+fn trace_artifacts_content_is_pinned() {
+    let options = SimOptions::sequential();
+    let edge = NpuConfig::small_edge();
+    let model = zoo::model(ModelId::BertTiny, edge.default_batch());
+    let traces = trace_model(&model, &edge, Technique::DataPartitioning, &options);
+    assert!(
+        traces.iter().any(|t| t.decision.partition.is_some()),
+        "the edge trace must exercise chained sequential partitions"
+    );
+    assert_eq!(
+        artifact_hashes(&traces),
+        [
+            0x45881a1b72d60a72,
+            0xcdc84b5b8ec737e0,
+            0x626d023902978e62,
+            0xa2bd8fc4244ed77d,
+        ],
+        "bert-tiny on edge: trace.json, metrics.csv, dy_reuse.csv, dy_tiles.csv"
+    );
+
+    let server = NpuConfig::large_server(2);
+    let layer = trace_layer_backward(
+        "768x512x384",
+        GemmShape::new(768, 512, 384),
+        1.0,
+        &server,
+        Technique::Interleaving,
+        false,
+        &options,
+    );
+    assert_eq!(layer.cores.len(), 2);
+    assert_eq!(
+        artifact_hashes(std::slice::from_ref(&layer)),
+        [
+            0x176ef02afbff15bc,
+            0x62a1894bae3aba92,
+            0x7a5e58bc296921e6,
+            0xf11d2cf5bc8ea469,
+        ],
+        "768x512x384 on serverx2: trace.json, metrics.csv, dy_reuse.csv, dy_tiles.csv"
+    );
 }
