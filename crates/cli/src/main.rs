@@ -6,8 +6,7 @@
 //! igo-sim layer   <M> <K> <N> <config>        per-order comparison of one layer
 //! igo-sim sweep   <model>                     bandwidth sweep on the large NPU
 //! igo-sim sweep   <model|zoo> --spm <ladder> [--techniques <list>]
-//!                 [--config C] [--out DIR]
-//!                 [--no-profile]              SPM × technique × model grid
+//!                 [--config C] [--out DIR]    SPM × technique × model grid
 //! igo-sim perf    [edge|server|all]           pipeline self-measurement
 //! igo-sim audit   [--seeds N] [--seed S]      differential fuzz-audit
 //! igo-sim trace   <model|MxKxN> <config> [--out DIR] [--technique T]
@@ -20,12 +19,9 @@
 //!
 //! The grid form of `sweep` fans a design-space grid — SPM capacity rungs
 //! (`--spm`, MiB) × techniques × models (`zoo` sweeps the whole suite of
-//! the base config) — across the worker pool, with the analytic fast-path
-//! engine evaluating each point. On a single-core base config with two or
-//! more rungs, each `(model, technique)` pair is profiled *once* by the
-//! capacity-oblivious stack-distance profiler and every SPM rung is
-//! answered from that one pass; `--no-profile` forces the per-grid-point
-//! path instead (results are bit-identical either way). With `--out` it
+//! the base config) — across the worker pool, one task per grid point,
+//! with the analytic fast-path engine evaluating each point and the memo
+//! cache sharing candidate replays between techniques. With `--out` it
 //! writes `sweep.csv` and `summary.json`; otherwise both go to stdout.
 //!
 //! The global `--jobs N` flag caps the worker pool (equivalent to setting
@@ -49,8 +45,8 @@
 use igo_bench::wallclock::{measure, Timing};
 use igo_core::{
     parallel_map, run_audit, select_order, sim_cache_stats, simulate_layer_backward,
-    simulate_model, simulate_model_ladder, simulate_model_with, BackwardOrder, ModelReport,
-    SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS,
+    simulate_model, simulate_model_with, BackwardOrder, ModelReport, SimOptions, Technique,
+    TraceExport, DEFAULT_REUSE_POINTS,
 };
 use igo_npu_sim::{analytic_run_count, engine_run_count, NpuConfig};
 use igo_tensor::GemmShape;
@@ -63,7 +59,7 @@ use parse::{parse_config, parse_model};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR] [--no-profile]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
+        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
     );
     ExitCode::from(2)
 }
@@ -452,27 +448,19 @@ fn suite_for(config: &NpuConfig) -> &'static [ModelId] {
 }
 
 /// Design-space grid sweep: SPM-capacity rungs × techniques × models,
-/// evaluated by the analytic fast-path pipeline and emitted as
-/// `sweep.csv` plus a JSON summary to `--out DIR` or stdout.
-///
-/// On a single-core base config with a multi-rung ladder the default path
-/// fans one task per `(model, technique)` pair across the worker pool and
-/// lets [`simulate_model_ladder`] answer every rung from one
-/// capacity-oblivious profiling pass; `--no-profile` (or a multi-core
-/// config, or a single rung) falls back to one task per grid point. Row
-/// order, formats and results are identical on both paths and for every
-/// worker count.
+/// one worker-pool task per grid point, evaluated by the analytic
+/// fast-path pipeline and emitted as `sweep.csv` plus a JSON summary to
+/// `--out DIR` or stdout. Row order, formats and results are identical
+/// for every worker count.
 fn sweep_grid(args: &[String]) -> ExitCode {
     let mut config = NpuConfig::large_single_core();
     let mut spm_ladder: Option<Vec<u64>> = None;
     let mut techniques: Vec<Technique> = Technique::LADDER.to_vec();
     let mut out_dir: Option<String> = None;
-    let mut profile = true;
     let mut positional: Vec<&String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--no-profile" => profile = false,
             "--config" => match it.next().and_then(|v| parse_config(v)) {
                 Some(c) => config = c,
                 None => {
@@ -539,42 +527,11 @@ fn sweep_grid(args: &[String]) -> ExitCode {
     let analytic_before = analytic_run_count();
     let cache_before = sim_cache_stats();
     let options = SimOptions::optimized();
-    let use_ladder = profile && spm_ladder.len() >= 2 && config.cores == 1;
     let (reports, wall) = measure(|| {
-        if use_ladder {
-            // Profiled path: one task per (model, technique) pair; the
-            // capacity-oblivious profiler answers every SPM rung from a
-            // single schedule pass. Scatter the per-rung reports back into
-            // the grid's spm-outer row order.
-            let rungs: Vec<NpuConfig> = spm_ladder
-                .iter()
-                .map(|&mib| config.clone().with_spm_bytes(mib << 20))
-                .collect();
-            let mut tasks: Vec<(usize, Technique)> = Vec::new();
-            for mi in 0..models.len() {
-                for &t in &techniques {
-                    tasks.push((mi, t));
-                }
-            }
-            let by_task = parallel_map(&tasks, |&(mi, technique)| {
-                simulate_model_ladder(&models[mi], &rungs, technique, &options)
-            });
-            let mut slots: Vec<Option<ModelReport>> = points.iter().map(|_| None).collect();
-            for (k, per_rung) in by_task.into_iter().enumerate() {
-                for (s, report) in per_rung.into_iter().enumerate() {
-                    slots[s * tasks.len() + k] = Some(report);
-                }
-            }
-            slots
-                .into_iter()
-                .map(|r| r.expect("ladder answered every grid point"))
-                .collect()
-        } else {
-            parallel_map(&points, |&(mib, mi, technique)| {
-                let rung = config.clone().with_spm_bytes(mib << 20);
-                simulate_model_with(&models[mi], &rung, technique, &options)
-            })
-        }
+        parallel_map(&points, |&(mib, mi, technique)| {
+            let rung = config.clone().with_spm_bytes(mib << 20);
+            simulate_model_with(&models[mi], &rung, technique, &options)
+        })
     });
 
     let block = techniques.len();
@@ -719,33 +676,6 @@ fn perf_ladder_arm(
     )
 }
 
-/// The profiled counterpart of [`perf_ladder_arm`]: the same suite and
-/// ladder answered by [`simulate_model_ladder`], which profiles each
-/// candidate schedule once and reads every rung off the capacity curve.
-/// Reports come back in the flat arm's order (rung-outer, model-inner) so
-/// the two arms compare element-for-element.
-fn perf_profile_arm(
-    models: &[Model],
-    ladder: &[NpuConfig],
-    options: &SimOptions,
-) -> (Vec<ModelReport>, f64, u64) {
-    let analytic_before = analytic_run_count();
-    let (reports, wall) = measure(|| {
-        let by_model: Vec<Vec<ModelReport>> = models
-            .iter()
-            .map(|m| simulate_model_ladder(m, ladder, Technique::DataPartitioning, options))
-            .collect();
-        let mut out = Vec::with_capacity(ladder.len() * models.len());
-        for s in 0..ladder.len() {
-            for per_rung in &by_model {
-                out.push(per_rung[s].clone());
-            }
-        }
-        out
-    });
-    (reports, wall, analytic_run_count() - analytic_before)
-}
-
 /// Bit-exact comparison of two sweep results: every layer's forward and
 /// backward reports (cycles, per-class traffic, counters) and the
 /// scheduler decisions must match.
@@ -765,10 +695,9 @@ fn reports_identical(a: &[ModelReport], b: &[ModelReport]) -> bool {
 
 /// Pipeline self-measurement: the full-zoo data-partitioning sweep on the
 /// sequential reference path and twice on the optimized path (cold cache,
-/// then warm); the analytic fast path versus the cycle engine over an SPM
-/// ladder; and the capacity-oblivious profiler versus per-rung analytic
-/// replay over the same ladder. Every arm must be bit-identical; the
-/// speedups are printed for `scripts/bench.sh` to record.
+/// then warm); and the analytic fast path versus the cycle engine over an
+/// SPM ladder. Every arm must be bit-identical; the speedups are printed
+/// for `scripts/bench.sh` to record.
 fn cmd_perf(which: &str) -> ExitCode {
     let configs: Vec<NpuConfig> = match which {
         "edge" => vec![NpuConfig::small_edge()],
@@ -849,43 +778,6 @@ fn cmd_perf(which: &str) -> ExitCode {
             "bit-identical: {}   analytic speedup {:.1}x (target >= 10x)",
             if identical { "yes" } else { "NO" },
             eng_wall / fast_wall,
-        );
-
-        // The capacity-oblivious profiler's gate: the same ladder answered
-        // by one profiling pass per candidate schedule versus an
-        // independent analytic replay per rung. Memoization is off in BOTH
-        // arms so neither arm can be served from caches the other
-        // populated; the comparison is pure profile-once vs
-        // replay-per-rung cost.
-        println!(
-            "== {} : capacity-oblivious profiler, cold-cache SPM-ladder sweep ==",
-            config.name
-        );
-        let flat_opts = SimOptions {
-            memoize: false,
-            capacity_profile: false,
-            ..SimOptions::optimized()
-        };
-        let prof_opts = SimOptions {
-            memoize: false,
-            ..SimOptions::optimized()
-        };
-        let (flat, flat_wall, _, flat_analytic) = perf_ladder_arm(&models, &ladder, &flat_opts);
-        let (prof, prof_wall, prof_analytic) = perf_profile_arm(&models, &ladder, &prof_opts);
-        let identical = reports_identical(&flat, &prof);
-        ok &= identical;
-        println!(
-            "flat-replay   {:>8.3}s  ({} analytic runs)",
-            flat_wall, flat_analytic
-        );
-        println!(
-            "profiled      {:>8.3}s  ({} analytic runs)",
-            prof_wall, prof_analytic
-        );
-        println!(
-            "bit-identical: {}   profile speedup {:.2}x",
-            if identical { "yes" } else { "NO" },
-            flat_wall / prof_wall,
         );
     }
     if ok {

@@ -24,12 +24,6 @@
 //! * **Algorithm 1**: the pipeline's rearrangement decision must match an
 //!   independent recomputation of the paper's selection rule from the
 //!   tensor dimensions alone.
-//! * **Stack distance** (single-core cases): one capacity-oblivious
-//!   ladder pass over a randomly drawn SPM ladder must reproduce the solo
-//!   per-capacity replay bit for bit — report, accept/reject decision
-//!   under cycle cutoffs, and the cycle engine itself at every rung —
-//!   while the derived [`CapacityProfile`] stays exact on rungs and
-//!   admissible off them.
 //! * **Numeric** (small dense cases): executing the decided schedule on
 //!   real tile data must reproduce the `dX = dY·Wᵀ`, `dW = Xᵀ·dY`
 //!   reference within tolerance.
@@ -50,10 +44,9 @@ use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    replay_ladder, run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector,
-    AnalyticReport, AnalyticScratch, CapacityProfile, DramConfig, Engine, EngineScratch, EventLog,
-    Exactness, LadderScratch, MetricsFold, NpuConfig, OptCache, PeArray, RunMetrics, Schedule,
-    ScheduleOp, SimReport, TileKey, TraceEvent, Traffic,
+    run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector, AnalyticScratch,
+    DramConfig, Engine, EngineScratch, EventLog, Exactness, MetricsFold, NpuConfig, OptCache,
+    PeArray, RunMetrics, Schedule, ScheduleOp, SimReport, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use std::collections::{HashMap, HashSet};
@@ -139,8 +132,6 @@ impl AuditCase {
             prune: rng.range_u64(0, 2) == 1,
             workers: rng.range_u64(0, 4) as usize,
             analytic_fast_path: rng.range_u64(0, 2) == 1,
-            // Drawn last so every earlier field matches pre-profile seeds.
-            capacity_profile: rng.range_u64(0, 2) == 1,
         };
         Self {
             seed,
@@ -344,15 +335,6 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     checks += 1;
     violations.extend(check_analytic(case, ref_decision.order));
 
-    // Stack-distance profiler: one capacity-oblivious ladder pass must
-    // agree with solo per-capacity replays (and the engine) at every rung
-    // of a randomly drawn SPM ladder. Single-core only: the ladder models
-    // one residency domain.
-    if case.config.cores == 1 {
-        checks += 1;
-        violations.extend(check_capacity_profile(case, ref_decision.order));
-    }
-
     // Conservation: rebuild the decided execution, re-run it through the
     // public machine model, and shadow-replay every schedule.
     checks += 1;
@@ -513,212 +495,6 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
             format!(
                 "bound hits {} below engine hits {}",
                 bound.spm_hits, report.spm_hits
-            ),
-        ));
-    }
-    violations
-}
-
-/// Salt for the ladder-drawing rng: the check derives its randomness from
-/// `seed ^ LADDER_SALT` so adding the check never perturbs the case
-/// generation stream itself.
-const LADDER_SALT: u64 = 0x57ac_d157_a9ce_0e1d;
-
-/// Cross-check the capacity-oblivious stack-distance profiler against the
-/// per-capacity analytic replay and the cycle engine on the decided
-/// order's unpartitioned emission.
-///
-/// A derived rng draws a small SPM ladder around the case's own residency
-/// (always including it). Then:
-///
-/// * [`replay_ladder`] with no cutoffs must reproduce a solo
-///   [`AnalyticCollector::replay_bounded`] at every rung bit for bit, and
-///   both must match [`Engine::run`] on the materialised schedule;
-/// * with per-rung cycle cutoffs drawn at and just below each rung's true
-///   cycle count, the ladder must return exactly what the solo replay
-///   returns — same accept/reject decision, bit-identical report when
-///   accepted;
-/// * [`CapacityProfile::query`] must answer profiled rungs exactly
-///   ([`Exactness::Exact`]) and answer an off-rung capacity with the
-///   compulsory floor ([`Exactness::LowerBound`]) that is admissible
-///   against a solo replay at that capacity: exact in compute cycles,
-///   op/MAC counts and SPM bytes touched; never above it in cycles,
-///   memory cycles, misses or per-class traffic; never below it in hits.
-fn check_capacity_profile(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    let fail = |check: &'static str, detail: String| Violation {
-        seed: case.seed,
-        check,
-        detail,
-    };
-    let policy = TilePolicy::for_config(&case.config);
-    let mut proto = Schedule::new("audit");
-    let tensors = LayerTensors::register(&mut proto, "l");
-    let builder = BackwardBuilder::new(case.gemm, policy, tensors).with_ifmap_density(case.density);
-    let mut s = proto.fork("audit-profile");
-    builder.emit(order, case.is_first, &mut s);
-    let mut collector = AnalyticCollector::new();
-    builder.register_grids(&mut collector);
-    builder.emit(order, case.is_first, &mut collector);
-
-    let mut rng = SplitMix64::new(case.seed ^ LADDER_SALT);
-    let machine = Engine::new(&case.config);
-    let base = machine.residency_bytes();
-    // 2..=4 distinct rungs, 25%..400% of the case's own residency, which
-    // is always a rung itself so the engine cross-check hits the exact
-    // capacity the rest of the audit exercises.
-    let mut caps = vec![base];
-    for _ in 0..rng.range_u64(1, 4) {
-        caps.push((base.saturating_mul(rng.range_u64(25, 401)) / 100).max(1));
-    }
-    caps.sort_unstable();
-    caps.dedup();
-
-    // A rung's solo reference: the same collector replayed against an
-    // engine whose residency is that rung (`cores == 1`, so residency is
-    // `spm / 2`).
-    let rung_engine =
-        |cap: u64| Engine::new(&case.config.clone().with_spm_bytes(cap.saturating_mul(2)));
-    let mut scratch = AnalyticScratch::new();
-    let solos: Vec<AnalyticReport> = caps
-        .iter()
-        .map(|&cap| collector.replay(&rung_engine(cap), &mut scratch))
-        .collect();
-
-    let mut ladder_scratch = LadderScratch::new();
-    let unbounded = replay_ladder(
-        &collector,
-        &machine,
-        &caps,
-        &vec![None; caps.len()],
-        &mut ladder_scratch,
-    );
-    for ((&cap, solo), rung) in caps.iter().zip(&solos).zip(&unbounded) {
-        match rung {
-            Some(r) if r == solo => {}
-            other => violations.push(fail(
-                "profile-ladder-differential",
-                format!("rung {cap}: ladder {other:?} != solo {solo:?}"),
-            )),
-        }
-        let engine_report = rung_engine(cap).run(&s);
-        if solo.report != engine_report {
-            violations.push(fail(
-                "profile-engine-differential",
-                format!(
-                    "rung {cap}: solo replay {:?} != engine {engine_report:?}",
-                    solo.report
-                ),
-            ));
-        }
-    }
-
-    // Cutoff contract: the ladder must make exactly the solo replay's
-    // accept/reject decision rung by rung, including at the two boundary
-    // cutoffs (the true cycle count, which must accept, and one below it).
-    let cutoffs: Vec<Option<u64>> = solos
-        .iter()
-        .map(|solo| match rng.range_u64(0, 3) {
-            0 => None,
-            1 => Some(solo.report.cycles),
-            _ => Some(solo.report.cycles.saturating_sub(1)),
-        })
-        .collect();
-    let bounded = replay_ladder(&collector, &machine, &caps, &cutoffs, &mut ladder_scratch);
-    for ((&cap, &cutoff), rung) in caps.iter().zip(&cutoffs).zip(&bounded) {
-        let solo = collector.replay_bounded(&rung_engine(cap), &mut scratch, cutoff);
-        if *rung != solo {
-            violations.push(fail(
-                "profile-cutoff-differential",
-                format!("rung {cap} cutoff {cutoff:?}: ladder {rung:?} != solo {solo:?}"),
-            ));
-        }
-    }
-
-    // Profile queries: exact on rungs, admissible floor off them.
-    let profile = CapacityProfile::compute(&collector, &machine, &caps, &mut ladder_scratch);
-    for (&cap, solo) in caps.iter().zip(&solos) {
-        let answer = profile.query(cap);
-        if answer != *solo || answer.exactness != Exactness::Exact {
-            violations.push(fail(
-                "profile-rung-exact",
-                format!("rung {cap}: profile {answer:?} != solo {solo:?}"),
-            ));
-        }
-    }
-    let mut off = caps.last().unwrap() + 1;
-    for _ in 0..8 {
-        let draw = (base.saturating_mul(rng.range_u64(10, 501)) / 100).max(1);
-        if !caps.contains(&draw) {
-            off = draw;
-            break;
-        }
-    }
-    let answer = profile.query(off);
-    if answer.exactness != Exactness::LowerBound {
-        violations.push(fail(
-            "profile-floor-tag",
-            format!(
-                "off-rung {off} tagged {:?}, expected LowerBound",
-                answer.exactness
-            ),
-        ));
-    }
-    let solo_off = collector.replay(&rung_engine(off), &mut scratch).report;
-    let floor = answer.report;
-    let exact = [
-        (
-            "compute_cycles",
-            floor.compute_cycles,
-            solo_off.compute_cycles,
-        ),
-        ("gemm_ops", floor.gemm_ops, solo_off.gemm_ops),
-        ("macs", floor.macs, solo_off.macs),
-        (
-            "spm_bytes_touched",
-            floor.spm_bytes_touched,
-            solo_off.spm_bytes_touched,
-        ),
-    ];
-    for (name, got, want) in exact {
-        if got != want {
-            violations.push(fail(
-                "profile-floor-exact-field",
-                format!("off-rung {off}: floor {name} {got} != solo {want}"),
-            ));
-        }
-    }
-    let mut at_most = vec![
-        ("cycles", floor.cycles, solo_off.cycles),
-        ("mem_cycles", floor.mem_cycles, solo_off.mem_cycles),
-        ("spm_misses", floor.spm_misses, solo_off.spm_misses),
-    ];
-    for class in TensorClass::ALL {
-        at_most.push((
-            class.label(),
-            floor.traffic.read(class),
-            solo_off.traffic.read(class),
-        ));
-        at_most.push((
-            class.label(),
-            floor.traffic.write(class),
-            solo_off.traffic.write(class),
-        ));
-    }
-    for (name, got, limit) in at_most {
-        if got > limit {
-            violations.push(fail(
-                "profile-floor-admissible",
-                format!("off-rung {off}: floor {name} {got} exceeds solo {limit}"),
-            ));
-        }
-    }
-    if floor.spm_hits < solo_off.spm_hits {
-        violations.push(fail(
-            "profile-floor-admissible",
-            format!(
-                "off-rung {off}: floor hits {} below solo hits {}",
-                floor.spm_hits, solo_off.spm_hits
             ),
         ));
     }

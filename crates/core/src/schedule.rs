@@ -603,63 +603,6 @@ impl BackwardBuilder {
     }
 }
 
-/// The capacity-dependent part of one backward emission, used by the
-/// capacity-ladder pipeline to prove that two SPM rungs would receive the
-/// *identical* access stream and can therefore share one emission pass.
-///
-/// Everything else a builder emits — grids, clipped tile bytes, density
-/// scaling, op order within a nest — depends only on the GEMM shape, tile
-/// shape, dtype and density, which are equal across the rungs of one
-/// ladder by construction. The SPM capacity reaches the stream only
-/// through the blocking factors captured here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EmissionSig {
-    /// `dw_only` (first layers): the dW-nest blocking.
-    DwOnly(Blocking),
-    /// Baseline / IdealDyReuse / Interleaved: the two nest blockings.
-    TwoNest(Blocking, Blocking),
-    /// Fused sweeps: the `(kb, b)` block factors.
-    Fused(u64, u64),
-}
-
-impl BackwardBuilder {
-    /// The [`EmissionSig`] of `emit(order, is_first, _)`: equal signatures
-    /// from builders differing only in `policy.capacity_tiles` guarantee
-    /// byte-identical emission streams.
-    pub(crate) fn emission_signature(&self, order: BackwardOrder, is_first: bool) -> EmissionSig {
-        let cap = self.policy.capacity_tiles;
-        if is_first {
-            return EmissionSig::DwOnly(self.dw_blocking(cap));
-        }
-        match order {
-            BackwardOrder::Baseline | BackwardOrder::IdealDyReuse | BackwardOrder::Interleaved => {
-                EmissionSig::TwoNest(self.dx_blocking(cap), self.dw_blocking(cap))
-            }
-            BackwardOrder::DxMajor => {
-                let (kb, b) = self.fused_blocks(true);
-                EmissionSig::Fused(kb, b)
-            }
-            BackwardOrder::DwMajor => {
-                let (kb, b) = self.fused_blocks(false);
-                EmissionSig::Fused(kb, b)
-            }
-        }
-    }
-}
-
-/// The capacity-dependent part of [`forward_schedule`]'s emission: its
-/// single output blocking (see [`EmissionSig`] for the contract).
-pub(crate) fn forward_emission_signature(gemm: GemmShape, policy: TilePolicy) -> EmissionSig {
-    let y_grid = gemm.dy_grid(policy.tile);
-    let x_grid = gemm.dx_grid(policy.tile);
-    let (mt, nt, kt) = (
-        y_grid.rows() as u64,
-        y_grid.cols() as u64,
-        x_grid.cols() as u64,
-    );
-    EmissionSig::DwOnly(Blocking::choose(mt, nt, kt, policy.capacity_tiles))
-}
-
 /// Emit the forward pass `Y = X × W` with a capacity-blocked nest.
 pub fn forward_schedule<S: ScheduleSink>(
     gemm: GemmShape,

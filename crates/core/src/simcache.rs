@@ -6,6 +6,10 @@
 //! models. Under this machine model a layer simulation is a pure function
 //! of `(GEMM shape, ifmap density, hardware config, technique, position)`,
 //! so the pipeline caches results across [`crate::simulate_model`] calls.
+//! The same cache also memoizes individual backward *candidates*
+//! ([`CandidateKey`]): techniques share candidate schedules, so a candidate
+//! replayed while selecting under one technique is served from the cache
+//! when a later technique enumerates it.
 //!
 //! The key deliberately excludes the config's *name* (a label) and
 //! *batch-per-core* (already folded into the GEMM's M dimension by model
@@ -52,27 +56,6 @@ impl ConfigFingerprint {
             burst_latency: config.dram.burst_latency_cycles,
         }
     }
-
-    /// Fingerprint `config` with the SPM capacity zeroed out. This is the
-    /// key of the capacity-*oblivious* profile cache: one entry answers
-    /// every SPM size of an otherwise identical machine.
-    pub fn sans_spm(config: &NpuConfig) -> Self {
-        Self {
-            spm_bytes: 0,
-            ..Self::of(config)
-        }
-    }
-
-    /// Whether two fingerprints differ at most in their SPM capacity.
-    pub fn equal_sans_spm(&self, other: &Self) -> bool {
-        Self {
-            spm_bytes: 0,
-            ..*self
-        } == Self {
-            spm_bytes: 0,
-            ..*other
-        }
-    }
 }
 
 /// Which simulation of a layer the entry holds.
@@ -81,6 +64,30 @@ enum PassKey {
     Forward,
     Backward {
         technique: Technique,
+        is_first: bool,
+    },
+    /// One replayed backward candidate (see [`CandidateKey`]).
+    Candidate(CandidateKey),
+}
+
+/// One backward candidate schedule of a layer. Unlike
+/// [`PassKey::Backward`], this names a single access stream rather than a
+/// technique, so a candidate replayed while selecting under one technique
+/// (e.g. Baseline's plain schedule) answers the same candidate when a
+/// later technique (e.g. DataPartitioning) enumerates it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum CandidateKey {
+    /// The unpartitioned emission (on a multi-core config, the batch
+    /// split across cores).
+    Plain {
+        order: BackwardOrder,
+        is_first: bool,
+    },
+    /// A partitioned emission of `parts` realised sub-GEMMs.
+    Partition {
+        scheme: PartitionScheme,
+        parts: u64,
+        order: BackwardOrder,
         is_first: bool,
     },
 }
@@ -269,109 +276,40 @@ pub(crate) fn put_backward(
     insert(key(gemm, density, config, pass), (report, Some(decision)));
 }
 
-/// Which schedule a capacity profile describes. Unlike [`PassKey`], a
-/// backward entry pins one *candidate schedule* — not a technique, whose
-/// winning candidate may change with SPM capacity — because a profile
-/// curve must describe a single access stream across every capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum ProfilePass {
-    /// The forward nest.
-    Forward,
-    /// One single-builder backward emission.
-    Plain {
-        order: BackwardOrder,
-        is_first: bool,
-    },
-    /// One sequential-partition backward emission (all sub-GEMMs).
-    Partition {
-        scheme: PartitionScheme,
-        parts: u64,
-        order: BackwardOrder,
-        is_first: bool,
-    },
-}
-
-/// Key of the capacity-oblivious profile cache: the config fingerprint has
-/// its SPM field zeroed, so one entry serves the entire SPM ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ProfileKey {
-    gemm: GemmShape,
-    density_bits: u64,
-    config: ConfigFingerprint,
-    pass: ProfilePass,
-}
-
-/// Exact replay results of one schedule at sampled SPM capacities,
-/// ascending in `spm_bytes`. Reports are the *raw* replay outputs — for
-/// partition candidates the reduction cost is added back by the caller.
-pub(crate) type ProfileCurve = Vec<(u64, SimReport)>;
-
-static PROFILE: OnceLock<Mutex<LruCache<ProfileKey, ProfileCurve>>> = OnceLock::new();
-
-fn profile_cache() -> &'static Mutex<LruCache<ProfileKey, ProfileCurve>> {
-    PROFILE.get_or_init(|| Mutex::new(LruCache::new()))
-}
-
-fn profile_key(gemm: GemmShape, density: f64, config: &NpuConfig, pass: ProfilePass) -> ProfileKey {
-    ProfileKey {
-        gemm,
-        density_bits: density.to_bits(),
-        config: ConfigFingerprint::sans_spm(config),
-        pass,
-    }
-}
-
-/// The profiled capacity curve of one schedule, if any rung of it has been
-/// replayed before. Hits and misses count into the shared cache counters.
-pub(crate) fn get_profile(
+/// The exact report of one backward candidate replayed before on this
+/// layer and config, under any technique.
+pub(crate) fn get_candidate(
     gemm: GemmShape,
     density: f64,
     config: &NpuConfig,
-    pass: ProfilePass,
-) -> Option<ProfileCurve> {
-    let got = profile_cache()
-        .lock()
-        .unwrap()
-        .get(&profile_key(gemm, density, config, pass));
-    match got {
-        Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
-        None => MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    got
+    candidate: CandidateKey,
+) -> Option<SimReport> {
+    lookup(&key(gemm, density, config, PassKey::Candidate(candidate))).map(|(r, _)| r)
 }
 
-/// Merge freshly replayed `(spm_bytes, report)` points into the profile
-/// curve of one schedule. Existing points win ties (both sides are outputs
-/// of the same deterministic replay, so the values are identical anyway).
-pub(crate) fn put_profile(
+/// Memoize the exact report of one completed candidate replay.
+pub(crate) fn put_candidate(
     gemm: GemmShape,
     density: f64,
     config: &NpuConfig,
-    pass: ProfilePass,
-    points: &[(u64, SimReport)],
+    candidate: CandidateKey,
+    report: SimReport,
 ) {
-    if points.is_empty() {
-        return;
-    }
-    let k = profile_key(gemm, density, config, pass);
-    let cap = sim_cache_cap();
-    let mut cache = profile_cache().lock().unwrap();
-    let mut curve = cache
-        .map
-        .get(&k)
-        .map(|(v, _)| v.clone())
-        .unwrap_or_default();
-    for &(spm, report) in points {
-        if let Err(i) = curve.binary_search_by_key(&spm, |&(s, _)| s) {
-            curve.insert(i, (spm, report));
-        }
-    }
-    cache.insert(k, curve, cap);
+    insert(
+        key(gemm, density, config, PassKey::Candidate(candidate)),
+        (report, None),
+    );
 }
 
-/// Number of schedules with a memoized capacity profile.
+/// Number of memoized candidate replays (a subset of [`sim_cache_len`]).
 pub fn sim_profile_cache_len() -> usize {
-    profile_cache().lock().unwrap().map.len()
+    cache()
+        .lock()
+        .expect("memo cache lock poisoned by a panicking worker")
+        .map
+        .keys()
+        .filter(|k| matches!(k.pass, PassKey::Candidate(_)))
+        .count()
 }
 
 /// Hit/miss/eviction counters of the layer memo cache.
@@ -395,7 +333,8 @@ pub fn sim_cache_stats() -> CacheStats {
     }
 }
 
-/// Number of distinct layer results currently memoized.
+/// Number of entries currently memoized: layer results and candidate
+/// replays.
 pub fn sim_cache_len() -> usize {
     cache().lock().unwrap().map.len()
 }
@@ -503,58 +442,37 @@ mod tests {
     }
 
     #[test]
-    fn profile_cache_merges_points_and_ignores_spm() {
+    fn candidate_memo_round_trips_and_keys_the_full_config() {
         // A deliberately unique shape so no other test collides.
         let gemm = GemmShape::new(7873, 7867, 7853);
         let config = NpuConfig::small_edge();
         let shrunk = config.clone().with_spm_bytes(config.spm_bytes / 2);
-        let pass = ProfilePass::Plain {
+        let plain = CandidateKey::Plain {
             order: BackwardOrder::Interleaved,
             is_first: false,
         };
-        assert_eq!(get_profile(gemm, 1.0, &config, pass), None);
-        let rep = |cycles| SimReport {
-            cycles,
+        assert_eq!(get_candidate(gemm, 1.0, &config, plain), None);
+        let report = SimReport {
+            cycles: 40,
             ..Default::default()
         };
-        put_profile(
-            gemm,
-            1.0,
-            &config,
-            pass,
-            &[(4096, rep(40)), (1024, rep(10))],
-        );
-        // A second put through a *different SPM size* merges into the same
-        // curve: the key is capacity-oblivious.
-        put_profile(
-            gemm,
-            1.0,
-            &shrunk,
-            pass,
-            &[(2048, rep(20)), (1024, rep(99))],
-        );
-        let curve = get_profile(gemm, 1.0, &shrunk, pass).expect("curve cached");
+        put_candidate(gemm, 1.0, &config, plain, report);
+        assert_eq!(get_candidate(gemm, 1.0, &config, plain), Some(report));
         assert_eq!(
-            curve
-                .iter()
-                .map(|&(s, r)| (s, r.cycles))
-                .collect::<Vec<_>>(),
-            vec![(1024, 10), (2048, 20), (4096, 40)],
-            "points sorted ascending, first write wins ties"
+            get_candidate(gemm, 1.0, &shrunk, plain),
+            None,
+            "SPM size is keyed"
         );
+        let first = CandidateKey::Plain {
+            order: BackwardOrder::Interleaved,
+            is_first: true,
+        };
         assert_eq!(
-            get_profile(
-                gemm,
-                1.0,
-                &config,
-                ProfilePass::Plain {
-                    order: BackwardOrder::Interleaved,
-                    is_first: true,
-                },
-            ),
+            get_candidate(gemm, 1.0, &config, first),
             None,
             "pass position is keyed"
         );
+        assert!(sim_profile_cache_len() >= 1);
     }
 
     #[test]

@@ -54,15 +54,14 @@ pub mod multicore;
 pub mod opt;
 pub mod recorder;
 pub mod spm;
-pub mod stackdist;
 pub mod stats;
 pub mod systolic;
 pub mod trace;
 
 pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
-    analytic_run_count, compute_sum, grid_sum, AnalyticCollector, AnalyticReport, AnalyticScratch,
-    Axis, BoundAccum, Exactness, GridSum, ReplayOptCache,
+    analytic_run_count, compute_sum, grid_sum, replay_ladder, AnalyticCollector, AnalyticReport,
+    AnalyticScratch, Axis, BoundAccum, Exactness, GridSum, LadderScratch, ReplayOptCache,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
@@ -79,7 +78,6 @@ pub use recorder::{
     ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,
 };
 pub use spm::SpmCache;
-pub use stackdist::{replay_ladder, CapacityProfile, LadderScratch};
 pub use stats::{SimReport, Traffic};
 pub use systolic::SystolicModel;
 pub use trace::{

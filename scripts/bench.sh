@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Performance benchmark for the IGO workspace.
 #
-# Runs `igo-sim perf` (the cold-cache SPM-ladder sweeps that compare the
-# engine path against the analytic fast path, and flat per-rung replay
-# against the capacity-oblivious profiler) plus a design-space sweep
-# micro-benchmark in both execution modes (profiled vs --no-profile),
-# and records the numbers in BENCH_<N>.json at the repo root so the perf
-# trajectory is tracked across PRs. Hermetic: no network.
+# Runs `igo-sim perf` (the cold-cache SPM-ladder sweep that compares the
+# engine path against the analytic fast path) plus a design-space sweep
+# micro-benchmark, and records the numbers in BENCH_<N>.json at the repo
+# root so the perf trajectory is tracked across PRs. Hermetic: no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,36 +23,17 @@ analytic_s="$(awk '/^analytic-path/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG"
 speedup="$(awk '/analytic speedup/ { for (i=1;i<=NF;i++) if ($i=="speedup") { sub(/x$/, "", $(i+1)); print $(i+1) } }' "$PERF_LOG")"
 identical="$(awk -F': *' '/^bit-identical.*analytic speedup/ { split($2, a, " "); print (a[1]=="yes") ? "true" : "false" }' "$PERF_LOG")"
 
-# The capacity-oblivious profiler arm: flat replay-per-rung vs one
-# profiling pass per candidate schedule, memoization off in both.
-flat_s="$(awk '/^flat-replay/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-profiled_s="$(awk '/^profiled/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-profile_speedup="$(awk '/profile speedup/ { for (i=1;i<=NF;i++) if ($i=="speedup") { sub(/x$/, "", $(i+1)); print $(i+1) } }' "$PERF_LOG")"
-profile_identical="$(awk -F': *' '/^bit-identical.*profile speedup/ { split($2, a, " "); print (a[1]=="yes") ? "true" : "false" }' "$PERF_LOG")"
-
-echo "== igo-sim sweep zoo (micro-benchmark: profiled vs --no-profile) =="
+echo "== igo-sim sweep zoo (micro-benchmark, min of 2) =="
 SWEEP_DIR="$(mktemp -d)"
-run_sweep() { # run_sweep <subdir> [extra flags...]; echoes the run's wall seconds
-  local sub="$1"
-  shift
-  ./target/release/igo-sim sweep zoo --spm 3,6,12,24 --out "$SWEEP_DIR/$sub" "$@" >/dev/null
-  grep -o '"wall_seconds":[0-9.]*' "$SWEEP_DIR/$sub/summary.json" | cut -d: -f2
+run_sweep() { # run_sweep <subdir>; echoes the run's wall seconds
+  ./target/release/igo-sim sweep zoo --spm 3,6,12,24 --out "$SWEEP_DIR/$1" >/dev/null
+  grep -o '"wall_seconds":[0-9.]*' "$SWEEP_DIR/$1/summary.json" | cut -d: -f2
 }
-# Interleave the two modes and keep the min of two runs each, so a noisy
-# box does not bias the recorded comparison toward either mode.
-p1="$(run_sweep prof)"
-f1="$(run_sweep flat --no-profile)"
-p2="$(run_sweep prof)"
-f2="$(run_sweep flat --no-profile)"
-prof_wall="$(printf '%s\n%s\n' "$p1" "$p2" | sort -g | head -1)"
-flat_wall="$(printf '%s\n%s\n' "$f1" "$f2" | sort -g | head -1)"
-sweep_speedup="$(awk -v f="$flat_wall" -v p="$prof_wall" 'BEGIN { printf "%.3f", f / p }')"
-SWEEP_SUMMARY="$(cat "$SWEEP_DIR/prof/summary.json")"
-FLAT_SUMMARY="$(cat "$SWEEP_DIR/flat/summary.json")"
-best_prof="$(grep -o '"best":.*' "$SWEEP_DIR/prof/summary.json")"
-best_flat="$(grep -o '"best":.*' "$SWEEP_DIR/flat/summary.json")"
-if [ "$best_prof" = "$best_flat" ]; then frontier_identical=true; else frontier_identical=false; fi
-echo "profiled ${prof_wall}s vs flat ${flat_wall}s  (speedup ${sweep_speedup}x, frontier identical: ${frontier_identical})"
+s1="$(run_sweep a)"
+s2="$(run_sweep b)"
+sweep_wall="$(printf '%s\n%s\n' "$s1" "$s2" | sort -g | head -1)"
+SWEEP_SUMMARY="$(cat "$SWEEP_DIR/a/summary.json")"
+echo "sweep zoo ${sweep_wall}s (runs: ${s1}s, ${s2}s)"
 
 cat > "$OUT" <<JSON
 {
@@ -65,20 +44,8 @@ cat > "$OUT" <<JSON
     "analytic_speedup": ${speedup},
     "bit_identical": ${identical}
   },
-  "perf_profile": {
-    "flat_replay_seconds": ${flat_s},
-    "profiled_seconds": ${profiled_s},
-    "profile_speedup": ${profile_speedup},
-    "bit_identical": ${profile_identical}
-  },
-  "sweep_profile": {
-    "profiled_wall_seconds": ${prof_wall},
-    "no_profile_wall_seconds": ${flat_wall},
-    "profiled_speedup": ${sweep_speedup},
-    "frontier_identical": ${frontier_identical}
-  },
-  "sweep_zoo": ${SWEEP_SUMMARY},
-  "sweep_zoo_no_profile": ${FLAT_SUMMARY}
+  "sweep_wall_seconds": ${sweep_wall},
+  "sweep_zoo": ${SWEEP_SUMMARY}
 }
 JSON
 rm -rf "$PERF_LOG" "$SWEEP_DIR"

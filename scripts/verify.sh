@@ -2,8 +2,8 @@
 # Offline verification gate for the IGO workspace.
 #
 # Runs the same checks CI would: formatting, lints (warnings are errors),
-# a release build, the benchmark driver's build and golden digests, and
-# the full test suite (unit + integration + doc).
+# a release build, the benchmark driver's build, golden digests and
+# self-tests, and the full test suite (unit + integration + doc).
 # Everything is hermetic — path-only dependencies, no network access.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,7 +19,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== igobench build + golden digests =="
+echo "== igobench build + golden digests + self-tests =="
 # The benchmark driver is a package of its own, outside the workspace, so
 # neither clippy nor the build above compiles it. Build it here and check
 # that the simulator still reproduces its golden digests (cycles, traffic,
@@ -29,6 +29,9 @@ for workload in edge_trace zoo_sweep; do
     ./igobench/target/release/igobench golden "$workload" \
         | diff - "igobench/golden/$workload.tsv"
 done
+# Its self-tests include the probe that re-derives every ladder winner
+# through `igo_npu_sim::replay_ladder`, that function's only caller.
+cargo test --release --offline --manifest-path igobench/Cargo.toml
 
 echo "== cargo bench --no-run (bench-rot gate) =="
 # The Criterion-style harnesses are excluded from `cargo test`; compiling

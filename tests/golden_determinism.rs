@@ -24,7 +24,6 @@ const OPTIMIZED: SimOptions = SimOptions {
     prune: true,
     workers: 3,
     analytic_fast_path: true,
-    capacity_profile: true,
 };
 
 /// Every distinct zoo model (the union of the server and edge suites).
