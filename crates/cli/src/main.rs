@@ -20,7 +20,7 @@
 //! The grid form of `sweep` fans a design-space grid — SPM capacity rungs
 //! (`--spm`, MiB) × techniques × models (`zoo` sweeps the whole suite of
 //! the base config) — across the worker pool, one task per grid point,
-//! with the analytic fast-path engine evaluating each point and the memo
+//! with the pipeline's analytic replay evaluating each point and the memo
 //! cache sharing candidate replays between techniques. With `--out` it
 //! writes `sweep.csv` and `summary.json`; otherwise both go to stdout.
 //!
@@ -448,8 +448,8 @@ fn suite_for(config: &NpuConfig) -> &'static [ModelId] {
 }
 
 /// Design-space grid sweep: SPM-capacity rungs × techniques × models,
-/// one worker-pool task per grid point, evaluated by the analytic
-/// fast-path pipeline and emitted as `sweep.csv` plus a JSON summary to
+/// one worker-pool task per grid point, evaluated by the pipeline's
+/// analytic replay and emitted as `sweep.csv` plus a JSON summary to
 /// `--out DIR` or stdout. Row order, formats and results are identical
 /// for every worker count.
 fn sweep_grid(args: &[String]) -> ExitCode {
@@ -641,41 +641,6 @@ fn perf_sweep(
     (reports, timing)
 }
 
-/// One arm of the analytic-acceptance measurement: the full suite under
-/// data partitioning across an SPM ladder, memoization disabled so every
-/// layer is recomputed from scratch (a true cold-cache run — the
-/// process-wide memo cache never serves a hit). Returns the reports, the
-/// wall-clock seconds, and the engine/analytic run counts attributed to
-/// the arm.
-fn perf_ladder_arm(
-    models: &[Model],
-    ladder: &[NpuConfig],
-    options: &SimOptions,
-) -> (Vec<ModelReport>, f64, u64, u64) {
-    let runs_before = engine_run_count();
-    let analytic_before = analytic_run_count();
-    let (reports, wall) = measure(|| {
-        let mut out = Vec::with_capacity(ladder.len() * models.len());
-        for rung in ladder {
-            for m in models {
-                out.push(simulate_model_with(
-                    m,
-                    rung,
-                    Technique::DataPartitioning,
-                    options,
-                ));
-            }
-        }
-        out
-    });
-    (
-        reports,
-        wall,
-        engine_run_count() - runs_before,
-        analytic_run_count() - analytic_before,
-    )
-}
-
 /// Bit-exact comparison of two sweep results: every layer's forward and
 /// backward reports (cycles, per-class traffic, counters) and the
 /// scheduler decisions must match.
@@ -693,11 +658,10 @@ fn reports_identical(a: &[ModelReport], b: &[ModelReport]) -> bool {
         })
 }
 
-/// Pipeline self-measurement: the full-zoo data-partitioning sweep on the
-/// sequential reference path and twice on the optimized path (cold cache,
-/// then warm); and the analytic fast path versus the cycle engine over an
-/// SPM ladder. Every arm must be bit-identical; the speedups are printed
-/// for `scripts/bench.sh` to record.
+/// Pipeline self-measurement: the full-zoo data-partitioning sweep with
+/// [`SimOptions::sequential`] and twice with [`SimOptions::optimized`]
+/// (cold cache, then warm). Every arm must be bit-identical; the speedups
+/// are printed.
 fn cmd_perf(which: &str) -> ExitCode {
     let configs: Vec<NpuConfig> = match which {
         "edge" => vec![NpuConfig::small_edge()],
@@ -734,51 +698,6 @@ fn cmd_perf(which: &str) -> ExitCode {
             t_seq.wall_seconds / t_cold.wall_seconds,
             t_seq.wall_seconds / t_warm.wall_seconds,
         );
-
-        // The analytic fast path's acceptance gate: a cold-cache full-zoo
-        // sweep over an SPM capacity ladder (0.5×/1×/2× of the config's
-        // SPM), engine candidate evaluation vs analytic. Memoization is
-        // off in BOTH arms, so the comparison is pure candidate-evaluation
-        // cost; everything else (pool, pruning) is identical.
-        println!(
-            "== {} : analytic fast path, cold-cache SPM-ladder sweep ==",
-            config.name
-        );
-        let ladder: Vec<NpuConfig> = [1u64, 2, 4]
-            .iter()
-            .map(|&num| {
-                config
-                    .clone()
-                    .with_spm_bytes((config.spm_bytes * num / 2).max(1))
-            })
-            .collect();
-        let engine_opts = SimOptions {
-            analytic_fast_path: false,
-            memoize: false,
-            ..SimOptions::optimized()
-        };
-        let fast_opts = SimOptions {
-            memoize: false,
-            ..SimOptions::optimized()
-        };
-        let (eng, eng_wall, eng_runs, _) = perf_ladder_arm(&models, &ladder, &engine_opts);
-        let (fast, fast_wall, fast_eng_runs, fast_analytic) =
-            perf_ladder_arm(&models, &ladder, &fast_opts);
-        let identical = reports_identical(&eng, &fast);
-        ok &= identical;
-        println!(
-            "engine-path   {:>8.3}s  ({} engine runs)",
-            eng_wall, eng_runs
-        );
-        println!(
-            "analytic-path {:>8.3}s  ({} engine + {} analytic runs)",
-            fast_wall, fast_eng_runs, fast_analytic
-        );
-        println!(
-            "bit-identical: {}   analytic speedup {:.1}x (target >= 10x)",
-            if identical { "yes" } else { "NO" },
-            eng_wall / fast_wall,
-        );
     }
     if ok {
         ExitCode::SUCCESS
@@ -786,9 +705,4 @@ fn cmd_perf(which: &str) -> ExitCode {
         eprintln!("optimized pipeline diverged from the sequential reference");
         ExitCode::FAILURE
     }
-}
-
-#[allow(dead_code)]
-fn model_by_id(id: ModelId, batch: u64) -> Model {
-    zoo::model(id, batch)
 }

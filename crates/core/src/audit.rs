@@ -8,9 +8,14 @@
 //! nothing but the public machine model, every conservation property the
 //! engine claims:
 //!
-//! * **Differential**: the optimized pipeline (worker pool, memo cache,
-//!   lower-bound pruning, in any combination) must produce bit-identical
-//!   reports *and* identical scheduler decisions to the sequential path.
+//! * **Differential**: the optimized options (worker pool, memo cache,
+//!   bound pruning, in any combination) must produce bit-identical
+//!   reports *and* identical scheduler decisions to `sequential()` on the
+//!   one selection loop.
+//! * **Selection oracle**: the technique's candidate list, re-derived from
+//!   the §5 rules and an independent Algorithm 1, is rebuilt as
+//!   materialised schedules and run through the cycle engine; the
+//!   pipeline's decision and report must be the `(cycles, index)` minimum.
 //! * **Accounting**: replaying the decided schedule against a fresh
 //!   [`OptCache`] shadow model must reproduce the engine's hits, misses
 //!   and per-class DRAM traffic exactly; `hits + misses` must equal the
@@ -34,7 +39,7 @@
 
 use crate::bound::backward_emission_bound;
 use crate::exec::{execute_backward, max_abs_diff, DenseLayer};
-use crate::partition::{partition_backward_ex, PartitionScheme};
+use crate::partition::{DecidedBackward, PartitionScheme};
 use crate::pipeline::{
     rearranged_order, simulate_layer_backward_with, simulate_layer_forward_with, LayerDecision,
     SimOptions,
@@ -44,9 +49,9 @@ use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    run_multicore, run_sequential_partitions, AccessKind, AnalyticCollector, AnalyticScratch,
-    DramConfig, Engine, EngineScratch, EventLog, Exactness, MetricsFold, NpuConfig, OptCache,
-    PeArray, RunMetrics, Schedule, ScheduleOp, SimReport, TileKey, TraceEvent, Traffic,
+    AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog,
+    Exactness, MetricsFold, NpuConfig, OptCache, PeArray, RunMetrics, Schedule, ScheduleOp,
+    SimReport, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use std::collections::{HashMap, HashSet};
@@ -126,12 +131,16 @@ impl AuditCase {
         };
         let technique = TECHNIQUES[rng.index(TECHNIQUES.len())];
         let is_first = rng.range_u64(0, 8) == 0;
+        // A serial case draws no pool: it runs on one worker. The draw
+        // order is fixed so every seed keeps its case.
+        let parallel = rng.range_u64(0, 2) == 1;
+        let memoize = rng.range_u64(0, 2) == 1;
+        let prune = rng.range_u64(0, 2) == 1;
+        let workers = rng.range_u64(0, 4) as usize;
         let options = SimOptions {
-            parallel: rng.range_u64(0, 2) == 1,
-            memoize: rng.range_u64(0, 2) == 1,
-            prune: rng.range_u64(0, 2) == 1,
-            workers: rng.range_u64(0, 4) as usize,
-            analytic_fast_path: rng.range_u64(0, 2) == 1,
+            memoize,
+            prune,
+            workers: if parallel { workers } else { 1 },
         };
         Self {
             seed,
@@ -306,11 +315,16 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
         });
     }
 
+    // Selection oracle: the decision must be the cycle engine's
+    // `(cycles, index)` minimum over the independently derived candidates.
+    checks += 1;
+    violations.extend(check_selection_oracle(case, ref_decision, &ref_report));
+
     // Algorithm 1: the rearrangement decision must match an independent
     // recomputation of the paper's rule from the tensor dimensions.
     if case.technique == Technique::Rearrangement {
         checks += 1;
-        let spec = spec_algorithm1(case.gemm, &case.config);
+        let spec = spec_algorithm1(per_core_gemm(case.gemm, &case.config));
         let hook = rearranged_order(case.gemm, &case.config);
         if hook != spec || ref_decision.order != spec {
             violations.push(Violation {
@@ -329,9 +343,8 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     violations.extend(check_merge_emission(case, ref_decision.order));
 
     // Analytic engine: the collector replay must be bit-identical to the
-    // cycle engine (the `Exact` tier), the closed-form emission bound must
-    // be admissible field by field (the `LowerBound` tier), and the
-    // schedule-level pruning bound must never exceed the simulated cycles.
+    // cycle engine (the `Exact` tier), and the closed-form emission bound
+    // must be admissible field by field (the `LowerBound` tier).
     checks += 1;
     violations.extend(check_analytic(case, ref_decision.order));
 
@@ -359,19 +372,11 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     (violations, checks)
 }
 
-/// Independent recomputation of Algorithm 1 (§4.3): written directly from
-/// the paper's rule, without going through [`GemmShape::is_almost_square`]
-/// or [`crate::select::select_order`].
-fn spec_algorithm1(gemm: GemmShape, config: &NpuConfig) -> BackwardOrder {
-    // Multi-core decisions are taken on the per-core sub-GEMM of the
-    // conventional batch split: the M extent of the first (largest) piece
-    // of an M split into `cores` parts.
-    let m = if config.cores == 1 {
-        gemm.m()
-    } else {
-        gemm.m().div_ceil(config.cores as u64)
-    };
-    let (k, n) = (gemm.k(), gemm.n());
+/// Independent recomputation of Algorithm 1 (§4.3) on `gemm`: written
+/// directly from the paper's rule, without going through
+/// [`GemmShape::is_almost_square`] or [`crate::select::select_order`].
+fn spec_algorithm1(gemm: GemmShape) -> BackwardOrder {
+    let (m, k, n) = (gemm.m(), gemm.k(), gemm.n());
     let max = m.max(k).max(n);
     let min = m.min(k).min(n);
     if (max as f64) < ALMOST_SQUARE_THRESHOLD * (min as f64) {
@@ -383,14 +388,118 @@ fn spec_algorithm1(gemm: GemmShape, config: &NpuConfig) -> BackwardOrder {
     }
 }
 
+/// The shape one core executes under the conventional batch split: the M
+/// extent of the first (largest) piece of an M split into `cores` parts.
+fn per_core_gemm(gemm: GemmShape, config: &NpuConfig) -> GemmShape {
+    let cores = config.cores as u64;
+    GemmShape::new(gemm.m().div_ceil(cores), gemm.k(), gemm.n())
+}
+
+/// The technique's candidate decisions in the pipeline's index order,
+/// re-derived from the §5 rules: one fixed order for the single-candidate
+/// techniques, the three interleaved orders for the oracle, and for data
+/// partitioning each scheme (at 2 and 4 parts on a single core, where the
+/// unpartitioned schedules compete too; at `cores` parts otherwise), each
+/// under Algorithm 1's order for its first sub-GEMM and the baseline order.
+fn spec_candidates(case: &AuditCase) -> Vec<LayerDecision> {
+    let plain = |order| LayerDecision {
+        order,
+        partition: None,
+    };
+    let config = &case.config;
+    match case.technique {
+        Technique::Baseline => vec![plain(BackwardOrder::Baseline)],
+        Technique::IdealDyReuse => vec![plain(BackwardOrder::IdealDyReuse)],
+        Technique::Interleaving => vec![plain(BackwardOrder::Interleaved)],
+        Technique::Rearrangement => vec![plain(spec_algorithm1(per_core_gemm(case.gemm, config)))],
+        Technique::RearrangementOracle => [
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ]
+        .map(plain)
+        .to_vec(),
+        Technique::DataPartitioning => {
+            let mut out = Vec::new();
+            let part_counts: &[u64] = if config.cores == 1 {
+                out.push(plain(spec_algorithm1(case.gemm)));
+                out.push(plain(BackwardOrder::Baseline));
+                &[2, 4]
+            } else {
+                &[config.cores as u64]
+            };
+            for scheme in PartitionScheme::ALL {
+                for &parts in part_counts {
+                    let sub = case.gemm.split(scheme.split_dim(), parts)[0];
+                    for order in [spec_algorithm1(sub), BackwardOrder::Baseline] {
+                        out.push(LayerDecision {
+                            order,
+                            partition: Some((scheme, parts)),
+                        });
+                    }
+                }
+            }
+            out
+        }
+    }
+}
+
+/// Every spec candidate of `case`, rebuilt as materialised schedules and
+/// run through the cycle engine, in index order. Partition counts are
+/// those the split actually produced, as the pipeline records them.
+fn oracle_candidates(case: &AuditCase) -> Vec<(LayerDecision, SimReport)> {
+    spec_candidates(case)
+        .into_iter()
+        .map(|mut decision| {
+            let exec = DecidedBackward::rebuild(
+                "l",
+                case.gemm,
+                case.density,
+                &case.config,
+                decision,
+                case.is_first,
+            );
+            if let Some((_, parts)) = &mut decision.partition {
+                *parts = exec.parts() as u64;
+            }
+            (decision, exec.run(&case.config))
+        })
+        .collect()
+}
+
+/// Require that `(decision, report)` is the `(cycles, index)` minimum of
+/// [`oracle_candidates`].
+fn check_selection_oracle(
+    case: &AuditCase,
+    decision: LayerDecision,
+    report: &SimReport,
+) -> Option<Violation> {
+    let candidates = oracle_candidates(case);
+    let (want_decision, want_report) = candidates
+        .iter()
+        .enumerate()
+        .min_by_key(|(i, (_, r))| (r.cycles, *i))
+        .map(|(_, c)| c)
+        .expect("every technique has a candidate");
+    (decision != *want_decision || report != want_report).then(|| Violation {
+        seed: case.seed,
+        check: "selection-oracle",
+        detail: format!(
+            "pipeline chose {decision:?} at {} cycles; the engine's minimum over {} candidates is \
+             {want_decision:?} at {} cycles",
+            report.cycles,
+            candidates.len(),
+            want_report.cycles
+        ),
+    })
+}
+
 /// Cross-check the analytic engine against the cycle engine on the
 /// decided order's unpartitioned emission:
 ///
 /// * the [`AnalyticCollector`] replay must be tagged [`Exactness::Exact`]
 ///   and reproduce [`Engine::run`]'s [`SimReport`] bit for bit (including
 ///   the float-derived cycle counts);
-/// * [`Engine::lower_bound`] (the pruning bound) must not exceed the
-///   simulated cycles;
 /// * the closed-form [`backward_emission_bound`] must be admissible field
 ///   by field: compute cycles, op/MAC counts and SPM bytes exact; cycles,
 ///   memory cycles, misses and per-class traffic never above the engine's;
@@ -425,17 +534,6 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
         violations.push(fail(
             "analytic-replay",
             format!("replay {:?} != engine {report:?}", replayed.report),
-        ));
-    }
-
-    if engine.lower_bound(&s) > report.cycles {
-        violations.push(fail(
-            "lower-bound-admissible",
-            format!(
-                "Engine::lower_bound {} exceeds simulated cycles {}",
-                engine.lower_bound(&s),
-                report.cycles
-            ),
         ));
     }
 
@@ -663,68 +761,15 @@ fn check_decision_conservation(
     report: &SimReport,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let policy = TilePolicy::for_config(&case.config);
-    let mut proto = Schedule::new("audit");
-    let tensors = LayerTensors::register(&mut proto, "l");
-
-    // The schedules the decision implies, plus the combined report the
-    // public execution model assigns to them.
-    let (schedules, rebuilt): (Vec<Schedule>, SimReport) = match decision.partition {
-        None if case.config.cores == 1 => {
-            let mut s = proto.fork("audit-bwd");
-            BackwardBuilder::new(case.gemm, policy, tensors)
-                .with_ifmap_density(case.density)
-                .emit(decision.order, case.is_first, &mut s);
-            let r = Engine::new(&case.config).run(&s);
-            (vec![s], r)
-        }
-        None => {
-            // Conventional multi-core batch parallelism: weight-sharing
-            // split across the cores.
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                case.gemm,
-                case.density,
-                policy,
-                PartitionScheme::WeightSharing,
-                case.config.cores as u64,
-                decision.order,
-                case.is_first,
-            );
-            let r = run_multicore(&case.config, &p.schedules, p.reduction).combined();
-            (p.schedules, r)
-        }
-        Some((scheme, parts)) => {
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                case.gemm,
-                case.density,
-                policy,
-                scheme,
-                parts,
-                decision.order,
-                case.is_first,
-            );
-            if case.config.cores == 1 {
-                let r =
-                    run_sequential_partitions(&case.config, &p.schedules, p.reduction).combined();
-                // Sequential chaining concatenates the segments into one
-                // stream, so residency crosses segment boundaries; shadow
-                // the same concatenation.
-                let mut combined = p.schedules[0].clone();
-                for s in &p.schedules[1..] {
-                    combined.append_compatible(s);
-                }
-                (vec![combined], r)
-            } else {
-                let r = run_multicore(&case.config, &p.schedules, p.reduction).combined();
-                (p.schedules, r)
-            }
-        }
-    };
-
+    let exec = DecidedBackward::rebuild(
+        "l",
+        case.gemm,
+        case.density,
+        &case.config,
+        *decision,
+        case.is_first,
+    );
+    let rebuilt = exec.run(&case.config);
     if rebuilt != *report {
         violations.push(Violation {
             seed: case.seed,
@@ -735,7 +780,8 @@ fn check_decision_conservation(
         });
     }
 
-    for s in &schedules {
+    // Chained segments are shadowed as the one stream the engine runs.
+    for s in &exec.into_core_streams() {
         let engine_report = Engine::new(&case.config).run(s);
         violations.extend(check_report_conservation(
             s,
@@ -1254,6 +1300,33 @@ mod tests {
     }
 
     #[test]
+    fn planted_non_minimal_decision_fails_selection_oracle() {
+        let case = (0..)
+            .map(AuditCase::from_seed)
+            .find(|c| c.technique == Technique::DataPartitioning && c.config.cores == 1)
+            .expect("some seed audits single-core data partitioning");
+        let (report, decision) = simulate_layer_backward_with(
+            case.gemm,
+            case.density,
+            &case.config,
+            case.technique,
+            case.is_first,
+            &SimOptions::sequential(),
+        );
+        assert_eq!(check_selection_oracle(&case, decision, &report), None);
+
+        let candidates = oracle_candidates(&case);
+        let (slowest, slowest_report) = candidates
+            .iter()
+            .max_by_key(|(_, r)| r.cycles)
+            .expect("candidates");
+        assert!(slowest_report.cycles > report.cycles, "{candidates:?}");
+        let violation = check_selection_oracle(&case, *slowest, slowest_report)
+            .expect("a non-minimal decision must be reported");
+        assert_eq!(violation.check, "selection-oracle");
+    }
+
+    #[test]
     fn algorithm1_spec_matches_pipeline_hook() {
         let configs = [
             NpuConfig::small_edge(),
@@ -1269,7 +1342,7 @@ mod tests {
             );
             for config in &configs {
                 assert_eq!(
-                    spec_algorithm1(gemm, config),
+                    spec_algorithm1(per_core_gemm(gemm, config)),
                     rearranged_order(gemm, config),
                     "{gemm:?} on {}",
                     config.name

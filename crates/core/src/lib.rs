@@ -58,9 +58,7 @@ pub use bound::{
 };
 pub use exec::{execute_backward, execute_partitioned, DenseLayer, ExecutedGradients};
 pub use observe::{trace_layer_backward, trace_model, CoreTrace, LayerTrace};
-pub use parallel::{
-    default_workers, parallel_map, parallel_map_with, parallel_map_workers, THREADS_ENV,
-};
+pub use parallel::{default_workers, parallel_map, parallel_map_workers, THREADS_ENV};
 pub use partition::PartitionScheme;
 pub use pipeline::{
     rearranged_order, simulate_layer_backward, simulate_layer_backward_ex,

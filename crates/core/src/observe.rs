@@ -20,20 +20,18 @@
 //!
 //! The decision is made exactly as in the untraced pipeline
 //! ([`simulate_layer_backward_with`]), and the execution it implies is
-//! rebuilt the same way the audit subsystem rebuilds it
-//! ([`crate::audit::check_report_conservation`] cross-checks the two
-//! views): one engine run per core for multi-core decisions, one chained
-//! run for single-core sequential partitions.
+//! rebuilt by [`DecidedBackward::rebuild`], the same function the audit
+//! subsystem uses ([`crate::audit::check_report_conservation`]
+//! cross-checks the two views): one engine run per core for multi-core
+//! decisions, one chained run for single-core sequential partitions.
 //!
 //! The exporter for the collected traces — Chrome trace-event JSON
 //! (Perfetto / `chrome://tracing`) and CSV metric summaries — lives in
 //! [`crate::report_io`].
 
-use crate::partition::{partition_backward_ex, PartitionScheme};
+use crate::partition::DecidedBackward;
 use crate::pipeline::{simulate_layer_backward_with, LayerDecision, SimOptions};
-use crate::schedule::{BackwardBuilder, LayerTensors};
 use crate::technique::Technique;
-use crate::tiling::TilePolicy;
 use crate::tracks::{CoreTracks, TrackBuilder};
 use igo_npu_sim::{
     Engine, EngineScratch, MetricsFold, NpuConfig, Recorder, RunMetrics, Schedule, SimReport,
@@ -138,65 +136,9 @@ pub fn trace_layer_backward(
 ) -> LayerTrace {
     let (report, decision) =
         simulate_layer_backward_with(gemm, density, config, technique, is_first, options);
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new("trace");
-    let tensors = LayerTensors::register(&mut proto, name);
     let engine = Engine::new(config);
-
-    // Rebuild the execution the decision describes — the same four shapes
-    // the audit subsystem rebuilds in `check_decision_conservation`.
-    let schedules: Vec<Schedule> = match decision.partition {
-        None if config.cores == 1 => {
-            let mut s = proto.fork(name);
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(decision.order, is_first, &mut s);
-            vec![s]
-        }
-        None => {
-            partition_backward_ex(
-                &proto,
-                tensors,
-                gemm,
-                density,
-                policy,
-                PartitionScheme::WeightSharing,
-                config.cores as u64,
-                decision.order,
-                is_first,
-            )
-            .schedules
-        }
-        Some((scheme, parts)) => {
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                gemm,
-                density,
-                policy,
-                scheme,
-                parts,
-                decision.order,
-                is_first,
-            );
-            if config.cores == 1 {
-                // Sequential chaining concatenates the segments into one
-                // stream, so residency crosses segment boundaries; record
-                // the same concatenation. Each segment is dropped once
-                // appended.
-                let mut segments = p.schedules.into_iter();
-                let mut combined = segments.next().expect("a partition has segments");
-                for s in segments {
-                    combined.append_compatible(&s);
-                }
-                vec![combined]
-            } else {
-                p.schedules
-            }
-        }
-    };
-
-    let cores = schedules
+    let cores = DecidedBackward::rebuild(name, gemm, density, config, decision, is_first)
+        .into_core_streams()
         .iter()
         .enumerate()
         .map(|(core, s)| record_run(&engine, s, core))

@@ -1,16 +1,15 @@
-//! Deterministic scoped worker pools for the simulate-and-select loops.
+//! Deterministic scoped worker pools for the simulation sweeps.
 //!
-//! The pipeline evaluates many independent simulations — candidate
-//! schedules within a layer, layers within a model — whose *results* must
-//! not depend on execution order: the paper's selection rule is "first
-//! candidate with the strictly smallest cycle count", so any reduction has
-//! to break ties by candidate index, never by completion order.
+//! The pipeline evaluates many independent simulations — layers within a
+//! model, grid points within an `igo-sim sweep` — whose *results* must not
+//! depend on execution order: reports are assembled in item order, never
+//! in completion order.
 //!
 //! [`parallel_map`] provides exactly that contract: results come back in
 //! item order regardless of which worker finished first. Workers are plain
 //! [`std::thread::scope`] threads (no external runtime), pulling items off
-//! a shared atomic counter. Nested calls — a layer pool spawning a
-//! candidate pool — run the inner map sequentially on the calling worker
+//! a shared atomic counter. Nested calls — a grid-point pool whose tasks
+//! run a layer pool — run the inner map sequentially on the calling worker
 //! instead of oversubscribing the machine.
 
 use std::cell::Cell;
@@ -40,22 +39,6 @@ where
     parallel_map_workers(items, 0, || (), |(), item| f(item))
 }
 
-/// [`parallel_map`] with per-worker state: `init` runs once per worker (or
-/// once total on the sequential path) and the state is threaded through
-/// every call that worker makes. The pipeline uses this to give each worker
-/// its own reusable [`igo_npu_sim::EngineScratch`].
-pub fn parallel_map_with<S, T, R>(
-    items: &[T],
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    parallel_map_workers(items, 0, init, f)
-}
-
 /// Environment variable overriding the default worker-pool size (used when
 /// the caller passes `workers == 0`; see [`default_workers`]).
 pub const THREADS_ENV: &str = "IGO_SIM_THREADS";
@@ -76,9 +59,11 @@ pub fn default_workers() -> usize {
         })
 }
 
-/// [`parallel_map_with`] with an explicit worker count; `0` means
-/// [`default_workers`] (the `IGO_SIM_THREADS` override or one per hardware
-/// thread). Forcing more workers than hardware threads is how the tests
+/// [`parallel_map`] with per-worker state and an explicit worker count:
+/// `init` runs once per worker (or once total on the sequential path) and
+/// the state is threaded through every call that worker makes. `workers`
+/// of `0` means [`default_workers`] (the `IGO_SIM_THREADS` override or one
+/// per hardware thread); `1` maps inline. Forcing more workers than hardware threads is how the tests
 /// drive the pool's cross-thread determinism even on small machines.
 pub fn parallel_map_workers<S, T, R>(
     items: &[T],

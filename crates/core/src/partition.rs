@@ -17,10 +17,15 @@
 //! different data). Reductions are modelled as a bandwidth-cost
 //! [`StreamOp`]: read all `P` partial tensors, write the combined result.
 
+use crate::pipeline::LayerDecision;
 use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::tiling::TilePolicy;
-use igo_npu_sim::{Schedule, StreamOp, TensorId};
+use igo_npu_sim::{
+    run_multicore, run_sequential_partitions, Engine, NpuConfig, Schedule, SimReport, StreamOp,
+    TensorId,
+};
 use igo_tensor::{DataType, GemmDim, GemmShape, TensorClass};
+
 /// The three partitioning schemes of Figure 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PartitionScheme {
@@ -162,7 +167,7 @@ pub fn partition_backward_ex(
 
 /// A partitioned backward pass before any schedule is emitted: the
 /// per-partition sub-GEMMs and tensor bindings plus the reduction cost.
-/// This is all the analytic fast path needs — it emits each partition
+/// This is all the selection loop needs — it emits each partition
 /// through a [`BackwardBuilder`] into an analytic collector instead of a
 /// [`Schedule`], skipping the tensor-table forks entirely.
 #[derive(Debug, Clone)]
@@ -257,48 +262,129 @@ pub fn plan_partition_backward(
     }
 }
 
-/// Build a batch-split (M) forward pass: one schedule per partition, `W`
-/// shared, no reduction. This is how both the baseline and the transformed
-/// multi-core runs execute the forward pass (the paper's techniques only
-/// change the backward pass).
-pub fn partition_forward(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    policy: TilePolicy,
-    parts: u64,
-) -> Vec<Schedule> {
-    partition_forward_ex(proto, tensors, gemm, 1.0, policy, parts)
+/// A layer's backward decision rebuilt as materialised schedules, in the
+/// execution shape the pipeline evaluates it in.
+#[derive(Debug, Clone)]
+pub enum DecidedBackward {
+    /// One schedule on one core.
+    Single(Schedule),
+    /// Partition segments chained on one core as one concatenated stream
+    /// (residency crosses segment boundaries), then a reduction.
+    Sequential {
+        /// The partition schedules, in order.
+        segments: Vec<Schedule>,
+        /// Cross-partition reduction cost, if the scheme needs one.
+        reduction: Option<StreamOp>,
+    },
+    /// One schedule per core, then a reduction.
+    Multicore {
+        /// One schedule per core.
+        per_core: Vec<Schedule>,
+        /// Cross-partition reduction cost, if the scheme needs one.
+        reduction: Option<StreamOp>,
+    },
 }
 
-/// [`partition_forward`] with an explicit ifmap density.
-pub fn partition_forward_ex(
-    proto: &Schedule,
-    tensors: LayerTensors,
-    gemm: GemmShape,
-    ifmap_density: f64,
-    policy: TilePolicy,
-    parts: u64,
-) -> Vec<Schedule> {
-    let mut master = proto.fork("fwd-master");
-    let (sub_gemms, part_tensors) = plan_partition_forward(
-        &mut |class, name| master.add_tensor(class, name),
-        tensors,
-        gemm,
-        parts,
-    );
-    let mut schedules = Vec::with_capacity(sub_gemms.len());
-    for (p, (sub, t)) in sub_gemms.iter().zip(&part_tensors).enumerate() {
-        let mut s = master.fork(format!("fwd[{p}]"));
-        crate::schedule::forward_schedule(*sub, policy, *t, ifmap_density, &mut s);
-        schedules.push(s);
+impl DecidedBackward {
+    /// Rebuild the execution `decision` describes for a layer named `name`
+    /// on `config`: one schedule on a single core, the conventional batch
+    /// (weight-sharing) split across cores, or the decided partitioning —
+    /// chained on a single core, one partition per core otherwise.
+    pub fn rebuild(
+        name: &str,
+        gemm: GemmShape,
+        density: f64,
+        config: &NpuConfig,
+        decision: LayerDecision,
+        is_first: bool,
+    ) -> Self {
+        let policy = TilePolicy::for_config(config);
+        let mut proto = Schedule::new(name);
+        let tensors = LayerTensors::register(&mut proto, name);
+        let (scheme, parts) = match decision.partition {
+            None if config.cores == 1 => {
+                let mut s = proto.fork(name);
+                BackwardBuilder::new(gemm, policy, tensors)
+                    .with_ifmap_density(density)
+                    .emit(decision.order, is_first, &mut s);
+                return Self::Single(s);
+            }
+            None => (PartitionScheme::WeightSharing, config.cores as u64),
+            Some(partition) => partition,
+        };
+        let p = partition_backward_ex(
+            &proto,
+            tensors,
+            gemm,
+            density,
+            policy,
+            scheme,
+            parts,
+            decision.order,
+            is_first,
+        );
+        if config.cores == 1 {
+            Self::Sequential {
+                segments: p.schedules,
+                reduction: p.reduction,
+            }
+        } else {
+            Self::Multicore {
+                per_core: p.schedules,
+                reduction: p.reduction,
+            }
+        }
     }
-    schedules
+
+    /// The number of schedules (partitions or cores) the execution holds.
+    pub fn parts(&self) -> usize {
+        match self {
+            Self::Single(_) => 1,
+            Self::Sequential { segments, .. } => segments.len(),
+            Self::Multicore { per_core, .. } => per_core.len(),
+        }
+    }
+
+    /// Run the execution through the cycle engine: [`Engine::run`],
+    /// [`run_sequential_partitions`] or [`run_multicore`], combined into
+    /// one report.
+    pub fn run(&self, config: &NpuConfig) -> SimReport {
+        match self {
+            Self::Single(s) => Engine::new(config).run(s),
+            Self::Sequential {
+                segments,
+                reduction,
+            } => run_sequential_partitions(config, segments, *reduction).combined(),
+            Self::Multicore {
+                per_core,
+                reduction,
+            } => run_multicore(config, per_core, *reduction).combined(),
+        }
+    }
+
+    /// The stream each core's engine executes: chained segments are
+    /// concatenated into one schedule (each dropped once appended).
+    pub fn into_core_streams(self) -> Vec<Schedule> {
+        match self {
+            Self::Single(s) => vec![s],
+            Self::Sequential { segments, .. } => {
+                let mut segments = segments.into_iter();
+                let mut combined = segments.next().expect("a partition has segments");
+                for s in segments {
+                    combined.append_compatible(&s);
+                }
+                vec![combined]
+            }
+            Self::Multicore { per_core, .. } => per_core,
+        }
+    }
 }
 
-/// The planning half of [`partition_forward_ex`]: batch-split sub-GEMMs
-/// and per-partition tensor bindings (`W` shared, gradients untouched),
-/// with ids minted through `alloc`.
+/// Plan a batch-split (M) forward pass: one sub-GEMM per partition, `W`
+/// shared, no reduction, with fresh per-partition ids minted through
+/// `alloc` (gradients untouched). This is how both the baseline and the
+/// transformed multi-core runs execute the forward pass (the paper's
+/// techniques only change the backward pass).
 ///
 /// # Panics
 ///
@@ -475,11 +561,18 @@ mod tests {
     #[test]
     fn forward_partitions_cover_batch() {
         let gemm = GemmShape::new(1024, 256, 512);
-        let (proto, tensors, policy) = setup(gemm);
-        let parts = partition_forward(&proto, tensors, gemm, policy, 4);
-        assert_eq!(parts.len(), 4);
-        let macs: u64 = parts.iter().map(|s| s.total_macs()).sum();
+        let (mut proto, tensors, _) = setup(gemm);
+        let (subs, part_tensors) = plan_partition_forward(
+            &mut |class, name| proto.add_tensor(class, name),
+            tensors,
+            gemm,
+            4,
+        );
+        assert_eq!(subs.len(), 4);
+        assert_eq!(part_tensors.len(), 4);
+        let macs: u64 = subs.iter().map(|g| g.macs()).sum();
         assert_eq!(macs, gemm.macs());
+        assert!(part_tensors.iter().all(|t| t.w == tensors.w), "W is shared");
     }
 
     #[test]

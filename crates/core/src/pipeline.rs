@@ -13,34 +13,33 @@
 //!
 //! # Performance architecture
 //!
-//! The simulate-and-select loops are the sweeps' hot path, and three
-//! composable optimizations keep them fast without changing a single
-//! reported number (see `tests/golden_determinism.rs`):
+//! Each layer's backward pass is chosen by one selection loop
+//! (`select_best`) over the technique's candidates. Candidates are held
+//! as unemitted [`BackwardBuilder`]s and evaluated by allocation-free
+//! replay ([`AnalyticCollector::replay`], bit-identical to running the
+//! materialised schedules through [`Engine::run`] — the audit's
+//! `selection-oracle` check does exactly that). Three composable
+//! optimizations keep the sweeps fast without changing a single reported
+//! number (see `tests/golden_determinism.rs`):
 //!
-//! * **parallelism** ([`SimOptions::parallel`]) — candidate schedules and
-//!   independent model layers are evaluated on a scoped worker pool
-//!   ([`crate::parallel`]); the reduction picks the lexicographic minimum
-//!   of `(cycles, candidate index)`, which equals the sequential rule
-//!   "first candidate with the strictly smallest cycle count" regardless
-//!   of completion order;
+//! * **parallelism** ([`SimOptions::workers`]) — independent model layers
+//!   are evaluated on a scoped worker pool ([`crate::parallel`]) that
+//!   returns results in layer order; `workers: 1` maps inline;
 //! * **memoization** ([`SimOptions::memoize`]) — layer results are cached
 //!   process-wide keyed by GEMM shape, density bits, config fingerprint
-//!   and technique, and so is every completed fast-path candidate replay,
-//!   keyed by the candidate instead of the technique, so techniques that
-//!   share a candidate replay it once ([`crate::simcache`]);
-//! * **pruning** ([`SimOptions::prune`]) — each candidate gets an
-//!   analytical makespan lower bound ([`Engine::lower_bound`]); the
-//!   candidate with the smallest bound is simulated fully and every
-//!   candidate whose bound *strictly* exceeds that reference's cycles is
-//!   skipped, which cannot change the winner because a pruned candidate's
-//!   true cycle count is at least its bound.
+//!   and technique, and so is every completed candidate replay, keyed by
+//!   the candidate instead of the technique, so techniques that share a
+//!   candidate replay it once ([`crate::simcache`]);
+//! * **pruning** ([`SimOptions::prune`]) — candidates are evaluated in
+//!   ascending order of their closed-form lower bound ([`crate::bound`])
+//!   against the running best; a candidate whose bound exceeds the best
+//!   cycles so far is skipped, and the rest replay under a cutoff that
+//!   aborts them once they provably exceed it. Neither rule can change the
+//!   `(cycles, index)` winner.
 
 use crate::bound::{multicore_candidate_bound, plain_candidate_bound, sequential_candidate_bound};
 use crate::parallel::parallel_map_workers;
-use crate::partition::{
-    partition_backward_ex, partition_forward_ex, plan_partition_backward, plan_partition_forward,
-    PartitionScheme,
-};
+use crate::partition::{plan_partition_backward, plan_partition_forward, PartitionScheme};
 use crate::schedule::{forward_schedule, BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::select::select_order;
 use crate::simcache;
@@ -48,12 +47,10 @@ use crate::simcache::CandidateKey;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    reduction_cycles, replay_multicore, replay_multicore_bounded,
-    replay_sequential_partitions_bounded, run_multicore_with_scratch,
-    run_sequential_partitions_with_scratch, AnalyticCollector, AnalyticScratch, Engine,
-    EngineScratch, NpuConfig, Schedule, SimReport, StreamOp, TensorId, Traffic,
+    replay_multicore, replay_multicore_bounded, replay_sequential_partitions_bounded,
+    AnalyticCollector, AnalyticScratch, Engine, NpuConfig, SimReport, StreamOp, TensorId, Traffic,
 };
-use igo_tensor::GemmShape;
+use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{Layer, Model};
 
 /// Which pass of training a report concerns.
@@ -68,50 +65,37 @@ pub enum TrainingPhase {
 /// Execution-strategy toggles for the simulation pipeline. Every
 /// combination produces bit-identical reports; the toggles only trade
 /// wall-clock time. [`SimOptions::default`] enables everything;
-/// [`SimOptions::sequential`] is the plain reference path the golden tests
-/// compare against.
+/// [`SimOptions::sequential`] is the plain reference the golden tests pin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Evaluate candidate schedules and model layers on a worker pool.
-    pub parallel: bool,
-    /// Serve repeated layer simulations and fast-path candidate replays
-    /// from the process-wide memo cache.
+    /// Serve repeated layer simulations and candidate replays from the
+    /// process-wide memo cache.
     pub memoize: bool,
-    /// Skip candidates whose analytical lower bound proves them dominated.
+    /// Skip or abort candidates whose lower bound proves them dominated.
     pub prune: bool,
-    /// Worker-pool size; `0` means one worker per hardware thread (or the
-    /// `IGO_SIM_THREADS` override). Only meaningful when `parallel` is set
-    /// (tests force a pool larger than the machine to exercise
-    /// cross-thread determinism).
+    /// Layer worker-pool size; `1` evaluates layers inline, `0` means one
+    /// worker per hardware thread (or the `IGO_SIM_THREADS` override).
+    /// Tests force a pool larger than the machine to exercise cross-thread
+    /// determinism.
     pub workers: usize,
-    /// Evaluate layers through the analytic engine: candidate streams are
-    /// replayed allocation-free ([`AnalyticCollector::replay`], provably
-    /// bit-identical to [`Engine::run`]) and pruning uses the closed-form
-    /// bounds of [`crate::bound`] instead of per-schedule scans.
-    pub analytic_fast_path: bool,
 }
 
 impl SimOptions {
     /// All optimizations on (the default).
     pub const fn optimized() -> Self {
         Self {
-            parallel: true,
             memoize: true,
             prune: true,
             workers: 0,
-            analytic_fast_path: true,
         }
     }
 
-    /// The plain sequential path: no pool, no cache, no pruning, cycle
-    /// engine only.
+    /// The plain reference: one worker, no cache, no pruning.
     pub const fn sequential() -> Self {
         Self {
-            parallel: false,
             memoize: false,
             prune: false,
-            workers: 0,
-            analytic_fast_path: false,
+            workers: 1,
         }
     }
 }
@@ -162,143 +146,33 @@ pub struct LayerDecision {
     pub partition: Option<(PartitionScheme, u64)>,
 }
 
-/// One fully built way to execute a layer's backward pass, ready to bound
-/// or simulate.
-struct Candidate {
-    decision: LayerDecision,
-    exec: CandidateExec,
-}
+/// Tensor ids of a layer emitted straight into collectors. They match the
+/// id sequence [`LayerTensors::register`] produces on a fresh schedule, so
+/// replayed streams are structurally identical to materialised schedules
+/// (tensor ids feed the replacement tie-break).
+const LAYER_TENSORS: LayerTensors = LayerTensors {
+    x: TensorId::from_raw(0),
+    w: TensorId::from_raw(1),
+    y: TensorId::from_raw(2),
+    dx: TensorId::from_raw(3),
+    dw: TensorId::from_raw(4),
+    dy: TensorId::from_raw(5),
+};
 
-enum CandidateExec {
-    /// One schedule on one core.
-    Single(Schedule),
-    /// Partition segments chained on a single core, then a reduction.
-    Sequential {
-        segments: Vec<Schedule>,
-        reduction: Option<StreamOp>,
-    },
-    /// One schedule per core, then a reduction.
-    Multicore {
-        per_core: Vec<Schedule>,
-        reduction: Option<StreamOp>,
-    },
-}
-
-impl Candidate {
-    /// Analytical makespan lower bound; never exceeds [`Candidate::run`]'s
-    /// cycles (see [`Engine::lower_bound`]).
-    fn lower_bound(&self, config: &NpuConfig) -> u64 {
-        let engine = Engine::new(config);
-        match &self.exec {
-            CandidateExec::Single(s) => engine.lower_bound(s),
-            CandidateExec::Sequential {
-                segments,
-                reduction,
-            } => engine.lower_bound_concat(segments) + reduction_cycles(config, *reduction),
-            CandidateExec::Multicore {
-                per_core,
-                reduction,
-            } => {
-                let slowest = per_core
-                    .iter()
-                    .map(|s| engine.lower_bound(s))
-                    .max()
-                    .unwrap_or(0);
-                slowest + reduction_cycles(config, *reduction)
-            }
-        }
-    }
-
-    fn run(&self, config: &NpuConfig, scratch: &mut EngineScratch) -> SimReport {
-        match &self.exec {
-            CandidateExec::Single(s) => Engine::new(config).run_with_scratch(s, scratch),
-            CandidateExec::Sequential {
-                segments,
-                reduction,
-            } => run_sequential_partitions_with_scratch(config, segments, *reduction, scratch)
-                .combined(),
-            CandidateExec::Multicore {
-                per_core,
-                reduction,
-            } => run_multicore_with_scratch(config, per_core, *reduction, scratch).combined(),
-        }
+/// An id allocator for partition tensors, continuing after
+/// [`LAYER_TENSORS`] exactly as a schedule's tensor table would.
+fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
+    let mut next = 6;
+    move |_, _| {
+        let id = TensorId::from_raw(next);
+        next += 1;
+        id
     }
 }
 
-/// Evaluate `candidates` under `options` and return the winner: the first
-/// candidate (in construction order) with the strictly smallest cycle
-/// count — i.e. the lexicographic minimum of `(cycles, index)`.
-fn select_best(
-    candidates: &[Candidate],
-    config: &NpuConfig,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    assert!(!candidates.is_empty(), "no candidates to select from");
-    let mut evaluated: Vec<(usize, SimReport)> = Vec::with_capacity(candidates.len());
-    let to_run: Vec<usize> = if options.prune {
-        let bounds: Vec<u64> = candidates.iter().map(|c| c.lower_bound(config)).collect();
-        let ref_idx = (0..candidates.len())
-            .min_by_key(|&i| (bounds[i], i))
-            .expect("non-empty");
-        let reference = candidates[ref_idx].run(config, &mut EngineScratch::new());
-        let cutoff = reference.cycles;
-        evaluated.push((ref_idx, reference));
-        // Strict comparison: a candidate with `bound == cutoff` could still
-        // tie the reference and win on index, so only `bound > cutoff` is
-        // provably dominated.
-        (0..candidates.len())
-            .filter(|&i| i != ref_idx && bounds[i] <= cutoff)
-            .collect()
-    } else {
-        (0..candidates.len()).collect()
-    };
-    let runs: Vec<SimReport> = if options.parallel {
-        parallel_map_workers(
-            &to_run,
-            options.workers,
-            EngineScratch::new,
-            |scratch, &i| candidates[i].run(config, scratch),
-        )
-    } else {
-        let mut scratch = EngineScratch::new();
-        to_run
-            .iter()
-            .map(|&i| candidates[i].run(config, &mut scratch))
-            .collect()
-    };
-    evaluated.extend(to_run.into_iter().zip(runs));
-    let (best_idx, best) = evaluated
-        .into_iter()
-        .min_by_key(|&(i, r)| (r.cycles, i))
-        .expect("at least the reference was evaluated");
-    (best, candidates[best_idx].decision)
-}
-
-// ---------------------------------------------------------------------------
-// Analytic fast path
-// ---------------------------------------------------------------------------
-
-/// Tensor ids for a fast-path layer. Matches the id sequence
-/// [`LayerTensors::register`] would produce on a fresh schedule, so replayed
-/// streams are structurally identical to the engine path's (tensor ids feed
-/// the replacement tie-break).
-fn fast_layer_tensors() -> (LayerTensors, u32) {
-    (
-        LayerTensors {
-            x: TensorId::from_raw(0),
-            w: TensorId::from_raw(1),
-            y: TensorId::from_raw(2),
-            dx: TensorId::from_raw(3),
-            dw: TensorId::from_raw(4),
-            dy: TensorId::from_raw(5),
-        },
-        6,
-    )
-}
-
-/// Reusable per-worker state for fast-path candidate evaluation.
+/// Reusable per-worker state for candidate evaluation.
 #[derive(Default)]
-struct FastScratch {
+struct Scratch {
     collectors: Vec<AnalyticCollector>,
     replay: AnalyticScratch,
 }
@@ -315,75 +189,65 @@ fn cleared_collectors(pool: &mut Vec<AnalyticCollector>, n: usize) -> &mut [Anal
     slice
 }
 
-/// A backward candidate held as unemitted builders plus a precomputed
-/// closed-form bound. `run` emits into [`AnalyticCollector`]s and replays —
-/// bit-identical to running the equivalent [`Candidate`] through the engine,
-/// without materializing any [`Schedule`].
-struct FastCandidate {
+thread_local! {
+    /// Per-thread working memory, reused across layers and candidate
+    /// evaluations so the collector and replay buffers are allocated once
+    /// per thread instead of regrown per layer.
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// Run `f` with this thread's reusable [`Scratch`].
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// One way to execute a layer's backward pass, held as unemitted builders
+/// plus a precomputed closed-form bound.
+struct Candidate {
     decision: LayerDecision,
-    /// Memo identity of this candidate's schedule.
+    /// Memo identity of this candidate's stream.
     key: CandidateKey,
-    /// Closed-form admissible bound on `run(..).cycles`
+    /// Closed-form admissible bound on the candidate's cycles
     /// (see [`crate::bound`]).
     bound: u64,
-    exec: FastExec,
+    exec: Exec,
 }
 
-enum FastExec {
+enum Exec {
     /// One emission stream on one core.
     Single(Box<BackwardBuilder>),
-    /// Partition streams chained back-to-back (no barrier) on a single
-    /// core, then a reduction.
-    Sequential {
-        builders: Vec<BackwardBuilder>,
-        reduction: Option<StreamOp>,
-    },
-    /// One emission stream per core, then a reduction.
-    Multicore {
+    /// One stream per partition — chained back-to-back (no barrier) on a
+    /// single-core NPU, one per core otherwise — then a reduction.
+    Split {
         builders: Vec<BackwardBuilder>,
         reduction: Option<StreamOp>,
     },
 }
 
-thread_local! {
-    /// Per-thread fast-path working memory, reused across layers and
-    /// candidate evaluations so the collector and replay buffers are
-    /// allocated once per thread instead of regrown per layer.
-    static FAST_SCRATCH: std::cell::RefCell<FastScratch> =
-        std::cell::RefCell::new(FastScratch::default());
-}
-
-/// Run `f` with this thread's reusable [`FastScratch`].
-fn with_fast_scratch<R>(f: impl FnOnce(&mut FastScratch) -> R) -> R {
-    FAST_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-impl FastCandidate {
+impl Candidate {
     /// Emit and replay this candidate. With a `cutoff`, returns `None` as
     /// soon as the replay proves the candidate must exceed `cutoff` cycles
-    /// (see [`AnalyticCollector::replay_bounded`]); a completed run is
-    /// bit-identical to the equivalent engine-path [`Candidate::run`].
+    /// (see [`AnalyticCollector::replay_bounded`]).
     fn run_bounded(
         &self,
-        engine: &Engine,
-        config: &NpuConfig,
-        is_first: bool,
+        layer: &LayerInputs,
         cutoff: Option<u64>,
-        s: &mut FastScratch,
+        s: &mut Scratch,
     ) -> Option<SimReport> {
+        let (config, engine, is_first) = (layer.config, &layer.engine, layer.is_first);
         let order = self.decision.order;
-        let FastScratch { collectors, replay } = s;
+        let Scratch { collectors, replay } = s;
         match &self.exec {
-            FastExec::Single(builder) => {
+            Exec::Single(builder) => {
                 let c = &mut cleared_collectors(collectors, 1)[0];
                 builder.register_grids(c);
                 builder.emit(order, is_first, c);
                 c.replay_bounded(engine, replay, cutoff).map(|r| r.report)
             }
-            FastExec::Sequential {
+            Exec::Split {
                 builders,
                 reduction,
-            } => {
+            } if config.cores == 1 => {
                 // One collector: segments concatenate with no barrier,
                 // mirroring `Schedule::append_compatible`.
                 let c = &mut cleared_collectors(collectors, 1)[0];
@@ -396,7 +260,7 @@ impl FastCandidate {
                 replay_sequential_partitions_bounded(config, c, *reduction, replay, cutoff)
                     .map(|r| r.combined())
             }
-            FastExec::Multicore {
+            Exec::Split {
                 builders,
                 reduction,
             } => {
@@ -411,27 +275,26 @@ impl FastCandidate {
         }
     }
 
-    /// [`Self::run_bounded`] through the candidate memo when `memo` names
-    /// the layer (`(gemm, density)`). A memoized report is returned even
-    /// under a `cutoff` it exceeds — it is exact, and a report above the
-    /// running best cannot win the `(cycles, index)` selection — and only
-    /// completed replays are stored.
+    /// [`Self::run_bounded`], through the candidate memo when `memoize`
+    /// is set. A memoized report is returned even under a `cutoff` it
+    /// exceeds — it is exact, and a report above the running best cannot
+    /// win the `(cycles, index)` selection — and only completed replays
+    /// are stored.
     fn run_memoized(
         &self,
-        engine: &Engine,
-        config: &NpuConfig,
-        is_first: bool,
+        layer: &LayerInputs,
         cutoff: Option<u64>,
-        memo: Option<(GemmShape, f64)>,
-        s: &mut FastScratch,
+        memoize: bool,
+        s: &mut Scratch,
     ) -> Option<SimReport> {
-        let Some((gemm, density)) = memo else {
-            return self.run_bounded(engine, config, is_first, cutoff, s);
-        };
+        if !memoize {
+            return self.run_bounded(layer, cutoff, s);
+        }
+        let (gemm, density, config) = (layer.gemm, layer.density, layer.config);
         if let Some(hit) = simcache::get_candidate(gemm, density, config, self.key) {
             return Some(hit);
         }
-        let report = self.run_bounded(engine, config, is_first, cutoff, s);
+        let report = self.run_bounded(layer, cutoff, s);
         if let Some(r) = report {
             simcache::put_candidate(gemm, density, config, self.key, r);
         }
@@ -439,32 +302,133 @@ impl FastCandidate {
     }
 }
 
-/// [`select_best`] over fast-path candidates: the same lexicographic
-/// `(cycles, index)` winner, reached with strictly less work. Candidates
-/// are evaluated in ascending `(bound, index)` order against a running
-/// best: any candidate whose closed-form bound exceeds the best cycles so
-/// far is skipped outright (its true cycles can only be larger), and the
-/// rest replay under a cutoff that aborts them mid-stream once they
-/// provably exceed the running best. Neither rule can change the winner —
-/// a skipped or aborted candidate's true cycle count *strictly* exceeds
-/// the running best, so it loses even the index tie-break — and the
-/// running best can only tighten the engine path's static
-/// reference-cutoff rule, never loosen it. Memoized candidates (see
-/// [`FastCandidate::run_memoized`]) are answered without replaying.
-fn select_best_fast(
-    candidates: &[FastCandidate],
-    config: &NpuConfig,
+/// The inputs every backward candidate of one layer shares.
+struct LayerInputs<'a> {
+    gemm: GemmShape,
+    density: f64,
+    config: &'a NpuConfig,
     is_first: bool,
-    memo: Option<(GemmShape, f64)>,
+    policy: TilePolicy,
+    engine: Engine,
+}
+
+impl LayerInputs<'_> {
+    fn builder(&self, gemm: GemmShape, tensors: LayerTensors) -> BackwardBuilder {
+        BackwardBuilder::new(gemm, self.policy, tensors).with_ifmap_density(self.density)
+    }
+
+    /// A non-partitioned candidate: one stream on a single core, or the
+    /// conventional batch (weight-sharing) data parallelism across cores.
+    fn plain(&self, order: BackwardOrder) -> Candidate {
+        let decision = LayerDecision {
+            order,
+            partition: None,
+        };
+        let key = CandidateKey::Plain {
+            order,
+            is_first: self.is_first,
+        };
+        if self.config.cores == 1 {
+            let builder = self.builder(self.gemm, LAYER_TENSORS);
+            Candidate {
+                decision,
+                key,
+                bound: plain_candidate_bound(&builder, order, self.is_first, &self.engine),
+                exec: Exec::Single(Box::new(builder)),
+            }
+        } else {
+            let cores = self.config.cores as u64;
+            Candidate {
+                decision,
+                key,
+                ..self.split(PartitionScheme::WeightSharing, cores, order)
+            }
+        }
+    }
+
+    /// The layer split `parts` ways under `scheme`, each partition emitted
+    /// in `order`: chained on a single-core NPU, one partition per core
+    /// otherwise. The decision records the number of partitions the split
+    /// actually produced.
+    fn split(&self, scheme: PartitionScheme, parts: u64, order: BackwardOrder) -> Candidate {
+        let bound = if self.config.cores == 1 {
+            sequential_candidate_bound
+        } else {
+            multicore_candidate_bound
+        };
+        let bound = bound(
+            self.config,
+            &self.engine,
+            LAYER_TENSORS,
+            self.gemm,
+            self.density,
+            self.policy,
+            scheme,
+            parts,
+            order,
+            self.is_first,
+        );
+        let plan = plan_partition_backward(
+            &mut fresh_ids(),
+            LAYER_TENSORS,
+            self.gemm,
+            self.density,
+            self.policy.dtype,
+            scheme,
+            parts,
+            self.is_first,
+        );
+        let builders: Vec<BackwardBuilder> = plan
+            .sub_gemms
+            .iter()
+            .zip(&plan.part_tensors)
+            .map(|(sub, t)| self.builder(*sub, *t))
+            .collect();
+        let parts = builders.len() as u64;
+        Candidate {
+            decision: LayerDecision {
+                order,
+                partition: Some((scheme, parts)),
+            },
+            key: CandidateKey::Partition {
+                scheme,
+                parts,
+                order,
+                is_first: self.is_first,
+            },
+            bound,
+            exec: Exec::Split {
+                builders,
+                reduction: plan.reduction,
+            },
+        }
+    }
+}
+
+/// Evaluate `candidates` and return the winner: the first candidate (in
+/// construction order) with the strictly smallest cycle count — the
+/// lexicographic minimum of `(cycles, index)`.
+///
+/// Under [`SimOptions::prune`] candidates are evaluated in ascending
+/// `(bound, index)` order against a running best: any candidate whose
+/// closed-form bound exceeds the best cycles so far is skipped outright
+/// (its true cycles can only be larger), and the rest replay under a
+/// cutoff that aborts them mid-stream once they provably exceed the
+/// running best. Neither rule can change the winner — a skipped or aborted
+/// candidate's true cycle count *strictly* exceeds the running best, so it
+/// loses even the index tie-break. Memoized candidates (see
+/// [`Candidate::run_memoized`]) are answered without replaying.
+fn select_best(
+    candidates: &[Candidate],
+    layer: &LayerInputs,
     options: &SimOptions,
 ) -> (SimReport, LayerDecision) {
     assert!(!candidates.is_empty(), "no candidates to select from");
-    let engine = Engine::new(config);
     let mut eval_order: Vec<usize> = (0..candidates.len()).collect();
     if options.prune {
         eval_order.sort_by_key(|&i| (candidates[i].bound, i));
     }
-    with_fast_scratch(|s| {
+    with_scratch(|s| {
         let mut best: Option<(usize, SimReport)> = None;
         for &i in &eval_order {
             let cutoff = match &best {
@@ -476,8 +440,7 @@ fn select_best_fast(
                 }
                 _ => None,
             };
-            if let Some(r) = candidates[i].run_memoized(&engine, config, is_first, cutoff, memo, s)
-            {
+            if let Some(r) = candidates[i].run_memoized(layer, cutoff, options.memoize, s) {
                 let wins = match &best {
                     None => true,
                     Some((bi, b)) => (r.cycles, i) < (b.cycles, *bi),
@@ -517,49 +480,25 @@ pub fn simulate_layer_forward_with(
         }
     }
     let policy = TilePolicy::for_config(config);
-    let report = if options.analytic_fast_path {
-        let (tensors, first_free_id) = fast_layer_tensors();
-        let engine = Engine::new(config);
-        with_fast_scratch(|scratch| {
-            let FastScratch { collectors, replay } = scratch;
-            if config.cores == 1 {
-                let c = &mut cleared_collectors(collectors, 1)[0];
-                BackwardBuilder::new(gemm, policy, tensors).register_grids(c);
-                forward_schedule(gemm, policy, tensors, density, c);
-                c.replay(&engine, replay).report
-            } else {
-                let mut next = first_free_id;
-                let (sub_gemms, part_tensors) = plan_partition_forward(
-                    &mut |_class, _name| {
-                        let id = TensorId::from_raw(next);
-                        next += 1;
-                        id
-                    },
-                    tensors,
-                    gemm,
-                    config.cores as u64,
-                );
-                let cores = cleared_collectors(collectors, sub_gemms.len());
-                for ((sub, t), c) in sub_gemms.iter().zip(&part_tensors).zip(cores.iter_mut()) {
-                    BackwardBuilder::new(*sub, policy, *t).register_grids(c);
-                    forward_schedule(*sub, policy, *t, density, c);
-                }
-                replay_multicore(config, cores, None, replay).combined()
-            }
-        })
-    } else {
-        let mut proto = Schedule::new("fwd");
-        let tensors = LayerTensors::register(&mut proto, "l");
+    let engine = Engine::new(config);
+    let report = with_scratch(|scratch| {
+        let Scratch { collectors, replay } = scratch;
         if config.cores == 1 {
-            let mut s = proto.fork("fwd");
-            forward_schedule(gemm, policy, tensors, density, &mut s);
-            Engine::new(config).run(&s)
+            let c = &mut cleared_collectors(collectors, 1)[0];
+            BackwardBuilder::new(gemm, policy, LAYER_TENSORS).register_grids(c);
+            forward_schedule(gemm, policy, LAYER_TENSORS, density, c);
+            c.replay(&engine, replay).report
         } else {
-            let parts =
-                partition_forward_ex(&proto, tensors, gemm, density, policy, config.cores as u64);
-            run_multicore_with_scratch(config, &parts, None, &mut EngineScratch::new()).combined()
+            let (sub_gemms, part_tensors) =
+                plan_partition_forward(&mut fresh_ids(), LAYER_TENSORS, gemm, config.cores as u64);
+            let cores = cleared_collectors(collectors, sub_gemms.len());
+            for ((sub, t), c) in sub_gemms.iter().zip(&part_tensors).zip(cores.iter_mut()) {
+                BackwardBuilder::new(*sub, policy, *t).register_grids(c);
+                forward_schedule(*sub, policy, *t, density, c);
+            }
+            replay_multicore(config, cores, None, replay).combined()
         }
-    };
+    });
     if options.memoize {
         simcache::put_forward(gemm, density, config, report);
     }
@@ -612,17 +551,14 @@ pub fn simulate_layer_backward_with(
             return hit;
         }
     }
-    let out = if options.analytic_fast_path {
-        fast_backward_uncached(gemm, density, config, technique, is_first, options)
-    } else {
-        backward_uncached(gemm, density, config, technique, is_first, options)
-    };
+    let out = backward_uncached(gemm, density, config, technique, is_first, options);
     if options.memoize {
         simcache::put_backward(gemm, density, config, technique, is_first, out.0, out.1);
     }
     out
 }
 
+/// Build the technique's candidate set and select among it.
 fn backward_uncached(
     gemm: GemmShape,
     density: f64,
@@ -631,376 +567,57 @@ fn backward_uncached(
     is_first: bool,
     options: &SimOptions,
 ) -> (SimReport, LayerDecision) {
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new("bwd");
-    let tensors = LayerTensors::register(&mut proto, "l");
-
-    // A non-partitioned candidate: one schedule on a single core, or the
-    // conventional batch (weight-sharing) data parallelism across cores.
-    let plain_candidate = |order: BackwardOrder| -> Candidate {
-        let exec = if config.cores == 1 {
-            let mut s = proto.fork("bwd");
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(order, is_first, &mut s);
-            CandidateExec::Single(s)
-        } else {
-            let p = partition_backward_ex(
-                &proto,
-                tensors,
-                gemm,
-                density,
-                policy,
-                PartitionScheme::WeightSharing,
-                config.cores as u64,
-                order,
-                is_first,
-            );
-            CandidateExec::Multicore {
-                per_core: p.schedules,
-                reduction: p.reduction,
-            }
-        };
-        Candidate {
-            decision: LayerDecision {
-                order,
-                partition: None,
-            },
-            exec,
-        }
+    let layer = LayerInputs {
+        gemm,
+        density,
+        config,
+        is_first,
+        policy: TilePolicy::for_config(config),
+        engine: Engine::new(config),
     };
-
-    match technique {
-        Technique::Baseline => {
-            let c = plain_candidate(BackwardOrder::Baseline);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::IdealDyReuse => {
-            let c = plain_candidate(BackwardOrder::IdealDyReuse);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::Interleaving => {
-            let c = plain_candidate(BackwardOrder::Interleaved);
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::Rearrangement => {
-            let c = plain_candidate(rearranged_order(gemm, config));
-            let r = c.run(config, &mut EngineScratch::new());
-            (r, c.decision)
-        }
-        Technique::RearrangementOracle => {
-            let candidates: Vec<Candidate> = [
-                BackwardOrder::Interleaved,
-                BackwardOrder::DxMajor,
-                BackwardOrder::DwMajor,
-            ]
-            .into_iter()
-            .map(plain_candidate)
-            .collect();
-            select_best(&candidates, config, options)
-        }
+    let candidates: Vec<Candidate> = match technique {
+        Technique::Baseline => vec![layer.plain(BackwardOrder::Baseline)],
+        Technique::IdealDyReuse => vec![layer.plain(BackwardOrder::IdealDyReuse)],
+        Technique::Interleaving => vec![layer.plain(BackwardOrder::Interleaved)],
+        Technique::Rearrangement => vec![layer.plain(rearranged_order(gemm, config))],
+        Technique::RearrangementOracle => [
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ]
+        .into_iter()
+        .map(|order| layer.plain(order))
+        .collect(),
+        // The §5 candidate set: partitionings composed with Algorithm 1
+        // ordering (or the baseline order, since the mapping selection
+        // may keep the conventional mapping). On a single core the
+        // unpartitioned schedules are candidates too (partitioning is
+        // optional there); on a multi-core NPU some partitioning is
+        // required to use the cores, so the candidates are the three
+        // schemes at `cores` partitions.
         Technique::DataPartitioning => {
-            let candidates =
-                partition_candidates(gemm, density, config, is_first, &proto, tensors, policy);
-            select_best(&candidates, config, options)
-        }
-    }
-}
-
-/// [`backward_uncached`] on the analytic fast path: the same candidate
-/// sets and selection semantics, but candidates are held as unemitted
-/// [`BackwardBuilder`]s, evaluated by allocation-free replay (bit-identical
-/// to the engine by construction), and pruned with the closed-form bounds
-/// of [`crate::bound`].
-fn fast_backward_uncached(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-    options: &SimOptions,
-) -> (SimReport, LayerDecision) {
-    let policy = TilePolicy::for_config(config);
-    let (tensors, first_free_id) = fast_layer_tensors();
-    let engine = Engine::new(config);
-    let memo = options.memoize.then_some((gemm, density));
-
-    // A non-partitioned candidate: one stream on a single core, or the
-    // conventional batch (weight-sharing) data parallelism across cores.
-    let plain_candidate = |order: BackwardOrder| -> FastCandidate {
-        let decision = LayerDecision {
-            order,
-            partition: None,
-        };
-        let key = CandidateKey::Plain { order, is_first };
-        if config.cores == 1 {
-            let builder = BackwardBuilder::new(gemm, policy, tensors).with_ifmap_density(density);
-            let bound = plain_candidate_bound(&builder, order, is_first, &engine);
-            FastCandidate {
-                decision,
-                key,
-                bound,
-                exec: FastExec::Single(Box::new(builder)),
-            }
-        } else {
-            let parts = config.cores as u64;
-            let scheme = PartitionScheme::WeightSharing;
-            let bound = multicore_candidate_bound(
-                config, &engine, tensors, gemm, density, policy, scheme, parts, order, is_first,
-            );
-            let mut next = first_free_id;
-            let plan = plan_partition_backward(
-                &mut |_class, _name| {
-                    let id = TensorId::from_raw(next);
-                    next += 1;
-                    id
-                },
-                tensors,
-                gemm,
-                density,
-                policy.dtype,
-                scheme,
-                parts,
-                is_first,
-            );
-            let builders = plan
-                .sub_gemms
-                .iter()
-                .zip(&plan.part_tensors)
-                .map(|(sub, t)| BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density))
-                .collect();
-            FastCandidate {
-                decision,
-                key,
-                bound,
-                exec: FastExec::Multicore {
-                    builders,
-                    reduction: plan.reduction,
-                },
-            }
-        }
-    };
-
-    let run_one = |c: FastCandidate| -> (SimReport, LayerDecision) {
-        let r = with_fast_scratch(|s| c.run_memoized(&engine, config, is_first, None, memo, s))
-            .expect("unbounded run always completes");
-        (r, c.decision)
-    };
-
-    match technique {
-        Technique::Baseline => run_one(plain_candidate(BackwardOrder::Baseline)),
-        Technique::IdealDyReuse => run_one(plain_candidate(BackwardOrder::IdealDyReuse)),
-        Technique::Interleaving => run_one(plain_candidate(BackwardOrder::Interleaved)),
-        Technique::Rearrangement => run_one(plain_candidate(rearranged_order(gemm, config))),
-        Technique::RearrangementOracle => {
-            let candidates: Vec<FastCandidate> = [
-                BackwardOrder::Interleaved,
-                BackwardOrder::DxMajor,
-                BackwardOrder::DwMajor,
-            ]
-            .into_iter()
-            .map(plain_candidate)
-            .collect();
-            select_best_fast(&candidates, config, is_first, memo, options)
-        }
-        Technique::DataPartitioning => {
-            let mut candidates: Vec<FastCandidate> = Vec::new();
             let algorithm1 = |g: GemmShape| BackwardOrder::from(select_order(g));
-            if config.cores == 1 {
+            let mut candidates = Vec::new();
+            let part_counts: &[u64] = if config.cores == 1 {
                 for order in dedup_orders([algorithm1(gemm), BackwardOrder::Baseline]) {
-                    candidates.push(plain_candidate(order));
+                    candidates.push(layer.plain(order));
                 }
-                for scheme in PartitionScheme::ALL {
-                    for parts in SINGLE_CORE_PART_CANDIDATES {
-                        let sub = gemm.split(scheme.split_dim(), parts)[0];
-                        for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                            let bound = sequential_candidate_bound(
-                                config, &engine, tensors, gemm, density, policy, scheme, parts,
-                                order, is_first,
-                            );
-                            let mut next = first_free_id;
-                            let plan = plan_partition_backward(
-                                &mut |_class, _name| {
-                                    let id = TensorId::from_raw(next);
-                                    next += 1;
-                                    id
-                                },
-                                tensors,
-                                gemm,
-                                density,
-                                policy.dtype,
-                                scheme,
-                                parts,
-                                is_first,
-                            );
-                            let builders: Vec<BackwardBuilder> = plan
-                                .sub_gemms
-                                .iter()
-                                .zip(&plan.part_tensors)
-                                .map(|(s, t)| {
-                                    BackwardBuilder::new(*s, policy, *t).with_ifmap_density(density)
-                                })
-                                .collect();
-                            let parts = builders.len() as u64;
-                            candidates.push(FastCandidate {
-                                decision: LayerDecision {
-                                    order,
-                                    partition: Some((scheme, parts)),
-                                },
-                                key: CandidateKey::Partition {
-                                    scheme,
-                                    parts,
-                                    order,
-                                    is_first,
-                                },
-                                bound,
-                                exec: FastExec::Sequential {
-                                    builders,
-                                    reduction: plan.reduction,
-                                },
-                            });
-                        }
-                    }
-                }
+                &SINGLE_CORE_PART_CANDIDATES
             } else {
-                let parts = config.cores as u64;
-                for scheme in PartitionScheme::ALL {
+                &[config.cores as u64]
+            };
+            for scheme in PartitionScheme::ALL {
+                for &parts in part_counts {
                     let sub = gemm.split(scheme.split_dim(), parts)[0];
                     for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                        let bound = multicore_candidate_bound(
-                            config, &engine, tensors, gemm, density, policy, scheme, parts, order,
-                            is_first,
-                        );
-                        let mut next = first_free_id;
-                        let plan = plan_partition_backward(
-                            &mut |_class, _name| {
-                                let id = TensorId::from_raw(next);
-                                next += 1;
-                                id
-                            },
-                            tensors,
-                            gemm,
-                            density,
-                            policy.dtype,
-                            scheme,
-                            parts,
-                            is_first,
-                        );
-                        let builders: Vec<BackwardBuilder> = plan
-                            .sub_gemms
-                            .iter()
-                            .zip(&plan.part_tensors)
-                            .map(|(s, t)| {
-                                BackwardBuilder::new(*s, policy, *t).with_ifmap_density(density)
-                            })
-                            .collect();
-                        let parts = builders.len() as u64;
-                        candidates.push(FastCandidate {
-                            decision: LayerDecision {
-                                order,
-                                partition: Some((scheme, parts)),
-                            },
-                            key: CandidateKey::Partition {
-                                scheme,
-                                parts,
-                                order,
-                                is_first,
-                            },
-                            bound,
-                            exec: FastExec::Multicore {
-                                builders,
-                                reduction: plan.reduction,
-                            },
-                        });
+                        candidates.push(layer.split(scheme, parts, order));
                     }
                 }
             }
-            select_best_fast(&candidates, config, is_first, memo, options)
+            candidates
         }
-    }
-}
-
-/// The §5 candidate set: the candidate partitionings (composed with
-/// Algorithm 1 ordering), in the fixed order the sequential selector
-/// walked them. On a single core the unpartitioned rearranged schedule is
-/// also a candidate (partitioning is optional there); on a multi-core NPU
-/// some partitioning is required to use the cores, so the candidates are
-/// the three schemes at `cores` partitions.
-#[allow(clippy::too_many_arguments)]
-fn partition_candidates(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    is_first: bool,
-    proto: &Schedule,
-    tensors: LayerTensors,
-    policy: TilePolicy,
-) -> Vec<Candidate> {
-    let algorithm1 = |g: GemmShape| BackwardOrder::from(select_order(g));
-    let mut out: Vec<Candidate> = Vec::new();
-
-    if config.cores == 1 {
-        // Unpartitioned candidates: the rearranged schedule and — because
-        // the mapping selection may keep the conventional mapping when no
-        // alternative wins — the baseline order.
-        for order in dedup_orders([algorithm1(gemm), BackwardOrder::Baseline]) {
-            let mut s = proto.fork("bwd");
-            BackwardBuilder::new(gemm, policy, tensors)
-                .with_ifmap_density(density)
-                .emit(order, is_first, &mut s);
-            out.push(Candidate {
-                decision: LayerDecision {
-                    order,
-                    partition: None,
-                },
-                exec: CandidateExec::Single(s),
-            });
-        }
-        for scheme in PartitionScheme::ALL {
-            for parts in SINGLE_CORE_PART_CANDIDATES {
-                let sub = gemm.split(scheme.split_dim(), parts)[0];
-                for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                    let p = partition_backward_ex(
-                        proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
-                    );
-                    out.push(Candidate {
-                        decision: LayerDecision {
-                            order,
-                            partition: Some((scheme, p.schedules.len() as u64)),
-                        },
-                        exec: CandidateExec::Sequential {
-                            segments: p.schedules,
-                            reduction: p.reduction,
-                        },
-                    });
-                }
-            }
-        }
-    } else {
-        let parts = config.cores as u64;
-        for scheme in PartitionScheme::ALL {
-            let sub = gemm.split(scheme.split_dim(), parts)[0];
-            for order in dedup_orders([algorithm1(sub), BackwardOrder::Baseline]) {
-                let p = partition_backward_ex(
-                    proto, tensors, gemm, density, policy, scheme, parts, order, is_first,
-                );
-                out.push(Candidate {
-                    decision: LayerDecision {
-                        order,
-                        partition: Some((scheme, p.schedules.len() as u64)),
-                    },
-                    exec: CandidateExec::Multicore {
-                        per_core: p.schedules,
-                        reduction: p.reduction,
-                    },
-                });
-            }
-        }
-    }
-    out
+    };
+    select_best(&candidates, &layer, options)
 }
 
 /// Per-layer outcome within a model report.
@@ -1124,7 +741,7 @@ pub fn simulate_model(model: &Model, config: &NpuConfig, technique: Technique) -
 }
 
 /// [`simulate_model`] with explicit execution options. Independent layers
-/// are evaluated concurrently when `options.parallel` is set; the report's
+/// are evaluated on a pool of `options.workers` workers; the report's
 /// layer order always matches the model's.
 pub fn simulate_model_with(
     model: &Model,
@@ -1132,20 +749,12 @@ pub fn simulate_model_with(
     technique: Technique,
     options: &SimOptions,
 ) -> ModelReport {
-    let layers = if options.parallel {
-        parallel_map_workers(
-            &model.layers,
-            options.workers,
-            || (),
-            |(), layer| layer_outcome(layer, config, technique, options),
-        )
-    } else {
-        model
-            .layers
-            .iter()
-            .map(|layer| layer_outcome(layer, config, technique, options))
-            .collect()
-    };
+    let layers = parallel_map_workers(
+        &model.layers,
+        options.workers,
+        || (),
+        |(), layer| layer_outcome(layer, config, technique, options),
+    );
     ModelReport {
         model: model.name.clone(),
         config: config.name.clone(),
@@ -1307,9 +916,8 @@ mod tests {
 
     #[test]
     fn every_options_combination_selects_identically() {
-        // 16 toggle combinations on a layer with a non-trivial candidate
-        // space: same report, same decision, bit for bit. In particular the
-        // analytic fast path must reproduce the cycle engine exactly.
+        // Every toggle combination on a layer with a non-trivial candidate
+        // space: same report, same decision, bit for bit.
         let config = NpuConfig::small_edge();
         let gemm = dy_heavy_conv();
         let (want, want_d) = simulate_layer_backward_with(
@@ -1320,72 +928,25 @@ mod tests {
             false,
             &SimOptions::sequential(),
         );
-        for parallel in [false, true] {
-            for memoize in [false, true] {
-                for prune in [false, true] {
-                    for analytic_fast_path in [false, true] {
-                        let opts = SimOptions {
-                            parallel,
-                            memoize,
-                            prune,
-                            // Force a real pool even on a single-CPU machine.
-                            workers: 3,
-                            analytic_fast_path,
-                        };
-                        let (got, got_d) = simulate_layer_backward_with(
-                            gemm,
-                            1.0,
-                            &config,
-                            Technique::DataPartitioning,
-                            false,
-                            &opts,
-                        );
-                        assert_eq!(got, want, "{opts:?} diverged from the sequential path");
-                        assert_eq!(got_d, want_d, "{opts:?} picked a different candidate");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fast_path_matches_engine_for_all_techniques_and_configs() {
-        // Cross-check the analytic fast path against the cycle engine over
-        // every technique, forward + backward, single- and multi-core, with
-        // a sparse ifmap and both first/non-first layers.
-        let slow = SimOptions {
-            analytic_fast_path: false,
-            ..SimOptions::sequential()
-        };
-        let fast = SimOptions {
-            analytic_fast_path: true,
-            ..SimOptions::sequential()
-        };
-        for config in [
-            NpuConfig::small_edge(),
-            NpuConfig::large_single_core(),
-            NpuConfig::large_server(2),
-        ] {
-            let gemm = GemmShape::new(1536, 320, 448);
-            for density in [1.0, 0.37] {
-                let f_slow = simulate_layer_forward_with(gemm, density, &config, &slow);
-                let f_fast = simulate_layer_forward_with(gemm, density, &config, &fast);
-                assert_eq!(f_slow, f_fast, "forward diverged on {}", config.name);
-                for technique in Technique::ALL {
-                    for is_first in [false, true] {
-                        let (r_slow, d_slow) = simulate_layer_backward_with(
-                            gemm, density, &config, technique, is_first, &slow,
-                        );
-                        let (r_fast, d_fast) = simulate_layer_backward_with(
-                            gemm, density, &config, technique, is_first, &fast,
-                        );
-                        assert_eq!(
-                            r_slow, r_fast,
-                            "backward diverged: {technique} on {} (is_first={is_first})",
-                            config.name
-                        );
-                        assert_eq!(d_slow, d_fast, "{technique} picked a different candidate");
-                    }
+        for memoize in [false, true] {
+            for prune in [false, true] {
+                // A 3-worker pool is forced even on a single-CPU machine.
+                for workers in [1, 3] {
+                    let opts = SimOptions {
+                        memoize,
+                        prune,
+                        workers,
+                    };
+                    let (got, got_d) = simulate_layer_backward_with(
+                        gemm,
+                        1.0,
+                        &config,
+                        Technique::DataPartitioning,
+                        false,
+                        &opts,
+                    );
+                    assert_eq!(got, want, "{opts:?} diverged from the sequential path");
+                    assert_eq!(got_d, want_d, "{opts:?} picked a different candidate");
                 }
             }
         }
@@ -1454,8 +1015,7 @@ mod tests {
         let config = NpuConfig::large_single_core();
         let gemm = GemmShape::new(3109, 263, 1031);
         let memo = SimOptions {
-            parallel: false,
-            workers: 0,
+            workers: 1,
             ..SimOptions::optimized()
         };
         let fresh = SimOptions {
@@ -1498,7 +1058,7 @@ mod tests {
             prune: false,
             ..memo
         };
-        let (report, decision) = fast_backward_uncached(
+        let (report, decision) = backward_uncached(
             gemm,
             1.0,
             &config,
@@ -1522,11 +1082,9 @@ mod tests {
         let config = NpuConfig::large_single_core();
         let gemm = GemmShape::new(6421, 127, 6337);
         let opts = SimOptions {
-            parallel: false,
             memoize: true,
             prune: false,
-            workers: 0,
-            analytic_fast_path: false,
+            workers: 1,
         };
         let first =
             simulate_layer_backward_with(gemm, 1.0, &config, Technique::Interleaving, false, &opts);

@@ -178,96 +178,6 @@ impl Engine {
         self.run_with_scratch(schedule, &mut scratch)
     }
 
-    /// Analytical lower bound on [`Engine::run`]'s makespan for `schedule`,
-    /// without simulating residency. Sound for both replacement policies:
-    /// the returned value never exceeds the simulated `cycles`.
-    ///
-    /// The bound is `max(compute, memory)` where *compute* is the serial
-    /// systolic time of every tile GEMM and *memory* is the channel time of
-    /// the compulsory traffic alone: within each barrier-delimited segment,
-    /// each distinct tile whose first access is a clean read is fetched at
-    /// least once, each tile that is ever written is written back at least
-    /// once, and stream ops always move their bytes. On top of the byte
-    /// time, every compulsory fetch and every non-empty stream op costs at
-    /// least one DRAM burst latency: the engine charges `bursts × latency`
-    /// per tile op (one burst per fetched access) and one latency per
-    /// stream op, so counting each distinct clean first touch once per
-    /// segment stays under the simulated total.
-    pub fn lower_bound(&self, schedule: &Schedule) -> u64 {
-        self.lower_bound_concat(std::slice::from_ref(schedule))
-    }
-
-    /// [`Engine::lower_bound`] for `segments` executed back-to-back as one
-    /// stream (the single-core sequential-partition execution model, where
-    /// SPM residency crosses segment boundaries).
-    pub fn lower_bound_concat(&self, segments: &[Schedule]) -> u64 {
-        struct SegTile {
-            bytes: u64,
-            first_clean: bool,
-            written: bool,
-        }
-        let mut compute: u64 = 0;
-        let mut bytes_lb: u64 = 0;
-        let mut bursts_lb: u64 = 0;
-        let mut seen: HashMap<TileKey, SegTile> = HashMap::new();
-        fn drain_segment(
-            seen: &mut HashMap<TileKey, SegTile>,
-            bytes_lb: &mut u64,
-            bursts: &mut u64,
-        ) {
-            for (_, t) in seen.drain() {
-                if t.first_clean {
-                    *bytes_lb += t.bytes;
-                    if t.bytes > 0 {
-                        *bursts += 1;
-                    }
-                }
-                if t.written {
-                    *bytes_lb += t.bytes;
-                }
-            }
-        }
-        let touch = |seen: &mut HashMap<TileKey, SegTile>, key, bytes, dirty: bool| {
-            seen.entry(key)
-                .and_modify(|t| {
-                    t.written |= dirty;
-                    t.bytes = t.bytes.min(bytes);
-                })
-                .or_insert(SegTile {
-                    bytes,
-                    first_clean: !dirty,
-                    written: dirty,
-                });
-        };
-        for s in segments {
-            for op in s.ops() {
-                match op {
-                    ScheduleOp::Gemm(g) => {
-                        compute += self.systolic.tile_cycles(g.compute);
-                        for r in &g.reads {
-                            touch(&mut seen, r.key, r.bytes, false);
-                        }
-                        if let Some(a) = &g.acc {
-                            touch(&mut seen, a.key, a.bytes, true);
-                        }
-                    }
-                    ScheduleOp::Stream(st) => {
-                        let bytes = st.read_bytes + st.write_bytes;
-                        bytes_lb += bytes;
-                        if bytes > 0 {
-                            bursts_lb += 1;
-                        }
-                    }
-                    ScheduleOp::Barrier => drain_segment(&mut seen, &mut bytes_lb, &mut bursts_lb),
-                }
-            }
-        }
-        drain_segment(&mut seen, &mut bytes_lb, &mut bursts_lb);
-        let mem = (bytes_lb as f64 / self.bytes_per_cycle + (bursts_lb * self.burst_latency) as f64)
-            .ceil() as u64;
-        compute.max(mem)
-    }
-
     /// Run `schedule` on a cold SPM, reusing `scratch`'s buffers.
     pub fn run_with_scratch(&self, schedule: &Schedule, scratch: &mut EngineScratch) -> SimReport {
         self.run_recorded(schedule, scratch, &mut NullRecorder)
@@ -822,87 +732,6 @@ mod tests {
         assert_eq!(r.traffic.read(TensorClass::OutGrad), 2 * 1600);
         assert_eq!(r.traffic.write(TensorClass::WGrad), 1600);
         assert_eq!(r.traffic.read(TensorClass::WGrad), 0);
-    }
-
-    #[test]
-    fn lower_bound_never_exceeds_simulated_cycles() {
-        // Assorted reuse patterns, several residency capacities, both
-        // replacement policies: the analytical bound must stay below the
-        // simulated makespan everywhere.
-        let mut schedules: Vec<Schedule> = Vec::new();
-        let mut scan = Schedule::new("scan");
-        let dy = scan.add_tensor(TensorClass::OutGrad, "dY");
-        let dw = scan.add_tensor(TensorClass::WGrad, "dW");
-        for j in 0..20 {
-            scan.push_gemm(
-                TileOp::new(GemmShape::new(16, 16, 16))
-                    .read(dy, TileCoord::new(0, j % 5), 1600)
-                    .accumulate(dw, TileCoord::new(0, j % 2), 1600),
-            );
-            if j == 9 {
-                scan.push_barrier();
-            }
-        }
-        scan.push_stream(StreamOp {
-            class: TensorClass::WGrad,
-            read_bytes: 4096,
-            write_bytes: 0,
-        });
-        schedules.push(scan);
-        let mut compute = Schedule::new("compute");
-        let w = compute.add_tensor(TensorClass::Weight, "W");
-        for _ in 0..8 {
-            compute.push_gemm(TileOp::new(GemmShape::new(512, 16, 16)).read(
-                w,
-                TileCoord::new(0, 0),
-                1600,
-            ));
-        }
-        schedules.push(compute);
-        for s in &schedules {
-            for residency in [1600, 3300, 10_000] {
-                for policy in [Replacement::Opt, Replacement::Lru] {
-                    let e = tiny_engine(residency).with_replacement(policy);
-                    let r = e.run(s);
-                    let lb = e.lower_bound(s);
-                    assert!(
-                        lb <= r.cycles,
-                        "bound {lb} exceeds simulated {} ({} @ {residency}B, {policy:?})",
-                        r.cycles,
-                        s.name()
-                    );
-                    assert!(lb > 0, "non-empty schedule must have a positive bound");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lower_bound_concat_matches_concatenated_schedule() {
-        let e = tiny_engine(10_000);
-        let mut parent = Schedule::new("p");
-        let dy = parent.add_tensor(TensorClass::OutGrad, "dY");
-        let mut a = parent.fork("a");
-        let mut b = parent.fork("b");
-        for j in 0..4 {
-            a.push_gemm(TileOp::new(GemmShape::new(16, 16, 16)).read(
-                dy,
-                TileCoord::new(0, j),
-                1600,
-            ));
-            b.push_gemm(TileOp::new(GemmShape::new(16, 16, 16)).read(
-                dy,
-                TileCoord::new(0, j),
-                1600,
-            ));
-        }
-        let mut joined = a.clone();
-        joined.append_compatible(&b);
-        assert_eq!(
-            e.lower_bound_concat(&[a, b]),
-            e.lower_bound(&joined),
-            "segment-spanning dedup must match the concatenated stream"
-        );
     }
 
     #[test]

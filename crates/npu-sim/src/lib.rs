@@ -68,9 +68,8 @@ pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{engine_run_count, Engine, EngineScratch, Replacement};
 pub use multicore::{
     reduction_cycles, replay_multicore, replay_multicore_bounded, replay_sequential_partitions,
-    replay_sequential_partitions_bounded, run_multicore, run_multicore_with_scratch,
-    run_sequential_partitions, run_sequential_partitions_with_scratch, sequential_combined,
-    MultiCoreReport,
+    replay_sequential_partitions_bounded, run_multicore, run_sequential_partitions,
+    sequential_combined, MultiCoreReport,
 };
 pub use opt::{DenseOptCache, OptCache};
 pub use recorder::{

@@ -97,9 +97,9 @@ fn reduction_cost(config: &NpuConfig, reduction: Option<StreamOp>, traffic: &mut
 /// Collapse one inner (concatenated-segments) report plus the reduction
 /// into a combined [`SimReport`] — exactly what
 /// [`run_sequential_partitions`]'s `.combined()` yields, without
-/// re-running the segments. Used by the capacity-ladder pipeline, which
-/// replays the inner stream once per SPM rung and pays the
-/// (capacity-independent) reduction afterwards.
+/// re-running the segments. Lets a caller that replays the inner stream
+/// once per SPM capacity pay the (capacity-independent) reduction
+/// afterwards.
 pub fn sequential_combined(
     config: &NpuConfig,
     inner: SimReport,
@@ -127,32 +127,19 @@ pub fn run_multicore(
     per_core: &[Schedule],
     reduction: Option<StreamOp>,
 ) -> MultiCoreReport {
-    run_multicore_with_scratch(config, per_core, reduction, &mut EngineScratch::new())
-}
-
-/// [`run_multicore`] reusing `scratch`'s buffers across the per-core engine
-/// runs (the cores are simulated one after another, so one scratch serves
-/// them all).
-///
-/// # Panics
-///
-/// Panics if more schedules than cores are supplied.
-pub fn run_multicore_with_scratch(
-    config: &NpuConfig,
-    per_core: &[Schedule],
-    reduction: Option<StreamOp>,
-    scratch: &mut EngineScratch,
-) -> MultiCoreReport {
     assert!(
         per_core.len() <= config.cores as usize,
         "{} schedules for {} cores",
         per_core.len(),
         config.cores
     );
+    // The cores are simulated one after another, so one scratch serves
+    // them all.
     let engine = Engine::new(config);
+    let mut scratch = EngineScratch::new();
     let core_reports: Vec<SimReport> = per_core
         .iter()
-        .map(|s| engine.run_with_scratch(s, scratch))
+        .map(|s| engine.run_with_scratch(s, &mut scratch))
         .collect();
     let mut traffic = Traffic::new();
     for r in &core_reports {
@@ -181,31 +168,16 @@ pub fn run_sequential_partitions(
     segments: &[Schedule],
     reduction: Option<StreamOp>,
 ) -> MultiCoreReport {
-    run_sequential_partitions_with_scratch(config, segments, reduction, &mut EngineScratch::new())
-}
-
-/// [`run_sequential_partitions`] reusing `scratch`'s buffers.
-///
-/// # Panics
-///
-/// Panics if the segments' tensor tables differ (they must be compatible
-/// forks of one parent — see [`Schedule::append_compatible`]).
-pub fn run_sequential_partitions_with_scratch(
-    config: &NpuConfig,
-    segments: &[Schedule],
-    reduction: Option<StreamOp>,
-    scratch: &mut EngineScratch,
-) -> MultiCoreReport {
     let engine = Engine::new(config);
     let report = match segments {
         [] => SimReport::default(),
-        [single] => engine.run_with_scratch(single, scratch),
+        [single] => engine.run(single),
         [first, rest @ ..] => {
             let mut combined = first.clone();
             for s in rest {
                 combined.append_compatible(s);
             }
-            engine.run_with_scratch(&combined, scratch)
+            engine.run(&combined)
         }
     };
     let mut traffic = report.traffic;
@@ -280,8 +252,8 @@ pub fn replay_multicore_bounded(
 /// [`run_sequential_partitions`] over one analytic collector holding the
 /// partitions' streams emitted back-to-back (the collector-side equivalent
 /// of [`Schedule::append_compatible`] concatenation — no barrier between
-/// segments, so residency crosses partition boundaries exactly as in the
-/// engine path).
+/// segments, so residency crosses partition boundaries exactly as in
+/// [`run_sequential_partitions`]).
 pub fn replay_sequential_partitions(
     config: &NpuConfig,
     combined: &AnalyticCollector,

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Performance benchmark for the IGO workspace.
 #
-# Runs `igo-sim perf` (the cold-cache SPM-ladder sweep that compares the
-# engine path against the analytic fast path) plus a design-space sweep
-# micro-benchmark, and records the numbers in BENCH_<N>.json at the repo
-# root so the perf trajectory is tracked across PRs. Hermetic: no network.
+# Runs a design-space sweep micro-benchmark (`igo-sim sweep zoo`) and
+# records the numbers in BENCH_<N>.json at the repo root so the perf
+# trajectory is tracked across changes. Hermetic: no network.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,15 +12,6 @@ BENCH_ID="${BENCH_ID:-5}"
 OUT="BENCH_${BENCH_ID}.json"
 
 cargo build --release -q -p igo-cli
-
-echo "== igo-sim perf server =="
-PERF_LOG="$(mktemp)"
-./target/release/igo-sim perf server | tee "$PERF_LOG"
-
-engine_s="$(awk '/^engine-path/   { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-analytic_s="$(awk '/^analytic-path/ { sub(/s$/, "", $2); print $2 }' "$PERF_LOG")"
-speedup="$(awk '/analytic speedup/ { for (i=1;i<=NF;i++) if ($i=="speedup") { sub(/x$/, "", $(i+1)); print $(i+1) } }' "$PERF_LOG")"
-identical="$(awk -F': *' '/^bit-identical.*analytic speedup/ { split($2, a, " "); print (a[1]=="yes") ? "true" : "false" }' "$PERF_LOG")"
 
 echo "== igo-sim sweep zoo (micro-benchmark, min of 2) =="
 SWEEP_DIR="$(mktemp -d)"
@@ -38,16 +28,10 @@ echo "sweep zoo ${sweep_wall}s (runs: ${s1}s, ${s2}s)"
 cat > "$OUT" <<JSON
 {
   "bench": ${BENCH_ID},
-  "perf_ladder": {
-    "engine_seconds": ${engine_s},
-    "analytic_seconds": ${analytic_s},
-    "analytic_speedup": ${speedup},
-    "bit_identical": ${identical}
-  },
   "sweep_wall_seconds": ${sweep_wall},
   "sweep_zoo": ${SWEEP_SUMMARY}
 }
 JSON
-rm -rf "$PERF_LOG" "$SWEEP_DIR"
+rm -rf "$SWEEP_DIR"
 
 echo "bench: wrote ${OUT}"

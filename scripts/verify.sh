@@ -44,6 +44,6 @@ cargo test -q
 echo "== fixed-seed differential fuzz-audit =="
 # Tee the JSON summary to a file so CI can print it and upload it as an
 # artifact on failure; `pipefail` preserves the audit's exit code.
-./target/release/igo-sim audit --seeds 200 | tee audit-summary.json
+./target/release/igo-sim audit --seeds 1000 | tee audit-summary.json
 
 echo "verify: all checks passed"
