@@ -49,8 +49,8 @@ use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EngineScratch, EventLog,
-    Exactness, MetricsFold, NpuConfig, OptCache, PeArray, RunMetrics, Schedule, ScheduleOp,
+    AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EventLog, Exactness,
+    MetricsFold, NpuConfig, OptCache, PeArray, Recorder, RunMetrics, Schedule, ScheduleOp,
     SimReport, TileKey, TraceEvent, Traffic,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
@@ -793,13 +793,21 @@ fn check_decision_conservation(
     violations
 }
 
+/// Replay `schedule` through [`AnalyticCollector::replay_recorded`] with
+/// `recorder` attached.
+fn recorded_replay<R: Recorder>(schedule: &Schedule, engine: &Engine, recorder: &mut R) {
+    AnalyticCollector::from_schedule(schedule)
+        .replay_recorded(engine, &mut AnalyticScratch::new(), None, recorder)
+        .expect("an uncut replay completes");
+}
+
 /// Shadow-replay `schedule` against an independent [`OptCache`] model and
 /// verify that `report` respects every engine/SPM conservation invariant:
 /// `hits + misses == accesses`, residency never exceeds capacity, every
 /// spilled-accumulator re-fetch is preceded by a write-back of that tile,
 /// per-class traffic matches the shadow replay, and total DRAM traffic
 /// equals the sum of fetched, written-back and streamed bytes. The
-/// schedule is additionally re-run with an [`EventLog`] recorder and the
+/// schedule is additionally replayed with an [`EventLog`] recorder and the
 /// recorded `Access` events (kind and post-access occupancy) must agree
 /// with the shadow replay access by access; the [`RunMetrics`] streamed
 /// from the same run by a [`MetricsFold`] must agree with the shadow's
@@ -869,14 +877,15 @@ pub fn check_report_conservation(
         }
     }
 
-    // Observability cross-check: re-run the schedule with an event log
-    // and the streaming metrics fold attached, then verify access by
-    // access that the recorded occupancy and access kind agree with this
-    // function's independent `OptCache` shadow replay. A recorder bug (or
-    // an engine/recorder divergence) shows up as an `occupancy-replay`
-    // violation, a fold bug as a `streamed-metrics` one.
+    // Observability cross-check: replay the schedule with an event log
+    // and the streaming metrics fold attached (the recorded replay that
+    // traces run on), then verify access by access that the recorded
+    // occupancy and access kind agree with this function's independent
+    // `OptCache` shadow replay. A recorder bug (or a replay/recorder
+    // divergence) shows up as an `occupancy-replay` violation, a fold bug
+    // as a `streamed-metrics` one.
     let mut recorders = (EventLog::new(), MetricsFold::new(engine.residency_bytes()));
-    engine.run_recorded(schedule, &mut EngineScratch::new(), &mut recorders);
+    recorded_replay(schedule, &engine, &mut recorders);
     let (log, fold) = recorders;
     let streamed = fold.finish();
     let recorded: Vec<(TileKey, AccessKind, u64)> = log
@@ -1230,7 +1239,7 @@ mod tests {
         let engine = Engine::new(&config);
         let report = engine.run(&s);
         let mut fold = MetricsFold::new(engine.residency_bytes());
-        engine.run_recorded(&s, &mut EngineScratch::new(), &mut fold);
+        recorded_replay(&s, &engine, &mut fold);
         let good = fold.finish();
         let mut shadow = [(0, 0); 7];
         for (i, m) in good.per_class.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! Recorded (traced) layer execution: the observability front-end.
 //!
 //! [`crate::pipeline`] answers *how long* a layer's backward pass takes;
-//! this module answers *what happened while it ran*. It re-executes the
-//! pipeline's decided schedule with a streaming recorder attached. The
+//! this module answers *what happened while it ran*. It replays the
+//! pipeline's decided execution with a streaming recorder attached. The
 //! recorder never stores the cycle-stamped event stream ([`TraceEvent`]):
 //! as each event arrives it is folded into
 //!
@@ -19,24 +19,24 @@
 //! `dy_tiles` (one entry per dY tile) stay at full resolution.
 //!
 //! The decision is made exactly as in the untraced pipeline
-//! ([`simulate_layer_backward_with`]), and the execution it implies is
-//! rebuilt by [`DecidedBackward::rebuild`], the same function the audit
-//! subsystem uses ([`crate::audit::check_report_conservation`]
-//! cross-checks the two views): one engine run per core for multi-core
-//! decisions, one chained run for single-core sequential partitions.
+//! ([`simulate_layer_backward_with`]), and [`record_decided`] emits the
+//! execution it implies through the selection loop's own candidate
+//! construction into analytic collectors and replays each once with the
+//! recorder attached — the code path that produced the reported numbers.
+//! That is one replay per core for multi-core decisions and one chained
+//! replay for single-core sequential partitions. The audit
+//! ([`crate::audit::check_report_conservation`]) checks the recorded
+//! replay's events against an independent residency model.
 //!
 //! The exporter for the collected traces — Chrome trace-event JSON
 //! (Perfetto / `chrome://tracing`) and CSV metric summaries — lives in
 //! [`crate::report_io`].
 
-use crate::partition::DecidedBackward;
-use crate::pipeline::{simulate_layer_backward_with, LayerDecision, SimOptions};
+use crate::partition::PartitionScheme;
+use crate::pipeline::{record_decided, simulate_layer_backward_with, LayerDecision, SimOptions};
 use crate::technique::Technique;
 use crate::tracks::{CoreTracks, TrackBuilder};
-use igo_npu_sim::{
-    Engine, EngineScratch, MetricsFold, NpuConfig, Recorder, RunMetrics, Schedule, SimReport,
-    TraceEvent,
-};
+use igo_npu_sim::{Engine, MetricsFold, NpuConfig, Recorder, RunMetrics, SimReport, TraceEvent};
 use igo_tensor::GemmShape;
 use igo_workloads::Model;
 
@@ -47,13 +47,13 @@ pub struct CoreTrace {
     pub core: usize,
     /// Name of the schedule this core ran.
     pub schedule: String,
-    /// Events the engine emitted during the run.
+    /// Events the replay emitted during the run.
     pub event_count: usize,
     /// Metrics folded from the event stream.
     pub metrics: RunMetrics,
     /// Capped timeline tracks folded from the event stream.
     pub tracks: CoreTracks,
-    /// The engine report of this core's run.
+    /// The replay report of this core's run (no reduction).
     pub report: SimReport,
 }
 
@@ -73,7 +73,7 @@ pub struct LayerTrace {
     /// Per-core SPM residency capacity in bytes.
     pub capacity: u64,
     /// One recorded run per core (a single chained run for single-core
-    /// sequential partitions, matching the engine's execution model).
+    /// sequential partitions, matching the pipeline's execution model).
     pub cores: Vec<CoreTrace>,
 }
 
@@ -84,8 +84,8 @@ impl LayerTrace {
     }
 }
 
-/// The streaming recorder of one engine run: counts the events and folds
-/// each into the run's metrics and timeline tracks.
+/// The streaming recorder of one core's replay: counts the events and
+/// folds each into the run's metrics and timeline tracks.
 struct CoreRecorder {
     events: usize,
     metrics: MetricsFold,
@@ -100,30 +100,24 @@ impl Recorder for CoreRecorder {
     }
 }
 
-/// Run one core's schedule with a [`CoreRecorder`] attached.
-fn record_run(engine: &Engine, schedule: &Schedule, core: usize) -> CoreTrace {
-    let mut recorder = CoreRecorder {
-        events: 0,
-        metrics: MetricsFold::new(engine.residency_bytes()),
-        tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency()),
-    };
-    let report = engine.run_recorded(schedule, &mut EngineScratch::new(), &mut recorder);
-    CoreTrace {
-        core,
-        schedule: schedule.name().to_string(),
-        event_count: recorder.events,
-        metrics: recorder.metrics.finish(),
-        tracks: recorder.tracks.finish(),
-        report,
+/// The name of the stream `core` runs under `decision`: the layer's own
+/// name for one unpartitioned stream, else its partition, labelled by the
+/// scheme (the conventional batch split for an unpartitioned multi-core
+/// decision) and the partition index (0 for segments chained on one core).
+fn stream_name(name: &str, config: &NpuConfig, decision: LayerDecision, core: usize) -> String {
+    match decision.partition {
+        None if config.cores == 1 => name.to_string(),
+        None => PartitionScheme::WeightSharing.part_name(core),
+        Some((scheme, _)) => scheme.part_name(core),
     }
 }
 
 /// Decide a layer's backward execution exactly as the pipeline does, then
-/// re-run the decided schedule(s) with a recorder attached.
+/// replay the decided execution with a recorder attached.
 ///
 /// The recorded per-core reports sum to the same tile work the pipeline
-/// report describes; cross-core reduction streams (which the engine does
-/// not execute) are the only part of a multi-core decision that is not
+/// report describes; cross-core reduction streams (which no core
+/// executes) are the only part of a multi-core decision that is not
 /// recorded.
 pub fn trace_layer_backward(
     name: &str,
@@ -137,12 +131,24 @@ pub fn trace_layer_backward(
     let (report, decision) =
         simulate_layer_backward_with(gemm, density, config, technique, is_first, options);
     let engine = Engine::new(config);
-    let cores = DecidedBackward::rebuild(name, gemm, density, config, decision, is_first)
-        .into_core_streams()
-        .iter()
-        .enumerate()
-        .map(|(core, s)| record_run(&engine, s, core))
-        .collect();
+    let cores = record_decided(gemm, density, config, decision, is_first, |_| {
+        CoreRecorder {
+            events: 0,
+            metrics: MetricsFold::new(engine.residency_bytes()),
+            tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency()),
+        }
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(core, (report, recorder))| CoreTrace {
+        core,
+        schedule: stream_name(name, config, decision, core),
+        event_count: recorder.events,
+        metrics: recorder.metrics.finish(),
+        tracks: recorder.tracks.finish(),
+        report,
+    })
+    .collect();
     LayerTrace {
         name: name.to_string(),
         gemm,
@@ -233,7 +239,7 @@ mod tests {
             assert_eq!(
                 core.metrics.total_accesses(),
                 core.report.spm_accesses(),
-                "derived metrics must account for every engine access"
+                "derived metrics must account for every replayed access"
             );
         }
     }

@@ -55,6 +55,11 @@ impl PartitionScheme {
         }
     }
 
+    /// Name of partition `p`'s stream under this scheme.
+    pub fn part_name(self, p: usize) -> String {
+        format!("{}[{p}]", self.label())
+    }
+
     /// Short label used in reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -150,7 +155,7 @@ pub fn partition_backward_ex(
     // Phase 2: emit each partition into its own fork of the master.
     let mut schedules = Vec::with_capacity(plan.sub_gemms.len());
     for (p, (sub, t)) in plan.sub_gemms.iter().zip(&plan.part_tensors).enumerate() {
-        let mut s = master.fork(format!("{}[{p}]", scheme.label()));
+        let mut s = master.fork(scheme.part_name(p));
         let builder = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(ifmap_density);
         builder.emit(order, is_first, &mut s);
         schedules.push(s);

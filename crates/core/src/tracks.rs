@@ -1,10 +1,10 @@
-//! Per-core timeline tracks folded from an engine run's event stream.
+//! Per-core timeline tracks folded from a recorded replay's event stream.
 //!
 //! The Chrome trace exporter ([`crate::report_io::TraceExport`]) draws
 //! each core as a compute track (tile-GEMM slices, `dX`/`dW` phase spans),
 //! a memory track (per-op transfer/stream/flush slices, barrier instants)
 //! and an SPM-occupancy counter. `TrackBuilder` is the [`Recorder`] that
-//! builds those tracks while the engine runs; `TrackBuilder::finish`
+//! builds those tracks while the replay runs; `TrackBuilder::finish`
 //! then caps them so what a [`crate::observe::CoreTrace`] keeps does not
 //! grow with the number of events.
 //!
@@ -139,7 +139,7 @@ pub(crate) fn decimate<T: Copy + PartialEq>(values: &[T], max: usize) -> Vec<T> 
     out
 }
 
-/// One core's timeline tracks, built while its engine run records; once
+/// One core's timeline tracks, built while its replay records; once
 /// the run ends each track is no longer than its cap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreTracks {

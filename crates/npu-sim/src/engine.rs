@@ -20,10 +20,15 @@
 //! ([`crate::opt::OptCache`]) over the schedule's access stream. LRU
 //! ([`crate::SpmCache`]) is available as an ablation via
 //! [`Engine::with_replacement`].
+//!
+//! The engine is the independent, unrecorded reference: the selection
+//! loop and tracing both run the analytic replay
+//! ([`crate::AnalyticCollector`]), which carries the recorder hook, and
+//! the audit and the golden digests compare that replay against
+//! [`Engine::run`].
 
 use crate::config::NpuConfig;
 use crate::opt::DenseOptCache;
-use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::systolic::SystolicModel;
@@ -180,21 +185,6 @@ impl Engine {
 
     /// Run `schedule` on a cold SPM, reusing `scratch`'s buffers.
     pub fn run_with_scratch(&self, schedule: &Schedule, scratch: &mut EngineScratch) -> SimReport {
-        self.run_recorded(schedule, scratch, &mut NullRecorder)
-    }
-
-    /// [`Engine::run_with_scratch`] with an event [`Recorder`] attached.
-    ///
-    /// The report is bit-identical to the unrecorded run: recording sites
-    /// only *observe* the timelines and residency model, never steer them,
-    /// and with [`NullRecorder`] they are compiled out entirely (this is
-    /// the function `run_with_scratch` monomorphises to).
-    pub fn run_recorded<R: Recorder>(
-        &self,
-        schedule: &Schedule,
-        scratch: &mut EngineScratch,
-        recorder: &mut R,
-    ) -> SimReport {
         ENGINE_RUNS.fetch_add(1, Ordering::Relaxed);
         let EngineScratch {
             intern,
@@ -281,17 +271,11 @@ impl Engine {
         let mut gemm_ops: u64 = 0;
         let mut macs: u64 = 0;
         let mut spm_bytes_touched: u64 = 0;
-        // Phase tracking (recording only): which interleaved sub-stream
-        // (dX / dW / other) the compute timeline is currently in.
-        let mut cur_phase: Option<Phase> = None;
 
         for (op_idx, op) in schedule.ops().iter().enumerate() {
             match op {
                 ScheduleOp::Gemm(g) => {
                     let start = op_access_start[op_idx];
-                    // Memory-timeline cycle the op's transfers start at —
-                    // the stamp for every memory-side event of this op.
-                    let op_mem_start = mem_free.round() as u64;
                     let mut fetched = 0u64;
                     let mut writeback = 0u64;
                     let mut bursts = 0u64;
@@ -300,19 +284,15 @@ impl Engine {
                         let (id, bytes, dirty) = stream[pos];
                         debug_assert_ne!(id, BARRIER_ID, "gemm slots are never barriers");
                         spm_bytes_touched += bytes;
-                        let (got, was_hit) = match &mut lru {
-                            None => {
-                                let hits_before = if R::ENABLED { opt.hits() } else { 0 };
-                                let got = opt.access(
-                                    id,
-                                    keys[id as usize],
-                                    bytes,
-                                    dirty,
-                                    next_use[pos],
-                                    writebacks,
-                                );
-                                (got, R::ENABLED && opt.hits() > hits_before)
-                            }
+                        let got = match &mut lru {
+                            None => opt.access(
+                                id,
+                                keys[id as usize],
+                                bytes,
+                                dirty,
+                                next_use[pos],
+                                writebacks,
+                            ),
                             Some(c) => {
                                 let key = keys[id as usize];
                                 let out = if dirty {
@@ -322,7 +302,7 @@ impl Engine {
                                 };
                                 writebacks
                                     .extend(out.writebacks.iter().map(|(k, b)| (intern[k], *b)));
-                                (out.fetched_bytes, out.hit)
+                                out.fetched_bytes
                             }
                         };
                         if got > 0 {
@@ -330,41 +310,9 @@ impl Engine {
                             fetched += got;
                             bursts += 1;
                         }
-                        if R::ENABLED {
-                            let kind = if was_hit {
-                                AccessKind::Hit
-                            } else if got > 0 {
-                                AccessKind::Fetch
-                            } else {
-                                AccessKind::Materialize
-                            };
-                            let occupancy = match &lru {
-                                None => opt.used(),
-                                Some(c) => c.used(),
-                            };
-                            recorder.record(TraceEvent::Access {
-                                op: op_idx as u32,
-                                key: keys[id as usize],
-                                class: classes[id as usize],
-                                bytes,
-                                kind,
-                                cycle: op_mem_start,
-                                occupancy,
-                            });
-                        }
                         for (vid, vbytes) in writebacks.drain(..) {
                             traffic.add_write(classes[vid as usize], vbytes);
                             writeback += vbytes;
-                            if R::ENABLED {
-                                recorder.record(TraceEvent::WriteBack {
-                                    op: op_idx as u32,
-                                    key: keys[vid as usize],
-                                    class: classes[vid as usize],
-                                    bytes: vbytes,
-                                    spill: true,
-                                    cycle: op_mem_start,
-                                });
-                            }
                         }
                     }
 
@@ -383,47 +331,11 @@ impl Engine {
                     let data_ready = if move_bytes > 0 { mem_free } else { 0.0 };
                     let issue = compute_free.max(data_ready);
                     compute_free = issue + cycles as f64;
-                    if R::ENABLED {
-                        let phase = Phase::of_accumulator(
-                            g.acc.as_ref().map(|a| schedule.class_of(a.key.tensor)),
-                        );
-                        let issue_cycle = issue.round() as u64;
-                        if cur_phase != Some(phase) {
-                            if let Some(prev) = cur_phase {
-                                recorder.record(TraceEvent::PhaseEnd {
-                                    op: op_idx as u32,
-                                    phase: prev,
-                                    cycle: issue_cycle,
-                                });
-                            }
-                            recorder.record(TraceEvent::PhaseBegin {
-                                op: op_idx as u32,
-                                phase,
-                                cycle: issue_cycle,
-                            });
-                            cur_phase = Some(phase);
-                        }
-                        recorder.record(TraceEvent::GemmIssue {
-                            op: op_idx as u32,
-                            start: issue_cycle,
-                            cycles,
-                            phase,
-                        });
-                    }
                     compute_cycles_total += cycles;
                     gemm_ops += 1;
                     macs += g.macs();
                 }
                 ScheduleOp::Stream(s) => {
-                    if R::ENABLED {
-                        recorder.record(TraceEvent::StreamIo {
-                            op: op_idx as u32,
-                            class: s.class,
-                            read_bytes: s.read_bytes,
-                            write_bytes: s.write_bytes,
-                            cycle: mem_free.round() as u64,
-                        });
-                    }
                     if s.read_bytes > 0 {
                         traffic.add_read(s.class, s.read_bytes);
                     }
@@ -449,21 +361,10 @@ impl Engine {
                         }
                     }
                     if !writebacks.is_empty() {
-                        let flush_start = mem_free.round() as u64;
                         let mut bytes = 0u64;
                         for (vid, vbytes) in writebacks.drain(..) {
                             traffic.add_write(classes[vid as usize], vbytes);
                             bytes += vbytes;
-                            if R::ENABLED {
-                                recorder.record(TraceEvent::WriteBack {
-                                    op: op_idx as u32,
-                                    key: keys[vid as usize],
-                                    class: classes[vid as usize],
-                                    bytes: vbytes,
-                                    spill: false,
-                                    cycle: flush_start,
-                                });
-                            }
                         }
                         let mem_time =
                             bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
@@ -475,54 +376,25 @@ impl Engine {
                         Some(c) => c.clear(),
                     }
                     mem_free = mem_free.max(compute_free);
-                    if R::ENABLED {
-                        recorder.record(TraceEvent::Barrier {
-                            op: op_idx as u32,
-                            cycle: mem_free.round() as u64,
-                        });
-                    }
                 }
             }
         }
 
         // Flush remaining dirty results (final accumulator tiles) to DRAM.
-        // Recorded events attribute the flush to a synthetic op index one
-        // past the end of the schedule.
         match &mut lru {
             None => opt.flush(writebacks),
             Some(c) => writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b))),
         }
         if !writebacks.is_empty() {
-            let flush_start = mem_free.round() as u64;
             let mut bytes = 0u64;
             for (vid, vbytes) in writebacks.drain(..) {
                 traffic.add_write(classes[vid as usize], vbytes);
                 bytes += vbytes;
-                if R::ENABLED {
-                    recorder.record(TraceEvent::WriteBack {
-                        op: schedule.ops().len() as u32,
-                        key: keys[vid as usize],
-                        class: classes[vid as usize],
-                        bytes: vbytes,
-                        spill: false,
-                        cycle: flush_start,
-                    });
-                }
             }
             let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
             mem_free += mem_time;
             mem_busy_total += mem_time;
         }
-        if R::ENABLED {
-            if let Some(prev) = cur_phase {
-                recorder.record(TraceEvent::PhaseEnd {
-                    op: schedule.ops().len() as u32,
-                    phase: prev,
-                    cycle: compute_free.round() as u64,
-                });
-            }
-        }
-
         let (spm_hits, spm_misses) = match &lru {
             None => (opt.hits(), opt.misses()),
             Some(c) => (c.hits(), c.misses()),

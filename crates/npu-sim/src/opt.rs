@@ -257,7 +257,6 @@ struct DenseSlot {
 pub struct DenseOptCache {
     capacity: u64,
     used: u64,
-    high_water: u64,
     slots: Vec<DenseSlot>,
     /// Residents ordered by next use (furthest last); the trailing id rides
     /// along for slot lookup and never affects the ordering because
@@ -278,7 +277,6 @@ impl DenseOptCache {
         assert!(capacity > 0, "SPM residency capacity must be positive");
         self.capacity = capacity;
         self.used = 0;
-        self.high_water = 0;
         self.slots.clear();
         self.slots.resize(num_tiles, DenseSlot::default());
         self.order.clear();
@@ -299,19 +297,6 @@ impl DenseOptCache {
     /// Residency capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.capacity
-    }
-
-    /// Bytes currently resident.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
-    /// Highest residency (bytes) ever observed since the last
-    /// [`DenseOptCache::reset`] — the SPM occupancy high-water mark.
-    /// Survives [`DenseOptCache::clear`] so it spans kernel boundaries
-    /// within one run.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Access tile `id` (interned from `key`). Semantics are identical to
@@ -358,7 +343,6 @@ impl DenseOptCache {
                     victim.spilled = true;
                 }
             }
-            self.high_water = self.high_water.max(self.used);
             return 0;
         }
 
@@ -398,7 +382,6 @@ impl DenseOptCache {
             slot.next_use = next_use;
             self.order.insert((next_use, key, id));
             self.used += bytes;
-            self.high_water = self.high_water.max(self.used);
         } else if dirty {
             // Bypassed dirty tile: write through.
             writebacks.push((id, bytes));

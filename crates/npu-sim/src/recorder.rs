@@ -1,6 +1,6 @@
-//! Cycle-stamped event recording for [`crate::Engine`] runs.
+//! Cycle-stamped event recording for analytic replays.
 //!
-//! The engine's reports are end-of-run aggregates; the paper's argument,
+//! A run's reports are end-of-run aggregates; the paper's argument,
 //! however, is about *when* a `dY` tile is resident versus refetched. The
 //! [`Recorder`] trait lets a run emit its tile-level timeline — fetches,
 //! hits, accumulator materialisations, spills, write-backs, tile-GEMM
@@ -8,15 +8,17 @@
 //! sub-streams — without costing the simulate-and-select hot loop
 //! anything when recording is off.
 //!
-//! Zero-cost-when-off is structural, not a promise: `Engine::run_recorded`
-//! is generic over `R: Recorder`, every recording site is guarded by
-//! `if R::ENABLED { ... }`, and [`NullRecorder`] sets the associated
+//! The hook lives in one place,
+//! [`crate::AnalyticCollector::replay_recorded`] — the replay that
+//! evaluates candidates and produces the reported numbers; the cycle
+//! engine has none. Zero-cost-when-off is structural, not a promise: the
+//! replay is generic over `R: Recorder`, every recording site is guarded
+//! by `if R::ENABLED { ... }`, and [`NullRecorder`] sets the associated
 //! `const ENABLED: bool` to `false` — so the monomorphised default path
-//! contains no recording code at all and is the *same function body* the
-//! pre-observability engine compiled to.
+//! contains no recording code at all.
 //!
 //! [`MetricsFold`] is a recorder that derives the per-run summary
-//! instruments online, as the engine emits events, without storing the
+//! instruments online, as the replay emits events, without storing the
 //! stream: the SPM occupancy high-water mark, per-class reuse-distance
 //! histograms, and the dY reuse ratio over time resolved per tile (the
 //! paper's Figure 5 quantity, per tile instead of summed).
@@ -24,9 +26,8 @@
 //! slice. [`EventLog`], which stores every event, is for checks that
 //! compare the raw stream against an independent model.
 
-use crate::trace::TileKey;
-use igo_tensor::TensorClass;
-use std::collections::HashMap;
+use crate::trace::{TensorId, TileKey};
+use igo_tensor::{TensorClass, TileCoord};
 
 /// Which interleaved backward sub-stream a tile-GEMM belongs to, judged by
 /// its accumulator's tensor class.
@@ -73,7 +74,8 @@ pub enum AccessKind {
     Materialize,
 }
 
-/// One cycle-stamped engine event.
+/// One cycle-stamped replay event (the event the cycle engine would emit
+/// at the same point of the same schedule).
 ///
 /// `op` is the index of the originating [`crate::ScheduleOp`] in the
 /// schedule's op stream. Memory-side events (`Access`, `WriteBack`,
@@ -183,13 +185,13 @@ impl TraceEvent {
     }
 }
 
-/// Sink for engine events.
+/// Sink for replay events.
 ///
-/// Implementations with `ENABLED == false` guarantee the engine skips
+/// Implementations with `ENABLED == false` guarantee the replay skips
 /// every recording site at compile time (the guards are
 /// `if R::ENABLED { ... }` on an associated `const`).
 pub trait Recorder {
-    /// Whether the engine should emit events at all. Recording sites are
+    /// Whether the replay should emit events at all. Recording sites are
     /// compiled out when this is `false`.
     const ENABLED: bool = true;
 
@@ -197,7 +199,7 @@ pub trait Recorder {
     fn record(&mut self, event: TraceEvent);
 }
 
-/// The default no-op recorder: compiles the engine down to the exact
+/// The default no-op recorder: compiles the replay down to the exact
 /// unrecorded hot path ([`Recorder::ENABLED`] is `false`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
@@ -349,7 +351,7 @@ impl TileStats {
     }
 }
 
-/// Derived metrics of one recorded engine run.
+/// Derived metrics of one recorded run.
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Residency capacity the run was recorded against, in bytes.
@@ -396,21 +398,41 @@ impl RunMetrics {
     }
 }
 
+/// Per-tile fold state: the tile's last access position (for reuse
+/// distances; [`TileState::UNSEEN`] before its first access) and its
+/// access counters, kept for `dY` tiles only.
+#[derive(Debug, Clone, Copy)]
+struct TileState {
+    last_seen: u64,
+    bytes: u64,
+    accesses: u64,
+    hits: u64,
+}
+
+impl TileState {
+    const UNSEEN: TileState = TileState {
+        last_seen: u64::MAX,
+        bytes: 0,
+        accesses: 0,
+        hits: 0,
+    };
+}
+
 /// A recorder that folds each `Access` event into [`RunMetrics`] as it
 /// arrives, so a run's metrics never need its event stream stored.
 ///
-/// Its state is the metrics themselves plus the last access position of
-/// every distinct tile (for reuse distances) and per-dY-tile counters:
-/// bounded by the tiles the run touches, except `dy_timeline`, which
-/// keeps one point per dY access at full resolution.
+/// Its state is the metrics themselves plus one dense per-tile entry
+/// (last access position, per-dY-tile counters), indexed
+/// `[tensor][row][col]` and grown on first touch, so an access costs no
+/// hashing. That is bounded by the tile grids the run touches, except
+/// `dy_timeline`, which keeps one point per dY access at full resolution.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsFold {
     out: RunMetrics,
     /// Global access counter: reuse distances are measured in accesses
     /// across all classes, the stream the SPM actually sees.
     position: u64,
-    last_seen: HashMap<TileKey, u64>,
-    dy_tiles: HashMap<TileKey, TileStats>,
+    tiles: Vec<Vec<Vec<TileState>>>,
 }
 
 impl MetricsFold {
@@ -430,8 +452,24 @@ impl MetricsFold {
     pub fn finish(self) -> RunMetrics {
         let mut out = self.out;
         out.dy_timeline.shrink_to_fit();
-        out.dy_tiles = self.dy_tiles.into_values().collect();
-        out.dy_tiles.sort_unstable_by_key(|t| t.key);
+        // Tensor-, row-, then column-major: already in tile-key order.
+        for (tensor, rows) in self.tiles.iter().enumerate() {
+            for (r, row) in rows.iter().enumerate() {
+                for (c, t) in row.iter().enumerate() {
+                    if t.accesses > 0 {
+                        out.dy_tiles.push(TileStats {
+                            key: TileKey {
+                                tensor: TensorId::from_raw(tensor as u32),
+                                coord: TileCoord::new(r as u32, c as u32),
+                            },
+                            bytes: t.bytes,
+                            accesses: t.accesses,
+                            hits: t.hits,
+                        });
+                    }
+                }
+            }
+        }
         out
     }
 }
@@ -456,18 +494,31 @@ impl Recorder for MetricsFold {
         let cm = &mut out.per_class[class.index()];
         cm.accesses += 1;
         cm.hits += u64::from(hit);
-        match self.last_seen.insert(key, self.position) {
-            None => cm.histogram.cold += 1,
-            Some(prev) => cm.histogram.add(self.position - prev),
+        let (tensor, r, c) = (
+            key.tensor.raw() as usize,
+            key.coord.r as usize,
+            key.coord.c as usize,
+        );
+        if self.tiles.len() <= tensor {
+            self.tiles.resize_with(tensor + 1, Vec::new);
         }
+        let rows = &mut self.tiles[tensor];
+        if rows.len() <= r {
+            rows.resize_with(r + 1, Vec::new);
+        }
+        let row = &mut rows[r];
+        if row.len() <= c {
+            row.resize(c + 1, TileState::UNSEEN);
+        }
+        let stats = &mut row[c];
+        if stats.last_seen == TileState::UNSEEN.last_seen {
+            cm.histogram.cold += 1;
+        } else {
+            cm.histogram.add(self.position - stats.last_seen);
+        }
+        stats.last_seen = self.position;
         self.position += 1;
         if class == TensorClass::OutGrad {
-            let stats = self.dy_tiles.entry(key).or_insert(TileStats {
-                key,
-                bytes,
-                accesses: 0,
-                hits: 0,
-            });
             stats.bytes = bytes;
             stats.accesses += 1;
             stats.hits += u64::from(hit);
@@ -578,7 +629,7 @@ mod tests {
 
     #[test]
     fn null_recorder_is_disabled() {
-        // Read through a function so the flags are checked as the engine's
+        // Read through a function so the flags are checked as the replay's
         // generic code sees them (and clippy accepts the runtime assert).
         fn enabled<R: Recorder>() -> bool {
             R::ENABLED

@@ -14,7 +14,7 @@ use igo_core::{
     simulate_layer_backward_with, simulate_model_with, trace_layer_backward, ModelReport,
     SimOptions, Technique,
 };
-use igo_npu_sim::{Engine, EngineScratch, EventLog, NpuConfig};
+use igo_npu_sim::{AnalyticCollector, AnalyticScratch, Engine, EventLog, NpuConfig};
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{zoo, ModelId};
 
@@ -169,10 +169,10 @@ zoo_golden! {
 }
 
 /// The recorder hook must be invisible when off *and* when on: the
-/// default engine path (a `NullRecorder`, whose `ENABLED = false` compiles
-/// every instrumentation block out) and a fully recording [`EventLog`] run
-/// must both produce the exact report the engine produced before the hook
-/// existed.
+/// default replay (a `NullRecorder`, whose `ENABLED = false` compiles
+/// every instrumentation block out) and a fully recording [`EventLog`]
+/// replay must both produce the exact report of the cycle engine, which
+/// has no recorder hook at all.
 #[test]
 fn recorder_leaves_engine_reports_bit_identical() {
     use igo_core::{BackwardBuilder, BackwardOrder, LayerTensors, TilePolicy};
@@ -192,13 +192,22 @@ fn recorder_leaves_engine_reports_bit_identical() {
             BackwardBuilder::new(GemmShape::new(384, 192, 320), policy, tensors)
                 .emit(order, false, &mut s);
             let plain = engine.run(&s);
+            let collector = AnalyticCollector::from_schedule(&s);
+            let mut scratch = AnalyticScratch::new();
             let mut log = EventLog::new();
-            let recorded = engine.run_recorded(&s, &mut EngineScratch::new(), &mut log);
-            assert_eq!(plain, recorded, "{order:?}: recording changed the report");
+            let recorded = collector
+                .replay_recorded(&engine, &mut scratch, None, &mut log)
+                .expect("an uncut replay completes");
+            assert_eq!(
+                plain, recorded.report,
+                "{order:?}: recording changed the report"
+            );
             assert!(!log.events.is_empty());
-            // Re-running through the null path after a recorded run must
-            // still be bit-identical (no state leaks between runs).
-            assert_eq!(plain, engine.run(&s), "{order:?}: replay diverged");
+            // Replaying through the null path after a recorded run, on the
+            // same scratch, must still be bit-identical (no state leaks
+            // between runs).
+            let null = collector.replay(&engine, &mut scratch);
+            assert_eq!(plain, null.report, "{order:?}: replay diverged");
         }
     }
 }
