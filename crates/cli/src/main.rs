@@ -492,7 +492,9 @@ fn sweep_grid(args: &[String]) -> ExitCode {
             "--spm" => match it.next().and_then(|v| parse::parse_spm_ladder(v)) {
                 Some(l) => spm_ladder = Some(l),
                 None => {
-                    eprintln!("--spm requires a comma-separated list of positive MiB values");
+                    eprintln!(
+                        "--spm requires a comma-separated list of positive MiB values below 2^44"
+                    );
                     return usage();
                 }
             },

@@ -93,12 +93,18 @@ pub fn parse_technique(arg: &str) -> Option<Technique> {
 }
 
 /// Parse a comma-separated SPM ladder in MiB (e.g. `3,6,12,24`); every
-/// rung must be a positive integer. Rungs are sorted ascending and
-/// deduplicated, so `24,3,3` and `3,24` name the same ladder.
+/// rung must be a positive integer whose size in bytes (`mib << 20`) fits
+/// in a `u64`. Rungs are sorted ascending and deduplicated, so `24,3,3`
+/// and `3,24` name the same ladder.
 pub fn parse_spm_ladder(arg: &str) -> Option<Vec<u64>> {
     let mut rungs: Vec<u64> = arg
         .split(',')
-        .map(|p| p.trim().parse::<u64>().ok().filter(|&v| v > 0))
+        .map(|p| {
+            p.trim()
+                .parse::<u64>()
+                .ok()
+                .filter(|&v| v > 0 && v.checked_mul(1 << 20).is_some())
+        })
         .collect::<Option<Vec<u64>>>()?;
     rungs.sort_unstable();
     rungs.dedup();
@@ -197,6 +203,14 @@ mod tests {
         assert!(parse_spm_ladder("3,0").is_none());
         assert!(parse_spm_ladder("3,x").is_none());
         assert!(parse_spm_ladder("").is_none());
+        // Rungs whose byte size overflows u64 are refused, not wrapped:
+        // 2^44 MiB wraps to 0 bytes, 99999999999999 MiB to a bogus size.
+        assert!(parse_spm_ladder("17592186044416").is_none());
+        assert!(parse_spm_ladder("3,99999999999999").is_none());
+        assert_eq!(
+            parse_spm_ladder("17592186044415"),
+            Some(vec![u64::MAX >> 20])
+        );
         assert_eq!(
             parse_techniques("baseline, data-partitioning"),
             Some(vec![Technique::Baseline, Technique::DataPartitioning])

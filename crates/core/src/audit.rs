@@ -801,6 +801,12 @@ fn recorded_replay<R: Recorder>(schedule: &Schedule, engine: &Engine, recorder: 
         .expect("an uncut replay completes");
 }
 
+/// The dY series cap of the audit's [`MetricsFold`]. Audit layers are a
+/// few tiles per side, far below the trace cap
+/// ([`igo_npu_sim::DY_SERIES_CAP`]), so a small cap makes every case with
+/// more dY accesses than this run the same online decimation traces use.
+const AUDIT_DY_POINTS: usize = 8;
+
 /// Shadow-replay `schedule` against an independent [`OptCache`] model and
 /// verify that `report` respects every engine/SPM conservation invariant:
 /// `hits + misses == accesses`, residency never exceeds capacity, every
@@ -811,8 +817,9 @@ fn recorded_replay<R: Recorder>(schedule: &Schedule, engine: &Engine, recorder: 
 /// recorded `Access` events (kind and post-access occupancy) must agree
 /// with the shadow replay access by access; the [`RunMetrics`] streamed
 /// from the same run by a [`MetricsFold`] must agree with the shadow's
-/// per-class accesses and hits and with the report's access count, and
-/// stay within capacity.
+/// per-class accesses and hits and with the report's access count, stay
+/// within capacity, and end its capped dY series at the shadow's dY
+/// accesses and hits.
 ///
 /// `report` must come from running `schedule` on one core of `config`
 /// with the default OPT replacement (any violation otherwise is the
@@ -884,7 +891,16 @@ pub fn check_report_conservation(
     // `OptCache` shadow replay. A recorder bug (or a replay/recorder
     // divergence) shows up as an `occupancy-replay` violation, a fold bug
     // as a `streamed-metrics` one.
-    let mut recorders = (EventLog::new(), MetricsFold::new(engine.residency_bytes()));
+    let dy_accesses = slots
+        .iter()
+        .filter(|s| {
+            matches!(s, Slot::Tile { key, .. } if schedule.class_of(key.tensor) == TensorClass::OutGrad)
+        })
+        .count() as u64;
+    let mut recorders = (
+        EventLog::new(),
+        MetricsFold::new(engine.residency_bytes(), dy_accesses, AUDIT_DY_POINTS),
+    );
     recorded_replay(schedule, &engine, &mut recorders);
     let (log, fold) = recorders;
     let streamed = fold.finish();
@@ -1085,9 +1101,10 @@ pub fn check_report_conservation(
 /// Compare a run's streamed [`RunMetrics`] with an independent shadow
 /// replay's `(accesses, hits)` per class (indexed like
 /// [`TensorClass::ALL`]) and with the run's report: per-class counts must
-/// match, the total must equal `report.spm_accesses()`, and the occupancy
-/// high-water mark must not exceed the capacity. Returns the first
-/// disagreement.
+/// match, the total must equal `report.spm_accesses()`, the occupancy
+/// high-water mark must not exceed the capacity, and the capped dY series
+/// must end at the shadow's dY `(accesses, hits)` and keep at most
+/// [`AUDIT_DY_POINTS`] + 1 points. Returns the first disagreement.
 fn check_streamed_metrics(
     metrics: &RunMetrics,
     shadow: &[(u64, u64); 7],
@@ -1113,6 +1130,23 @@ fn check_streamed_metrics(
         return Some(format!(
             "streamed occupancy high-water {} exceeds capacity {}",
             metrics.occupancy_high_water, metrics.capacity
+        ));
+    }
+    let dy_end = metrics
+        .dy_timeline
+        .last()
+        .map_or((0, 0), |p| (p.accesses, p.hits));
+    let (dy_accesses, dy_hits) = shadow[TensorClass::OutGrad.index()];
+    if dy_end != (dy_accesses, dy_hits) {
+        return Some(format!(
+            "dY series ends at {} accesses / {} hits, shadow {dy_accesses} / {dy_hits}",
+            dy_end.0, dy_end.1
+        ));
+    }
+    if metrics.dy_timeline.len() > AUDIT_DY_POINTS + 1 {
+        return Some(format!(
+            "dY series keeps {} points, over its cap of {AUDIT_DY_POINTS} + 1",
+            metrics.dy_timeline.len()
         ));
     }
     None
@@ -1238,9 +1272,11 @@ mod tests {
         let (s, config) = sample_schedule();
         let engine = Engine::new(&config);
         let report = engine.run(&s);
-        let mut fold = MetricsFold::new(engine.residency_bytes());
+        let dy_accesses = AnalyticCollector::from_schedule(&s).shape().dy_accesses;
+        let mut fold = MetricsFold::new(engine.residency_bytes(), dy_accesses, AUDIT_DY_POINTS);
         recorded_replay(&s, &engine, &mut fold);
         let good = fold.finish();
+        assert!(!good.dy_timeline.is_empty());
         let mut shadow = [(0, 0); 7];
         for (i, m) in good.per_class.iter().enumerate() {
             shadow[i] = (m.accesses, m.hits);
@@ -1254,10 +1290,17 @@ mod tests {
         over_full.occupancy_high_water = over_full.capacity + 1;
         let mut short_report = report;
         short_report.spm_misses -= 1;
+        let mut cut_series = good.clone();
+        cut_series.dy_timeline.pop();
+        let mut long_series = good.clone();
+        let last = *long_series.dy_timeline.last().unwrap();
+        long_series.dy_timeline = vec![last; AUDIT_DY_POINTS + 2];
         for (metrics, report, want) in [
             (&lost_hit, &report, "class dY"),
             (&over_full, &report, "exceeds capacity"),
             (&good, &short_report, "report"),
+            (&cut_series, &report, "dY series ends"),
+            (&long_series, &report, "over its cap"),
         ] {
             let detail = check_streamed_metrics(metrics, &shadow, report)
                 .expect("the corruption must be reported");

@@ -11,12 +11,15 @@
 //!   over time resolved per tile (the paper's Figure 5 quantity, per tile
 //!   instead of summed), and
 //! * the core's timeline tracks ([`crate::tracks`]) — compute, memory and
-//!   phase slices, SPM-occupancy samples and barriers, capped per core
-//!   when the run ends.
+//!   phase slices, SPM-occupancy samples and barriers.
 //!
-//! A [`CoreTrace`] therefore keeps the metrics, the capped tracks and an
-//! event count. Only `dy_timeline` (one point per dY access) and
-//! `dy_tiles` (one entry per dY tile) stay at full resolution.
+//! Both recorders are sized by the [`igo_npu_sim::StreamShape`] of the
+//! replay they record, which the collected stream fixes before the replay
+//! starts, so they cap the dY series and the tracks while the run lasts. A
+//! [`CoreTrace`] therefore keeps the metrics, the capped tracks and an
+//! event count. Memory slices (one per op until the run ends) are the
+//! only recorder state that grows with the event count; `dy_tiles` (one
+//! entry per dY tile) grows with the tile grid.
 //!
 //! The decision is made exactly as in the untraced pipeline
 //! ([`simulate_layer_backward_with`]), and [`record_decided`] emits the
@@ -36,7 +39,9 @@ use crate::partition::PartitionScheme;
 use crate::pipeline::{record_decided, simulate_layer_backward_with, LayerDecision, SimOptions};
 use crate::technique::Technique;
 use crate::tracks::{CoreTracks, TrackBuilder};
-use igo_npu_sim::{Engine, MetricsFold, NpuConfig, Recorder, RunMetrics, SimReport, TraceEvent};
+use igo_npu_sim::{
+    Engine, MetricsFold, NpuConfig, Recorder, RunMetrics, SimReport, TraceEvent, DY_SERIES_CAP,
+};
 use igo_tensor::GemmShape;
 use igo_workloads::Model;
 
@@ -131,11 +136,11 @@ pub fn trace_layer_backward(
     let (report, decision) =
         simulate_layer_backward_with(gemm, density, config, technique, is_first, options);
     let engine = Engine::new(config);
-    let cores = record_decided(gemm, density, config, decision, is_first, |_| {
+    let cores = record_decided(gemm, density, config, decision, is_first, |shape| {
         CoreRecorder {
             events: 0,
-            metrics: MetricsFold::new(engine.residency_bytes()),
-            tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency()),
+            metrics: MetricsFold::new(engine.residency_bytes(), shape.dy_accesses, DY_SERIES_CAP),
+            tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency(), shape),
         }
     })
     .into_iter()
@@ -188,6 +193,9 @@ pub fn trace_model(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report_io::DEFAULT_REUSE_POINTS;
+    use crate::tracks::assert_matches_finish_time_caps;
+    use igo_npu_sim::{decimate, AccessKind, DyReusePoint, EventLog};
     use igo_tensor::TensorClass;
     use igo_workloads::{zoo, ModelId};
 
@@ -290,12 +298,102 @@ mod tests {
             // The caps bit: coalesced slices account for far more ops.
             let gemms: u64 = t.compute.iter().map(|s| s.ops).sum();
             assert!(gemms > SLICE_CAP as u64, "{gemms} GEMMs");
-            // The dY series alone stays at full resolution.
-            assert_eq!(
-                core.metrics.dy_timeline.len() as u64,
-                core.metrics.class(TensorClass::OutGrad).accesses
-            );
+            // So does the dY series cap, and the last point still counts
+            // every dY access and hit.
+            let m = &core.metrics;
+            let dy = m.class(TensorClass::OutGrad);
+            assert!(dy.accesses > DEFAULT_REUSE_POINTS as u64 + 1);
+            assert!(m.dy_timeline.len() <= DEFAULT_REUSE_POINTS + 1);
+            let last = m.dy_timeline.last().expect("the layer touches dY");
+            assert_eq!((last.accesses, last.hits), (dy.accesses, dy.hits));
         }
+    }
+
+    /// Trace a layer, then replay its decision again with an [`EventLog`]
+    /// per core and check that each core's retained tracks and dY series
+    /// are exactly the finish-time caps of that core's full event stream.
+    /// Returns the trace and the largest full dY series length.
+    fn assert_retained_equal_finish_time_caps(
+        gemm: GemmShape,
+        config: &NpuConfig,
+        technique: Technique,
+    ) -> (LayerTrace, usize) {
+        let trace = trace_layer_backward(
+            "layer",
+            gemm,
+            1.0,
+            config,
+            technique,
+            false,
+            &SimOptions::sequential(),
+        );
+        let logs = record_decided(gemm, 1.0, config, trace.decision, false, |_| {
+            EventLog::new()
+        });
+        assert_eq!(logs.len(), trace.cores.len());
+        let mut longest = 0;
+        for ((report, log), core) in logs.iter().zip(&trace.cores) {
+            assert_eq!(*report, core.report);
+            assert_eq!(log.events.len(), core.event_count);
+            assert_matches_finish_time_caps(&log.events, &core.tracks);
+            let mut dy = (0, 0);
+            let full: Vec<DyReusePoint> = log
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    TraceEvent::Access {
+                        class: TensorClass::OutGrad,
+                        kind,
+                        cycle,
+                        ..
+                    } => {
+                        dy = (dy.0 + 1, dy.1 + u64::from(kind == AccessKind::Hit));
+                        Some(DyReusePoint {
+                            cycle,
+                            accesses: dy.0,
+                            hits: dy.1,
+                        })
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                core.metrics.dy_timeline,
+                decimate(&full, DEFAULT_REUSE_POINTS)
+            );
+            longest = longest.max(full.len());
+        }
+        (trace, longest)
+    }
+
+    #[test]
+    fn record_time_caps_equal_finish_time_caps() {
+        let edge = NpuConfig::small_edge();
+        let gemm = GemmShape::new(1024, 512, 512);
+        let (single, dy_points) =
+            assert_retained_equal_finish_time_caps(gemm, &edge, Technique::Interleaving);
+        assert_eq!(single.cores.len(), 1);
+        assert!(dy_points > DEFAULT_REUSE_POINTS, "{dy_points} dY points");
+
+        let (chained, _) = assert_retained_equal_finish_time_caps(
+            GemmShape::new(512, 312, 1200),
+            &edge,
+            Technique::DataPartitioning,
+        );
+        assert_eq!(chained.cores.len(), 1);
+        assert!(
+            chained.decision.partition.is_some(),
+            "{:?}",
+            chained.decision
+        );
+
+        let (two_core, dy_points) = assert_retained_equal_finish_time_caps(
+            GemmShape::new(4096, 1024, 1024),
+            &NpuConfig::large_server(2),
+            Technique::Interleaving,
+        );
+        assert_eq!(two_core.cores.len(), 2);
+        assert!(dy_points > DEFAULT_REUSE_POINTS, "{dy_points} dY points");
     }
 
     #[test]

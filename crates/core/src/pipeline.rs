@@ -52,8 +52,8 @@ use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
     replay_multicore, replay_multicore_bounded, replay_sequential_partitions_bounded,
-    AnalyticCollector, AnalyticScratch, Engine, NpuConfig, Recorder, SimReport, StreamOp, TensorId,
-    Traffic,
+    AnalyticCollector, AnalyticScratch, Engine, NpuConfig, Recorder, SimReport, StreamOp,
+    StreamShape, TensorId, Traffic,
 };
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{Layer, Model};
@@ -504,7 +504,8 @@ fn select_best(
 /// candidate `decision` names is built and emitted exactly as the
 /// selection loop emits it — one collector on a single core (partition
 /// segments chained), one per core otherwise — and each collector is
-/// replayed once, uncut, with `make_recorder(core)` attached.
+/// replayed once, uncut, with `make_recorder(shape)` attached, where
+/// `shape` is the [`StreamShape`] of the events that replay will emit.
 ///
 /// Returns each core's replay report (cross-partition reductions, which no
 /// core executes, are left out) with its recorder.
@@ -514,7 +515,7 @@ pub fn record_decided<R: Recorder>(
     config: &NpuConfig,
     decision: LayerDecision,
     is_first: bool,
-    mut make_recorder: impl FnMut(usize) -> R,
+    mut make_recorder: impl FnMut(StreamShape) -> R,
 ) -> Vec<(SimReport, R)> {
     let layer = LayerInputs::new(gemm, density, config, is_first);
     let candidate = layer.decided(decision);
@@ -523,9 +524,8 @@ pub fn record_decided<R: Recorder>(
         candidate
             .emit(&layer, collectors)
             .iter()
-            .enumerate()
-            .map(|(core, c)| {
-                let mut recorder = make_recorder(core);
+            .map(|c| {
+                let mut recorder = make_recorder(c.shape());
                 let report = c
                     .replay_recorded(&layer.engine, replay, None, &mut recorder)
                     .expect("an uncut replay completes")

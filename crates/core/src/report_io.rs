@@ -11,13 +11,17 @@
 //! [`crate::observe`]: a Chrome trace-event JSON timeline loadable in
 //! Perfetto / `chrome://tracing`, and CSV summaries of the derived
 //! metrics. It only serialises what a trace already holds — the capped
-//! per-core tracks ([`crate::tracks`]) and the run metrics — and never
-//! sees an event stream. See `docs/observability.md` for the event
-//! taxonomy and formats.
+//! per-core tracks ([`crate::tracks`]) and the run metrics with their
+//! capped dY series — and never sees an event stream. Chrome events are
+//! kept as fixed-size records (static labels and numbers; layer and
+//! thread names sit in one table) until `finish` sorts them and renders
+//! them into one output string reserved up front. See
+//! `docs/observability.md` for the event taxonomy and formats.
 
 use crate::observe::LayerTrace;
 use crate::pipeline::ModelReport;
-use crate::tracks::decimate;
+use crate::tracks::{Slice, TrackTag};
+use igo_npu_sim::{decimate, DY_SERIES_CAP};
 use igo_tensor::TensorClass;
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -143,22 +147,93 @@ pub fn ladder_csv(rows: &[(&ModelReport, Vec<&ModelReport>)]) -> Result<String, 
 // Trace exporters
 // ---------------------------------------------------------------------------
 
-/// One Chrome trace event, serialised manually (no JSON dependency).
-#[derive(Debug)]
+/// A Chrome event's `name`, rendered without allocating.
+#[derive(Debug, Clone, Copy)]
+enum EventName {
+    /// A static label, suffixed `+` for a coalesced slice that merged
+    /// slices with different tags.
+    Label { label: &'static str, mixed: bool },
+    /// The SPM-occupancy counter of core `n`: `SPM core<n>`.
+    Spm(usize),
+}
+
+impl EventName {
+    fn label(label: &'static str) -> Self {
+        EventName::Label {
+            label,
+            mixed: false,
+        }
+    }
+
+    /// A timeline slice's name: its tag's label, `+` when mixed.
+    fn of<T: TrackTag>(s: &Slice<T>) -> Self {
+        EventName::Label {
+            label: s.tag.label(),
+            mixed: s.mixed,
+        }
+    }
+}
+
+/// A Chrome event's `args` object, by kind.
+#[derive(Debug, Clone, Copy)]
+enum Args {
+    None,
+    /// `{"name": …}` of a metadata event, rendered from the exporter's
+    /// name table at this index.
+    Name(usize),
+    /// `{"ops": …, "busy_cycles": …}` of a compute slice.
+    Compute {
+        ops: u64,
+        busy_cycles: u64,
+    },
+    /// `{"ops": …, "bytes": …}` of a memory slice.
+    Memory {
+        ops: u64,
+        bytes: u64,
+    },
+    /// `{"bytes": …}` of an occupancy counter sample.
+    Bytes(u64),
+}
+
+/// One Chrome trace event: a fixed-size record that owns no heap memory.
+/// Layer and thread names live in the exporter's name table; everything
+/// else is a static label or a number, serialised manually (no JSON
+/// dependency) when the trace is rendered.
+#[derive(Debug, Clone, Copy)]
 struct ChromeEvent {
     ts: u64,
     dur: Option<u64>,
     ph: char,
     pid: usize,
     tid: usize,
-    name: String,
-    /// `(key, raw-JSON value)` pairs for the `args` object.
-    args: Vec<(&'static str, String)>,
+    name: EventName,
+    args: Args,
 }
 
-/// JSON string literal (quoted, escaped).
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
+impl ChromeEvent {
+    fn new(ph: char, ts: u64, pid: usize, tid: usize, name: EventName, args: Args) -> Self {
+        Self {
+            ts,
+            dur: None,
+            ph,
+            pid,
+            tid,
+            name,
+            args,
+        }
+    }
+
+    /// A complete (`X`) event for a timeline slice.
+    fn slice<T: TrackTag>(pid: usize, tid: usize, s: &Slice<T>, args: Args) -> Self {
+        Self {
+            dur: Some(s.dur),
+            ..Self::new('X', s.ts, pid, tid, EventName::of(s), args)
+        }
+    }
+}
+
+/// Append `raw` as a JSON string literal (quoted, escaped).
+fn push_json_str(out: &mut String, raw: &str) {
     out.push('"');
     for c in raw.chars() {
         match c {
@@ -174,139 +249,142 @@ fn json_str(raw: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Convert one recorded layer into Chrome trace events, appended to
-/// `events` under process id `pid`.
+/// `events` under process id `pid`; the layer's process and thread names
+/// are appended to `names`.
 ///
 /// Layout: one *process* per layer, two *threads* per core — `core*2` is
 /// the compute timeline (tile-GEMM slices and dX/dW phase begin/end
 /// markers), `core*2+1` is the memory timeline (transfer/stream/flush
 /// slices, barrier instants) — plus an SPM-occupancy counter track per
 /// core. Merged slice counts and byte totals are kept in `args`.
-fn push_layer_chrome_events(events: &mut Vec<ChromeEvent>, pid: usize, layer: &LayerTrace) {
-    events.push(ChromeEvent {
-        ts: 0,
-        dur: None,
-        ph: 'M',
-        pid,
-        tid: 0,
-        name: "process_name".to_string(),
-        args: vec![(
-            "name",
-            json_str(&format!("{} [{}]", layer.name, layer.technique.label())),
-        )],
-    });
+fn push_layer_chrome_events(
+    events: &mut Vec<ChromeEvent>,
+    names: &mut Vec<String>,
+    pid: usize,
+    layer: &LayerTrace,
+) {
+    let mut name_event = |events: &mut Vec<ChromeEvent>, tid, kind, name: String| {
+        events.push(ChromeEvent::new(
+            'M',
+            0,
+            pid,
+            tid,
+            EventName::label(kind),
+            Args::Name(names.len()),
+        ));
+        names.push(name);
+    };
+    name_event(
+        events,
+        0,
+        "process_name",
+        format!("{} [{}]", layer.name, layer.technique.label()),
+    );
     for core in &layer.cores {
         let tid_compute = core.core * 2;
         let tid_memory = core.core * 2 + 1;
         for (tid, label) in [(tid_compute, "compute"), (tid_memory, "memory")] {
-            events.push(ChromeEvent {
-                ts: 0,
-                dur: None,
-                ph: 'M',
-                pid,
+            name_event(
+                events,
                 tid,
-                name: "thread_name".to_string(),
-                args: vec![("name", json_str(&format!("core{} {label}", core.core)))],
-            });
+                "thread_name",
+                format!("core{} {label}", core.core),
+            );
         }
         let tracks = &core.tracks;
-        for s in &tracks.compute {
-            events.push(ChromeEvent {
-                ts: s.ts,
-                dur: Some(s.dur),
-                ph: 'X',
-                pid,
-                tid: tid_compute,
-                name: s.name(),
-                args: vec![
-                    ("ops", s.ops.to_string()),
-                    ("busy_cycles", s.extra.to_string()),
-                ],
-            });
-        }
-        for s in &tracks.memory {
-            events.push(ChromeEvent {
-                ts: s.ts,
-                dur: Some(s.dur),
-                ph: 'X',
-                pid,
-                tid: tid_memory,
-                name: s.name(),
-                args: vec![("ops", s.ops.to_string()), ("bytes", s.extra.to_string())],
-            });
-        }
+        events.extend(tracks.compute.iter().map(|s| {
+            let args = Args::Compute {
+                ops: s.ops,
+                busy_cycles: s.extra,
+            };
+            ChromeEvent::slice(pid, tid_compute, s, args)
+        }));
+        events.extend(tracks.memory.iter().map(|s| {
+            let args = Args::Memory {
+                ops: s.ops,
+                bytes: s.extra,
+            };
+            ChromeEvent::slice(pid, tid_memory, s, args)
+        }));
         for s in &tracks.phases {
+            let name = EventName::of(s);
             for (ph, ts) in [('B', s.ts), ('E', s.ts + s.dur)] {
-                events.push(ChromeEvent {
-                    ts,
-                    dur: None,
-                    ph,
-                    pid,
-                    tid: tid_compute,
-                    name: s.name(),
-                    args: Vec::new(),
-                });
+                events.push(ChromeEvent::new(ph, ts, pid, tid_compute, name, Args::None));
             }
         }
-        for &(cycle, occupancy) in &tracks.occupancy {
-            events.push(ChromeEvent {
-                ts: cycle,
-                dur: None,
-                ph: 'C',
-                pid,
-                tid: tid_memory,
-                name: format!("SPM core{}", core.core),
-                args: vec![("bytes", occupancy.to_string())],
-            });
-        }
-        for &cycle in &tracks.barriers {
-            events.push(ChromeEvent {
-                ts: cycle,
-                dur: None,
-                ph: 'i',
-                pid,
-                tid: tid_memory,
-                name: "barrier".to_string(),
-                args: Vec::new(),
-            });
-        }
+        events.extend(tracks.occupancy.iter().map(|&(cycle, bytes)| {
+            let name = EventName::Spm(core.core);
+            ChromeEvent::new('C', cycle, pid, tid_memory, name, Args::Bytes(bytes))
+        }));
+        events.extend(tracks.barriers.iter().map(|&cycle| {
+            let name = EventName::label("barrier");
+            ChromeEvent::new('i', cycle, pid, tid_memory, name, Args::None)
+        }));
     }
 }
 
-/// Render the collected events as the Chrome trace JSON object format.
-fn render_chrome_json(mut events: Vec<ChromeEvent>) -> String {
+/// Rendered bytes reserved per event: a rendered event averages 85–89
+/// bytes on the edge traces of faster-rcnn, resnet50 and bert-tiny, so
+/// the output rarely has to grow.
+const BYTES_PER_EVENT: usize = 100;
+
+/// Render the collected events as the Chrome trace JSON object format,
+/// looking metadata names up in `names`.
+fn render_chrome_json(mut events: Vec<ChromeEvent>, names: &[String]) -> String {
     // Stable sort: equal timestamps keep emission order, so an `E` at the
     // same cycle as the next phase's `B` stays before it.
     events.sort_by_key(|e| e.ts);
 
-    let mut out = String::new();
+    let names_len: usize = names.iter().map(String::len).sum();
+    let mut out = String::with_capacity(events.len() * BYTES_PER_EVENT + names_len + 64);
     out.push_str("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str("\n{\"name\":");
-        out.push_str(&json_str(&e.name));
+        out.push_str("\n{\"name\":\"");
+        // Static labels need no JSON escaping.
+        match e.name {
+            EventName::Label { label, mixed } => {
+                out.push_str(label);
+                if mixed {
+                    out.push('+');
+                }
+            }
+            EventName::Spm(core) => {
+                let _ = write!(out, "SPM core{core}");
+            }
+        }
         let _ = write!(
             out,
-            ",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+            "\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
             e.ph, e.ts, e.pid, e.tid
         );
         if let Some(dur) = e.dur {
             let _ = write!(out, ",\"dur\":{dur}");
         }
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":{v}");
+        match e.args {
+            Args::None => {}
+            Args::Name(i) => {
+                out.push_str(",\"args\":{\"name\":");
+                push_json_str(&mut out, &names[i]);
+                out.push('}');
             }
-            out.push('}');
+            Args::Compute { ops, busy_cycles } => {
+                let _ = write!(
+                    out,
+                    ",\"args\":{{\"ops\":{ops},\"busy_cycles\":{busy_cycles}}}"
+                );
+            }
+            Args::Memory { ops, bytes } => {
+                let _ = write!(out, ",\"args\":{{\"ops\":{ops},\"bytes\":{bytes}}}");
+            }
+            Args::Bytes(bytes) => {
+                let _ = write!(out, ",\"args\":{{\"bytes\":{bytes}}}");
+            }
         }
         out.push('}');
     }
@@ -333,24 +411,33 @@ pub struct TraceArtifacts {
 /// Between layers it holds the serialised CSV rows and the Chrome events
 /// of every layer added so far (events are sorted by timestamp only in
 /// `finish`). Both are bounded per (layer, core) by the track caps and
-/// `max_reuse_points`, except `dy_tiles.csv`, which has one row per dY
-/// tile.
+/// the dY series cap, except `dy_tiles.csv`, which has one row per dY
+/// tile. A Chrome event is a fixed-size record; the only strings it
+/// refers to, the layer and thread names, sit in one table.
 #[derive(Debug)]
 pub struct TraceExport {
     max_reuse_points: usize,
     layers: usize,
     events: Vec<ChromeEvent>,
+    names: Vec<String>,
     metrics: String,
     reuse: String,
     tiles: String,
 }
 
-/// Default per-(layer, core) row cap of the dY reuse time-series CSV.
-pub const DEFAULT_REUSE_POINTS: usize = 512;
+/// Default per-(layer, core) row cap of the dY reuse time-series CSV: the
+/// cap the recorder already applies to the dY series.
+pub const DEFAULT_REUSE_POINTS: usize = DY_SERIES_CAP;
 
 impl TraceExport {
-    /// Start an export; each (layer, core) dY time series is decimated to
-    /// at most `max_reuse_points` CSV rows (the final point always kept).
+    /// Start an export writing at most `max_reuse_points` dY reuse CSV rows
+    /// per (layer, core), plus the final point.
+    ///
+    /// A recorded dY series is already decimated to [`DY_SERIES_CAP`]
+    /// points plus the final one ([`igo_npu_sim::MetricsFold`]). A value at
+    /// or above that cap, such as [`DEFAULT_REUSE_POINTS`], writes the
+    /// stored series unchanged; a smaller value thins it further with the
+    /// same even-stride decimation.
     pub fn new(max_reuse_points: usize) -> Self {
         let mut metrics =
             String::from("layer,core,capacity,high_water,class,accesses,hits,misses,cold");
@@ -362,6 +449,7 @@ impl TraceExport {
             max_reuse_points: max_reuse_points.max(1),
             layers: 0,
             events: Vec::new(),
+            names: Vec::new(),
             metrics,
             reuse: String::from("layer,core,cycle,dy_accesses,dy_hits,ratio\n"),
             tiles: String::from("layer,core,row,col,bytes,accesses,hits,reuse_ratio\n"),
@@ -370,7 +458,7 @@ impl TraceExport {
 
     /// Fold one recorded layer into every export artifact.
     pub fn add_layer(&mut self, layer: &LayerTrace) {
-        push_layer_chrome_events(&mut self.events, self.layers, layer);
+        push_layer_chrome_events(&mut self.events, &mut self.names, self.layers, layer);
         self.layers += 1;
         for core in &layer.cores {
             for class in TensorClass::ALL {
@@ -396,7 +484,10 @@ impl TraceExport {
                 }
                 self.metrics.push('\n');
             }
-            for p in decimate(&core.metrics.dy_timeline, self.max_reuse_points) {
+            let series = &core.metrics.dy_timeline;
+            let thinned = (self.max_reuse_points < DY_SERIES_CAP)
+                .then(|| decimate(series, self.max_reuse_points));
+            for p in thinned.as_deref().unwrap_or(series) {
                 let _ = writeln!(
                     self.reuse,
                     "{},{},{},{},{},{:.6}",
@@ -428,7 +519,7 @@ impl TraceExport {
     /// Render the final artifacts.
     pub fn finish(self) -> TraceArtifacts {
         TraceArtifacts {
-            trace_json: render_chrome_json(self.events),
+            trace_json: render_chrome_json(self.events, &self.names),
             metrics_csv: self.metrics,
             dy_reuse_csv: self.reuse,
             dy_tiles_csv: self.tiles,
@@ -549,6 +640,37 @@ mod tests {
             assert_eq!(row[0], layer.name, "name must survive the round trip");
             assert_eq!(row[1], layer.multiplicity.to_string());
         }
+    }
+
+    #[test]
+    fn reuse_rows_follow_max_reuse_points() {
+        let trace = crate::observe::trace_layer_backward(
+            "layer",
+            igo_tensor::GemmShape::new(1024, 512, 512),
+            1.0,
+            &NpuConfig::small_edge(),
+            Technique::Interleaving,
+            false,
+            &crate::pipeline::SimOptions::sequential(),
+        );
+        let metrics = &trace.cores[0].metrics;
+        let stored = &metrics.dy_timeline;
+        // The recorder already capped the series.
+        assert!(metrics.class(TensorClass::OutGrad).accesses > DY_SERIES_CAP as u64);
+        assert!((17..=DY_SERIES_CAP + 1).contains(&stored.len()));
+        let reuse_rows = |max| {
+            let mut export = TraceExport::new(max);
+            export.add_layer(&trace);
+            export.finish().dy_reuse_csv
+        };
+        // At or above the cap the stored series is written unchanged.
+        let full = reuse_rows(DEFAULT_REUSE_POINTS);
+        assert_eq!(full.lines().count(), 1 + stored.len());
+        assert_eq!(reuse_rows(10 * DEFAULT_REUSE_POINTS), full);
+        // Below it, the stored series is thinned further, last point kept.
+        let thin = reuse_rows(16);
+        assert_eq!(thin.lines().count(), 1 + decimate(stored, 16).len());
+        assert_eq!(thin.lines().last(), full.lines().last());
     }
 
     #[test]

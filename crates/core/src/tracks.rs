@@ -4,18 +4,23 @@
 //! each core as a compute track (tile-GEMM slices, `dX`/`dW` phase spans),
 //! a memory track (per-op transfer/stream/flush slices, barrier instants)
 //! and an SPM-occupancy counter. `TrackBuilder` is the [`Recorder`] that
-//! builds those tracks while the replay runs; `TrackBuilder::finish`
-//! then caps them so what a [`crate::observe::CoreTrace`] keeps does not
-//! grow with the number of events.
+//! builds those tracks while the replay runs, so what a
+//! [`crate::observe::CoreTrace`] keeps does not grow with the number of
+//! events.
 //!
 //! A resnet50 layer can issue ~10⁵ tile-GEMMs, so raw per-event tracks
 //! would export hundreds of megabytes. Adjacent slices are *coalesced*
 //! (durations, op counts and byte counts are preserved in the merged
 //! slice) and counter and barrier samples are *decimated* evenly. The
-//! caps apply per core once its run ends, because the merge group size
-//! depends on the final track length.
+//! merge group size and the sampling stride depend on the final track
+//! length, which the collected stream fixes before the replay starts
+//! ([`StreamShape`]): the builder applies the caps online, keeping exactly
+//! what coalescing and [`igo_npu_sim::decimate`] would keep of the full
+//! tracks. Memory slices are the one exception: an op contributes a slice
+//! only when it moved bytes, which depends on hits, so they are kept one
+//! per op and coalesced when the run ends.
 
-use igo_npu_sim::{AccessKind, Phase, Recorder, TraceEvent};
+use igo_npu_sim::{AccessKind, Decimator, Phase, Recorder, StreamShape, TraceEvent};
 
 /// Most compute or memory slices kept per core.
 pub const SLICE_CAP: usize = 1000;
@@ -87,16 +92,6 @@ impl<T: TrackTag> Slice<T> {
             extra,
         }
     }
-
-    /// Display name: the tag's label, suffixed `+` when mixed.
-    pub fn name(&self) -> String {
-        let label = self.tag.label();
-        if self.mixed {
-            format!("{label}+")
-        } else {
-            label.to_string()
-        }
-    }
 }
 
 /// Merge `slices` down to at most `max` by grouping adjacent runs. The
@@ -124,23 +119,64 @@ fn coalesce<T: TrackTag>(slices: Vec<Slice<T>>, max: usize) -> Vec<Slice<T>> {
         .collect()
 }
 
-/// Keep at most `max` evenly-strided samples, always retaining the last.
-pub(crate) fn decimate<T: Copy + PartialEq>(values: &[T], max: usize) -> Vec<T> {
-    if values.len() <= max {
-        return values.to_vec();
-    }
-    let stride = values.len().div_ceil(max);
-    let mut out: Vec<T> = values.iter().copied().step_by(stride).collect();
-    if let Some(&last) = values.last() {
-        if out.last() != Some(&last) {
-            out.push(last);
-        }
-    }
-    out
+/// [`coalesce`] applied while a track of known length arrives: pushing
+/// the `len` slices one by one and then calling [`Coalescer::finish`]
+/// yields exactly `coalesce(slices, max)`, holding at most `max` merged
+/// slices and one open group at any time.
+struct Coalescer<T> {
+    group: u64,
+    /// The group being merged: its slice so far, the end cycle of its
+    /// latest member, and its member count.
+    open: Option<(Slice<T>, u64, u64)>,
+    out: Vec<Slice<T>>,
 }
 
-/// One core's timeline tracks, built while its replay records; once
-/// the run ends each track is no longer than its cap.
+impl<T: TrackTag> Coalescer<T> {
+    fn new(len: u64, max: usize) -> Self {
+        let max = max as u64;
+        Self {
+            group: if len <= max { 1 } else { len.div_ceil(max) },
+            open: None,
+            out: Vec::with_capacity(len.min(max) as usize),
+        }
+    }
+
+    fn push(&mut self, s: Slice<T>) {
+        let end = s.ts + s.dur;
+        let members = match &mut self.open {
+            None => {
+                self.open = Some((s, end, 1));
+                1
+            }
+            Some((merged, last_end, members)) => {
+                merged.mixed |= s.mixed || s.tag != merged.tag;
+                merged.ops += s.ops;
+                merged.extra += s.extra;
+                *last_end = end;
+                *members += 1;
+                *members
+            }
+        };
+        if members == self.group {
+            self.close();
+        }
+    }
+
+    fn close(&mut self) {
+        if let Some((mut merged, end, _)) = self.open.take() {
+            merged.dur = end.saturating_sub(merged.ts);
+            self.out.push(merged);
+        }
+    }
+
+    fn finish(mut self) -> Vec<Slice<T>> {
+        self.close();
+        self.out
+    }
+}
+
+/// One core's timeline tracks, built while its replay records; each
+/// track is no longer than its cap.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoreTracks {
     /// Tile-GEMM slices, tagged by sub-stream (at most [`SLICE_CAP`]).
@@ -204,13 +240,19 @@ impl MemAgg {
 /// A [`Recorder`] that folds one core's event stream into its
 /// [`CoreTracks`].
 ///
-/// While the run lasts the tracks hold one entry per GEMM, memory op,
-/// phase span, access and barrier (compact tagged records, not events);
-/// [`TrackBuilder::finish`] applies the caps.
+/// Sized by the run's [`StreamShape`], it coalesces compute slices and
+/// phase spans and decimates occupancy and barrier samples as they
+/// arrive, so those tracks never exceed their caps. Memory slices are
+/// held one per op that moved bytes and coalesced by
+/// [`TrackBuilder::finish`].
 pub(crate) struct TrackBuilder {
     bytes_per_cycle: f64,
     burst_latency: u64,
-    tracks: CoreTracks,
+    compute: Coalescer<Phase>,
+    memory: Vec<Slice<MemKind>>,
+    phases: Coalescer<Phase>,
+    occupancy: Decimator<(u64, u64)>,
+    barriers: Decimator<u64>,
     open_phase: Option<(Phase, u64)>,
     /// The op whose memory events `agg` is collecting.
     cur_op: Option<u32>,
@@ -219,12 +261,17 @@ pub(crate) struct TrackBuilder {
 
 impl TrackBuilder {
     /// A builder for a core with the engine's DRAM bandwidth (bytes per
-    /// cycle) and per-burst latency, used to size memory slices.
-    pub(crate) fn new(bytes_per_cycle: f64, burst_latency: u64) -> Self {
+    /// cycle) and per-burst latency, used to size memory slices, whose
+    /// replay emits `shape`'s events.
+    pub(crate) fn new(bytes_per_cycle: f64, burst_latency: u64, shape: StreamShape) -> Self {
         Self {
             bytes_per_cycle,
             burst_latency,
-            tracks: CoreTracks::default(),
+            compute: Coalescer::new(shape.gemm_ops, SLICE_CAP),
+            memory: Vec::new(),
+            phases: Coalescer::new(shape.phase_spans, PHASE_CAP),
+            occupancy: Decimator::new(shape.accesses, COUNTER_CAP),
+            barriers: Decimator::new(shape.barriers, BARRIER_CAP),
             open_phase: None,
             cur_op: None,
             agg: MemAgg::default(),
@@ -248,21 +295,21 @@ impl TrackBuilder {
         if self.cur_op.is_some() {
             let agg = std::mem::take(&mut self.agg);
             if let Some(s) = agg.into_slice(self.bytes_per_cycle, self.burst_latency) {
-                self.tracks.memory.push(s);
+                self.memory.push(s);
             }
         }
     }
 
-    /// End the run: close the last memory slice and cap every track.
+    /// End the run: close the last memory slice and group, coalesce the
+    /// memory slices, and keep each decimated track's last sample.
     pub(crate) fn finish(mut self) -> CoreTracks {
         self.flush_mem();
-        let t = self.tracks;
         CoreTracks {
-            compute: coalesce(t.compute, SLICE_CAP),
-            memory: coalesce(t.memory, SLICE_CAP),
-            phases: coalesce(t.phases, PHASE_CAP),
-            occupancy: decimate(&t.occupancy, COUNTER_CAP),
-            barriers: decimate(&t.barriers, BARRIER_CAP),
+            compute: self.compute.finish(),
+            memory: coalesce(self.memory, SLICE_CAP),
+            phases: self.phases.finish(),
+            occupancy: self.occupancy.finish(),
+            barriers: self.barriers.finish(),
         }
     }
 }
@@ -284,7 +331,7 @@ impl Recorder for TrackBuilder {
                     self.agg.fetch += bytes;
                     self.agg.bursts += 1;
                 }
-                self.tracks.occupancy.push((cycle, occupancy));
+                self.occupancy.push((cycle, occupancy));
             }
             TraceEvent::WriteBack {
                 op, bytes, cycle, ..
@@ -308,36 +355,81 @@ impl Recorder for TrackBuilder {
                 cycles,
                 phase,
                 ..
-            } => self
-                .tracks
-                .compute
-                .push(Slice::new(start, cycles, phase, cycles)),
+            } => self.compute.push(Slice::new(start, cycles, phase, cycles)),
             TraceEvent::PhaseBegin { phase, cycle, .. } => {
                 self.open_phase = Some((phase, cycle));
             }
             TraceEvent::PhaseEnd { cycle, .. } => {
                 if let Some((phase, begin)) = self.open_phase.take() {
-                    self.tracks.phases.push(Slice::new(
-                        begin,
-                        cycle.saturating_sub(begin),
-                        phase,
-                        0,
-                    ));
+                    self.phases
+                        .push(Slice::new(begin, cycle.saturating_sub(begin), phase, 0));
                 }
             }
-            TraceEvent::Barrier { cycle, .. } => self.tracks.barriers.push(cycle),
+            TraceEvent::Barrier { cycle, .. } => self.barriers.push(cycle),
         }
     }
+}
+
+/// Assert that `tracks` keeps exactly what capping the full tracks of the
+/// recorded run `events` when the run ends would keep. Memory slices are
+/// left out: they are capped when the run ends either way.
+#[cfg(test)]
+pub(crate) fn assert_matches_finish_time_caps(events: &[TraceEvent], tracks: &CoreTracks) {
+    use igo_npu_sim::decimate;
+    let (mut compute, mut phases, mut occupancy, mut barriers) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut open = None;
+    for &event in events {
+        match event {
+            TraceEvent::GemmIssue {
+                start,
+                cycles,
+                phase,
+                ..
+            } => compute.push(Slice::new(start, cycles, phase, cycles)),
+            TraceEvent::PhaseBegin { phase, cycle, .. } => open = Some((phase, cycle)),
+            TraceEvent::PhaseEnd { cycle, .. } => {
+                let (phase, begin) = open.take().expect("a phase ends after it begins");
+                phases.push(Slice::new(begin, cycle.saturating_sub(begin), phase, 0));
+            }
+            TraceEvent::Access {
+                cycle,
+                occupancy: bytes,
+                ..
+            } => occupancy.push((cycle, bytes)),
+            TraceEvent::Barrier { cycle, .. } => barriers.push(cycle),
+            TraceEvent::WriteBack { .. } | TraceEvent::StreamIo { .. } => {}
+        }
+    }
+    assert_eq!(tracks.compute, coalesce(compute, SLICE_CAP), "compute");
+    assert_eq!(tracks.phases, coalesce(phases, PHASE_CAP), "phases");
+    assert_eq!(
+        tracks.occupancy,
+        decimate(&occupancy, COUNTER_CAP),
+        "occupancy"
+    );
+    assert_eq!(
+        tracks.barriers,
+        decimate(&barriers, BARRIER_CAP),
+        "barriers"
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igo_npu_sim::{TensorId, TileKey};
-    use igo_tensor::TileCoord;
+    use igo_npu_sim::{decimate, TensorId, TileKey};
+    use igo_tensor::{TensorClass, TileCoord};
 
     fn gemm(start: u64, phase: Phase) -> Slice<Phase> {
         Slice::new(start, 10, phase, 10)
+    }
+
+    fn key() -> TileKey {
+        TileKey {
+            tensor: TensorId::from_raw(0),
+            coord: TileCoord::new(0, 0),
+        }
     }
 
     #[test]
@@ -350,8 +442,8 @@ mod tests {
         ];
         let merged = coalesce(slices, 2);
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].name(), "dX");
-        assert_eq!(merged[1].name(), "dX+");
+        assert_eq!((merged[0].tag, merged[0].mixed), (Phase::Dx, false));
+        assert_eq!((merged[1].tag, merged[1].mixed), (Phase::Dx, true));
         assert_eq!((merged[1].ts, merged[1].dur), (20, 20));
         assert_eq!(merged.iter().map(|s| s.ops).sum::<u64>(), 4);
         assert_eq!(merged.iter().map(|s| s.extra).sum::<u64>(), 40);
@@ -365,16 +457,93 @@ mod tests {
         assert_eq!(decimate(&values, 20), values);
     }
 
+    /// A synthetic run of `n` steps, each a GEMM that switches phase, one
+    /// access and one barrier: every capped track is `n` entries long.
+    fn synthetic_run(n: u64) -> Vec<TraceEvent> {
+        let mut events = Vec::new();
+        let mut prev = None;
+        for i in 0..n {
+            let (op, ts) = (i as u32, i * 10);
+            let phase = if i % 2 == 0 { Phase::Dx } else { Phase::Dw };
+            if let Some(prev) = prev {
+                events.push(TraceEvent::PhaseEnd {
+                    op,
+                    phase: prev,
+                    cycle: ts,
+                });
+            }
+            prev = Some(phase);
+            events.push(TraceEvent::PhaseBegin {
+                op,
+                phase,
+                cycle: ts,
+            });
+            events.push(TraceEvent::GemmIssue {
+                op,
+                start: ts,
+                cycles: 3 + i % 5,
+                phase,
+            });
+            events.push(TraceEvent::Access {
+                op,
+                key: key(),
+                class: TensorClass::OutGrad,
+                bytes: 64,
+                kind: AccessKind::Fetch,
+                cycle: ts,
+                occupancy: (i * 37) % 11,
+            });
+            events.push(TraceEvent::Barrier { op, cycle: ts + 9 });
+        }
+        if let Some(prev) = prev {
+            events.push(TraceEvent::PhaseEnd {
+                op: n as u32,
+                phase: prev,
+                cycle: n * 10,
+            });
+        }
+        events
+    }
+
+    #[test]
+    fn sized_builder_keeps_what_finish_time_caps_keep() {
+        let caps = [SLICE_CAP, PHASE_CAP, COUNTER_CAP, BARRIER_CAP];
+        for n in caps
+            .map(|c| c as u64)
+            .iter()
+            .flat_map(|&c| [c - 1, c, c + 1, 2 * c, 2 * c + 1])
+        {
+            let events = synthetic_run(n);
+            let shape = StreamShape::of_events(&events);
+            assert_eq!(
+                (
+                    shape.gemm_ops,
+                    shape.phase_spans,
+                    shape.accesses,
+                    shape.barriers
+                ),
+                (n, n, n, n)
+            );
+            let mut b = TrackBuilder::new(2.0, 5, shape);
+            for &e in &events {
+                b.record(e);
+                // Bounded while the run lasts, not only once it ends.
+                assert!(b.compute.out.len() <= SLICE_CAP, "n {n}");
+                assert!(b.phases.out.len() <= PHASE_CAP, "n {n}");
+                assert!(b.occupancy.len() <= COUNTER_CAP, "n {n}");
+                assert!(b.barriers.len() <= BARRIER_CAP, "n {n}");
+            }
+            assert_matches_finish_time_caps(&events, &b.finish());
+        }
+    }
+
     #[test]
     fn memory_slices_aggregate_per_op() {
-        let mut b = TrackBuilder::new(2.0, 5);
+        let mut b = TrackBuilder::new(2.0, 5, StreamShape::default());
         let wb = |op, bytes, cycle| TraceEvent::WriteBack {
             op,
-            key: TileKey {
-                tensor: TensorId::from_raw(0),
-                coord: TileCoord::new(0, 0),
-            },
-            class: igo_tensor::TensorClass::InGrad,
+            key: key(),
+            class: TensorClass::InGrad,
             bytes,
             spill: false,
             cycle,
@@ -384,17 +553,17 @@ mod tests {
         b.record(wb(1, 0, 200)); // zero bytes: no slice
         b.record(TraceEvent::StreamIo {
             op: 2,
-            class: igo_tensor::TensorClass::WGrad,
+            class: TensorClass::WGrad,
             read_bytes: 4,
             write_bytes: 4,
             cycle: 300,
         });
         let t = b.finish();
         assert_eq!(t.memory.len(), 2);
-        assert_eq!(t.memory[0].name(), "flush");
+        assert_eq!(t.memory[0].tag, MemKind::Flush);
         assert_eq!((t.memory[0].ts, t.memory[0].dur), (100, 15));
         assert_eq!(t.memory[0].extra, 20);
-        assert_eq!(t.memory[1].name(), "stream");
+        assert_eq!(t.memory[1].tag, MemKind::Stream);
         assert_eq!(t.memory[1].dur, 9);
     }
 }

@@ -47,7 +47,7 @@
 //! mirrors.
 
 use crate::engine::{Engine, Replacement};
-use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
+use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, StreamShape, TraceEvent};
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
@@ -187,6 +187,48 @@ impl AnalyticCollector {
     /// sentinels).
     pub fn stream_len(&self) -> usize {
         self.stream.len()
+    }
+
+    /// The event counts a recorded replay of this stream emits. They follow
+    /// from the stream alone, so recorders can be sized before the replay
+    /// starts. A GEMM's phase is judged, as in the replay, by the class of
+    /// its accumulator: the op's last access, when that access is dirty.
+    pub fn shape(&self) -> StreamShape {
+        let mut shape = StreamShape::default();
+        let mut phase: Option<Phase> = None;
+        let mut pos = 0usize;
+        for op in &self.ops {
+            match op {
+                OpRec::Gemm { accesses, .. } => {
+                    let end = pos + *accesses as usize;
+                    let acc = self.stream[pos..end]
+                        .last()
+                        .filter(|a| a.bytes_dirty & DIRTY_BIT != 0);
+                    let op_phase =
+                        Phase::of_accumulator(acc.map(|a| self.dense_class[a.id as usize]));
+                    if phase != Some(op_phase) {
+                        shape.phase_spans += 1;
+                        phase = Some(op_phase);
+                    }
+                    shape.gemm_ops += 1;
+                    pos = end;
+                }
+                OpRec::Stream(_) => {}
+                OpRec::Barrier => {
+                    shape.barriers += 1;
+                    pos += 1;
+                }
+            }
+        }
+        shape.accesses = self.stream.len() as u64 - shape.barriers;
+        shape.dy_accesses = self
+            .stream
+            .iter()
+            .filter(|a| {
+                a.id != BARRIER_ID && self.dense_class[a.id as usize] == TensorClass::OutGrad
+            })
+            .count() as u64;
+        shape
     }
 
     /// Register `tensor` with the extents of `grid` so its tiles map to
@@ -1516,7 +1558,8 @@ mod tests {
     }
 
     /// The recorded replay at every rung: recording leaves the report
-    /// untouched, every access is recorded once, write-back events carry
+    /// untouched, the collector's shape is the recorded one, every access
+    /// is recorded once, write-back events carry
     /// the report's write traffic, and occupancy stays within capacity —
     /// equal, in a region that fits, to the running sum of admitted bytes.
     #[test]
@@ -1534,6 +1577,13 @@ mod tests {
                 .report;
             assert_eq!(recorded, c.replay(&e, &mut scratch).report, "rung {cap}");
             assert_eq!(recorded, e.run(&s), "rung {cap} vs engine");
+            // The shape predicted from the stream is the one recorded,
+            // whatever hits and spills the rung makes.
+            assert_eq!(
+                c.shape(),
+                crate::recorder::StreamShape::of_events(&log.events),
+                "rung {cap}"
+            );
 
             let accesses = log
                 .events

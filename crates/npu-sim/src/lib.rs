@@ -74,8 +74,9 @@ pub use multicore::{
 };
 pub use opt::{DenseOptCache, OptCache};
 pub use recorder::{
-    AccessKind, ClassMetrics, DyReusePoint, EventLog, MetricsFold, NullRecorder, Phase, Recorder,
-    ReuseHistogram, RunMetrics, TileStats, TraceEvent, REUSE_BUCKETS,
+    decimate, AccessKind, ClassMetrics, Decimator, DyReusePoint, EventLog, MetricsFold,
+    NullRecorder, Phase, Recorder, ReuseHistogram, RunMetrics, StreamShape, TileStats, TraceEvent,
+    DY_SERIES_CAP, REUSE_BUCKETS,
 };
 pub use spm::SpmCache;
 pub use stats::{SimReport, Traffic};

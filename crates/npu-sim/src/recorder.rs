@@ -25,6 +25,14 @@
 //! [`RunMetrics::from_events`] is the same fold over an already recorded
 //! slice. [`EventLog`], which stores every event, is for checks that
 //! compare the raw stream against an independent model.
+//!
+//! How many events of each kind a replay emits is fixed by the collected
+//! stream alone ([`StreamShape`], from
+//! [`crate::AnalyticCollector::shape`]), so a recorder can size its caps
+//! before the run starts. [`Decimator`] uses that to keep exactly the
+//! samples [`decimate`] would keep of the full series, without ever
+//! holding the full series: the fold's dY series is capped at
+//! [`DY_SERIES_CAP`] points (+ the last) while the run lasts.
 
 use crate::trace::{TensorId, TileKey};
 use igo_tensor::{TensorClass, TileCoord};
@@ -182,6 +190,124 @@ impl TraceEvent {
             | TraceEvent::Barrier { cycle, .. } => cycle,
             TraceEvent::GemmIssue { start, .. } => start,
         }
+    }
+}
+
+/// How many events of each kind a replay of one collected stream emits.
+///
+/// The counts depend on the stream alone, not on which accesses hit, so
+/// [`crate::AnalyticCollector::shape`] knows them before the replay
+/// starts and [`StreamShape::of_events`] recounts them from a recorded
+/// run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamShape {
+    /// Tile GEMM ops: one [`TraceEvent::GemmIssue`] each.
+    pub gemm_ops: u64,
+    /// Tile accesses: one [`TraceEvent::Access`] each.
+    pub accesses: u64,
+    /// Kernel boundaries: one [`TraceEvent::Barrier`] each.
+    pub barriers: u64,
+    /// Tile accesses of `dY` ([`TensorClass::OutGrad`]) tiles.
+    pub dy_accesses: u64,
+    /// Phase spans: one [`TraceEvent::PhaseBegin`] and one
+    /// [`TraceEvent::PhaseEnd`] each.
+    pub phase_spans: u64,
+}
+
+impl StreamShape {
+    /// Count the shape of an already recorded run.
+    pub fn of_events(events: &[TraceEvent]) -> Self {
+        let mut shape = Self::default();
+        for event in events {
+            match event {
+                TraceEvent::Access { class, .. } => {
+                    shape.accesses += 1;
+                    shape.dy_accesses += u64::from(*class == TensorClass::OutGrad);
+                }
+                TraceEvent::GemmIssue { .. } => shape.gemm_ops += 1,
+                TraceEvent::Barrier { .. } => shape.barriers += 1,
+                TraceEvent::PhaseBegin { .. } => shape.phase_spans += 1,
+                TraceEvent::WriteBack { .. }
+                | TraceEvent::StreamIo { .. }
+                | TraceEvent::PhaseEnd { .. } => {}
+            }
+        }
+        shape
+    }
+}
+
+/// Keep at most `max` evenly-strided samples of `values` (every
+/// `⌈len / max⌉`-th, starting with the first), plus the last sample when
+/// the stride skipped it; a series of at most `max` samples is kept whole.
+pub fn decimate<T: Copy + PartialEq>(values: &[T], max: usize) -> Vec<T> {
+    if values.len() <= max {
+        return values.to_vec();
+    }
+    let stride = values.len().div_ceil(max);
+    let mut out: Vec<T> = values.iter().copied().step_by(stride).collect();
+    if let Some(&last) = values.last() {
+        if out.last() != Some(&last) {
+            out.push(last);
+        }
+    }
+    out
+}
+
+/// [`decimate`] applied while a series of known length arrives: pushing
+/// the `len` samples one by one and then calling [`Decimator::finish`]
+/// yields exactly `decimate(&samples, max)`, holding at most `max`
+/// samples until `finish` adds the last.
+#[derive(Debug, Clone)]
+pub struct Decimator<T> {
+    stride: u64,
+    seen: u64,
+    kept: Vec<T>,
+    last: Option<T>,
+}
+
+impl<T: Copy + PartialEq> Decimator<T> {
+    /// A decimator for a series of `len` samples capped at `max` (at
+    /// least 1).
+    pub fn new(len: u64, max: usize) -> Self {
+        let max = max.max(1) as u64;
+        let stride = if len <= max { 1 } else { len.div_ceil(max) };
+        Self {
+            stride,
+            seen: 0,
+            kept: Vec::with_capacity(len.min(max + 1) as usize),
+            last: None,
+        }
+    }
+
+    /// Offer the next sample.
+    pub fn push(&mut self, value: T) {
+        if self.seen.is_multiple_of(self.stride) {
+            self.kept.push(value);
+        }
+        self.seen += 1;
+        self.last = Some(value);
+    }
+
+    /// Samples kept so far (at most `max`; [`Decimator::finish`] may add
+    /// the last one offered).
+    pub fn len(&self) -> usize {
+        self.kept.len()
+    }
+
+    /// Whether no sample has been kept yet.
+    pub fn is_empty(&self) -> bool {
+        self.kept.is_empty()
+    }
+
+    /// The decimated series: the kept samples plus the last one offered,
+    /// when the stride skipped it.
+    pub fn finish(mut self) -> Vec<T> {
+        if let Some(last) = self.last {
+            if self.kept.last() != Some(&last) {
+                self.kept.push(last);
+            }
+        }
+        self.kept
     }
 }
 
@@ -360,8 +486,10 @@ pub struct RunMetrics {
     pub occupancy_high_water: u64,
     /// Per-class metrics, indexed like [`TensorClass::ALL`].
     pub per_class: [ClassMetrics; 7],
-    /// Cumulative dY reuse ratio over (memory-timeline) time, one point
-    /// per dY access.
+    /// Cumulative dY reuse ratio over (memory-timeline) time: the
+    /// one-point-per-dY-access series decimated to the fold's cap
+    /// ([`DY_SERIES_CAP`] for traces and [`RunMetrics::from_events`]),
+    /// plus the last point, which counts every dY access.
     pub dy_timeline: Vec<DyReusePoint>,
     /// Per-dY-tile access statistics, sorted by tile key.
     pub dy_tiles: Vec<TileStats>,
@@ -370,7 +498,8 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Compute the metrics of a recorded run with residency `capacity`.
     pub fn from_events(events: &[TraceEvent], capacity: u64) -> Self {
-        let mut fold = MetricsFold::new(capacity);
+        let dy_accesses = StreamShape::of_events(events).dy_accesses;
+        let mut fold = MetricsFold::new(capacity, dy_accesses, DY_SERIES_CAP);
         for &event in events {
             fold.record(event);
         }
@@ -418,32 +547,43 @@ impl TileState {
     };
 }
 
+/// Most points a traced run's dY series keeps, on top of its last point.
+pub const DY_SERIES_CAP: usize = 512;
+
 /// A recorder that folds each `Access` event into [`RunMetrics`] as it
 /// arrives, so a run's metrics never need its event stream stored.
 ///
 /// Its state is the metrics themselves plus one dense per-tile entry
 /// (last access position, per-dY-tile counters), indexed
 /// `[tensor][row][col]` and grown on first touch, so an access costs no
-/// hashing. That is bounded by the tile grids the run touches, except
-/// `dy_timeline`, which keeps one point per dY access at full resolution.
-#[derive(Debug, Clone, Default)]
+/// hashing. That is bounded by the tile grids the run touches. The dY
+/// series is decimated while it arrives ([`Decimator`]), which needs the
+/// run's dY access count up front, so it never holds more than its cap
+/// plus one points.
+#[derive(Debug, Clone)]
 pub struct MetricsFold {
     out: RunMetrics,
     /// Global access counter: reuse distances are measured in accesses
     /// across all classes, the stream the SPM actually sees.
     position: u64,
     tiles: Vec<Vec<Vec<TileState>>>,
+    dy_series: Decimator<DyReusePoint>,
 }
 
 impl MetricsFold {
-    /// An empty fold for a run with residency `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
+    /// An empty fold for a run with residency `capacity` bytes that will
+    /// make `dy_accesses` dY tile accesses ([`StreamShape::dy_accesses`]),
+    /// keeping at most `max_points` dY series points plus the last
+    /// (traces use [`DY_SERIES_CAP`]).
+    pub fn new(capacity: u64, dy_accesses: u64, max_points: usize) -> Self {
         Self {
             out: RunMetrics {
                 capacity,
                 ..RunMetrics::default()
             },
-            ..Self::default()
+            position: 0,
+            tiles: Vec::new(),
+            dy_series: Decimator::new(dy_accesses, max_points),
         }
     }
 
@@ -451,7 +591,7 @@ impl MetricsFold {
     /// tile key.
     pub fn finish(self) -> RunMetrics {
         let mut out = self.out;
-        out.dy_timeline.shrink_to_fit();
+        out.dy_timeline = self.dy_series.finish();
         // Tensor-, row-, then column-major: already in tile-key order.
         for (tensor, rows) in self.tiles.iter().enumerate() {
             for (r, row) in rows.iter().enumerate() {
@@ -522,11 +662,10 @@ impl Recorder for MetricsFold {
             stats.bytes = bytes;
             stats.accesses += 1;
             stats.hits += u64::from(hit);
-            let last = out.dy_timeline.last().copied();
-            out.dy_timeline.push(DyReusePoint {
+            self.dy_series.push(DyReusePoint {
                 cycle,
-                accesses: last.map_or(0, |p| p.accesses) + 1,
-                hits: last.map_or(0, |p| p.hits) + u64::from(hit),
+                accesses: cm.accesses,
+                hits: cm.hits,
             });
         }
     }
@@ -616,6 +755,61 @@ mod tests {
     }
 
     #[test]
+    fn decimator_keeps_what_decimate_keeps() {
+        for max in [1usize, 2, 3, 7] {
+            for len in 0..=3 * max as u64 + 2 {
+                let values: Vec<u64> = (0..len).collect();
+                let mut d = Decimator::new(len, max);
+                for &v in &values {
+                    d.push(v);
+                    assert!(d.len() <= max, "max {max}, len {len}");
+                }
+                assert_eq!(d.finish(), decimate(&values, max), "max {max}, len {len}");
+            }
+        }
+        // Like `decimate`, a last sample equal to the last kept one is not
+        // repeated.
+        let flat = [5u64; 10];
+        let mut d = Decimator::new(10, 3);
+        flat.iter().for_each(|&v| d.push(v));
+        assert_eq!(d.finish(), decimate(&flat, 3));
+    }
+
+    #[test]
+    fn dy_series_stays_capped_while_the_run_lasts() {
+        use AccessKind::{Fetch, Hit};
+        let n = 5 * DY_SERIES_CAP as u32 + 3;
+        let events: Vec<TraceEvent> = (0..n)
+            .map(|i| {
+                let kind = if i % 3 == 0 { Fetch } else { Hit };
+                access(0, i % 7, TensorClass::OutGrad, kind, 100)
+            })
+            .collect();
+        let mut fold = MetricsFold::new(1000, u64::from(n), DY_SERIES_CAP);
+        let mut full = Vec::new();
+        let mut hits = 0;
+        for (i, &e) in events.iter().enumerate() {
+            fold.record(e);
+            assert!(fold.dy_series.len() <= DY_SERIES_CAP);
+            hits += u64::from(i % 3 != 0);
+            full.push(DyReusePoint {
+                cycle: 0,
+                accesses: i as u64 + 1,
+                hits,
+            });
+        }
+        let m = fold.finish();
+        assert!(m.dy_timeline.len() <= DY_SERIES_CAP + 1);
+        assert_eq!(m.dy_timeline, decimate(&full, DY_SERIES_CAP));
+        let last = m.dy_timeline.last().unwrap();
+        assert_eq!((last.accesses, last.hits), (u64::from(n), hits));
+        assert_eq!(
+            m.dy_timeline,
+            RunMetrics::from_events(&events, 1000).dy_timeline
+        );
+    }
+
+    #[test]
     fn phase_classification_follows_accumulator_class() {
         assert_eq!(Phase::of_accumulator(Some(TensorClass::InGrad)), Phase::Dx);
         assert_eq!(Phase::of_accumulator(Some(TensorClass::WGrad)), Phase::Dw);
@@ -648,7 +842,7 @@ mod tests {
             access(1, 0, TensorClass::Weight, Fetch, 200),
             access(0, 0, TensorClass::OutGrad, Hit, 200),
         ];
-        let mut tee = (EventLog::new(), MetricsFold::new(1000));
+        let mut tee = (EventLog::new(), MetricsFold::new(1000, 2, DY_SERIES_CAP));
         for &e in &events {
             tee.record(e);
         }

@@ -6,8 +6,11 @@
 # `run_seconds` per run, and writes BENCH_<N>.json at the repo root: per
 # workload, whether every run was correct, plus the median, quartiles, IQR and
 # raw values of each end-to-end metric over the runs. N is one past the
-# highest existing BENCH_<N>.json unless BENCH_ID is set. Hermetic: no
-# network; needs `jq`.
+# highest existing BENCH_<N>.json unless BENCH_ID is set. It then compares
+# each (workload, end-to-end metric) median with the highest earlier entry
+# in the same schema (BENCH_6 onward), printing old -> new and the relative
+# change, and flags every change for the worse larger than the metric's
+# `bound` in BENCHMARK.json. Hermetic: no network; needs `jq`.
 #
 #   scripts/bench.sh            # or: BENCH_ID=7 scripts/bench.sh
 set -euo pipefail
@@ -68,3 +71,37 @@ jq -s --argjson bench "$BENCH_ID" --argjson runs "$RUNS" --argjson seconds "$SEC
   "$RUN_DIR"/*.summary.json > "$OUT"
 
 echo "bench: wrote ${OUT}"
+
+# Compare with the highest earlier entry that has per-workload metric
+# medians (BENCH_4 and BENCH_5 predate that schema).
+PREV=""
+for n in $(for f in BENCH_*.json; do n="${f#BENCH_}"; echo "${n%.json}"; done | grep -E '^[0-9]+$' | sort -rn); do
+  if ((n < BENCH_ID)) &&
+    jq -e '.workloads | type == "object" and all(.[]; .metrics | type == "object")' \
+      "BENCH_${n}.json" >/dev/null 2>&1; then
+    PREV="BENCH_${n}.json"
+    break
+  fi
+done
+if [[ -z "$PREV" ]]; then
+  echo "bench: no earlier entry to compare with"
+  exit 0
+fi
+echo "bench: ${PREV} -> ${OUT} (median per workload and end-to-end metric)"
+jq -r -n --slurpfile old "$PREV" --slurpfile new "$OUT" --slurpfile spec BENCHMARK.json '
+  def pct: . * 1000 | round / 10 + 0 | if . >= 0 then "+\(.)%" else "\(.)%" end;
+  $old[0].workloads as $ow
+  | $new[0].workloads | to_entries[] as {key: $w, value: $nw}
+  | $spec[0].end_to_end[] as $m
+  | ($ow[$w].metrics[$m.name].median) as $o
+  | ($nw.metrics[$m.name].median) as $n
+  | select($o != null and $n != null)
+  | (if $o != 0 then ($n - $o) / ($o | fabs) elif $n == 0 then 0 else null end) as $rel
+  | (if $rel == null then false
+     elif $m.better == "lower" then $rel > $m.bound
+     else $rel < -$m.bound end) as $worse
+  | [$w, $m.name, "\($o) -> \($n)", (if $rel == null then "n/a" else ($rel | pct) end)]
+    + (if $worse then ["WORSE than its bound of \($m.bound * 1000 | round / 10)%"] else [] end)
+  | join("\t")' | tee "$RUN_DIR/compare.tsv"
+worse="$(grep -c WORSE "$RUN_DIR/compare.tsv" || true)"
+echo "bench: ${worse} metric(s) worse than ${PREV} beyond their bound"
