@@ -10,9 +10,12 @@
 //!
 //! * **[`Exactness::Exact`] — allocation-free replay.** An
 //!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
-//!   builders emit the *identical* op stream into a flat structure-of-arrays
-//!   buffer with tile ids computed arithmetically from grid coordinates
-//!   (`base + r·cols + c`) instead of interned through a hash map.
+//!   builders emit the *identical* op stream into flat buffers — 8 bytes
+//!   per tile access and per op, with GEMM shapes and stream ops
+//!   interned in side tables — with tile ids computed arithmetically from
+//!   grid coordinates (`base + r·cols + c`) instead of interned through a
+//!   hash map. Ids are numbered in `TileKey` order, so the id alone breaks
+//!   victim ties the way the engine's key does.
 //!   [`AnalyticCollector::replay`] then advances the same two timelines as
 //!   [`crate::Engine::run`], in the same floating-point operation order,
 //!   over a Belady replacement model ([`ReplayOptCache`]) whose eviction
@@ -97,16 +100,11 @@ const BYTES_MASK: u32 = DIRTY_BIT - 1;
 /// "Not used again" sentinel of the next-use oracle.
 const NO_USE: u32 = u32::MAX;
 
-/// One recorded tile access, packed to 16 bytes so replay streams a
-/// cache line per four accesses.
+/// One recorded tile access, packed to 8 bytes so replay streams a cache
+/// line per eight accesses. The id alone orders victims: a sealed registry
+/// numbers tiles in [`TileKey`] order (see [`AnalyticCollector`]).
 #[derive(Debug, Clone, Copy)]
 struct AccessRec {
-    /// Victim-ordering rank: `(tensor_raw << 32) | (r·cols + c)`. Because
-    /// [`crate::trace::TileKey`]'s derived order is lexicographic
-    /// `(tensor, r, c)` and `c < cols` within a tensor, this packing is
-    /// order-isomorphic to the key — so heap tie-breaks on `rank` match
-    /// the engine's tie-breaks on `TileKey` exactly.
-    rank: u64,
     /// Dense tile id (`base + r·cols + c`), or [`BARRIER_ID`].
     id: u32,
     /// Access bytes (`< 2^31`, asserted at emission) with [`DIRTY_BIT`]
@@ -114,12 +112,14 @@ struct AccessRec {
     bytes_dirty: u32,
 }
 
+/// One recorded schedule op; operands live in the collector's side tables.
 #[derive(Debug, Clone, Copy)]
 enum OpRec {
-    /// A tile GEMM with `accesses` consecutive entries in the access stream.
-    Gemm { accesses: u32, compute: GemmShape },
-    /// Pure data movement.
-    Stream(StreamOp),
+    /// A tile GEMM with `accesses` consecutive entries in the access stream,
+    /// computing `AnalyticCollector::shapes[shape]`.
+    Gemm { accesses: u16, shape: u32 },
+    /// Pure data movement: `AnalyticCollector::streams[idx]`.
+    Stream(u32),
     /// Kernel boundary (owns one sentinel entry in the access stream).
     Barrier,
 }
@@ -134,24 +134,40 @@ pub const REPLAY_ID_LIMIT: u64 = u32::MAX as u64;
 /// Per-tensor entry of the dense tile-id registry.
 #[derive(Debug, Clone, Copy)]
 struct TensorEntry {
+    /// First dense id; assigned when the registry is sealed.
     base: u32,
     cols: u32,
     tiles: u32,
+    class: TensorClass,
 }
 
 /// A [`ScheduleSink`] that records the op stream into flat buffers for
 /// [`AnalyticCollector::replay`], with no per-op heap allocation.
 ///
-/// Tensors must be registered (with their tile-grid extents) before any of
-/// their tiles are emitted; the schedule builders know every grid they
-/// touch, so registration is a handful of calls per layer.
+/// Tensors must be registered (with their tile-grid extents) before the
+/// first op is emitted; the schedule builders know every grid they touch,
+/// so registration is a handful of calls per layer. The first op seals the
+/// registry: it numbers the tensors' tiles in ascending [`TensorId`] order,
+/// then row-major, so dense-id order is [`TileKey`] order — the order the
+/// replay's victim tie-breaks and flush events need.
 #[derive(Debug, Default)]
 pub struct AnalyticCollector {
+    /// Registry by raw tensor id.
     tensors: Vec<Option<TensorEntry>>,
+    /// Tiles registered so far.
+    registered: u64,
+    /// `(base, raw tensor id)` of every tensor with tiles, ascending;
+    /// filled when the registry is sealed.
+    bases: Vec<(u32, u32)>,
+    sealed: bool,
     /// Dense id → traffic class (for write-back attribution).
     dense_class: Vec<TensorClass>,
     stream: Vec<AccessRec>,
     ops: Vec<OpRec>,
+    /// Distinct tile-GEMM shapes, indexed by [`OpRec::Gemm`].
+    shapes: Vec<GemmShape>,
+    /// Stream ops, indexed by [`OpRec::Stream`].
+    streams: Vec<StreamOp>,
 }
 
 impl AnalyticCollector {
@@ -163,9 +179,14 @@ impl AnalyticCollector {
     /// Drop all recorded state but keep the allocations (hot-loop reuse).
     pub fn clear(&mut self) {
         self.tensors.clear();
+        self.registered = 0;
+        self.bases.clear();
+        self.sealed = false;
         self.dense_class.clear();
         self.stream.clear();
         self.ops.clear();
+        self.shapes.clear();
+        self.streams.clear();
     }
 
     /// Number of recorded schedule ops.
@@ -180,7 +201,7 @@ impl AnalyticCollector {
 
     /// Number of registered tile ids.
     pub fn tile_count(&self) -> usize {
-        self.dense_class.len()
+        self.registered as usize
     }
 
     /// Number of access-stream entries (tile accesses and barrier
@@ -234,12 +255,21 @@ impl AnalyticCollector {
     /// Register `tensor` with the extents of `grid` so its tiles map to
     /// dense ids. Re-registering the same tensor is a checked no-op;
     /// registering tensors that are never touched is harmless.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the first op has been emitted: that op sealed the
+    /// registry.
     pub fn register_tensor(&mut self, tensor: TensorId, class: TensorClass, grid: &TileGrid) {
         self.register_extent(tensor, class, grid.rows(), grid.cols());
     }
 
     /// Register `tensor` as a `rows × cols` tile grid.
     fn register_extent(&mut self, tensor: TensorId, class: TensorClass, rows: u32, cols: u32) {
+        assert!(
+            !self.sealed,
+            "tensor registered after the collector's first op; register every grid first"
+        );
         let raw = tensor.raw() as usize;
         if self.tensors.len() <= raw {
             self.tensors.resize(raw + 1, None);
@@ -249,18 +279,39 @@ impl AnalyticCollector {
             return;
         }
         let tiles = rows as u64 * cols as u64;
-        let base = self.dense_class.len() as u64;
         assert!(
-            base + tiles < REPLAY_ID_LIMIT,
+            self.registered + tiles < REPLAY_ID_LIMIT,
             "tile registry overflows the dense id space"
         );
+        self.registered += tiles;
         self.tensors[raw] = Some(TensorEntry {
-            base: base as u32,
+            base: 0,
             cols,
             tiles: tiles as u32,
+            class,
         });
-        self.dense_class
-            .extend(std::iter::repeat_n(class, tiles as usize));
+    }
+
+    /// Seal the registry before the first op: number every registered
+    /// tensor's tiles in ascending tensor-id order.
+    #[inline]
+    fn seal(&mut self) {
+        if self.sealed {
+            return;
+        }
+        self.sealed = true;
+        let mut base = 0u32;
+        for (raw, entry) in self.tensors.iter_mut().enumerate() {
+            if let Some(entry) = entry {
+                entry.base = base;
+                if entry.tiles > 0 {
+                    self.bases.push((base, raw as u32));
+                }
+                base += entry.tiles;
+                self.dense_class
+                    .extend(std::iter::repeat_n(entry.class, entry.tiles as usize));
+            }
+        }
     }
 
     /// Collect a materialised [`Schedule`]: one pass registers each tensor
@@ -285,6 +336,7 @@ impl AnalyticCollector {
                 collector.register_extent(tensor, schedule.class_of(tensor), r + 1, c + 1);
             }
         }
+        collector.seal();
         for op in schedule.ops() {
             match op {
                 ScheduleOp::Gemm(g) => {
@@ -294,10 +346,9 @@ impl AnalyticCollector {
                     if let Some(a) = &g.acc {
                         collector.push_access(a.key.tensor, a.key.coord, a.bytes, true);
                     }
-                    collector.ops.push(OpRec::Gemm {
-                        accesses: (g.reads.len() + usize::from(g.acc.is_some())) as u32,
-                        compute: g.compute,
-                    });
+                    let accesses = u16::try_from(g.reads.len() + usize::from(g.acc.is_some()))
+                        .expect("a tile op has fewer than 2^16 accesses");
+                    collector.push_gemm(accesses, g.compute);
                 }
                 ScheduleOp::Stream(s) => collector.stream(*s),
                 ScheduleOp::Barrier => collector.barrier(),
@@ -306,31 +357,18 @@ impl AnalyticCollector {
         collector
     }
 
-    /// The tile a packed [`AccessRec::rank`] names.
-    fn key_of_rank(&self, rank: u64) -> TileKey {
-        let tensor = (rank >> 32) as u32;
-        let offset = rank as u32;
-        let cols = self.tensors[tensor as usize]
-            .expect("ranked tensors are registered")
+    /// The tile behind dense id `id` of a sealed registry.
+    fn key_of_id(&self, id: u32) -> TileKey {
+        let i = self.bases.partition_point(|&(base, _)| base <= id);
+        let (base, raw) = self.bases[i - 1];
+        let cols = self.tensors[raw as usize]
+            .expect("sealed tensors are registered")
             .cols;
+        let offset = id - base;
         TileKey {
-            tensor: TensorId::from_raw(tensor),
+            tensor: TensorId::from_raw(raw),
             coord: TileCoord::new(offset / cols, offset % cols),
         }
-    }
-
-    /// The tile behind dense id `id` (write-backs carry only the id).
-    fn key_of_id(&self, id: u32) -> TileKey {
-        let (tensor, entry) = self
-            .tensors
-            .iter()
-            .enumerate()
-            .find_map(|(t, e)| {
-                e.filter(|e| id >= e.base && id - e.base < e.tiles)
-                    .map(|e| (t, e))
-            })
-            .expect("dense ids belong to a registered tensor");
-        self.key_of_rank(((tensor as u64) << 32) | (id - entry.base) as u64)
     }
 
     #[inline]
@@ -338,19 +376,36 @@ impl AnalyticCollector {
         let entry = self.tensors[tensor.raw() as usize]
             .as_ref()
             .expect("tensor touched before registration");
-        let offset = coord.r * entry.cols + coord.c;
         assert!(bytes < DIRTY_BIT as u64, "tile access exceeds 2 GiB");
         self.stream.push(AccessRec {
-            rank: ((tensor.raw() as u64) << 32) | offset as u64,
-            id: entry.base + offset,
+            id: entry.base + coord.r * entry.cols + coord.c,
             bytes_dirty: bytes as u32 | if dirty { DIRTY_BIT } else { 0 },
+        });
+    }
+
+    /// Record a tile GEMM whose `accesses` entries were just pushed.
+    /// Consecutive ops share a handful of tile shapes, and the common ones
+    /// come first, so a front-to-back scan finds them at once.
+    #[inline]
+    fn push_gemm(&mut self, accesses: u16, compute: GemmShape) {
+        let shape = match self.shapes.iter().position(|s| *s == compute) {
+            Some(i) => i,
+            None => {
+                self.shapes.push(compute);
+                self.shapes.len() - 1
+            }
+        };
+        self.ops.push(OpRec::Gemm {
+            accesses,
+            shape: shape as u32,
         });
     }
 }
 
 impl ScheduleSink for AnalyticCollector {
     fn gemm(&mut self, op: &TileOpSpec) {
-        let mut accesses = 0u32;
+        self.seal();
+        let mut accesses = 0u16;
         for r in op.reads.iter().flatten() {
             self.push_access(r.tensor, r.coord, r.bytes, false);
             accesses += 1;
@@ -359,19 +414,18 @@ impl ScheduleSink for AnalyticCollector {
             self.push_access(a.tensor, a.coord, a.bytes, true);
             accesses += 1;
         }
-        self.ops.push(OpRec::Gemm {
-            accesses,
-            compute: op.compute,
-        });
+        self.push_gemm(accesses, op.compute);
     }
 
     fn stream(&mut self, op: StreamOp) {
-        self.ops.push(OpRec::Stream(op));
+        self.seal();
+        self.ops.push(OpRec::Stream(self.streams.len() as u32));
+        self.streams.push(op);
     }
 
     fn barrier(&mut self) {
+        self.seal();
         self.stream.push(AccessRec {
-            rank: 0,
             id: BARRIER_ID,
             bytes_dirty: 0,
         });
@@ -403,9 +457,10 @@ struct ReplaySlot {
 /// bitset indexed by position, and a hit is two O(1) bit flips. Residents
 /// with *no* further use in their region ([`NO_USE`]) outrank every finite
 /// position and are tie-broken by tile key, exactly matching the ordered
-/// set's `(next_use, key)` maximum — they sit in a small max-heap keyed by
-/// the packed rank. Victim selection — including the bypass rule — is
-/// therefore bit-identical to `DenseOptCache`'s.
+/// set's `(next_use, key)` maximum — they sit in a small max-heap of tile
+/// ids, which a sealed [`AnalyticCollector`] numbers in key order. Victim
+/// selection — including the bypass rule — is therefore bit-identical to
+/// `DenseOptCache`'s.
 #[derive(Debug, Default)]
 pub struct ReplayOptCache {
     capacity: u64,
@@ -417,9 +472,10 @@ pub struct ReplayOptCache {
     /// Stream position → resident tile id; valid only where the
     /// corresponding `live_bits` bit is set.
     by_next_use: Vec<u32>,
-    /// Residents with no further use in their region, max packed rank
-    /// first — they outrank every finite-next-use resident as victims.
-    dead: BinaryHeap<(u64, u32)>,
+    /// Ids of residents with no further use in their region, max id (so
+    /// max tile key) first — they outrank every finite-next-use resident as
+    /// victims.
+    dead: BinaryHeap<u32>,
     /// Upper bound on the highest set bit of `live_bits`.
     max_hint: u32,
     hits: u64,
@@ -483,7 +539,7 @@ impl ReplayOptCache {
     /// as `(next_use, id)`, without removing it. The caller must ensure a
     /// resident exists (`used > 0`).
     fn peek_victim(&mut self) -> (u32, u32) {
-        if let Some(&(_, id)) = self.dead.peek() {
+        if let Some(&id) = self.dead.peek() {
             return (NO_USE, id);
         }
         let mut w = (self.max_hint >> 6) as usize;
@@ -516,8 +572,8 @@ impl ReplayOptCache {
         }
     }
 
-    /// Access tile `id`; semantics identical to `DenseOptCache::access`.
-    /// `rank` is the packed `TileKey` order (see `AccessRec::rank`).
+    /// Access tile `id`; semantics identical to `DenseOptCache::access`
+    /// when ids are numbered in `TileKey` order.
     // `#[inline]` here and on `access_unbounded`: `replay_recorded` is also
     // instantiated in other crates, so these per-access calls are exported
     // and would otherwise not be inlined into the unrecorded loop either.
@@ -525,7 +581,6 @@ impl ReplayOptCache {
     pub fn access(
         &mut self,
         id: u32,
-        rank: u64,
         bytes: u32,
         dirty: bool,
         next_use: u32,
@@ -548,7 +603,7 @@ impl ReplayOptCache {
             self.hits += 1;
             self.clear_live(old);
             if next_use == NO_USE {
-                self.dead.push((rank, id));
+                self.dead.push(id);
             } else {
                 self.set_live(next_use, id);
             }
@@ -580,7 +635,7 @@ impl ReplayOptCache {
             slot.next_use = next_use;
             self.used += bytes as u64;
             if next_use == NO_USE {
-                self.dead.push((rank, id));
+                self.dead.push(id);
             } else {
                 self.set_live(next_use, id);
             }
@@ -680,6 +735,8 @@ pub struct AnalyticScratch {
     region_floor: Vec<(u64, u64)>,
     /// `region_mem_suffix[i]` = summed floor mem-time of regions after `i`.
     region_mem_suffix: Vec<f64>,
+    /// Systolic cycles of each of the collector's tile-GEMM shapes.
+    shape_cycles: Vec<u64>,
     opt: ReplayOptCache,
 }
 
@@ -765,6 +822,7 @@ impl AnalyticCollector {
             tile_flags,
             region_floor,
             region_mem_suffix,
+            shape_cycles,
             opt,
         } = scratch;
         writebacks.clear();
@@ -855,9 +913,14 @@ impl AnalyticCollector {
         region_fits.reverse();
         region_floor.reverse();
 
-        let systolic = engine.systolic();
         let bytes_per_cycle = engine.bytes_per_cycle();
         let burst_latency = engine.burst_latency();
+        shape_cycles.clear();
+        shape_cycles.extend(
+            self.shapes
+                .iter()
+                .map(|&s| engine.systolic().tile_cycles(s)),
+        );
 
         // Exact cycles the compute timeline still owes — the admissible
         // floor behind the early abort — and the per-region DRAM floor
@@ -866,17 +929,9 @@ impl AnalyticCollector {
         let mut remaining_compute = 0u64;
         region_mem_suffix.clear();
         if let Some(limit) = cutoff_plus {
-            let mut memo: Option<(GemmShape, u64)> = None;
             for op in &self.ops {
-                if let OpRec::Gemm { compute, .. } = op {
-                    remaining_compute += match memo {
-                        Some((shape, cycles)) if shape == *compute => cycles,
-                        _ => {
-                            let cycles = systolic.tile_cycles(*compute);
-                            memo = Some((*compute, cycles));
-                            cycles
-                        }
-                    };
+                if let OpRec::Gemm { shape, .. } = op {
+                    remaining_compute += shape_cycles[*shape as usize];
                 }
             }
             // region_mem_suffix[i] = floor mem-time of regions strictly
@@ -904,9 +959,6 @@ impl AnalyticCollector {
         let mut gemm_ops: u64 = 0;
         let mut macs: u64 = 0;
         let mut spm_bytes_touched: u64 = 0;
-        // Consecutive ops overwhelmingly share a tile shape: memoize the
-        // last systolic evaluation.
-        let mut last_shape: Option<(GemmShape, u64)> = None;
 
         // Phase tracking (recording only): which interleaved sub-stream
         // (dX / dW / other) the compute timeline is currently in.
@@ -918,7 +970,7 @@ impl AnalyticCollector {
         for (op_idx, op) in self.ops.iter().enumerate() {
             let op_idx = op_idx as u32;
             match op {
-                OpRec::Gemm { accesses, compute } => {
+                OpRec::Gemm { accesses, shape } => {
                     // Memory-timeline cycle the op's transfers start at —
                     // the stamp of every memory-side event of this op.
                     let op_mem_start = if R::ENABLED {
@@ -938,7 +990,7 @@ impl AnalyticCollector {
                         let got = if fits {
                             opt.access_unbounded(a.id, bytes, dirty)
                         } else {
-                            opt.access(a.id, a.rank, bytes, dirty, nu, writebacks)
+                            opt.access(a.id, bytes, dirty, nu, writebacks)
                         };
                         if got > 0 {
                             traffic.add_read(self.dense_class[a.id as usize], got);
@@ -955,7 +1007,7 @@ impl AnalyticCollector {
                             };
                             recorder.record(TraceEvent::Access {
                                 op: op_idx,
-                                key: self.key_of_rank(a.rank),
+                                key: self.key_of_id(a.id),
                                 class: self.dense_class[a.id as usize],
                                 bytes: bytes as u64,
                                 kind,
@@ -990,14 +1042,7 @@ impl AnalyticCollector {
                         mem_busy_total += mem_time;
                     }
 
-                    let cycles = match last_shape {
-                        Some((shape, cycles)) if shape == *compute => cycles,
-                        _ => {
-                            let cycles = systolic.tile_cycles(*compute);
-                            last_shape = Some((*compute, cycles));
-                            cycles
-                        }
-                    };
+                    let cycles = shape_cycles[*shape as usize];
                     let data_ready = if move_bytes > 0 { mem_free } else { 0.0 };
                     let issue = compute_free.max(data_ready);
                     compute_free = issue + cycles as f64;
@@ -1034,7 +1079,7 @@ impl AnalyticCollector {
                     }
                     compute_cycles_total += cycles;
                     gemm_ops += 1;
-                    macs += compute.macs();
+                    macs += self.shapes[*shape as usize].macs();
                     if let Some(limit) = cutoff_plus {
                         remaining_compute -= cycles;
                         if mem_free + region_mem_suffix[region] >= limit
@@ -1044,7 +1089,8 @@ impl AnalyticCollector {
                         }
                     }
                 }
-                OpRec::Stream(s) => {
+                OpRec::Stream(idx) => {
+                    let s = &self.streams[*idx as usize];
                     if R::ENABLED {
                         recorder.record(TraceEvent::StreamIo {
                             op: op_idx,
@@ -1140,10 +1186,10 @@ impl AnalyticCollector {
         })
     }
 
-    /// Record a flush's write-backs, stamped `mem_free` (the flush start),
-    /// in tile-key order — the order the engine's ordered residency set
-    /// flushes in, since every resident is dead at a flush — while
-    /// `writebacks` keeps its dense-id order for the traffic sums.
+    /// Record a flush's write-backs, stamped `mem_free` (the flush start).
+    /// A flush emits them in dense-id order, which is tile-key order — the
+    /// order the engine's ordered residency set flushes in, since every
+    /// resident is dead at a flush.
     fn record_flush<R: Recorder>(
         &self,
         op: u32,
@@ -1151,16 +1197,11 @@ impl AnalyticCollector {
         writebacks: &[(u32, u64)],
         recorder: &mut R,
     ) {
-        let mut keyed: Vec<(TileKey, u32, u64)> = writebacks
-            .iter()
-            .map(|&(id, bytes)| (self.key_of_id(id), id, bytes))
-            .collect();
-        keyed.sort_unstable_by_key(|&(key, _, _)| key);
         let cycle = mem_free.round() as u64;
-        for (key, id, bytes) in keyed {
+        for &(id, bytes) in writebacks {
             recorder.record(TraceEvent::WriteBack {
                 op,
-                key,
+                key: self.key_of_id(id),
                 class: self.dense_class[id as usize],
                 bytes,
                 spill: false,
@@ -1649,6 +1690,93 @@ mod tests {
             fitting > 0 && spilling > 0,
             "{fitting} fitting, {spilling} spilling"
         );
+    }
+
+    /// The stream's records stay small: a new field must not silently
+    /// regrow every collected access or op.
+    #[test]
+    fn stream_records_stay_compact() {
+        assert_eq!(std::mem::size_of::<AccessRec>(), 8);
+        assert!(std::mem::size_of::<OpRec>() <= 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "registered after the collector's first op")]
+    fn registering_after_the_first_op_panics() {
+        let grid = TileGrid::new(
+            igo_tensor::MatrixDims::new(32, 32),
+            igo_tensor::TileShape::square(16),
+        );
+        let (a, b) = (TensorId::from_raw(0), TensorId::from_raw(1));
+        let mut c = AnalyticCollector::new();
+        c.register_tensor(a, TensorClass::OutGrad, &grid);
+        c.gemm(&TileOpSpec::new(GemmShape::new(16, 16, 16)).read(a, TileCoord::new(0, 0), 1024));
+        c.register_tensor(b, TensorClass::Weight, &grid);
+    }
+
+    /// Tensors registered out of raw-id order, as the layer builders do
+    /// (dY = 5 before X = 0), with many residents that have no further use
+    /// competing for eviction. A first sweep leaves dead clean dY and X
+    /// reads and dead dirty dX accumulators; a second sweep hits one
+    /// resident W tile and opens fresh dW accumulators, so each of its ops
+    /// moves memory only if its victim is a dirty tile. The replay matches
+    /// the engine only if victim ties break in `TileKey` order (dY, then
+    /// dW, then dX, then X) rather than in registration order.
+    #[test]
+    fn victim_ties_follow_tile_keys_whatever_the_registration_order() {
+        let mut s = Schedule::new("ties");
+        let ids: Vec<TensorId> = [
+            (TensorClass::Ifmap, "X"),
+            (TensorClass::Weight, "W"),
+            (TensorClass::Ofmap, "Y"),
+            (TensorClass::InGrad, "dX"),
+            (TensorClass::WGrad, "dW"),
+            (TensorClass::OutGrad, "dY"),
+        ]
+        .into_iter()
+        .map(|(class, name)| s.add_tensor(class, name))
+        .collect();
+        let (x, w, dx, dw, dy) = (ids[0], ids[1], ids[3], ids[4], ids[5]);
+        let grid = TileGrid::new(
+            igo_tensor::MatrixDims::new(96, 96),
+            igo_tensor::TileShape::square(16),
+        );
+        let mut c = AnalyticCollector::new();
+        for (t, class) in [
+            (dy, TensorClass::OutGrad),
+            (w, TensorClass::Weight),
+            (x, TensorClass::Ifmap),
+            (dx, TensorClass::InGrad),
+            (dw, TensorClass::WGrad),
+        ] {
+            c.register_tensor(t, class, &grid);
+        }
+        let shape = GemmShape::new(16, 16, 16);
+        let mut emit = |op: TileOpSpec| {
+            ScheduleSink::gemm(&mut s, &op);
+            c.gemm(&op);
+        };
+        for n in 0..12u32 {
+            let at = TileCoord::new(n / 6, n % 6);
+            emit(
+                TileOpSpec::new(shape)
+                    .read(dy, at, 1024)
+                    .read(x, at, 2048)
+                    .accumulate(dx, at, 1024),
+            );
+        }
+        for n in 0..24u32 {
+            emit(
+                TileOpSpec::new(shape)
+                    .read(w, TileCoord::new(0, 0), 1024)
+                    .accumulate(dw, TileCoord::new(n / 6, n % 6), 1024),
+            );
+        }
+        let mut scratch = AnalyticScratch::new();
+        for &cap in &LADDER_CAPS {
+            let e = rung(cap);
+            assert_eq!(c.replay(&e, &mut scratch).report, e.run(&s), "rung {cap}");
+        }
     }
 
     /// A collector rebuilt from a materialised schedule replays exactly
