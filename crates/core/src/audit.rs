@@ -6,7 +6,7 @@
 //! under the case's [`SimOptions`] and once under the plain
 //! [`SimOptions::sequential`] reference — and then re-derives, from
 //! nothing but the public machine model, every conservation property the
-//! engine claims:
+//! simulator claims:
 //!
 //! * **Differential**: the optimized options (worker pool, memo cache,
 //!   bound pruning, in any combination) must produce bit-identical
@@ -14,15 +14,20 @@
 //!   one selection loop.
 //! * **Selection oracle**: the technique's candidate list, re-derived from
 //!   the §5 rules and an independent Algorithm 1, is rebuilt as
-//!   materialised schedules and run through the cycle engine; the
+//!   materialised schedules and run through [`Engine::run`]; the
 //!   pipeline's decision and report must be the `(cycles, index)` minimum.
 //! * **Accounting**: replaying the decided schedule against a fresh
-//!   [`OptCache`] shadow model must reproduce the engine's hits, misses
-//!   and per-class DRAM traffic exactly; `hits + misses` must equal the
-//!   number of tile accesses; SPM residency may never exceed capacity;
+//!   [`OptCache`] shadow model must reproduce [`Engine::run`]'s hits,
+//!   misses and per-class DRAM traffic exactly; `hits + misses` must equal
+//!   the number of tile accesses; SPM residency may never exceed capacity;
 //!   every spilled-accumulator re-fetch must be preceded by a write-back
 //!   of that tile; and total DRAM traffic must equal the sum of fetched,
 //!   written-back and streamed bytes.
+//! * **Timeline shadow**: the same shadow advances its own memory and
+//!   compute timelines and must reproduce the report's cycles, compute
+//!   and memory cycles, op, MAC and SPM-byte counts. With
+//!   [`Engine::run`] running on the replay, this shadow is the
+//!   independent oracle for the replay's timing.
 //! * **Merge legality**: the fused backward stream must contain each
 //!   `dX`/`dW` tile operation exactly once, with mutually consistent
 //!   operand coordinates.
@@ -315,7 +320,7 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
         });
     }
 
-    // Selection oracle: the decision must be the cycle engine's
+    // Selection oracle: the decision must be `Engine::run`'s
     // `(cycles, index)` minimum over the independently derived candidates.
     checks += 1;
     violations.extend(check_selection_oracle(case, ref_decision, &ref_report));
@@ -342,15 +347,17 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
     checks += 1;
     violations.extend(check_merge_emission(case, ref_decision.order));
 
-    // Analytic engine: the collector replay must be bit-identical to the
-    // cycle engine (the `Exact` tier), and the closed-form emission bound
-    // must be admissible field by field (the `LowerBound` tier).
+    // Analytic tiers: the builders' direct collector emission must replay
+    // like the materialised schedule (the `Exact` tier), and the
+    // closed-form emission bound must be admissible field by field (the
+    // `LowerBound` tier).
     checks += 1;
     violations.extend(check_analytic(case, ref_decision.order));
 
-    // Conservation: rebuild the decided execution, re-run it through the
-    // public machine model, and shadow-replay every schedule.
-    checks += 1;
+    // Conservation and timeline shadow: rebuild the decided execution,
+    // re-run it through the public machine model, and shadow-replay every
+    // schedule's residency and timelines (two checks).
+    checks += 2;
     violations.extend(check_decision_conservation(
         case,
         &ref_decision,
@@ -445,7 +452,7 @@ fn spec_candidates(case: &AuditCase) -> Vec<LayerDecision> {
 }
 
 /// Every spec candidate of `case`, rebuilt as materialised schedules and
-/// run through the cycle engine, in index order. Partition counts are
+/// run through [`Engine::run`], in index order. Partition counts are
 /// those the split actually produced, as the pipeline records them.
 fn oracle_candidates(case: &AuditCase) -> Vec<(LayerDecision, SimReport)> {
     spec_candidates(case)
@@ -485,7 +492,7 @@ fn check_selection_oracle(
         seed: case.seed,
         check: "selection-oracle",
         detail: format!(
-            "pipeline chose {decision:?} at {} cycles; the engine's minimum over {} candidates is \
+            "pipeline chose {decision:?} at {} cycles; Engine::run's minimum over {} candidates is \
              {want_decision:?} at {} cycles",
             report.cycles,
             candidates.len(),
@@ -494,16 +501,20 @@ fn check_selection_oracle(
     })
 }
 
-/// Cross-check the analytic engine against the cycle engine on the
-/// decided order's unpartitioned emission:
+/// Cross-check the two analytic tiers on the decided order's
+/// unpartitioned emission:
 ///
-/// * the [`AnalyticCollector`] replay must be tagged [`Exactness::Exact`]
-///   and reproduce [`Engine::run`]'s [`SimReport`] bit for bit (including
-///   the float-derived cycle counts);
+/// * builder-sink emission against materialised-schedule emission: an
+///   [`AnalyticCollector`] the builder emits into directly (registered
+///   grids, arithmetic tile ids) must replay tagged [`Exactness::Exact`]
+///   and reproduce, bit for bit, [`Engine::run`] on the materialised
+///   [`Schedule`], which re-collects it with
+///   [`AnalyticCollector::from_schedule`]. Both share one replay, whose
+///   timing the `timeline-shadow` check covers independently;
 /// * the closed-form [`backward_emission_bound`] must be admissible field
 ///   by field: compute cycles, op/MAC counts and SPM bytes exact; cycles,
-///   memory cycles, misses and per-class traffic never above the engine's;
-///   hits never below.
+///   memory cycles, misses and per-class traffic never above the exact
+///   report's; hits never below.
 fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     let mut violations = Vec::new();
     let fail = |check: &'static str, detail: String| Violation {
@@ -533,7 +544,10 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
     if replayed.report != report {
         violations.push(fail(
             "analytic-replay",
-            format!("replay {:?} != engine {report:?}", replayed.report),
+            format!(
+                "builder-sink replay {:?} != materialised-schedule run {report:?}",
+                replayed.report
+            ),
         ));
     }
 
@@ -558,7 +572,7 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
         if got != want {
             violations.push(fail(
                 "analytic-bound-exact-field",
-                format!("bound {name} {got} != engine {want}"),
+                format!("bound {name} {got} != exact {want}"),
             ));
         }
     }
@@ -583,7 +597,7 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
         if got > limit {
             violations.push(fail(
                 "analytic-bound-admissible",
-                format!("bound {name} {got} exceeds engine {limit}"),
+                format!("bound {name} {got} exceeds exact {limit}"),
             ));
         }
     }
@@ -591,7 +605,7 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
         violations.push(fail(
             "analytic-bound-admissible",
             format!(
-                "bound hits {} below engine hits {}",
+                "bound hits {} below exact hits {}",
                 bound.spm_hits, report.spm_hits
             ),
         ));
@@ -780,7 +794,7 @@ fn check_decision_conservation(
         });
     }
 
-    // Chained segments are shadowed as the one stream the engine runs.
+    // Chained segments are shadowed as the one stream each core runs.
     for s in &exec.into_core_streams() {
         let engine_report = Engine::new(&case.config).run(s);
         violations.extend(check_report_conservation(
@@ -808,11 +822,16 @@ fn recorded_replay<R: Recorder>(schedule: &Schedule, engine: &Engine, recorder: 
 const AUDIT_DY_POINTS: usize = 8;
 
 /// Shadow-replay `schedule` against an independent [`OptCache`] model and
-/// verify that `report` respects every engine/SPM conservation invariant:
-/// `hits + misses == accesses`, residency never exceeds capacity, every
-/// spilled-accumulator re-fetch is preceded by a write-back of that tile,
-/// per-class traffic matches the shadow replay, and total DRAM traffic
-/// equals the sum of fetched, written-back and streamed bytes. The
+/// verify that `report` respects every timing and SPM conservation
+/// invariant: `hits + misses == accesses`, residency never exceeds
+/// capacity, every spilled-accumulator re-fetch is preceded by a
+/// write-back of that tile, per-class traffic matches the shadow replay,
+/// and total DRAM traffic equals the sum of fetched, written-back and
+/// streamed bytes. The shadow also advances its own memory and compute
+/// timelines — per-op fetched and written-back bytes with one burst per
+/// fetch, stream ops, barrier flushes that sync memory to compute, and the
+/// final flush — and must match the report's cycles, compute and memory
+/// cycles, op, MAC and SPM-byte counts (`timeline-shadow`). The
 /// schedule is additionally replayed with an [`EventLog`] recorder and the
 /// recorded `Access` events (kind and post-access occupancy) must agree
 /// with the shadow replay access by access; the [`RunMetrics`] streamed
@@ -833,37 +852,18 @@ pub fn check_report_conservation(
     let mut violations = Vec::new();
     let engine = Engine::new(config);
 
-    // Flatten the access stream exactly as the engine does: gemm reads
-    // then the optional accumulator touch; barriers occupy one slot so
-    // stream positions line up; stream ops contribute no tile accesses.
-    enum Slot {
-        Barrier,
-        Tile {
-            key: TileKey,
-            bytes: u64,
-            dirty: bool,
-        },
-    }
-    let mut slots: Vec<Slot> = Vec::new();
+    // Flatten the access stream into `(key, bytes, dirty)` slots: gemm
+    // reads then the optional accumulator touch; barriers occupy one
+    // `None` slot so stream positions line up; stream ops contribute no
+    // tile accesses.
+    let mut slots: Vec<Option<(TileKey, u64, bool)>> = Vec::new();
     for op in schedule.ops() {
         match op {
             ScheduleOp::Gemm(g) => {
-                for r in &g.reads {
-                    slots.push(Slot::Tile {
-                        key: r.key,
-                        bytes: r.bytes,
-                        dirty: false,
-                    });
-                }
-                if let Some(a) = &g.acc {
-                    slots.push(Slot::Tile {
-                        key: a.key,
-                        bytes: a.bytes,
-                        dirty: true,
-                    });
-                }
+                slots.extend(g.reads.iter().map(|r| Some((r.key, r.bytes, false))));
+                slots.extend(g.acc.iter().map(|a| Some((a.key, a.bytes, true))));
             }
-            ScheduleOp::Barrier => slots.push(Slot::Barrier),
+            ScheduleOp::Barrier => slots.push(None),
             ScheduleOp::Stream(_) => {}
         }
     }
@@ -874,8 +874,8 @@ pub fn check_report_conservation(
     let mut last_seen: HashMap<TileKey, usize> = HashMap::new();
     for pos in (0..slots.len()).rev() {
         match &slots[pos] {
-            Slot::Barrier => last_seen.clear(),
-            Slot::Tile { key, .. } => {
+            None => last_seen.clear(),
+            Some((key, ..)) => {
                 if let Some(&later) = last_seen.get(key) {
                     next_use[pos] = later;
                 }
@@ -893,9 +893,8 @@ pub fn check_report_conservation(
     // as a `streamed-metrics` one.
     let dy_accesses = slots
         .iter()
-        .filter(|s| {
-            matches!(s, Slot::Tile { key, .. } if schedule.class_of(key.tensor) == TensorClass::OutGrad)
-        })
+        .flatten()
+        .filter(|(key, ..)| schedule.class_of(key.tensor) == TensorClass::OutGrad)
         .count() as u64;
     let mut recorders = (
         EventLog::new(),
@@ -927,19 +926,28 @@ pub fn check_report_conservation(
     let mut per_class = [(0u64, 0u64); 7];
     let mut written_back: HashSet<TileKey> = HashSet::new();
     let mut capacity_ok = true;
+    // The shadow's own timelines, in the machine model's float order.
+    let bytes_per_cycle = engine.bytes_per_cycle();
+    let burst_latency = engine.burst_latency();
+    let (mut mem_free, mut compute_free, mut mem_busy) = (0.0f64, 0.0f64, 0.0f64);
+    let mut timing = SimReport::default();
     let mut pos = 0usize;
-    for op in schedule.ops() {
+    // The schedule ends with a final flush, shadowed as one more barrier:
+    // the memory-compute sync it adds cannot move the makespan.
+    let end = ScheduleOp::Barrier;
+    for op in schedule.ops().iter().chain(std::iter::once(&end)) {
         match op {
             ScheduleOp::Gemm(g) => {
                 let n_accesses = g.reads.len() + usize::from(g.acc.is_some());
+                let (mut op_bytes, mut bursts) = (0u64, 0u64);
                 for _ in 0..n_accesses {
-                    let (key, bytes, dirty) = match slots[pos] {
-                        Slot::Tile { key, bytes, dirty } => (key, bytes, dirty),
-                        Slot::Barrier => unreachable!("gemm slots are never barriers"),
-                    };
+                    let (key, bytes, dirty) = slots[pos].expect("gemm slots are never barriers");
                     let out = cache.access(key, bytes, dirty, next_use[pos]);
                     pos += 1;
                     accesses += 1;
+                    timing.spm_bytes_touched += bytes;
+                    op_bytes += out.fetched_bytes + out.writeback_bytes();
+                    bursts += u64::from(out.fetched_bytes > 0);
                     let class = &mut per_class[schedule.class_of(key.tensor).index()];
                     class.0 += 1;
                     class.1 += u64::from(out.hit);
@@ -987,6 +995,20 @@ pub fn check_report_conservation(
                         capacity_ok = false;
                     }
                 }
+                // Memory runs ahead in op order; the op issues once the
+                // array is free and, if it moved data, the data has landed.
+                if op_bytes > 0 {
+                    let t =
+                        op_bytes as f64 / bytes_per_cycle + (bursts.max(1) * burst_latency) as f64;
+                    mem_free += t;
+                    mem_busy += t;
+                }
+                let cycles = engine.systolic().tile_cycles(g.compute);
+                let data_ready = if op_bytes > 0 { mem_free } else { 0.0 };
+                compute_free = compute_free.max(data_ready) + cycles as f64;
+                timing.compute_cycles += cycles;
+                timing.gemm_ops += 1;
+                timing.macs += g.macs();
             }
             ScheduleOp::Stream(st) => {
                 if st.read_bytes > 0 {
@@ -995,22 +1017,62 @@ pub fn check_report_conservation(
                 if st.write_bytes > 0 {
                     traffic.add_write(st.class, st.write_bytes);
                 }
-                moved_bytes += st.read_bytes + st.write_bytes;
+                let bytes = st.read_bytes + st.write_bytes;
+                moved_bytes += bytes;
+                if bytes > 0 {
+                    let t = bytes as f64 / bytes_per_cycle + burst_latency as f64;
+                    mem_free += t;
+                    mem_busy += t;
+                }
             }
             ScheduleOp::Barrier => {
                 pos += 1;
-                for (k, b) in cache.flush() {
+                let flushed = cache.flush();
+                for &(k, b) in &flushed {
                     traffic.add_write(schedule.class_of(k.tensor), b);
                     moved_bytes += b;
                     written_back.insert(k);
                 }
+                if !flushed.is_empty() {
+                    let bytes: u64 = flushed.iter().map(|&(_, b)| b).sum();
+                    let t = bytes as f64 / bytes_per_cycle + burst_latency as f64;
+                    mem_free += t;
+                    mem_busy += t;
+                }
                 cache.clear();
+                // The next kernel's loads wait for this kernel's compute.
+                mem_free = mem_free.max(compute_free);
             }
         }
     }
-    for (k, b) in cache.flush() {
-        traffic.add_write(schedule.class_of(k.tensor), b);
-        moved_bytes += b;
+    timing.cycles = mem_free.max(compute_free).ceil() as u64;
+    timing.mem_cycles = mem_busy.ceil() as u64;
+    let mismatched: Vec<String> = [
+        ("cycles", timing.cycles, report.cycles),
+        (
+            "compute_cycles",
+            timing.compute_cycles,
+            report.compute_cycles,
+        ),
+        ("mem_cycles", timing.mem_cycles, report.mem_cycles),
+        ("gemm_ops", timing.gemm_ops, report.gemm_ops),
+        ("macs", timing.macs, report.macs),
+        (
+            "spm_bytes_touched",
+            timing.spm_bytes_touched,
+            report.spm_bytes_touched,
+        ),
+    ]
+    .iter()
+    .filter(|(_, shadow, got)| shadow != got)
+    .map(|(name, shadow, got)| format!("{name}: shadow {shadow}, report {got}"))
+    .collect();
+    if !mismatched.is_empty() {
+        violations.push(Violation {
+            seed,
+            check: "timeline-shadow",
+            detail: mismatched.join("; "),
+        });
     }
 
     if recorded.len() as u64 != accesses && replay_diverged.is_none() {
@@ -1265,6 +1327,21 @@ mod tests {
             violations.iter().any(|v| v.check == "traffic-total"),
             "{violations:?}"
         );
+    }
+
+    #[test]
+    fn injected_timeline_bug_is_caught() {
+        let (s, config) = sample_schedule();
+        let mut report = Engine::new(&config).run(&s);
+        // Deliberately skew both timelines by one cycle.
+        report.cycles += 1;
+        report.mem_cycles += 1;
+        let violations = check_report_conservation(&s, &config, &report, 0);
+        let shadow = violations
+            .iter()
+            .find(|v| v.check == "timeline-shadow")
+            .unwrap_or_else(|| panic!("{violations:?}"));
+        assert!(shadow.detail.contains("mem_cycles"), "{}", shadow.detail);
     }
 
     #[test]

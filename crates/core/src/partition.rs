@@ -350,7 +350,7 @@ impl DecidedBackward {
         }
     }
 
-    /// Run the execution through the cycle engine: [`Engine::run`],
+    /// Run the execution through the machine model: [`Engine::run`],
     /// [`run_sequential_partitions`] or [`run_multicore`], combined into
     /// one report.
     pub fn run(&self, config: &NpuConfig) -> SimReport {

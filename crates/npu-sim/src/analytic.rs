@@ -1,35 +1,33 @@
-//! Closed-form / fast-replay analytical model of the cycle engine.
+//! The simulator's one timeline: the collected-stream replay, plus the
+//! closed-form bounds that prune candidates before it runs.
 //!
 //! Design-space sweeps dominate simulator usage (SCALE-Sim ships an
 //! analytical estimation mode next to its cycle-accurate one for exactly
-//! this reason), and most of the cycle engine's per-layer cost is
-//! *mechanical*: materialising a [`crate::Schedule`] (one heap-allocated
-//! [`crate::TileOp`] per tile GEMM), interning every tile access through a
-//! hash map, and only then walking the timelines. This module removes that
-//! overhead in two tiers, each tagged with an explicit [`Exactness`]:
+//! this reason), and much of a cycle simulation's cost is *mechanical*:
+//! materialising a [`crate::Schedule`] (one heap-allocated
+//! [`crate::TileOp`] per tile GEMM) and interning every tile access through
+//! a hash map. This module avoids that overhead in two tiers, each tagged
+//! with an explicit [`Exactness`]:
 //!
 //! * **[`Exactness::Exact`] — allocation-free replay.** An
 //!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
-//!   builders emit the *identical* op stream into flat buffers — 8 bytes
-//!   per tile access and per op, with GEMM shapes and stream ops
-//!   interned in side tables — with tile ids computed arithmetically from
-//!   grid coordinates (`base + r·cols + c`) instead of interned through a
-//!   hash map. Ids are numbered in `TileKey` order, so the id alone breaks
-//!   victim ties the way the engine's key does.
-//!   [`AnalyticCollector::replay`] then advances the same two timelines as
-//!   [`crate::Engine::run`], in the same floating-point operation order,
-//!   over a Belady replacement model ([`ReplayOptCache`]) whose eviction
-//!   decisions are provably identical to [`crate::opt::DenseOptCache`]'s
-//!   (same `(next_use, TileKey)` victim ordering, same bypass rule, same
-//!   write-back accounting) but implemented with a position-indexed victim
-//!   bitset instead of a `BTreeSet`. The resulting [`SimReport`] is
-//!   bit-identical to the engine's — fuzz-asserted in `core::audit`.
+//!   builders emit the op stream into flat buffers — 8 bytes per tile
+//!   access and per op, with GEMM shapes and stream ops interned in side
+//!   tables — with tile ids computed arithmetically from grid coordinates
+//!   (`base + r·cols + c`) instead of interned through a hash map. Ids are
+//!   numbered in `TileKey` order, so the id alone breaks victim ties in
+//!   `(next_use, TileKey)` order.
+//!   [`AnalyticCollector::replay`] advances the memory and compute
+//!   timelines of the [`Engine`]'s machine model (see [`crate::engine`])
+//!   over a residency model: Belady's OPT (`ReplayOptCache`, a
+//!   position-indexed victim bitset) or, for the LRU ablation,
+//!   [`crate::SpmCache`] keyed by dense id. [`Engine::run`] is
+//!   [`AnalyticCollector::from_schedule`] plus this replay, and
+//!   `core::audit` checks it against an independent shadow (the
+//!   `BTreeMap`-based [`crate::OptCache`] with its own timelines).
 //!   [`AnalyticCollector::replay_recorded`] is the same loop with an event
-//!   [`Recorder`] attached — the only recorder hook in the workspace. It
-//!   emits the events the engine would emit on the materialised schedule,
-//!   and with [`NullRecorder`] it compiles to the unrecorded replay.
-//!   [`AnalyticCollector::from_schedule`] collects a materialised
-//!   schedule, so any schedule can be replayed, recorded or not.
+//!   [`Recorder`] attached — the only recorder hook in the workspace — and
+//!   with [`NullRecorder`] it compiles to the unrecorded replay.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
@@ -41,7 +39,7 @@
 //!   per-burst latency floor, and optional *capacity window* terms (for any
 //!   contiguous access window, bytes touched beyond the SPM capacity must
 //!   be transferred — the partial-result spill floor of the fused orders).
-//!   Every field is provably on the optimistic side of the engine's report;
+//!   Every field is provably on the optimistic side of the exact report;
 //!   the audit asserts admissibility case by case.
 //!
 //! The per-order composition of these pieces (which tensors live in which
@@ -51,19 +49,20 @@
 
 use crate::engine::{Engine, Replacement};
 use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, StreamShape, TraceEvent};
+use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How an analytic result relates to the cycle engine's report.
+/// How an analytic result relates to the exact report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Exactness {
     /// Bit-identical to [`Engine::run`] on the same op stream.
     Exact,
-    /// Admissible: cycles, traffic and miss count never exceed the
-    /// engine's; hit count never falls below it; compute cycles, op and
+    /// Admissible: cycles, traffic and miss count never exceed the exact
+    /// report's; hit count never falls below it; compute cycles, op and
     /// MAC counts are exact.
     LowerBound,
 }
@@ -73,22 +72,22 @@ pub enum Exactness {
 pub struct AnalyticReport {
     /// The estimated (or exact) simulation report.
     pub report: SimReport,
-    /// How `report` relates to the engine's.
+    /// How `report` relates to the exact report.
     pub exactness: Exactness,
 }
 
-/// Process-wide count of analytic replays, the fast-path twin of
-/// [`crate::engine_run_count`]: a replay is a full evaluation of a layer
-/// schedule that did *not* consume an engine run.
+/// Process-wide count of analytic replays, the twin of
+/// [`crate::engine_run_count`]: a replay of a collected stream that did
+/// *not* come from [`Engine::run`].
 static ANALYTIC_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Total [`AnalyticCollector::replay`] invocations so far in this process.
+/// Total [`AnalyticCollector::replay_recorded`] invocations (and so of its
+/// unrecorded wrappers) so far in this process.
 pub fn analytic_run_count() -> u64 {
     ANALYTIC_RUNS.load(Ordering::Relaxed)
 }
 
-/// Sentinel dense id marking a kernel boundary in the collected stream
-/// (mirrors the engine's flattened-stream sentinel).
+/// Sentinel dense id marking a kernel boundary in the collected stream.
 const BARRIER_ID: u32 = u32::MAX;
 
 /// Flag bit of [`AccessRec::bytes_dirty`] marking an accumulator touch.
@@ -316,8 +315,13 @@ impl AnalyticCollector {
 
     /// Collect a materialised [`Schedule`]: one pass registers each tensor
     /// as the grid spanned by its largest tile row and column, a second
-    /// re-emits the ops. Replaying the result is bit-identical to
-    /// [`Engine::run`] on `schedule`.
+    /// re-emits the ops. Replaying the result is [`Engine::run`] on
+    /// `schedule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tile access of 2 GiB or more, a tile op with 2^16 or
+    /// more accesses, or a tile registry reaching [`REPLAY_ID_LIMIT`].
     pub fn from_schedule(schedule: &Schedule) -> Self {
         let mut extents: Vec<Option<(u32, u32)>> = vec![None; schedule.num_tensors()];
         for op in schedule.ops() {
@@ -445,11 +449,63 @@ struct ReplaySlot {
     spilled: bool,
 }
 
-/// Belady replacement with eviction decisions identical to
-/// [`crate::opt::DenseOptCache`] but backed by a position-indexed victim
-/// bitset instead of an ordered set.
+/// The SPM residency model the replay's timeline runs on, statically
+/// dispatched like [`Recorder`]: [`ReplayOptCache`] (Belady, the default)
+/// or [`crate::SpmCache`] keyed by dense tile id (the LRU ablation).
+/// Tiles are the dense ids of a sealed [`AnalyticCollector`]; dirty tiles
+/// an access evicts or a flush writes back land in `writebacks` as
+/// `(id, bytes)`.
+pub(crate) trait Residency {
+    /// Prepare for a run over `num_tiles` dense ids and a stream of
+    /// `stream_len` entries, with `capacity` bytes of residency.
+    fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize);
+
+    /// Access tile `id` (`dirty` marks accumulator touches), whose next
+    /// use in its barrier region is stream position `next_use` (`u32::MAX`
+    /// if none). Returns the bytes fetched from DRAM.
+    fn access(
+        &mut self,
+        id: u32,
+        bytes: u32,
+        dirty: bool,
+        next_use: u32,
+        writebacks: &mut Vec<(u32, u64)>,
+    ) -> u64;
+
+    /// [`Self::access`] in a barrier region whose distinct-tile footprint
+    /// fits in capacity, where no eviction can fire.
+    #[inline]
+    fn access_unbounded(
+        &mut self,
+        id: u32,
+        bytes: u32,
+        dirty: bool,
+        writebacks: &mut Vec<(u32, u64)>,
+    ) -> u64 {
+        self.access(id, bytes, dirty, NO_USE, writebacks)
+    }
+
+    /// Write every dirty resident back; they stay resident but clean.
+    fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>);
+
+    /// Drop all residency and forget spill history (kernel boundary).
+    fn clear(&mut self);
+
+    /// Hits so far.
+    fn hits(&self) -> u64;
+
+    /// Misses so far.
+    fn misses(&self) -> u64;
+
+    /// Bytes currently resident.
+    fn used(&self) -> u64;
+}
+
+/// Belady replacement backed by a position-indexed victim bitset. Its
+/// decisions are those of [`crate::OptCache`], the `BTreeMap` model the
+/// audit shadows every run with.
 ///
-/// The `BTreeSet` variant pays two ordered-set operations per *hit*
+/// An ordered-set model pays two ordered-set operations per *hit*
 /// (remove the old `(next_use, key)` entry, insert the new one). The key
 /// observation here is that a next-use value is a *stream position*, and
 /// any position is the next use of at most one tile — so "resident tile
@@ -459,10 +515,9 @@ struct ReplaySlot {
 /// position and are tie-broken by tile key, exactly matching the ordered
 /// set's `(next_use, key)` maximum — they sit in a small max-heap of tile
 /// ids, which a sealed [`AnalyticCollector`] numbers in key order. Victim
-/// selection — including the bypass rule — is therefore bit-identical to
-/// `DenseOptCache`'s.
+/// selection — including the bypass rule — is therefore `OptCache`'s.
 #[derive(Debug, Default)]
-pub struct ReplayOptCache {
+pub(crate) struct ReplayOptCache {
     capacity: u64,
     used: u64,
     slots: Vec<ReplaySlot>,
@@ -483,42 +538,6 @@ pub struct ReplayOptCache {
 }
 
 impl ReplayOptCache {
-    /// Prepare for a run over `num_tiles` dense ids with `capacity` bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize) {
-        assert!(capacity > 0, "SPM residency capacity must be positive");
-        self.capacity = capacity;
-        self.used = 0;
-        self.slots.clear();
-        self.slots.resize(num_tiles, ReplaySlot::default());
-        self.live_bits.clear();
-        self.live_bits.resize(stream_len.div_ceil(64), 0);
-        // Stale contents are fine — entries are read only under a set bit.
-        self.by_next_use.resize(stream_len, 0);
-        self.dead.clear();
-        self.max_hint = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Bytes currently resident.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// Register `pos` as the next use of resident tile `id`.
     #[inline]
     fn set_live(&mut self, pos: u32, id: u32) {
@@ -571,14 +590,35 @@ impl ReplayOptCache {
             victim.spilled = true;
         }
     }
+}
 
-    /// Access tile `id`; semantics identical to `DenseOptCache::access`
-    /// when ids are numbered in `TileKey` order.
+/// OPT residency: with ids numbered in `TileKey` order, every access,
+/// flush and clear decides as [`crate::OptCache`] does.
+impl Residency for ReplayOptCache {
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize) {
+        assert!(capacity > 0, "SPM residency capacity must be positive");
+        self.capacity = capacity;
+        self.used = 0;
+        self.slots.clear();
+        self.slots.resize(num_tiles, ReplaySlot::default());
+        self.live_bits.clear();
+        self.live_bits.resize(stream_len.div_ceil(64), 0);
+        // Stale contents are fine — entries are read only under a set bit.
+        self.by_next_use.resize(stream_len, 0);
+        self.dead.clear();
+        self.max_hint = 0;
+        self.hits = 0;
+        self.misses = 0;
+    }
+
     // `#[inline]` here and on `access_unbounded`: `replay_recorded` is also
     // instantiated in other crates, so these per-access calls are exported
     // and would otherwise not be inlined into the unrecorded loop either.
     #[inline]
-    pub fn access(
+    fn access(
         &mut self,
         id: u32,
         bytes: u32,
@@ -646,9 +686,9 @@ impl ReplayOptCache {
         fetched
     }
 
-    /// [`Self::access`] specialised to a barrier region whose distinct-tile
-    /// footprint fits in `capacity`: no eviction can ever fire (residency
-    /// grows monotonically and tops out at the footprint), so the next-use
+    /// Specialised to a barrier region whose distinct-tile footprint fits
+    /// in `capacity`: no eviction can ever fire (residency grows
+    /// monotonically and tops out at the footprint), so the next-use
     /// oracle, the victim index, and all capacity checks are dead weight —
     /// a first touch admits unconditionally and every later touch is a
     /// hit. The victim index is left untouched; the barrier `clear` that
@@ -656,7 +696,13 @@ impl ReplayOptCache {
     /// observe it. `used` still grows with each admission, so recorded
     /// occupancy is right in regions that fit.
     #[inline]
-    fn access_unbounded(&mut self, id: u32, bytes: u32, dirty: bool) -> u64 {
+    fn access_unbounded(
+        &mut self,
+        id: u32,
+        bytes: u32,
+        dirty: bool,
+        _writebacks: &mut Vec<(u32, u64)>,
+    ) -> u64 {
         let slot = &mut self.slots[id as usize];
         if slot.resident {
             slot.dirty |= dirty;
@@ -677,12 +723,10 @@ impl ReplayOptCache {
         }
     }
 
-    /// Drop all residency and forget spill history (kernel boundary).
-    ///
     /// The victim bitset needs no reset: the next-use oracle never chains
     /// across a barrier, so every resident's final pre-barrier access
     /// already retired its registration (and moved it to `dead`).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         for slot in &mut self.slots {
             *slot = ReplaySlot {
                 next_use: slot.next_use,
@@ -698,11 +742,8 @@ impl ReplayOptCache {
         self.used = 0;
     }
 
-    /// Flush all dirty residents into `writebacks` (they stay resident but
-    /// become clean). Write-back *order* differs from `DenseOptCache`
-    /// (dense-id order instead of eviction order) — irrelevant to the
-    /// report, whose flush accounting is a commutative sum.
-    pub fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
+    /// Write-backs come in dense-id order, which is tile-key order.
+    fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
         for (id, slot) in self.slots.iter_mut().enumerate() {
             if slot.resident && slot.dirty {
                 writebacks.push((id as u32, slot.bytes as u64));
@@ -711,12 +752,32 @@ impl ReplayOptCache {
             }
         }
     }
+
+    fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
 }
 
-/// Reusable replay working memory (next-use oracle, write-back buffer,
-/// replacement state) — the analytic twin of [`crate::EngineScratch`].
+/// Reusable replay working memory: the timeline's buffers and the OPT
+/// residency state.
 #[derive(Debug, Default)]
 pub struct AnalyticScratch {
+    timeline: TimelineScratch,
+    opt: ReplayOptCache,
+}
+
+/// The residency-independent buffers of one replay (next-use oracle,
+/// write-back buffer, per-region floors).
+#[derive(Debug, Default)]
+struct TimelineScratch {
     next_use: Vec<u32>,
     last_seen: Vec<u32>,
     writebacks: Vec<(u32, u64)>,
@@ -737,7 +798,6 @@ pub struct AnalyticScratch {
     region_mem_suffix: Vec<f64>,
     /// Systolic cycles of each of the collector's tile-GEMM shapes.
     shape_cycles: Vec<u64>,
-    opt: ReplayOptCache,
 }
 
 impl AnalyticScratch {
@@ -748,18 +808,11 @@ impl AnalyticScratch {
 }
 
 impl AnalyticCollector {
-    /// Replay the collected op stream against `engine`'s machine model and
-    /// return the report, tagged [`Exactness::Exact`]: the timelines are
-    /// advanced by the same floating-point operations in the same order as
-    /// [`Engine::run`], and the replacement model makes identical
-    /// decisions, so the report is bit-identical to running the engine on
-    /// the materialised [`crate::Schedule`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engine` is configured with LRU replacement — the replay
-    /// models the compiler-managed (Belady) SPM only; callers must fall
-    /// back to [`Engine::run`] for the LRU ablation.
+    /// Replay the collected op stream against `engine`'s machine model
+    /// (systolic array, bandwidth, burst latency, residency and
+    /// replacement policy) and return the report, tagged
+    /// [`Exactness::Exact`]: it is [`Engine::run`]'s report on the
+    /// materialised [`crate::Schedule`].
     pub fn replay(&self, engine: &Engine, scratch: &mut AnalyticScratch) -> AnalyticReport {
         self.replay_bounded(engine, scratch, None)
             .expect("unbounded replay always completes")
@@ -789,13 +842,14 @@ impl AnalyticCollector {
     /// [`Self::replay_bounded`] with an event [`Recorder`] attached: the
     /// one place a recorder hooks into a run.
     ///
-    /// The events are those of the cycle engine on the materialised
-    /// schedule — same kinds, op indices and cycle stamps; flush
-    /// write-backs come in tile-key order — and the report is
-    /// bit-identical to the unrecorded replay: recording sites only
-    /// observe the timelines and the residency model, never steer them.
-    /// Every site sits under `if R::ENABLED`, so with [`NullRecorder`]
-    /// this compiles to the unrecorded loop.
+    /// The events carry op indices of the materialised schedule and the
+    /// timelines' cycle stamps; under OPT, flush write-backs come in
+    /// tile-key order. The report is bit-identical to the unrecorded
+    /// replay: recording sites only observe the timelines and the
+    /// residency model, never steer them. Every site sits under
+    /// `if R::ENABLED`, so with [`NullRecorder`] this compiles to the
+    /// unrecorded loop. Counts one analytic run
+    /// ([`analytic_run_count`]).
     pub fn replay_recorded<R: Recorder>(
         &self,
         engine: &Engine,
@@ -803,17 +857,45 @@ impl AnalyticCollector {
         cutoff: Option<u64>,
         recorder: &mut R,
     ) -> Option<AnalyticReport> {
-        assert_eq!(
-            engine.replacement(),
-            Replacement::Opt,
-            "analytic replay models OPT replacement only"
-        );
+        ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
+        self.run_timeline(engine, scratch, cutoff, recorder)
+    }
+
+    /// [`Self::replay_recorded`] without the run count — the body of
+    /// [`Engine::run`] too. Picks the residency model for `engine`'s
+    /// replacement policy.
+    pub(crate) fn run_timeline<R: Recorder>(
+        &self,
+        engine: &Engine,
+        scratch: &mut AnalyticScratch,
+        cutoff: Option<u64>,
+        recorder: &mut R,
+    ) -> Option<AnalyticReport> {
+        let timeline = &mut scratch.timeline;
+        match engine.replacement() {
+            Replacement::Opt => self.timeline(engine, timeline, &mut scratch.opt, cutoff, recorder),
+            Replacement::Lru => {
+                let mut lru = SpmCache::<u32>::new(engine.residency_bytes());
+                self.timeline(engine, timeline, &mut lru, cutoff, recorder)
+            }
+        }
+    }
+
+    /// The replay loop over residency model `cache`, monomorphised per
+    /// model so the OPT loop pays nothing for the LRU ablation.
+    fn timeline<R: Recorder, C: Residency>(
+        &self,
+        engine: &Engine,
+        scratch: &mut TimelineScratch,
+        cache: &mut C,
+        cutoff: Option<u64>,
+        recorder: &mut R,
+    ) -> Option<AnalyticReport> {
         assert!(
             (self.stream.len() as u64) < REPLAY_ID_LIMIT,
             "access stream overflows the u32 position space"
         );
-        ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
-        let AnalyticScratch {
+        let TimelineScratch {
             next_use,
             last_seen,
             writebacks,
@@ -823,14 +905,12 @@ impl AnalyticCollector {
             region_floor,
             region_mem_suffix,
             shape_cycles,
-            opt,
         } = scratch;
         writebacks.clear();
         let capacity = engine.residency_bytes();
 
-        // Next-use oracle over the collected stream: identical back-scan to
-        // the engine's (barrier sentinels cut reuse), over dense ids that
-        // were computed arithmetically instead of interned. The same scan
+        // Next-use oracle over the collected stream: a back-scan over dense
+        // ids in which barrier sentinels cut reuse. The same scan
         // sums each region's distinct-tile footprint (a tile's bytes are
         // counted at its last use in the region) to decide per region
         // whether the no-eviction access path applies, and an admissible
@@ -949,7 +1029,7 @@ impl AnalyticCollector {
             }
         }
 
-        opt.reset(capacity, self.dense_class.len(), self.stream.len());
+        cache.reset(capacity, self.dense_class.len(), self.stream.len());
 
         let mut traffic = Traffic::new();
         let mut mem_free: f64 = 0.0;
@@ -986,11 +1066,11 @@ impl AnalyticCollector {
                         let bytes = a.bytes_dirty & BYTES_MASK;
                         let dirty = a.bytes_dirty & DIRTY_BIT != 0;
                         spm_bytes_touched += bytes as u64;
-                        let hits_before = if R::ENABLED { opt.hits() } else { 0 };
+                        let hits_before = if R::ENABLED { cache.hits() } else { 0 };
                         let got = if fits {
-                            opt.access_unbounded(a.id, bytes, dirty)
+                            cache.access_unbounded(a.id, bytes, dirty, writebacks)
                         } else {
-                            opt.access(a.id, bytes, dirty, nu, writebacks)
+                            cache.access(a.id, bytes, dirty, nu, writebacks)
                         };
                         if got > 0 {
                             traffic.add_read(self.dense_class[a.id as usize], got);
@@ -998,7 +1078,7 @@ impl AnalyticCollector {
                             bursts += 1;
                         }
                         if R::ENABLED {
-                            let kind = if opt.hits() > hits_before {
+                            let kind = if cache.hits() > hits_before {
                                 AccessKind::Hit
                             } else if got > 0 {
                                 AccessKind::Fetch
@@ -1012,7 +1092,7 @@ impl AnalyticCollector {
                                 bytes: bytes as u64,
                                 kind,
                                 cycle: op_mem_start,
-                                occupancy: opt.used(),
+                                occupancy: cache.used(),
                             });
                         }
                         if !writebacks.is_empty() {
@@ -1114,7 +1194,7 @@ impl AnalyticCollector {
                     }
                 }
                 OpRec::Barrier => {
-                    opt.flush(writebacks);
+                    cache.flush(writebacks);
                     if !writebacks.is_empty() {
                         if R::ENABLED {
                             self.record_flush(op_idx, mem_free, writebacks, recorder);
@@ -1128,7 +1208,7 @@ impl AnalyticCollector {
                         mem_free += mem_time;
                         mem_busy_total += mem_time;
                     }
-                    opt.clear();
+                    cache.clear();
                     mem_free = mem_free.max(compute_free);
                     if R::ENABLED {
                         recorder.record(TraceEvent::Barrier {
@@ -1146,7 +1226,7 @@ impl AnalyticCollector {
         // Final flush of remaining dirty accumulators. Recorded events
         // attribute it to a synthetic op index one past the last op.
         let end_op = self.ops.len() as u32;
-        opt.flush(writebacks);
+        cache.flush(writebacks);
         if !writebacks.is_empty() {
             if R::ENABLED {
                 self.record_flush(end_op, mem_free, writebacks, recorder);
@@ -1176,8 +1256,8 @@ impl AnalyticCollector {
                 compute_cycles: compute_cycles_total,
                 mem_cycles: mem_busy_total.ceil() as u64,
                 traffic,
-                spm_hits: opt.hits(),
-                spm_misses: opt.misses(),
+                spm_hits: cache.hits(),
+                spm_misses: cache.misses(),
                 gemm_ops,
                 macs,
                 spm_bytes_touched,
@@ -1186,10 +1266,8 @@ impl AnalyticCollector {
         })
     }
 
-    /// Record a flush's write-backs, stamped `mem_free` (the flush start).
-    /// A flush emits them in dense-id order, which is tile-key order — the
-    /// order the engine's ordered residency set flushes in, since every
-    /// resident is dead at a flush.
+    /// Record a flush's write-backs, stamped `mem_free` (the flush start),
+    /// in the order the residency model flushed them.
     fn record_flush<R: Recorder>(
         &self,
         op: u32,

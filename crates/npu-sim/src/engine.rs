@@ -1,8 +1,11 @@
-//! Double-buffered tile-stream execution engine.
+//! The NPU core's machine model: a double-buffered tile-stream engine.
 //!
-//! The engine walks a [`Schedule`] op by op, resolving each named tile
-//! access against an SPM residency model to obtain the actual DRAM
-//! traffic, and advances two timelines:
+//! An [`Engine`] holds one core's parameters — systolic array, DRAM
+//! bandwidth share, per-burst latency, SPM residency and replacement
+//! policy. [`Engine::run`] collects a [`Schedule`] into an
+//! [`AnalyticCollector`] and replays it; that replay is the workspace's one
+//! timeline. It resolves each named tile access against an SPM residency
+//! model to obtain the actual DRAM traffic, and advances two timelines:
 //!
 //! * the **memory timeline** — the DRAM channel transfers each op's misses
 //!   (and eviction write-backs) serially, in op order, running freely
@@ -17,24 +20,20 @@
 //!
 //! Because an NPU scratchpad is *compiler-managed* and the whole schedule
 //! is known ahead of time, the default residency model is Belady's OPT
-//! ([`crate::opt::OptCache`]) over the schedule's access stream. LRU
+//! over the schedule's access stream. LRU
 //! ([`crate::SpmCache`]) is available as an ablation via
 //! [`Engine::with_replacement`].
 //!
-//! The engine is the independent, unrecorded reference: the selection
-//! loop and tracing both run the analytic replay
-//! ([`crate::AnalyticCollector`]), which carries the recorder hook, and
-//! the audit and the golden digests compare that replay against
-//! [`Engine::run`].
+//! The audit keeps an independent oracle: `core::audit` shadows every
+//! decided schedule with the `BTreeMap`-based [`crate::OptCache`] and its
+//! own two timelines, and compares the result with [`Engine::run`].
 
+use crate::analytic::{AnalyticCollector, AnalyticScratch};
 use crate::config::NpuConfig;
-use crate::opt::DenseOptCache;
-use crate::spm::SpmCache;
-use crate::stats::{SimReport, Traffic};
+use crate::recorder::NullRecorder;
+use crate::stats::SimReport;
 use crate::systolic::SystolicModel;
-use crate::trace::{Schedule, ScheduleOp, TileKey};
-use igo_tensor::TensorClass;
-use std::collections::HashMap;
+use crate::trace::Schedule;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// SPM residency policy.
@@ -53,48 +52,10 @@ pub enum Replacement {
 /// after memoization and pruning).
 static ENGINE_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Total `Engine::run`/`run_with_scratch` invocations so far in this
-/// process. Monotonic; sample before and after a workload to attribute runs.
+/// Total [`Engine::run`] invocations so far in this process. Monotonic;
+/// sample before and after a workload to attribute runs.
 pub fn engine_run_count() -> u64 {
     ENGINE_RUNS.load(Ordering::Relaxed)
-}
-
-/// Sentinel id marking a kernel boundary in the flattened access stream.
-const BARRIER_ID: u32 = u32::MAX;
-
-/// Reusable engine working memory: the flattened access stream, the interned
-/// tile-id table, the next-use oracle and the residency model's slot
-/// storage. One scratch serves any number of `run_with_scratch` calls;
-/// buffers are cleared, not reallocated, between runs, which removes every
-/// per-run heap allocation from the simulate-and-select hot loop.
-#[derive(Default)]
-pub struct EngineScratch {
-    /// TileKey → dense id, built once per run.
-    intern: HashMap<TileKey, u32>,
-    /// Dense id → TileKey (for replacement-order tie-breaking).
-    keys: Vec<TileKey>,
-    /// Dense id → traffic class, memoized from the schedule's tensor table.
-    classes: Vec<TensorClass>,
-    /// Flattened accesses: `(dense id, bytes, dirty)`; barriers appear as
-    /// `(BARRIER_ID, 0, false)` sentinels.
-    stream: Vec<(u32, u64, bool)>,
-    /// Stream position of each op's first access.
-    op_access_start: Vec<usize>,
-    /// Per-access position of the next access to the same tile.
-    next_use: Vec<usize>,
-    /// Dense id → latest stream position seen (next-use back-scan state).
-    last_seen: Vec<usize>,
-    /// Eviction write-back landing buffer, drained after every access.
-    writebacks: Vec<(u32, u64)>,
-    /// Reusable Belady replacement state.
-    opt: DenseOptCache,
-}
-
-impl EngineScratch {
-    /// A fresh scratch. Equivalent to `EngineScratch::default()`.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Executes schedules on one NPU core.
@@ -175,241 +136,24 @@ impl Engine {
         self.replacement
     }
 
-    /// Run `schedule` on a cold SPM and report. Convenience wrapper that
-    /// allocates a fresh [`EngineScratch`]; hot loops should hold one
-    /// scratch and call [`Engine::run_with_scratch`].
+    /// Run `schedule` on a cold SPM and report: collect it with
+    /// [`AnalyticCollector::from_schedule`] and replay it. Counts one
+    /// engine run ([`engine_run_count`]) and no analytic run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `schedule` exceeds the collector's limits: a tile access
+    /// of 2 GiB or more, a tile op with 2^16 or more accesses, or a tile
+    /// registry (each tensor spans the grid up to its largest tile row and
+    /// column) or access stream reaching [`crate::REPLAY_ID_LIMIT`]. Tiles
+    /// are PE-array sized, so every schedule the builders emit is far
+    /// inside them.
     pub fn run(&self, schedule: &Schedule) -> SimReport {
-        let mut scratch = EngineScratch::new();
-        self.run_with_scratch(schedule, &mut scratch)
-    }
-
-    /// Run `schedule` on a cold SPM, reusing `scratch`'s buffers.
-    pub fn run_with_scratch(&self, schedule: &Schedule, scratch: &mut EngineScratch) -> SimReport {
         ENGINE_RUNS.fetch_add(1, Ordering::Relaxed);
-        let EngineScratch {
-            intern,
-            keys,
-            classes,
-            stream,
-            op_access_start,
-            next_use,
-            last_seen,
-            writebacks,
-            opt,
-        } = scratch;
-        intern.clear();
-        keys.clear();
-        classes.clear();
-        stream.clear();
-        op_access_start.clear();
-        writebacks.clear();
-
-        // Pre-pass: flatten the access stream, interning each distinct tile
-        // to a dense id (one hash lookup per access; every later pass is
-        // pure array indexing), and record each op's first access slot.
-        // Barriers appear as sentinels: reuse never crosses a kernel
-        // boundary.
-        {
-            let mut intern_id = |key: TileKey| -> u32 {
-                *intern.entry(key).or_insert_with(|| {
-                    let id = keys.len() as u32;
-                    keys.push(key);
-                    classes.push(schedule.class_of(key.tensor));
-                    id
-                })
-            };
-            for op in schedule.ops() {
-                op_access_start.push(stream.len());
-                match op {
-                    ScheduleOp::Gemm(g) => {
-                        for r in &g.reads {
-                            stream.push((intern_id(r.key), r.bytes, false));
-                        }
-                        if let Some(a) = &g.acc {
-                            stream.push((intern_id(a.key), a.bytes, true));
-                        }
-                    }
-                    ScheduleOp::Barrier => stream.push((BARRIER_ID, 0, false)),
-                    ScheduleOp::Stream(_) => {}
-                }
-            }
-        }
-
-        // Next-use oracle: for every access, the position of the next
-        // access to the same tile (the knowledge a compiler has when
-        // allocating SPM) — a dense back-scan over interned ids.
-        next_use.clear();
-        next_use.resize(stream.len(), usize::MAX);
-        last_seen.clear();
-        last_seen.resize(keys.len(), usize::MAX);
-        for pos in (0..stream.len()).rev() {
-            let (id, _, _) = stream[pos];
-            if id == BARRIER_ID {
-                last_seen.fill(usize::MAX);
-            } else {
-                let later = last_seen[id as usize];
-                if later != usize::MAX {
-                    next_use[pos] = later;
-                }
-                last_seen[id as usize] = pos;
-            }
-        }
-
-        let mut lru = match self.replacement {
-            Replacement::Opt => {
-                opt.reset(self.residency_bytes, keys.len());
-                None
-            }
-            Replacement::Lru => Some(SpmCache::new(self.residency_bytes)),
-        };
-
-        let mut traffic = Traffic::new();
-        let mut mem_free: f64 = 0.0;
-        let mut compute_free: f64 = 0.0;
-        let mut compute_cycles_total: u64 = 0;
-        let mut mem_busy_total: f64 = 0.0;
-        let mut gemm_ops: u64 = 0;
-        let mut macs: u64 = 0;
-        let mut spm_bytes_touched: u64 = 0;
-
-        for (op_idx, op) in schedule.ops().iter().enumerate() {
-            match op {
-                ScheduleOp::Gemm(g) => {
-                    let start = op_access_start[op_idx];
-                    let mut fetched = 0u64;
-                    let mut writeback = 0u64;
-                    let mut bursts = 0u64;
-                    let n_accesses = g.reads.len() + usize::from(g.acc.is_some());
-                    for pos in start..start + n_accesses {
-                        let (id, bytes, dirty) = stream[pos];
-                        debug_assert_ne!(id, BARRIER_ID, "gemm slots are never barriers");
-                        spm_bytes_touched += bytes;
-                        let got = match &mut lru {
-                            None => opt.access(
-                                id,
-                                keys[id as usize],
-                                bytes,
-                                dirty,
-                                next_use[pos],
-                                writebacks,
-                            ),
-                            Some(c) => {
-                                let key = keys[id as usize];
-                                let out = if dirty {
-                                    c.accumulate(key, bytes)
-                                } else {
-                                    c.read(key, bytes)
-                                };
-                                writebacks
-                                    .extend(out.writebacks.iter().map(|(k, b)| (intern[k], *b)));
-                                out.fetched_bytes
-                            }
-                        };
-                        if got > 0 {
-                            traffic.add_read(classes[id as usize], got);
-                            fetched += got;
-                            bursts += 1;
-                        }
-                        for (vid, vbytes) in writebacks.drain(..) {
-                            traffic.add_write(classes[vid as usize], vbytes);
-                            writeback += vbytes;
-                        }
-                    }
-
-                    // Memory timeline: free-running, serial in op order.
-                    let move_bytes = fetched + writeback;
-                    if move_bytes > 0 {
-                        let mem_time = move_bytes as f64 / self.bytes_per_cycle
-                            + (bursts.max(1) * self.burst_latency) as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-
-                    // Compute timeline: wait for the array and, if this op
-                    // needed transfers, for its data.
-                    let cycles = self.systolic.tile_cycles(g.compute);
-                    let data_ready = if move_bytes > 0 { mem_free } else { 0.0 };
-                    let issue = compute_free.max(data_ready);
-                    compute_free = issue + cycles as f64;
-                    compute_cycles_total += cycles;
-                    gemm_ops += 1;
-                    macs += g.macs();
-                }
-                ScheduleOp::Stream(s) => {
-                    if s.read_bytes > 0 {
-                        traffic.add_read(s.class, s.read_bytes);
-                    }
-                    if s.write_bytes > 0 {
-                        traffic.add_write(s.class, s.write_bytes);
-                    }
-                    let bytes = s.read_bytes + s.write_bytes;
-                    if bytes > 0 {
-                        let mem_time =
-                            bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-                }
-                ScheduleOp::Barrier => {
-                    // Kernel boundary: flush dirty results, drop residency.
-                    // The next kernel cannot start its loads before the
-                    // previous kernel's compute has finished.
-                    match &mut lru {
-                        None => opt.flush(writebacks),
-                        Some(c) => {
-                            writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b)))
-                        }
-                    }
-                    if !writebacks.is_empty() {
-                        let mut bytes = 0u64;
-                        for (vid, vbytes) in writebacks.drain(..) {
-                            traffic.add_write(classes[vid as usize], vbytes);
-                            bytes += vbytes;
-                        }
-                        let mem_time =
-                            bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-                    match &mut lru {
-                        None => opt.clear(),
-                        Some(c) => c.clear(),
-                    }
-                    mem_free = mem_free.max(compute_free);
-                }
-            }
-        }
-
-        // Flush remaining dirty results (final accumulator tiles) to DRAM.
-        match &mut lru {
-            None => opt.flush(writebacks),
-            Some(c) => writebacks.extend(c.flush().into_iter().map(|(k, b)| (intern[&k], b))),
-        }
-        if !writebacks.is_empty() {
-            let mut bytes = 0u64;
-            for (vid, vbytes) in writebacks.drain(..) {
-                traffic.add_write(classes[vid as usize], vbytes);
-                bytes += vbytes;
-            }
-            let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
-            mem_free += mem_time;
-            mem_busy_total += mem_time;
-        }
-        let (spm_hits, spm_misses) = match &lru {
-            None => (opt.hits(), opt.misses()),
-            Some(c) => (c.hits(), c.misses()),
-        };
-        SimReport {
-            cycles: mem_free.max(compute_free).ceil() as u64,
-            compute_cycles: compute_cycles_total,
-            mem_cycles: mem_busy_total.ceil() as u64,
-            traffic,
-            spm_hits,
-            spm_misses,
-            gemm_ops,
-            macs,
-            spm_bytes_touched,
-        }
+        AnalyticCollector::from_schedule(schedule)
+            .run_timeline(self, &mut AnalyticScratch::new(), None, &mut NullRecorder)
+            .expect("unbounded replay always completes")
+            .report
     }
 }
 

@@ -61,18 +61,17 @@ pub mod trace;
 pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
     analytic_run_count, compute_sum, grid_sum, replay_ladder, AnalyticCollector, AnalyticReport,
-    AnalyticScratch, Axis, BoundAccum, Exactness, GridSum, LadderScratch, ReplayOptCache,
-    REPLAY_ID_LIMIT,
+    AnalyticScratch, Axis, BoundAccum, Exactness, GridSum, LadderScratch, REPLAY_ID_LIMIT,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
-pub use engine::{engine_run_count, Engine, EngineScratch, Replacement};
+pub use engine::{engine_run_count, Engine, Replacement};
 pub use multicore::{
     reduction_cycles, replay_multicore, replay_multicore_bounded, replay_sequential_partitions,
     replay_sequential_partitions_bounded, run_multicore, run_sequential_partitions,
     sequential_combined, MultiCoreReport,
 };
-pub use opt::{DenseOptCache, OptCache};
+pub use opt::OptCache;
 pub use recorder::{
     decimate, AccessKind, ClassMetrics, Decimator, DyReusePoint, EventLog, MetricsFold,
     NullRecorder, Phase, Recorder, ReuseHistogram, RunMetrics, StreamShape, TileStats, TraceEvent,

@@ -4,24 +4,29 @@
 //! size, and batch size increase proportionally with the growth in the
 //! number of cores, with all cores sharing the SPM". We model that as:
 //!
-//! * each core runs its own [`Engine`] over its partition's schedule, with
-//!   an even slice of the shared SPM and an even share of the aggregate
-//!   DRAM bandwidth;
+//! * each core replays its own partition's stream on one core's
+//!   [`Engine`], with an even slice of the shared SPM and an even share of
+//!   the aggregate DRAM bandwidth;
 //! * the step time is the slowest core's makespan plus, for partitioning
 //!   schemes that need it, a cross-partition **reduction** of the partial
 //!   gradient tensors at aggregate bandwidth (weight-sharing partitioning
 //!   accumulates `dW` partials; dY-sharing accumulates `dX`; ifmap-sharing
 //!   needs none — §5).
 //!
-//! [`run_sequential_partitions`] is the single-core analogue: the
-//! partition schedules (compatible forks of one parent) are concatenated
-//! and executed as one stream, so SPM residency — including the shared
-//! tensor's tiles — carries across partition boundaries, plus the same
-//! reduction traffic.
+//! [`replay_sequential_partitions`] is the single-core analogue: the
+//! partition streams (compatible forks of one parent) are replayed as one
+//! concatenated stream, so SPM residency — including the shared tensor's
+//! tiles — carries across partition boundaries, plus the same reduction
+//! traffic.
+//!
+//! The `replay_*` functions take analytic collectors and hold the combine
+//! (aggregate traffic, slowest core, reduction); [`run_multicore`] and
+//! [`run_sequential_partitions`] collect materialised schedules and call
+//! them.
 
 use crate::analytic::{AnalyticCollector, AnalyticScratch};
 use crate::config::NpuConfig;
-use crate::engine::{Engine, EngineScratch};
+use crate::engine::Engine;
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, StreamOp};
 
@@ -66,7 +71,7 @@ impl MultiCoreReport {
 }
 
 /// Cycles the cross-partition reduction alone would take on `config` (no
-/// traffic accounting) — the exact term [`run_multicore`] adds to the
+/// traffic accounting) — the exact term [`replay_multicore`] adds to the
 /// slowest core. Used by analytical candidate lower bounds.
 pub fn reduction_cycles(config: &NpuConfig, reduction: Option<StreamOp>) -> u64 {
     let mut scratch = Traffic::new();
@@ -96,7 +101,7 @@ fn reduction_cost(config: &NpuConfig, reduction: Option<StreamOp>, traffic: &mut
 
 /// Collapse one inner (concatenated-segments) report plus the reduction
 /// into a combined [`SimReport`] — exactly what
-/// [`run_sequential_partitions`]'s `.combined()` yields, without
+/// [`replay_sequential_partitions`]'s `.combined()` yields, without
 /// re-running the segments. Lets a caller that replays the inner stream
 /// once per SPM capacity pay the (capacity-independent) reduction
 /// afterwards.
@@ -105,42 +110,16 @@ pub fn sequential_combined(
     inner: SimReport,
     reduction: Option<StreamOp>,
 ) -> SimReport {
-    let mut traffic = inner.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    SimReport {
-        cycles: inner.cycles + reduction_cycles,
-        traffic,
-        ..inner
-    }
+    combine(config, vec![inner], reduction).combined()
 }
 
-/// Run one schedule per core concurrently.
-///
-/// `per_core.len()` may be smaller than `config.cores` (idle cores), but
-/// not larger.
-///
-/// # Panics
-///
-/// Panics if more schedules than cores are supplied.
-pub fn run_multicore(
+/// The step of `core_reports` run concurrently, then the reduction:
+/// aggregate traffic, slowest core plus reduction cycles.
+fn combine(
     config: &NpuConfig,
-    per_core: &[Schedule],
+    core_reports: Vec<SimReport>,
     reduction: Option<StreamOp>,
 ) -> MultiCoreReport {
-    assert!(
-        per_core.len() <= config.cores as usize,
-        "{} schedules for {} cores",
-        per_core.len(),
-        config.cores
-    );
-    // The cores are simulated one after another, so one scratch serves
-    // them all.
-    let engine = Engine::new(config);
-    let mut scratch = EngineScratch::new();
-    let core_reports: Vec<SimReport> = per_core
-        .iter()
-        .map(|s| engine.run_with_scratch(s, &mut scratch))
-        .collect();
     let mut traffic = Traffic::new();
     for r in &core_reports {
         traffic.merge(&r.traffic);
@@ -155,45 +134,57 @@ pub fn run_multicore(
     }
 }
 
+/// Run one schedule per core concurrently: [`replay_multicore`] over their
+/// collected streams (one analytic run per core).
+///
+/// `per_core.len()` may be smaller than `config.cores` (idle cores), but
+/// not larger.
+///
+/// # Panics
+///
+/// Panics if more schedules than cores are supplied, or if a schedule
+/// exceeds [`Engine::run`]'s limits.
+pub fn run_multicore(
+    config: &NpuConfig,
+    per_core: &[Schedule],
+    reduction: Option<StreamOp>,
+) -> MultiCoreReport {
+    let collectors: Vec<AnalyticCollector> = per_core
+        .iter()
+        .map(AnalyticCollector::from_schedule)
+        .collect();
+    replay_multicore(config, &collectors, reduction, &mut AnalyticScratch::new())
+}
+
 /// Run partition segments back-to-back on a single core (one concatenated
 /// stream, so residency crosses segment boundaries), then pay the
-/// reduction.
+/// reduction: [`replay_sequential_partitions`] over the concatenation.
 ///
 /// # Panics
 ///
 /// Panics if the segments' tensor tables differ (they must be compatible
-/// forks of one parent — see [`Schedule::append_compatible`]).
+/// forks of one parent — see [`Schedule::append_compatible`]), or if the
+/// concatenation exceeds [`Engine::run`]'s limits.
 pub fn run_sequential_partitions(
     config: &NpuConfig,
     segments: &[Schedule],
     reduction: Option<StreamOp>,
 ) -> MultiCoreReport {
-    let engine = Engine::new(config);
-    let report = match segments {
-        [] => SimReport::default(),
-        [single] => engine.run(single),
-        [first, rest @ ..] => {
+    let combined = match segments.split_first() {
+        None => AnalyticCollector::new(),
+        Some((first, rest)) => {
             let mut combined = first.clone();
             for s in rest {
                 combined.append_compatible(s);
             }
-            engine.run(&combined)
+            AnalyticCollector::from_schedule(&combined)
         }
     };
-    let mut traffic = report.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    MultiCoreReport {
-        core_reports: vec![report],
-        reduction_cycles,
-        cycles: report.cycles + reduction_cycles,
-        traffic,
-    }
+    replay_sequential_partitions(config, &combined, reduction, &mut AnalyticScratch::new())
 }
 
-/// [`run_multicore`] over analytic collectors instead of materialised
-/// schedules: each core's stream is replayed exactly, then the combine
-/// math (aggregate traffic, slowest core, reduction) is applied verbatim,
-/// so the result is bit-identical to running the equivalent schedules.
+/// Replay one collected stream per core concurrently and combine: the
+/// slowest core plus the reduction, with all cores' traffic.
 ///
 /// # Panics
 ///
@@ -221,7 +212,7 @@ pub fn replay_multicore_bounded(
 ) -> Option<MultiCoreReport> {
     assert!(
         per_core.len() <= config.cores as usize,
-        "{} collectors for {} cores",
+        "{} schedules for {} cores",
         per_core.len(),
         config.cores
     );
@@ -235,25 +226,14 @@ pub fn replay_multicore_bounded(
     for c in per_core {
         core_reports.push(c.replay_bounded(&engine, scratch, inner_cutoff)?.report);
     }
-    let mut traffic = Traffic::new();
-    for r in &core_reports {
-        traffic.merge(&r.traffic);
-    }
-    let slowest = core_reports.iter().map(|r| r.cycles).max().unwrap_or(0);
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    Some(MultiCoreReport {
-        core_reports,
-        reduction_cycles,
-        cycles: slowest + reduction_cycles,
-        traffic,
-    })
+    Some(combine(config, core_reports, reduction))
 }
 
-/// [`run_sequential_partitions`] over one analytic collector holding the
-/// partitions' streams emitted back-to-back (the collector-side equivalent
-/// of [`Schedule::append_compatible`] concatenation — no barrier between
-/// segments, so residency crosses partition boundaries exactly as in
-/// [`run_sequential_partitions`]).
+/// Replay one analytic collector holding the partitions' streams emitted
+/// back-to-back (the collector-side equivalent of
+/// [`Schedule::append_compatible`] concatenation — no barrier between
+/// segments, so residency crosses partition boundaries), then pay the
+/// reduction.
 pub fn replay_sequential_partitions(
     config: &NpuConfig,
     combined: &AnalyticCollector,
@@ -264,8 +244,9 @@ pub fn replay_sequential_partitions(
         .expect("unbounded replay always completes")
 }
 
-/// [`replay_sequential_partitions`] with an optional cycle `cutoff`; see
-/// [`replay_multicore_bounded`].
+/// [`replay_sequential_partitions`] with an optional cycle `cutoff`: the
+/// concatenation is one core's stream, so this is
+/// [`replay_multicore_bounded`] with one collector.
 pub fn replay_sequential_partitions_bounded(
     config: &NpuConfig,
     combined: &AnalyticCollector,
@@ -273,22 +254,13 @@ pub fn replay_sequential_partitions_bounded(
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
 ) -> Option<MultiCoreReport> {
-    let inner_cutoff = match cutoff {
-        Some(c) => Some(c.checked_sub(reduction_cycles(config, reduction))?),
-        None => None,
-    };
-    let engine = Engine::new(config);
-    let report = combined
-        .replay_bounded(&engine, scratch, inner_cutoff)?
-        .report;
-    let mut traffic = report.traffic;
-    let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
-    Some(MultiCoreReport {
-        core_reports: vec![report],
-        reduction_cycles,
-        cycles: report.cycles + reduction_cycles,
-        traffic,
-    })
+    replay_multicore_bounded(
+        config,
+        std::slice::from_ref(combined),
+        reduction,
+        scratch,
+        cutoff,
+    )
 }
 
 #[cfg(test)]

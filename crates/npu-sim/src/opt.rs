@@ -8,7 +8,7 @@
 //! this (§1: "SPM is solely managed by the software").
 //!
 //! [`OptCache`] is fed each access together with the position of the
-//! *next* access to the same tile (pre-computed by the engine from the
+//! *next* access to the same tile (pre-computed by the caller from the
 //! schedule). Eviction picks the resident tile with the furthest next use;
 //! an incoming tile whose own next use is further than every resident's is
 //! *bypassed* (streamed through without displacing anything) — the
@@ -18,6 +18,11 @@
 //! Dirty-accumulator semantics match [`crate::SpmCache`]: a fresh
 //! accumulator costs no read; evicting a dirty tile writes it back; a
 //! previously spilled accumulator is re-fetched on its next touch.
+//!
+//! `OptCache` is the plain `HashMap`/`BTreeSet` statement of the model.
+//! Runs use the replay's `ReplayOptCache`, which makes the same decisions on
+//! dense tile ids; `core::audit` shadows every decided schedule with
+//! `OptCache` (and its own timelines) as the independent oracle.
 
 use crate::spm::AccessOutcome;
 use crate::trace::TileKey;
@@ -39,7 +44,6 @@ struct Entry {
 pub struct OptCache {
     capacity: u64,
     used: u64,
-    high_water: u64,
     entries: HashMap<TileKey, Entry>,
     /// Residents ordered by next use (furthest last).
     order: BTreeSet<(NextUse, TileKey)>,
@@ -59,7 +63,6 @@ impl OptCache {
         Self {
             capacity,
             used: 0,
-            high_water: 0,
             entries: HashMap::new(),
             order: BTreeSet::new(),
             spilled: HashSet::new(),
@@ -76,13 +79,6 @@ impl OptCache {
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Highest residency (bytes) ever observed — the SPM occupancy
-    /// high-water mark. Survives [`OptCache::clear`] so it spans kernel
-    /// boundaries within one run.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Hits so far.
@@ -127,23 +123,8 @@ impl OptCache {
                 // The tile grew past what fits: evict furthest-future
                 // residents (possibly the touched tile itself) until the
                 // residency is legal again.
-                let &(victim_next, victim_key) = self
-                    .order
-                    .iter()
-                    .next_back()
-                    .expect("used > 0 implies a resident victim");
-                self.order.remove(&(victim_next, victim_key));
-                let victim = self
-                    .entries
-                    .remove(&victim_key)
-                    .expect("order/entry maps out of sync");
-                self.used -= victim.bytes;
-                if victim.dirty {
-                    writebacks.push((victim_key, victim.bytes));
-                    self.spilled.insert(victim_key);
-                }
+                self.evict_furthest(&mut writebacks);
             }
-            self.high_water = self.high_water.max(self.used);
             return AccessOutcome {
                 fetched_bytes: 0,
                 writebacks,
@@ -163,10 +144,9 @@ impl OptCache {
         let mut writebacks = Vec::new();
         let mut admitted = bytes <= self.capacity;
         while admitted && self.used + bytes > self.capacity {
-            let &(victim_next, victim_key) = self
+            let &(victim_next, _) = self
                 .order
-                .iter()
-                .next_back()
+                .last()
                 .expect("used > 0 implies a resident victim");
             if victim_next <= next_use {
                 // Everyone resident is needed sooner than this tile:
@@ -174,16 +154,7 @@ impl OptCache {
                 admitted = false;
                 break;
             }
-            self.order.remove(&(victim_next, victim_key));
-            let victim = self
-                .entries
-                .remove(&victim_key)
-                .expect("order/entry maps out of sync");
-            self.used -= victim.bytes;
-            if victim.dirty {
-                writebacks.push((victim_key, victim.bytes));
-                self.spilled.insert(victim_key);
-            }
+            self.evict_furthest(&mut writebacks);
         }
 
         if admitted {
@@ -197,7 +168,6 @@ impl OptCache {
             );
             self.order.insert((next_use, key));
             self.used += bytes;
-            self.high_water = self.high_water.max(self.used);
         } else if dirty {
             // Bypassed dirty tile: write through.
             writebacks.push((key, bytes));
@@ -208,6 +178,24 @@ impl OptCache {
             fetched_bytes: fetched,
             writebacks,
             hit: false,
+        }
+    }
+
+    /// Evict the resident with the furthest next use (ties: largest key),
+    /// writing it back if dirty.
+    fn evict_furthest(&mut self, writebacks: &mut Vec<(TileKey, u64)>) {
+        let (_, victim_key) = self
+            .order
+            .pop_last()
+            .expect("used > 0 implies a resident victim");
+        let victim = self
+            .entries
+            .remove(&victim_key)
+            .expect("order/entry maps out of sync");
+        self.used -= victim.bytes;
+        if victim.dirty {
+            writebacks.push((victim_key, victim.bytes));
+            self.spilled.insert(victim_key);
         }
     }
 
@@ -231,188 +219,6 @@ impl OptCache {
             }
         }
         writebacks
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct DenseSlot {
-    bytes: u64,
-    dirty: bool,
-    resident: bool,
-    spilled: bool,
-    next_use: NextUse,
-}
-
-/// Belady replacement over *interned* tile ids: the engine hot-path variant
-/// of [`OptCache`].
-///
-/// Replacement decisions are bit-identical to [`OptCache`] — the eviction
-/// order set still ranks residents by `(next_use, TileKey)`, so ties on
-/// "never used again" break exactly the same way — but per-tile state lives
-/// in a dense slot vector indexed by the engine's interned tile id instead
-/// of hash maps, and eviction write-backs land in a caller-provided buffer
-/// instead of a fresh `Vec` per access. The whole structure is reusable
-/// across runs via [`DenseOptCache::reset`].
-#[derive(Debug, Clone, Default)]
-pub struct DenseOptCache {
-    capacity: u64,
-    used: u64,
-    slots: Vec<DenseSlot>,
-    /// Residents ordered by next use (furthest last); the trailing id rides
-    /// along for slot lookup and never affects the ordering because
-    /// `(next_use, key)` is unique per resident.
-    order: BTreeSet<(NextUse, TileKey, u32)>,
-    hits: u64,
-    misses: u64,
-}
-
-impl DenseOptCache {
-    /// Prepare for a run over `num_tiles` interned tiles with `capacity`
-    /// bytes of residency. Keeps previously allocated storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn reset(&mut self, capacity: u64, num_tiles: usize) {
-        assert!(capacity > 0, "SPM residency capacity must be positive");
-        self.capacity = capacity;
-        self.used = 0;
-        self.slots.clear();
-        self.slots.resize(num_tiles, DenseSlot::default());
-        self.order.clear();
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Residency capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Access tile `id` (interned from `key`). Semantics are identical to
-    /// [`OptCache::access`]; dirty victims are appended to `writebacks` as
-    /// `(victim_id, bytes)`.
-    pub fn access(
-        &mut self,
-        id: u32,
-        key: TileKey,
-        bytes: u64,
-        dirty: bool,
-        next_use: NextUse,
-        writebacks: &mut Vec<(u32, u64)>,
-    ) -> u64 {
-        let slot = &mut self.slots[id as usize];
-        if slot.resident {
-            // Follow tile resizes in all build profiles (see
-            // `SpmCache::touch`): stale bytes would corrupt `used`.
-            let old = (slot.next_use, key, id);
-            let old_bytes = slot.bytes;
-            slot.bytes = bytes;
-            slot.next_use = next_use;
-            slot.dirty |= dirty;
-            self.order.remove(&old);
-            self.order.insert((next_use, key, id));
-            self.hits += 1;
-            self.used = self.used - old_bytes + bytes;
-            while self.used > self.capacity {
-                // The tile grew past what fits: evict furthest-future
-                // residents (possibly the touched tile itself) until the
-                // residency is legal again.
-                let &(victim_next, victim_key, victim_id) = self
-                    .order
-                    .iter()
-                    .next_back()
-                    .expect("used > 0 implies a resident victim");
-                self.order.remove(&(victim_next, victim_key, victim_id));
-                let victim = &mut self.slots[victim_id as usize];
-                debug_assert!(victim.resident, "order/slot state out of sync");
-                victim.resident = false;
-                self.used -= victim.bytes;
-                if victim.dirty {
-                    writebacks.push((victim_id, victim.bytes));
-                    victim.spilled = true;
-                }
-            }
-            return 0;
-        }
-
-        self.misses += 1;
-        let fetched = if dirty && !slot.spilled { 0 } else { bytes };
-
-        // Decide residency: evict furthest-future residents, but never in
-        // favour of a tile that is itself the furthest (bypass instead).
-        let mut admitted = bytes <= self.capacity;
-        while admitted && self.used + bytes > self.capacity {
-            let &(victim_next, victim_key, victim_id) = self
-                .order
-                .iter()
-                .next_back()
-                .expect("used > 0 implies a resident victim");
-            if victim_next <= next_use {
-                // Everyone resident is needed sooner than this tile: bypass.
-                admitted = false;
-                break;
-            }
-            self.order.remove(&(victim_next, victim_key, victim_id));
-            let victim = &mut self.slots[victim_id as usize];
-            debug_assert!(victim.resident, "order/slot state out of sync");
-            victim.resident = false;
-            self.used -= victim.bytes;
-            if victim.dirty {
-                writebacks.push((victim_id, victim.bytes));
-                victim.spilled = true;
-            }
-        }
-
-        let slot = &mut self.slots[id as usize];
-        if admitted {
-            slot.resident = true;
-            slot.bytes = bytes;
-            slot.dirty = dirty;
-            slot.next_use = next_use;
-            self.order.insert((next_use, key, id));
-            self.used += bytes;
-        } else if dirty {
-            // Bypassed dirty tile: write through.
-            writebacks.push((id, bytes));
-            slot.spilled = true;
-        }
-        fetched
-    }
-
-    /// Drop all residency and forget spill history (kernel boundary).
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = DenseSlot {
-                next_use: slot.next_use,
-                ..DenseSlot::default()
-            };
-        }
-        self.order.clear();
-        self.used = 0;
-    }
-
-    /// Flush all dirty entries into `writebacks`. Entries stay resident but
-    /// become clean.
-    pub fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
-        for &(_, _, id) in &self.order {
-            let slot = &mut self.slots[id as usize];
-            if slot.dirty {
-                writebacks.push((id, slot.bytes));
-                slot.dirty = false;
-                slot.spilled = true;
-            }
-        }
     }
 }
 

@@ -9,9 +9,9 @@
 //! anything when recording is off.
 //!
 //! The hook lives in one place,
-//! [`crate::AnalyticCollector::replay_recorded`] — the replay that
-//! evaluates candidates and produces the reported numbers; the cycle
-//! engine has none. Zero-cost-when-off is structural, not a promise: the
+//! [`crate::AnalyticCollector::replay_recorded`] — the one replay, which
+//! evaluates candidates, produces the reported numbers and runs
+//! [`crate::Engine::run`]. Zero-cost-when-off is structural, not a promise: the
 //! replay is generic over `R: Recorder`, every recording site is guarded
 //! by `if R::ENABLED { ... }`, and [`NullRecorder`] sets the associated
 //! `const ENABLED: bool` to `false` — so the monomorphised default path
@@ -82,8 +82,7 @@ pub enum AccessKind {
     Materialize,
 }
 
-/// One cycle-stamped replay event (the event the cycle engine would emit
-/// at the same point of the same schedule).
+/// One cycle-stamped replay event, at a point of the replayed schedule.
 ///
 /// `op` is the index of the originating [`crate::ScheduleOp`] in the
 /// schedule's op stream. Memory-side events (`Access`, `WriteBack`,

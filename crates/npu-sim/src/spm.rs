@@ -15,24 +15,31 @@
 //! with a read on the next touch) — which is how the "intermediate result"
 //! spill traffic of the dXmajor/dWmajor reorderings (§4.3) emerges without
 //! any special-casing in the schedulers. Write-backs are reported with the
-//! victim's identity so the engine can attribute the bytes to the right
+//! victim's identity so the replay can attribute the bytes to the right
 //! tensor class.
+//!
+//! The cache is generic over its key: LRU order comes from access ticks,
+//! so the key is only a hash key. The replay's LRU ablation
+//! ([`crate::Replacement::Lru`]) runs it on dense `u32` tile ids through
+//! the replay's `Residency` trait; the tests key it by [`TileKey`].
 
+use crate::analytic::Residency;
 use crate::trace::TileKey;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
 
 /// What happened on a tile access.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AccessOutcome {
+pub struct AccessOutcome<K = TileKey> {
     /// Bytes fetched from DRAM for this access (0 on a hit or fresh alloc).
     pub fetched_bytes: u64,
     /// Dirty tiles this access evicted, each written back to DRAM.
-    pub writebacks: Vec<(TileKey, u64)>,
+    pub writebacks: Vec<(K, u64)>,
     /// True if the tile was already resident.
     pub hit: bool,
 }
 
-impl AccessOutcome {
+impl<K> AccessOutcome<K> {
     /// Total write-back bytes of this access.
     pub fn writeback_bytes(&self) -> u64 {
         self.writebacks.iter().map(|(_, b)| b).sum()
@@ -46,23 +53,23 @@ struct Entry {
     tick: u64,
 }
 
-/// Byte-capacity LRU over tiles, with dirty-accumulator tracking.
+/// Byte-capacity LRU over tiles keyed by `K`, with dirty-accumulator
+/// tracking.
 #[derive(Debug, Clone)]
-pub struct SpmCache {
+pub struct SpmCache<K = TileKey> {
     capacity: u64,
     used: u64,
-    high_water: u64,
     tick: u64,
-    entries: HashMap<TileKey, Entry>,
-    lru: BTreeMap<u64, TileKey>,
+    entries: HashMap<K, Entry>,
+    lru: BTreeMap<u64, K>,
     /// Accumulator tiles that have been spilled at least once: the next
     /// touch must re-fetch the partial sums from DRAM.
-    spilled: HashSet<TileKey>,
+    spilled: HashSet<K>,
     hits: u64,
     misses: u64,
 }
 
-impl SpmCache {
+impl<K: Copy + Eq + Hash> SpmCache<K> {
     /// Create a cache with `capacity` bytes of residency.
     ///
     /// # Panics
@@ -73,7 +80,6 @@ impl SpmCache {
         Self {
             capacity,
             used: 0,
-            high_water: 0,
             tick: 0,
             entries: HashMap::new(),
             lru: BTreeMap::new(),
@@ -91,13 +97,6 @@ impl SpmCache {
     /// Bytes currently resident.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Highest residency (bytes) ever observed — the SPM occupancy
-    /// high-water mark. Survives [`SpmCache::clear`] so it spans kernel
-    /// boundaries within one run.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Number of resident tiles.
@@ -120,7 +119,7 @@ impl SpmCache {
     /// Tiles larger than the whole cache bypass residency: they are streamed
     /// (fetched on every touch, never cached), matching how a compiler
     /// handles an operand block that cannot fit.
-    pub fn read(&mut self, key: TileKey, bytes: u64) -> AccessOutcome {
+    pub fn read(&mut self, key: K, bytes: u64) -> AccessOutcome<K> {
         self.touch(key, bytes, false)
     }
 
@@ -129,11 +128,11 @@ impl SpmCache {
     /// The first touch allocates the tile (no DRAM read). If the tile was
     /// previously evicted, its partial sums must be re-fetched. The entry is
     /// marked dirty; eviction will write it back.
-    pub fn accumulate(&mut self, key: TileKey, bytes: u64) -> AccessOutcome {
+    pub fn accumulate(&mut self, key: K, bytes: u64) -> AccessOutcome<K> {
         self.touch(key, bytes, true)
     }
 
-    fn touch(&mut self, key: TileKey, bytes: u64, dirty: bool) -> AccessOutcome {
+    fn touch(&mut self, key: K, bytes: u64, dirty: bool) -> AccessOutcome<K> {
         if let Some(entry) = self.entries.get_mut(&key) {
             // A tile may legitimately change size between touches (e.g. a
             // ragged-edge tile revisited by a chained partition segment).
@@ -160,7 +159,6 @@ impl SpmCache {
             } else {
                 Vec::new()
             };
-            self.high_water = self.high_water.max(self.used);
             return AccessOutcome {
                 fetched_bytes: 0,
                 writebacks,
@@ -206,7 +204,6 @@ impl SpmCache {
         );
         self.lru.insert(self.tick, key);
         self.used += bytes;
-        self.high_water = self.high_water.max(self.used);
         AccessOutcome {
             fetched_bytes: fetched,
             writebacks,
@@ -215,7 +212,7 @@ impl SpmCache {
     }
 
     /// Evict LRU entries until `bytes` fit; returns the dirty victims.
-    fn make_room(&mut self, bytes: u64) -> Vec<(TileKey, u64)> {
+    fn make_room(&mut self, bytes: u64) -> Vec<(K, u64)> {
         let mut writebacks = Vec::new();
         while self.used + bytes > self.capacity {
             let (&tick, &key) = self
@@ -240,7 +237,7 @@ impl SpmCache {
     /// Flush all dirty entries (end of schedule): returns the dirty tiles
     /// written back. Entries stay resident but become clean, so residency
     /// carries across chained schedule segments.
-    pub fn flush(&mut self) -> Vec<(TileKey, u64)> {
+    pub fn flush(&mut self) -> Vec<(K, u64)> {
         let mut writebacks = Vec::new();
         for (key, entry) in self.entries.iter_mut() {
             if entry.dirty {
@@ -262,8 +259,50 @@ impl SpmCache {
     }
 
     /// Whether `key` is currently resident.
-    pub fn contains(&self, key: &TileKey) -> bool {
+    pub fn contains(&self, key: &K) -> bool {
         self.entries.contains_key(key)
+    }
+}
+
+/// LRU residency for the replay, keyed by dense tile id. The next-use
+/// oracle is ignored, and a region that fits takes the plain access path
+/// (the trait's default), which keeps the ticks LRU order needs.
+impl Residency for SpmCache<u32> {
+    fn reset(&mut self, capacity: u64, _num_tiles: usize, _stream_len: usize) {
+        *self = Self::new(capacity);
+    }
+
+    fn access(
+        &mut self,
+        id: u32,
+        bytes: u32,
+        dirty: bool,
+        _next_use: u32,
+        writebacks: &mut Vec<(u32, u64)>,
+    ) -> u64 {
+        let out = self.touch(id, bytes as u64, dirty);
+        writebacks.extend(out.writebacks);
+        out.fetched_bytes
+    }
+
+    fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
+        writebacks.extend(SpmCache::flush(self));
+    }
+
+    fn clear(&mut self) {
+        SpmCache::clear(self);
+    }
+
+    fn hits(&self) -> u64 {
+        self.hits
+    }
+
+    fn misses(&self) -> u64 {
+        self.misses
+    }
+
+    fn used(&self) -> u64 {
+        self.used
     }
 }
 
