@@ -38,6 +38,14 @@ echo "== cargo bench --no-run (bench-rot gate) =="
 # them here keeps them from rotting without paying their runtime in CI.
 cargo bench -p igo-bench --no-run
 
+echo "== paper harness goldens =="
+# Every printing harness (all but `criterion_micro`) is deterministic; its
+# stdout is the reproduction's table or figure, pinned byte for byte.
+for golden in crates/bench/golden/*.txt; do
+    harness="$(basename "$golden" .txt)"
+    cargo bench -q -p igo-bench --bench "$harness" | diff - "$golden"
+done
+
 echo "== cargo test =="
 cargo test -q
 
