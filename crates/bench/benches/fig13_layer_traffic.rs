@@ -8,7 +8,7 @@
 //! feature maps where the two gradient computations are hard to balance
 //! and the time gain lags the traffic gain.
 
-use igo_core::{simulate_layer_backward_ex, Technique};
+use igo_core::{SimContext, SimOptions, Technique};
 use igo_npu_sim::NpuConfig;
 use igo_workloads::zoo;
 
@@ -27,6 +27,7 @@ fn main() {
     );
     let config = NpuConfig::large_single_core();
     let suite = zoo::server_suite(config.default_batch());
+    let context = SimContext::new(SimOptions::default());
 
     let mut rows = Vec::new();
     for model in &suite {
@@ -35,14 +36,14 @@ fn main() {
                 // The paper excludes first layers: no dX to interleave.
                 continue;
             }
-            let (base, _) = simulate_layer_backward_ex(
+            let (base, _) = context.backward(
                 layer.gemm,
                 layer.ifmap_density,
                 &config,
                 Technique::Baseline,
                 false,
             );
-            let (rearr, _) = simulate_layer_backward_ex(
+            let (rearr, _) = context.backward(
                 layer.gemm,
                 layer.ifmap_density,
                 &config,

@@ -7,7 +7,6 @@
 //! igo-sim sweep   <model>                     bandwidth sweep on the large NPU
 //! igo-sim sweep   <model|zoo> --spm <ladder> [--techniques <list>]
 //!                 [--config C] [--out DIR]    SPM × technique × model grid
-//! igo-sim perf    [edge|server|all]           pipeline self-measurement
 //! igo-sim audit   [--seeds N] [--seed S]      differential fuzz-audit
 //! igo-sim trace   <model|MxKxN> <config> [--out DIR] [--technique T]
 //! ```
@@ -24,8 +23,9 @@
 //! cache sharing candidate replays between techniques. With `--out` it
 //! writes `sweep.csv` and `summary.json`; otherwise both go to stdout.
 //!
-//! The global `--jobs N` flag caps the worker pool (equivalent to setting
-//! `IGO_SIM_THREADS=N`); results are identical for every worker count.
+//! The global `--jobs N` flag sizes the worker pool of the command's
+//! simulation context (without it, `IGO_SIM_THREADS` or one worker per
+//! hardware thread); results are identical for every worker count.
 //!
 //! `trace` replays the decided backward executions with the cycle-level
 //! recorder attached and writes `trace.json` (Chrome trace-event JSON,
@@ -38,15 +38,16 @@
 //! on failure it exits non-zero and lists the reproducer seeds (rerun one
 //! with `igo-sim audit --seed <seed> --seeds 1`).
 //!
-//! The global `--timing` flag appends one JSON line to stderr with the
-//! command's wall-clock time, engine-run count and memo-cache hit rate
-//! (see `igo_bench::wallclock::Timing`).
+//! Each command runs on one private `SimContext` whose memo it alone
+//! fills. The global `--timing` flag appends one JSON line to stderr with
+//! the command's wall-clock time, engine-run count and that memo's hit
+//! rate (see `igo_bench::wallclock::Timing`); `audit` runs every case on
+//! contexts of its own, so its line counts no memo lookups.
 
 use igo_bench::wallclock::{measure, Timing};
 use igo_core::{
-    parallel_map, replay_extent, run_audit, select_order, sim_cache_stats, simulate_layer_backward,
-    simulate_model, simulate_model_with, BackwardOrder, ModelReport, SimOptions, Technique,
-    TraceExport, DEFAULT_REUSE_POINTS,
+    parallel_map_workers, replay_extent, run_audit, select_order, SimContext, SimOptions,
+    Technique, TraceExport, DEFAULT_REUSE_POINTS,
 };
 use igo_npu_sim::{analytic_run_count, engine_run_count, NpuConfig, REPLAY_ID_LIMIT};
 use igo_tensor::GemmShape;
@@ -74,27 +75,26 @@ fn too_large(gemm: GemmShape, config: &NpuConfig) -> Option<ExitCode> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR]\n  igo-sim [--timing] [--jobs N] perf [edge|server|all]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
+        "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
     );
     ExitCode::from(2)
 }
 
-/// Strip the global `--jobs N` flag, applying it as the process-wide
-/// `IGO_SIM_THREADS` default (an explicit env var loses to the flag).
-/// Returns `false` on a malformed value.
-fn take_jobs_flag(args: &mut Vec<String>) -> bool {
+/// Strip the global `--jobs N` flag and return the worker count it sets:
+/// `0` without the flag (the `IGO_SIM_THREADS` or hardware default),
+/// `None` on a malformed value.
+fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
     let Some(i) = args.iter().position(|a| a == "--jobs") else {
-        return true;
+        return Some(0);
     };
     match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
         Some(n) if n > 0 => {
-            std::env::set_var(igo_core::THREADS_ENV, n.to_string());
             args.drain(i..=i + 1);
-            true
+            Some(n)
         }
         _ => {
             eprintln!("--jobs requires a positive integer");
-            false
+            None
         }
     }
 }
@@ -103,12 +103,14 @@ fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let timing = args.iter().any(|a| a == "--timing");
     args.retain(|a| a != "--timing");
-    if !take_jobs_flag(&mut args) {
+    let Some(workers) = take_jobs_flag(&mut args) else {
         return usage();
-    }
+    };
+    let context = SimContext::new(SimOptions {
+        workers,
+        ..SimOptions::optimized()
+    });
     let label = args.join(" ");
-    let runs_before = engine_run_count();
-    let cache_before = sim_cache_stats();
     let (code, wall) = measure(|| {
         // `audit`, `trace` and `sweep` parse their own flags; every other
         // command takes no flags beyond the already-consumed globals, so
@@ -118,10 +120,10 @@ fn main() -> ExitCode {
             return cmd_audit(&args[1..]);
         }
         if args.first().map(String::as_str) == Some("trace") {
-            return cmd_trace(&args[1..]);
+            return cmd_trace(&context, &args[1..]);
         }
         if args.first().map(String::as_str) == Some("sweep") {
-            return cmd_sweep(&args[1..]);
+            return cmd_sweep(&context, &args[1..]);
         }
         if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
             eprintln!("unknown flag '{flag}'");
@@ -129,27 +131,21 @@ fn main() -> ExitCode {
         }
         match args.first().map(String::as_str) {
             Some("models") => cmd_models(),
-            Some("ladder") if args.len() == 3 => cmd_ladder(&args[1], &args[2]),
-            Some("layer") if args.len() == 5 => cmd_layer(&args[1..]),
-            Some("perf") => {
-                if args.len() > 2 {
-                    eprintln!("perf takes at most one target (edge|server|all)");
-                    return usage();
-                }
-                cmd_perf(args.get(1).map(String::as_str).unwrap_or("all"))
-            }
+            Some("ladder") if args.len() == 3 => cmd_ladder(&context, &args[1], &args[2]),
+            Some("layer") if args.len() == 5 => cmd_layer(&context, &args[1..]),
             _ => usage(),
         }
     });
     if timing {
-        let cache = sim_cache_stats();
+        let cache = context.cache_stats();
         let t = Timing {
             label,
             wall_seconds: wall,
-            layers: (cache.hits + cache.misses) - (cache_before.hits + cache_before.misses),
-            engine_runs: engine_run_count() - runs_before,
-            cache_hits: cache.hits - cache_before.hits,
-            cache_misses: cache.misses - cache_before.misses,
+            layers: cache.hits + cache.misses,
+            // Nothing ran in this process before the command.
+            engine_runs: engine_run_count(),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
         };
         eprintln!("{}", t.to_json());
     }
@@ -201,7 +197,7 @@ fn cmd_audit(args: &[String]) -> ExitCode {
 /// Cycle-level trace of a model's (or one ad-hoc layer's) backward pass:
 /// replays the decided executions with the event recorder attached and
 /// writes the Chrome trace JSON plus the three metrics CSVs to `--out`.
-fn cmd_trace(args: &[String]) -> ExitCode {
+fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
     let mut out_dir = String::from("igo-trace");
     let mut technique = Technique::Rearrangement;
     let mut positional: Vec<&String> = Vec::new();
@@ -244,7 +240,6 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     // tracks; the recorder never stores the raw event stream) is folded
     // into the incremental exporter and dropped before the next layer
     // runs.
-    let options = SimOptions::default();
     let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
     let mut layers = 0usize;
     let mut events = 0usize;
@@ -257,14 +252,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             technique.label()
         );
         for layer in &model.layers {
-            let trace = igo_core::trace_layer_backward(
+            let trace = context.trace_layer(
                 &layer.name,
                 layer.gemm,
                 layer.ifmap_density,
                 &config,
                 technique,
                 layer.is_first,
-                &options,
             );
             layers += 1;
             events += trace.event_count();
@@ -279,8 +273,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             config.name,
             technique.label()
         );
-        let trace =
-            igo_core::trace_layer_backward(target, gemm, 1.0, &config, technique, false, &options);
+        let trace = context.trace_layer(target, gemm, 1.0, &config, technique, false);
         layers = 1;
         events = trace.event_count();
         export.add_layer(&trace);
@@ -334,7 +327,7 @@ fn cmd_models() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_ladder(model_arg: &str, config_arg: &str) -> ExitCode {
+fn cmd_ladder(context: &SimContext, model_arg: &str, config_arg: &str) -> ExitCode {
     let Some(config) = parse_config(config_arg) else {
         eprintln!("unknown config '{config_arg}'");
         return usage();
@@ -345,7 +338,7 @@ fn cmd_ladder(model_arg: &str, config_arg: &str) -> ExitCode {
     };
     let model = zoo::model(id, config.default_batch());
     println!("{model} on {config}");
-    let base = simulate_model(&model, &config, Technique::Baseline);
+    let base = context.model(&model, &config, Technique::Baseline);
     println!(
         "{:<22} {:>14} cycles ({:.2} ms)",
         "Baseline",
@@ -357,7 +350,7 @@ fn cmd_ladder(model_arg: &str, config_arg: &str) -> ExitCode {
         Technique::Rearrangement,
         Technique::DataPartitioning,
     ] {
-        let r = simulate_model(&model, &config, technique);
+        let r = context.model(&model, &config, technique);
         println!(
             "{:<22} {:>14} cycles ({:+.1}%)",
             technique.label(),
@@ -368,7 +361,7 @@ fn cmd_ladder(model_arg: &str, config_arg: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_layer(args: &[String]) -> ExitCode {
+fn cmd_layer(context: &SimContext, args: &[String]) -> ExitCode {
     let dims: Vec<u64> = args[..3].iter().filter_map(|a| a.parse().ok()).collect();
     let [m, k, n] = dims[..] else {
         eprintln!("M K N must be positive integers");
@@ -396,7 +389,7 @@ fn cmd_layer(args: &[String]) -> ExitCode {
         ("rearrangement(oracle)", Technique::RearrangementOracle),
         ("data partitioning", Technique::DataPartitioning),
     ] {
-        let (r, d) = simulate_layer_backward(gemm, &config, technique, false);
+        let (r, d) = context.backward(gemm, 1.0, &config, technique, false);
         let decided = match technique {
             Technique::Baseline | Technique::IdealDyReuse => String::new(),
             _ => format!(
@@ -415,25 +408,24 @@ fn cmd_layer(args: &[String]) -> ExitCode {
             decided
         );
     }
-    let _ = BackwardOrder::Baseline; // exercised via decisions above
     ExitCode::SUCCESS
 }
 
 /// `sweep` front end. The legacy one-positional form (`sweep <model>`) is
 /// the Figure-15 bandwidth sweep; `zoo` or any flag selects the
 /// design-space grid sweep.
-fn cmd_sweep(args: &[String]) -> ExitCode {
+fn cmd_sweep(context: &SimContext, args: &[String]) -> ExitCode {
     if let [only] = args {
         if only != "zoo" && !only.starts_with("--") {
-            return sweep_bandwidth(only);
+            return sweep_bandwidth(context, only);
         }
     }
-    sweep_grid(args)
+    sweep_grid(context, args)
 }
 
 /// The original bandwidth sweep (Figure 15): baseline vs data
 /// partitioning on the large NPU at 1×/0.5×/0.25× DRAM bandwidth.
-fn sweep_bandwidth(model_arg: &str) -> ExitCode {
+fn sweep_bandwidth(context: &SimContext, model_arg: &str) -> ExitCode {
     let Some(id) = parse_model(model_arg) else {
         eprintln!("unknown model '{model_arg}'");
         return usage();
@@ -445,8 +437,8 @@ fn sweep_bandwidth(model_arg: &str) -> ExitCode {
     for scale in [1.0f64, 0.5, 0.25] {
         let config = NpuConfig::large_single_core().with_bandwidth_scale(scale);
         let model: Model = zoo::model(id, config.default_batch());
-        let base = simulate_model(&model, &config, Technique::Baseline);
-        let ours = simulate_model(&model, &config, Technique::DataPartitioning);
+        let base = context.model(&model, &config, Technique::Baseline);
+        let ours = context.model(&model, &config, Technique::DataPartitioning);
         println!(
             "{:<10} {:>12} {:>12} {:>11.1}%",
             format!("{scale}x"),
@@ -469,11 +461,12 @@ fn suite_for(config: &NpuConfig) -> &'static [ModelId] {
 }
 
 /// Design-space grid sweep: SPM-capacity rungs × techniques × models,
-/// one worker-pool task per grid point, evaluated by the pipeline's
-/// analytic replay and emitted as `sweep.csv` plus a JSON summary to
-/// `--out DIR` or stdout. Row order, formats and results are identical
-/// for every worker count.
-fn sweep_grid(args: &[String]) -> ExitCode {
+/// one task per grid point on a pool of the context's
+/// [`SimOptions::workers`], evaluated by the pipeline's analytic replay
+/// and emitted as `sweep.csv` plus a JSON summary to `--out DIR` or
+/// stdout. Row order, formats and results are identical for every worker
+/// count.
+fn sweep_grid(context: &SimContext, args: &[String]) -> ExitCode {
     let mut config = NpuConfig::large_single_core();
     let mut spm_ladder: Option<Vec<u64>> = None;
     let mut techniques: Vec<Technique> = Technique::LADDER.to_vec();
@@ -546,15 +539,16 @@ fn sweep_grid(args: &[String]) -> ExitCode {
             }
         }
     }
-    let runs_before = engine_run_count();
-    let analytic_before = analytic_run_count();
-    let cache_before = sim_cache_stats();
-    let options = SimOptions::optimized();
     let (reports, wall) = measure(|| {
-        parallel_map(&points, |&(mib, mi, technique)| {
-            let rung = config.clone().with_spm_bytes(mib << 20);
-            simulate_model_with(&models[mi], &rung, technique, &options)
-        })
+        parallel_map_workers(
+            &points,
+            context.options().workers,
+            || (),
+            |(), &(mib, mi, technique)| {
+                let rung = config.clone().with_spm_bytes(mib << 20);
+                context.model(&models[mi], &rung, technique)
+            },
+        )
     });
 
     let block = techniques.len();
@@ -591,7 +585,7 @@ fn sweep_grid(args: &[String]) -> ExitCode {
             reports[win].total_cycles(),
         ));
     }
-    let cache = sim_cache_stats();
+    let cache = context.cache_stats();
     let summary = format!(
         "{{\"config\":\"{}\",\"grid_points\":{},\"spm_rungs\":{},\"models\":{},\"techniques\":{},\"wall_seconds\":{:.6},\"engine_runs\":{},\"analytic_runs\":{},\"cache_hits\":{},\"cache_misses\":{},\"best\":[{best}]}}",
         config.name,
@@ -600,10 +594,10 @@ fn sweep_grid(args: &[String]) -> ExitCode {
         models.len(),
         techniques.len(),
         wall,
-        engine_run_count() - runs_before,
-        analytic_run_count() - analytic_before,
-        cache.hits - cache_before.hits,
-        cache.misses - cache_before.misses,
+        engine_run_count(),
+        analytic_run_count(),
+        cache.hits,
+        cache.misses,
     );
 
     match out_dir {
@@ -632,100 +626,4 @@ fn sweep_grid(args: &[String]) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Simulate the full zoo suite for `config` under data partitioning with
-/// the given options, timing the sweep and attributing engine runs and
-/// cache lookups to it.
-fn perf_sweep(
-    models: &[Model],
-    config: &NpuConfig,
-    options: &SimOptions,
-    label: &str,
-) -> (Vec<ModelReport>, Timing) {
-    let runs_before = engine_run_count();
-    let cache_before = sim_cache_stats();
-    let (reports, wall) = measure(|| {
-        models
-            .iter()
-            .map(|m| simulate_model_with(m, config, Technique::DataPartitioning, options))
-            .collect::<Vec<_>>()
-    });
-    let cache = sim_cache_stats();
-    let layers: u64 = models.iter().map(|m| 2 * m.layers.len() as u64).sum();
-    let timing = Timing {
-        label: format!("perf:{}:{label}", config.name),
-        wall_seconds: wall,
-        layers,
-        engine_runs: engine_run_count() - runs_before,
-        cache_hits: cache.hits - cache_before.hits,
-        cache_misses: cache.misses - cache_before.misses,
-    };
-    (reports, timing)
-}
-
-/// Bit-exact comparison of two sweep results: every layer's forward and
-/// backward reports (cycles, per-class traffic, counters) and the
-/// scheduler decisions must match.
-fn reports_identical(a: &[ModelReport], b: &[ModelReport]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.model == y.model
-                && x.layers.len() == y.layers.len()
-                && x.layers.iter().zip(&y.layers).all(|(l, r)| {
-                    l.forward == r.forward
-                        && l.backward == r.backward
-                        && l.decision == r.decision
-                        && l.multiplicity == r.multiplicity
-                })
-        })
-}
-
-/// Pipeline self-measurement: the full-zoo data-partitioning sweep with
-/// [`SimOptions::sequential`] and twice with [`SimOptions::optimized`]
-/// (cold cache, then warm). Every arm must be bit-identical; the speedups
-/// are printed.
-fn cmd_perf(which: &str) -> ExitCode {
-    let configs: Vec<NpuConfig> = match which {
-        "edge" => vec![NpuConfig::small_edge()],
-        "server" => vec![NpuConfig::large_single_core()],
-        "all" => vec![NpuConfig::small_edge(), NpuConfig::large_single_core()],
-        _ => {
-            eprintln!("unknown perf target '{which}'");
-            return usage();
-        }
-    };
-    let mut ok = true;
-    for config in configs {
-        let suite = if config.pe.rows >= 100 {
-            &zoo::SERVER_SUITE
-        } else {
-            &zoo::EDGE_SUITE
-        };
-        let models: Vec<Model> = suite
-            .iter()
-            .map(|&id| zoo::model(id, config.default_batch()))
-            .collect();
-        println!("== {} : full-zoo data-partitioning sweep ==", config.name);
-        let (seq, t_seq) = perf_sweep(&models, &config, &SimOptions::sequential(), "sequential");
-        let (cold, t_cold) = perf_sweep(&models, &config, &SimOptions::optimized(), "cold");
-        let (warm, t_warm) = perf_sweep(&models, &config, &SimOptions::optimized(), "warm");
-        for t in [&t_seq, &t_cold, &t_warm] {
-            println!("{}", t.to_json());
-        }
-        let identical = reports_identical(&seq, &cold) && reports_identical(&seq, &warm);
-        ok &= identical;
-        println!(
-            "bit-identical: {}   speedup cold {:.2}x   warm {:.2}x",
-            if identical { "yes" } else { "NO" },
-            t_seq.wall_seconds / t_cold.wall_seconds,
-            t_seq.wall_seconds / t_warm.wall_seconds,
-        );
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("optimized pipeline diverged from the sequential reference");
-        ExitCode::FAILURE
-    }
 }

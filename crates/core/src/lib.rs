@@ -14,9 +14,13 @@
 //!    distribution, selecting the scheme per layer by simulation oracle or
 //!    by the KNN predictor ([`partition_select`]).
 //!
-//! [`pipeline::simulate_model`] drives a whole training step (forward +
+//! [`SimContext::model`] drives a whole training step (forward +
 //! backward) of any [`igo_workloads::Model`] under any
 //! [`technique::Technique`] and reports cycles and per-class DRAM traffic.
+//! A [`SimContext`] carries the run's [`SimOptions`] and its memo; one
+//! built with [`SimContext::new`] shares nothing with any other, while
+//! [`simulate_model`] and the other free functions run on
+//! [`SimContext::shared`], the one process memo.
 //!
 //! # Example
 //!
@@ -57,14 +61,12 @@ pub use bound::{
     sequential_candidate_bound,
 };
 pub use exec::{execute_backward, execute_partitioned, DenseLayer, ExecutedGradients};
-pub use observe::{trace_layer_backward, trace_model, CoreTrace, LayerTrace};
-pub use parallel::{default_workers, parallel_map, parallel_map_workers, THREADS_ENV};
+pub use observe::{trace_model, CoreTrace, LayerTrace};
+pub use parallel::{default_workers, parallel_map_workers, THREADS_ENV};
 pub use partition::PartitionScheme;
 pub use pipeline::{
-    rearranged_order, record_decided, simulate_layer_backward, simulate_layer_backward_ex,
-    simulate_layer_backward_with, simulate_layer_forward, simulate_layer_forward_ex,
-    simulate_layer_forward_with, simulate_model, simulate_model_ladder, simulate_model_with,
-    LayerDecision, LayerOutcome, ModelReport, SimOptions, TrainingPhase,
+    rearranged_order, simulate_model, simulate_model_ladder, simulate_model_with, LayerDecision,
+    LayerOutcome, ModelReport, SimContext, SimOptions, TrainingPhase,
 };
 pub use report_io::{
     ladder_csv, layers_csv, LadderMismatch, TraceArtifacts, TraceExport, DEFAULT_REUSE_POINTS,
@@ -72,8 +74,8 @@ pub use report_io::{
 pub use schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 pub use select::select_order;
 pub use simcache::{
-    set_sim_cache_cap, sim_cache_cap, sim_cache_len, sim_cache_stats, sim_profile_cache_len,
-    CacheStats, ConfigFingerprint, CACHE_CAP_ENV, DEFAULT_CACHE_CAP,
+    sim_cache_len, sim_cache_stats, sim_profile_cache_len, CacheStats, ConfigFingerprint,
+    DEFAULT_CACHE_CAP,
 };
 pub use technique::Technique;
 pub use tiling::TilePolicy;

@@ -5,8 +5,8 @@
 //! depend on execution order: reports are assembled in item order, never
 //! in completion order.
 //!
-//! [`parallel_map`] provides exactly that contract: results come back in
-//! item order regardless of which worker finished first. Workers are plain
+//! [`parallel_map_workers`] provides exactly that contract: results come
+//! back in item order regardless of which worker finished first. Workers are plain
 //! [`std::thread::scope`] threads (no external runtime), pulling items off
 //! a shared atomic counter. Nested calls — a grid-point pool whose tasks
 //! run a layer pool — run the inner map sequentially on the calling worker
@@ -22,21 +22,9 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when called from inside a [`parallel_map`] worker.
+/// True when called from inside a [`parallel_map_workers`] worker.
 pub fn in_worker() -> bool {
     IN_POOL.with(Cell::get)
-}
-
-/// Map `f` over `items`, possibly concurrently, returning results in item
-/// order. Falls back to a plain sequential map when the machine has a
-/// single hardware thread, when there is at most one item, or when already
-/// running inside a pool worker.
-pub fn parallel_map<T, R>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    parallel_map_workers(items, 0, || (), |(), item| f(item))
 }
 
 /// Environment variable overriding the default worker-pool size (used when
@@ -59,12 +47,15 @@ pub fn default_workers() -> usize {
         })
 }
 
-/// [`parallel_map`] with per-worker state and an explicit worker count:
-/// `init` runs once per worker (or once total on the sequential path) and
-/// the state is threaded through every call that worker makes. `workers`
-/// of `0` means [`default_workers`] (the `IGO_SIM_THREADS` override or one
-/// per hardware thread); `1` maps inline. Forcing more workers than hardware threads is how the tests
-/// drive the pool's cross-thread determinism even on small machines.
+/// Map `f` over `items` on up to `workers` workers, returning results in
+/// item order. `init` runs once per worker (or once total on the
+/// sequential path) and the state is threaded through every call that
+/// worker makes. `workers` of `0` means [`default_workers`] (the
+/// `IGO_SIM_THREADS` override or one per hardware thread); the map runs
+/// inline when that is `1`, when there is at most one item, or when
+/// already running inside a pool worker. Forcing more workers than
+/// hardware threads is how the tests drive the pool's cross-thread
+/// determinism even on small machines.
 pub fn parallel_map_workers<S, T, R>(
     items: &[T],
     workers: usize,
@@ -148,7 +139,7 @@ mod tests {
             |(), &x| {
                 assert!(in_worker(), "forced pool must run items on workers");
                 let inner: Vec<u32> = (0..4).collect();
-                parallel_map(&inner, |&y| x * 10 + y)
+                parallel_map_workers(&inner, 4, || (), |(), &y| x * 10 + y)
             },
         );
         assert_eq!(out[3], vec![30, 31, 32, 33]);
@@ -178,8 +169,11 @@ mod tests {
     #[test]
     fn empty_and_single_item_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(parallel_map(&empty, |&x: &u32| x).is_empty());
-        assert_eq!(parallel_map(&[41u32], |&x| x + 1), vec![42]);
+        assert!(parallel_map_workers(&empty, 4, || (), |(), &x: &u32| x).is_empty());
+        assert_eq!(
+            parallel_map_workers(&[41u32], 4, || (), |(), &x| x + 1),
+            vec![42]
+        );
     }
 
     #[test]

@@ -644,14 +644,14 @@ mod tests {
 
     #[test]
     fn reuse_rows_follow_max_reuse_points() {
-        let trace = crate::observe::trace_layer_backward(
+        let context = crate::SimContext::new(crate::SimOptions::sequential());
+        let trace = context.trace_layer(
             "layer",
             igo_tensor::GemmShape::new(1024, 512, 512),
             1.0,
             &NpuConfig::small_edge(),
             Technique::Interleaving,
             false,
-            &crate::pipeline::SimOptions::sequential(),
         );
         let metrics = &trace.cores[0].metrics;
         let stored = &metrics.dy_timeline;

@@ -1,15 +1,21 @@
-//! Process-wide memoization of layer simulations.
+//! Memoization of layer simulations.
 //!
 //! The experiment harnesses simulate the same layer shapes over and over:
 //! a technique ladder re-simulates every layer's forward pass once per
 //! technique, zoo models share layer shapes, and sweeps revisit entire
 //! models. Under this machine model a layer simulation is a pure function
 //! of `(GEMM shape, ifmap density, hardware config, technique, position)`,
-//! so the pipeline caches results across [`crate::simulate_model`] calls.
-//! The same cache also memoizes individual backward *candidates*
-//! ([`CandidateKey`]): techniques share candidate schedules, so a candidate
-//! replayed while selecting under one technique is served from the cache
+//! so a [`crate::SimContext`] caches results across the calls made on it.
+//! The same memo also holds individual backward *candidates*
+//! (`CandidateKey`): techniques share candidate schedules, so a candidate
+//! replayed while selecting under one technique is served from the memo
 //! when a later technique enumerates it.
+//!
+//! Each memo counts its own hits, misses and evictions.
+//! [`crate::SimContext::new`] builds a private memo;
+//! [`crate::SimContext::shared`] and the free-function shims
+//! ([`crate::simulate_model`], [`sim_cache_stats`], ...) use the one
+//! process memo, built on first use.
 //!
 //! The key deliberately excludes the config's *name* (a label) and
 //! *batch-per-core* (already folded into the GEMM's M dimension by model
@@ -25,8 +31,7 @@ use igo_npu_sim::{NpuConfig, SimReport};
 use igo_tensor::GemmShape;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The simulation-relevant fields of an [`NpuConfig`], bit-exact and
 /// hashable. Two configs with equal fingerprints produce identical layer
@@ -60,7 +65,7 @@ impl ConfigFingerprint {
 
 /// Which simulation of a layer the entry holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PassKey {
+pub(crate) enum PassKey {
     Forward,
     Backward {
         technique: Technique,
@@ -92,39 +97,55 @@ pub(crate) enum CandidateKey {
     },
 }
 
+/// A memo key: one simulation of one layer on one config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub(crate) struct CacheKey {
     gemm: GemmShape,
     density_bits: u64,
     config: ConfigFingerprint,
     pass: PassKey,
 }
 
-/// A memoized layer result (`decision` is `None` for forward passes).
-type CacheEntry = (SimReport, Option<LayerDecision>);
+impl CacheKey {
+    pub(crate) fn new(gemm: GemmShape, density: f64, config: &NpuConfig, pass: PassKey) -> Self {
+        Self {
+            gemm,
+            density_bits: density.to_bits(),
+            config: ConfigFingerprint::of(config),
+            pass,
+        }
+    }
+}
 
-/// Default capacity in entries (an entry is a couple of hundred bytes, so
-/// this bounds the memo cache to a few tens of megabytes).
+/// A memoized layer result (`decision` is `Some` for backward passes
+/// only).
+pub(crate) type CacheEntry = (SimReport, Option<LayerDecision>);
+
+/// Capacity of every memo in entries (an entry is a couple of hundred
+/// bytes, so this bounds a memo to a few tens of megabytes).
 pub const DEFAULT_CACHE_CAP: usize = 1 << 18;
 
-/// Environment variable overriding the memo-cache capacity (entries).
-pub const CACHE_CAP_ENV: &str = "IGO_SIM_CACHE_CAP";
-
-/// A bounded LRU map: recency is tracked with a lazy queue of
-/// `(key, stamp)` touches — an entry is live only under its latest stamp,
-/// so stale queue slots are skipped (and trimmed) instead of being moved.
+/// A bounded LRU map with its own lookup counters: recency is tracked
+/// with a lazy queue of `(key, stamp)` touches — an entry is live only
+/// under its latest stamp, so stale queue slots are skipped (and trimmed)
+/// instead of being moved.
 struct LruCache<K, V> {
     map: HashMap<K, (V, u64)>,
     queue: VecDeque<(K, u64)>,
     clock: u64,
+    cap: usize,
+    stats: CacheStats,
 }
 
 impl<K: Eq + Hash + Copy, V: Clone> LruCache<K, V> {
-    fn new() -> Self {
+    fn new(cap: usize) -> Self {
+        assert!(cap > 0, "cache cap must be positive");
         Self {
             map: HashMap::new(),
             queue: VecDeque::new(),
             clock: 0,
+            cap,
+            stats: CacheStats::default(),
         }
     }
 
@@ -151,168 +172,96 @@ impl<K: Eq + Hash + Copy, V: Clone> LruCache<K, V> {
         let got = match self.map.get_mut(k) {
             Some((entry, s)) => {
                 *s = stamp;
+                self.stats.hits += 1;
                 Some(entry.clone())
             }
-            None => None,
+            None => {
+                self.stats.misses += 1;
+                None
+            }
         };
         self.maybe_compact();
         got
     }
 
-    fn insert(&mut self, k: K, entry: V, cap: usize) {
+    fn insert(&mut self, k: K, entry: V) {
         let stamp = self.touch(k);
         self.map.insert(k, (entry, stamp));
-        while self.map.len() > cap {
+        while self.map.len() > self.cap {
             let (victim, s) = self.queue.pop_front().expect("queue covers every entry");
             if self.map.get(&victim).is_some_and(|&(_, live)| live == s) {
                 self.map.remove(&victim);
-                EVICTIONS.fetch_add(1, Ordering::Relaxed);
+                self.stats.evictions += 1;
             }
         }
         self.maybe_compact();
     }
 }
 
-static CACHE: OnceLock<Mutex<LruCache<CacheKey, CacheEntry>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-/// Capacity override; `usize::MAX` means "unset, read the environment".
-static CAP: AtomicUsize = AtomicUsize::new(usize::MAX);
+/// One memo of layer results and candidate replays: the LRU behind a
+/// lock, so the layer workers of one [`crate::SimContext`] share it.
+pub(crate) struct Memo(Mutex<LruCache<CacheKey, CacheEntry>>);
 
-fn cache() -> &'static Mutex<LruCache<CacheKey, CacheEntry>> {
-    CACHE.get_or_init(|| Mutex::new(LruCache::new()))
-}
+/// The process memo behind [`crate::SimContext::shared`], built on first
+/// use.
+static SHARED: OnceLock<Arc<Memo>> = OnceLock::new();
 
-/// The active capacity cap: a [`set_sim_cache_cap`] override if present,
-/// else `IGO_SIM_CACHE_CAP` from the environment, else
-/// [`DEFAULT_CACHE_CAP`].
-pub fn sim_cache_cap() -> usize {
-    match CAP.load(Ordering::Relaxed) {
-        usize::MAX => std::env::var(CACHE_CAP_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-            .unwrap_or(DEFAULT_CACHE_CAP),
-        cap => cap,
+impl Memo {
+    /// An empty memo holding at most `cap` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap` is 0 (every lookup would miss while still paying
+    /// the insertion cost; disable memoization via
+    /// [`crate::SimOptions::memoize`] instead).
+    pub(crate) fn new(cap: usize) -> Self {
+        Self(Mutex::new(LruCache::new(cap)))
+    }
+
+    /// The process memo, built on first use.
+    pub(crate) fn shared() -> Arc<Self> {
+        Arc::clone(SHARED.get_or_init(|| Arc::new(Self::new(DEFAULT_CACHE_CAP))))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, LruCache<CacheKey, CacheEntry>> {
+        self.0
+            .lock()
+            .expect("memo cache lock poisoned by a panicking worker")
+    }
+
+    /// The entry under `k`, counted as a hit or a miss.
+    pub(crate) fn get(&self, k: &CacheKey) -> Option<CacheEntry> {
+        self.lock().get(k)
+    }
+
+    /// Store `entry` under `k`. Concurrent workers may race on the same
+    /// key; both compute the same deterministic value, so last-write-wins
+    /// is harmless.
+    pub(crate) fn put(&self, k: CacheKey, entry: CacheEntry) {
+        self.lock().insert(k, entry);
+    }
+
+    /// Hit/miss/eviction counters so far.
+    pub(crate) fn stats(&self) -> CacheStats {
+        self.lock().stats
+    }
+
+    /// Entries held: layer results and candidate replays.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().map.len()
+    }
+
+    /// Candidate replays held (a subset of [`Self::len`]).
+    pub(crate) fn candidate_len(&self) -> usize {
+        self.lock()
+            .map
+            .keys()
+            .filter(|k| matches!(k.pass, PassKey::Candidate(_)))
+            .count()
     }
 }
 
-/// Override the memo-cache capacity (entries) for this process,
-/// taking precedence over `IGO_SIM_CACHE_CAP`. The cap applies to future
-/// insertions; it does not shrink the cache retroactively.
-///
-/// # Panics
-///
-/// Panics if `cap` is 0 (a cap of zero would make every lookup miss while
-/// still paying the insertion cost; disable memoization via
-/// [`crate::SimOptions::memoize`] instead).
-pub fn set_sim_cache_cap(cap: usize) {
-    assert!(cap > 0, "cache cap must be positive");
-    CAP.store(cap, Ordering::Relaxed);
-}
-
-fn key(gemm: GemmShape, density: f64, config: &NpuConfig, pass: PassKey) -> CacheKey {
-    CacheKey {
-        gemm,
-        density_bits: density.to_bits(),
-        config: ConfigFingerprint::of(config),
-        pass,
-    }
-}
-
-fn lookup(k: &CacheKey) -> Option<CacheEntry> {
-    let got = cache().lock().unwrap().get(k);
-    match got {
-        Some(_) => HITS.fetch_add(1, Ordering::Relaxed),
-        None => MISSES.fetch_add(1, Ordering::Relaxed),
-    };
-    got
-}
-
-fn insert(k: CacheKey, entry: CacheEntry) {
-    // Concurrent workers may race on the same key; both compute the same
-    // deterministic value, so last-write-wins is harmless.
-    let cap = sim_cache_cap();
-    cache().lock().unwrap().insert(k, entry, cap);
-}
-
-pub(crate) fn get_forward(gemm: GemmShape, density: f64, config: &NpuConfig) -> Option<SimReport> {
-    lookup(&key(gemm, density, config, PassKey::Forward)).map(|(r, _)| r)
-}
-
-pub(crate) fn put_forward(gemm: GemmShape, density: f64, config: &NpuConfig, report: SimReport) {
-    insert(key(gemm, density, config, PassKey::Forward), (report, None));
-}
-
-pub(crate) fn get_backward(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-) -> Option<(SimReport, LayerDecision)> {
-    let pass = PassKey::Backward {
-        technique,
-        is_first,
-    };
-    lookup(&key(gemm, density, config, pass))
-        .map(|(r, d)| (r, d.expect("backward entries carry a decision")))
-}
-
-pub(crate) fn put_backward(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    technique: Technique,
-    is_first: bool,
-    report: SimReport,
-    decision: LayerDecision,
-) {
-    let pass = PassKey::Backward {
-        technique,
-        is_first,
-    };
-    insert(key(gemm, density, config, pass), (report, Some(decision)));
-}
-
-/// The exact report of one backward candidate replayed before on this
-/// layer and config, under any technique.
-pub(crate) fn get_candidate(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    candidate: CandidateKey,
-) -> Option<SimReport> {
-    lookup(&key(gemm, density, config, PassKey::Candidate(candidate))).map(|(r, _)| r)
-}
-
-/// Memoize the exact report of one completed candidate replay.
-pub(crate) fn put_candidate(
-    gemm: GemmShape,
-    density: f64,
-    config: &NpuConfig,
-    candidate: CandidateKey,
-    report: SimReport,
-) {
-    insert(
-        key(gemm, density, config, PassKey::Candidate(candidate)),
-        (report, None),
-    );
-}
-
-/// Number of memoized candidate replays (a subset of [`sim_cache_len`]).
-pub fn sim_profile_cache_len() -> usize {
-    cache()
-        .lock()
-        .expect("memo cache lock poisoned by a panicking worker")
-        .map
-        .keys()
-        .filter(|k| matches!(k.pass, PassKey::Candidate(_)))
-        .count()
-}
-
-/// Hit/miss/eviction counters of the layer memo cache.
+/// Hit/miss/eviction counters of a layer memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Layer simulations served from the cache.
@@ -323,25 +272,29 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// Process-wide cache counters so far. Monotonic; sample before and after a
-/// workload to attribute lookups (the `--timing` flag does exactly that).
+/// The shared memo's counters so far. Monotonic; sample before and after
+/// a workload to attribute lookups.
 pub fn sim_cache_stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        evictions: EVICTIONS.load(Ordering::Relaxed),
-    }
+    Memo::shared().stats()
 }
 
-/// Number of entries currently memoized: layer results and candidate
+/// Number of entries the shared memo holds: layer results and candidate
 /// replays.
 pub fn sim_cache_len() -> usize {
-    cache().lock().unwrap().map.len()
+    Memo::shared().len()
+}
+
+/// Number of candidate replays the shared memo holds (a subset of
+/// [`sim_cache_len`]).
+pub fn sim_profile_cache_len() -> usize {
+    Memo::shared().candidate_len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SimContext, SimOptions};
+    use igo_workloads::{Layer, Model, ModelId};
 
     #[test]
     fn fingerprint_distinguishes_spm_size_only() {
@@ -378,7 +331,7 @@ mod tests {
     }
 
     fn key_for(m: u64) -> CacheKey {
-        key(
+        CacheKey::new(
             GemmShape::new(m, 3, 5),
             1.0,
             &NpuConfig::small_edge(),
@@ -398,30 +351,31 @@ mod tests {
 
     #[test]
     fn lru_cap_evicts_least_recently_used() {
-        let mut lru = LruCache::new();
-        let evicted_before = EVICTIONS.load(Ordering::Relaxed);
+        let mut lru = LruCache::new(4);
         for m in 1..=4 {
-            lru.insert(key_for(m), entry_for(m), 4);
+            lru.insert(key_for(m), entry_for(m));
         }
         // Touch the oldest entry, then overflow: the untouched next-oldest
         // (m=2) must be the victim, not the refreshed m=1.
         assert!(lru.get(&key_for(1)).is_some());
-        lru.insert(key_for(5), entry_for(5), 4);
+        lru.insert(key_for(5), entry_for(5));
         assert_eq!(lru.map.len(), 4, "cap must hold");
         assert!(lru.get(&key_for(2)).is_none(), "LRU entry evicted");
         assert!(lru.get(&key_for(1)).is_some(), "refreshed entry survives");
         assert!(lru.get(&key_for(5)).is_some(), "newest entry survives");
-        assert!(
-            EVICTIONS.load(Ordering::Relaxed) > evicted_before,
-            "evictions must be counted"
-        );
+        let want = CacheStats {
+            hits: 3,
+            misses: 1,
+            evictions: 1,
+        };
+        assert_eq!(lru.stats, want);
     }
 
     #[test]
     fn lru_queue_stays_bounded_under_repeated_touches() {
-        let mut lru = LruCache::new();
+        let mut lru = LruCache::new(8);
         for m in 1..=8 {
-            lru.insert(key_for(m), entry_for(m), 8);
+            lru.insert(key_for(m), entry_for(m));
         }
         for _ in 0..10_000 {
             assert!(lru.get(&key_for(3)).is_some());
@@ -434,59 +388,130 @@ mod tests {
     }
 
     #[test]
-    fn cache_cap_override_takes_precedence() {
-        // A deliberately large override so concurrently running tests that
-        // rely on memoization never see evictions from this one.
-        set_sim_cache_cap(9_999_999);
-        assert_eq!(sim_cache_cap(), 9_999_999);
-    }
-
-    #[test]
     fn candidate_memo_round_trips_and_keys_the_full_config() {
-        // A deliberately unique shape so no other test collides.
-        let gemm = GemmShape::new(7873, 7867, 7853);
+        let memo = Memo::new(DEFAULT_CACHE_CAP);
+        let gemm = GemmShape::new(70, 60, 50);
         let config = NpuConfig::small_edge();
         let shrunk = config.clone().with_spm_bytes(config.spm_bytes / 2);
-        let plain = CandidateKey::Plain {
-            order: BackwardOrder::Interleaved,
-            is_first: false,
+        let plain = |config: &NpuConfig, is_first| {
+            let order = BackwardOrder::Interleaved;
+            let pass = PassKey::Candidate(CandidateKey::Plain { order, is_first });
+            CacheKey::new(gemm, 1.0, config, pass)
         };
-        assert_eq!(get_candidate(gemm, 1.0, &config, plain), None);
-        let report = SimReport {
-            cycles: 40,
-            ..Default::default()
-        };
-        put_candidate(gemm, 1.0, &config, plain, report);
-        assert_eq!(get_candidate(gemm, 1.0, &config, plain), Some(report));
+        assert_eq!(memo.get(&plain(&config, false)), None);
+        memo.put(plain(&config, false), entry_for(40));
+        assert_eq!(memo.get(&plain(&config, false)), Some(entry_for(40)));
+        assert_eq!(memo.get(&plain(&shrunk, false)), None, "SPM size is keyed");
         assert_eq!(
-            get_candidate(gemm, 1.0, &shrunk, plain),
-            None,
-            "SPM size is keyed"
-        );
-        let first = CandidateKey::Plain {
-            order: BackwardOrder::Interleaved,
-            is_first: true,
-        };
-        assert_eq!(
-            get_candidate(gemm, 1.0, &config, first),
+            memo.get(&plain(&config, true)),
             None,
             "pass position is keyed"
         );
-        assert!(sim_profile_cache_len() >= 1);
+        assert_eq!((memo.len(), memo.candidate_len()), (1, 1));
     }
 
     #[test]
     fn cache_round_trips_a_forward_entry() {
-        // A deliberately unique shape so no other test collides.
-        let gemm = GemmShape::new(7919, 7907, 7901);
+        let memo = Memo::new(DEFAULT_CACHE_CAP);
         let config = NpuConfig::small_edge();
-        assert_eq!(get_forward(gemm, 0.123, &config), None);
-        let report = SimReport {
-            cycles: 42,
-            ..Default::default()
+        let forward = |density| {
+            CacheKey::new(
+                GemmShape::new(70, 60, 50),
+                density,
+                &config,
+                PassKey::Forward,
+            )
         };
-        put_forward(gemm, 0.123, &config, report);
-        assert_eq!(get_forward(gemm, 0.123, &config), Some(report));
-        assert_eq!(get_forward(gemm, 0.124, &config), None, "density is keyed");
+        assert_eq!(memo.get(&forward(0.123)), None);
+        memo.put(forward(0.123), entry_for(42));
+        assert_eq!(memo.get(&forward(0.123)), Some(entry_for(42)));
+        assert_eq!(memo.get(&forward(0.124)), None, "density is keyed");
+        let want = CacheStats {
+            hits: 1,
+            misses: 2,
+            evictions: 0,
+        };
+        assert_eq!(memo.stats(), want);
+        assert_eq!((memo.len(), memo.candidate_len()), (1, 0));
+    }
+
+    /// Three dense layers; the last two share a shape, so the third is
+    /// served from the memo. One worker, no pruning: every candidate
+    /// completes, so every miss stores exactly one entry.
+    fn tiny_model() -> Model {
+        Model::new(
+            ModelId::Ncf,
+            "tiny",
+            64,
+            vec![
+                Layer::fc("fc1", 64, 128, 256),
+                Layer::fc("fc2", 64, 256, 256),
+                Layer::fc("fc3", 64, 256, 256),
+            ],
+            0,
+        )
+    }
+
+    const SERIAL: SimOptions = SimOptions {
+        memoize: true,
+        prune: false,
+        workers: 1,
+    };
+
+    fn stats(hits: u64, misses: u64) -> CacheStats {
+        CacheStats {
+            hits,
+            misses,
+            evictions: 0,
+        }
+    }
+
+    #[test]
+    fn private_contexts_count_exactly_and_share_nothing() {
+        let (model, config) = (tiny_model(), NpuConfig::small_edge());
+        let a = SimContext::new(SERIAL);
+        // Baseline has one candidate per layer: fc1 and fc2 each miss
+        // their forward, backward and candidate lookups; fc3 hits fc2's
+        // forward and backward entries.
+        let cold = a.model(&model, &config, Technique::Baseline);
+        assert_eq!(a.cache_stats(), stats(2, 6));
+        assert_eq!((a.memo.len(), a.memo.candidate_len()), (6, 2));
+        // A rerun is served per layer: two hits per layer, no replay.
+        let warm = a.model(&model, &config, Technique::Baseline);
+        assert_eq!(a.cache_stats(), stats(8, 6));
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        // Interleaving reuses the forward entries and replays a new
+        // candidate for fc1 and fc2 only.
+        a.model(&model, &config, Technique::Interleaving);
+        assert_eq!(a.cache_stats(), stats(12, 10));
+        assert_eq!((a.memo.len(), a.memo.candidate_len()), (10, 4));
+
+        // A second private context starts empty and counts alone.
+        let b = SimContext::new(SERIAL);
+        assert_eq!((b.memo.len(), b.cache_stats()), (0, stats(0, 0)));
+        let fresh = b.model(&model, &config, Technique::Baseline);
+        assert_eq!(b.cache_stats(), stats(2, 6));
+        assert_eq!(a.cache_stats(), stats(12, 10), "b touched a's memo");
+        assert_eq!(format!("{cold:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn small_memo_evicts_without_changing_reports() {
+        let (model, config) = (tiny_model(), NpuConfig::small_edge());
+        let want = SimContext::new(SERIAL).model(&model, &config, Technique::DataPartitioning);
+        for cap in [1, 2, 4] {
+            let small = SimContext {
+                options: SERIAL,
+                memo: Arc::new(Memo::new(cap)),
+            };
+            for _ in 0..2 {
+                let got = small.model(&model, &config, Technique::DataPartitioning);
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "cap {cap}");
+            }
+            let s = small.cache_stats();
+            assert_eq!(small.memo.len(), cap, "cap {cap}");
+            assert!(s.evictions > 0, "cap {cap}: {s:?}");
+            assert_eq!(s.evictions, s.misses - cap as u64, "cap {cap}: {s:?}");
+        }
     }
 }

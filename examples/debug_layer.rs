@@ -1,5 +1,5 @@
 //! Internal debugging aid: per-layer technique comparison.
-use igo_core::{simulate_layer_backward, Technique};
+use igo_core::{SimContext, SimOptions, Technique};
 use igo_npu_sim::NpuConfig;
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{zoo, ModelId};
@@ -11,27 +11,18 @@ fn main() {
         NpuConfig::large_single_core()
     };
     let model = zoo::model(ModelId::Resnet50, config.default_batch());
+    let context = SimContext::new(SimOptions::default());
+    let backward =
+        |gemm, technique, is_first| context.backward(gemm, 1.0, &config, technique, is_first);
     println!(
         "{:<18} {:>10} {:>10} {:>10} {:>10} | baseline detail",
         "layer", "base", "inter", "rearr", "part"
     );
     for layer in &model.layers {
-        let (b, _) =
-            simulate_layer_backward(layer.gemm, &config, Technique::Baseline, layer.is_first);
-        let (i, _) =
-            simulate_layer_backward(layer.gemm, &config, Technique::Interleaving, layer.is_first);
-        let (r, d) = simulate_layer_backward(
-            layer.gemm,
-            &config,
-            Technique::Rearrangement,
-            layer.is_first,
-        );
-        let (p, pd) = simulate_layer_backward(
-            layer.gemm,
-            &config,
-            Technique::DataPartitioning,
-            layer.is_first,
-        );
+        let (b, _) = backward(layer.gemm, Technique::Baseline, layer.is_first);
+        let (i, _) = backward(layer.gemm, Technique::Interleaving, layer.is_first);
+        let (r, d) = backward(layer.gemm, Technique::Rearrangement, layer.is_first);
+        let (p, pd) = backward(layer.gemm, Technique::DataPartitioning, layer.is_first);
         println!(
             "{:<18} {:>10} {:>10.3} {:>10.3} {:>10.3} | {} m={} misses={} dyR={}MB memb={:.2} order={:?} part={:?}",
             layer.name,
@@ -55,7 +46,7 @@ fn main() {
         Technique::Interleaving,
         Technique::Rearrangement,
     ] {
-        let (r, _) = simulate_layer_backward(g, &config, t, false);
+        let (r, _) = backward(g, t, false);
         println!(
             "{t:<20} cycles={} mem={} comp={} reads={}MB writes={}MB hits={} misses={}",
             r.cycles,

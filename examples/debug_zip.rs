@@ -1,24 +1,25 @@
 //! Internal debugging aid: why does chunked zip lose on a specific layer?
-use igo_core::{simulate_layer_backward_ex, Technique};
+use igo_core::{SimContext, SimOptions, Technique};
 use igo_npu_sim::NpuConfig;
 use igo_workloads::{zoo, ModelId};
 
 fn main() {
     let config = NpuConfig::small_edge();
+    let context = SimContext::new(SimOptions::default());
     for model in [
         zoo::model(ModelId::Dlrm, 4),
         zoo::model(ModelId::YoloV2Tiny, 4),
     ] {
         println!("== {}", model.name);
         for layer in &model.layers {
-            let (b, _) = simulate_layer_backward_ex(
+            let (b, _) = context.backward(
                 layer.gemm,
                 layer.ifmap_density,
                 &config,
                 Technique::Baseline,
                 layer.is_first,
             );
-            let (i, _) = simulate_layer_backward_ex(
+            let (i, _) = context.backward(
                 layer.gemm,
                 layer.ifmap_density,
                 &config,

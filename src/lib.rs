@@ -38,7 +38,7 @@ pub use igo_workloads as workloads;
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use igo_core::{
-        simulate_layer_backward, simulate_model, ModelReport, Technique, TrainingPhase,
+        simulate_model, ModelReport, SimContext, SimOptions, Technique, TrainingPhase,
     };
     pub use igo_npu_sim::{NpuConfig, SimReport};
     pub use igo_tensor::{ConvShape, DataType, GemmShape, TensorClass};

@@ -5,15 +5,12 @@
 //! forward and backward cycles plus per-class DRAM read/write bytes. The
 //! pipeline's performance features — worker-pool parallelism, memoization,
 //! bound pruning (`SimOptions`) — must be invisible in the results: a cold
-//! run on a forced 3-worker pool and a warm run served from the memo
-//! cache must both reproduce the pinned reference bit for bit, decisions
-//! included. The forced pool exercises real cross-thread reductions even
+//! run on a forced 3-worker pool, on a fresh private `SimContext`, and a
+//! warm rerun served from that context's memo must both reproduce the
+//! pinned reference bit for bit, decisions included. The forced pool exercises real cross-thread reductions even
 //! on a single-CPU machine.
 
-use igo_core::{
-    simulate_layer_backward_with, simulate_model_with, trace_layer_backward, ModelReport,
-    SimOptions, Technique,
-};
+use igo_core::{ModelReport, SimContext, SimOptions, Technique};
 use igo_npu_sim::{AnalyticCollector, AnalyticScratch, Engine, EventLog, NpuConfig};
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{zoo, ModelId};
@@ -94,7 +91,8 @@ fn assert_identical(seq: &ModelReport, opt: &ModelReport) {
 
 /// Simulate `models` at `batch` under `technique` on `config`, pin the
 /// sequential reference to `want`, and demand that a cold run on a forced
-/// 3-worker pool and a warm (memo-served) rerun reproduce it bit for bit.
+/// 3-worker pool and a warm (memo-served) rerun on the same fresh context
+/// reproduce it bit for bit.
 fn golden_sweep(
     models: &[ModelId],
     config: &NpuConfig,
@@ -102,17 +100,18 @@ fn golden_sweep(
     technique: Technique,
     want: u64,
 ) {
-    let run = |options: &SimOptions| -> Vec<ModelReport> {
+    let run = |context: &SimContext| -> Vec<ModelReport> {
         models
             .iter()
-            .map(|&id| simulate_model_with(&zoo::model(id, batch), config, technique, options))
+            .map(|&id| context.model(&zoo::model(id, batch), config, technique))
             .collect()
     };
-    // The reference shares no state with the cold run (it does not
-    // memoize), so the two run side by side.
+    // The reference shares no state with the cold run, so the two run
+    // side by side.
+    let optimized = SimContext::new(OPTIMIZED);
     let (reference, cold) = std::thread::scope(|scope| {
-        let reference = scope.spawn(|| run(&SimOptions::sequential()));
-        let cold = run(&OPTIMIZED);
+        let reference = scope.spawn(|| run(&SimContext::new(SimOptions::sequential())));
+        let cold = run(&optimized);
         (reference.join().expect("reference run"), cold)
     });
     let got = digest(&reference);
@@ -121,7 +120,7 @@ fn golden_sweep(
         "{technique} on {}: digest {got:#018x} != pinned {want:#018x}",
         config.name
     );
-    let warm = run(&OPTIMIZED);
+    let warm = run(&optimized);
     for (pass, optimized) in [("cold", cold), ("warm", warm)] {
         for (r, o) in reference.iter().zip(&optimized) {
             assert_identical(r, o);
@@ -217,7 +216,7 @@ fn recorder_leaves_engine_reports_bit_identical() {
 /// whether or not a recorder observed the run.
 #[test]
 fn traced_pipeline_is_bit_identical_to_untraced() {
-    let options = SimOptions::sequential();
+    let context = SimContext::new(SimOptions::sequential());
     for config in [NpuConfig::small_edge(), NpuConfig::large_server(2)] {
         for technique in [
             Technique::Baseline,
@@ -225,10 +224,8 @@ fn traced_pipeline_is_bit_identical_to_untraced() {
             Technique::DataPartitioning,
         ] {
             let gemm = GemmShape::new(448, 256, 384);
-            let (report, decision) =
-                simulate_layer_backward_with(gemm, 1.0, &config, technique, false, &options);
-            let trace =
-                trace_layer_backward("layer", gemm, 1.0, &config, technique, false, &options);
+            let (report, decision) = context.backward(gemm, 1.0, &config, technique, false);
+            let trace = context.trace_layer("layer", gemm, 1.0, &config, technique, false);
             assert_eq!(trace.decision, decision, "{technique:?}: decision diverged");
             assert_eq!(trace.report, report, "{technique:?}: report diverged");
         }

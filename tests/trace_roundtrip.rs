@@ -13,8 +13,8 @@
 //! JSON the exporter can produce, and rejects structural damage.
 
 use igo_core::{
-    trace_layer_backward, trace_model, LayerTrace, SimOptions, Technique, TraceArtifacts,
-    TraceExport, DEFAULT_REUSE_POINTS,
+    LayerTrace, SimContext, SimOptions, Technique, TraceArtifacts, TraceExport,
+    DEFAULT_REUSE_POINTS,
 };
 use igo_npu_sim::NpuConfig;
 use igo_tensor::{GemmShape, TensorClass};
@@ -266,25 +266,23 @@ fn chrome_trace_json(traces: &[LayerTrace]) -> String {
 }
 
 fn sample_traces() -> Vec<LayerTrace> {
-    let options = SimOptions::sequential();
+    let context = SimContext::new(SimOptions::sequential());
     vec![
-        trace_layer_backward(
+        context.trace_layer(
             "conv,\"quoted\"",
             GemmShape::new(300, 200, 180),
             1.0,
             &NpuConfig::small_edge(),
             Technique::Rearrangement,
             false,
-            &options,
         ),
-        trace_layer_backward(
+        context.trace_layer(
             "fc",
             GemmShape::new(512, 256, 256),
             1.0,
             &NpuConfig::large_server(2),
             Technique::Interleaving,
             false,
-            &options,
         ),
     ]
 }
@@ -367,14 +365,13 @@ fn chrome_trace_phase_events_are_balanced() {
 /// totals equal `hits + misses` from the engine's own cache statistics.
 #[test]
 fn reuse_histograms_account_for_every_cache_access() {
-    let trace = trace_layer_backward(
+    let trace = SimContext::new(SimOptions::sequential()).trace_layer(
         "layer",
         GemmShape::new(384, 256, 320),
         1.0,
         &NpuConfig::small_edge(),
         Technique::Interleaving,
         false,
-        &SimOptions::sequential(),
     );
     for core in &trace.cores {
         let mut histogram_total = 0;
@@ -432,10 +429,10 @@ fn artifact_hashes(traces: &[LayerTrace]) -> [u64; 4] {
 /// exported traces must update these hashes.
 #[test]
 fn trace_artifacts_content_is_pinned() {
-    let options = SimOptions::sequential();
+    let context = SimContext::new(SimOptions::sequential());
     let edge = NpuConfig::small_edge();
     let model = zoo::model(ModelId::BertTiny, edge.default_batch());
-    let traces = trace_model(&model, &edge, Technique::DataPartitioning, &options);
+    let traces = context.trace_model(&model, &edge, Technique::DataPartitioning);
     assert!(
         traces.iter().any(|t| t.decision.partition.is_some()),
         "the edge trace must exercise chained sequential partitions"
@@ -452,14 +449,13 @@ fn trace_artifacts_content_is_pinned() {
     );
 
     let server = NpuConfig::large_server(2);
-    let layer = trace_layer_backward(
+    let layer = context.trace_layer(
         "768x512x384",
         GemmShape::new(768, 512, 384),
         1.0,
         &server,
         Technique::Interleaving,
         false,
-        &options,
     );
     assert_eq!(layer.cores.len(), 2);
     assert_eq!(
