@@ -71,6 +71,16 @@ pub mod wallclock {
         start.elapsed().as_secs_f64() / iters as f64
     }
 
+    /// Peak resident set of this process so far (`VmHWM` in
+    /// `/proc/self/status`), in MiB; `None` where that file is missing
+    /// (off Linux).
+    pub fn peak_rss_mib() -> Option<f64> {
+        let status = std::fs::read_to_string("/proc/self/status").ok()?;
+        let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+        let kib: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+        Some(kib as f64 / 1024.0)
+    }
+
     /// One timed simulation run, summarised for machines.
     #[derive(Debug, Clone, PartialEq)]
     pub struct Timing {
@@ -86,6 +96,9 @@ pub mod wallclock {
         pub cache_hits: u64,
         /// Layer-level memo-cache misses.
         pub cache_misses: u64,
+        /// Peak resident set in MiB ([`peak_rss_mib`]); left out of the
+        /// JSON when `None`.
+        pub peak_rss_mib: Option<f64>,
     }
 
     impl Timing {
@@ -111,11 +124,14 @@ pub mod wallclock {
         /// Hand-rolled single-line JSON (the workspace carries no serializer
         /// dependency by design).
         pub fn to_json(&self) -> String {
+            let rss = self
+                .peak_rss_mib
+                .map_or(String::new(), |mib| format!(",\"peak_rss_mib\":{mib:.1}"));
             format!(
                 concat!(
                     "{{\"label\":\"{}\",\"wall_seconds\":{:.6},\"layers\":{},",
                     "\"layers_per_sec\":{:.2},\"engine_runs\":{},",
-                    "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4}}}"
+                    "\"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{:.4}{}}}"
                 ),
                 self.label.replace('"', "'"),
                 self.wall_seconds,
@@ -125,6 +141,7 @@ pub mod wallclock {
                 self.cache_hits,
                 self.cache_misses,
                 self.cache_hit_rate(),
+                rss,
             )
         }
     }
@@ -154,11 +171,19 @@ mod tests {
             engine_runs: 400,
             cache_hits: 30,
             cache_misses: 70,
+            peak_rss_mib: None,
         };
         let json = t.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"layers_per_sec\":50.00"));
         assert!(json.contains("\"cache_hit_rate\":0.3000"));
+        assert!(!json.contains("peak_rss_mib"));
         assert!((t.cache_hit_rate() - 0.3).abs() < 1e-12);
+        let with_rss = wallclock::Timing {
+            peak_rss_mib: Some(12.5),
+            ..t
+        }
+        .to_json();
+        assert!(with_rss.ends_with(",\"peak_rss_mib\":12.5}"), "{with_rss}");
     }
 }

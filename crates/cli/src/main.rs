@@ -40,11 +40,12 @@
 //!
 //! Each command runs on one private `SimContext` whose memo it alone
 //! fills. The global `--timing` flag appends one JSON line to stderr with
-//! the command's wall-clock time, engine-run count and that memo's hit
-//! rate (see `igo_bench::wallclock::Timing`); `audit` runs every case on
+//! the command's wall-clock time, engine-run count, that memo's hit rate
+//! and the process's peak resident set, `peak_rss_mib` (Linux only; see
+//! `igo_bench::wallclock::Timing`); `audit` runs every case on
 //! contexts of its own, so its line counts no memo lookups.
 
-use igo_bench::wallclock::{measure, Timing};
+use igo_bench::wallclock::{measure, peak_rss_mib, Timing};
 use igo_core::{
     parallel_map_workers, replay_extent, run_audit, select_order, SimContext, SimOptions,
     Technique, TraceExport, DEFAULT_REUSE_POINTS,
@@ -146,6 +147,7 @@ fn main() -> ExitCode {
             engine_runs: engine_run_count(),
             cache_hits: cache.hits,
             cache_misses: cache.misses,
+            peak_rss_mib: peak_rss_mib(),
         };
         eprintln!("{}", t.to_json());
     }

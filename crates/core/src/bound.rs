@@ -343,13 +343,19 @@ pub fn plain_candidate_bound(
 ///
 /// Region structure of the concatenated stream: partition boundaries merge
 /// the previous segment's trailing region with the next segment's leading
-/// one. Rather than track the merge exactly, this bound keeps only the
-/// terms that survive any merging: the exact order-independent totals, the
-/// compulsory traffic of each partition's *private* (split) tensors — their
-/// ids are fresh per partition, so their first touches are compulsory in
-/// any region structure — and the shared tensor's grid counted exactly
-/// once (it may stay resident across every boundary). The per-region
-/// latency floor is dropped for the shared tensor accordingly.
+/// one. For the orders that carry a barrier (the baseline and the ideal-
+/// reuse study, on a layer with a `dX` pass) that structure is exact:
+/// `[dX₁] [dW₁ dX₂] … [dWₚ]`, every region opening on a cleared SPM, so
+/// the bound sums each region's compulsory terms — the shared tensor is
+/// cold again after every barrier, and counted once in a merged region
+/// whose two halves both read it. For the other orders a chain is one
+/// region, and the bound keeps only the terms that survive any merging: the
+/// exact order-independent totals, the compulsory traffic of each
+/// partition's *private* (split) tensors — their ids are fresh per
+/// partition, so their first touches are compulsory in any region
+/// structure — and the shared tensor's grid counted exactly once (it may
+/// stay resident across every boundary). The per-region latency floor is
+/// dropped for the shared tensor accordingly.
 #[allow(clippy::too_many_arguments)]
 pub fn sequential_candidate_bound(
     config: &NpuConfig,
@@ -379,7 +385,39 @@ pub fn sequential_candidate_bound(
         is_first,
     );
 
+    let shared = match scheme {
+        PartitionScheme::WeightSharing => TensorClass::Weight,
+        PartitionScheme::DySharing => TensorClass::Ifmap,
+        PartitionScheme::IfmapSharing => TensorClass::OutGrad,
+    };
     let mut acc = BoundAccum::default();
+    if !is_first && matches!(order, BackwardOrder::Baseline | BackwardOrder::IdealDyReuse) {
+        let parts = plan.sub_gemms.len();
+        for (p, (sub, t)) in plan.sub_gemms.iter().zip(&plan.part_tensors).enumerate() {
+            let b = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density);
+            accumulate_backward(&mut acc, &b, order, is_first, engine, false);
+            let g = grids(&b, engine);
+            let dy = (TensorClass::OutGrad, g.dy);
+            // This partition's dX kernel closes the region its predecessor's
+            // dW kernel opened (or opens the chain); its dW kernel opens the
+            // next region. The dW kernel's dY reads (none under the ideal-
+            // reuse elision) are already counted in that region when the
+            // next partition's dX kernel reads the same shared dY.
+            region(
+                &mut acc,
+                &[dy, (TensorClass::Weight, g.w)],
+                &[(TensorClass::InGrad, g.x)],
+            );
+            let mut dw_reads = vec![(TensorClass::Ifmap, g.x)];
+            let dy_counted_next = shared == TensorClass::OutGrad && p + 1 < parts;
+            if order == BackwardOrder::Baseline && !dy_counted_next {
+                dw_reads.push(dy);
+            }
+            region(&mut acc, &dw_reads, &[(TensorClass::WGrad, g.w)]);
+        }
+        acc.serial_cycles += reduction_cycles(config, plan.reduction);
+        return acc.cycles(engine);
+    }
     for (sub, t) in plan.sub_gemms.iter().zip(&plan.part_tensors) {
         let b = BackwardBuilder::new(*sub, policy, *t).with_ifmap_density(density);
         // Exact order-independent totals for every partition…
@@ -410,11 +448,6 @@ pub fn sequential_candidate_bound(
         // may stay resident across partition boundaries. (The `dY` reads
         // survive IdealDyReuse elision via the dX family, so they stay
         // compulsory whenever `dY` is private.)
-        let shared = match scheme {
-            PartitionScheme::WeightSharing => TensorClass::Weight,
-            PartitionScheme::DySharing => TensorClass::Ifmap,
-            PartitionScheme::IfmapSharing => TensorClass::OutGrad,
-        };
         reads.retain(|(class, _)| *class != shared);
         region(&mut acc, &reads, &accs);
     }
@@ -491,10 +524,9 @@ pub fn multicore_candidate_bound(
     slowest + reduction_cycles(config, plan.reduction)
 }
 
-/// Closed-form upper bound on the stream entries (tile accesses plus
-/// barrier sentinels) of one analytic collector of `gemm` on `config`, over
-/// its forward pass and every backward candidate the pipeline can build,
-/// without building any. It bounds the collector's tile registry too, so a
+/// Closed-form upper bound on the tile accesses of one analytic collector
+/// of `gemm` on `config`, over its forward pass and every backward
+/// candidate the pipeline can build, without building any. It bounds the collector's tile registry too, so a
 /// layer whose bound is below [`igo_npu_sim::REPLAY_ID_LIMIT`] can index
 /// every tile id and stream position of every replay.
 ///
@@ -502,7 +534,7 @@ pub fn multicore_candidate_bound(
 /// largest single-core part count, or the core count), each tile axis is
 /// padded by `P` (a split adds at most one ragged tile per partition), so
 /// with padded counts `Mt`, `Kt`, `Nt` a collector holds at most `6` accesses
-/// per tile triple plus a barrier per segment: `6·Mt·Kt·Nt + P + 1`.
+/// per tile triple: `6·Mt·Kt·Nt`.
 ///
 /// Registry: each of at most `P` segments registers the six `X`/`W`/`Y` and
 /// gradient grids of its sub-GEMM, none larger than the layer's (shared
@@ -517,7 +549,7 @@ pub fn replay_extent(gemm: GemmShape, config: &NpuConfig) -> u64 {
         .fold(config.cores as u64, u64::max) as u128;
     let tiles = |dim: u64| (dim as u128).div_ceil(side) + parts;
     let (mt, kt, nt) = (tiles(gemm.m()), tiles(gemm.k()), tiles(gemm.n()));
-    u64::try_from(6 * mt * kt * nt + parts + 1).unwrap_or(u64::MAX)
+    u64::try_from(6 * mt * kt * nt).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]

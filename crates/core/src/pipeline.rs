@@ -710,6 +710,20 @@ impl SimContext {
     }
 }
 
+/// The closed-form bound the selection loop orders and prunes
+/// `decision`'s candidate by (see [`crate::bound`]).
+pub(crate) fn candidate_bound(
+    gemm: GemmShape,
+    density: f64,
+    config: &NpuConfig,
+    decision: LayerDecision,
+    is_first: bool,
+) -> u64 {
+    LayerInputs::new(gemm, density, config, is_first)
+        .decided(decision)
+        .bound
+}
+
 /// Replay a decided backward execution with a recorder attached: the
 /// candidate `decision` names is built and emitted exactly as the
 /// selection loop emits it — one collector on a single core (partition
@@ -747,7 +761,7 @@ pub(crate) fn record_decided<R: Recorder>(
 }
 
 /// Per-layer outcome within a model report.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerOutcome {
     /// Layer name.
     pub name: String,
@@ -776,7 +790,7 @@ impl LayerOutcome {
 }
 
 /// A full training-step simulation of one model under one technique.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelReport {
     /// Model name.
     pub model: String,
@@ -1218,6 +1232,26 @@ mod tests {
             &NpuConfig::small_edge(),
         );
         assert!(huge >= igo_npu_sim::REPLAY_ID_LIMIT, "{huge}");
+    }
+
+    /// The replay's memory per collected access: the buffers whose size
+    /// grows with the stream — access records, op records and the OPT
+    /// victim bitset — hold at most 11 bytes per access on a large Baseline
+    /// stream (three accesses per op).
+    #[test]
+    fn replay_buffers_stay_within_eleven_bytes_per_access() {
+        let config = NpuConfig::large_single_core();
+        let layer = LayerInputs::new(GemmShape::new(4096, 4096, 4096), 1.0, &config, false);
+        let candidate = layer.plain(BackwardOrder::Baseline);
+        let mut pool = Vec::new();
+        let collector = &candidate.emit(&layer, &mut pool)[0];
+        let mut scratch = AnalyticScratch::new();
+        collector.replay(&layer.engine, &mut scratch);
+        let accesses = collector.stream_len();
+        assert!(accesses > 100_000, "{accesses} accesses");
+        let bytes = collector.stream_bytes() + scratch.victim_bytes();
+        let per_access = bytes as f64 / accesses as f64;
+        assert!(per_access <= 11.0, "{per_access:.2} bytes per access");
     }
 
     #[test]

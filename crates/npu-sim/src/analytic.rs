@@ -11,23 +11,30 @@
 //!
 //! * **[`Exactness::Exact`] — allocation-free replay.** An
 //!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
-//!   builders emit the op stream into flat buffers — 8 bytes per tile
-//!   access and per op, with GEMM shapes and stream ops interned in side
-//!   tables — with tile ids computed arithmetically from grid coordinates
-//!   (`base + r·cols + c`) instead of interned through a hash map. Ids are
-//!   numbered in `TileKey` order, so the id alone breaks victim ties in
-//!   `(next_use, TileKey)` order.
+//!   builders emit the op stream into flat buffers, with tile ids computed
+//!   arithmetically from grid coordinates (`base + r·cols + c`) instead of
+//!   interned through a hash map. Ids are numbered in `TileKey` order, so
+//!   the id alone breaks victim ties in `(next_use, TileKey)` order. Each
+//!   access is one 8-byte `{id, next_use}` record: collection links every
+//!   access to its tile's next access in the same barrier region as it
+//!   goes, and sums each region's footprint and admissible DRAM floor
+//!   ([`RegionSum`]). Each op is one 8-byte record, with GEMM shapes and
+//!   stream ops interned in side tables; access bytes live once per tile,
+//!   and the dirty flag once per op (its accumulator is its last access).
 //!   [`AnalyticCollector::replay`] advances the memory and compute
 //!   timelines of the [`Engine`]'s machine model (see [`crate::engine`])
-//!   over a residency model: Belady's OPT (`ReplayOptCache`, a
-//!   position-indexed victim bitset) or, for the LRU ablation,
-//!   [`crate::SpmCache`] keyed by dense id. [`Engine::run`] is
+//!   over a residency model — Belady's OPT (`ReplayOptCache`, a
+//!   position-indexed victim bitset whose set positions name their tiles
+//!   through the records) or, for the LRU ablation, [`crate::SpmCache`]
+//!   keyed by dense id — in one forward pass: it never scans the stream
+//!   before its first access. [`Engine::run`] is
 //!   [`AnalyticCollector::from_schedule`] plus this replay, and
 //!   `core::audit` checks it against an independent shadow (the
-//!   `BTreeMap`-based [`crate::OptCache`] with its own timelines).
-//!   [`AnalyticCollector::replay_recorded`] is the same loop with an event
-//!   [`Recorder`] attached — the only recorder hook in the workspace — and
-//!   with [`NullRecorder`] it compiles to the unrecorded replay.
+//!   `BTreeMap`-based [`crate::OptCache`] with its own next-use scan and
+//!   timelines). [`AnalyticCollector::replay_recorded`] is the same loop
+//!   with an event [`Recorder`] attached — the only recorder hook in the
+//!   workspace — and with [`NullRecorder`] it compiles to the unrecorded
+//!   replay.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
@@ -87,45 +94,75 @@ pub fn analytic_run_count() -> u64 {
     ANALYTIC_RUNS.load(Ordering::Relaxed)
 }
 
-/// Sentinel dense id marking a kernel boundary in the collected stream.
-const BARRIER_ID: u32 = u32::MAX;
-
-/// Flag bit of [`AccessRec::bytes_dirty`] marking an accumulator touch.
-const DIRTY_BIT: u32 = 1 << 31;
-
-/// Byte-count mask of [`AccessRec::bytes_dirty`].
-const BYTES_MASK: u32 = DIRTY_BIT - 1;
-
-/// "Not used again" sentinel of the next-use oracle.
+/// "Not used again" sentinel of the linked next uses.
 const NO_USE: u32 = u32::MAX;
 
+/// Access bytes of a tile not yet accessed.
+const UNSET_BYTES: u32 = u32::MAX;
+
 /// One recorded tile access, packed to 8 bytes so replay streams a cache
-/// line per eight accesses. The id alone orders victims: a sealed registry
+/// line per eight accesses: the dense tile id and the stream position of
+/// the tile's next access in the same barrier region, linked while the
+/// stream is collected. The id alone orders victims: a sealed registry
 /// numbers tiles in [`TileKey`] order (see [`AnalyticCollector`]).
 #[derive(Debug, Clone, Copy)]
-struct AccessRec {
-    /// Dense tile id (`base + r·cols + c`), or [`BARRIER_ID`].
-    id: u32,
-    /// Access bytes (`< 2^31`, asserted at emission) with [`DIRTY_BIT`]
-    /// flagging accumulator touches.
-    bytes_dirty: u32,
+pub(crate) struct AccessRec {
+    /// Dense tile id (`base + r·cols + c`).
+    pub(crate) id: u32,
+    /// Position of the tile's next access before the next barrier, or
+    /// [`NO_USE`].
+    next_use: u32,
 }
 
 /// One recorded schedule op; operands live in the collector's side tables.
 #[derive(Debug, Clone, Copy)]
 enum OpRec {
     /// A tile GEMM with `accesses` consecutive entries in the access stream,
-    /// computing `AnalyticCollector::shapes[shape]`.
-    Gemm { accesses: u16, shape: u32 },
+    /// computing `AnalyticCollector::shapes[shape]`. With `acc`, the last
+    /// entry is the accumulator — the op's one dirty access.
+    Gemm {
+        accesses: u16,
+        acc: bool,
+        shape: u32,
+    },
     /// Pure data movement: `AnalyticCollector::streams[idx]`.
     Stream(u32),
-    /// Kernel boundary (owns one sentinel entry in the access stream).
+    /// Kernel boundary: the next access opens a new barrier region.
     Barrier,
+}
+
+/// A dense tile's access bytes, and where collection last saw it.
+#[derive(Debug, Clone, Copy)]
+struct TileMeta {
+    /// Access bytes, fixed by the tile's first access ([`UNSET_BYTES`]
+    /// before it).
+    bytes: u32,
+    /// One past the position of the tile's latest access (0: none yet) —
+    /// the entry whose next use the tile's next access links.
+    last: u32,
+    /// One past the position of the tile's latest dirty access.
+    last_dirty: u32,
+}
+
+/// One barrier region's sums, accumulated while it is collected: what the
+/// replay needs of a region before its first access.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegionSum {
+    /// Distinct-tile bytes. A region whose footprint fits the residency
+    /// never evicts, so its accesses skip the victim index.
+    pub footprint: u64,
+    /// Admissible DRAM floor in bytes: every clean first touch fetches its
+    /// bytes (residency is dropped at each barrier), and every ever-dirty
+    /// tile is written back at least once (by eviction, admission bypass
+    /// or the barrier flush).
+    pub floor_bytes: u64,
+    /// One burst per clean first touch.
+    pub floor_bursts: u64,
 }
 
 /// Exclusive upper limit on both the tile ids and the stream positions one
 /// collector can hold: the replay indexes tiles and positions with `u32`,
-/// and reserves `u32::MAX` for its barrier and "no further use" sentinels.
+/// and reserves `u32::MAX` for its "no further use" sentinel.
 /// A layer whose tile registry or access stream would reach it cannot be
 /// replayed.
 pub const REPLAY_ID_LIMIT: u64 = u32::MAX as u64;
@@ -149,6 +186,14 @@ struct TensorEntry {
 /// registry: it numbers the tensors' tiles in ascending [`TensorId`] order,
 /// then row-major, so dense-id order is [`TileKey`] order — the order the
 /// replay's victim tie-breaks and flush events need.
+///
+/// Each access is one 8-byte record: its tile id and its next use.
+/// Collection links next uses as it goes — an access closes the link of its
+/// tile's previous access in the same barrier region — and sums each
+/// region's footprint and DRAM floor ([`RegionSum`]), so a replay starts
+/// without a pass over the stream. A tile's access bytes are a property of
+/// the tile (every builder emits one size per tile), kept once per tile;
+/// the dirty flag is the op's: its accumulator is its last access.
 #[derive(Debug, Default)]
 pub struct AnalyticCollector {
     /// Registry by raw tensor id.
@@ -159,14 +204,20 @@ pub struct AnalyticCollector {
     /// filled when the registry is sealed.
     bases: Vec<(u32, u32)>,
     sealed: bool,
-    /// Dense id → traffic class (for write-back attribution).
+    /// Dense id → traffic class; filled when the registry is sealed.
     dense_class: Vec<TensorClass>,
+    /// Dense id → bytes and collection-time link state.
+    tiles: Vec<TileMeta>,
     stream: Vec<AccessRec>,
     ops: Vec<OpRec>,
     /// Distinct tile-GEMM shapes, indexed by [`OpRec::Gemm`].
     shapes: Vec<GemmShape>,
     /// Stream ops, indexed by [`OpRec::Stream`].
     streams: Vec<StreamOp>,
+    /// One per barrier region, the last one open.
+    regions: Vec<RegionSum>,
+    /// Stream position of the open region's first access.
+    region_start: u32,
 }
 
 impl AnalyticCollector {
@@ -182,10 +233,13 @@ impl AnalyticCollector {
         self.bases.clear();
         self.sealed = false;
         self.dense_class.clear();
+        self.tiles.clear();
         self.stream.clear();
         self.ops.clear();
         self.shapes.clear();
         self.streams.clear();
+        self.regions.clear();
+        self.region_start = 0;
     }
 
     /// Number of recorded schedule ops.
@@ -203,50 +257,58 @@ impl AnalyticCollector {
         self.registered as usize
     }
 
-    /// Number of access-stream entries (tile accesses and barrier
-    /// sentinels).
+    /// Number of recorded tile accesses.
     pub fn stream_len(&self) -> usize {
         self.stream.len()
+    }
+
+    /// Bytes held by the buffers that grow with the stream: the access
+    /// and op records.
+    pub fn stream_bytes(&self) -> usize {
+        self.stream.len() * std::mem::size_of::<AccessRec>()
+            + self.ops.len() * std::mem::size_of::<OpRec>()
+    }
+
+    /// Each access's linked next use: the position of its tile's next
+    /// access before the next barrier, if any.
+    pub fn next_uses(&self) -> impl ExactSizeIterator<Item = Option<usize>> + '_ {
+        self.stream
+            .iter()
+            .map(|a| (a.next_use != NO_USE).then_some(a.next_use as usize))
+    }
+
+    /// The barrier regions' sums, in stream order (none before the first
+    /// op).
+    pub fn regions(&self) -> &[RegionSum] {
+        &self.regions
     }
 
     /// The event counts a recorded replay of this stream emits. They follow
     /// from the stream alone, so recorders can be sized before the replay
     /// starts. A GEMM's phase is judged, as in the replay, by the class of
-    /// its accumulator: the op's last access, when that access is dirty.
+    /// its accumulator.
     pub fn shape(&self) -> StreamShape {
         let mut shape = StreamShape::default();
         let mut phase: Option<Phase> = None;
         let mut pos = 0usize;
         for op in &self.ops {
             match op {
-                OpRec::Gemm { accesses, .. } => {
-                    let end = pos + *accesses as usize;
-                    let acc = self.stream[pos..end]
-                        .last()
-                        .filter(|a| a.bytes_dirty & DIRTY_BIT != 0);
-                    let op_phase =
-                        Phase::of_accumulator(acc.map(|a| self.dense_class[a.id as usize]));
+                OpRec::Gemm { accesses, acc, .. } => {
+                    pos += *accesses as usize;
+                    let op_phase = Phase::of_accumulator(acc.then(|| self.class_at(pos - 1)));
                     if phase != Some(op_phase) {
                         shape.phase_spans += 1;
                         phase = Some(op_phase);
                     }
                     shape.gemm_ops += 1;
-                    pos = end;
                 }
                 OpRec::Stream(_) => {}
-                OpRec::Barrier => {
-                    shape.barriers += 1;
-                    pos += 1;
-                }
+                OpRec::Barrier => shape.barriers += 1,
             }
         }
-        shape.accesses = self.stream.len() as u64 - shape.barriers;
-        shape.dy_accesses = self
-            .stream
-            .iter()
-            .filter(|a| {
-                a.id != BARRIER_ID && self.dense_class[a.id as usize] == TensorClass::OutGrad
-            })
+        shape.accesses = self.stream.len() as u64;
+        shape.dy_accesses = (0..self.stream.len())
+            .filter(|&pos| self.class_at(pos) == TensorClass::OutGrad)
             .count() as u64;
         shape
     }
@@ -292,13 +354,21 @@ impl AnalyticCollector {
     }
 
     /// Seal the registry before the first op: number every registered
-    /// tensor's tiles in ascending tensor-id order.
+    /// tensor's tiles in ascending tensor-id order, and open the first
+    /// barrier region.
     #[inline]
     fn seal(&mut self) {
         if self.sealed {
             return;
         }
         self.sealed = true;
+        self.regions.push(RegionSum::default());
+        let unseen = TileMeta {
+            bytes: UNSET_BYTES,
+            last: 0,
+            last_dirty: 0,
+        };
+        self.tiles.resize(self.registered as usize, unseen);
         let mut base = 0u32;
         for (raw, entry) in self.tensors.iter_mut().enumerate() {
             if let Some(entry) = entry {
@@ -320,8 +390,9 @@ impl AnalyticCollector {
     ///
     /// # Panics
     ///
-    /// Panics on a tile access of 2 GiB or more, a tile op with 2^16 or
-    /// more accesses, or a tile registry reaching [`REPLAY_ID_LIMIT`].
+    /// Panics on a tile access of 2 GiB or more, a tile accessed with two
+    /// byte counts, a tile op with 2^16 or more accesses, or a tile
+    /// registry reaching [`REPLAY_ID_LIMIT`].
     pub fn from_schedule(schedule: &Schedule) -> Self {
         let mut extents: Vec<Option<(u32, u32)>> = vec![None; schedule.num_tensors()];
         for op in schedule.ops() {
@@ -352,7 +423,7 @@ impl AnalyticCollector {
                     }
                     let accesses = u16::try_from(g.reads.len() + usize::from(g.acc.is_some()))
                         .expect("a tile op has fewer than 2^16 accesses");
-                    collector.push_gemm(accesses, g.compute);
+                    collector.push_gemm(accesses, g.acc.is_some(), g.compute);
                 }
                 ScheduleOp::Stream(s) => collector.stream(*s),
                 ScheduleOp::Barrier => collector.barrier(),
@@ -375,23 +446,58 @@ impl AnalyticCollector {
         }
     }
 
+    /// The traffic class of the tile accessed at `pos`.
+    fn class_at(&self, pos: usize) -> TensorClass {
+        self.dense_class[self.stream[pos].id as usize]
+    }
+
+    /// Record one access: close the link of the tile's previous access in
+    /// this region, or count a first touch into the region's sums.
     #[inline]
     fn push_access(&mut self, tensor: TensorId, coord: TileCoord, bytes: u64, dirty: bool) {
         let entry = self.tensors[tensor.raw() as usize]
             .as_ref()
             .expect("tensor touched before registration");
-        assert!(bytes < DIRTY_BIT as u64, "tile access exceeds 2 GiB");
+        assert!(bytes < 1 << 31, "tile access exceeds 2 GiB");
+        let (id, bytes) = (entry.base + coord.r * entry.cols + coord.c, bytes as u32);
+        let pos = self.stream.len() as u32;
+        let tile = &mut self.tiles[id as usize];
+        if tile.bytes != bytes {
+            assert_eq!(tile.bytes, UNSET_BYTES, "a tile's access bytes change");
+            tile.bytes = bytes;
+        }
+        let region = self
+            .regions
+            .last_mut()
+            .expect("a sealed registry has a region");
+        if tile.last > self.region_start {
+            self.stream[tile.last as usize - 1].next_use = pos;
+        } else {
+            region.footprint += bytes as u64;
+            if !dirty {
+                region.floor_bytes += bytes as u64;
+                region.floor_bursts += 1;
+            }
+        }
+        tile.last = pos + 1;
+        if dirty {
+            if tile.last_dirty <= self.region_start {
+                region.floor_bytes += bytes as u64;
+            }
+            tile.last_dirty = pos + 1;
+        }
         self.stream.push(AccessRec {
-            id: entry.base + coord.r * entry.cols + coord.c,
-            bytes_dirty: bytes as u32 | if dirty { DIRTY_BIT } else { 0 },
+            id,
+            next_use: NO_USE,
         });
     }
 
-    /// Record a tile GEMM whose `accesses` entries were just pushed.
-    /// Consecutive ops share a handful of tile shapes, and the common ones
-    /// come first, so a front-to-back scan finds them at once.
+    /// Record a tile GEMM whose `accesses` entries were just pushed, the
+    /// last of them its accumulator if `acc`. Consecutive ops share a
+    /// handful of tile shapes, and the common ones come first, so a
+    /// front-to-back scan finds them at once.
     #[inline]
-    fn push_gemm(&mut self, accesses: u16, compute: GemmShape) {
+    fn push_gemm(&mut self, accesses: u16, acc: bool, compute: GemmShape) {
         let shape = match self.shapes.iter().position(|s| *s == compute) {
             Some(i) => i,
             None => {
@@ -401,6 +507,7 @@ impl AnalyticCollector {
         };
         self.ops.push(OpRec::Gemm {
             accesses,
+            acc,
             shape: shape as u32,
         });
     }
@@ -418,7 +525,7 @@ impl ScheduleSink for AnalyticCollector {
             self.push_access(a.tensor, a.coord, a.bytes, true);
             accesses += 1;
         }
-        self.push_gemm(accesses, op.compute);
+        self.push_gemm(accesses, op.acc.is_some(), op.compute);
     }
 
     fn stream(&mut self, op: StreamOp) {
@@ -429,21 +536,18 @@ impl ScheduleSink for AnalyticCollector {
 
     fn barrier(&mut self) {
         self.seal();
-        self.stream.push(AccessRec {
-            id: BARRIER_ID,
-            bytes_dirty: 0,
-        });
+        self.region_start = self.stream.len() as u32;
+        self.regions.push(RegionSum::default());
         self.ops.push(OpRec::Barrier);
     }
 }
 
-/// Per-tile replacement state, packed to 12 bytes: the slot array is the
+/// Per-tile replacement state, packed to 8 bytes: the slot array is the
 /// replay loop's only randomly-indexed memory, so its footprint bounds the
 /// loop's cache behaviour.
 #[derive(Debug, Clone, Copy, Default)]
 struct ReplaySlot {
     bytes: u32,
-    next_use: u32,
     dirty: bool,
     resident: bool,
     spilled: bool,
@@ -460,15 +564,15 @@ pub(crate) trait Residency {
     /// `stream_len` entries, with `capacity` bytes of residency.
     fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize);
 
-    /// Access tile `id` (`dirty` marks accumulator touches), whose next
-    /// use in its barrier region is stream position `next_use` (`u32::MAX`
-    /// if none). Returns the bytes fetched from DRAM.
+    /// Access the tile of `stream[pos]` (`dirty` marks accumulator
+    /// touches), whose entry links its next use in the barrier region.
+    /// Returns the bytes fetched from DRAM.
     fn access(
         &mut self,
-        id: u32,
+        stream: &[AccessRec],
+        pos: usize,
         bytes: u32,
         dirty: bool,
-        next_use: u32,
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64;
 
@@ -477,12 +581,13 @@ pub(crate) trait Residency {
     #[inline]
     fn access_unbounded(
         &mut self,
-        id: u32,
+        stream: &[AccessRec],
+        pos: usize,
         bytes: u32,
         dirty: bool,
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
-        self.access(id, bytes, dirty, NO_USE, writebacks)
+        self.access(stream, pos, bytes, dirty, writebacks)
     }
 
     /// Write every dirty resident back; they stay resident but clean.
@@ -506,27 +611,25 @@ pub(crate) trait Residency {
 /// audit shadows every run with.
 ///
 /// An ordered-set model pays two ordered-set operations per *hit*
-/// (remove the old `(next_use, key)` entry, insert the new one). The key
-/// observation here is that a next-use value is a *stream position*, and
-/// any position is the next use of at most one tile — so "resident tile
-/// with the farthest finite next use" is simply the highest set bit of a
-/// bitset indexed by position, and a hit is two O(1) bit flips. Residents
-/// with *no* further use in their region ([`NO_USE`]) outrank every finite
-/// position and are tie-broken by tile key, exactly matching the ordered
-/// set's `(next_use, key)` maximum — they sit in a small max-heap of tile
-/// ids, which a sealed [`AnalyticCollector`] numbers in key order. Victim
-/// selection — including the bypass rule — is therefore `OptCache`'s.
+/// (remove the old `(next_use, key)` entry, insert the new one). Here a
+/// next use is a *stream position*, and any position is the next use of
+/// at most one tile — the tile accessed there. So "resident tile with the
+/// farthest finite next use" is the highest set bit of a bitset indexed by
+/// position, its id is the id recorded at that position, and a hit is two
+/// O(1) bit flips: the hit's own position retires, its linked next use
+/// registers. Residents with *no* further use in their region
+/// ([`NO_USE`]) outrank every finite position and are tie-broken by tile
+/// key, exactly matching the ordered set's `(next_use, key)` maximum —
+/// they sit in a small max-heap of tile ids, which a sealed
+/// [`AnalyticCollector`] numbers in key order. Victim selection —
+/// including the bypass rule — is therefore `OptCache`'s.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayOptCache {
     capacity: u64,
     used: u64,
     slots: Vec<ReplaySlot>,
-    /// Bit `p` set iff some resident tile's current next-use is stream
-    /// position `p`.
+    /// Bit `p` set iff `stream[p]` is the next use of a resident tile.
     live_bits: Vec<u64>,
-    /// Stream position → resident tile id; valid only where the
-    /// corresponding `live_bits` bit is set.
-    by_next_use: Vec<u32>,
     /// Ids of residents with no further use in their region, max id (so
     /// max tile key) first — they outrank every finite-next-use resident as
     /// victims.
@@ -538,11 +641,10 @@ pub(crate) struct ReplayOptCache {
 }
 
 impl ReplayOptCache {
-    /// Register `pos` as the next use of resident tile `id`.
+    /// Register `pos` as the next use of a resident tile.
     #[inline]
-    fn set_live(&mut self, pos: u32, id: u32) {
+    fn set_live(&mut self, pos: u32) {
         self.live_bits[(pos >> 6) as usize] |= 1u64 << (pos & 63);
-        self.by_next_use[pos as usize] = id;
         if pos > self.max_hint {
             self.max_hint = pos;
         }
@@ -551,13 +653,17 @@ impl ReplayOptCache {
     /// Drop the registration of position `pos`.
     #[inline]
     fn clear_live(&mut self, pos: u32) {
+        debug_assert!(
+            self.live_bits[(pos >> 6) as usize] & (1u64 << (pos & 63)) != 0,
+            "a retired position is registered"
+        );
         self.live_bits[(pos >> 6) as usize] &= !(1u64 << (pos & 63));
     }
 
     /// The eviction victim — the resident maximising `(next_use, key)` —
     /// as `(next_use, id)`, without removing it. The caller must ensure a
     /// resident exists (`used > 0`).
-    fn peek_victim(&mut self) -> (u32, u32) {
+    fn peek_victim(&mut self, stream: &[AccessRec]) -> (u32, u32) {
         if let Some(&id) = self.dead.peek() {
             return (NO_USE, id);
         }
@@ -567,7 +673,7 @@ impl ReplayOptCache {
             if word != 0 {
                 let pos = ((w as u32) << 6) | (63 - word.leading_zeros());
                 self.max_hint = pos;
-                return (pos, self.by_next_use[pos as usize]);
+                return (pos, stream[pos as usize].id);
             }
             debug_assert!(w > 0, "used > 0 implies a resident victim");
             w -= 1;
@@ -582,7 +688,6 @@ impl ReplayOptCache {
         }
         let victim = &mut self.slots[id as usize];
         debug_assert!(victim.resident, "victim index/slot state out of sync");
-        debug_assert_eq!(victim.next_use, victim_next, "stale victim registration");
         victim.resident = false;
         self.used -= victim.bytes as u64;
         if victim.dirty {
@@ -606,8 +711,6 @@ impl Residency for ReplayOptCache {
         self.slots.resize(num_tiles, ReplaySlot::default());
         self.live_bits.clear();
         self.live_bits.resize(stream_len.div_ceil(64), 0);
-        // Stale contents are fine — entries are read only under a set bit.
-        self.by_next_use.resize(stream_len, 0);
         self.dead.clear();
         self.max_hint = 0;
         self.hits = 0;
@@ -620,32 +723,28 @@ impl Residency for ReplayOptCache {
     #[inline]
     fn access(
         &mut self,
-        id: u32,
+        stream: &[AccessRec],
+        pos: usize,
         bytes: u32,
         dirty: bool,
-        next_use: u32,
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
+        let AccessRec { id, next_use } = stream[pos];
         let slot = &mut self.slots[id as usize];
         if slot.resident {
-            // A tile's bytes are constant across accesses (the schedule
-            // emits one size per tile), so a hit leaves `used` unchanged and
-            // the capacity invariant (`used <= capacity` after every access)
-            // cannot break here — no eviction check is needed. This access
-            // *is* the tile's registered next use (the oracle pointed
-            // here), so the old registration is retired and the new
-            // next-use position registered: two O(1) bit flips.
-            debug_assert_eq!(slot.bytes, bytes, "a tile's access bytes are constant");
-            let old = slot.next_use;
-            debug_assert_ne!(old, NO_USE, "a dead resident cannot be accessed again");
-            slot.next_use = next_use;
+            // A tile's bytes are constant across accesses (the collector
+            // keeps one size per tile), so a hit leaves `used` unchanged
+            // and the capacity invariant (`used <= capacity` after every
+            // access) cannot break here — no eviction check is needed.
+            // This access *is* the tile's registered next use, so its
+            // position retires and the linked next use registers.
             slot.dirty |= dirty;
             self.hits += 1;
-            self.clear_live(old);
+            self.clear_live(pos as u32);
             if next_use == NO_USE {
                 self.dead.push(id);
             } else {
-                self.set_live(next_use, id);
+                self.set_live(next_use);
             }
             return 0;
         }
@@ -659,7 +758,7 @@ impl Residency for ReplayOptCache {
 
         let mut admitted = bytes as u64 <= self.capacity;
         while admitted && self.used + bytes as u64 > self.capacity {
-            let (victim_next, victim_id) = self.peek_victim();
+            let (victim_next, victim_id) = self.peek_victim(stream);
             if victim_next <= next_use {
                 admitted = false;
                 break;
@@ -672,12 +771,11 @@ impl Residency for ReplayOptCache {
             slot.resident = true;
             slot.bytes = bytes;
             slot.dirty = dirty;
-            slot.next_use = next_use;
             self.used += bytes as u64;
             if next_use == NO_USE {
                 self.dead.push(id);
             } else {
-                self.set_live(next_use, id);
+                self.set_live(next_use);
             }
         } else if dirty {
             writebacks.push((id, bytes as u64));
@@ -688,22 +786,23 @@ impl Residency for ReplayOptCache {
 
     /// Specialised to a barrier region whose distinct-tile footprint fits
     /// in `capacity`: no eviction can ever fire (residency grows
-    /// monotonically and tops out at the footprint), so the next-use
-    /// oracle, the victim index, and all capacity checks are dead weight —
-    /// a first touch admits unconditionally and every later touch is a
-    /// hit. The victim index is left untouched; the barrier `clear` that
-    /// ends the region resets it before any bounded-path access can
-    /// observe it. `used` still grows with each admission, so recorded
-    /// occupancy is right in regions that fit.
+    /// monotonically and tops out at the footprint), so the next uses,
+    /// the victim index, and all capacity checks are dead weight — a first
+    /// touch admits unconditionally and every later touch is a hit. The
+    /// victim index is left untouched; the barrier `clear` that ends the
+    /// region resets it before any bounded-path access can observe it.
+    /// `used` still grows with each admission, so recorded occupancy is
+    /// right in regions that fit.
     #[inline]
     fn access_unbounded(
         &mut self,
-        id: u32,
+        stream: &[AccessRec],
+        pos: usize,
         bytes: u32,
         dirty: bool,
         _writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
-        let slot = &mut self.slots[id as usize];
+        let slot = &mut self.slots[stream[pos].id as usize];
         if slot.resident {
             slot.dirty |= dirty;
             self.hits += 1;
@@ -723,16 +822,11 @@ impl Residency for ReplayOptCache {
         }
     }
 
-    /// The victim bitset needs no reset: the next-use oracle never chains
-    /// across a barrier, so every resident's final pre-barrier access
-    /// already retired its registration (and moved it to `dead`).
+    /// The victim bitset needs no reset: next uses never link across a
+    /// barrier, so every resident's final pre-barrier access already
+    /// retired its registration (and moved it to `dead`).
     fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = ReplaySlot {
-                next_use: slot.next_use,
-                ..ReplaySlot::default()
-            };
-        }
+        self.slots.fill(ReplaySlot::default());
         debug_assert!(
             self.live_bits.iter().all(|&w| w == 0),
             "no next-use registration survives a barrier"
@@ -774,26 +868,10 @@ pub struct AnalyticScratch {
     opt: ReplayOptCache,
 }
 
-/// The residency-independent buffers of one replay (next-use oracle,
-/// write-back buffer, per-region floors).
+/// The residency-independent buffers of one replay.
 #[derive(Debug, Default)]
 struct TimelineScratch {
-    next_use: Vec<u32>,
-    last_seen: Vec<u32>,
     writebacks: Vec<(u32, u64)>,
-    /// Per barrier region: does the region's distinct-tile footprint fit
-    /// in SPM (enabling the no-eviction access path)?
-    region_fits: Vec<bool>,
-    /// Tiles sighted in the current region during the back-scan, with their
-    /// bytes — drives the per-region floor and the `last_seen` reset.
-    touched: Vec<(u32, u32)>,
-    /// Per tile, current-region dirtiness: bit 0 = the earliest access seen
-    /// so far is dirty, bit 1 = any access is dirty.
-    tile_flags: Vec<u8>,
-    /// Per barrier region: admissible DRAM floor as (bytes, bursts) —
-    /// compulsory clean-first-touch fetches plus one write-back per
-    /// ever-dirty tile.
-    region_floor: Vec<(u64, u64)>,
     /// `region_mem_suffix[i]` = summed floor mem-time of regions after `i`.
     region_mem_suffix: Vec<f64>,
     /// Systolic cycles of each of the collector's tile-GEMM shapes.
@@ -804,6 +882,12 @@ impl AnalyticScratch {
     /// A fresh scratch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes of the OPT replay's victim bitset, which grows with the
+    /// stream (one bit per access of the last replayed stream).
+    pub fn victim_bytes(&self) -> usize {
+        self.opt.live_bits.len() * std::mem::size_of::<u64>()
     }
 }
 
@@ -896,103 +980,12 @@ impl AnalyticCollector {
             "access stream overflows the u32 position space"
         );
         let TimelineScratch {
-            next_use,
-            last_seen,
             writebacks,
-            region_fits,
-            touched,
-            tile_flags,
-            region_floor,
             region_mem_suffix,
             shape_cycles,
         } = scratch;
         writebacks.clear();
         let capacity = engine.residency_bytes();
-
-        // Next-use oracle over the collected stream: a back-scan over dense
-        // ids in which barrier sentinels cut reuse. The same scan
-        // sums each region's distinct-tile footprint (a tile's bytes are
-        // counted at its last use in the region) to decide per region
-        // whether the no-eviction access path applies, and an admissible
-        // per-region DRAM floor: every clean first touch must fetch its
-        // bytes (residency is dropped at each barrier), and every
-        // ever-dirty tile must be written back at least once (by eviction,
-        // admission bypass, or the barrier flush).
-        next_use.clear();
-        next_use.resize(self.stream.len(), NO_USE);
-        last_seen.clear();
-        last_seen.resize(self.dense_class.len(), NO_USE);
-        tile_flags.clear();
-        tile_flags.resize(self.dense_class.len(), 0);
-        touched.clear();
-        region_fits.clear();
-        region_floor.clear();
-        let mut footprint = 0u64;
-        let end_region = |footprint: u64,
-                          touched: &mut Vec<(u32, u32)>,
-                          tile_flags: &mut [u8],
-                          last_seen: &mut [u32],
-                          region_fits: &mut Vec<bool>,
-                          region_floor: &mut Vec<(u64, u64)>| {
-            region_fits.push(footprint <= capacity);
-            let mut floor_bytes = 0u64;
-            let mut floor_bursts = 0u64;
-            for &(id, bytes) in touched.iter() {
-                let flags = tile_flags[id as usize];
-                if flags & 1 == 0 {
-                    floor_bytes += bytes as u64;
-                    floor_bursts += 1;
-                }
-                if flags & 2 != 0 {
-                    floor_bytes += bytes as u64;
-                }
-                tile_flags[id as usize] = 0;
-                last_seen[id as usize] = NO_USE;
-            }
-            touched.clear();
-            region_floor.push((floor_bytes, floor_bursts));
-        };
-        for pos in (0..self.stream.len()).rev() {
-            let rec = &self.stream[pos];
-            if rec.id == BARRIER_ID {
-                end_region(
-                    footprint,
-                    touched,
-                    tile_flags,
-                    last_seen,
-                    region_fits,
-                    region_floor,
-                );
-                footprint = 0;
-            } else {
-                let bytes = rec.bytes_dirty & BYTES_MASK;
-                let later = last_seen[rec.id as usize];
-                if later != NO_USE {
-                    next_use[pos] = later;
-                } else {
-                    footprint += bytes as u64;
-                    touched.push((rec.id, bytes));
-                }
-                last_seen[rec.id as usize] = pos as u32;
-                // Bit 0 tracks the earliest (forward-order) access's
-                // dirtiness — overwritten at each step of the backward
-                // scan, so the last write wins; bit 1 accumulates.
-                let dirty = (rec.bytes_dirty >> 31) as u8;
-                let flags = &mut tile_flags[rec.id as usize];
-                *flags = dirty | (*flags & 2) | (dirty << 1);
-            }
-        }
-        end_region(
-            footprint,
-            touched,
-            tile_flags,
-            last_seen,
-            region_fits,
-            region_floor,
-        );
-        region_fits.reverse();
-        region_floor.reverse();
-
         let bytes_per_cycle = engine.bytes_per_cycle();
         let burst_latency = engine.burst_latency();
         shape_cycles.clear();
@@ -1017,19 +1010,19 @@ impl AnalyticCollector {
             // region_mem_suffix[i] = floor mem-time of regions strictly
             // after i; the running total over all regions is a pre-replay
             // floor that can reject the candidate before any cache work.
-            region_mem_suffix.resize(region_floor.len(), 0.0);
+            region_mem_suffix.resize(self.regions.len(), 0.0);
             let mut acc = 0.0f64;
-            for i in (0..region_floor.len()).rev() {
+            for (i, r) in self.regions.iter().enumerate().rev() {
                 region_mem_suffix[i] = acc;
-                let (bytes, bursts) = region_floor[i];
-                acc += bytes as f64 / bytes_per_cycle + (bursts * burst_latency) as f64;
+                acc += r.floor_bytes as f64 / bytes_per_cycle
+                    + (r.floor_bursts * burst_latency) as f64;
             }
             if acc >= limit || remaining_compute as f64 >= limit {
                 return None;
             }
         }
 
-        cache.reset(capacity, self.dense_class.len(), self.stream.len());
+        cache.reset(capacity, self.tiles.len(), self.stream.len());
 
         let mut traffic = Traffic::new();
         let mut mem_free: f64 = 0.0;
@@ -1044,13 +1037,24 @@ impl AnalyticCollector {
         // (dX / dW / other) the compute timeline is currently in.
         let mut cur_phase: Option<Phase> = None;
 
+        // Per barrier region: does its distinct-tile footprint fit in SPM
+        // (enabling the no-eviction access path)?
+        let fits = |region: usize| {
+            self.regions
+                .get(region)
+                .is_none_or(|r| r.footprint <= capacity)
+        };
         let mut region = 0usize;
-        let mut fits = region_fits[0];
+        let mut region_fits = fits(0);
         let mut pos = 0usize;
         for (op_idx, op) in self.ops.iter().enumerate() {
             let op_idx = op_idx as u32;
             match op {
-                OpRec::Gemm { accesses, shape } => {
+                OpRec::Gemm {
+                    accesses,
+                    acc,
+                    shape,
+                } => {
                     // Memory-timeline cycle the op's transfers start at —
                     // the stamp of every memory-side event of this op.
                     let op_mem_start = if R::ENABLED {
@@ -1062,18 +1066,19 @@ impl AnalyticCollector {
                     let mut writeback = 0u64;
                     let mut bursts = 0u64;
                     let end = pos + *accesses as usize;
-                    for (a, &nu) in self.stream[pos..end].iter().zip(&next_use[pos..end]) {
-                        let bytes = a.bytes_dirty & BYTES_MASK;
-                        let dirty = a.bytes_dirty & DIRTY_BIT != 0;
+                    for p in pos..end {
+                        let id = self.stream[p].id;
+                        let bytes = self.tiles[id as usize].bytes;
+                        let dirty = *acc && p + 1 == end;
                         spm_bytes_touched += bytes as u64;
                         let hits_before = if R::ENABLED { cache.hits() } else { 0 };
-                        let got = if fits {
-                            cache.access_unbounded(a.id, bytes, dirty, writebacks)
+                        let got = if region_fits {
+                            cache.access_unbounded(&self.stream, p, bytes, dirty, writebacks)
                         } else {
-                            cache.access(a.id, bytes, dirty, nu, writebacks)
+                            cache.access(&self.stream, p, bytes, dirty, writebacks)
                         };
                         if got > 0 {
-                            traffic.add_read(self.dense_class[a.id as usize], got);
+                            traffic.add_read(self.dense_class[id as usize], got);
                             fetched += got;
                             bursts += 1;
                         }
@@ -1087,8 +1092,8 @@ impl AnalyticCollector {
                             };
                             recorder.record(TraceEvent::Access {
                                 op: op_idx,
-                                key: self.key_of_id(a.id),
-                                class: self.dense_class[a.id as usize],
+                                key: self.key_of_id(id),
+                                class: self.dense_class[id as usize],
                                 bytes: bytes as u64,
                                 kind,
                                 cycle: op_mem_start,
@@ -1127,13 +1132,7 @@ impl AnalyticCollector {
                     let issue = compute_free.max(data_ready);
                     compute_free = issue + cycles as f64;
                     if R::ENABLED {
-                        // The accumulator, if any, is the op's last (and
-                        // only dirty) access.
-                        let acc = (*accesses > 0)
-                            .then(|| self.stream[end - 1])
-                            .filter(|a| a.bytes_dirty & DIRTY_BIT != 0);
-                        let phase =
-                            Phase::of_accumulator(acc.map(|a| self.dense_class[a.id as usize]));
+                        let phase = Phase::of_accumulator(acc.then(|| self.class_at(end - 1)));
                         let issue_cycle = issue.round() as u64;
                         if cur_phase != Some(phase) {
                             if let Some(prev) = cur_phase {
@@ -1217,8 +1216,7 @@ impl AnalyticCollector {
                         });
                     }
                     region += 1;
-                    fits = region_fits[region];
-                    pos += 1; // consume the barrier sentinel
+                    region_fits = fits(region);
                 }
             }
         }
@@ -1480,7 +1478,6 @@ impl BoundAccum {
 mod tests {
     use super::*;
     use crate::config::PeArray;
-    use crate::trace::Schedule;
     use crate::SystolicModel;
 
     fn engine() -> Engine {
@@ -1513,7 +1510,7 @@ mod tests {
                 );
             }
         }
-        // A barrier in the middle exercises flush/clear and the sentinel.
+        // A barrier in the middle exercises flush/clear and a second region.
         for (n, op) in ops.iter().enumerate() {
             if n == 7 {
                 ScheduleSink::barrier(&mut s);
@@ -1776,6 +1773,135 @@ mod tests {
     fn stream_records_stay_compact() {
         assert_eq!(std::mem::size_of::<AccessRec>(), 8);
         assert!(std::mem::size_of::<OpRec>() <= 8);
+    }
+
+    /// The replay's former next-use back-scan, kept as the reference for
+    /// what the collector links while collecting. One backward pass over
+    /// the flattened schedule (barriers cut reuse) yields each access's
+    /// next use — positions count accesses only — and, per barrier region,
+    /// the distinct-tile footprint and the DRAM floor: clean first-touch
+    /// bytes and bursts, plus one write-back per ever-dirty tile.
+    fn back_scan(schedule: &Schedule) -> (Vec<Option<usize>>, Vec<RegionSum>) {
+        let mut slots: Vec<Option<(TileKey, u64, bool)>> = Vec::new();
+        for op in schedule.ops() {
+            match op {
+                ScheduleOp::Gemm(g) => {
+                    slots.extend(g.reads.iter().map(|r| Some((r.key, r.bytes, false))));
+                    slots.extend(g.acc.iter().map(|a| Some((a.key, a.bytes, true))));
+                }
+                ScheduleOp::Barrier => slots.push(None),
+                ScheduleOp::Stream(_) => {}
+            }
+        }
+        let mut pos = slots.iter().flatten().count();
+        let mut next_use = vec![None; pos];
+        let mut regions = Vec::new();
+        // Per tile sighted in the current region: its latest-seen (so
+        // forward-earliest) position, bytes, and dirtiness flags — bit 0 =
+        // the forward-earliest access is dirty, bit 1 = any access is.
+        let mut seen: std::collections::HashMap<TileKey, (usize, u64, u8)> = Default::default();
+        let mut end_region = |seen: &mut std::collections::HashMap<_, (usize, u64, u8)>| {
+            let mut sum = RegionSum::default();
+            for (_, (_, bytes, flags)) in seen.drain() {
+                sum.footprint += bytes;
+                if flags & 1 == 0 {
+                    sum.floor_bytes += bytes;
+                    sum.floor_bursts += 1;
+                }
+                if flags & 2 != 0 {
+                    sum.floor_bytes += bytes;
+                }
+            }
+            regions.push(sum);
+        };
+        for slot in slots.iter().rev() {
+            let Some((key, bytes, dirty)) = *slot else {
+                end_region(&mut seen);
+                continue;
+            };
+            pos -= 1;
+            let dirty = u8::from(dirty);
+            let entry = seen.entry(key).or_insert((usize::MAX, bytes, 0));
+            if entry.0 != usize::MAX {
+                next_use[pos] = Some(entry.0);
+            }
+            *entry = (pos, bytes, dirty | (entry.2 & 2) | (dirty << 1));
+        }
+        end_region(&mut seen);
+        regions.reverse();
+        (next_use, regions)
+    }
+
+    /// Assert that `schedule`'s collector links next uses and sums regions
+    /// as the back-scan does.
+    fn assert_links_match_back_scan(schedule: &Schedule) {
+        let c = AnalyticCollector::from_schedule(schedule);
+        let (next_use, regions) = back_scan(schedule);
+        assert_eq!(c.next_uses().collect::<Vec<_>>(), next_use);
+        assert_eq!(c.regions(), regions);
+    }
+
+    #[test]
+    fn collected_links_match_the_back_scan() {
+        assert_links_match_back_scan(&ladder_demo().0);
+
+        // Leading, repeated and trailing barriers; tiles reused within and
+        // across regions; a tile read clean then accumulated, and one
+        // accumulated then read; stream ops between accesses.
+        let mut s = Schedule::new("links");
+        let dy = s.add_tensor(TensorClass::OutGrad, "dY");
+        let w = s.add_tensor(TensorClass::Weight, "W");
+        let dx = s.add_tensor(TensorClass::InGrad, "dX");
+        let shape = GemmShape::new(16, 16, 16);
+        let io = StreamOp {
+            class: TensorClass::WGrad,
+            read_bytes: 4096,
+            write_bytes: 1024,
+        };
+        ScheduleSink::barrier(&mut s);
+        for n in 0..24u32 {
+            let (i, j) = (n % 4, n / 6);
+            let op = TileOpSpec::new(shape)
+                .read(dy, TileCoord::new(i, j), 1024)
+                .read(w, TileCoord::new(j, 0), 2048)
+                .accumulate(dx, TileCoord::new(i, 0), 512);
+            ScheduleSink::gemm(&mut s, &op);
+            match n {
+                5 => ScheduleSink::stream(&mut s, io),
+                9 | 16 => {
+                    ScheduleSink::barrier(&mut s);
+                    ScheduleSink::barrier(&mut s);
+                }
+                12 => ScheduleSink::gemm(
+                    &mut s,
+                    &TileOpSpec::new(shape)
+                        .read(dx, TileCoord::new(1, 0), 512)
+                        .accumulate(dy, TileCoord::new(0, 0), 1024),
+                ),
+                _ => {}
+            }
+        }
+        ScheduleSink::stream(&mut s, io);
+        ScheduleSink::barrier(&mut s);
+        assert_links_match_back_scan(&s);
+
+        // No ops at all: one empty region.
+        assert_links_match_back_scan(&Schedule::new("empty"));
+    }
+
+    #[test]
+    #[should_panic(expected = "a tile's access bytes change")]
+    fn a_tile_whose_bytes_change_is_rejected() {
+        let mut s = Schedule::new("bytes");
+        let dy = s.add_tensor(TensorClass::OutGrad, "dY");
+        let shape = GemmShape::new(16, 16, 16);
+        for bytes in [1024, 1024, 512] {
+            ScheduleSink::gemm(
+                &mut s,
+                &TileOpSpec::new(shape).read(dy, TileCoord::new(0, 0), bytes),
+            );
+        }
+        AnalyticCollector::from_schedule(&s);
     }
 
     #[test]

@@ -143,7 +143,8 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if `schedule` exceeds the collector's limits: a tile access
-    /// of 2 GiB or more, a tile op with 2^16 or more accesses, or a tile
+    /// of 2 GiB or more, a tile accessed with two byte counts, a tile op
+    /// with 2^16 or more accesses, or a tile
     /// registry (each tensor spans the grid up to its largest tile row and
     /// column) or access stream reaching [`crate::REPLAY_ID_LIMIT`]. Tiles
     /// are PE-array sized, so every schedule the builders emit is far

@@ -23,7 +23,7 @@
 //! ([`crate::Replacement::Lru`]) runs it on dense `u32` tile ids through
 //! the replay's `Residency` trait; the tests key it by [`TileKey`].
 
-use crate::analytic::Residency;
+use crate::analytic::{AccessRec, Residency};
 use crate::trace::TileKey;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -264,8 +264,8 @@ impl<K: Copy + Eq + Hash> SpmCache<K> {
     }
 }
 
-/// LRU residency for the replay, keyed by dense tile id. The next-use
-/// oracle is ignored, and a region that fits takes the plain access path
+/// LRU residency for the replay, keyed by dense tile id. The linked next
+/// uses are ignored, and a region that fits takes the plain access path
 /// (the trait's default), which keeps the ticks LRU order needs.
 impl Residency for SpmCache<u32> {
     fn reset(&mut self, capacity: u64, _num_tiles: usize, _stream_len: usize) {
@@ -274,13 +274,13 @@ impl Residency for SpmCache<u32> {
 
     fn access(
         &mut self,
-        id: u32,
+        stream: &[AccessRec],
+        pos: usize,
         bytes: u32,
         dirty: bool,
-        _next_use: u32,
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
-        let out = self.touch(id, bytes as u64, dirty);
+        let out = self.touch(stream[pos].id, bytes as u64, dirty);
         writebacks.extend(out.writebacks);
         out.fetched_bytes
     }
