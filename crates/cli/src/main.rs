@@ -131,7 +131,7 @@ fn main() -> ExitCode {
             return usage();
         }
         match args.first().map(String::as_str) {
-            Some("models") => cmd_models(),
+            Some("models") if args.len() == 1 => cmd_models(),
             Some("ladder") if args.len() == 3 => cmd_ladder(&context, &args[1], &args[2]),
             Some("layer") if args.len() == 5 => cmd_layer(&context, &args[1..]),
             _ => usage(),

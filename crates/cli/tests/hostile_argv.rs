@@ -1,7 +1,76 @@
-//! Hostile command lines end in a clean usage error (exit code 2), never
-//! in a panic or in a run on a silently wrapped value.
+//! Hostile command lines end in a clean usage error (exit code 2) or a
+//! normal run (exit code 0) — never in a panic (101), an abort (134) or a
+//! run on a silently wrapped value.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+fn igo_sim(argv: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_igo-sim"))
+        .args(argv)
+        .output()
+        .expect("igo-sim runs")
+}
+
+/// One row per hostile (or barely legal) command line of every
+/// subcommand, with the exit code it must end in.
+#[test]
+fn every_subcommand_exits_0_or_2() {
+    let out_dir = format!("{}/hostile-trace", env!("CARGO_TARGET_TMPDIR"));
+    let table: &[(&[&str], i32)] = &[
+        (&[], 2),
+        (&["bogus"], 2),
+        (&["models"], 0),
+        (&["models", "extra"], 2),
+        (&["ladder"], 2),
+        (&["ladder", "nope", "edge"], 2),
+        (&["ladder", "ncf", "nope"], 2),
+        (&["ladder", "ncf", "serverx0"], 2),
+        (&["ladder", "ncf", "edge", "extra"], 2),
+        (&["layer", "1", "1", "1", "edge"], 0),
+        (&["layer", "1", "1", "1"], 2),
+        (&["layer", "0", "1", "1", "edge"], 2),
+        (&["layer", "-1", "1", "1", "edge"], 2),
+        (&["layer", "18446744073709551616", "1", "1", "edge"], 2),
+        (&["layer", "1", "1", "1", "serverx0"], 2),
+        (&["layer", "100000000", "100000", "100000", "edge"], 2),
+        (&["sweep"], 2),
+        (&["sweep", "nope"], 2),
+        (&["sweep", "ncf", "--spm"], 2),
+        (&["sweep", "ncf", "--spm", "0"], 2),
+        (&["sweep", "ncf", "--spm", "x"], 2),
+        (&["sweep", "ncf", "--spm", "3", "--techniques", "nope"], 2),
+        (&["sweep", "ncf", "--spm", "3", "--config", "serverx0"], 2),
+        (&["sweep", "ncf", "--spm", "3", "--bogus"], 2),
+        (&["audit", "--seeds", "x"], 2),
+        (&["audit", "--seeds"], 2),
+        (&["audit", "--seeds", "0"], 2),
+        (&["audit", "--seed", "-1"], 2),
+        (&["audit", "--bogus"], 2),
+        (&["audit", "extra"], 2),
+        (&["trace"], 2),
+        (&["trace", "0x1x1", "edge"], 2),
+        (&["trace", "1x2", "edge"], 2),
+        (&["trace", "ncf", "nope"], 2),
+        (&["trace", "ncf", "edge", "--technique", "nope"], 2),
+        (&["trace", "ncf", "edge", "--out"], 2),
+        (&["trace", "ncf", "edge", "--bogus"], 2),
+        (&["trace", "100000000x100000x100000", "edge"], 2),
+        (&["trace", "1x1x1", "edge", "--out", &out_dir], 0),
+        (&["--jobs"], 2),
+        (&["--jobs", "0", "models"], 2),
+        (&["--jobs", "x", "models"], 2),
+        (&["--timing", "--timing", "models"], 0),
+        (&["--jobs", "2", "layer", "1", "1", "1", "edge"], 0),
+    ];
+    for &(argv, want) in table {
+        let out = igo_sim(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(want), "{argv:?}: {stderr}");
+        if want == 2 {
+            assert!(out.stdout.is_empty(), "{argv:?} must not simulate");
+        }
+    }
+}
 
 #[test]
 fn overflowing_spm_rungs_exit_2() {
@@ -9,10 +78,7 @@ fn overflowing_spm_rungs_exit_2() {
     // to an unrelated size.
     for spm in ["17592186044416", "99999999999999", "3,17592186044416"] {
         let argv = ["sweep", "ncf", "--spm", spm];
-        let out = Command::new(env!("CARGO_BIN_EXE_igo-sim"))
-            .args(argv)
-            .output()
-            .expect("igo-sim runs");
+        let out = igo_sim(&argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
         assert!(stderr.contains("--spm"), "{argv:?}: {stderr}");

@@ -17,11 +17,15 @@
 //!   layer, since only a model maps layers on the pool.
 //! * **Selection oracle**: the technique's candidate list, re-derived from
 //!   the §5 rules and an independent Algorithm 1, is rebuilt as
-//!   materialised schedules and costed — on a single core by the audit's
-//!   own `OptCache` shadow (below) plus a re-derived reduction term, on
-//!   several cores by [`Engine::run`]; the pipeline's decision and report
-//!   must be the `(cycles, index)` minimum, and every candidate's
-//!   closed-form bound must be at most its cost.
+//!   materialised schedules and costed by the audit's own `OptCache`
+//!   shadow (below) on every core, with the multicore combine and the
+//!   reduction term re-derived; the pipeline's decision and report must be
+//!   the `(cycles, index)` minimum, and every candidate's closed-form bound
+//!   must be at most its cost.
+//! * **Generator links**: every stream the pipeline replays — each
+//!   candidate's and the forward pass's, on every core — is generated
+//!   from its loop nests exactly as the builders' collected stream reads:
+//!   ids, bytes, next uses, ops, shapes and region sums.
 //! * **Accounting**: replaying the decided schedule against a fresh
 //!   [`OptCache`] shadow model must reproduce [`Engine::run`]'s hits,
 //!   misses and per-class DRAM traffic exactly; `hits + misses` must equal
@@ -53,20 +57,23 @@
 use crate::bound::backward_emission_bound;
 use crate::exec::{execute_backward, max_abs_diff, DenseLayer};
 use crate::partition::{DecidedBackward, PartitionScheme};
-use crate::pipeline::{candidate_bound, rearranged_order, LayerDecision, SimContext, SimOptions};
+use crate::pipeline::{
+    candidate_bound, candidate_streams, rearranged_order, LayerDecision, SimContext, SimOptions,
+};
 use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EventLog, Exactness,
-    MetricsFold, NpuConfig, OptCache, PeArray, RegionSum, RunMetrics, Schedule, ScheduleOp,
-    SimReport, TileKey, TraceEvent,
+    Access, AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EventLog,
+    Exactness, GemmAccesses, MetricsFold, NpuConfig, OpVisitor, OptCache, PeArray, RegionSum,
+    ReplayInput, RunMetrics, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use igo_workloads::{Layer, Model, ModelId};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
+use std::ops::ControlFlow;
 
 /// One generated fuzz case: a layer shape, an NPU, a technique and a set
 /// of pipeline execution options, all derived deterministically from
@@ -153,6 +160,15 @@ impl AuditCase {
             prune,
             workers: if parallel { workers } else { 1 },
         };
+        // One case in four redraws its dimensions at the boundaries the
+        // tile arithmetic has to get right: drawn last, so every other
+        // seed keeps its case.
+        let gemm = if rng.range_u64(0, 4) == 0 {
+            let mut edge = || boundary_dim(&mut rng, t);
+            GemmShape::new(edge(), edge(), edge())
+        } else {
+            gemm
+        };
         Self {
             seed,
             gemm,
@@ -162,6 +178,32 @@ impl AuditCase {
             is_first,
             options,
         }
+    }
+}
+
+/// A dimension at a boundary of the tile arithmetic, for tile side `t`: 1,
+/// a small prime, a tile edge ±1, a prime just past three tiles, or a
+/// length whose 2- and 4-way partition splits are ragged (the last part
+/// shorter, or fewer parts than asked).
+fn boundary_dim(rng: &mut SplitMix64, t: u64) -> u64 {
+    const PRIMES: [u64; 6] = [2, 3, 5, 7, 11, 13];
+    let is_prime = |n: u64| {
+        n >= 2
+            && (2..n)
+                .take_while(|d| d * d <= n)
+                .all(|d| !n.is_multiple_of(d))
+    };
+    match rng.range_u64(0, 8) {
+        0 => 1,
+        1 => PRIMES[rng.index(PRIMES.len())],
+        2 => (t - 1).max(1),
+        3 => t + 1,
+        4 => 2 * t - 1,
+        5 => 2 * t + 1,
+        6 => (3 * t..)
+            .find(|&n| is_prime(n))
+            .expect("primes are unbounded"),
+        _ => 4 * t + rng.range_u64(1, 4),
     }
 }
 
@@ -373,6 +415,11 @@ pub fn audit_case(case: &AuditCase) -> (Vec<Violation>, u64) {
         }
     }
 
+    // Generator links: every replayed stream is generated exactly as the
+    // builders' collected stream reads.
+    checks += 1;
+    violations.extend(check_generator_links(case));
+
     // Merge legality of the decided order's fused emission.
     checks += 1;
     violations.extend(check_merge_emission(case, ref_decision.order));
@@ -517,9 +564,8 @@ struct OracleCandidate {
 }
 
 /// Every spec candidate of `case`, rebuilt as materialised schedules, in
-/// index order. On a single core each is costed by the audit's own
-/// [`shadow_cost`]; multi-core candidates run through the machine model
-/// ([`DecidedBackward::run`]).
+/// index order, each costed by the audit's own [`shadow_cost`] — on one
+/// core or several, nothing here goes through the replay.
 fn oracle_candidates(case: &AuditCase) -> Vec<OracleCandidate> {
     spec_candidates(case)
         .into_iter()
@@ -536,11 +582,7 @@ fn oracle_candidates(case: &AuditCase) -> Vec<OracleCandidate> {
             if let Some((_, parts)) = &mut decision.partition {
                 *parts = exec.parts() as u64;
             }
-            let report = if case.config.cores == 1 {
-                shadow_cost(&case.config, exec)
-            } else {
-                exec.run(&case.config)
-            };
+            let report = shadow_cost(&case.config, exec);
             let bound = candidate_bound(case.gemm, case.density, &case.config, spec, case.is_first);
             OracleCandidate {
                 decision,
@@ -585,16 +627,11 @@ fn check_selection_oracle(
         .map(|(_, c)| c)
         .expect("every technique has a candidate");
     if decision != want.decision || *report != want.report {
-        let oracle = if case.config.cores == 1 {
-            "the shadow's"
-        } else {
-            "Engine::run's"
-        };
         violations.push(fail(
             "selection-oracle",
             format!(
-                "pipeline chose {decision:?} at {} cycles; {oracle} minimum over {} candidates \
-                 is {:?} at {} cycles",
+                "pipeline chose {decision:?} at {} cycles; the shadow's minimum over {} \
+                 candidates is {:?} at {} cycles",
                 report.cycles,
                 candidates.len(),
                 want.decision,
@@ -723,6 +760,158 @@ fn check_analytic(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
                 bound.spm_hits, report.spm_hits
             ),
         ));
+    }
+    violations
+}
+
+/// Every op of one replay input, with next uses linked in every region.
+struct Recording<'a> {
+    shapes: &'a [(GemmShape, u64)],
+    ops: Vec<RecordedOp>,
+}
+
+/// One recorded op.
+#[derive(Debug, Clone, PartialEq)]
+enum RecordedOp {
+    Gemm {
+        accesses: Vec<Access>,
+        acc: bool,
+        shape: GemmShape,
+    },
+    Stream(StreamOp),
+    Barrier,
+}
+
+impl OpVisitor for Recording<'_> {
+    fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
+        self.ops.push(RecordedOp::Gemm {
+            accesses: op.accesses.to_vec(),
+            acc: op.acc,
+            shape: self.shapes[op.shape as usize].0,
+        });
+        ControlFlow::Continue(())
+    }
+
+    fn stream(&mut self, op: &StreamOp) -> ControlFlow<()> {
+        self.ops.push(RecordedOp::Stream(*op));
+        ControlFlow::Continue(())
+    }
+
+    fn barrier(&mut self) -> ControlFlow<()> {
+        self.ops.push(RecordedOp::Barrier);
+        ControlFlow::Continue(())
+    }
+}
+
+/// Every op of `input`.
+fn record<I: ReplayInput>(input: &I) -> Vec<RecordedOp> {
+    let mut recording = Recording {
+        shapes: input.shapes(),
+        ops: Vec::new(),
+    };
+    let _ = input.drive(&mut recording);
+    recording.ops
+}
+
+/// The op count per distinct shape, sorted.
+fn ops_per_shape(shapes: &[(GemmShape, u64)]) -> Vec<((u64, u64, u64), u64)> {
+    let mut counts: Vec<((u64, u64, u64), u64)> = Vec::new();
+    for &(s, count) in shapes.iter().filter(|&&(_, count)| count > 0) {
+        let key = (s.m(), s.k(), s.n());
+        match counts.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, c)) => *c += count,
+            None => counts.push((key, count)),
+        }
+    }
+    counts.sort_unstable();
+    counts
+}
+
+/// The first difference between two replay inputs of one stream, if any:
+/// tile registry (count, classes, keys), region sums, each op's accesses
+/// (ids, bytes, classes and next uses), accumulator flag and shape, and
+/// the op count per shape.
+pub(crate) fn input_difference<A: ReplayInput, B: ReplayInput>(a: &A, b: &B) -> Option<String> {
+    if a.tile_count() != b.tile_count() {
+        return Some(format!(
+            "{} tiles, generated {}",
+            a.tile_count(),
+            b.tile_count()
+        ));
+    }
+    for id in 0..a.tile_count() as u32 {
+        let (x, y) = (
+            (a.class_of(id), a.key_of(id)),
+            (b.class_of(id), b.key_of(id)),
+        );
+        if x != y {
+            return Some(format!("tile {id} is {x:?}, generated {y:?}"));
+        }
+    }
+    if a.regions() != b.regions() {
+        return Some(format!(
+            "regions {:?}, generated {:?}",
+            a.regions(),
+            b.regions()
+        ));
+    }
+    let (ops_a, ops_b) = (record(a), record(b));
+    if let Some((n, (x, y))) = ops_a
+        .iter()
+        .zip(&ops_b)
+        .enumerate()
+        .find(|(_, (x, y))| x != y)
+    {
+        return Some(format!("op {n}: {x:?}, generated {y:?}"));
+    }
+    if ops_a.len() != ops_b.len() {
+        return Some(format!("{} ops, generated {}", ops_a.len(), ops_b.len()));
+    }
+    let (shapes_a, shapes_b) = (ops_per_shape(a.shapes()), ops_per_shape(b.shapes()));
+    if shapes_a != shapes_b {
+        return Some(format!(
+            "ops per shape {shapes_a:?}, generated {shapes_b:?}"
+        ));
+    }
+    None
+}
+
+/// Every stream the pipeline replays for the case — each backward
+/// candidate of its technique and the forward pass, on every core — must
+/// be generated exactly as the builders' collected stream reads
+/// (`generator-links`): the collector is the generator's oracle.
+fn check_generator_links(case: &AuditCase) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    let candidates = candidate_streams(
+        case.gemm,
+        case.density,
+        &case.config,
+        case.technique,
+        case.is_first,
+    );
+    for c in &candidates {
+        let difference = if c.collected.len() != c.generated.len() {
+            Some(format!(
+                "{} collected streams, {} generated",
+                c.collected.len(),
+                c.generated.len()
+            ))
+        } else {
+            c.collected
+                .iter()
+                .zip(&c.generated)
+                .enumerate()
+                .find_map(|(core, (a, b))| {
+                    input_difference(a, b).map(|d| format!("core {core}: {d}"))
+                })
+        };
+        if let Some(detail) = difference {
+            violations.push(Violation {
+                seed: case.seed,
+                check: "generator-links",
+                detail: format!("{:?}: {detail}", c.decision),
+            });
+        }
     }
     violations
 }
@@ -1132,18 +1321,45 @@ impl Shadow {
     }
 }
 
-/// The shadow's cost of a single-core candidate: [`Shadow::run`] on the
-/// one stream its core executes, plus the cross-partition reduction,
-/// re-derived here: its bytes at the whole DRAM bandwidth plus one burst,
-/// after the core finishes.
+/// The shadow's cost of a candidate: [`Shadow::run`] on each stream a core
+/// executes, combined as the audit derives it — cores run concurrently, so
+/// the step takes the slowest core's cycles and every core's traffic and
+/// counters, then pays the cross-partition reduction: its bytes at the
+/// whole DRAM bandwidth plus one burst, after the cores finish.
 fn shadow_cost(config: &NpuConfig, exec: DecidedBackward) -> SimReport {
     let reduction = match &exec {
-        DecidedBackward::Sequential { reduction, .. } => *reduction,
-        _ => None,
+        DecidedBackward::Single(_) => None,
+        DecidedBackward::Sequential { reduction, .. }
+        | DecidedBackward::Multicore { reduction, .. } => *reduction,
     };
-    let streams = exec.into_core_streams();
-    assert_eq!(streams.len(), 1, "a single-core candidate runs one stream");
-    let mut report = Shadow::run(&streams[0], &Engine::new(config)).report;
+    let engine = Engine::new(config);
+    let cores: Vec<SimReport> = exec
+        .into_core_streams()
+        .iter()
+        .map(|s| Shadow::run(s, &engine).report)
+        .collect();
+    combine_cores(config, &cores, reduction)
+}
+
+/// The audit's own multicore combine of per-core `cores` reports and the
+/// `reduction`.
+fn combine_cores(
+    config: &NpuConfig,
+    cores: &[SimReport],
+    reduction: Option<StreamOp>,
+) -> SimReport {
+    let mut report = SimReport::default();
+    for core in cores {
+        report.cycles = report.cycles.max(core.cycles);
+        report.traffic.merge(&core.traffic);
+        report.compute_cycles += core.compute_cycles;
+        report.mem_cycles += core.mem_cycles;
+        report.spm_hits += core.spm_hits;
+        report.spm_misses += core.spm_misses;
+        report.gemm_ops += core.gemm_ops;
+        report.macs += core.macs;
+        report.spm_bytes_touched += core.spm_bytes_touched;
+    }
     if let Some(op) = reduction.filter(|op| op.read_bytes + op.write_bytes > 0) {
         let bytes = op.read_bytes + op.write_bytes;
         report.cycles += (bytes as f64 / config.dram_bytes_per_cycle_total()
@@ -1561,6 +1777,102 @@ mod tests {
             .find(|v| v.check == "timeline-shadow")
             .unwrap_or_else(|| panic!("{violations:?}"));
         assert!(shadow.detail.contains("mem_cycles"), "{}", shadow.detail);
+    }
+
+    /// The `(decision, report)` a pipeline would select if its replay
+    /// mapped the final cycles of every stream holding a barrier through
+    /// `mutate`: each spec candidate run through the machine model, core by
+    /// core, mutated, combined, and the `(cycles, index)` minimum taken.
+    fn mutated_selection(case: &AuditCase, mutate: fn(u64) -> u64) -> (LayerDecision, SimReport) {
+        let engine = Engine::new(&case.config);
+        let (_, report, decision) = spec_candidates(case)
+            .into_iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let exec = DecidedBackward::rebuild(
+                    "l",
+                    case.gemm,
+                    case.density,
+                    &case.config,
+                    spec,
+                    case.is_first,
+                );
+                let mut decision = spec;
+                if let Some((_, parts)) = &mut decision.partition {
+                    *parts = exec.parts() as u64;
+                }
+                let reduction = match &exec {
+                    DecidedBackward::Single(_) => None,
+                    DecidedBackward::Sequential { reduction, .. }
+                    | DecidedBackward::Multicore { reduction, .. } => *reduction,
+                };
+                let cores: Vec<SimReport> = exec
+                    .into_core_streams()
+                    .iter()
+                    .map(|s| {
+                        let mut r = engine.run(s);
+                        if s.ops().iter().any(|op| matches!(op, ScheduleOp::Barrier)) {
+                            r.cycles = mutate(r.cycles);
+                        }
+                        r
+                    })
+                    .collect();
+                (i, combine_cores(&case.config, &cores, reduction), decision)
+            })
+            .min_by_key(|(i, r, _)| (r.cycles, *i))
+            .expect("every technique has a candidate");
+        (decision, report)
+    }
+
+    /// Seeds in `seeds` whose selection the `mutate` replay bug corrupts
+    /// in a way `selection-oracle` reports.
+    fn flagged_seeds(seeds: std::ops::Range<u64>, mutate: fn(u64) -> u64) -> Vec<u64> {
+        seeds
+            .filter(|&seed| {
+                let case = AuditCase::from_seed(seed);
+                let (decision, report) = mutated_selection(&case, mutate);
+                check_selection_oracle(&case, decision, &report)
+                    .iter()
+                    .any(|v| v.check == "selection-oracle")
+            })
+            .collect()
+    }
+
+    /// A replay that adds one cycle to every stream with a barrier is
+    /// reported by the selection oracle — on seed 511's two-core
+    /// DataPartitioning case too, whose candidates the shadow costs core
+    /// by core — and never passes where it fires on the clean pipeline.
+    #[test]
+    fn barrier_cycle_plus_one_is_caught() {
+        let case = AuditCase::from_seed(511);
+        assert_eq!(case.config.cores, 2, "{case:?}");
+        let flagged = flagged_seeds(500..520, |c| c + 1);
+        assert!(flagged.contains(&511), "{flagged:?}");
+        for seed in 500..520 {
+            let case = AuditCase::from_seed(seed);
+            let clean = mutated_selection(&case, |c| c);
+            assert_eq!(
+                check_selection_oracle(&case, clean.0, &clean.1),
+                [],
+                "seed {seed}"
+            );
+        }
+    }
+
+    /// Multiplying barrier streams' cycles by 100 moves decisions off
+    /// barrier candidates instead of only inflating the report; the
+    /// shadow-costed oracle still reports every seed the +1 bug flags.
+    #[test]
+    fn barrier_cycles_times_hundred_is_caught_wherever_plus_one_is() {
+        let plus_one = flagged_seeds(500..520, |c| c + 1);
+        let times_hundred = flagged_seeds(500..520, |c| c * 100);
+        assert!(!plus_one.is_empty());
+        for seed in &plus_one {
+            assert!(
+                times_hundred.contains(seed),
+                "seed {seed}: {times_hundred:?}"
+            );
+        }
     }
 
     #[test]

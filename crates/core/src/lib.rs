@@ -39,6 +39,7 @@
 pub mod audit;
 pub mod bound;
 pub mod exec;
+pub mod generate;
 pub mod observe;
 pub mod parallel;
 pub mod partition;

@@ -20,10 +20,13 @@
 //! [`crate::observe`]. Each layer's backward pass is chosen by one
 //! selection loop (`SimContext::select_best`) over the technique's
 //! candidates. Candidates are held as unemitted [`BackwardBuilder`]s and
-//! evaluated by allocation-free replay ([`AnalyticCollector::replay`],
-//! bit-identical to running the materialised schedules through
-//! [`Engine::run`] — the audit's `selection-oracle` check does exactly
-//! that). Three composable optimizations keep the sweeps fast without
+//! replayed straight from their loop nests ([`StreamGen`] through
+//! [`replay_input`]: nothing is collected, and an aborted replay stops
+//! generating), bit-identical to running the materialised schedules
+//! through [`Engine::run`] — the audit's `generator-links` check compares
+//! every generated stream with the collected one, and its
+//! `selection-oracle` check costs every candidate on its own shadow.
+//! Three composable optimizations keep the sweeps fast without
 //! changing a single reported number (see `tests/golden_determinism.rs`):
 //!
 //! * **parallelism** ([`SimOptions::workers`]) — independent model layers
@@ -47,6 +50,7 @@
 //! recorder attached ([`AnalyticCollector::replay_recorded`]).
 
 use crate::bound::{multicore_candidate_bound, plain_candidate_bound, sequential_candidate_bound};
+use crate::generate::StreamGen;
 use crate::parallel::parallel_map_workers;
 use crate::partition::{plan_partition_backward, plan_partition_forward, PartitionScheme};
 use crate::schedule::{forward_schedule, BackwardBuilder, BackwardOrder, LayerTensors};
@@ -55,7 +59,7 @@ use crate::simcache::{CacheKey, CacheStats, CandidateKey, Memo, PassKey, DEFAULT
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    replay_multicore, replay_multicore_bounded, replay_sequential_partitions_bounded,
+    replay_input, replay_multicore, replay_multicore_bounded, replay_sequential_partitions_bounded,
     AnalyticCollector, AnalyticScratch, Engine, NpuConfig, Recorder, SimReport, StreamOp,
     StreamShape, TensorId, Traffic,
 };
@@ -180,6 +184,16 @@ fn fresh_ids() -> impl FnMut(TensorClass, String) -> TensorId {
     }
 }
 
+/// The forward pass's per-core sub-GEMMs and tensors: the whole layer on
+/// one core, the batch (M) split across cores otherwise.
+fn forward_parts(gemm: GemmShape, config: &NpuConfig) -> (Vec<GemmShape>, Vec<LayerTensors>) {
+    if config.cores == 1 {
+        (vec![gemm], vec![LAYER_TENSORS])
+    } else {
+        plan_partition_forward(&mut fresh_ids(), LAYER_TENSORS, gemm, config.cores as u64)
+    }
+}
+
 /// Reusable per-worker state for candidate evaluation.
 #[derive(Default)]
 struct Scratch {
@@ -274,25 +288,48 @@ impl Candidate {
         }
     }
 
-    /// Emit and replay this candidate. With a `cutoff`, returns `None` as
-    /// soon as the replay proves the candidate must exceed `cutoff` cycles
-    /// (see [`AnalyticCollector::replay_bounded`]).
+    /// This candidate's streams as generators, in the shape [`Self::emit`]
+    /// collects them: one for a single stream or for partitions chained on
+    /// one core, one per core otherwise.
+    fn streams(&self, layer: &LayerInputs) -> Vec<StreamGen> {
+        let (order, is_first) = (self.decision.order, layer.is_first);
+        match &self.exec {
+            Exec::Single(builder) => {
+                vec![StreamGen::backward(
+                    std::slice::from_ref(builder),
+                    order,
+                    is_first,
+                )]
+            }
+            Exec::Split { builders, .. } if layer.config.cores == 1 => {
+                vec![StreamGen::backward(builders, order, is_first)]
+            }
+            Exec::Split { builders, .. } => builders
+                .iter()
+                .map(|b| StreamGen::backward(std::slice::from_ref(b), order, is_first))
+                .collect(),
+        }
+    }
+
+    /// Replay this candidate straight from its generators. With a
+    /// `cutoff`, returns `None` as soon as the replay proves the candidate
+    /// must exceed `cutoff` cycles (see [`replay_input`]), and generation
+    /// stops there.
     fn run_bounded(
         &self,
         layer: &LayerInputs,
         cutoff: Option<u64>,
-        s: &mut Scratch,
+        replay: &mut AnalyticScratch,
     ) -> Option<SimReport> {
-        let Scratch { collectors, replay } = s;
-        let cores = self.emit(layer, collectors);
+        let streams = self.streams(layer);
         match &self.exec {
-            Exec::Single(_) => cores[0]
-                .replay_bounded(&layer.engine, replay, cutoff)
-                .map(|r| r.report),
+            Exec::Single(_) => {
+                replay_input(&streams[0], &layer.engine, replay, cutoff).map(|r| r.report)
+            }
             Exec::Split { reduction, .. } if layer.config.cores == 1 => {
                 replay_sequential_partitions_bounded(
                     layer.config,
-                    &cores[0],
+                    &streams[0],
                     *reduction,
                     replay,
                     cutoff,
@@ -300,7 +337,7 @@ impl Candidate {
                 .map(|r| r.combined())
             }
             Exec::Split { reduction, .. } => {
-                replay_multicore_bounded(layer.config, cores, *reduction, replay, cutoff)
+                replay_multicore_bounded(layer.config, &streams, *reduction, replay, cutoff)
                     .map(|r| r.combined())
             }
         }
@@ -319,14 +356,14 @@ impl Candidate {
         s: &mut Scratch,
     ) -> Option<SimReport> {
         let Some(memo) = memo else {
-            return self.run_bounded(layer, cutoff, s);
+            return self.run_bounded(layer, cutoff, &mut s.replay);
         };
         let pass = PassKey::Candidate(self.key);
         let key = CacheKey::new(layer.gemm, layer.density, layer.config, pass);
         if let Some((hit, _)) = memo.get(&key) {
             return Some(hit);
         }
-        let report = self.run_bounded(layer, cutoff, s);
+        let report = self.run_bounded(layer, cutoff, &mut s.replay);
         if let Some(r) = report {
             memo.put(key, (r, None));
         }
@@ -560,29 +597,14 @@ impl SimContext {
             return hit;
         }
         let policy = TilePolicy::for_config(config);
-        let engine = Engine::new(config);
-        let report = with_scratch(|scratch| {
-            let Scratch { collectors, replay } = scratch;
-            if config.cores == 1 {
-                let c = &mut cleared_collectors(collectors, 1)[0];
-                BackwardBuilder::new(gemm, policy, LAYER_TENSORS).register_grids(c);
-                forward_schedule(gemm, policy, LAYER_TENSORS, density, c);
-                c.replay(&engine, replay).report
-            } else {
-                let (sub_gemms, part_tensors) = plan_partition_forward(
-                    &mut fresh_ids(),
-                    LAYER_TENSORS,
-                    gemm,
-                    config.cores as u64,
-                );
-                let cores = cleared_collectors(collectors, sub_gemms.len());
-                for ((sub, t), c) in sub_gemms.iter().zip(&part_tensors).zip(cores.iter_mut()) {
-                    BackwardBuilder::new(*sub, policy, *t).register_grids(c);
-                    forward_schedule(*sub, policy, *t, density, c);
-                }
-                replay_multicore(config, cores, None, replay).combined()
-            }
-        });
+        let (sub_gemms, part_tensors) = forward_parts(gemm, config);
+        let cores: Vec<StreamGen> = sub_gemms
+            .iter()
+            .zip(&part_tensors)
+            .map(|(sub, t)| StreamGen::forward(*sub, policy, *t, density))
+            .collect();
+        let report =
+            with_scratch(|s| replay_multicore(config, &cores, None, &mut s.replay).combined());
         if let Some(m) = memo {
             m.put(key, (report, None));
         }
@@ -722,6 +744,64 @@ pub(crate) fn candidate_bound(
     LayerInputs::new(gemm, density, config, is_first)
         .decided(decision)
         .bound
+}
+
+/// One candidate's streams both ways: the collectors its builders emit
+/// into and the generators the selection loop replays, one per core.
+pub(crate) struct CandidateStreams {
+    /// The candidate's decision (with the partition count its split
+    /// produced).
+    pub(crate) decision: LayerDecision,
+    /// The collected streams.
+    pub(crate) collected: Vec<AnalyticCollector>,
+    /// The generated streams.
+    pub(crate) generated: Vec<StreamGen>,
+}
+
+/// Every backward candidate of `technique` for a layer, in the selection
+/// loop's index order, then the forward pass (decided as `order:
+/// Baseline, partition: None`), each collected and generated.
+pub(crate) fn candidate_streams(
+    gemm: GemmShape,
+    density: f64,
+    config: &NpuConfig,
+    technique: Technique,
+    is_first: bool,
+) -> Vec<CandidateStreams> {
+    let layer = LayerInputs::new(gemm, density, config, is_first);
+    let mut out: Vec<CandidateStreams> = layer
+        .candidates(technique)
+        .iter()
+        .map(|c| {
+            let mut pool = Vec::new();
+            c.emit(&layer, &mut pool);
+            CandidateStreams {
+                decision: c.decision,
+                collected: pool,
+                generated: c.streams(&layer),
+            }
+        })
+        .collect();
+    let policy = layer.policy;
+    let (sub_gemms, part_tensors) = forward_parts(gemm, config);
+    let mut collected = Vec::new();
+    let mut generated = Vec::new();
+    for (sub, t) in sub_gemms.iter().zip(&part_tensors) {
+        let mut c = AnalyticCollector::new();
+        BackwardBuilder::new(*sub, policy, *t).register_grids(&mut c);
+        forward_schedule(*sub, policy, *t, density, &mut c);
+        collected.push(c);
+        generated.push(StreamGen::forward(*sub, policy, *t, density));
+    }
+    out.push(CandidateStreams {
+        decision: LayerDecision {
+            order: BackwardOrder::Baseline,
+            partition: None,
+        },
+        collected,
+        generated,
+    });
+    out
 }
 
 /// Replay a decided backward execution with a recorder attached: the
@@ -1234,10 +1314,96 @@ mod tests {
         assert!(huge >= igo_npu_sim::REPLAY_ID_LIMIT, "{huge}");
     }
 
-    /// The replay's memory per collected access: the buffers whose size
-    /// grows with the stream — access records, op records and the OPT
-    /// victim bitset — hold at most 11 bytes per access on a large Baseline
-    /// stream (three accesses per op).
+    /// Every candidate the loop can build — each order, plain and under
+    /// every scheme, on one core and several, with and without a `dX` pass
+    /// — and the forward pass generate exactly the stream their builders
+    /// collect, on boundary shapes: dimension 1, primes, tile edges ±1 and
+    /// ragged partition splits.
+    #[test]
+    fn generated_streams_read_as_collected() {
+        let orders = [
+            BackwardOrder::Baseline,
+            BackwardOrder::IdealDyReuse,
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ];
+        for config in [NpuConfig::small_edge(), NpuConfig::large_server(2)] {
+            let t = TilePolicy::for_config(&config).tile.rows;
+            for gemm in [
+                GemmShape::new(1, 2 * t + 1, 3),
+                GemmShape::new(4 * t + 3, t - 1, t + 1),
+                GemmShape::new(13, 5 * t + 7, 2 * t - 1),
+            ] {
+                for is_first in [false, true] {
+                    let layer = LayerInputs::new(gemm, 0.37, &config, is_first);
+                    let mut candidates: Vec<Candidate> =
+                        orders.iter().map(|&o| layer.plain(o)).collect();
+                    for scheme in PartitionScheme::ALL {
+                        for parts in [2, 4] {
+                            for &order in &orders {
+                                candidates.push(layer.split(scheme, parts, order));
+                            }
+                        }
+                    }
+                    for c in &candidates {
+                        let mut pool = Vec::new();
+                        let collected = c.emit(&layer, &mut pool);
+                        let generated = c.streams(&layer);
+                        assert_eq!(collected.len(), generated.len());
+                        for (a, b) in collected.iter().zip(&generated) {
+                            let diff = crate::audit::input_difference(a, b);
+                            assert_eq!(diff, None, "{gemm} {:?} on {}", c.decision, config.name);
+                        }
+                    }
+                }
+                for (c, g) in candidate_streams(gemm, 0.37, &config, Technique::Baseline, false)
+                    .last()
+                    .map(|f| (&f.collected, &f.generated))
+                    .into_iter()
+                    .flat_map(|(c, g)| c.iter().zip(g))
+                {
+                    assert_eq!(crate::audit::input_difference(c, g), None, "{gemm} forward");
+                }
+            }
+        }
+    }
+
+    /// The generated replay's memory grows with tiles, not accesses: a
+    /// large Baseline candidate replays with no stream buffer, and its
+    /// victim index holds a few kilobytes for 200 k accesses.
+    #[test]
+    fn generated_replay_memory_is_per_tile() {
+        let config = NpuConfig::large_single_core();
+        let layer = LayerInputs::new(GemmShape::new(4096, 4096, 4096), 1.0, &config, false);
+        let candidate = layer.plain(BackwardOrder::Baseline);
+        let streams = candidate.streams(&layer);
+        let mut scratch = AnalyticScratch::new();
+        let report = replay_input(&streams[0], &layer.engine, &mut scratch, None)
+            .expect("an uncut replay completes")
+            .report;
+        let mut pool = Vec::new();
+        let collected = &candidate.emit(&layer, &mut pool)[0];
+        assert_eq!(
+            report,
+            collected
+                .replay(&layer.engine, &mut AnalyticScratch::new())
+                .report
+        );
+        let accesses = streams[0].stream_len();
+        assert!(accesses > 100_000, "{accesses} accesses");
+        assert!(
+            scratch.victim_bytes() < 4096,
+            "{} bytes",
+            scratch.victim_bytes()
+        );
+    }
+
+    /// The replay's memory per collected access (the collector serves
+    /// [`Engine::run`], traces and the audit): the buffers whose size grows
+    /// with the stream — access and op records — plus the OPT victim index
+    /// hold at most 11 bytes per access on a large Baseline stream (three
+    /// accesses per op).
     #[test]
     fn replay_buffers_stay_within_eleven_bytes_per_access() {
         let config = NpuConfig::large_single_core();

@@ -80,20 +80,20 @@ impl LayerTensors {
 /// emission hot loops reduce per-access geometry to two edge compares and
 /// a table lookup.
 #[derive(Debug, Clone, Copy)]
-struct GridCosts {
+pub(crate) struct GridCosts {
     /// `dims[r_is_last][c_is_last]`.
-    dims: [[MatrixDims; 2]; 2],
+    pub(crate) dims: [[MatrixDims; 2]; 2],
     /// Matching byte footprints (after any density scaling).
-    bytes: [[u64; 2]; 2],
-    last_row: u32,
-    last_col: u32,
+    pub(crate) bytes: [[u64; 2]; 2],
+    pub(crate) last_row: u32,
+    pub(crate) last_col: u32,
 }
 
 impl GridCosts {
     /// Tables for `grid` at `dtype`, with each variant's DRAM bytes mapped
     /// through `cost` (identity for dense tensors, the raw-layout density
     /// scaling for `X`/`dX`).
-    fn new(grid: &TileGrid, dtype: DataType, cost: impl Fn(u64) -> u64) -> Self {
+    pub(crate) fn new(grid: &TileGrid, dtype: DataType, cost: impl Fn(u64) -> u64) -> Self {
         let rr = [0, grid.rows() - 1];
         let cc = [0, grid.cols() - 1];
         let mut dims = [[MatrixDims::new(1, 1); 2]; 2];
@@ -131,11 +131,11 @@ pub struct BackwardBuilder {
     x_grid: TileGrid,
     w_grid: TileGrid,
     tensors: LayerTensors,
-    elide_dw_dy_reads: bool,
+    pub(crate) elide_dw_dy_reads: bool,
     ifmap_density: f64,
-    dy_costs: GridCosts,
-    x_costs: GridCosts,
-    w_costs: GridCosts,
+    pub(crate) dy_costs: GridCosts,
+    pub(crate) x_costs: GridCosts,
+    pub(crate) w_costs: GridCosts,
 }
 
 impl BackwardBuilder {
@@ -325,7 +325,7 @@ impl BackwardBuilder {
 
     /// The blocking of the `dX` nest (row-major `dY` traversal) for a
     /// residency budget of `capacity` tiles.
-    fn dx_blocking(&self, capacity: u64) -> Blocking {
+    pub(crate) fn dx_blocking(&self, capacity: u64) -> Blocking {
         Blocking::choose(self.mt(), self.kt(), self.nt(), capacity)
     }
 
@@ -350,7 +350,7 @@ impl BackwardBuilder {
     }
 
     /// The blocking of the `dW` nest (column-major `dY` traversal).
-    fn dw_blocking(&self, capacity: u64) -> Blocking {
+    pub(crate) fn dw_blocking(&self, capacity: u64) -> Blocking {
         Blocking::choose(self.kt(), self.nt(), self.mt(), capacity)
     }
 

@@ -9,32 +9,30 @@
 //! a hash map. This module avoids that overhead in two tiers, each tagged
 //! with an explicit [`Exactness`]:
 //!
-//! * **[`Exactness::Exact`] — allocation-free replay.** An
-//!   [`AnalyticCollector`] implements [`ScheduleSink`], so the schedule
-//!   builders emit the op stream into flat buffers, with tile ids computed
-//!   arithmetically from grid coordinates (`base + r·cols + c`) instead of
-//!   interned through a hash map. Ids are numbered in `TileKey` order, so
-//!   the id alone breaks victim ties in `(next_use, TileKey)` order. Each
-//!   access is one 8-byte `{id, next_use}` record: collection links every
-//!   access to its tile's next access in the same barrier region as it
-//!   goes, and sums each region's footprint and admissible DRAM floor
-//!   ([`RegionSum`]). Each op is one 8-byte record, with GEMM shapes and
-//!   stream ops interned in side tables; access bytes live once per tile,
-//!   and the dirty flag once per op (its accumulator is its last access).
-//!   [`AnalyticCollector::replay`] advances the memory and compute
-//!   timelines of the [`Engine`]'s machine model (see [`crate::engine`])
-//!   over a residency model — Belady's OPT (`ReplayOptCache`, a
-//!   position-indexed victim bitset whose set positions name their tiles
-//!   through the records) or, for the LRU ablation, [`crate::SpmCache`]
-//!   keyed by dense id — in one forward pass: it never scans the stream
-//!   before its first access. [`Engine::run`] is
-//!   [`AnalyticCollector::from_schedule`] plus this replay, and
-//!   `core::audit` checks it against an independent shadow (the
-//!   `BTreeMap`-based [`crate::OptCache`] with its own next-use scan and
-//!   timelines). [`AnalyticCollector::replay_recorded`] is the same loop
-//!   with an event [`Recorder`] attached — the only recorder hook in the
-//!   workspace — and with [`NullRecorder`] it compiles to the unrecorded
-//!   replay.
+//! * **[`Exactness::Exact`] — allocation-free replay.** The replay runs
+//!   any [`ReplayInput`]: a stream whose ops, dense tile ids (numbered in
+//!   `TileKey` order, so the id alone breaks victim ties in
+//!   `(next_use, TileKey)` order), bytes, next uses and per-region sums
+//!   ([`RegionSum`]) come either from an [`AnalyticCollector`] or from a
+//!   generator that derives them from the builders' loop nests
+//!   (`core::generate`, what candidate selection replays). The collector
+//!   implements [`ScheduleSink`], so the schedule builders emit into flat
+//!   buffers: each access is one 8-byte `{id, next_use}` record, linked to
+//!   its tile's next access in the same barrier region as the stream is
+//!   collected, each op one 8-byte record, with GEMM shapes and stream ops
+//!   interned in side tables. [`replay_input`] advances the memory and
+//!   compute timelines of the [`Engine`]'s machine model (see
+//!   [`crate::engine`]) over a residency model — Belady's OPT
+//!   (`ReplayOptCache`, a victim index sized by the residents) or, for
+//!   the LRU ablation, [`crate::SpmCache`] keyed by dense id — in one
+//!   forward pass, and stops its input when a cutoff proves the run
+//!   dominated. [`Engine::run`] is [`AnalyticCollector::from_schedule`]
+//!   plus this replay, and `core::audit` checks it against an
+//!   independent shadow (the `BTreeMap`-based [`crate::OptCache`] with its
+//!   own next-use scan and timelines).
+//!   [`AnalyticCollector::replay_recorded`] is the same loop with an event
+//!   [`Recorder`] attached — the only recorder hook in the workspace — and
+//!   with [`NullRecorder`] it compiles to the unrecorded replay.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
@@ -61,6 +59,7 @@ use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How an analytic result relates to the exact report.
@@ -95,7 +94,7 @@ pub fn analytic_run_count() -> u64 {
 }
 
 /// "Not used again" sentinel of the linked next uses.
-const NO_USE: u32 = u32::MAX;
+pub const NO_USE: u32 = u32::MAX;
 
 /// Access bytes of a tile not yet accessed.
 const UNSET_BYTES: u32 = u32::MAX;
@@ -210,8 +209,9 @@ pub struct AnalyticCollector {
     tiles: Vec<TileMeta>,
     stream: Vec<AccessRec>,
     ops: Vec<OpRec>,
-    /// Distinct tile-GEMM shapes, indexed by [`OpRec::Gemm`].
-    shapes: Vec<GemmShape>,
+    /// Distinct tile-GEMM shapes, indexed by [`OpRec::Gemm`], each with
+    /// the number of ops computing it.
+    shapes: Vec<(GemmShape, u64)>,
     /// Stream ops, indexed by [`OpRec::Stream`].
     streams: Vec<StreamOp>,
     /// One per barrier region, the last one open.
@@ -498,13 +498,14 @@ impl AnalyticCollector {
     /// front-to-back scan finds them at once.
     #[inline]
     fn push_gemm(&mut self, accesses: u16, acc: bool, compute: GemmShape) {
-        let shape = match self.shapes.iter().position(|s| *s == compute) {
+        let shape = match self.shapes.iter().position(|s| s.0 == compute) {
             Some(i) => i,
             None => {
-                self.shapes.push(compute);
+                self.shapes.push((compute, 0));
                 self.shapes.len() - 1
             }
         };
+        self.shapes[shape].1 += 1;
         self.ops.push(OpRec::Gemm {
             accesses,
             acc,
@@ -542,52 +543,204 @@ impl ScheduleSink for AnalyticCollector {
     }
 }
 
+/// One tile access of a replayed tile GEMM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Access {
+    /// Dense tile id; ids number tiles in [`TileKey`] order.
+    pub id: u32,
+    /// The tile's access bytes (one size per tile).
+    pub bytes: u32,
+    /// The tile's traffic class.
+    pub class: TensorClass,
+    /// Stream position of the tile's next access before the next barrier,
+    /// or [`NO_USE`]. Positions count tile accesses only.
+    pub next_use: u32,
+}
+
+impl Default for Access {
+    fn default() -> Self {
+        Self {
+            id: 0,
+            bytes: 0,
+            class: TensorClass::Ifmap,
+            next_use: NO_USE,
+        }
+    }
+}
+
+/// One replayed tile GEMM.
+#[derive(Debug, Clone, Copy)]
+pub struct GemmAccesses<'a> {
+    /// The op's tile accesses in stream order; with `acc`, the last one is
+    /// the accumulator, the op's one dirty access.
+    pub accesses: &'a [Access],
+    /// Whether the op accumulates into its last access.
+    pub acc: bool,
+    /// Index of the op's tile-GEMM shape in [`ReplayInput::shapes`].
+    pub shape: u32,
+}
+
+/// The receiving end of [`ReplayInput::drive`]: the replay's timeline.
+pub trait OpVisitor {
+    /// One tile GEMM. `Break` stops the stream.
+    fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()>;
+
+    /// One pure data-movement op.
+    fn stream(&mut self, op: &StreamOp) -> ControlFlow<()>;
+
+    /// A kernel boundary.
+    fn barrier(&mut self) -> ControlFlow<()>;
+}
+
+/// A stream the replay can run: an [`AnalyticCollector`]'s recorded ops, or
+/// a generator that derives every op, id and next use from its loop nests
+/// (`core::generate`). Everything the replay needs before the first access
+/// — tiles, shapes with their op counts, region sums — comes up front;
+/// the ops come through [`Self::drive`], which stops when the visitor
+/// breaks.
+pub trait ReplayInput {
+    /// One past the largest dense tile id.
+    fn tile_count(&self) -> usize;
+
+    /// The traffic class of tile `id`.
+    fn class_of(&self, id: u32) -> TensorClass;
+
+    /// The tile behind dense id `id`.
+    fn key_of(&self, id: u32) -> TileKey;
+
+    /// The distinct tile-GEMM shapes ops index, each with the number of
+    /// ops computing it.
+    fn shapes(&self) -> &[(GemmShape, u64)];
+
+    /// The barrier regions' sums, in stream order.
+    fn regions(&self) -> &[RegionSum];
+
+    /// Feed every op to `visitor` in stream order, stopping at its first
+    /// `Break`.
+    fn drive<V: OpVisitor>(&self, visitor: &mut V) -> ControlFlow<()>;
+}
+
+impl ReplayInput for AnalyticCollector {
+    fn tile_count(&self) -> usize {
+        self.tiles.len()
+    }
+
+    fn class_of(&self, id: u32) -> TensorClass {
+        self.dense_class[id as usize]
+    }
+
+    fn key_of(&self, id: u32) -> TileKey {
+        AnalyticCollector::key_of_id(self, id)
+    }
+
+    fn shapes(&self) -> &[(GemmShape, u64)] {
+        &self.shapes
+    }
+
+    fn regions(&self) -> &[RegionSum] {
+        &self.regions
+    }
+
+    fn drive<V: OpVisitor>(&self, visitor: &mut V) -> ControlFlow<()> {
+        assert!(
+            (self.stream.len() as u64) < REPLAY_ID_LIMIT,
+            "access stream overflows the u32 position space"
+        );
+        let mut buf: Vec<Access> = Vec::new();
+        let mut pos = 0usize;
+        for op in &self.ops {
+            match *op {
+                OpRec::Gemm {
+                    accesses,
+                    acc,
+                    shape,
+                } => {
+                    let end = pos + accesses as usize;
+                    buf.clear();
+                    buf.extend(self.stream[pos..end].iter().map(|a| Access {
+                        id: a.id,
+                        bytes: self.tiles[a.id as usize].bytes,
+                        class: self.dense_class[a.id as usize],
+                        next_use: a.next_use,
+                    }));
+                    pos = end;
+                    visitor.gemm(GemmAccesses {
+                        accesses: &buf,
+                        acc,
+                        shape,
+                    })?;
+                }
+                OpRec::Stream(idx) => visitor.stream(&self.streams[idx as usize])?,
+                OpRec::Barrier => visitor.barrier()?,
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
 /// Per-tile replacement state, packed to 8 bytes: the slot array is the
-/// replay loop's only randomly-indexed memory, so its footprint bounds the
-/// loop's cache behaviour.
+/// replay loop's only randomly-indexed memory that grows with the layer,
+/// so its footprint bounds the loop's cache behaviour.
 #[derive(Debug, Clone, Copy, Default)]
 struct ReplaySlot {
     bytes: u32,
-    dirty: bool,
-    resident: bool,
-    spilled: bool,
+    /// [`RESIDENT`], [`DIRTY`] and [`SPILLED`] flags over the index of the
+    /// tile's victim-index entry (while it is resident in a region that
+    /// can evict).
+    state: u32,
+}
+
+const RESIDENT: u32 = 1 << 31;
+const DIRTY: u32 = 1 << 30;
+const SPILLED: u32 = 1 << 29;
+const ENTRY: u32 = SPILLED - 1;
+
+impl ReplaySlot {
+    #[inline]
+    fn has(&self, flag: u32) -> bool {
+        self.state & flag != 0
+    }
+
+    #[inline]
+    fn entry(&self) -> usize {
+        (self.state & ENTRY) as usize
+    }
+
+    /// Admit the tile with `bytes`, dirty or clean, keeping its spill
+    /// history.
+    #[inline]
+    fn admit(&mut self, bytes: u32, dirty: bool) {
+        self.bytes = bytes;
+        self.state = (self.state & SPILLED) | RESIDENT | if dirty { DIRTY } else { 0 };
+    }
 }
 
 /// The SPM residency model the replay's timeline runs on, statically
 /// dispatched like [`Recorder`]: [`ReplayOptCache`] (Belady, the default)
 /// or [`crate::SpmCache`] keyed by dense tile id (the LRU ablation).
-/// Tiles are the dense ids of a sealed [`AnalyticCollector`]; dirty tiles
-/// an access evicts or a flush writes back land in `writebacks` as
+/// Tiles are the dense ids of the replayed [`ReplayInput`]; dirty tiles an
+/// access evicts or a flush writes back land in `writebacks` as
 /// `(id, bytes)`.
 pub(crate) trait Residency {
-    /// Prepare for a run over `num_tiles` dense ids and a stream of
-    /// `stream_len` entries, with `capacity` bytes of residency.
-    fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize);
+    /// Prepare for a run over `num_tiles` dense ids with `capacity` bytes
+    /// of residency.
+    fn reset(&mut self, capacity: u64, num_tiles: usize);
 
-    /// Access the tile of `stream[pos]` (`dirty` marks accumulator
-    /// touches), whose entry links its next use in the barrier region.
-    /// Returns the bytes fetched from DRAM.
-    fn access(
-        &mut self,
-        stream: &[AccessRec],
-        pos: usize,
-        bytes: u32,
-        dirty: bool,
-        writebacks: &mut Vec<(u32, u64)>,
-    ) -> u64;
+    /// Access tile `a.id` (`dirty` marks accumulator touches), whose next
+    /// use in the barrier region is `a.next_use`. Returns the bytes fetched
+    /// from DRAM.
+    fn access(&mut self, a: &Access, dirty: bool, writebacks: &mut Vec<(u32, u64)>) -> u64;
 
     /// [`Self::access`] in a barrier region whose distinct-tile footprint
     /// fits in capacity, where no eviction can fire.
     #[inline]
     fn access_unbounded(
         &mut self,
-        stream: &[AccessRec],
-        pos: usize,
-        bytes: u32,
+        a: &Access,
         dirty: bool,
         writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
-        self.access(stream, pos, bytes, dirty, writebacks)
+        self.access(a, dirty, writebacks)
     }
 
     /// Write every dirty resident back; they stay resident but clean.
@@ -606,94 +759,132 @@ pub(crate) trait Residency {
     fn used(&self) -> u64;
 }
 
-/// Belady replacement backed by a position-indexed victim bitset. Its
-/// decisions are those of [`crate::OptCache`], the `BTreeMap` model the
-/// audit shadows every run with.
+/// A victim key: the resident maximising `(next_use, id)` is the victim,
+/// and with ids numbered in `TileKey` order that is [`crate::OptCache`]'s
+/// `(next_use, key)` maximum. Keys are distinct (ids are), and never zero,
+/// the free-entry mark, since a next use is a later position.
+#[inline]
+fn victim_key(next_use: u32, id: u32) -> u64 {
+    (next_use as u64) << 32 | id as u64
+}
+
+/// Entries per block of the victim index.
+const BLOCK: usize = 16;
+
+/// Belady replacement over an index of the residents sized by residents,
+/// not by the stream: its decisions are those of [`crate::OptCache`], the
+/// `BTreeMap` model the audit shadows every run with.
 ///
-/// An ordered-set model pays two ordered-set operations per *hit*
-/// (remove the old `(next_use, key)` entry, insert the new one). Here a
-/// next use is a *stream position*, and any position is the next use of
-/// at most one tile — the tile accessed there. So "resident tile with the
-/// farthest finite next use" is the highest set bit of a bitset indexed by
-/// position, its id is the id recorded at that position, and a hit is two
-/// O(1) bit flips: the hit's own position retires, its linked next use
-/// registers. Residents with *no* further use in their region
-/// ([`NO_USE`]) outrank every finite position and are tie-broken by tile
-/// key, exactly matching the ordered set's `(next_use, key)` maximum —
-/// they sit in a small max-heap of tile ids, which a sealed
-/// [`AnalyticCollector`] numbers in key order. Victim selection —
-/// including the bypass rule — is therefore `OptCache`'s.
+/// Residents with no further use in their region ([`NO_USE`]) outrank
+/// every other as victims, max id (so max tile key) first, and sit in a
+/// max-heap of ids. Every other resident of a region that can evict holds
+/// one entry of `keys`, and `block_max` caches the largest key of every
+/// [`BLOCK`] entries. A hit raises its tile's key in place — the hit
+/// position was the tile's registered next use and its new next use lies
+/// further on — so the block maximum only grows: two stores. An admission
+/// fills a free entry the same way. Only an eviction of a resident with a
+/// further use scans: the block maxima for the victim's block, then that
+/// block for its entry and its new maximum. Victim selection — including
+/// the bypass rule — is therefore `OptCache`'s.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayOptCache {
     capacity: u64,
     used: u64,
     slots: Vec<ReplaySlot>,
-    /// Bit `p` set iff `stream[p]` is the next use of a resident tile.
-    live_bits: Vec<u64>,
-    /// Ids of residents with no further use in their region, max id (so
-    /// max tile key) first — they outrank every finite-next-use resident as
-    /// victims.
+    /// Ids of residents with no further use in their region.
     dead: BinaryHeap<u32>,
-    /// Upper bound on the highest set bit of `live_bits`.
-    max_hint: u32,
+    /// One [`victim_key`] per entry; 0 marks a free entry.
+    keys: Vec<u64>,
+    /// The largest key of each block of `keys`.
+    block_max: Vec<u64>,
+    /// Free entries of `keys`.
+    free: Vec<u32>,
     hits: u64,
     misses: u64,
 }
 
 impl ReplayOptCache {
-    /// Register `pos` as the next use of a resident tile.
+    /// Set entry `at` to `key`, which is above its previous key.
     #[inline]
-    fn set_live(&mut self, pos: u32) {
-        self.live_bits[(pos >> 6) as usize] |= 1u64 << (pos & 63);
-        if pos > self.max_hint {
-            self.max_hint = pos;
+    fn raise(&mut self, at: usize, key: u64) {
+        debug_assert!(key > self.keys[at], "a next use lies past the last");
+        self.keys[at] = key;
+        let block = &mut self.block_max[at / BLOCK];
+        if key > *block {
+            *block = key;
         }
     }
 
-    /// Drop the registration of position `pos`.
+    /// Register tile `id`, just admitted or hit, under its next use.
     #[inline]
-    fn clear_live(&mut self, pos: u32) {
-        debug_assert!(
-            self.live_bits[(pos >> 6) as usize] & (1u64 << (pos & 63)) != 0,
-            "a retired position is registered"
-        );
-        self.live_bits[(pos >> 6) as usize] &= !(1u64 << (pos & 63));
+    fn insert(&mut self, next_use: u32, id: u32) {
+        if next_use == NO_USE {
+            self.dead.push(id);
+            return;
+        }
+        let at = match self.free.pop() {
+            Some(at) => at as usize,
+            None => {
+                self.keys.push(0);
+                if self.keys.len() > self.block_max.len() * BLOCK {
+                    self.block_max.push(0);
+                }
+                self.keys.len() - 1
+            }
+        };
+        let slot = &mut self.slots[id as usize];
+        slot.state = (slot.state & !ENTRY) | at as u32;
+        self.raise(at, victim_key(next_use, id));
     }
 
-    /// The eviction victim — the resident maximising `(next_use, key)` —
-    /// as `(next_use, id)`, without removing it. The caller must ensure a
-    /// resident exists (`used > 0`).
-    fn peek_victim(&mut self, stream: &[AccessRec]) -> (u32, u32) {
+    /// Free entry `at` of block `block`, whose other entries' largest key
+    /// is `rest`.
+    #[inline]
+    fn free_entry(&mut self, at: usize, rest: u64) {
+        self.keys[at] = 0;
+        self.block_max[at / BLOCK] = rest;
+        self.free.push(at as u32);
+    }
+
+    /// The largest key of entry `at`'s block other than its own.
+    fn rest_of_block(&self, at: usize) -> u64 {
+        let first = at / BLOCK * BLOCK;
+        let end = (first + BLOCK).min(self.keys.len());
+        (first..end)
+            .filter(|&n| n != at)
+            .map(|n| self.keys[n])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The victim's next use and id. The caller must ensure a resident
+    /// exists (`used > 0`).
+    fn victim(&self) -> (u32, u32) {
         if let Some(&id) = self.dead.peek() {
             return (NO_USE, id);
         }
-        let mut w = (self.max_hint >> 6) as usize;
-        loop {
-            let word = self.live_bits[w];
-            if word != 0 {
-                let pos = ((w as u32) << 6) | (63 - word.leading_zeros());
-                self.max_hint = pos;
-                return (pos, stream[pos as usize].id);
-            }
-            debug_assert!(w > 0, "used > 0 implies a resident victim");
-            w -= 1;
-        }
+        let key = self.block_max.iter().copied().max().unwrap_or(0);
+        debug_assert!(key > 0, "used > 0 implies a resident victim");
+        ((key >> 32) as u32, key as u32)
     }
 
-    fn evict(&mut self, victim_next: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
-        if victim_next == NO_USE {
+    /// Evict the victim `(next_use, id)` [`Self::victim`] named.
+    fn evict(&mut self, next_use: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
+        if next_use == NO_USE {
             self.dead.pop();
         } else {
-            self.clear_live(victim_next);
+            let at = self.slots[id as usize].entry();
+            debug_assert_eq!(self.keys[at], victim_key(next_use, id), "victim entry");
+            self.free_entry(at, self.rest_of_block(at));
         }
         let victim = &mut self.slots[id as usize];
-        debug_assert!(victim.resident, "victim index/slot state out of sync");
-        victim.resident = false;
+        debug_assert!(victim.has(RESIDENT), "victim index/slot state out of sync");
         self.used -= victim.bytes as u64;
-        if victim.dirty {
+        if victim.has(DIRTY) {
             writebacks.push((id, victim.bytes as u64));
-            victim.spilled = true;
+            victim.state |= SPILLED;
         }
+        victim.state &= SPILLED;
     }
 }
 
@@ -703,54 +894,61 @@ impl Residency for ReplayOptCache {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    fn reset(&mut self, capacity: u64, num_tiles: usize, stream_len: usize) {
+    fn reset(&mut self, capacity: u64, num_tiles: usize) {
         assert!(capacity > 0, "SPM residency capacity must be positive");
         self.capacity = capacity;
         self.used = 0;
         self.slots.clear();
         self.slots.resize(num_tiles, ReplaySlot::default());
-        self.live_bits.clear();
-        self.live_bits.resize(stream_len.div_ceil(64), 0);
         self.dead.clear();
-        self.max_hint = 0;
+        self.keys.clear();
+        self.block_max.clear();
+        self.free.clear();
         self.hits = 0;
         self.misses = 0;
     }
 
-    // `#[inline]` here and on `access_unbounded`: `replay_recorded` is also
+    // `#[inline]` here and on `access_unbounded`: the replay is also
     // instantiated in other crates, so these per-access calls are exported
     // and would otherwise not be inlined into the unrecorded loop either.
     #[inline]
-    fn access(
-        &mut self,
-        stream: &[AccessRec],
-        pos: usize,
-        bytes: u32,
-        dirty: bool,
-        writebacks: &mut Vec<(u32, u64)>,
-    ) -> u64 {
-        let AccessRec { id, next_use } = stream[pos];
+    fn access(&mut self, a: &Access, dirty: bool, writebacks: &mut Vec<(u32, u64)>) -> u64 {
+        let (id, next_use, bytes) = (a.id, a.next_use, a.bytes);
         let slot = &mut self.slots[id as usize];
-        if slot.resident {
-            // A tile's bytes are constant across accesses (the collector
-            // keeps one size per tile), so a hit leaves `used` unchanged
-            // and the capacity invariant (`used <= capacity` after every
-            // access) cannot break here — no eviction check is needed.
-            // This access *is* the tile's registered next use, so its
-            // position retires and the linked next use registers.
-            slot.dirty |= dirty;
+        if slot.has(RESIDENT) {
+            // A tile's bytes are constant across accesses, so a hit leaves
+            // `used` unchanged and the capacity invariant (`used <=
+            // capacity` after every access) cannot break here. This access
+            // *was* the tile's registered next use, so its key grows.
+            if dirty {
+                slot.state |= DIRTY;
+            }
             self.hits += 1;
-            self.clear_live(pos as u32);
+            let at = slot.entry();
+            // Only a registered tile can be hit: a dead one has no further
+            // use in its region.
+            debug_assert!(
+                self.keys.get(at).is_some_and(|&k| k != 0 && k as u32 == id),
+                "hit on a tile with no registered next use"
+            );
             if next_use == NO_USE {
+                // The tile's last use: it leaves the entries for the dead.
+                let key = self.keys[at];
+                let rest = if self.block_max[at / BLOCK] == key {
+                    self.rest_of_block(at)
+                } else {
+                    self.block_max[at / BLOCK]
+                };
+                self.free_entry(at, rest);
                 self.dead.push(id);
             } else {
-                self.set_live(next_use);
+                self.raise(at, victim_key(next_use, id));
             }
             return 0;
         }
 
         self.misses += 1;
-        let fetched = if dirty && !slot.spilled {
+        let fetched = if dirty && !slot.has(SPILLED) {
             0
         } else {
             bytes as u64
@@ -758,7 +956,7 @@ impl Residency for ReplayOptCache {
 
         let mut admitted = bytes as u64 <= self.capacity;
         while admitted && self.used + bytes as u64 > self.capacity {
-            let (victim_next, victim_id) = self.peek_victim(stream);
+            let (victim_next, victim_id) = self.victim();
             if victim_next <= next_use {
                 admitted = false;
                 break;
@@ -766,20 +964,13 @@ impl Residency for ReplayOptCache {
             self.evict(victim_next, victim_id, writebacks);
         }
 
-        let slot = &mut self.slots[id as usize];
         if admitted {
-            slot.resident = true;
-            slot.bytes = bytes;
-            slot.dirty = dirty;
+            self.slots[id as usize].admit(bytes, dirty);
             self.used += bytes as u64;
-            if next_use == NO_USE {
-                self.dead.push(id);
-            } else {
-                self.set_live(next_use);
-            }
+            self.insert(next_use, id);
         } else if dirty {
             writebacks.push((id, bytes as u64));
-            slot.spilled = true;
+            self.slots[id as usize].state |= SPILLED;
         }
         fetched
     }
@@ -787,62 +978,60 @@ impl Residency for ReplayOptCache {
     /// Specialised to a barrier region whose distinct-tile footprint fits
     /// in `capacity`: no eviction can ever fire (residency grows
     /// monotonically and tops out at the footprint), so the next uses,
-    /// the victim index, and all capacity checks are dead weight — a first
+    /// the victim heap, and all capacity checks are dead weight — a first
     /// touch admits unconditionally and every later touch is a hit. The
-    /// victim index is left untouched; the barrier `clear` that ends the
-    /// region resets it before any bounded-path access can observe it.
-    /// `used` still grows with each admission, so recorded occupancy is
-    /// right in regions that fit.
+    /// heap is left untouched; the barrier `clear` that ends the region
+    /// resets it before any bounded-path access can observe it. `used`
+    /// still grows with each admission, so recorded occupancy is right in
+    /// regions that fit.
     #[inline]
     fn access_unbounded(
         &mut self,
-        stream: &[AccessRec],
-        pos: usize,
-        bytes: u32,
+        a: &Access,
         dirty: bool,
         _writebacks: &mut Vec<(u32, u64)>,
     ) -> u64 {
-        let slot = &mut self.slots[stream[pos].id as usize];
-        if slot.resident {
-            slot.dirty |= dirty;
+        let slot = &mut self.slots[a.id as usize];
+        if slot.has(RESIDENT) {
+            if dirty {
+                slot.state |= DIRTY;
+            }
             self.hits += 1;
             0
         } else {
             self.misses += 1;
-            let fetched = if dirty && !slot.spilled {
+            let fetched = if dirty && !slot.has(SPILLED) {
                 0
             } else {
-                bytes as u64
+                a.bytes as u64
             };
-            slot.resident = true;
-            slot.bytes = bytes;
-            slot.dirty = dirty;
-            self.used += bytes as u64;
+            slot.admit(a.bytes, dirty);
+            self.used += a.bytes as u64;
             fetched
         }
     }
 
-    /// The victim bitset needs no reset: next uses never link across a
-    /// barrier, so every resident's final pre-barrier access already
-    /// retired its registration (and moved it to `dead`).
     fn clear(&mut self) {
-        self.slots.fill(ReplaySlot::default());
+        // Every resident's last access in the region had no next use, so
+        // no registration may survive the barrier.
         debug_assert!(
-            self.live_bits.iter().all(|&w| w == 0),
-            "no next-use registration survives a barrier"
+            self.block_max.iter().all(|&m| m == 0),
+            "a next-use registration survives a barrier"
         );
+        self.slots.fill(ReplaySlot::default());
         self.dead.clear();
-        self.max_hint = 0;
+        self.keys.clear();
+        self.block_max.clear();
+        self.free.clear();
         self.used = 0;
     }
 
     /// Write-backs come in dense-id order, which is tile-key order.
     fn flush(&mut self, writebacks: &mut Vec<(u32, u64)>) {
         for (id, slot) in self.slots.iter_mut().enumerate() {
-            if slot.resident && slot.dirty {
+            if slot.state & (RESIDENT | DIRTY) == RESIDENT | DIRTY {
                 writebacks.push((id as u32, slot.bytes as u64));
-                slot.dirty = false;
-                slot.spilled = true;
+                slot.state = (slot.state & !DIRTY) | SPILLED;
             }
         }
     }
@@ -874,8 +1063,8 @@ struct TimelineScratch {
     writebacks: Vec<(u32, u64)>,
     /// `region_mem_suffix[i]` = summed floor mem-time of regions after `i`.
     region_mem_suffix: Vec<f64>,
-    /// Systolic cycles of each of the collector's tile-GEMM shapes.
-    shape_cycles: Vec<u64>,
+    /// Systolic cycles and MACs of each of the input's tile-GEMM shapes.
+    shape_costs: Vec<(u64, u64)>,
 }
 
 impl AnalyticScratch {
@@ -884,36 +1073,422 @@ impl AnalyticScratch {
         Self::default()
     }
 
-    /// Bytes of the OPT replay's victim bitset, which grows with the
-    /// stream (one bit per access of the last replayed stream).
+    /// Bytes of the OPT replay's victim index, which grows with the
+    /// residents of the replayed streams.
     pub fn victim_bytes(&self) -> usize {
-        self.opt.live_bits.len() * std::mem::size_of::<u64>()
+        (self.opt.keys.capacity() + self.opt.block_max.capacity()) * std::mem::size_of::<u64>()
+            + (self.opt.free.capacity() + self.opt.dead.capacity()) * std::mem::size_of::<u32>()
     }
+}
+
+/// Replay `input` against `engine`'s machine model (systolic array,
+/// bandwidth, burst latency, residency and replacement policy) with an
+/// optional cycle `cutoff`: returns `None` as soon as the replayed stream
+/// provably exceeds `cutoff` cycles, which lets candidate selection abandon
+/// dominated candidates mid-replay, and stops the input there.
+///
+/// The abort test is conservative in both directions of the timeline
+/// race: `mem_free` only grows, and the compute timeline must still
+/// serialise every remaining tile GEMM (their exact cycle total is
+/// pre-summed), so `max(mem_free, compute_free + remaining)` never exceeds
+/// the final cycle count. A one-cycle guard band absorbs the float rounding
+/// of the `compute_free + remaining` sum, so `None` is returned only when
+/// the true cycles strictly exceed `cutoff` — a completed replay is
+/// bit-identical to an uncut one. Counts one analytic run
+/// ([`analytic_run_count`]).
+pub fn replay_input<I: ReplayInput + ?Sized>(
+    input: &I,
+    engine: &Engine,
+    scratch: &mut AnalyticScratch,
+    cutoff: Option<u64>,
+) -> Option<AnalyticReport> {
+    ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
+    run_timeline(input, engine, scratch, cutoff, &mut NullRecorder)
+}
+
+/// [`replay_input`] with an event [`Recorder`] attached and without the run
+/// count — the body of every replay, [`Engine::run`]'s too. Picks the
+/// residency model for `engine`'s replacement policy.
+pub(crate) fn run_timeline<I: ReplayInput + ?Sized, R: Recorder>(
+    input: &I,
+    engine: &Engine,
+    scratch: &mut AnalyticScratch,
+    cutoff: Option<u64>,
+    recorder: &mut R,
+) -> Option<AnalyticReport> {
+    let timeline = &mut scratch.timeline;
+    match engine.replacement() {
+        Replacement::Opt => {
+            timeline_run(input, engine, timeline, &mut scratch.opt, cutoff, recorder)
+        }
+        Replacement::Lru => {
+            let mut lru = SpmCache::<u32>::new(engine.residency_bytes());
+            timeline_run(input, engine, timeline, &mut lru, cutoff, recorder)
+        }
+    }
+}
+
+/// The replay's state while its input drives it: the two timelines, the
+/// report's counters and the residency model.
+struct Timeline<'a, I: ?Sized, C, R> {
+    input: &'a I,
+    cache: &'a mut C,
+    recorder: &'a mut R,
+    writebacks: &'a mut Vec<(u32, u64)>,
+    region_mem_suffix: &'a [f64],
+    shape_costs: &'a [(u64, u64)],
+    capacity: u64,
+    bytes_per_cycle: f64,
+    burst_latency: u64,
+    /// `cutoff + 1` when bounded.
+    cutoff_plus: Option<f64>,
+    /// Exact cycles the compute timeline still owes (bounded replays only).
+    remaining_compute: u64,
+    traffic: Traffic,
+    mem_free: f64,
+    compute_free: f64,
+    compute_cycles_total: u64,
+    mem_busy_total: f64,
+    gemm_ops: u64,
+    macs: u64,
+    spm_bytes_touched: u64,
+    /// Index of the next op, counting stream ops and barriers.
+    op_idx: u32,
+    region: usize,
+    region_fits: bool,
+    /// Phase tracking (recording only): which interleaved sub-stream
+    /// (dX / dW / other) the compute timeline is currently in.
+    cur_phase: Option<Phase>,
+}
+
+impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> Timeline<'_, I, C, R> {
+    /// Whether region `region`'s distinct-tile footprint fits in SPM
+    /// (enabling the no-eviction access path).
+    fn fits(&self, region: usize) -> bool {
+        self.input
+            .regions()
+            .get(region)
+            .is_none_or(|r| r.footprint <= self.capacity)
+    }
+
+    /// Write the drained `writebacks` of a flush back, stamped `op` in
+    /// recorded events.
+    fn pay_flush(&mut self, op: u32) {
+        if self.writebacks.is_empty() {
+            return;
+        }
+        if R::ENABLED {
+            let cycle = self.mem_free.round() as u64;
+            for &(id, bytes) in self.writebacks.iter() {
+                self.recorder.record(TraceEvent::WriteBack {
+                    op,
+                    key: self.input.key_of(id),
+                    class: self.input.class_of(id),
+                    bytes,
+                    spill: false,
+                    cycle,
+                });
+            }
+        }
+        let mut bytes = 0u64;
+        for (vid, vbytes) in self.writebacks.drain(..) {
+            self.traffic.add_write(self.input.class_of(vid), vbytes);
+            bytes += vbytes;
+        }
+        let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
+        self.mem_free += mem_time;
+        self.mem_busy_total += mem_time;
+    }
+}
+
+impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<'_, I, C, R> {
+    #[inline]
+    fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
+        let op_idx = self.op_idx;
+        self.op_idx += 1;
+        // Memory-timeline cycle the op's transfers start at — the stamp of
+        // every memory-side event of this op.
+        let op_mem_start = if R::ENABLED {
+            self.mem_free.round() as u64
+        } else {
+            0
+        };
+        let mut fetched = 0u64;
+        let mut writeback = 0u64;
+        let mut bursts = 0u64;
+        let last = op.accesses.len().wrapping_sub(1);
+        for (n, a) in op.accesses.iter().enumerate() {
+            let dirty = op.acc && n == last;
+            self.spm_bytes_touched += a.bytes as u64;
+            let hits_before = if R::ENABLED { self.cache.hits() } else { 0 };
+            let got = if self.region_fits {
+                self.cache.access_unbounded(a, dirty, self.writebacks)
+            } else {
+                self.cache.access(a, dirty, self.writebacks)
+            };
+            if got > 0 {
+                self.traffic.add_read(a.class, got);
+                fetched += got;
+                bursts += 1;
+            }
+            if R::ENABLED {
+                let kind = if self.cache.hits() > hits_before {
+                    AccessKind::Hit
+                } else if got > 0 {
+                    AccessKind::Fetch
+                } else {
+                    AccessKind::Materialize
+                };
+                self.recorder.record(TraceEvent::Access {
+                    op: op_idx,
+                    key: self.input.key_of(a.id),
+                    class: a.class,
+                    bytes: a.bytes as u64,
+                    kind,
+                    cycle: op_mem_start,
+                    occupancy: self.cache.used(),
+                });
+            }
+            if !self.writebacks.is_empty() {
+                for (vid, vbytes) in self.writebacks.drain(..) {
+                    let class = self.input.class_of(vid);
+                    self.traffic.add_write(class, vbytes);
+                    writeback += vbytes;
+                    if R::ENABLED {
+                        self.recorder.record(TraceEvent::WriteBack {
+                            op: op_idx,
+                            key: self.input.key_of(vid),
+                            class,
+                            bytes: vbytes,
+                            spill: true,
+                            cycle: op_mem_start,
+                        });
+                    }
+                }
+            }
+        }
+
+        let move_bytes = fetched + writeback;
+        if move_bytes > 0 {
+            let mem_time = move_bytes as f64 / self.bytes_per_cycle
+                + (bursts.max(1) * self.burst_latency) as f64;
+            self.mem_free += mem_time;
+            self.mem_busy_total += mem_time;
+        }
+
+        let (cycles, macs) = self.shape_costs[op.shape as usize];
+        let data_ready = if move_bytes > 0 { self.mem_free } else { 0.0 };
+        let issue = self.compute_free.max(data_ready);
+        self.compute_free = issue + cycles as f64;
+        if R::ENABLED {
+            let acc_class = op.acc.then(|| op.accesses[last].class);
+            let phase = Phase::of_accumulator(acc_class);
+            let issue_cycle = issue.round() as u64;
+            if self.cur_phase != Some(phase) {
+                if let Some(prev) = self.cur_phase {
+                    self.recorder.record(TraceEvent::PhaseEnd {
+                        op: op_idx,
+                        phase: prev,
+                        cycle: issue_cycle,
+                    });
+                }
+                self.recorder.record(TraceEvent::PhaseBegin {
+                    op: op_idx,
+                    phase,
+                    cycle: issue_cycle,
+                });
+                self.cur_phase = Some(phase);
+            }
+            self.recorder.record(TraceEvent::GemmIssue {
+                op: op_idx,
+                start: issue_cycle,
+                cycles,
+                phase,
+            });
+        }
+        self.compute_cycles_total += cycles;
+        self.gemm_ops += 1;
+        self.macs += macs;
+        if let Some(limit) = self.cutoff_plus {
+            self.remaining_compute -= cycles;
+            if self.mem_free + self.region_mem_suffix[self.region] >= limit
+                || self.compute_free + self.remaining_compute as f64 >= limit
+            {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn stream(&mut self, s: &StreamOp) -> ControlFlow<()> {
+        let op_idx = self.op_idx;
+        self.op_idx += 1;
+        if R::ENABLED {
+            self.recorder.record(TraceEvent::StreamIo {
+                op: op_idx,
+                class: s.class,
+                read_bytes: s.read_bytes,
+                write_bytes: s.write_bytes,
+                cycle: self.mem_free.round() as u64,
+            });
+        }
+        if s.read_bytes > 0 {
+            self.traffic.add_read(s.class, s.read_bytes);
+        }
+        if s.write_bytes > 0 {
+            self.traffic.add_write(s.class, s.write_bytes);
+        }
+        let bytes = s.read_bytes + s.write_bytes;
+        if bytes > 0 {
+            let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
+            self.mem_free += mem_time;
+            self.mem_busy_total += mem_time;
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn barrier(&mut self) -> ControlFlow<()> {
+        let op_idx = self.op_idx;
+        self.op_idx += 1;
+        self.cache.flush(self.writebacks);
+        self.pay_flush(op_idx);
+        self.cache.clear();
+        self.mem_free = self.mem_free.max(self.compute_free);
+        if R::ENABLED {
+            self.recorder.record(TraceEvent::Barrier {
+                op: op_idx,
+                cycle: self.mem_free.round() as u64,
+            });
+        }
+        self.region += 1;
+        self.region_fits = self.fits(self.region);
+        ControlFlow::Continue(())
+    }
+}
+
+/// The replay loop over residency model `cache`, monomorphised per model
+/// so the OPT loop pays nothing for the LRU ablation.
+fn timeline_run<I: ReplayInput + ?Sized, R: Recorder, C: Residency>(
+    input: &I,
+    engine: &Engine,
+    scratch: &mut TimelineScratch,
+    cache: &mut C,
+    cutoff: Option<u64>,
+    recorder: &mut R,
+) -> Option<AnalyticReport> {
+    let TimelineScratch {
+        writebacks,
+        region_mem_suffix,
+        shape_costs,
+    } = scratch;
+    writebacks.clear();
+    let bytes_per_cycle = engine.bytes_per_cycle();
+    let burst_latency = engine.burst_latency();
+    shape_costs.clear();
+    shape_costs.extend(
+        input
+            .shapes()
+            .iter()
+            .map(|&(s, _)| (engine.systolic().tile_cycles(s), s.macs())),
+    );
+
+    // Exact cycles the compute timeline still owes — the admissible floor
+    // behind the early abort — and the per-region DRAM floor suffix sums
+    // (both only needed when bounded).
+    let cutoff_plus = cutoff.map(|c| (c + 1) as f64);
+    let mut remaining_compute = 0u64;
+    region_mem_suffix.clear();
+    if let Some(limit) = cutoff_plus {
+        for (&(_, count), &(cycles, _)) in input.shapes().iter().zip(shape_costs.iter()) {
+            remaining_compute += count * cycles;
+        }
+        // region_mem_suffix[i] = floor mem-time of regions strictly after
+        // i; the running total over all regions is a pre-replay floor that
+        // can reject the candidate before any cache work.
+        let regions = input.regions();
+        region_mem_suffix.resize(regions.len(), 0.0);
+        let mut acc = 0.0f64;
+        for (i, r) in regions.iter().enumerate().rev() {
+            region_mem_suffix[i] = acc;
+            acc += r.floor_bytes as f64 / bytes_per_cycle + (r.floor_bursts * burst_latency) as f64;
+        }
+        if acc >= limit || remaining_compute as f64 >= limit {
+            return None;
+        }
+    }
+
+    cache.reset(engine.residency_bytes(), input.tile_count());
+    let mut t = Timeline {
+        input,
+        cache,
+        recorder,
+        writebacks,
+        region_mem_suffix,
+        shape_costs,
+        capacity: engine.residency_bytes(),
+        bytes_per_cycle,
+        burst_latency,
+        cutoff_plus,
+        remaining_compute,
+        traffic: Traffic::new(),
+        mem_free: 0.0,
+        compute_free: 0.0,
+        compute_cycles_total: 0,
+        mem_busy_total: 0.0,
+        gemm_ops: 0,
+        macs: 0,
+        spm_bytes_touched: 0,
+        op_idx: 0,
+        region: 0,
+        region_fits: false,
+        cur_phase: None,
+    };
+    t.region_fits = t.fits(0);
+    if input.drive(&mut t).is_break() {
+        return None;
+    }
+
+    // Final flush of remaining dirty accumulators. Recorded events
+    // attribute it to a synthetic op index one past the last op.
+    let end_op = t.op_idx;
+    t.cache.flush(t.writebacks);
+    t.pay_flush(end_op);
+    if R::ENABLED {
+        if let Some(prev) = t.cur_phase {
+            t.recorder.record(TraceEvent::PhaseEnd {
+                op: end_op,
+                phase: prev,
+                cycle: t.compute_free.round() as u64,
+            });
+        }
+    }
+
+    Some(AnalyticReport {
+        report: SimReport {
+            cycles: t.mem_free.max(t.compute_free).ceil() as u64,
+            compute_cycles: t.compute_cycles_total,
+            mem_cycles: t.mem_busy_total.ceil() as u64,
+            traffic: t.traffic,
+            spm_hits: t.cache.hits(),
+            spm_misses: t.cache.misses(),
+            gemm_ops: t.gemm_ops,
+            macs: t.macs,
+            spm_bytes_touched: t.spm_bytes_touched,
+        },
+        exactness: Exactness::Exact,
+    })
 }
 
 impl AnalyticCollector {
     /// Replay the collected op stream against `engine`'s machine model
-    /// (systolic array, bandwidth, burst latency, residency and
-    /// replacement policy) and return the report, tagged
-    /// [`Exactness::Exact`]: it is [`Engine::run`]'s report on the
-    /// materialised [`crate::Schedule`].
+    /// and return the report, tagged [`Exactness::Exact`]: it is
+    /// [`Engine::run`]'s report on the materialised [`crate::Schedule`].
     pub fn replay(&self, engine: &Engine, scratch: &mut AnalyticScratch) -> AnalyticReport {
         self.replay_bounded(engine, scratch, None)
             .expect("unbounded replay always completes")
     }
 
-    /// [`Self::replay`] with an optional cycle `cutoff`: returns `None` as
-    /// soon as the replayed stream provably exceeds `cutoff` cycles, which
-    /// lets candidate selection abandon dominated candidates mid-replay.
-    ///
-    /// The abort test is conservative in both directions of the timeline
-    /// race: `mem_free` only grows, and the compute timeline must still
-    /// serialise every remaining tile GEMM (their exact cycle total is
-    /// pre-summed), so `max(mem_free, compute_free + remaining)` never
-    /// exceeds the final cycle count. A one-cycle guard band absorbs the
-    /// float rounding of the `compute_free + remaining` sum, so `None` is
-    /// returned only when the true cycles strictly exceed `cutoff` —
-    /// a completed replay is bit-identical to [`Self::replay`]'s.
+    /// [`replay_input`] on this collector.
     pub fn replay_bounded(
         &self,
         engine: &Engine,
@@ -942,348 +1517,7 @@ impl AnalyticCollector {
         recorder: &mut R,
     ) -> Option<AnalyticReport> {
         ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
-        self.run_timeline(engine, scratch, cutoff, recorder)
-    }
-
-    /// [`Self::replay_recorded`] without the run count — the body of
-    /// [`Engine::run`] too. Picks the residency model for `engine`'s
-    /// replacement policy.
-    pub(crate) fn run_timeline<R: Recorder>(
-        &self,
-        engine: &Engine,
-        scratch: &mut AnalyticScratch,
-        cutoff: Option<u64>,
-        recorder: &mut R,
-    ) -> Option<AnalyticReport> {
-        let timeline = &mut scratch.timeline;
-        match engine.replacement() {
-            Replacement::Opt => self.timeline(engine, timeline, &mut scratch.opt, cutoff, recorder),
-            Replacement::Lru => {
-                let mut lru = SpmCache::<u32>::new(engine.residency_bytes());
-                self.timeline(engine, timeline, &mut lru, cutoff, recorder)
-            }
-        }
-    }
-
-    /// The replay loop over residency model `cache`, monomorphised per
-    /// model so the OPT loop pays nothing for the LRU ablation.
-    fn timeline<R: Recorder, C: Residency>(
-        &self,
-        engine: &Engine,
-        scratch: &mut TimelineScratch,
-        cache: &mut C,
-        cutoff: Option<u64>,
-        recorder: &mut R,
-    ) -> Option<AnalyticReport> {
-        assert!(
-            (self.stream.len() as u64) < REPLAY_ID_LIMIT,
-            "access stream overflows the u32 position space"
-        );
-        let TimelineScratch {
-            writebacks,
-            region_mem_suffix,
-            shape_cycles,
-        } = scratch;
-        writebacks.clear();
-        let capacity = engine.residency_bytes();
-        let bytes_per_cycle = engine.bytes_per_cycle();
-        let burst_latency = engine.burst_latency();
-        shape_cycles.clear();
-        shape_cycles.extend(
-            self.shapes
-                .iter()
-                .map(|&s| engine.systolic().tile_cycles(s)),
-        );
-
-        // Exact cycles the compute timeline still owes — the admissible
-        // floor behind the early abort — and the per-region DRAM floor
-        // suffix sums (both only needed when bounded).
-        let cutoff_plus = cutoff.map(|c| (c + 1) as f64);
-        let mut remaining_compute = 0u64;
-        region_mem_suffix.clear();
-        if let Some(limit) = cutoff_plus {
-            for op in &self.ops {
-                if let OpRec::Gemm { shape, .. } = op {
-                    remaining_compute += shape_cycles[*shape as usize];
-                }
-            }
-            // region_mem_suffix[i] = floor mem-time of regions strictly
-            // after i; the running total over all regions is a pre-replay
-            // floor that can reject the candidate before any cache work.
-            region_mem_suffix.resize(self.regions.len(), 0.0);
-            let mut acc = 0.0f64;
-            for (i, r) in self.regions.iter().enumerate().rev() {
-                region_mem_suffix[i] = acc;
-                acc += r.floor_bytes as f64 / bytes_per_cycle
-                    + (r.floor_bursts * burst_latency) as f64;
-            }
-            if acc >= limit || remaining_compute as f64 >= limit {
-                return None;
-            }
-        }
-
-        cache.reset(capacity, self.tiles.len(), self.stream.len());
-
-        let mut traffic = Traffic::new();
-        let mut mem_free: f64 = 0.0;
-        let mut compute_free: f64 = 0.0;
-        let mut compute_cycles_total: u64 = 0;
-        let mut mem_busy_total: f64 = 0.0;
-        let mut gemm_ops: u64 = 0;
-        let mut macs: u64 = 0;
-        let mut spm_bytes_touched: u64 = 0;
-
-        // Phase tracking (recording only): which interleaved sub-stream
-        // (dX / dW / other) the compute timeline is currently in.
-        let mut cur_phase: Option<Phase> = None;
-
-        // Per barrier region: does its distinct-tile footprint fit in SPM
-        // (enabling the no-eviction access path)?
-        let fits = |region: usize| {
-            self.regions
-                .get(region)
-                .is_none_or(|r| r.footprint <= capacity)
-        };
-        let mut region = 0usize;
-        let mut region_fits = fits(0);
-        let mut pos = 0usize;
-        for (op_idx, op) in self.ops.iter().enumerate() {
-            let op_idx = op_idx as u32;
-            match op {
-                OpRec::Gemm {
-                    accesses,
-                    acc,
-                    shape,
-                } => {
-                    // Memory-timeline cycle the op's transfers start at —
-                    // the stamp of every memory-side event of this op.
-                    let op_mem_start = if R::ENABLED {
-                        mem_free.round() as u64
-                    } else {
-                        0
-                    };
-                    let mut fetched = 0u64;
-                    let mut writeback = 0u64;
-                    let mut bursts = 0u64;
-                    let end = pos + *accesses as usize;
-                    for p in pos..end {
-                        let id = self.stream[p].id;
-                        let bytes = self.tiles[id as usize].bytes;
-                        let dirty = *acc && p + 1 == end;
-                        spm_bytes_touched += bytes as u64;
-                        let hits_before = if R::ENABLED { cache.hits() } else { 0 };
-                        let got = if region_fits {
-                            cache.access_unbounded(&self.stream, p, bytes, dirty, writebacks)
-                        } else {
-                            cache.access(&self.stream, p, bytes, dirty, writebacks)
-                        };
-                        if got > 0 {
-                            traffic.add_read(self.dense_class[id as usize], got);
-                            fetched += got;
-                            bursts += 1;
-                        }
-                        if R::ENABLED {
-                            let kind = if cache.hits() > hits_before {
-                                AccessKind::Hit
-                            } else if got > 0 {
-                                AccessKind::Fetch
-                            } else {
-                                AccessKind::Materialize
-                            };
-                            recorder.record(TraceEvent::Access {
-                                op: op_idx,
-                                key: self.key_of_id(id),
-                                class: self.dense_class[id as usize],
-                                bytes: bytes as u64,
-                                kind,
-                                cycle: op_mem_start,
-                                occupancy: cache.used(),
-                            });
-                        }
-                        if !writebacks.is_empty() {
-                            for (vid, vbytes) in writebacks.drain(..) {
-                                traffic.add_write(self.dense_class[vid as usize], vbytes);
-                                writeback += vbytes;
-                                if R::ENABLED {
-                                    recorder.record(TraceEvent::WriteBack {
-                                        op: op_idx,
-                                        key: self.key_of_id(vid),
-                                        class: self.dense_class[vid as usize],
-                                        bytes: vbytes,
-                                        spill: true,
-                                        cycle: op_mem_start,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    pos = end;
-
-                    let move_bytes = fetched + writeback;
-                    if move_bytes > 0 {
-                        let mem_time = move_bytes as f64 / bytes_per_cycle
-                            + (bursts.max(1) * burst_latency) as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-
-                    let cycles = shape_cycles[*shape as usize];
-                    let data_ready = if move_bytes > 0 { mem_free } else { 0.0 };
-                    let issue = compute_free.max(data_ready);
-                    compute_free = issue + cycles as f64;
-                    if R::ENABLED {
-                        let phase = Phase::of_accumulator(acc.then(|| self.class_at(end - 1)));
-                        let issue_cycle = issue.round() as u64;
-                        if cur_phase != Some(phase) {
-                            if let Some(prev) = cur_phase {
-                                recorder.record(TraceEvent::PhaseEnd {
-                                    op: op_idx,
-                                    phase: prev,
-                                    cycle: issue_cycle,
-                                });
-                            }
-                            recorder.record(TraceEvent::PhaseBegin {
-                                op: op_idx,
-                                phase,
-                                cycle: issue_cycle,
-                            });
-                            cur_phase = Some(phase);
-                        }
-                        recorder.record(TraceEvent::GemmIssue {
-                            op: op_idx,
-                            start: issue_cycle,
-                            cycles,
-                            phase,
-                        });
-                    }
-                    compute_cycles_total += cycles;
-                    gemm_ops += 1;
-                    macs += self.shapes[*shape as usize].macs();
-                    if let Some(limit) = cutoff_plus {
-                        remaining_compute -= cycles;
-                        if mem_free + region_mem_suffix[region] >= limit
-                            || compute_free + remaining_compute as f64 >= limit
-                        {
-                            return None;
-                        }
-                    }
-                }
-                OpRec::Stream(idx) => {
-                    let s = &self.streams[*idx as usize];
-                    if R::ENABLED {
-                        recorder.record(TraceEvent::StreamIo {
-                            op: op_idx,
-                            class: s.class,
-                            read_bytes: s.read_bytes,
-                            write_bytes: s.write_bytes,
-                            cycle: mem_free.round() as u64,
-                        });
-                    }
-                    if s.read_bytes > 0 {
-                        traffic.add_read(s.class, s.read_bytes);
-                    }
-                    if s.write_bytes > 0 {
-                        traffic.add_write(s.class, s.write_bytes);
-                    }
-                    let bytes = s.read_bytes + s.write_bytes;
-                    if bytes > 0 {
-                        let mem_time = bytes as f64 / bytes_per_cycle + burst_latency as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-                }
-                OpRec::Barrier => {
-                    cache.flush(writebacks);
-                    if !writebacks.is_empty() {
-                        if R::ENABLED {
-                            self.record_flush(op_idx, mem_free, writebacks, recorder);
-                        }
-                        let mut bytes = 0u64;
-                        for (vid, vbytes) in writebacks.drain(..) {
-                            traffic.add_write(self.dense_class[vid as usize], vbytes);
-                            bytes += vbytes;
-                        }
-                        let mem_time = bytes as f64 / bytes_per_cycle + burst_latency as f64;
-                        mem_free += mem_time;
-                        mem_busy_total += mem_time;
-                    }
-                    cache.clear();
-                    mem_free = mem_free.max(compute_free);
-                    if R::ENABLED {
-                        recorder.record(TraceEvent::Barrier {
-                            op: op_idx,
-                            cycle: mem_free.round() as u64,
-                        });
-                    }
-                    region += 1;
-                    region_fits = fits(region);
-                }
-            }
-        }
-
-        // Final flush of remaining dirty accumulators. Recorded events
-        // attribute it to a synthetic op index one past the last op.
-        let end_op = self.ops.len() as u32;
-        cache.flush(writebacks);
-        if !writebacks.is_empty() {
-            if R::ENABLED {
-                self.record_flush(end_op, mem_free, writebacks, recorder);
-            }
-            let mut bytes = 0u64;
-            for (vid, vbytes) in writebacks.drain(..) {
-                traffic.add_write(self.dense_class[vid as usize], vbytes);
-                bytes += vbytes;
-            }
-            let mem_time = bytes as f64 / bytes_per_cycle + burst_latency as f64;
-            mem_free += mem_time;
-            mem_busy_total += mem_time;
-        }
-        if R::ENABLED {
-            if let Some(prev) = cur_phase {
-                recorder.record(TraceEvent::PhaseEnd {
-                    op: end_op,
-                    phase: prev,
-                    cycle: compute_free.round() as u64,
-                });
-            }
-        }
-
-        Some(AnalyticReport {
-            report: SimReport {
-                cycles: mem_free.max(compute_free).ceil() as u64,
-                compute_cycles: compute_cycles_total,
-                mem_cycles: mem_busy_total.ceil() as u64,
-                traffic,
-                spm_hits: cache.hits(),
-                spm_misses: cache.misses(),
-                gemm_ops,
-                macs,
-                spm_bytes_touched,
-            },
-            exactness: Exactness::Exact,
-        })
-    }
-
-    /// Record a flush's write-backs, stamped `mem_free` (the flush start),
-    /// in the order the residency model flushed them.
-    fn record_flush<R: Recorder>(
-        &self,
-        op: u32,
-        mem_free: f64,
-        writebacks: &[(u32, u64)],
-        recorder: &mut R,
-    ) {
-        let cycle = mem_free.round() as u64;
-        for &(id, bytes) in writebacks {
-            recorder.record(TraceEvent::WriteBack {
-                op,
-                key: self.key_of_id(id),
-                class: self.dense_class[id as usize],
-                bytes,
-                spill: false,
-                cycle,
-            });
-        }
+        run_timeline(self, engine, scratch, cutoff, recorder)
     }
 }
 

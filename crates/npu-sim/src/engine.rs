@@ -28,7 +28,7 @@
 //! decided schedule with the `BTreeMap`-based [`crate::OptCache`] and its
 //! own two timelines, and compares the result with [`Engine::run`].
 
-use crate::analytic::{AnalyticCollector, AnalyticScratch};
+use crate::analytic::{run_timeline, AnalyticCollector, AnalyticScratch};
 use crate::config::NpuConfig;
 use crate::recorder::NullRecorder;
 use crate::stats::SimReport;
@@ -151,10 +151,16 @@ impl Engine {
     /// inside them.
     pub fn run(&self, schedule: &Schedule) -> SimReport {
         ENGINE_RUNS.fetch_add(1, Ordering::Relaxed);
-        AnalyticCollector::from_schedule(schedule)
-            .run_timeline(self, &mut AnalyticScratch::new(), None, &mut NullRecorder)
-            .expect("unbounded replay always completes")
-            .report
+        let collector = AnalyticCollector::from_schedule(schedule);
+        run_timeline(
+            &collector,
+            self,
+            &mut AnalyticScratch::new(),
+            None,
+            &mut NullRecorder,
+        )
+        .expect("unbounded replay always completes")
+        .report
     }
 }
 

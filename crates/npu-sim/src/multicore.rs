@@ -19,12 +19,13 @@
 //! tiles — carries across partition boundaries, plus the same reduction
 //! traffic.
 //!
-//! The `replay_*` functions take analytic collectors and hold the combine
+//! The `replay_*` functions take replay inputs (analytic collectors or
+//! generated streams) and hold the combine
 //! (aggregate traffic, slowest core, reduction); [`run_multicore`] and
 //! [`run_sequential_partitions`] collect materialised schedules and call
 //! them.
 
-use crate::analytic::{AnalyticCollector, AnalyticScratch};
+use crate::analytic::{replay_input, AnalyticCollector, AnalyticScratch, ReplayInput};
 use crate::config::NpuConfig;
 use crate::engine::Engine;
 use crate::stats::{SimReport, Traffic};
@@ -183,15 +184,15 @@ pub fn run_sequential_partitions(
     replay_sequential_partitions(config, &combined, reduction, &mut AnalyticScratch::new())
 }
 
-/// Replay one collected stream per core concurrently and combine: the
+/// Replay one stream per core concurrently and combine: the
 /// slowest core plus the reduction, with all cores' traffic.
 ///
 /// # Panics
 ///
-/// Panics if more collectors than cores are supplied.
-pub fn replay_multicore(
+/// Panics if more streams than cores are supplied.
+pub fn replay_multicore<I: ReplayInput>(
     config: &NpuConfig,
-    per_core: &[AnalyticCollector],
+    per_core: &[I],
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
 ) -> MultiCoreReport {
@@ -203,9 +204,9 @@ pub fn replay_multicore(
 /// soon as any core's replay proves the combined cycle count (slowest core
 /// plus reduction) must exceed `cutoff` — any single core exceeding the
 /// post-reduction budget is enough, since the makespan takes the maximum.
-pub fn replay_multicore_bounded(
+pub fn replay_multicore_bounded<I: ReplayInput>(
     config: &NpuConfig,
-    per_core: &[AnalyticCollector],
+    per_core: &[I],
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
@@ -224,19 +225,19 @@ pub fn replay_multicore_bounded(
     let engine = Engine::new(config);
     let mut core_reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
     for c in per_core {
-        core_reports.push(c.replay_bounded(&engine, scratch, inner_cutoff)?.report);
+        core_reports.push(replay_input(c, &engine, scratch, inner_cutoff)?.report);
     }
     Some(combine(config, core_reports, reduction))
 }
 
-/// Replay one analytic collector holding the partitions' streams emitted
-/// back-to-back (the collector-side equivalent of
+/// Replay one stream holding the partitions' streams back-to-back (the
+/// replay-side equivalent of
 /// [`Schedule::append_compatible`] concatenation — no barrier between
 /// segments, so residency crosses partition boundaries), then pay the
 /// reduction.
-pub fn replay_sequential_partitions(
+pub fn replay_sequential_partitions<I: ReplayInput>(
     config: &NpuConfig,
-    combined: &AnalyticCollector,
+    combined: &I,
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
 ) -> MultiCoreReport {
@@ -246,10 +247,10 @@ pub fn replay_sequential_partitions(
 
 /// [`replay_sequential_partitions`] with an optional cycle `cutoff`: the
 /// concatenation is one core's stream, so this is
-/// [`replay_multicore_bounded`] with one collector.
-pub fn replay_sequential_partitions_bounded(
+/// [`replay_multicore_bounded`] with one stream.
+pub fn replay_sequential_partitions_bounded<I: ReplayInput>(
     config: &NpuConfig,
-    combined: &AnalyticCollector,
+    combined: &I,
     reduction: Option<StreamOp>,
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,

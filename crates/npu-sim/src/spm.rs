@@ -23,7 +23,7 @@
 //! ([`crate::Replacement::Lru`]) runs it on dense `u32` tile ids through
 //! the replay's `Residency` trait; the tests key it by [`TileKey`].
 
-use crate::analytic::{AccessRec, Residency};
+use crate::analytic::{Access, Residency};
 use crate::trace::TileKey;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -268,19 +268,12 @@ impl<K: Copy + Eq + Hash> SpmCache<K> {
 /// uses are ignored, and a region that fits takes the plain access path
 /// (the trait's default), which keeps the ticks LRU order needs.
 impl Residency for SpmCache<u32> {
-    fn reset(&mut self, capacity: u64, _num_tiles: usize, _stream_len: usize) {
+    fn reset(&mut self, capacity: u64, _num_tiles: usize) {
         *self = Self::new(capacity);
     }
 
-    fn access(
-        &mut self,
-        stream: &[AccessRec],
-        pos: usize,
-        bytes: u32,
-        dirty: bool,
-        writebacks: &mut Vec<(u32, u64)>,
-    ) -> u64 {
-        let out = self.touch(stream[pos].id, bytes as u64, dirty);
+    fn access(&mut self, a: &Access, dirty: bool, writebacks: &mut Vec<(u32, u64)>) -> u64 {
+        let out = self.touch(a.id, a.bytes as u64, dirty);
         writebacks.extend(out.writebacks);
         out.fetched_bytes
     }

@@ -23,9 +23,10 @@ echo "== igobench build + golden digests + self-tests =="
 # The benchmark driver is a package of its own, outside the workspace, so
 # neither clippy nor the build above compiles it. Build it here and check
 # that the simulator still reproduces its golden digests (cycles, traffic,
-# trace event counts and exported byte counts).
+# trace event counts and exported byte counts). `technique_ladder` is the
+# only digest over multi-core (`serverx4`) candidates.
 cargo build --release --offline --manifest-path igobench/Cargo.toml
-for workload in edge_trace zoo_sweep; do
+for workload in edge_trace zoo_sweep technique_ladder; do
     ./igobench/target/release/igobench golden "$workload" \
         | diff - "igobench/golden/$workload.tsv"
 done
@@ -45,6 +46,15 @@ for golden in crates/bench/golden/*.txt; do
     harness="$(basename "$golden" .txt)"
     cargo bench -q -p igo-bench --bench "$harness" | diff - "$golden"
 done
+
+echo "== replay memory per tile, not per access =="
+# Candidates replay straight from their loop nests, so a layer of 12.6 M
+# accesses per replay must stay small (it peaked at 137 MiB when replays
+# read a collected stream).
+peak="$(./target/release/igo-sim --timing layer 65536 8192 8192 server 2>&1 >/dev/null \
+    | grep -o '"peak_rss_mib":[0-9.]*' | cut -d: -f2)"
+echo "layer 65536 8192 8192 server: peak_rss_mib ${peak}"
+awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 64) }'
 
 echo "== cargo test =="
 cargo test -q
