@@ -65,9 +65,10 @@ use crate::select::ALMOST_SQUARE_THRESHOLD;
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    Access, AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine, EventLog,
-    Exactness, GemmAccesses, MetricsFold, NpuConfig, OpVisitor, OptCache, PeArray, RegionSum,
-    ReplayInput, RunMetrics, Schedule, ScheduleOp, SimReport, StreamOp, TileKey, TraceEvent,
+    replay_recorded, Access, AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine,
+    EventLog, Exactness, GemmAccesses, MetricsFold, NpuConfig, OpVisitor, OptCache, PeArray,
+    RegionSum, ReplayInput, RunMetrics, Schedule, ScheduleOp, SimReport, StreamOp, TileKey,
+    TraceEvent,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use igo_workloads::{Layer, Model, ModelId};
@@ -1452,9 +1453,14 @@ pub fn check_report_conservation(
             AUDIT_DY_POINTS,
         ),
     );
-    collector
-        .replay_recorded(&engine, &mut AnalyticScratch::new(), None, &mut recorders)
-        .expect("an uncut replay completes");
+    replay_recorded(
+        &collector,
+        &engine,
+        &mut AnalyticScratch::new(),
+        None,
+        &mut recorders,
+    )
+    .expect("an uncut replay completes");
     let (log, fold) = recorders;
     let recorded: Vec<(TileKey, AccessKind, u64)> = log
         .events
@@ -1674,7 +1680,8 @@ fn check_numeric(case: &AuditCase, order: BackwardOrder) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igo_npu_sim::{TileOp, Traffic};
+    use crate::generate::StreamGen;
+    use igo_npu_sim::{StreamShape, TileOp, Traffic, NO_USE};
     use igo_tensor::TensorClass;
 
     #[test]
@@ -1881,11 +1888,16 @@ mod tests {
         let engine = Engine::new(&config);
         let report = engine.run(&s);
         let collector = AnalyticCollector::from_schedule(&s);
-        let dy_accesses = collector.shape().dy_accesses;
+        let dy_accesses = StreamShape::of_input(&collector).dy_accesses;
         let mut fold = MetricsFold::new(engine.residency_bytes(), dy_accesses, AUDIT_DY_POINTS);
-        collector
-            .replay_recorded(&engine, &mut AnalyticScratch::new(), None, &mut fold)
-            .expect("an uncut replay completes");
+        replay_recorded(
+            &collector,
+            &engine,
+            &mut AnalyticScratch::new(),
+            None,
+            &mut fold,
+        )
+        .expect("an uncut replay completes");
         let good = fold.finish();
         assert!(!good.dy_timeline.is_empty());
         let mut shadow = [(0, 0); 7];
@@ -1929,6 +1941,104 @@ mod tests {
             violations.iter().any(|v| v.check == "access-conservation"),
             "{violations:?}"
         );
+    }
+
+    /// A generated stream whose first linked next use points one access
+    /// later than it should.
+    struct ShiftedNextUse<'a>(&'a StreamGen);
+
+    /// The [`OpVisitor`] behind [`ShiftedNextUse`].
+    struct Shift<'v, V> {
+        inner: &'v mut V,
+        done: bool,
+    }
+
+    impl<V: OpVisitor> OpVisitor for Shift<'_, V> {
+        fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
+            let mut accesses = op.accesses.to_vec();
+            if !self.done {
+                if let Some(a) = accesses.iter_mut().find(|a| a.next_use != NO_USE) {
+                    a.next_use += 1;
+                    self.done = true;
+                }
+            }
+            self.inner.gemm(GemmAccesses {
+                accesses: &accesses,
+                ..op
+            })
+        }
+
+        fn stream(&mut self, op: &StreamOp) -> ControlFlow<()> {
+            self.inner.stream(op)
+        }
+
+        fn barrier(&mut self) -> ControlFlow<()> {
+            self.inner.barrier()
+        }
+    }
+
+    impl ReplayInput for ShiftedNextUse<'_> {
+        fn tile_count(&self) -> usize {
+            self.0.tile_count()
+        }
+
+        fn class_of(&self, id: u32) -> TensorClass {
+            self.0.class_of(id)
+        }
+
+        fn key_of(&self, id: u32) -> TileKey {
+            self.0.key_of(id)
+        }
+
+        fn shapes(&self) -> &[(GemmShape, u64)] {
+            self.0.shapes()
+        }
+
+        fn regions(&self) -> &[RegionSum] {
+            self.0.regions()
+        }
+
+        fn drive<V: OpVisitor>(&self, visitor: &mut V) -> ControlFlow<()> {
+            self.0.drive(&mut Shift {
+                inner: visitor,
+                done: false,
+            })
+        }
+    }
+
+    /// `generator-links` still catches a wrong next use although the
+    /// collector now collects the generator's own ops: it links next uses
+    /// itself, so one generated next use moved by one position differs from
+    /// it, in every order and on a first layer.
+    #[test]
+    fn shifted_generated_next_use_is_caught() {
+        let config = NpuConfig::small_edge();
+        let policy = TilePolicy::for_config(&config);
+        let tensors = LayerTensors::register(&mut Schedule::new("t"), "l");
+        let builder = BackwardBuilder::new(GemmShape::new(90, 70, 110), policy, tensors)
+            .with_ifmap_density(0.5);
+        for order in [
+            BackwardOrder::Baseline,
+            BackwardOrder::IdealDyReuse,
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ] {
+            for is_first in [false, true] {
+                let generated =
+                    StreamGen::backward(std::slice::from_ref(&builder), order, is_first);
+                let mut collector = AnalyticCollector::new();
+                builder.register_grids(&mut collector);
+                builder.emit(order, is_first, &mut collector);
+                assert_eq!(input_difference(&collector, &generated), None, "{order:?}");
+                let detail = input_difference(&collector, &ShiftedNextUse(&generated))
+                    .expect("the shifted next use must be reported");
+                assert!(
+                    detail.starts_with("op ") && detail.contains("next_use"),
+                    "{order:?}: {detail}"
+                );
+            }
+        }
     }
 
     #[test]

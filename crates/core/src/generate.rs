@@ -1,31 +1,39 @@
-//! Replay inputs generated straight from the builders' loop nests.
+//! Every candidate's loop order, written once, with the next uses it
+//! implies.
 //!
-//! Every candidate the pipeline replays is a blocked loop nest over tile
-//! grids ([`crate::schedule`]): the two gradient nests, the three
-//! interleaved orders, the first-layer `dW` pass and the forward pass,
-//! alone, chained partition after partition on one core, or one partition
-//! per core. So each op's tile ids, bytes and shape are arithmetic in the
-//! loop indices, and so is each access's *next use* — the position of the
-//! tile's next access before the next barrier: the next iteration of the
-//! innermost loop the tile does not depend on, or, past the nest's last
-//! access of the tile, the tile's first access in the next nest of the
-//! same barrier region. This is the reuse analysis Unnikrishnan & Parhi's
-//! gradient-interleaved scheduler does for the interleaved order.
+//! Every candidate the pipeline replays is a blocked loop nest over the
+//! tile grids of a [`BackwardBuilder`]: the two gradient nests (the
+//! sequential baseline and its ideal-reuse variant), their interleaving
+//! (§4.2), the two fused sweeps (§4.3), the first-layer `dW` pass and the
+//! forward pass, alone, chained partition after partition on one core
+//! (§5), or one partition per core. So each op's tile ids, bytes and shape
+//! are arithmetic in the loop indices, and so is each access's *next use*
+//! — the position of the tile's next access before the next barrier: the
+//! next iteration of the innermost loop the tile does not depend on, or,
+//! past the nest's last access of the tile, the tile's first access in the
+//! next nest of the same barrier region. This is the reuse analysis
+//! Unnikrishnan & Parhi's gradient-interleaved scheduler does for the
+//! interleaved order.
 //!
-//! A [`StreamGen`] yields, as a [`ReplayInput`], exactly the ops an
-//! [`igo_npu_sim::AnalyticCollector`] collects from the same builders —
-//! the same dense ids, bytes, shapes, next uses and region sums — without
-//! materialising anything: memory is per tile, and a replay that aborts at
-//! its cutoff stops generating there. The audit's `generator-links`
-//! check compares both on every candidate.
+//! A [`StreamGen`] is the only place these loop orders are written. As a
+//! [`ReplayInput`] it feeds the replay — selection, the forward pass and
+//! traces — its ops with dense ids, bytes, shapes, next uses and region
+//! sums, without materialising anything: memory is per tile, and a replay
+//! that aborts at its cutoff stops generating there. Through
+//! [`StreamGen::write`] it is also what [`BackwardBuilder::emit`] and
+//! [`crate::schedule::forward_schedule`] emit into any
+//! [`igo_npu_sim::ScheduleSink`]. An [`igo_npu_sim::AnalyticCollector`] fed
+//! those ops links next uses and sums regions on its own; the audit's
+//! `generator-links` check requires the generator's to equal them on
+//! every candidate.
 
-use crate::schedule::{BackwardBuilder, BackwardOrder, GridCosts, LayerTensors};
+use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::tiling::{Blocking, TilePolicy};
 use igo_npu_sim::{
-    Access, GemmAccesses, OpVisitor, RegionSum, ReplayInput, TensorId, TileKey, NO_USE,
-    REPLAY_ID_LIMIT,
+    Access, GemmAccesses, OpVisitor, RegionSum, ReplayInput, ScheduleSink, StreamOp, TensorId,
+    TileKey, TileOpSpec, NO_USE, REPLAY_ID_LIMIT,
 };
-use igo_tensor::{GemmShape, TensorClass, TileCoord, TileGrid};
+use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::ops::ControlFlow;
 
 /// "No further access" in `u64` positions.
@@ -109,15 +117,26 @@ impl Registry {
         &self.entries[i - 1]
     }
 
-    /// The operand view of `tensor`, priced by `costs`.
-    fn operand(&self, tensor: TensorId, costs: &GridCosts) -> Operand {
+    /// The operand view of `tensor` over `grid`: each tile's bytes at
+    /// `dtype` mapped through `cost`. Only the last row and column clip, so
+    /// four byte counts price every tile.
+    fn operand(
+        &self,
+        tensor: TensorId,
+        grid: &TileGrid,
+        dtype: DataType,
+        cost: impl Fn(u64) -> u64,
+    ) -> Operand {
         let e = self.entry(tensor);
-        let byte = |b: u64| {
-            assert!(b < 1 << 31, "tile access exceeds 2 GiB");
-            b as u32
-        };
-        let bytes = costs.bytes.map(|row| row.map(byte));
-        let (rows, cols) = (costs.last_row as u64 + 1, costs.last_col as u64 + 1);
+        let (last_row, last_col) = (grid.rows() - 1, grid.cols() - 1);
+        let bytes = [0, last_row].map(|r| {
+            [0, last_col].map(|c| {
+                let b = cost(grid.tile_dims(TileCoord::new(r, c)).bytes(dtype));
+                assert!(b < 1 << 31, "tile access exceeds 2 GiB");
+                b as u32
+            })
+        });
+        let (rows, cols) = (last_row as u64 + 1, last_col as u64 + 1);
         let b = |r: usize, c: usize| bytes[r][c] as u64;
         Operand {
             tensor,
@@ -125,8 +144,8 @@ impl Registry {
             cols: e.cols,
             class: e.class,
             bytes,
-            last_row: costs.last_row,
-            last_col: costs.last_col,
+            last_row,
+            last_col,
             tiles: rows * cols,
             grid_bytes: (rows - 1) * (cols - 1) * b(0, 0)
                 + (rows - 1) * b(0, 1)
@@ -134,6 +153,38 @@ impl Registry {
                 + b(1, 1),
         }
     }
+
+    /// The six operands of `b`'s layer. `X` and `dX` tiles cost the raw
+    /// layout's share of their bytes (see
+    /// [`BackwardBuilder::with_ifmap_density`]), at least 4.
+    fn operands(&self, b: &BackwardBuilder) -> Operands {
+        let (t, dtype, density) = (b.tensors(), b.policy().dtype, b.density());
+        let dense = |tensor, grid| self.operand(tensor, grid, dtype, |bytes| bytes);
+        let raw = |tensor, grid| {
+            self.operand(tensor, grid, dtype, |bytes| {
+                ((bytes as f64 * density).ceil() as u64).max(4)
+            })
+        };
+        Operands {
+            x: raw(t.x, b.x_grid()),
+            w: dense(t.w, b.w_grid()),
+            y: dense(t.y, b.dy_grid()),
+            dx: raw(t.dx, b.x_grid()),
+            dw: dense(t.dw, b.w_grid()),
+            dy: dense(t.dy, b.dy_grid()),
+        }
+    }
+}
+
+/// One layer's operands, by [`LayerTensors`] field.
+#[derive(Debug, Clone, Copy)]
+struct Operands {
+    x: Operand,
+    w: Operand,
+    y: Operand,
+    dx: Operand,
+    dw: Operand,
+    dy: Operand,
 }
 
 /// One tensor as a nest touches it.
@@ -180,12 +231,14 @@ struct Axes {
 
 impl Axes {
     fn of(b: &BackwardBuilder) -> Self {
-        let (mt, kt, nt) = (b.mt(), b.kt(), b.nt());
-        let axis = |count: u64, ext: [u64; 2]| [(ext[0], count - 1), (ext[1], 1)];
+        let (dy, x) = (b.dy_grid(), b.x_grid());
+        let (last_m, last_n, last_k) = (dy.rows() - 1, dy.cols() - 1, x.cols() - 1);
+        let axis = |count: u32, ext: [u64; 2]| [(ext[0], count as u64), (ext[1], 1)];
+        let dims = |grid: &TileGrid, r: u32, c: u32| grid.tile_dims(TileCoord::new(r, c));
         Self {
-            m: axis(mt, [0, 1].map(|l| b.dy_costs.dims[l][0].rows)),
-            n: axis(nt, [0, 1].map(|l| b.dy_costs.dims[0][l].cols)),
-            k: axis(kt, [0, 1].map(|l| b.x_costs.dims[0][l].cols)),
+            m: axis(last_m, [0, last_m].map(|r| dims(dy, r, 0).rows)),
+            n: axis(last_n, [0, last_n].map(|c| dims(dy, 0, c).cols)),
+            k: axis(last_k, [0, last_k].map(|c| dims(x, 0, c).cols)),
         }
     }
 }
@@ -460,12 +513,9 @@ impl Fused {
     ) -> Self {
         let (mt, kt, nt) = (b.mt(), b.kt(), b.nt());
         let (kb, bs) = b.fused_blocks(dx_major);
-        let t = b.tensors();
-        let dy = reg.operand(t.dy, &b.dy_costs);
-        let w = reg.operand(t.w, &b.w_costs);
-        let x = reg.operand(t.x, &b.x_costs);
-        let dx = reg.operand(t.dx, &b.x_costs);
-        let dw = reg.operand(t.dw, &b.w_costs);
+        let Operands {
+            x, w, dx, dw, dy, ..
+        } = reg.operands(b);
         let axes = Axes::of(b);
         let dx_shapes = add_family(shapes, &axes, Family::Dx);
         let dw_shapes = add_family(shapes, &axes, Family::Dw);
@@ -656,7 +706,7 @@ impl Fused {
     }
 }
 
-/// One builder call's nest.
+/// One nest of a stream: one builder's pass in one order.
 #[derive(Debug, Clone, Copy)]
 enum Nest {
     Blocked(Blocked),
@@ -757,10 +807,11 @@ pub struct StreamGen {
 }
 
 impl StreamGen {
-    /// The backward stream of `builders` emitted back-to-back in `order`
-    /// (one builder for a plain candidate or one core's partition; several
-    /// for partitions chained on one core), as
-    /// [`BackwardBuilder::emit`] emits them into one collector.
+    /// The backward stream of `builders` back-to-back in `order` (one
+    /// builder for a plain candidate or one core's partition; several for
+    /// partitions chained on one core, with no barrier between them). A
+    /// first layer runs only the `dW` nest: with no `dX` to compute there
+    /// is nothing to interleave.
     ///
     /// # Panics
     ///
@@ -769,21 +820,17 @@ impl StreamGen {
     pub fn backward(builders: &[BackwardBuilder], order: BackwardOrder, is_first: bool) -> Self {
         let mut registry = Registry::default();
         for b in builders {
-            assert!(
-                !b.elide_dw_dy_reads,
-                "the ideal-reuse order elides the dW pass's dY reads itself"
-            );
             registry.register_builder(b);
         }
         registry.seal();
         let mut shapes = Vec::new();
         let mut nests: Vec<(Nest, bool)> = Vec::new();
         for b in builders {
-            let t = b.tensors();
+            let ops = registry.operands(b);
             let cap = b.policy().capacity_tiles;
             let (mt, kt, nt) = (b.mt(), b.kt(), b.nt());
             let axes = Axes::of(b);
-            let dx_nest = |reg: &Registry, shapes: &mut Vec<_>| {
+            let dx_nest = |shapes: &mut Vec<_>| {
                 let bx = b.dx_blocking(cap);
                 Blocked {
                     rows: mt,
@@ -793,18 +840,18 @@ impl StreamGen {
                     bc: bx.b_cols,
                     nbr: mt.div_ceil(bx.b_rows),
                     nbc: kt.div_ceil(bx.b_cols),
-                    l: reg.operand(t.dy, &b.dy_costs),
+                    l: ops.dy,
                     l_t: false,
-                    rt: Some(reg.operand(t.w, &b.w_costs)),
+                    rt: Some(ops.w),
                     rt_t: false,
-                    o: reg.operand(t.dx, &b.x_costs),
+                    o: ops.dx,
                     shape_base: add_family(shapes, &axes, Family::Dx),
                     // (row, red, col) = (i, j, kk).
                     shape_stride: [4, 2, 1],
                     apo: 3,
                 }
             };
-            let dw_nest = |reg: &Registry, shapes: &mut Vec<_>, elide: bool| {
+            let dw_nest = |shapes: &mut Vec<_>, elide: bool| {
                 let bw = b.dw_blocking(cap);
                 Blocked {
                     rows: kt,
@@ -814,11 +861,11 @@ impl StreamGen {
                     bc: bw.b_cols,
                     nbr: kt.div_ceil(bw.b_rows),
                     nbc: nt.div_ceil(bw.b_cols),
-                    l: reg.operand(t.x, &b.x_costs),
+                    l: ops.x,
                     l_t: true,
-                    rt: (!elide).then(|| reg.operand(t.dy, &b.dy_costs)),
+                    rt: (!elide).then_some(ops.dy),
                     rt_t: true,
-                    o: reg.operand(t.dw, &b.w_costs),
+                    o: ops.dw,
                     shape_base: add_family(shapes, &axes, Family::Dw),
                     // (row, red, col) = (kk, i, j).
                     shape_stride: [1, 4, 2],
@@ -826,18 +873,18 @@ impl StreamGen {
                 }
             };
             if is_first {
-                nests.push((Nest::Blocked(dw_nest(&registry, &mut shapes, false)), false));
+                nests.push((Nest::Blocked(dw_nest(&mut shapes, false)), false));
                 continue;
             }
             match order {
                 BackwardOrder::Baseline | BackwardOrder::IdealDyReuse => {
                     let elide = order == BackwardOrder::IdealDyReuse;
-                    nests.push((Nest::Blocked(dx_nest(&registry, &mut shapes)), false));
-                    nests.push((Nest::Blocked(dw_nest(&registry, &mut shapes, elide)), true));
+                    nests.push((Nest::Blocked(dx_nest(&mut shapes)), false));
+                    nests.push((Nest::Blocked(dw_nest(&mut shapes, elide)), true));
                 }
                 BackwardOrder::Interleaved => {
-                    let x = dx_nest(&registry, &mut shapes);
-                    let w = dw_nest(&registry, &mut shapes, false);
+                    let x = dx_nest(&mut shapes);
+                    let w = dw_nest(&mut shapes, false);
                     nests.push((Nest::Interleaved(x, w), false));
                 }
                 BackwardOrder::DxMajor | BackwardOrder::DwMajor => {
@@ -850,26 +897,30 @@ impl StreamGen {
         Self::assemble(registry, shapes, nests)
     }
 
-    /// The forward pass `Y = X × W` of one core's `gemm` on `tensors`, as
-    /// [`crate::schedule::forward_schedule`] emits it into a collector
-    /// registered with that layer's [`BackwardBuilder`] grids.
+    /// The forward pass `Y = X × W` of one core's `gemm` on `tensors`: a
+    /// capacity-blocked nest over `Y` tiles, the reduction innermost but
+    /// one, with `X` tiles priced at `density` (see
+    /// [`BackwardBuilder::with_ifmap_density`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < density <= 1`, or if the tile registry or the
+    /// stream reaches [`REPLAY_ID_LIMIT`].
     pub fn forward(
         gemm: GemmShape,
         policy: TilePolicy,
         tensors: LayerTensors,
         density: f64,
     ) -> Self {
-        let b = BackwardBuilder::new(gemm, policy, tensors);
+        let b = BackwardBuilder::new(gemm, policy, tensors).with_ifmap_density(density);
         let mut registry = Registry::default();
         registry.register_builder(&b);
         registry.seal();
         let (mt, kt, nt) = (b.mt(), b.kt(), b.nt());
         let blocking = Blocking::choose(mt, nt, kt, policy.capacity_tiles);
-        let x_costs = GridCosts::new(b.x_grid(), policy.dtype, |bytes| {
-            ((bytes as f64 * density).ceil() as u64).max(4)
-        });
         let mut shapes = Vec::new();
         let axes = Axes::of(&b);
+        let ops = registry.operands(&b);
         let nest = Blocked {
             rows: mt,
             cols: nt,
@@ -878,11 +929,11 @@ impl StreamGen {
             bc: blocking.b_cols,
             nbr: mt.div_ceil(blocking.b_rows),
             nbc: nt.div_ceil(blocking.b_cols),
-            l: registry.operand(tensors.x, &x_costs),
+            l: ops.x,
             l_t: false,
-            rt: Some(registry.operand(tensors.w, &b.w_costs)),
+            rt: Some(ops.w),
             rt_t: true,
-            o: registry.operand(tensors.y, &b.dy_costs),
+            o: ops.y,
             shape_base: add_family(&mut shapes, &axes, Family::Forward),
             // (row, red, col) = (i, kk, j).
             shape_stride: [4, 1, 2],
@@ -943,6 +994,15 @@ impl StreamGen {
             regions,
             pieces,
         }
+    }
+
+    /// Write the stream's ops into `sink`: each op reads its
+    /// non-accumulator accesses and accumulates into its last, keyed by
+    /// [`ReplayInput::key_of`], and each barrier stays a barrier. This is
+    /// how [`BackwardBuilder::emit`] and
+    /// [`crate::schedule::forward_schedule`] emit.
+    pub fn write<S: ScheduleSink>(&self, sink: &mut S) {
+        let _ = self.drive(&mut SinkWriter { gen: self, sink });
     }
 
     /// Total tile accesses of the stream.
@@ -1029,6 +1089,41 @@ impl StreamGen {
                 ControlFlow::Continue(())
             }
         }
+    }
+}
+
+/// The [`OpVisitor`] behind [`StreamGen::write`].
+struct SinkWriter<'a, S> {
+    gen: &'a StreamGen,
+    sink: &'a mut S,
+}
+
+impl<S: ScheduleSink> OpVisitor for SinkWriter<'_, S> {
+    fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
+        let (acc, reads) = op
+            .accesses
+            .split_last()
+            .filter(|_| op.acc)
+            .expect("a generated op accumulates into its last access");
+        let mut spec = TileOpSpec::new(self.gen.shapes[op.shape as usize].0);
+        for a in reads {
+            let key = self.gen.key_of(a.id);
+            spec = spec.read(key.tensor, key.coord, a.bytes.into());
+        }
+        let key = self.gen.key_of(acc.id);
+        self.sink
+            .gemm(&spec.accumulate(key.tensor, key.coord, acc.bytes.into()));
+        ControlFlow::Continue(())
+    }
+
+    fn stream(&mut self, op: &StreamOp) -> ControlFlow<()> {
+        self.sink.stream(*op);
+        ControlFlow::Continue(())
+    }
+
+    fn barrier(&mut self) -> ControlFlow<()> {
+        self.sink.barrier();
+        ControlFlow::Continue(())
     }
 }
 

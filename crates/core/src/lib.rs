@@ -3,7 +3,7 @@
 //! The primary contribution of the reproduced paper: a dataflow
 //! transformation stack for the backward pass of DNN training on NPUs.
 //!
-//! 1. **Interleaving** ([`schedule::BackwardBuilder::interleaved`], §4.2):
+//! 1. **Interleaving** ([`schedule::BackwardOrder::Interleaved`], §4.2):
 //!    fuse the independent `dX` and `dW` tile streams so the shared output
 //!    gradient `dY` is fetched once while resident in SPM.
 //! 2. **Rearrangement** ([`select::select_order`], §4.3): pick the common

@@ -14,23 +14,24 @@
 //!   phase slices, SPM-occupancy samples and barriers.
 //!
 //! Both recorders are sized by the [`igo_npu_sim::StreamShape`] of the
-//! replay they record, which the collected stream fixes before the replay
-//! starts, so they cap the dY series and the tracks while the run lasts. A
-//! [`CoreTrace`] therefore keeps the metrics, the capped tracks and an
-//! event count. Memory slices (one per op until the run ends) are the
+//! replay they record, which its input fixes before the replay starts
+//! ([`igo_npu_sim::StreamShape::of_input`]), so they cap the dY series and
+//! the tracks while the run lasts. A [`CoreTrace`] therefore keeps the
+//! metrics, the capped tracks and an event count. Memory slices (one per op until the run ends) are the
 //! only recorder state that grows with the event count; `dy_tiles` (one
 //! entry per dY tile) grows with the tile grid.
 //!
 //! [`SimContext::trace_layer`] makes the decision exactly as the untraced
 //! pipeline does ([`SimContext::backward`], on the same context and memo),
-//! and `pipeline::record_decided` emits the execution it implies through
-//! the selection loop's own candidate construction into analytic
-//! collectors and replays each once with the recorder attached — the
-//! code path that produced the reported numbers. That is one replay per
-//! core for multi-core decisions and one chained replay for single-core
-//! sequential partitions. The audit
-//! ([`crate::audit::check_report_conservation`]) checks the recorded
-//! replay's events against an independent residency model.
+//! and `pipeline::record_decided` builds the execution it implies through
+//! the selection loop's own candidate construction and replays its
+//! generators ([`crate::generate::StreamGen`]) once each with the recorder
+//! attached — the code path that produced the reported numbers, with
+//! nothing collected. That is one replay per core for multi-core
+//! decisions and one chained replay for single-core sequential
+//! partitions. The audit ([`crate::audit::check_report_conservation`])
+//! checks the recorded replay's events against an independent residency
+//! model.
 //!
 //! The exporter for the collected traces — Chrome trace-event JSON
 //! (Perfetto / `chrome://tracing`) and CSV metric summaries — lives in

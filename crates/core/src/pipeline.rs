@@ -46,8 +46,9 @@
 //!   `(cycles, index)` winner.
 //!
 //! Traces take the same path: `record_decided` builds a decided
-//! candidate exactly as the selection loop does and replays it with a
-//! recorder attached ([`AnalyticCollector::replay_recorded`]).
+//! candidate exactly as the selection loop does and replays its
+//! generators with a recorder attached ([`replay_recorded`]). Collectors
+//! serve only the audit's oracle here (`candidate_streams`).
 
 use crate::bound::{multicore_candidate_bound, plain_candidate_bound, sequential_candidate_bound};
 use crate::generate::StreamGen;
@@ -59,9 +60,9 @@ use crate::simcache::{CacheKey, CacheStats, CandidateKey, Memo, PassKey, DEFAULT
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
 use igo_npu_sim::{
-    replay_input, replay_multicore, replay_multicore_bounded, replay_sequential_partitions_bounded,
-    AnalyticCollector, AnalyticScratch, Engine, NpuConfig, Recorder, SimReport, StreamOp,
-    StreamShape, TensorId, Traffic,
+    replay_input, replay_multicore, replay_multicore_bounded, replay_recorded,
+    replay_sequential_partitions_bounded, AnalyticCollector, AnalyticScratch, Engine, NpuConfig,
+    Recorder, SimReport, StreamOp, StreamShape, TensorId, Traffic,
 };
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::Model;
@@ -194,34 +195,16 @@ fn forward_parts(gemm: GemmShape, config: &NpuConfig) -> (Vec<GemmShape>, Vec<La
     }
 }
 
-/// Reusable per-worker state for candidate evaluation.
-#[derive(Default)]
-struct Scratch {
-    collectors: Vec<AnalyticCollector>,
-    replay: AnalyticScratch,
-}
-
-/// The first `n` collectors of `pool`, cleared, growing the pool on demand.
-fn cleared_collectors(pool: &mut Vec<AnalyticCollector>, n: usize) -> &mut [AnalyticCollector] {
-    while pool.len() < n {
-        pool.push(AnalyticCollector::new());
-    }
-    let slice = &mut pool[..n];
-    for c in slice.iter_mut() {
-        c.clear();
-    }
-    slice
-}
-
 thread_local! {
-    /// Per-thread working memory, reused across layers and candidate
-    /// evaluations so the collector and replay buffers are allocated once
-    /// per thread instead of regrown per layer.
-    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+    /// Per-thread replay working memory, reused across layers and
+    /// candidate evaluations so the replay buffers are allocated once per
+    /// thread instead of regrown per layer.
+    static SCRATCH: std::cell::RefCell<AnalyticScratch> =
+        std::cell::RefCell::new(AnalyticScratch::new());
 }
 
-/// Run `f` with this thread's reusable [`Scratch`].
-fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+/// Run `f` with this thread's reusable replay scratch.
+fn with_scratch<R>(f: impl FnOnce(&mut AnalyticScratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
@@ -249,66 +232,46 @@ enum Exec {
 }
 
 impl Candidate {
-    /// Emit this candidate's streams into the first collectors of `pool`
-    /// and return them: one collector for a single stream or for
-    /// partitions chained on one core, one per core otherwise.
-    fn emit<'p>(
-        &self,
-        layer: &LayerInputs,
-        pool: &'p mut Vec<AnalyticCollector>,
-    ) -> &'p mut [AnalyticCollector] {
-        let (order, is_first) = (self.decision.order, layer.is_first);
+    /// This candidate's builders by stream: one group for a single stream
+    /// or for partitions chained on one core (back-to-back, no barrier,
+    /// mirroring `Schedule::append_compatible`), one per core otherwise.
+    fn stream_builders(&self, layer: &LayerInputs) -> Vec<&[BackwardBuilder]> {
         match &self.exec {
-            Exec::Single(builder) => {
-                let cores = cleared_collectors(pool, 1);
-                builder.register_grids(&mut cores[0]);
-                builder.emit(order, is_first, &mut cores[0]);
-                cores
-            }
-            Exec::Split { builders, .. } if layer.config.cores == 1 => {
-                // One collector: segments concatenate with no barrier,
-                // mirroring `Schedule::append_compatible`.
-                let cores = cleared_collectors(pool, 1);
-                for b in builders {
-                    b.register_grids(&mut cores[0]);
-                }
-                for b in builders {
-                    b.emit(order, is_first, &mut cores[0]);
-                }
-                cores
-            }
-            Exec::Split { builders, .. } => {
-                let cores = cleared_collectors(pool, builders.len());
-                for (b, c) in builders.iter().zip(cores.iter_mut()) {
-                    b.register_grids(c);
-                    b.emit(order, is_first, c);
-                }
-                cores
-            }
+            Exec::Single(builder) => vec![std::slice::from_ref(builder.as_ref())],
+            Exec::Split { builders, .. } if layer.config.cores == 1 => vec![builders],
+            Exec::Split { builders, .. } => builders.chunks(1).collect(),
         }
     }
 
-    /// This candidate's streams as generators, in the shape [`Self::emit`]
-    /// collects them: one for a single stream or for partitions chained on
-    /// one core, one per core otherwise.
+    /// This candidate's streams as generators, one per
+    /// [`Self::stream_builders`] group.
     fn streams(&self, layer: &LayerInputs) -> Vec<StreamGen> {
         let (order, is_first) = (self.decision.order, layer.is_first);
-        match &self.exec {
-            Exec::Single(builder) => {
-                vec![StreamGen::backward(
-                    std::slice::from_ref(builder),
-                    order,
-                    is_first,
-                )]
-            }
-            Exec::Split { builders, .. } if layer.config.cores == 1 => {
-                vec![StreamGen::backward(builders, order, is_first)]
-            }
-            Exec::Split { builders, .. } => builders
-                .iter()
-                .map(|b| StreamGen::backward(std::slice::from_ref(b), order, is_first))
-                .collect(),
-        }
+        self.stream_builders(layer)
+            .into_iter()
+            .map(|group| StreamGen::backward(group, order, is_first))
+            .collect()
+    }
+
+    /// This candidate's streams collected, one collector per
+    /// [`Self::stream_builders`] group, each builder emitted on its own:
+    /// the collector links next uses and sums regions itself, so it is the
+    /// audit's oracle for [`Self::streams`].
+    fn emit(&self, layer: &LayerInputs) -> Vec<AnalyticCollector> {
+        let (order, is_first) = (self.decision.order, layer.is_first);
+        self.stream_builders(layer)
+            .into_iter()
+            .map(|group| {
+                let mut c = AnalyticCollector::new();
+                for b in group {
+                    b.register_grids(&mut c);
+                }
+                for b in group {
+                    b.emit(order, is_first, &mut c);
+                }
+                c
+            })
+            .collect()
     }
 
     /// Replay this candidate straight from its generators. With a
@@ -353,17 +316,17 @@ impl Candidate {
         layer: &LayerInputs,
         cutoff: Option<u64>,
         memo: Option<&Memo>,
-        s: &mut Scratch,
+        replay: &mut AnalyticScratch,
     ) -> Option<SimReport> {
         let Some(memo) = memo else {
-            return self.run_bounded(layer, cutoff, &mut s.replay);
+            return self.run_bounded(layer, cutoff, replay);
         };
         let pass = PassKey::Candidate(self.key);
         let key = CacheKey::new(layer.gemm, layer.density, layer.config, pass);
         if let Some((hit, _)) = memo.get(&key) {
             return Some(hit);
         }
-        let report = self.run_bounded(layer, cutoff, &mut s.replay);
+        let report = self.run_bounded(layer, cutoff, replay);
         if let Some(r) = report {
             memo.put(key, (r, None));
         }
@@ -603,8 +566,7 @@ impl SimContext {
             .zip(&part_tensors)
             .map(|(sub, t)| StreamGen::forward(*sub, policy, *t, density))
             .collect();
-        let report =
-            with_scratch(|s| replay_multicore(config, &cores, None, &mut s.replay).combined());
+        let report = with_scratch(|s| replay_multicore(config, &cores, None, s).combined());
         if let Some(m) = memo {
             m.put(key, (report, None));
         }
@@ -772,14 +734,10 @@ pub(crate) fn candidate_streams(
     let mut out: Vec<CandidateStreams> = layer
         .candidates(technique)
         .iter()
-        .map(|c| {
-            let mut pool = Vec::new();
-            c.emit(&layer, &mut pool);
-            CandidateStreams {
-                decision: c.decision,
-                collected: pool,
-                generated: c.streams(&layer),
-            }
+        .map(|c| CandidateStreams {
+            decision: c.decision,
+            collected: c.emit(&layer),
+            generated: c.streams(&layer),
         })
         .collect();
     let policy = layer.policy;
@@ -805,11 +763,11 @@ pub(crate) fn candidate_streams(
 }
 
 /// Replay a decided backward execution with a recorder attached: the
-/// candidate `decision` names is built and emitted exactly as the
-/// selection loop emits it — one collector on a single core (partition
-/// segments chained), one per core otherwise — and each collector is
-/// replayed once, uncut, with `make_recorder(shape)` attached, where
-/// `shape` is the [`StreamShape`] of the events that replay will emit.
+/// candidate `decision` names is built exactly as the selection loop builds
+/// it and its generators are replayed — one on a single core (partition
+/// segments chained), one per core otherwise — each once, uncut, with
+/// `make_recorder(shape)` attached, where `shape` is the [`StreamShape`]
+/// of the events that replay will emit.
 ///
 /// Returns each core's replay report (cross-partition reductions, which no
 /// core executes, are left out) with its recorder.
@@ -822,16 +780,13 @@ pub(crate) fn record_decided<R: Recorder>(
     mut make_recorder: impl FnMut(StreamShape) -> R,
 ) -> Vec<(SimReport, R)> {
     let layer = LayerInputs::new(gemm, density, config, is_first);
-    let candidate = layer.decided(decision);
+    let streams = layer.decided(decision).streams(&layer);
     with_scratch(|s| {
-        let Scratch { collectors, replay } = s;
-        candidate
-            .emit(&layer, collectors)
+        streams
             .iter()
-            .map(|c| {
-                let mut recorder = make_recorder(c.shape());
-                let report = c
-                    .replay_recorded(&layer.engine, replay, None, &mut recorder)
+            .map(|g| {
+                let mut recorder = make_recorder(StreamShape::of_input(g));
+                let report = replay_recorded(g, &layer.engine, s, None, &mut recorder)
                     .expect("an uncut replay completes")
                     .report;
                 (report, recorder)
@@ -1264,7 +1219,6 @@ mod tests {
             BackwardOrder::DxMajor,
             BackwardOrder::DwMajor,
         ];
-        let mut pool = Vec::new();
         for config in [
             NpuConfig::small_edge(),
             NpuConfig::large_single_core(),
@@ -1298,7 +1252,7 @@ mod tests {
                         }
                     }
                     for c in &candidates {
-                        for collector in c.emit(&layer, &mut pool).iter() {
+                        for collector in &c.emit(&layer) {
                             let label = format!("{gemm} {:?} on {}", c.decision, config.name);
                             assert!(collector.tile_count() as u64 <= extent, "{label}");
                             assert!(collector.stream_len() as u64 <= extent, "{label}");
@@ -1314,13 +1268,26 @@ mod tests {
         assert!(huge >= igo_npu_sim::REPLAY_ID_LIMIT, "{huge}");
     }
 
-    /// Every candidate the loop can build — each order, plain and under
-    /// every scheme, on one core and several, with and without a `dX` pass
-    /// — and the forward pass generate exactly the stream their builders
-    /// collect, on boundary shapes: dimension 1, primes, tile edges ±1 and
-    /// ragged partition splits.
-    #[test]
-    fn generated_streams_read_as_collected() {
+    /// Layers on boundary shapes: dimension 1, primes, tile edges ±1 and
+    /// ragged partition splits, on one core and several.
+    fn boundary_layers() -> Vec<(NpuConfig, GemmShape)> {
+        [NpuConfig::small_edge(), NpuConfig::large_server(2)]
+            .into_iter()
+            .flat_map(|config| {
+                let t = TilePolicy::for_config(&config).tile.rows;
+                [
+                    GemmShape::new(1, 2 * t + 1, 3),
+                    GemmShape::new(4 * t + 3, t - 1, t + 1),
+                    GemmShape::new(13, 5 * t + 7, 2 * t - 1),
+                ]
+                .map(|gemm| (config.clone(), gemm))
+            })
+            .collect()
+    }
+
+    /// Every candidate the loop can build for `layer`: each order, plain
+    /// and under every scheme at two and four parts.
+    fn every_candidate(layer: &LayerInputs) -> Vec<Candidate> {
         let orders = [
             BackwardOrder::Baseline,
             BackwardOrder::IdealDyReuse,
@@ -1328,42 +1295,76 @@ mod tests {
             BackwardOrder::DxMajor,
             BackwardOrder::DwMajor,
         ];
-        for config in [NpuConfig::small_edge(), NpuConfig::large_server(2)] {
-            let t = TilePolicy::for_config(&config).tile.rows;
-            for gemm in [
-                GemmShape::new(1, 2 * t + 1, 3),
-                GemmShape::new(4 * t + 3, t - 1, t + 1),
-                GemmShape::new(13, 5 * t + 7, 2 * t - 1),
-            ] {
-                for is_first in [false, true] {
-                    let layer = LayerInputs::new(gemm, 0.37, &config, is_first);
-                    let mut candidates: Vec<Candidate> =
-                        orders.iter().map(|&o| layer.plain(o)).collect();
-                    for scheme in PartitionScheme::ALL {
-                        for parts in [2, 4] {
-                            for &order in &orders {
-                                candidates.push(layer.split(scheme, parts, order));
-                            }
-                        }
-                    }
-                    for c in &candidates {
-                        let mut pool = Vec::new();
-                        let collected = c.emit(&layer, &mut pool);
-                        let generated = c.streams(&layer);
-                        assert_eq!(collected.len(), generated.len());
-                        for (a, b) in collected.iter().zip(&generated) {
-                            let diff = crate::audit::input_difference(a, b);
-                            assert_eq!(diff, None, "{gemm} {:?} on {}", c.decision, config.name);
-                        }
+        let mut candidates: Vec<Candidate> = orders.iter().map(|&o| layer.plain(o)).collect();
+        for scheme in PartitionScheme::ALL {
+            for parts in [2, 4] {
+                for &order in &orders {
+                    candidates.push(layer.split(scheme, parts, order));
+                }
+            }
+        }
+        candidates
+    }
+
+    /// Every candidate the loop can build, with and without a `dX` pass,
+    /// and the forward pass generate exactly the stream a collector links
+    /// from their ops, on the boundary layers.
+    #[test]
+    fn generated_streams_read_as_collected() {
+        for (config, gemm) in boundary_layers() {
+            for is_first in [false, true] {
+                let layer = LayerInputs::new(gemm, 0.37, &config, is_first);
+                for c in every_candidate(&layer) {
+                    let collected = c.emit(&layer);
+                    let generated = c.streams(&layer);
+                    assert_eq!(collected.len(), generated.len());
+                    for (a, b) in collected.iter().zip(&generated) {
+                        let diff = crate::audit::input_difference(a, b);
+                        assert_eq!(diff, None, "{gemm} {:?} on {}", c.decision, config.name);
                     }
                 }
-                for (c, g) in candidate_streams(gemm, 0.37, &config, Technique::Baseline, false)
-                    .last()
-                    .map(|f| (&f.collected, &f.generated))
-                    .into_iter()
-                    .flat_map(|(c, g)| c.iter().zip(g))
-                {
-                    assert_eq!(crate::audit::input_difference(c, g), None, "{gemm} forward");
+            }
+            for (c, g) in candidate_streams(gemm, 0.37, &config, Technique::Baseline, false)
+                .last()
+                .map(|f| (&f.collected, &f.generated))
+                .into_iter()
+                .flat_map(|(c, g)| c.iter().zip(g))
+            {
+                assert_eq!(crate::audit::input_difference(c, g), None, "{gemm} forward");
+            }
+        }
+    }
+
+    /// Traces size their recorders from the generator: on every candidate
+    /// of the boundary layers, each generated stream's counted shape is the
+    /// shape its recorded replay emits, and that replay reports what the
+    /// collected stream's replay reports.
+    #[test]
+    fn generated_streams_size_their_recorders() {
+        let mut scratch = AnalyticScratch::new();
+        for (config, gemm) in boundary_layers() {
+            for is_first in [false, true] {
+                let layer = LayerInputs::new(gemm, 0.37, &config, is_first);
+                for c in every_candidate(&layer) {
+                    let label = format!("{gemm} {:?} on {}", c.decision, config.name);
+                    let collected = c.emit(&layer);
+                    for (g, collector) in c.streams(&layer).iter().zip(&collected) {
+                        let mut log = igo_npu_sim::EventLog::new();
+                        let report =
+                            replay_recorded(g, &layer.engine, &mut scratch, None, &mut log)
+                                .expect("an uncut replay completes")
+                                .report;
+                        assert_eq!(
+                            StreamShape::of_input(g),
+                            StreamShape::of_events(&log.events),
+                            "{label}"
+                        );
+                        assert_eq!(
+                            report,
+                            collector.replay(&layer.engine, &mut scratch).report,
+                            "{label}"
+                        );
+                    }
                 }
             }
         }
@@ -1382,8 +1383,7 @@ mod tests {
         let report = replay_input(&streams[0], &layer.engine, &mut scratch, None)
             .expect("an uncut replay completes")
             .report;
-        let mut pool = Vec::new();
-        let collected = &candidate.emit(&layer, &mut pool)[0];
+        let collected = &candidate.emit(&layer)[0];
         assert_eq!(
             report,
             collected
@@ -1400,7 +1400,8 @@ mod tests {
     }
 
     /// The replay's memory per collected access (the collector serves
-    /// [`Engine::run`], traces and the audit): the buffers whose size grows
+    /// [`Engine::run`], the ladder and multi-core replays, and the audit's
+    /// oracle): the buffers whose size grows
     /// with the stream — access and op records — plus the OPT victim index
     /// hold at most 11 bytes per access on a large Baseline stream (three
     /// accesses per op).
@@ -1409,8 +1410,7 @@ mod tests {
         let config = NpuConfig::large_single_core();
         let layer = LayerInputs::new(GemmShape::new(4096, 4096, 4096), 1.0, &config, false);
         let candidate = layer.plain(BackwardOrder::Baseline);
-        let mut pool = Vec::new();
-        let collector = &candidate.emit(&layer, &mut pool)[0];
+        let collector = &candidate.emit(&layer)[0];
         let mut scratch = AnalyticScratch::new();
         collector.replay(&layer.engine, &mut scratch);
         let accesses = collector.stream_len();

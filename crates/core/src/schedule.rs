@@ -10,39 +10,22 @@
 //!
 //! All matrices are decomposed into square tiles (grid conventions:
 //! `dY[i,j]` with `i` over M-tiles and `j` over N-tiles; `X/dX[i,kk]` with
-//! `kk` over K-tiles; `W/dW[kk,j]`). A tile operation
-//! `dx_op(i,kk,j)` performs `dX[i,kk] += dY[i,j]·Wᵀ[j,kk]`, and
-//! `dw_op(kk,j,i)` performs `dW[kk,j] += Xᵀ[kk,i]·dY[i,j]`.
+//! `kk` over K-tiles; `W/dW[kk,j]`). A `dX` tile op performs
+//! `dX[i,kk] += dY[i,j]·Wᵀ[j,kk]`, and a `dW` tile op performs
+//! `dW[kk,j] += Xᵀ[kk,i]·dY[i,j]`.
 //!
-//! [`BackwardBuilder`] emits the paper's schedule families over these ops:
-//!
-//! * [`BackwardBuilder::baseline`] — the two gradient GEMMs run
-//!   *sequentially*, each with its own capacity-blocked loop nest (the
-//!   tiling-optimised baseline of §6.1). `dY` is traversed row-major by the
-//!   `dX` nest and column-major by the `dW` nest, so every `dY` tile is
-//!   fetched (at least) twice.
-//! * [`BackwardBuilder::interleaved`] — §4.2: the two streams interleaved
-//!   tile-by-tile, each keeping its traditional traversal (Figure 10 a).
-//! * [`BackwardBuilder::fused_dx_major`] — §4.3, Figure 10 b: one row-major
-//!   sweep of `dY`; for each `dY` tile, first its `dX` contributions, then
-//!   its `dW` contributions. `dW` accumulator columns are revisited once
-//!   per M-block and spill if `dW` does not fit — the "intermediate
-//!   results" traffic of the paper.
-//! * [`BackwardBuilder::fused_dw_major`] — Figure 10 c, the column-major
-//!   mirror: `dX` accumulator rows become the spill risk.
-//! * [`BackwardBuilder::dw_only`] — the first layer of a model, which needs
-//!   no input gradient (§6.2: interleaving "cannot be applied in the first
-//!   layer since there is no need to compute dX").
-//! * [`BackwardBuilder::baseline_ideal_dy_reuse`] — the Figure 6 potential
-//!   study: the baseline with the `dW` pass's `dY` reads elided, as if the
-//!   tiles were "hypothetically available without any external memory
-//!   access" (§3.3).
-//!
+//! [`BackwardBuilder`] holds one layer's grids, `X` density and blocking
+//! policy, and [`BackwardBuilder::emit`] emits the paper's schedule
+//! families ([`BackwardOrder`]) over these ops into any [`ScheduleSink`];
 //! [`forward_schedule`] emits the (technique-independent) forward pass.
+//! The loop orders themselves are written once, in
+//! [`crate::generate::StreamGen`], which also derives every access's next
+//! use for the replay: both functions write its ops.
 
+use crate::generate::StreamGen;
 use crate::tiling::{Blocking, TilePolicy};
-use igo_npu_sim::{Schedule, ScheduleSink, TensorId, TileAccessSpec, TileOpSpec};
-use igo_tensor::{DataType, GemmShape, MatrixDims, TensorClass, TileCoord, TileGrid};
+use igo_npu_sim::{Schedule, ScheduleSink, TensorId};
+use igo_tensor::{GemmShape, TensorClass, TileGrid};
 
 /// Tensor ids of one layer within a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,53 +58,6 @@ impl LayerTensors {
     }
 }
 
-/// Precomputed clipped tile dims/bytes of one grid: only the last row and
-/// last column clip, so every tile falls into one of four variants — the
-/// emission hot loops reduce per-access geometry to two edge compares and
-/// a table lookup.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GridCosts {
-    /// `dims[r_is_last][c_is_last]`.
-    pub(crate) dims: [[MatrixDims; 2]; 2],
-    /// Matching byte footprints (after any density scaling).
-    pub(crate) bytes: [[u64; 2]; 2],
-    pub(crate) last_row: u32,
-    pub(crate) last_col: u32,
-}
-
-impl GridCosts {
-    /// Tables for `grid` at `dtype`, with each variant's DRAM bytes mapped
-    /// through `cost` (identity for dense tensors, the raw-layout density
-    /// scaling for `X`/`dX`).
-    pub(crate) fn new(grid: &TileGrid, dtype: DataType, cost: impl Fn(u64) -> u64) -> Self {
-        let rr = [0, grid.rows() - 1];
-        let cc = [0, grid.cols() - 1];
-        let mut dims = [[MatrixDims::new(1, 1); 2]; 2];
-        let mut bytes = [[0u64; 2]; 2];
-        for (a, &r) in rr.iter().enumerate() {
-            for (b, &c) in cc.iter().enumerate() {
-                let d = grid.tile_dims(TileCoord::new(r, c));
-                dims[a][b] = d;
-                bytes[a][b] = cost(d.bytes(dtype));
-            }
-        }
-        Self {
-            dims,
-            bytes,
-            last_row: grid.rows() - 1,
-            last_col: grid.cols() - 1,
-        }
-    }
-
-    /// Clipped dims and bytes of the tile at `coord`.
-    #[inline]
-    fn at(&self, coord: TileCoord) -> (MatrixDims, u64) {
-        let r = (coord.r == self.last_row) as usize;
-        let c = (coord.c == self.last_col) as usize;
-        (self.dims[r][c], self.bytes[r][c])
-    }
-}
-
 /// Emits backward-pass schedules for one layer.
 #[derive(Debug, Clone)]
 pub struct BackwardBuilder {
@@ -131,31 +67,20 @@ pub struct BackwardBuilder {
     x_grid: TileGrid,
     w_grid: TileGrid,
     tensors: LayerTensors,
-    pub(crate) elide_dw_dy_reads: bool,
     ifmap_density: f64,
-    pub(crate) dy_costs: GridCosts,
-    pub(crate) x_costs: GridCosts,
-    pub(crate) w_costs: GridCosts,
 }
 
 impl BackwardBuilder {
     /// Builder for a layer with forward shape `gemm`, tiled per `policy`,
     /// touching the tensors `tensors` (registered in the target schedule).
     pub fn new(gemm: GemmShape, policy: TilePolicy, tensors: LayerTensors) -> Self {
-        let dy_grid = gemm.dy_grid(policy.tile);
-        let x_grid = gemm.dx_grid(policy.tile);
-        let w_grid = gemm.dw_grid(policy.tile);
         Self {
             gemm,
             policy,
-            dy_costs: GridCosts::new(&dy_grid, policy.dtype, |b| b),
-            x_costs: GridCosts::new(&x_grid, policy.dtype, |b| b),
-            w_costs: GridCosts::new(&w_grid, policy.dtype, |b| b),
-            dy_grid,
-            x_grid,
-            w_grid,
+            dy_grid: gemm.dy_grid(policy.tile),
+            x_grid: gemm.dx_grid(policy.tile),
+            w_grid: gemm.dw_grid(policy.tile),
             tensors,
-            elide_dw_dy_reads: false,
             ifmap_density: 1.0,
         }
     }
@@ -174,16 +99,6 @@ impl BackwardBuilder {
     pub fn with_ifmap_density(mut self, density: f64) -> Self {
         assert!(density > 0.0 && density <= 1.0, "density must be in (0,1]");
         self.ifmap_density = density;
-        self.x_costs = GridCosts::new(&self.x_grid, self.policy.dtype, |b| {
-            ((b as f64 * density).ceil() as u64).max(4)
-        });
-        self
-    }
-
-    /// Elide the `dW` pass's `dY` reads (the Figure 6 potential study).
-    #[must_use]
-    pub fn with_elided_dw_dy_reads(mut self) -> Self {
-        self.elide_dw_dy_reads = true;
         self
     }
 
@@ -256,183 +171,15 @@ impl BackwardBuilder {
         2 * self.mt() * self.kt() * self.nt()
     }
 
-    /// `dX[i,kk] += dY[i,j] · Wᵀ[j,kk]`.
-    fn dx_op(&self, i: u64, kk: u64, j: u64) -> TileOpSpec {
-        let (i, kk, j) = (i as u32, kk as u32, j as u32);
-        let dy_c = TileCoord::new(i, j);
-        let w_c = TileCoord::new(kk, j);
-        let dx_c = TileCoord::new(i, kk);
-        let (dy_d, dy_b) = self.dy_costs.at(dy_c);
-        let (_, w_b) = self.w_costs.at(w_c);
-        let (dx_d, dx_b) = self.x_costs.at(dx_c);
-        TileOpSpec {
-            reads: [
-                Some(TileAccessSpec {
-                    tensor: self.tensors.dy,
-                    coord: dy_c,
-                    bytes: dy_b,
-                }),
-                Some(TileAccessSpec {
-                    tensor: self.tensors.w,
-                    coord: w_c,
-                    bytes: w_b,
-                }),
-            ],
-            acc: Some(TileAccessSpec {
-                tensor: self.tensors.dx,
-                coord: dx_c,
-                bytes: dx_b,
-            }),
-            compute: GemmShape::new(dy_d.rows, dy_d.cols, dx_d.cols),
-        }
-    }
-
-    /// `dW[kk,j] += Xᵀ[kk,i] · dY[i,j]`.
-    fn dw_op(&self, kk: u64, j: u64, i: u64) -> TileOpSpec {
-        let (i, kk, j) = (i as u32, kk as u32, j as u32);
-        let dy_c = TileCoord::new(i, j);
-        let x_c = TileCoord::new(i, kk);
-        let dw_c = TileCoord::new(kk, j);
-        let (dy_d, dy_b) = self.dy_costs.at(dy_c);
-        let (_, x_b) = self.x_costs.at(x_c);
-        let (dw_d, dw_b) = self.w_costs.at(dw_c);
-        let dy_read = if self.elide_dw_dy_reads {
-            None
-        } else {
-            Some(TileAccessSpec {
-                tensor: self.tensors.dy,
-                coord: dy_c,
-                bytes: dy_b,
-            })
-        };
-        TileOpSpec {
-            reads: [
-                Some(TileAccessSpec {
-                    tensor: self.tensors.x,
-                    coord: x_c,
-                    bytes: x_b,
-                }),
-                dy_read,
-            ],
-            acc: Some(TileAccessSpec {
-                tensor: self.tensors.dw,
-                coord: dw_c,
-                bytes: dw_b,
-            }),
-            compute: GemmShape::new(dw_d.rows, dy_d.rows, dw_d.cols),
-        }
-    }
-
     /// The blocking of the `dX` nest (row-major `dY` traversal) for a
     /// residency budget of `capacity` tiles.
     pub(crate) fn dx_blocking(&self, capacity: u64) -> Blocking {
         Blocking::choose(self.mt(), self.kt(), self.nt(), capacity)
     }
 
-    /// Emit one super-block of the blocked `dX` nest straight into the
-    /// sink (ops are built on the stack — emission never materialises an
-    /// op list). The block's accumulators retire at its boundary.
-    fn dx_emit_block<S: ScheduleSink>(
-        &self,
-        i0: u64,
-        k0: u64,
-        blocking: &Blocking,
-        schedule: &mut S,
-    ) {
-        let (mt, kt, nt) = (self.mt(), self.kt(), self.nt());
-        for j in 0..nt {
-            for i in i0..(i0 + blocking.b_rows).min(mt) {
-                for kk in k0..(k0 + blocking.b_cols).min(kt) {
-                    schedule.gemm(&self.dx_op(i, kk, j));
-                }
-            }
-        }
-    }
-
     /// The blocking of the `dW` nest (column-major `dY` traversal).
     pub(crate) fn dw_blocking(&self, capacity: u64) -> Blocking {
         Blocking::choose(self.kt(), self.nt(), self.mt(), capacity)
-    }
-
-    /// Emit one super-block of the blocked `dW` nest straight into the
-    /// sink.
-    fn dw_emit_block<S: ScheduleSink>(
-        &self,
-        k0: u64,
-        j0: u64,
-        blocking: &Blocking,
-        schedule: &mut S,
-    ) {
-        let (mt, kt, nt) = (self.mt(), self.kt(), self.nt());
-        for i in 0..mt {
-            for kk in k0..(k0 + blocking.b_rows).min(kt) {
-                for j in j0..(j0 + blocking.b_cols).min(nt) {
-                    schedule.gemm(&self.dw_op(kk, j, i));
-                }
-            }
-        }
-    }
-
-    /// Baseline (§6.1): the `dX` kernel fully, a kernel boundary, then the
-    /// `dW` kernel — two sequentially launched operations, XLA-style, each
-    /// planning its blocking for the whole residency. The barrier is what
-    /// makes the baseline fetch `dY` twice: data staged by the first
-    /// kernel is gone when the second starts.
-    pub fn baseline<S: ScheduleSink>(&self, schedule: &mut S) {
-        let cap = self.policy.capacity_tiles;
-        let bx = self.dx_blocking(cap);
-        for (i0, k0) in bx.blocks(self.mt(), self.kt()) {
-            self.dx_emit_block(i0, k0, &bx, schedule);
-        }
-        schedule.barrier();
-        let bw = self.dw_blocking(cap);
-        for (k0, j0) in bw.blocks(self.kt(), self.nt()) {
-            self.dw_emit_block(k0, j0, &bw, schedule);
-        }
-    }
-
-    /// The Figure 6 potential study: baseline order, `dW`'s `dY` reads
-    /// elided.
-    pub fn baseline_ideal_dy_reuse<S: ScheduleSink>(&self, schedule: &mut S) {
-        let ideal = self.clone().with_elided_dw_dy_reads();
-        ideal.baseline(schedule);
-    }
-
-    /// Interleaving only (§4.2, Figure 10 a): the two traditional streams
-    /// fused into one kernel and interleaved chunk-by-chunk, each keeping
-    /// its own traversal order.
-    ///
-    /// Interleaving happens at the granularity the double-buffered SPM
-    /// supports — one blocked super-step of tile operations at a time —
-    /// so the two streams' instantaneous working sets barely overlap and
-    /// each keeps its full blocking efficiency. The benefit over the
-    /// baseline is precisely the removed kernel barrier: `dY` tiles staged
-    /// by the `dX` stream are still in SPM when the `dW` stream arrives,
-    /// whenever capacity allows — limited, as the paper observes, because
-    /// "the required dY tiles differ between computing dX and dW".
-    pub fn interleaved<S: ScheduleSink>(&self, schedule: &mut S) {
-        let cap = self.policy.capacity_tiles;
-        // One super-step = one complete super-block of each stream's nest:
-        // the working set retires exactly at block boundaries, so the two
-        // streams barely interfere.
-        let bx = self.dx_blocking(cap);
-        let bw = self.dw_blocking(cap);
-        let mut dx = bx.blocks(self.mt(), self.kt());
-        let mut dw = bw.blocks(self.kt(), self.nt());
-        loop {
-            let mut emitted = false;
-            if let Some((i0, k0)) = dx.next() {
-                self.dx_emit_block(i0, k0, &bx, schedule);
-                emitted = true;
-            }
-            if let Some((k0, j0)) = dw.next() {
-                self.dw_emit_block(k0, j0, &bw, schedule);
-                emitted = true;
-            }
-            if !emitted {
-                break;
-            }
-        }
     }
 
     /// Block factors for the fused sweeps: a K-chunk of `kb` tiles and a
@@ -494,83 +241,42 @@ impl BackwardBuilder {
         }
         best
     }
-
-    /// Interleaving + dXmajor (§4.3, Figure 10 b): a row-major sweep of
-    /// `dY`; both gradients consume each tile back-to-back.
-    pub fn fused_dx_major<S: ScheduleSink>(&self, schedule: &mut S) {
-        let (mt, kt, nt) = (self.mt(), self.kt(), self.nt());
-        let (kb, bi) = self.fused_blocks(true);
-        let mut k0 = 0;
-        while k0 < kt {
-            let k_end = (k0 + kb).min(kt);
-            let mut i0 = 0;
-            while i0 < mt {
-                let i_end = (i0 + bi).min(mt);
-                for j in 0..nt {
-                    for i in i0..i_end {
-                        for kk in k0..k_end {
-                            schedule.gemm(&self.dx_op(i, kk, j));
-                        }
-                        for kk in k0..k_end {
-                            schedule.gemm(&self.dw_op(kk, j, i));
-                        }
-                    }
-                }
-                i0 = i_end;
-            }
-            k0 = k_end;
-        }
-    }
-
-    /// Interleaving + dWmajor (§4.3, Figure 10 c): a column-major sweep
-    /// of `dY`.
-    pub fn fused_dw_major<S: ScheduleSink>(&self, schedule: &mut S) {
-        let (mt, kt, nt) = (self.mt(), self.kt(), self.nt());
-        let (kb, bj) = self.fused_blocks(false);
-        let mut k0 = 0;
-        while k0 < kt {
-            let k_end = (k0 + kb).min(kt);
-            let mut j0 = 0;
-            while j0 < nt {
-                let j_end = (j0 + bj).min(nt);
-                for i in 0..mt {
-                    for j in j0..j_end {
-                        for kk in k0..k_end {
-                            schedule.gemm(&self.dw_op(kk, j, i));
-                        }
-                        for kk in k0..k_end {
-                            schedule.gemm(&self.dx_op(i, kk, j));
-                        }
-                    }
-                }
-                j0 = j_end;
-            }
-            k0 = k_end;
-        }
-    }
-
-    /// First-layer backward: the `dW` pass only.
-    pub fn dw_only<S: ScheduleSink>(&self, schedule: &mut S) {
-        let bw = self.dw_blocking(self.policy.capacity_tiles);
-        for (k0, j0) in bw.blocks(self.kt(), self.nt()) {
-            self.dw_emit_block(k0, j0, &bw, schedule);
-        }
-    }
 }
 
 /// The concrete backward emission orders (the union of the baseline modes
-/// and the three Figure-10 interleaved orders).
+/// and the three Figure-10 interleaved orders). A first layer runs every
+/// order as the `dW` pass alone (§6.2: interleaving "cannot be applied in
+/// the first layer since there is no need to compute dX").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackwardOrder {
-    /// Sequential dX then dW.
+    /// Sequential (§6.1): the blocked `dX` kernel fully, a kernel
+    /// boundary, then the blocked `dW` kernel — two sequentially launched
+    /// operations, XLA-style, each planning its blocking for the whole
+    /// residency. `dY` is traversed row-major by the `dX` nest and
+    /// column-major by the `dW` nest, and the barrier drops what the first
+    /// kernel staged, so every `dY` tile is fetched (at least) twice.
     Baseline,
-    /// Sequential with elided second `dY` reads (Figure 6 study).
+    /// The Figure 6 potential study: the baseline with the `dW` pass's `dY`
+    /// reads elided, as if the tiles were "hypothetically available
+    /// without any external memory access" (§3.3).
     IdealDyReuse,
-    /// Interleaved, traditional traversals (Figure 10 a).
+    /// Interleaving only (§4.2, Figure 10 a): the two traditional nests
+    /// fused into one kernel and interleaved one blocked super-step at a
+    /// time, each keeping its own traversal. The working sets retire at
+    /// block boundaries, so the streams barely interfere; the gain over the
+    /// baseline is the removed barrier — `dY` tiles the `dX` stream staged
+    /// are still resident when the `dW` stream arrives, whenever capacity
+    /// allows — limited, as the paper observes, because "the required dY
+    /// tiles differ between computing dX and dW".
     Interleaved,
-    /// Fused row-major sweep (Figure 10 b).
+    /// Interleaving + dXmajor (§4.3, Figure 10 b): one row-major sweep of
+    /// `dY`; for each `dY` tile, first its `dX` contributions, then its `dW`
+    /// contributions. `dW` accumulator columns are revisited once per
+    /// sweep block and spill if `dW` does not fit — the "intermediate
+    /// results" traffic of the paper.
     DxMajor,
-    /// Fused column-major sweep (Figure 10 c).
+    /// Interleaving + dWmajor (Figure 10 c), the column-major mirror: `dX`
+    /// accumulator rows become the spill risk.
     DwMajor,
 }
 
@@ -585,25 +291,21 @@ impl From<igo_tensor::TraversalOrder> for BackwardOrder {
 }
 
 impl BackwardBuilder {
-    /// Emit the backward pass in the given order. A first layer always
+    /// Emit the backward pass in the given order: the ops of
+    /// [`StreamGen::backward`] on this builder. A first layer always
     /// degenerates to the `dW`-only pass: with no `dX` to compute there is
     /// nothing to interleave.
     pub fn emit<S: ScheduleSink>(&self, order: BackwardOrder, is_first: bool, schedule: &mut S) {
-        if is_first {
-            self.dw_only(schedule);
-            return;
-        }
-        match order {
-            BackwardOrder::Baseline => self.baseline(schedule),
-            BackwardOrder::IdealDyReuse => self.baseline_ideal_dy_reuse(schedule),
-            BackwardOrder::Interleaved => self.interleaved(schedule),
-            BackwardOrder::DxMajor => self.fused_dx_major(schedule),
-            BackwardOrder::DwMajor => self.fused_dw_major(schedule),
-        }
+        StreamGen::backward(std::slice::from_ref(self), order, is_first).write(schedule);
     }
 }
 
-/// Emit the forward pass `Y = X × W` with a capacity-blocked nest.
+/// Emit the forward pass `Y = X × W` with a capacity-blocked nest: the ops
+/// of [`StreamGen::forward`].
+///
+/// # Panics
+///
+/// Panics unless `0 < ifmap_density <= 1`.
 pub fn forward_schedule<S: ScheduleSink>(
     gemm: GemmShape,
     policy: TilePolicy,
@@ -611,65 +313,15 @@ pub fn forward_schedule<S: ScheduleSink>(
     ifmap_density: f64,
     schedule: &mut S,
 ) {
-    assert!(
-        ifmap_density > 0.0 && ifmap_density <= 1.0,
-        "density must be in (0,1]"
-    );
-    let y_grid = gemm.dy_grid(policy.tile);
-    let x_grid = gemm.dx_grid(policy.tile);
-    let w_grid = gemm.dw_grid(policy.tile);
-    let (mt, nt, kt) = (
-        y_grid.rows() as u64,
-        y_grid.cols() as u64,
-        x_grid.cols() as u64,
-    );
-    let blocking = Blocking::choose(mt, nt, kt, policy.capacity_tiles);
-    let y_costs = GridCosts::new(&y_grid, policy.dtype, |b| b);
-    let x_costs = GridCosts::new(&x_grid, policy.dtype, |b| {
-        ((b as f64 * ifmap_density).ceil() as u64).max(4)
-    });
-    let w_costs = GridCosts::new(&w_grid, policy.dtype, |b| b);
-    for (i0, j0) in blocking.blocks(mt, nt) {
-        for kk in 0..kt {
-            for i in i0..(i0 + blocking.b_rows).min(mt) {
-                for j in j0..(j0 + blocking.b_cols).min(nt) {
-                    let (iu, ju, ku) = (i as u32, j as u32, kk as u32);
-                    let y_c = TileCoord::new(iu, ju);
-                    let x_c = TileCoord::new(iu, ku);
-                    let w_c = TileCoord::new(ku, ju);
-                    let (y_d, y_b) = y_costs.at(y_c);
-                    let (x_d, x_b) = x_costs.at(x_c);
-                    let (_, w_b) = w_costs.at(w_c);
-                    schedule.gemm(&TileOpSpec {
-                        reads: [
-                            Some(TileAccessSpec {
-                                tensor: tensors.x,
-                                coord: x_c,
-                                bytes: x_b,
-                            }),
-                            Some(TileAccessSpec {
-                                tensor: tensors.w,
-                                coord: w_c,
-                                bytes: w_b,
-                            }),
-                        ],
-                        acc: Some(TileAccessSpec {
-                            tensor: tensors.y,
-                            coord: y_c,
-                            bytes: y_b,
-                        }),
-                        compute: GemmShape::new(y_d.rows, x_d.cols, y_d.cols),
-                    });
-                }
-            }
-        }
-    }
+    StreamGen::forward(gemm, policy, tensors, ifmap_density).write(schedule);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use igo_npu_sim::NpuConfig;
+    use igo_npu_sim::{NpuConfig, ScheduleOp};
+    use igo_tensor::TileCoord;
+    use std::collections::HashMap;
 
     fn setup(gemm: GemmShape) -> (Schedule, BackwardBuilder) {
         let mut s = Schedule::new("test");
@@ -678,25 +330,28 @@ mod tests {
         (s, BackwardBuilder::new(gemm, policy, tensors))
     }
 
-    fn macs_of(s: &Schedule) -> u64 {
-        s.total_macs()
+    /// `b`'s backward pass in `order` on a fork of `proto`.
+    fn emitted(proto: &Schedule, b: &BackwardBuilder, order: BackwardOrder) -> Schedule {
+        let mut s = proto.fork(format!("{order:?}"));
+        b.emit(order, false, &mut s);
+        s
     }
 
     #[test]
     fn all_backward_schedules_perform_identical_macs() {
         let gemm = GemmShape::new(500, 300, 700);
-        let expected = gemm.backward_macs();
         let (proto, b) = setup(gemm);
-        let mut variants: Vec<(&str, Schedule)> = Vec::new();
-        for name in ["baseline", "interleaved", "dxmajor", "dwmajor"] {
-            variants.push((name, proto.fork(name)));
-        }
-        b.baseline(&mut variants[0].1);
-        b.interleaved(&mut variants[1].1);
-        b.fused_dx_major(&mut variants[2].1);
-        b.fused_dw_major(&mut variants[3].1);
-        for (name, s) in &variants {
-            assert_eq!(macs_of(s), expected, "{name} must not change the math");
+        for order in [
+            BackwardOrder::Baseline,
+            BackwardOrder::Interleaved,
+            BackwardOrder::DxMajor,
+            BackwardOrder::DwMajor,
+        ] {
+            assert_eq!(
+                emitted(&proto, &b, order).total_macs(),
+                gemm.backward_macs(),
+                "{order:?} must not change the math"
+            );
         }
     }
 
@@ -704,12 +359,9 @@ mod tests {
     fn schedules_have_equal_op_counts() {
         let gemm = GemmShape::new(257, 129, 130);
         let (proto, b) = setup(gemm);
-        let mut base = proto.fork("base");
-        b.baseline(&mut base);
-        let mut inter = proto.fork("inter");
-        b.interleaved(&mut inter);
-        let mut dxm = proto.fork("dxm");
-        b.fused_dx_major(&mut dxm);
+        let base = emitted(&proto, &b, BackwardOrder::Baseline);
+        let inter = emitted(&proto, &b, BackwardOrder::Interleaved);
+        let dxm = emitted(&proto, &b, BackwardOrder::DxMajor);
         // The baseline carries one extra op: the kernel barrier between
         // its two sequential GEMMs. Fused schedules have none.
         assert_eq!(base.len(), inter.len() + 1);
@@ -721,8 +373,7 @@ mod tests {
     fn interleaved_alternates_streams() {
         let gemm = GemmShape::new(4096, 1024, 1024);
         let (proto, b) = setup(gemm);
-        let mut s = proto.fork("i");
-        b.interleaved(&mut s);
+        let s = emitted(&proto, &b, BackwardOrder::Interleaved);
         // The fused stream alternates super-blocks of the two gradient
         // computations: both accumulator classes appear, the stream
         // switches between them multiple times, and the very first dW op
@@ -731,7 +382,7 @@ mod tests {
             .ops()
             .iter()
             .map(|op| {
-                let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
+                let ScheduleOp::Gemm(g) = op else {
                     panic!("no stream ops expected")
                 };
                 s.class_of(g.acc.expect("every op accumulates").key.tensor)
@@ -757,15 +408,14 @@ mod tests {
     fn dx_major_consumes_each_dy_tile_contiguously() {
         let gemm = GemmShape::new(384, 256, 384);
         let (proto, b) = setup(gemm);
-        let mut s = proto.fork("dxm");
-        b.fused_dx_major(&mut s);
+        let s = emitted(&proto, &b, BackwardOrder::DxMajor);
         // Collect the sequence of dY coords actually read; each distinct
         // coordinate must appear as one contiguous run (within one M-block
         // pass, which here covers all of M).
         let mut runs = Vec::new();
         let mut last = None;
         for op in s.ops() {
-            let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
+            let ScheduleOp::Gemm(g) = op else {
                 continue;
             };
             for r in &g.reads {
@@ -787,12 +437,10 @@ mod tests {
     fn ideal_reuse_elides_second_dy_read() {
         let gemm = GemmShape::new(256, 256, 256);
         let (proto, b) = setup(gemm);
-        let mut base = proto.fork("b");
-        b.baseline(&mut base);
-        let mut ideal = proto.fork("i");
-        b.baseline_ideal_dy_reuse(&mut ideal);
+        let base = emitted(&proto, &b, BackwardOrder::Baseline);
+        let ideal = emitted(&proto, &b, BackwardOrder::IdealDyReuse);
         assert!(ideal.named_read_bytes() < base.named_read_bytes());
-        assert_eq!(macs_of(&ideal), macs_of(&base), "compute unchanged");
+        assert_eq!(ideal.total_macs(), base.total_macs(), "compute unchanged");
     }
 
     #[test]
@@ -800,35 +448,95 @@ mod tests {
         let gemm = GemmShape::new(256, 128, 128);
         let (proto, b) = setup(gemm);
         let mut s = proto.fork("first");
-        b.dw_only(&mut s);
+        b.emit(BackwardOrder::DxMajor, true, &mut s);
         for op in s.ops() {
-            let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
+            let ScheduleOp::Gemm(g) = op else {
                 continue;
             };
             let acc = g.acc.unwrap().key.tensor;
             assert_eq!(s.class_of(acc), TensorClass::WGrad);
         }
-        assert_eq!(macs_of(&s), gemm.macs());
+        assert_eq!(s.total_macs(), gemm.macs());
     }
 
+    /// The forward nest computes every `Y[i,j] += X[i,kk]·W[kk,j]` of the
+    /// full Mt×Kt×Nt product exactly once and nothing else, each op with
+    /// its clipped tile shape and `X` priced at the density: on dimension
+    /// 1, tile edges ±1, blocks that do not divide the grid, and density
+    /// below 1.
     #[test]
     fn forward_schedule_covers_output_once() {
-        let gemm = GemmShape::new(300, 200, 100);
-        let mut s = Schedule::new("fwd");
-        let tensors = LayerTensors::register(&mut s, "l1");
-        let policy = TilePolicy::for_config(&NpuConfig::large_single_core());
-        forward_schedule(gemm, policy, tensors, 1.0, &mut s);
-        assert_eq!(s.total_macs(), gemm.macs());
-        // Every op accumulates into Y.
-        let mut y_tiles = std::collections::HashSet::new();
-        for op in s.ops() {
-            let igo_npu_sim::ScheduleOp::Gemm(g) = op else {
-                continue;
-            };
-            y_tiles.insert(g.acc.unwrap().key.coord);
+        let base = TilePolicy::for_config(&NpuConfig::small_edge());
+        let t = base.tile.rows;
+        let shapes = [
+            (GemmShape::new(1, 1, 1), 1.0),
+            (GemmShape::new(1, 2 * t + 1, 3), 1.0),
+            (GemmShape::new(t - 1, t + 1, t), 0.37),
+            (GemmShape::new(3 * t + 1, 2 * t - 1, 4 * t + 1), 0.37),
+            (GemmShape::new(5 * t - 1, t, 3 * t + 1), 1.0),
+        ];
+        for (gemm, density) in shapes {
+            // A small residency forces several output blocks.
+            for capacity_tiles in [4, 7, base.capacity_tiles] {
+                let policy = TilePolicy {
+                    capacity_tiles,
+                    ..base
+                };
+                let mut s = Schedule::new("fwd");
+                let tensors = LayerTensors::register(&mut s, "l1");
+                forward_schedule(gemm, policy, tensors, density, &mut s);
+                let (y, x, w) = (
+                    gemm.dy_grid(policy.tile),
+                    gemm.dx_grid(policy.tile),
+                    gemm.dw_grid(policy.tile),
+                );
+                let (mt, kt, nt) = (y.rows(), x.cols(), y.cols());
+                let label = format!("{gemm} density {density} capacity {capacity_tiles}");
+                let mut seen: HashMap<(TileCoord, TileCoord, TileCoord), u32> = HashMap::new();
+                for op in s.ops() {
+                    let ScheduleOp::Gemm(g) = op else {
+                        panic!("{label}: the forward pass has no barriers or stream ops")
+                    };
+                    let [xr, wr] = [&g.reads[0], &g.reads[1]];
+                    let acc = g.acc.expect("every forward op accumulates");
+                    assert_eq!(
+                        (xr.key.tensor, wr.key.tensor, acc.key.tensor),
+                        (tensors.x, tensors.w, tensors.y),
+                        "{label}"
+                    );
+                    let (yc, xc, wc) = (acc.key.coord, xr.key.coord, wr.key.coord);
+                    *seen.entry((yc, xc, wc)).or_default() += 1;
+                    let (yd, xd) = (y.tile_dims(yc), x.tile_dims(xc));
+                    assert_eq!(
+                        g.compute,
+                        GemmShape::new(yd.rows, xd.cols, yd.cols),
+                        "{label}"
+                    );
+                    let x_bytes = ((xd.bytes(policy.dtype) as f64 * density).ceil() as u64).max(4);
+                    assert_eq!(xr.bytes, x_bytes, "{label}");
+                    assert_eq!(wr.bytes, w.tile_dims(wc).bytes(policy.dtype), "{label}");
+                    assert_eq!(acc.bytes, yd.bytes(policy.dtype), "{label}");
+                }
+                assert_eq!(
+                    seen.len() as u64,
+                    mt as u64 * kt as u64 * nt as u64,
+                    "{label}"
+                );
+                for i in 0..mt {
+                    for j in 0..nt {
+                        for kk in 0..kt {
+                            let triple = (
+                                TileCoord::new(i, j),
+                                TileCoord::new(i, kk),
+                                TileCoord::new(kk, j),
+                            );
+                            assert_eq!(seen.get(&triple), Some(&1), "{label}: {triple:?}");
+                        }
+                    }
+                }
+                assert_eq!(s.total_macs(), gemm.macs(), "{label}");
+            }
         }
-        let grid = gemm.dy_grid(policy.tile);
-        assert_eq!(y_tiles.len() as u64, grid.num_tiles());
     }
 
     #[test]
@@ -836,8 +544,7 @@ mod tests {
         // Dimensions deliberately not multiples of the 128 tile.
         let gemm = GemmShape::new(129, 257, 383);
         let (proto, b) = setup(gemm);
-        let mut s = proto.fork("ragged");
-        b.baseline(&mut s);
-        assert_eq!(macs_of(&s), gemm.backward_macs());
+        let s = emitted(&proto, &b, BackwardOrder::Baseline);
+        assert_eq!(s.total_macs(), gemm.backward_macs());
     }
 }

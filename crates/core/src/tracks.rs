@@ -13,7 +13,7 @@
 //! (durations, op counts and byte counts are preserved in the merged
 //! slice) and counter and barrier samples are *decimated* evenly. The
 //! merge group size and the sampling stride depend on the final track
-//! length, which the collected stream fixes before the replay starts
+//! length, which the replayed stream fixes before the replay starts
 //! ([`StreamShape`]): the builder applies the caps online, keeping exactly
 //! what coalescing and [`igo_npu_sim::decimate`] would keep of the full
 //! tracks. Memory slices are the one exception: an op contributes a slice

@@ -13,11 +13,13 @@
 //!   any [`ReplayInput`]: a stream whose ops, dense tile ids (numbered in
 //!   `TileKey` order, so the id alone breaks victim ties in
 //!   `(next_use, TileKey)` order), bytes, next uses and per-region sums
-//!   ([`RegionSum`]) come either from an [`AnalyticCollector`] or from a
-//!   generator that derives them from the builders' loop nests
-//!   (`core::generate`, what candidate selection replays). The collector
-//!   implements [`ScheduleSink`], so the schedule builders emit into flat
-//!   buffers: each access is one 8-byte `{id, next_use}` record, linked to
+//!   ([`RegionSum`]) come either from a generator that derives them from
+//!   each candidate's loop nests (`core::generate`, what candidate
+//!   selection and traces replay) or from an [`AnalyticCollector`], which
+//!   serves [`Engine::run`], the ladder and multi-core replays, and the
+//!   audit's oracle for the generator. The collector implements
+//!   [`ScheduleSink`], so any op stream collects into flat buffers: each
+//!   access is one 8-byte `{id, next_use}` record, linked to
 //!   its tile's next access in the same barrier region as the stream is
 //!   collected, each op one 8-byte record, with GEMM shapes and stream ops
 //!   interned in side tables. [`replay_input`] advances the memory and
@@ -30,9 +32,10 @@
 //!   plus this replay, and `core::audit` checks it against an
 //!   independent shadow (the `BTreeMap`-based [`crate::OptCache`] with its
 //!   own next-use scan and timelines).
-//!   [`AnalyticCollector::replay_recorded`] is the same loop with an event
-//!   [`Recorder`] attached — the only recorder hook in the workspace — and
-//!   with [`NullRecorder`] it compiles to the unrecorded replay.
+//!   [`replay_recorded`] is the same loop with an event [`Recorder`]
+//!   attached — the only recorder hook in the workspace — and with
+//!   [`NullRecorder`] it compiles to the unrecorded replay; traces run it
+//!   on the generator too.
 //!
 //! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
@@ -49,11 +52,11 @@
 //!
 //! The per-order composition of these pieces (which tensors live in which
 //! region, fused-sweep window geometry, partitioned-candidate merging)
-//! lives in `igo-core`'s `bound` module, next to the schedule builders it
-//! mirrors.
+//! lives in `igo-core`'s `bound` module, next to the loop orders it
+//! mirrors (`igo-core`'s `generate` module).
 
 use crate::engine::{Engine, Replacement};
-use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, StreamShape, TraceEvent};
+use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
@@ -83,12 +86,12 @@ pub struct AnalyticReport {
 }
 
 /// Process-wide count of analytic replays, the twin of
-/// [`crate::engine_run_count`]: a replay of a collected stream that did
-/// *not* come from [`Engine::run`].
+/// [`crate::engine_run_count`]: a replay (of a generated or collected
+/// stream) that did *not* come from [`Engine::run`].
 static ANALYTIC_RUNS: AtomicU64 = AtomicU64::new(0);
 
-/// Total [`AnalyticCollector::replay_recorded`] invocations (and so of its
-/// unrecorded wrappers) so far in this process.
+/// Total [`replay_recorded`] invocations (and so of its unrecorded
+/// wrappers) so far in this process.
 pub fn analytic_run_count() -> u64 {
     ANALYTIC_RUNS.load(Ordering::Relaxed)
 }
@@ -283,36 +286,6 @@ impl AnalyticCollector {
         &self.regions
     }
 
-    /// The event counts a recorded replay of this stream emits. They follow
-    /// from the stream alone, so recorders can be sized before the replay
-    /// starts. A GEMM's phase is judged, as in the replay, by the class of
-    /// its accumulator.
-    pub fn shape(&self) -> StreamShape {
-        let mut shape = StreamShape::default();
-        let mut phase: Option<Phase> = None;
-        let mut pos = 0usize;
-        for op in &self.ops {
-            match op {
-                OpRec::Gemm { accesses, acc, .. } => {
-                    pos += *accesses as usize;
-                    let op_phase = Phase::of_accumulator(acc.then(|| self.class_at(pos - 1)));
-                    if phase != Some(op_phase) {
-                        shape.phase_spans += 1;
-                        phase = Some(op_phase);
-                    }
-                    shape.gemm_ops += 1;
-                }
-                OpRec::Stream(_) => {}
-                OpRec::Barrier => shape.barriers += 1,
-            }
-        }
-        shape.accesses = self.stream.len() as u64;
-        shape.dy_accesses = (0..self.stream.len())
-            .filter(|&pos| self.class_at(pos) == TensorClass::OutGrad)
-            .count() as u64;
-        shape
-    }
-
     /// Register `tensor` with the extents of `grid` so its tiles map to
     /// dense ids. Re-registering the same tensor is a checked no-op;
     /// registering tensors that are never touched is harmless.
@@ -444,11 +417,6 @@ impl AnalyticCollector {
             tensor: TensorId::from_raw(raw),
             coord: TileCoord::new(offset / cols, offset % cols),
         }
-    }
-
-    /// The traffic class of the tile accessed at `pos`.
-    fn class_at(&self, pos: usize) -> TensorClass {
-        self.dense_class[self.stream[pos].id as usize]
     }
 
     /// Record one access: close the link of the tile's previous access in
@@ -815,8 +783,9 @@ impl ReplayOptCache {
         }
     }
 
-    /// Register tile `id`, just admitted or hit, under its next use.
-    #[inline]
+    /// Register tile `id`, just admitted or hit, under its next use
+    /// (inlined into `access` for the reason given there).
+    #[inline(always)]
     fn insert(&mut self, next_use: u32, id: u32) {
         if next_use == NO_USE {
             self.dead.push(id);
@@ -911,7 +880,11 @@ impl Residency for ReplayOptCache {
     // `#[inline]` here and on `access_unbounded`: the replay is also
     // instantiated in other crates, so these per-access calls are exported
     // and would otherwise not be inlined into the unrecorded loop either.
-    #[inline]
+    // `always` on this one: once the generated stream is replayed both
+    // with and without a recorder in one crate, LLVM's cost model stopped
+    // inlining this body into the unrecorded loop, which cost `sweep zoo`
+    // about 9% of its CPU time.
+    #[inline(always)]
     fn access(&mut self, a: &Access, dirty: bool, writebacks: &mut Vec<(u32, u64)>) -> u64 {
         let (id, next_use, bytes) = (a.id, a.next_use, a.bytes);
         let slot = &mut self.slots[id as usize];
@@ -1102,13 +1075,34 @@ pub fn replay_input<I: ReplayInput + ?Sized>(
     scratch: &mut AnalyticScratch,
     cutoff: Option<u64>,
 ) -> Option<AnalyticReport> {
-    ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
-    run_timeline(input, engine, scratch, cutoff, &mut NullRecorder)
+    replay_recorded(input, engine, scratch, cutoff, &mut NullRecorder)
 }
 
-/// [`replay_input`] with an event [`Recorder`] attached and without the run
-/// count — the body of every replay, [`Engine::run`]'s too. Picks the
-/// residency model for `engine`'s replacement policy.
+/// [`replay_input`] with an event [`Recorder`] attached: the one place a
+/// recorder hooks into a run.
+///
+/// The events carry op indices of the materialised schedule and the
+/// timelines' cycle stamps; under OPT, flush write-backs come in
+/// tile-key order. The report is bit-identical to the unrecorded replay:
+/// recording sites only observe the timelines and the residency model,
+/// never steer them. Every site sits under `if R::ENABLED`, so with
+/// [`NullRecorder`] this compiles to the unrecorded loop. A recorder can
+/// be sized before the run by [`crate::StreamShape::of_input`]. Counts one
+/// analytic run ([`analytic_run_count`]).
+pub fn replay_recorded<I: ReplayInput + ?Sized, R: Recorder>(
+    input: &I,
+    engine: &Engine,
+    scratch: &mut AnalyticScratch,
+    cutoff: Option<u64>,
+    recorder: &mut R,
+) -> Option<AnalyticReport> {
+    ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
+    run_timeline(input, engine, scratch, cutoff, recorder)
+}
+
+/// [`replay_recorded`] without the run count — the body of every replay,
+/// [`Engine::run`]'s too. Picks the residency model for `engine`'s
+/// replacement policy.
 pub(crate) fn run_timeline<I: ReplayInput + ?Sized, R: Recorder>(
     input: &I,
     engine: &Engine,
@@ -1495,29 +1489,7 @@ impl AnalyticCollector {
         scratch: &mut AnalyticScratch,
         cutoff: Option<u64>,
     ) -> Option<AnalyticReport> {
-        self.replay_recorded(engine, scratch, cutoff, &mut NullRecorder)
-    }
-
-    /// [`Self::replay_bounded`] with an event [`Recorder`] attached: the
-    /// one place a recorder hooks into a run.
-    ///
-    /// The events carry op indices of the materialised schedule and the
-    /// timelines' cycle stamps; under OPT, flush write-backs come in
-    /// tile-key order. The report is bit-identical to the unrecorded
-    /// replay: recording sites only observe the timelines and the
-    /// residency model, never steer them. Every site sits under
-    /// `if R::ENABLED`, so with [`NullRecorder`] this compiles to the
-    /// unrecorded loop. Counts one analytic run
-    /// ([`analytic_run_count`]).
-    pub fn replay_recorded<R: Recorder>(
-        &self,
-        engine: &Engine,
-        scratch: &mut AnalyticScratch,
-        cutoff: Option<u64>,
-        recorder: &mut R,
-    ) -> Option<AnalyticReport> {
-        ANALYTIC_RUNS.fetch_add(1, Ordering::Relaxed);
-        run_timeline(self, engine, scratch, cutoff, recorder)
+        replay_input(self, engine, scratch, cutoff)
     }
 }
 
@@ -1908,7 +1880,7 @@ mod tests {
     }
 
     /// The recorded replay at every rung: recording leaves the report
-    /// untouched, the collector's shape is the recorded one, every access
+    /// untouched, the input's shape is the recorded one, every access
     /// is recorded once, write-back events carry
     /// the report's write traffic, and occupancy stays within capacity —
     /// equal, in a region that fits, to the running sum of admitted bytes.
@@ -1921,8 +1893,7 @@ mod tests {
         for &cap in &LADDER_CAPS {
             let e = rung(cap);
             let mut log = EventLog::new();
-            let recorded = c
-                .replay_recorded(&e, &mut scratch, None, &mut log)
+            let recorded = replay_recorded(&c, &e, &mut scratch, None, &mut log)
                 .expect("an uncut replay completes")
                 .report;
             assert_eq!(recorded, c.replay(&e, &mut scratch).report, "rung {cap}");
@@ -1930,8 +1901,8 @@ mod tests {
             // The shape predicted from the stream is the one recorded,
             // whatever hits and spills the rung makes.
             assert_eq!(
-                c.shape(),
-                crate::recorder::StreamShape::of_events(&log.events),
+                crate::StreamShape::of_input(&c),
+                crate::StreamShape::of_events(&log.events),
                 "rung {cap}"
             );
 

@@ -60,9 +60,10 @@ pub mod trace;
 
 pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
-    analytic_run_count, compute_sum, grid_sum, replay_input, replay_ladder, Access,
-    AnalyticCollector, AnalyticReport, AnalyticScratch, Axis, BoundAccum, Exactness, GemmAccesses,
-    GridSum, LadderScratch, OpVisitor, RegionSum, ReplayInput, NO_USE, REPLAY_ID_LIMIT,
+    analytic_run_count, compute_sum, grid_sum, replay_input, replay_ladder, replay_recorded,
+    Access, AnalyticCollector, AnalyticReport, AnalyticScratch, Axis, BoundAccum, Exactness,
+    GemmAccesses, GridSum, LadderScratch, OpVisitor, RegionSum, ReplayInput, NO_USE,
+    REPLAY_ID_LIMIT,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};

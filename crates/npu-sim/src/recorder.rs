@@ -8,12 +8,12 @@
 //! sub-streams — without costing the simulate-and-select hot loop
 //! anything when recording is off.
 //!
-//! The hook lives in one place,
-//! [`crate::AnalyticCollector::replay_recorded`] — the one replay, which
-//! evaluates candidates, produces the reported numbers and runs
-//! [`crate::Engine::run`]. Zero-cost-when-off is structural, not a promise: the
-//! replay is generic over `R: Recorder`, every recording site is guarded
-//! by `if R::ENABLED { ... }`, and [`NullRecorder`] sets the associated
+//! The hook lives in one place, [`crate::replay_recorded`] — the one
+//! replay, generic over its input, which evaluates candidates, produces
+//! the reported numbers and runs [`crate::Engine::run`].
+//! Zero-cost-when-off is structural, not a promise: the replay is generic
+//! over `R: Recorder`, every recording site is guarded by
+//! `if R::ENABLED { ... }`, and [`NullRecorder`] sets the associated
 //! `const ENABLED: bool` to `false` — so the monomorphised default path
 //! contains no recording code at all.
 //!
@@ -26,16 +26,17 @@
 //! slice. [`EventLog`], which stores every event, is for checks that
 //! compare the raw stream against an independent model.
 //!
-//! How many events of each kind a replay emits is fixed by the collected
-//! stream alone ([`StreamShape`], from
-//! [`crate::AnalyticCollector::shape`]), so a recorder can size its caps
-//! before the run starts. [`Decimator`] uses that to keep exactly the
-//! samples [`decimate`] would keep of the full series, without ever
-//! holding the full series: the fold's dY series is capped at
-//! [`DY_SERIES_CAP`] points (+ the last) while the run lasts.
+//! How many events of each kind a replay emits is fixed by its input
+//! alone ([`StreamShape`], from [`StreamShape::of_input`]), so a recorder
+//! can size its caps before the run starts. [`Decimator`] uses that to
+//! keep exactly the samples [`decimate`] would keep of the full series,
+//! without ever holding the full series: the fold's dY series is capped
+//! at [`DY_SERIES_CAP`] points (+ the last) while the run lasts.
 
-use crate::trace::{TensorId, TileKey};
+use crate::analytic::{GemmAccesses, OpVisitor, ReplayInput};
+use crate::trace::{StreamOp, TensorId, TileKey};
 use igo_tensor::{TensorClass, TileCoord};
+use std::ops::ControlFlow;
 
 /// Which interleaved backward sub-stream a tile-GEMM belongs to, judged by
 /// its accumulator's tensor class.
@@ -192,12 +193,11 @@ impl TraceEvent {
     }
 }
 
-/// How many events of each kind a replay of one collected stream emits.
+/// How many events of each kind a replay of one stream emits.
 ///
 /// The counts depend on the stream alone, not on which accesses hit, so
-/// [`crate::AnalyticCollector::shape`] knows them before the replay
-/// starts and [`StreamShape::of_events`] recounts them from a recorded
-/// run.
+/// [`StreamShape::of_input`] knows them before the replay starts and
+/// [`StreamShape::of_events`] recounts them from a recorded run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamShape {
     /// Tile GEMM ops: one [`TraceEvent::GemmIssue`] each.
@@ -214,6 +214,15 @@ pub struct StreamShape {
 }
 
 impl StreamShape {
+    /// Count the events a replay of `input` emits, in one pass over its ops
+    /// that replays nothing. A GEMM's phase is judged, as in the replay, by
+    /// the class of its accumulator.
+    pub fn of_input<I: ReplayInput + ?Sized>(input: &I) -> Self {
+        let mut count = ShapeCount::default();
+        let _ = input.drive(&mut count);
+        count.shape
+    }
+
     /// Count the shape of an already recorded run.
     pub fn of_events(events: &[TraceEvent]) -> Self {
         let mut shape = Self::default();
@@ -232,6 +241,41 @@ impl StreamShape {
             }
         }
         shape
+    }
+}
+
+/// The [`OpVisitor`] behind [`StreamShape::of_input`].
+#[derive(Default)]
+struct ShapeCount {
+    shape: StreamShape,
+    phase: Option<Phase>,
+}
+
+impl OpVisitor for ShapeCount {
+    fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
+        let acc = op.accesses.last().filter(|_| op.acc).map(|a| a.class);
+        let phase = Phase::of_accumulator(acc);
+        if self.phase != Some(phase) {
+            self.shape.phase_spans += 1;
+            self.phase = Some(phase);
+        }
+        self.shape.gemm_ops += 1;
+        self.shape.accesses += op.accesses.len() as u64;
+        self.shape.dy_accesses += op
+            .accesses
+            .iter()
+            .filter(|a| a.class == TensorClass::OutGrad)
+            .count() as u64;
+        ControlFlow::Continue(())
+    }
+
+    fn stream(&mut self, _: &StreamOp) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+
+    fn barrier(&mut self) -> ControlFlow<()> {
+        self.shape.barriers += 1;
+        ControlFlow::Continue(())
     }
 }
 

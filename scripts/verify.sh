@@ -56,6 +56,17 @@ peak="$(./target/release/igo-sim --timing layer 65536 8192 8192 server 2>&1 >/de
 echo "layer 65536 8192 8192 server: peak_rss_mib ${peak}"
 awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 64) }'
 
+echo "== trace memory per tile, not per access =="
+# Traces replay the decided candidate's generators as well, so tracing
+# the same layer must stay small too (it peaked at 181.6 MiB when traces
+# replayed a collected stream).
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+peak="$(./target/release/igo-sim --timing trace 65536x8192x8192 server --out "$tmp" 2>&1 >/dev/null \
+    | grep -o '"peak_rss_mib":[0-9.]*' | cut -d: -f2)"
+echo "trace 65536x8192x8192 server: peak_rss_mib ${peak}"
+awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 96) }'
+
 echo "== cargo test =="
 cargo test -q
 

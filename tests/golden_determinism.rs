@@ -11,7 +11,9 @@
 //! on a single-CPU machine.
 
 use igo_core::{ModelReport, SimContext, SimOptions, Technique};
-use igo_npu_sim::{AnalyticCollector, AnalyticScratch, Engine, EventLog, NpuConfig};
+use igo_npu_sim::{
+    replay_recorded, AnalyticCollector, AnalyticScratch, Engine, EventLog, NpuConfig,
+};
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{zoo, ModelId};
 
@@ -194,8 +196,7 @@ fn recorder_leaves_engine_reports_bit_identical() {
             let collector = AnalyticCollector::from_schedule(&s);
             let mut scratch = AnalyticScratch::new();
             let mut log = EventLog::new();
-            let recorded = collector
-                .replay_recorded(&engine, &mut scratch, None, &mut log)
+            let recorded = replay_recorded(&collector, &engine, &mut scratch, None, &mut log)
                 .expect("an uncut replay completes");
             assert_eq!(
                 plain, recorded.report,
