@@ -74,6 +74,15 @@ fn too_large(gemm: GemmShape, config: &NpuConfig) -> Option<ExitCode> {
     Some(ExitCode::from(2))
 }
 
+/// Create the output directory `--out` names before anything is
+/// simulated: one line and exit code 2 when it cannot be created (a path
+/// through a regular file, say), instead of failing after the run.
+fn create_out_dir(dir: &std::path::Path) -> Option<ExitCode> {
+    let e = std::fs::create_dir_all(dir).err()?;
+    eprintln!("cannot create output directory '{}': {e}", dir.display());
+    Some(ExitCode::from(2))
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  igo-sim [--timing] [--jobs N] models\n  igo-sim [--timing] [--jobs N] ladder <model> <edge|server|serverxN>\n  igo-sim [--timing] [--jobs N] layer <M> <K> <N> <edge|server>\n  igo-sim [--timing] [--jobs N] sweep <model>\n  igo-sim [--timing] [--jobs N] sweep <model|zoo> --spm <mib,..> [--techniques <t,..>] [--config <edge|server|serverxN>] [--out DIR]\n  igo-sim [--timing] [--jobs N] audit [--seeds N] [--seed S]\n  igo-sim [--timing] [--jobs N] trace <model|MxKxN> <edge|server|serverxN> [--out DIR] [--technique T]"
@@ -238,6 +247,25 @@ fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
         return usage();
     };
 
+    let model = parse_model(target).map(|id| zoo::model(id, config.default_batch()));
+    let gemm = match (&model, parse::parse_mkn(target)) {
+        (Some(_), _) => None,
+        (None, Some(gemm)) => {
+            if let Some(code) = too_large(gemm, &config) {
+                return code;
+            }
+            Some(gemm)
+        }
+        (None, None) => {
+            eprintln!("'{target}' is neither a known model nor an MxKxN layer shape");
+            return usage();
+        }
+    };
+    let dir = std::path::Path::new(&out_dir);
+    if let Some(code) = create_out_dir(dir) {
+        return code;
+    }
+
     // One layer at a time: each layer's trace (metrics plus capped
     // tracks; the recorder never stores the raw event stream) is folded
     // into the incremental exporter and dropped before the next layer
@@ -245,8 +273,7 @@ fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
     let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
     let mut layers = 0usize;
     let mut events = 0usize;
-    if let Some(id) = parse_model(target) {
-        let model = zoo::model(id, config.default_batch());
+    if let Some(model) = &model {
         println!(
             "tracing {} on {} under {}",
             model.name,
@@ -266,10 +293,7 @@ fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
             events += trace.event_count();
             export.add_layer(&trace);
         }
-    } else if let Some(gemm) = parse::parse_mkn(target) {
-        if let Some(code) = too_large(gemm, &config) {
-            return code;
-        }
+    } else if let Some(gemm) = gemm {
         println!(
             "tracing layer {gemm} on {} under {}",
             config.name,
@@ -279,23 +303,15 @@ fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
         layers = 1;
         events = trace.event_count();
         export.add_layer(&trace);
-    } else {
-        eprintln!("'{target}' is neither a known model nor an MxKxN layer shape");
-        return usage();
     }
 
     let artifacts = export.finish();
-    let dir = std::path::Path::new(&out_dir);
     let files = [
         ("trace.json", &artifacts.trace_json),
         ("metrics.csv", &artifacts.metrics_csv),
         ("dy_reuse.csv", &artifacts.dy_reuse_csv),
         ("dy_tiles.csv", &artifacts.dy_tiles_csv),
     ];
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create '{out_dir}': {e}");
-        return ExitCode::FAILURE;
-    }
     for (name, contents) in files {
         if let Err(e) = std::fs::write(dir.join(name), contents) {
             eprintln!("cannot write '{}': {e}", dir.join(name).display());
@@ -530,6 +546,10 @@ fn sweep_grid(context: &SimContext, args: &[String]) -> ExitCode {
         return usage();
     };
     let spm_ladder = spm_ladder.unwrap_or_else(|| vec![config.spm_bytes >> 20]);
+    let out_dir = out_dir.as_deref().map(std::path::Path::new);
+    if let Some(code) = out_dir.and_then(create_out_dir) {
+        return code;
+    }
 
     // The grid, technique-innermost so each (spm, model) block is
     // contiguous and its first entry is that block's normalization base.
@@ -604,11 +624,6 @@ fn sweep_grid(context: &SimContext, args: &[String]) -> ExitCode {
 
     match out_dir {
         Some(dir) => {
-            let dir = std::path::Path::new(&dir);
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create '{}': {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
             for (name, contents) in [("sweep.csv", &csv), ("summary.json", &summary)] {
                 if let Err(e) = std::fs::write(dir.join(name), contents) {
                     eprintln!("cannot write '{}': {e}", dir.join(name).display());

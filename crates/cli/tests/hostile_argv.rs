@@ -16,6 +16,9 @@ fn igo_sim(argv: &[&str]) -> Output {
 #[test]
 fn every_subcommand_exits_0_or_2() {
     let out_dir = format!("{}/hostile-trace", env!("CARGO_TARGET_TMPDIR"));
+    // `--out` naming a regular file fails before anything is simulated.
+    let out_file = format!("{}/hostile-out-file", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&out_file, "").expect("create the regular file");
     let table: &[(&[&str], i32)] = &[
         (&[], 2),
         (&["bogus"], 2),
@@ -41,6 +44,7 @@ fn every_subcommand_exits_0_or_2() {
         (&["sweep", "ncf", "--spm", "3", "--techniques", "nope"], 2),
         (&["sweep", "ncf", "--spm", "3", "--config", "serverx0"], 2),
         (&["sweep", "ncf", "--spm", "3", "--bogus"], 2),
+        (&["sweep", "ncf", "--spm", "3", "--out", &out_file], 2),
         (&["audit", "--seeds", "x"], 2),
         (&["audit", "--seeds"], 2),
         (&["audit", "--seeds", "0"], 2),
@@ -56,6 +60,7 @@ fn every_subcommand_exits_0_or_2() {
         (&["trace", "ncf", "edge", "--bogus"], 2),
         (&["trace", "100000000x100000x100000", "edge"], 2),
         (&["trace", "1x1x1", "edge", "--out", &out_dir], 0),
+        (&["trace", "1x1x1", "edge", "--out", &out_file], 2),
         (&["--jobs"], 2),
         (&["--jobs", "0", "models"], 2),
         (&["--jobs", "x", "models"], 2),

@@ -17,7 +17,8 @@
 //! replay they record, which its input fixes before the replay starts
 //! ([`igo_npu_sim::StreamShape::of_input`]), so they cap the dY series and
 //! the tracks while the run lasts. A [`CoreTrace`] therefore keeps the
-//! metrics, the capped tracks and an event count. Memory slices (one per op until the run ends) are the
+//! metrics, the capped tracks and an event count. Memory slices (one
+//! 24-byte record per op that moved bytes, until the run ends) are the
 //! only recorder state that grows with the event count; `dy_tiles` (one
 //! entry per dY tile) grows with the tile grid.
 //!

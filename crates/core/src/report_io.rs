@@ -13,10 +13,11 @@
 //! metrics. It only serialises what a trace already holds — the capped
 //! per-core tracks ([`crate::tracks`]) and the run metrics with their
 //! capped dY series — and never sees an event stream. Chrome events are
-//! kept as fixed-size records (static labels and numbers; layer and
-//! thread names sit in one table) until `finish` sorts them and renders
-//! them into one output string reserved up front. See
-//! `docs/observability.md` for the event taxonomy and formats.
+//! kept as 48-byte records (label indices and numbers; layer and thread
+//! names sit in one table) until `finish` orders them in place, by
+//! timestamp and then emission order, and renders them into one output
+//! string reserved up front. See `docs/observability.md` for the event
+//! taxonomy and formats.
 
 use crate::observe::LayerTrace;
 use crate::pipeline::ModelReport;
@@ -147,78 +148,101 @@ pub fn ladder_csv(rows: &[(&ModelReport, Vec<&ModelReport>)]) -> Result<String, 
 // Trace exporters
 // ---------------------------------------------------------------------------
 
-/// A Chrome event's `name`, rendered without allocating.
-#[derive(Debug, Clone, Copy)]
-enum EventName {
-    /// A static label, suffixed `+` for a coalesced slice that merged
-    /// slices with different tags.
-    Label { label: &'static str, mixed: bool },
-    /// The SPM-occupancy counter of core `n`: `SPM core<n>`.
-    Spm(usize),
+/// Every static `name` a Chrome event can carry; an event stores its
+/// index. [`SPM`] is rendered with the event's core appended.
+const LABELS: [&str; 10] = [
+    "process_name",
+    "thread_name",
+    "barrier",
+    "SPM core",
+    "dX",
+    "dW",
+    "other",
+    "xfer",
+    "stream",
+    "flush",
+];
+const PROCESS_NAME: u8 = 0;
+const THREAD_NAME: u8 = 1;
+const BARRIER: u8 = 2;
+const SPM: u8 = 3;
+
+/// The [`LABELS`] index of a track tag's label.
+fn label_index<T: TrackTag>(tag: T) -> u8 {
+    let label = tag.label();
+    LABELS
+        .iter()
+        .position(|&l| l == label)
+        .expect("every track tag's label is in LABELS") as u8
 }
 
-impl EventName {
-    fn label(label: &'static str) -> Self {
-        EventName::Label {
-            label,
-            mixed: false,
-        }
-    }
-
-    /// A timeline slice's name: its tag's label, `+` when mixed.
-    fn of<T: TrackTag>(s: &Slice<T>) -> Self {
-        EventName::Label {
-            label: s.tag.label(),
-            mixed: s.mixed,
-        }
-    }
-}
-
-/// A Chrome event's `args` object, by kind.
+/// What a Chrome event's `args` object holds, read from its payloads
+/// `a` and `b`.
 #[derive(Debug, Clone, Copy)]
 enum Args {
     None,
-    /// `{"name": …}` of a metadata event, rendered from the exporter's
-    /// name table at this index.
-    Name(usize),
-    /// `{"ops": …, "busy_cycles": …}` of a compute slice.
-    Compute {
-        ops: u64,
-        busy_cycles: u64,
-    },
-    /// `{"ops": …, "bytes": …}` of a memory slice.
-    Memory {
-        ops: u64,
-        bytes: u64,
-    },
-    /// `{"bytes": …}` of an occupancy counter sample.
-    Bytes(u64),
+    /// `{"name": …}` of a metadata event: the exporter's name table at
+    /// index `a`.
+    Name,
+    /// `{"ops": a, "busy_cycles": b}` of a compute slice.
+    Compute,
+    /// `{"ops": a, "bytes": b}` of a memory slice.
+    Memory,
+    /// `{"bytes": a}` of core `b`'s occupancy counter sample.
+    Bytes,
 }
 
-/// One Chrome trace event: a fixed-size record that owns no heap memory.
-/// Layer and thread names live in the exporter's name table; everything
-/// else is a static label or a number, serialised manually (no JSON
+/// One Chrome trace event: a 48-byte record that owns no heap memory.
+/// Layer and thread names live in the exporter's name table and labels in
+/// [`LABELS`]; everything else is a number, serialised manually (no JSON
 /// dependency) when the trace is rendered.
 #[derive(Debug, Clone, Copy)]
 struct ChromeEvent {
     ts: u64,
-    dur: Option<u64>,
-    ph: char,
-    pid: usize,
-    tid: usize,
-    name: EventName,
+    /// Rendered for complete (`X`) events only.
+    dur: u64,
+    a: u64,
+    b: u64,
+    pid: u32,
+    tid: u32,
+    /// Emission order: the tie-break among equal timestamps.
+    seq: u32,
+    ph: u8,
+    label: u8,
+    /// A coalesced slice that merged slices with different tags: its
+    /// name gets a `+` suffix.
+    mixed: bool,
     args: Args,
 }
 
+/// A trace id as the `u32` an event stores. Layer, core and event counts
+/// stay far below 2³²: every event is a resident 48-byte record.
+fn id32(n: usize) -> u32 {
+    u32::try_from(n).expect("trace ids fit in u32")
+}
+
 impl ChromeEvent {
-    fn new(ph: char, ts: u64, pid: usize, tid: usize, name: EventName, args: Args) -> Self {
+    /// An event whose `args` are `args` over the payloads `(a, b)`; its
+    /// `seq` is set when the trace is rendered.
+    fn new(
+        ph: u8,
+        ts: u64,
+        pid: usize,
+        tid: usize,
+        label: u8,
+        (args, a, b): (Args, u64, u64),
+    ) -> Self {
         Self {
             ts,
-            dur: None,
+            dur: 0,
+            a,
+            b,
+            pid: id32(pid),
+            tid: id32(tid),
+            seq: 0,
             ph,
-            pid,
-            tid,
-            name,
+            label,
+            mixed: false,
             args,
         }
     }
@@ -226,8 +250,16 @@ impl ChromeEvent {
     /// A complete (`X`) event for a timeline slice.
     fn slice<T: TrackTag>(pid: usize, tid: usize, s: &Slice<T>, args: Args) -> Self {
         Self {
-            dur: Some(s.dur),
-            ..Self::new('X', s.ts, pid, tid, EventName::of(s), args)
+            dur: s.dur,
+            mixed: s.mixed,
+            ..Self::new(
+                b'X',
+                s.ts,
+                pid,
+                tid,
+                label_index(s.tag),
+                (args, s.ops, s.extra),
+            )
         }
     }
 }
@@ -266,21 +298,15 @@ fn push_layer_chrome_events(
     pid: usize,
     layer: &LayerTrace,
 ) {
-    let mut name_event = |events: &mut Vec<ChromeEvent>, tid, kind, name: String| {
-        events.push(ChromeEvent::new(
-            'M',
-            0,
-            pid,
-            tid,
-            EventName::label(kind),
-            Args::Name(names.len()),
-        ));
+    let mut name_event = |events: &mut Vec<ChromeEvent>, tid, label, name: String| {
+        let args = (Args::Name, names.len() as u64, 0);
+        events.push(ChromeEvent::new(b'M', 0, pid, tid, label, args));
         names.push(name);
     };
     name_event(
         events,
         0,
-        "process_name",
+        PROCESS_NAME,
         format!("{} [{}]", layer.name, layer.technique.label()),
     );
     for core in &layer.cores {
@@ -290,38 +316,40 @@ fn push_layer_chrome_events(
             name_event(
                 events,
                 tid,
-                "thread_name",
+                THREAD_NAME,
                 format!("core{} {label}", core.core),
             );
         }
         let tracks = &core.tracks;
-        events.extend(tracks.compute.iter().map(|s| {
-            let args = Args::Compute {
-                ops: s.ops,
-                busy_cycles: s.extra,
-            };
-            ChromeEvent::slice(pid, tid_compute, s, args)
-        }));
-        events.extend(tracks.memory.iter().map(|s| {
-            let args = Args::Memory {
-                ops: s.ops,
-                bytes: s.extra,
-            };
-            ChromeEvent::slice(pid, tid_memory, s, args)
-        }));
+        events.extend(
+            tracks
+                .compute
+                .iter()
+                .map(|s| ChromeEvent::slice(pid, tid_compute, s, Args::Compute)),
+        );
+        events.extend(
+            tracks
+                .memory
+                .iter()
+                .map(|s| ChromeEvent::slice(pid, tid_memory, s, Args::Memory)),
+        );
         for s in &tracks.phases {
-            let name = EventName::of(s);
-            for (ph, ts) in [('B', s.ts), ('E', s.ts + s.dur)] {
-                events.push(ChromeEvent::new(ph, ts, pid, tid_compute, name, Args::None));
+            let label = label_index(s.tag);
+            for (ph, ts) in [(b'B', s.ts), (b'E', s.ts + s.dur)] {
+                let e = ChromeEvent::new(ph, ts, pid, tid_compute, label, (Args::None, 0, 0));
+                events.push(ChromeEvent {
+                    mixed: s.mixed,
+                    ..e
+                });
             }
         }
         events.extend(tracks.occupancy.iter().map(|&(cycle, bytes)| {
-            let name = EventName::Spm(core.core);
-            ChromeEvent::new('C', cycle, pid, tid_memory, name, Args::Bytes(bytes))
+            let args = (Args::Bytes, bytes, core.core as u64);
+            ChromeEvent::new(b'C', cycle, pid, tid_memory, SPM, args)
         }));
         events.extend(tracks.barriers.iter().map(|&cycle| {
-            let name = EventName::label("barrier");
-            ChromeEvent::new('i', cycle, pid, tid_memory, name, Args::None)
+            let args = (Args::None, 0, 0);
+            ChromeEvent::new(b'i', cycle, pid, tid_memory, BARRIER, args)
         }));
     }
 }
@@ -334,9 +362,13 @@ const BYTES_PER_EVENT: usize = 100;
 /// Render the collected events as the Chrome trace JSON object format,
 /// looking metadata names up in `names`.
 fn render_chrome_json(mut events: Vec<ChromeEvent>, names: &[String]) -> String {
-    // Stable sort: equal timestamps keep emission order, so an `E` at the
-    // same cycle as the next phase's `B` stays before it.
-    events.sort_by_key(|e| e.ts);
+    // Equal timestamps keep emission order, so an `E` at the same cycle as
+    // the next phase's `B` stays before it. Sorting by `(ts, seq)` gives
+    // that stable order in place, without a stable sort's scratch copy.
+    for (seq, e) in events.iter_mut().enumerate() {
+        e.seq = id32(seq);
+    }
+    events.sort_unstable_by_key(|e| (e.ts, e.seq));
 
     let names_len: usize = names.iter().map(String::len).sum();
     let mut out = String::with_capacity(events.len() * BYTES_PER_EVENT + names_len + 64);
@@ -347,43 +379,37 @@ fn render_chrome_json(mut events: Vec<ChromeEvent>, names: &[String]) -> String 
         }
         out.push_str("\n{\"name\":\"");
         // Static labels need no JSON escaping.
-        match e.name {
-            EventName::Label { label, mixed } => {
-                out.push_str(label);
-                if mixed {
-                    out.push('+');
-                }
-            }
-            EventName::Spm(core) => {
-                let _ = write!(out, "SPM core{core}");
-            }
+        out.push_str(LABELS[e.label as usize]);
+        if e.label == SPM {
+            let _ = write!(out, "{}", e.b);
+        }
+        if e.mixed {
+            out.push('+');
         }
         let _ = write!(
             out,
             "\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            e.ph, e.ts, e.pid, e.tid
+            e.ph as char, e.ts, e.pid, e.tid
         );
-        if let Some(dur) = e.dur {
-            let _ = write!(out, ",\"dur\":{dur}");
+        if e.ph == b'X' {
+            let _ = write!(out, ",\"dur\":{}", e.dur);
         }
+        let (a, b) = (e.a, e.b);
         match e.args {
             Args::None => {}
-            Args::Name(i) => {
+            Args::Name => {
                 out.push_str(",\"args\":{\"name\":");
-                push_json_str(&mut out, &names[i]);
+                push_json_str(&mut out, &names[a as usize]);
                 out.push('}');
             }
-            Args::Compute { ops, busy_cycles } => {
-                let _ = write!(
-                    out,
-                    ",\"args\":{{\"ops\":{ops},\"busy_cycles\":{busy_cycles}}}"
-                );
+            Args::Compute => {
+                let _ = write!(out, ",\"args\":{{\"ops\":{a},\"busy_cycles\":{b}}}");
             }
-            Args::Memory { ops, bytes } => {
-                let _ = write!(out, ",\"args\":{{\"ops\":{ops},\"bytes\":{bytes}}}");
+            Args::Memory => {
+                let _ = write!(out, ",\"args\":{{\"ops\":{a},\"bytes\":{b}}}");
             }
-            Args::Bytes(bytes) => {
-                let _ = write!(out, ",\"args\":{{\"bytes\":{bytes}}}");
+            Args::Bytes => {
+                let _ = write!(out, ",\"args\":{{\"bytes\":{a}}}");
             }
         }
         out.push('}');
@@ -409,11 +435,12 @@ pub struct TraceArtifacts {
 /// [`TraceExport::add_layer`], then [`TraceExport::finish`].
 ///
 /// Between layers it holds the serialised CSV rows and the Chrome events
-/// of every layer added so far (events are sorted by timestamp only in
-/// `finish`). Both are bounded per (layer, core) by the track caps and
-/// the dY series cap, except `dy_tiles.csv`, which has one row per dY
-/// tile. A Chrome event is a fixed-size record; the only strings it
-/// refers to, the layer and thread names, sit in one table.
+/// of every layer added so far (events are ordered by timestamp only in
+/// `finish`, with an in-place sort that allocates nothing). Both are
+/// bounded per (layer, core) by the track caps and the dY series cap,
+/// except `dy_tiles.csv`, which has one row per dY tile. A Chrome event
+/// is a 48-byte record; the only strings it refers to, the layer and
+/// thread names, sit in one table.
 #[derive(Debug)]
 pub struct TraceExport {
     max_reuse_points: usize,
@@ -532,7 +559,8 @@ mod tests {
     use super::*;
     use crate::pipeline::simulate_model;
     use crate::technique::Technique;
-    use igo_npu_sim::NpuConfig;
+    use crate::tracks::MemKind;
+    use igo_npu_sim::{NpuConfig, Phase};
     use igo_workloads::{zoo, ModelId};
 
     fn reports() -> (ModelReport, ModelReport) {
@@ -671,6 +699,88 @@ mod tests {
         let thin = reuse_rows(16);
         assert_eq!(thin.lines().count(), 1 + decimate(stored, 16).len());
         assert_eq!(thin.lines().last(), full.lines().last());
+    }
+
+    #[test]
+    fn chrome_events_stay_compact() {
+        assert!(std::mem::size_of::<ChromeEvent>() <= 48);
+    }
+
+    #[test]
+    fn every_track_tag_has_a_label() {
+        for phase in [Phase::Dx, Phase::Dw, Phase::Other] {
+            assert_eq!(LABELS[label_index(phase) as usize], phase.label());
+        }
+        for kind in [MemKind::Xfer, MemKind::Stream, MemKind::Flush] {
+            assert_eq!(LABELS[label_index(kind) as usize], kind.label());
+        }
+    }
+
+    /// Events with equal timestamps, across layers (pids) and threads
+    /// (tids), render in emission order: a phase's `E` stays before the
+    /// next phase's `B` on the same cycle.
+    #[test]
+    fn equal_timestamps_render_in_emission_order() {
+        let none = (Args::None, 0, 0);
+        let dx = label_index(Phase::Dx);
+        let dw = label_index(Phase::Dw);
+        let slice = Slice {
+            ts: 10,
+            dur: 4,
+            tag: MemKind::Xfer,
+            mixed: true,
+            ops: 2,
+            extra: 96,
+        };
+        let events = vec![
+            ChromeEvent::new(b'M', 0, 1, 0, PROCESS_NAME, (Args::Name, 1, 0)),
+            ChromeEvent::new(b'E', 10, 1, 2, dw, none),
+            ChromeEvent::new(b'B', 0, 0, 0, dx, none),
+            ChromeEvent::new(b'E', 10, 0, 0, dx, none),
+            ChromeEvent::slice(1, 3, &slice, Args::Memory),
+            ChromeEvent::new(b'B', 10, 0, 0, dw, none),
+            ChromeEvent::new(b'C', 10, 0, 7, SPM, (Args::Bytes, 64, 3)),
+            ChromeEvent::new(b'i', 10, 1, 3, BARRIER, none),
+            ChromeEvent::new(b'M', 0, 0, 0, PROCESS_NAME, (Args::Name, 0, 0)),
+        ];
+        let names = ["layer0".to_owned(), "layer1".to_owned()];
+        let json = render_chrome_json(events, &names);
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(
+            lines[1..lines.len() - 1],
+            [
+                r#"{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"layer1"}},"#,
+                r#"{"name":"dX","ph":"B","ts":0,"pid":0,"tid":0},"#,
+                r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"layer0"}},"#,
+                r#"{"name":"dW","ph":"E","ts":10,"pid":1,"tid":2},"#,
+                r#"{"name":"dX","ph":"E","ts":10,"pid":0,"tid":0},"#,
+                r#"{"name":"xfer+","ph":"X","ts":10,"pid":1,"tid":3,"dur":4,"args":{"ops":2,"bytes":96}},"#,
+                r#"{"name":"dW","ph":"B","ts":10,"pid":0,"tid":0},"#,
+                r#"{"name":"SPM core3","ph":"C","ts":10,"pid":0,"tid":7,"args":{"bytes":64}},"#,
+                r#"{"name":"barrier","ph":"i","ts":10,"pid":1,"tid":3}"#,
+            ]
+        );
+
+        // Enough ties that the sort cannot fall back to an insertion sort:
+        // within each timestamp, tids (the emission order) still ascend.
+        let events: Vec<ChromeEvent> = (0..500)
+            .map(|i| ChromeEvent::new(b'i', (i * 7 % 3) as u64, 0, i, BARRIER, none))
+            .collect();
+        let json = render_chrome_json(events, &[]);
+        let order: Vec<(u64, usize)> = json
+            .lines()
+            .filter_map(|l| {
+                let field = |key: &str| l.split(key).nth(1)?.split([',', '}']).next();
+                Some((
+                    field("\"ts\":")?.parse().ok()?,
+                    field("\"tid\":")?.parse().ok()?,
+                ))
+            })
+            .collect();
+        let mut expected = order.clone();
+        expected.sort_unstable();
+        assert_eq!(order.len(), 500);
+        assert_eq!(order, expected);
     }
 
     #[test]

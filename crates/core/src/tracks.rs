@@ -17,8 +17,9 @@
 //! ([`StreamShape`]): the builder applies the caps online, keeping exactly
 //! what coalescing and [`igo_npu_sim::decimate`] would keep of the full
 //! tracks. Memory slices are the one exception: an op contributes a slice
-//! only when it moved bytes, which depends on hits, so they are kept one
-//! per op and coalesced when the run ends.
+//! only when it moved bytes, which depends on hits, so each such op is
+//! kept as a 24-byte record until the run ends, when the records stream
+//! through the same online coalescing.
 
 use igo_npu_sim::{AccessKind, Decimator, Phase, Recorder, StreamShape, TraceEvent};
 
@@ -96,7 +97,9 @@ impl<T: TrackTag> Slice<T> {
 
 /// Merge `slices` down to at most `max` by grouping adjacent runs. The
 /// merged slice spans from the first slice's start to the last slice's
-/// end and sums `ops`/`extra`, so nothing is silently dropped.
+/// end and sums `ops`/`extra`, so nothing is silently dropped. The
+/// builder caps its tracks with [`Coalescer`]; this is its test oracle.
+#[cfg(test)]
 fn coalesce<T: TrackTag>(slices: Vec<Slice<T>>, max: usize) -> Vec<Slice<T>> {
     if slices.len() <= max {
         return slices;
@@ -119,7 +122,7 @@ fn coalesce<T: TrackTag>(slices: Vec<Slice<T>>, max: usize) -> Vec<Slice<T>> {
         .collect()
 }
 
-/// [`coalesce`] applied while a track of known length arrives: pushing
+/// `coalesce` applied while a track of known length arrives: pushing
 /// the `len` slices one by one and then calling [`Coalescer::finish`]
 /// yields exactly `coalesce(slices, max)`, holding at most `max` merged
 /// slices and one open group at any time.
@@ -197,7 +200,7 @@ pub struct CoreTracks {
 struct MemAgg {
     start: u64,
     fetch: u64,
-    bursts: u64,
+    bursts: u32,
     writeback: u64,
     stream: u64,
     accesses: bool,
@@ -205,35 +208,52 @@ struct MemAgg {
 }
 
 impl MemAgg {
-    /// The memory slice this op contributes, reconstructed with the
-    /// engine's own cost model (`bytes / bandwidth + bursts × latency`).
-    fn into_slice(self, bytes_per_cycle: f64, burst_latency: u64) -> Option<Slice<MemKind>> {
-        let (kind, bytes, dur) = if self.streamed {
-            let b = self.stream;
-            (
-                MemKind::Stream,
-                b,
-                b as f64 / bytes_per_cycle + burst_latency as f64,
-            )
+    /// The memory slice this op contributes, if it moved bytes.
+    fn into_raw(self) -> Option<RawMem> {
+        let (kind, bytes) = if self.streamed {
+            (MemKind::Stream, self.stream)
         } else if self.accesses {
-            let b = self.fetch + self.writeback;
-            (
-                MemKind::Xfer,
-                b,
-                b as f64 / bytes_per_cycle + (self.bursts.max(1) * burst_latency) as f64,
-            )
+            (MemKind::Xfer, self.fetch + self.writeback)
         } else {
-            let b = self.writeback;
-            (
-                MemKind::Flush,
-                b,
-                b as f64 / bytes_per_cycle + burst_latency as f64,
-            )
+            (MemKind::Flush, self.writeback)
         };
-        if bytes == 0 {
-            return None;
-        }
-        Some(Slice::new(self.start, dur.round() as u64, kind, bytes))
+        (bytes > 0).then_some(RawMem {
+            ts: self.start,
+            bytes,
+            bursts: self.bursts,
+            kind,
+        })
+    }
+}
+
+/// One op's memory slice as the builder holds it until the run ends: 24
+/// bytes, against 40 for a [`Slice`]. Nothing is packed lossily. The
+/// duration is not stored but recomputed by [`RawMem::slice`] from
+/// `bytes` and `bursts`, with the same expression (and so the same
+/// floating-point result) the slice would have been stamped with. A
+/// slice's op count is always 1 and it is never mixed. `bursts` counts
+/// the op's fetched accesses, and an op has fewer accesses than the
+/// replay's stream positions, which stay below
+/// [`igo_npu_sim::REPLAY_ID_LIMIT`] (`u32::MAX`), so it fits in a `u32`.
+#[derive(Debug, Clone, Copy)]
+struct RawMem {
+    ts: u64,
+    bytes: u64,
+    bursts: u32,
+    kind: MemKind,
+}
+
+impl RawMem {
+    /// The slice, sized with the engine's own cost model (`bytes /
+    /// bandwidth + bursts × latency`; one burst unless an `Xfer` fetched
+    /// several).
+    fn slice(self, bytes_per_cycle: f64, burst_latency: u64) -> Slice<MemKind> {
+        let bursts = match self.kind {
+            MemKind::Xfer => u64::from(self.bursts.max(1)),
+            MemKind::Stream | MemKind::Flush => 1,
+        };
+        let dur = self.bytes as f64 / bytes_per_cycle + (bursts * burst_latency) as f64;
+        Slice::new(self.ts, dur.round() as u64, self.kind, self.bytes)
     }
 }
 
@@ -243,13 +263,13 @@ impl MemAgg {
 /// Sized by the run's [`StreamShape`], it coalesces compute slices and
 /// phase spans and decimates occupancy and barrier samples as they
 /// arrive, so those tracks never exceed their caps. Memory slices are
-/// held one per op that moved bytes and coalesced by
-/// [`TrackBuilder::finish`].
+/// held as one 24-byte [`RawMem`] per op that moved bytes and coalesced
+/// by [`TrackBuilder::finish`].
 pub(crate) struct TrackBuilder {
     bytes_per_cycle: f64,
     burst_latency: u64,
     compute: Coalescer<Phase>,
-    memory: Vec<Slice<MemKind>>,
+    memory: Vec<RawMem>,
     phases: Coalescer<Phase>,
     occupancy: Decimator<(u64, u64)>,
     barriers: Decimator<u64>,
@@ -294,9 +314,7 @@ impl TrackBuilder {
     fn flush_mem(&mut self) {
         if self.cur_op.is_some() {
             let agg = std::mem::take(&mut self.agg);
-            if let Some(s) = agg.into_slice(self.bytes_per_cycle, self.burst_latency) {
-                self.memory.push(s);
-            }
+            self.memory.extend(agg.into_raw());
         }
     }
 
@@ -304,9 +322,13 @@ impl TrackBuilder {
     /// memory slices, and keep each decimated track's last sample.
     pub(crate) fn finish(mut self) -> CoreTracks {
         self.flush_mem();
+        let mut memory = Coalescer::new(self.memory.len() as u64, SLICE_CAP);
+        for raw in self.memory {
+            memory.push(raw.slice(self.bytes_per_cycle, self.burst_latency));
+        }
         CoreTracks {
             compute: self.compute.finish(),
-            memory: coalesce(self.memory, SLICE_CAP),
+            memory: memory.finish(),
             phases: self.phases.finish(),
             occupancy: self.occupancy.finish(),
             barriers: self.barriers.finish(),
@@ -535,6 +557,90 @@ mod tests {
             }
             assert_matches_finish_time_caps(&events, &b.finish());
         }
+    }
+
+    #[test]
+    fn raw_memory_slices_stay_compact() {
+        assert!(std::mem::size_of::<RawMem>() <= 24);
+    }
+
+    /// Over 2 × [`SLICE_CAP`] memory slices of every kind, with several
+    /// fetch bursts, zero-byte ops between them and a last slice of
+    /// `u64::MAX` bytes: the builder keeps exactly `coalesce` of the full
+    /// per-op slices.
+    #[test]
+    fn packed_memory_slices_coalesce_like_full_slices() {
+        let (bytes_per_cycle, latency) = (2.0, 5);
+        let mut b = TrackBuilder::new(bytes_per_cycle, latency, StreamShape::default());
+        let mut full = Vec::new();
+        let slice = |ts, kind, bytes: u64, bursts: u64| {
+            let dur = bytes as f64 / bytes_per_cycle + (bursts * latency) as f64;
+            Slice::new(ts, dur.round() as u64, kind, bytes)
+        };
+        let access = |op, kind, cycle| TraceEvent::Access {
+            op,
+            key: key(),
+            class: TensorClass::OutGrad,
+            bytes: 64,
+            kind,
+            cycle,
+            occupancy: 0,
+        };
+        let wb = |op, bytes, cycle| TraceEvent::WriteBack {
+            op,
+            key: key(),
+            class: TensorClass::InGrad,
+            bytes,
+            spill: true,
+            cycle,
+        };
+        // Four slices per five ops, so every kind ends some merge group.
+        let ops = 2 * SLICE_CAP as u32 + 625;
+        for op in 0..ops {
+            let ts = u64::from(op) * 7;
+            match op % 5 {
+                0 | 4 => {
+                    // An Xfer of 1-3 fetch bursts, a hit and a write-back.
+                    let bursts = u64::from(op % 3) + 1;
+                    for _ in 0..bursts {
+                        b.record(access(op, AccessKind::Fetch, ts));
+                    }
+                    b.record(access(op, AccessKind::Hit, ts));
+                    b.record(wb(op, 100 + u64::from(op), ts));
+                    full.push(slice(
+                        ts,
+                        MemKind::Xfer,
+                        64 * bursts + 100 + u64::from(op),
+                        bursts,
+                    ));
+                }
+                1 => {
+                    // An op that only hit: no slice.
+                    b.record(access(op, AccessKind::Hit, ts));
+                }
+                2 => {
+                    b.record(TraceEvent::StreamIo {
+                        op,
+                        class: TensorClass::WGrad,
+                        read_bytes: u64::from(op),
+                        write_bytes: 3,
+                        cycle: ts,
+                    });
+                    full.push(slice(ts, MemKind::Stream, u64::from(op) + 3, 1));
+                }
+                _ => {
+                    b.record(wb(op, 1 << (op % 40), ts));
+                    full.push(slice(ts, MemKind::Flush, 1 << (op % 40), 1));
+                }
+            }
+        }
+        // Alone in the last merge group, so no sum overflows.
+        let ts = u64::from(ops) * 7;
+        b.record(wb(ops, u64::MAX, ts));
+        full.push(slice(ts, MemKind::Flush, u64::MAX, 1));
+        assert!(full.len() > 2 * SLICE_CAP);
+        assert_eq!(full.len() % full.len().div_ceil(SLICE_CAP), 1);
+        assert_eq!(b.finish().memory, coalesce(full, SLICE_CAP));
     }
 
     #[test]
