@@ -47,8 +47,8 @@
 
 use igo_bench::wallclock::{measure, peak_rss_mib, Timing};
 use igo_core::{
-    parallel_map_workers, replay_extent, run_audit, select_order, SimContext, SimOptions,
-    Technique, TraceExport, DEFAULT_REUSE_POINTS,
+    parallel_map_workers, replay_extent, run_audit, select_order, Artifact, LayerTrace, SimContext,
+    SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS,
 };
 use igo_npu_sim::{analytic_run_count, engine_run_count, NpuConfig, REPLAY_ID_LIMIT};
 use igo_tensor::GemmShape;
@@ -266,55 +266,56 @@ fn cmd_trace(context: &SimContext, args: &[String]) -> ExitCode {
         return code;
     }
 
-    // One layer at a time: each layer's trace (metrics plus capped
-    // tracks; the recorder never stores the raw event stream) is folded
-    // into the incremental exporter and dropped before the next layer
-    // runs.
-    let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
-    let mut layers = 0usize;
-    let mut events = 0usize;
-    if let Some(model) = &model {
+    // Each layer's trace keeps its metrics and capped tracks (the
+    // recorder never stores the raw event stream); the exporter borrows
+    // them and streams every artifact straight into its file.
+    let traces = if let Some(model) = &model {
         println!(
             "tracing {} on {} under {}",
             model.name,
             config.name,
             technique.label()
         );
-        for layer in &model.layers {
-            let trace = context.trace_layer(
-                &layer.name,
-                layer.gemm,
-                layer.ifmap_density,
-                &config,
-                technique,
-                layer.is_first,
-            );
-            layers += 1;
-            events += trace.event_count();
-            export.add_layer(&trace);
-        }
+        model
+            .layers
+            .iter()
+            .map(|layer| {
+                context.trace_layer(
+                    &layer.name,
+                    layer.gemm,
+                    layer.ifmap_density,
+                    &config,
+                    technique,
+                    layer.is_first,
+                )
+            })
+            .collect()
     } else if let Some(gemm) = gemm {
         println!(
             "tracing layer {gemm} on {} under {}",
             config.name,
             technique.label()
         );
-        let trace = context.trace_layer(target, gemm, 1.0, &config, technique, false);
-        layers = 1;
-        events = trace.event_count();
-        export.add_layer(&trace);
-    }
+        vec![context.trace_layer(target, gemm, 1.0, &config, technique, false)]
+    } else {
+        Vec::new()
+    };
+    let layers = traces.len();
+    let events: usize = traces.iter().map(LayerTrace::event_count).sum();
 
-    let artifacts = export.finish();
-    let files = [
-        ("trace.json", &artifacts.trace_json),
-        ("metrics.csv", &artifacts.metrics_csv),
-        ("dy_reuse.csv", &artifacts.dy_reuse_csv),
-        ("dy_tiles.csv", &artifacts.dy_tiles_csv),
-    ];
-    for (name, contents) in files {
-        if let Err(e) = std::fs::write(dir.join(name), contents) {
-            eprintln!("cannot write '{}': {e}", dir.join(name).display());
+    let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
+    for trace in &traces {
+        export.add_layer(trace);
+    }
+    for artifact in Artifact::ALL {
+        let path = dir.join(artifact.file_name());
+        let written = std::fs::File::create(&path).and_then(|file| {
+            let mut out = std::io::BufWriter::new(file);
+            export.write(artifact, &mut out)?;
+            std::io::Write::flush(&mut out)
+        });
+        if let Err(e) = written {
+            eprintln!("cannot write '{}': {e}", path.display());
             return ExitCode::FAILURE;
         }
     }

@@ -48,7 +48,12 @@ struct Entry {
     cols: u32,
     /// First dense id, assigned when the registry is sealed.
     base: u32,
+    /// One past the last dense id, assigned with `base`.
+    end: u32,
 }
+
+/// Most buckets of a registry's id → tensor table.
+const ID_BUCKETS: u64 = 1024;
 
 /// The dense tile-id registry, numbered as an `AnalyticCollector` numbers
 /// it: every registered tensor's tiles in ascending tensor-id order, then
@@ -57,6 +62,10 @@ struct Entry {
 struct Registry {
     entries: Vec<Entry>,
     tiles: u64,
+    /// Ids `b << bucket_shift ..` of bucket `b` start in tensor
+    /// `first_entry[b]`.
+    first_entry: Vec<u16>,
+    bucket_shift: u32,
 }
 
 impl Registry {
@@ -70,6 +79,7 @@ impl Registry {
             rows: grid.rows(),
             cols: grid.cols(),
             base: 0,
+            end: 0,
         });
     }
 
@@ -85,13 +95,14 @@ impl Registry {
         self.register(t.y, TensorClass::Ofmap, b.dy_grid());
     }
 
-    /// Number the tiles.
+    /// Number the tiles and build the id → tensor table.
     ///
     /// # Panics
     ///
     /// Panics if the registry reaches [`REPLAY_ID_LIMIT`].
     fn seal(&mut self) {
         self.entries.sort_by_key(|e| e.raw);
+        assert!(self.entries.len() <= 1 << 16, "too many tensors");
         let mut base = 0u64;
         for e in &mut self.entries {
             e.base = base as u32;
@@ -100,8 +111,33 @@ impl Registry {
                 base < REPLAY_ID_LIMIT,
                 "tile registry overflows the dense id space"
             );
+            e.end = base as u32;
         }
         self.tiles = base;
+        // Buckets no wider than the smallest tensor hold at most one
+        // tensor boundary, so a lookup reads the table and steps at most
+        // once. A tensor far smaller than the rest widens them instead, to
+        // keep the table small.
+        let smallest = self
+            .entries
+            .iter()
+            .map(|e| e.end - e.base)
+            .filter(|&n| n > 0)
+            .min();
+        let mut shift = smallest.map_or(0, u32::ilog2);
+        while self.tiles >> shift > ID_BUCKETS {
+            shift += 1;
+        }
+        let mut i = 0;
+        self.first_entry = (0..self.tiles.div_ceil(1 << shift))
+            .map(|b| {
+                while u64::from(self.entries[i].end) <= b << shift {
+                    i += 1;
+                }
+                i as u16
+            })
+            .collect();
+        self.bucket_shift = shift;
     }
 
     fn entry(&self, tensor: TensorId) -> &Entry {
@@ -111,10 +147,16 @@ impl Registry {
             .expect("tensor touched before registration")
     }
 
-    /// The tensor holding dense id `id`.
+    /// The tensor holding dense id `id`, in constant time for every
+    /// registry whose smallest tensor spans at least 1/[`ID_BUCKETS`] of
+    /// the ids.
+    #[inline]
     fn entry_of_id(&self, id: u32) -> &Entry {
-        let i = self.entries.partition_point(|e| e.base <= id);
-        &self.entries[i - 1]
+        let mut i = self.first_entry[(id >> self.bucket_shift) as usize] as usize;
+        while id >= self.entries[i].end {
+            i += 1;
+        }
+        &self.entries[i]
     }
 
     /// The operand view of `tensor` over `grid`: each tile's bytes at
@@ -1161,5 +1203,47 @@ impl ReplayInput for StreamGen {
             self.drive_piece(k, v)?;
         }
         ControlFlow::Continue(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use igo_tensor::{MatrixDims, TileShape};
+
+    /// A sealed registry of one tensor per `(rows, cols)` tile grid.
+    fn registry(grids: &[(u64, u64)]) -> Registry {
+        let mut registry = Registry::default();
+        for (raw, &(rows, cols)) in grids.iter().enumerate().rev() {
+            let grid = TileGrid::new(MatrixDims::new(rows, cols), TileShape::square(1));
+            registry.register(
+                TensorId::from_raw(raw as u32),
+                TensorClass::ALL[raw % 7],
+                &grid,
+            );
+        }
+        registry.seal();
+        registry
+    }
+
+    /// The table lookup names the tensor a search over the bases names,
+    /// for every id: with buckets as narrow as the smallest tensor, and
+    /// with buckets widened past tensors of a single tile.
+    #[test]
+    fn id_lookup_equals_search() {
+        for grids in [
+            vec![(1, 1)],
+            vec![(64, 32), (16, 32), (64, 16), (64, 16), (16, 32), (64, 32)],
+            vec![(3, 5), (7, 2), (1, 9)],
+            vec![(512, 64), (1, 1), (1, 1), (300, 7), (1, 2), (512, 64)],
+        ] {
+            let r = registry(&grids);
+            assert_eq!(r.tiles, grids.iter().map(|(a, b)| a * b).sum::<u64>());
+            assert!(r.first_entry.len() as u64 <= ID_BUCKETS);
+            for id in 0..r.tiles as u32 {
+                let i = r.entries.partition_point(|e| e.base <= id) - 1;
+                assert_eq!(r.entry_of_id(id).raw, r.entries[i].raw, "{grids:?} id {id}");
+            }
+        }
     }
 }

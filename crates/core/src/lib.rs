@@ -70,7 +70,8 @@ pub use pipeline::{
     LayerOutcome, ModelReport, SimContext, SimOptions, TrainingPhase,
 };
 pub use report_io::{
-    ladder_csv, layers_csv, LadderMismatch, TraceArtifacts, TraceExport, DEFAULT_REUSE_POINTS,
+    ladder_csv, layers_csv, Artifact, LadderMismatch, TraceArtifacts, TraceExport,
+    DEFAULT_REUSE_POINTS,
 };
 pub use schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 pub use select::select_order;

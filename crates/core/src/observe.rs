@@ -15,20 +15,20 @@
 //!
 //! Both recorders are sized by the [`igo_npu_sim::StreamShape`] of the
 //! replay they record, which its input fixes before the replay starts
-//! ([`igo_npu_sim::StreamShape::of_input`]), so they cap the dY series and
-//! the tracks while the run lasts. A [`CoreTrace`] therefore keeps the
-//! metrics, the capped tracks and an event count. Memory slices (one
-//! 24-byte record per op that moved bytes, until the run ends) are the
-//! only recorder state that grows with the event count; `dy_tiles` (one
-//! entry per dY tile) grows with the tile grid.
+//! ([`igo_npu_sim::StreamShape::of_input`]), and the track builder also by
+//! the number of memory slices, which a counting replay of the same input
+//! fixes first; so they cap the dY series and every track while the run
+//! lasts. A [`CoreTrace`] therefore keeps the metrics, the capped tracks
+//! and an event count. No recorder state grows with the event count;
+//! `dy_tiles` (one entry per dY tile) grows with the tile grid.
 //!
 //! [`SimContext::trace_layer`] makes the decision exactly as the untraced
 //! pipeline does ([`SimContext::backward`], on the same context and memo),
 //! and `pipeline::record_decided` builds the execution it implies through
 //! the selection loop's own candidate construction and replays its
-//! generators ([`crate::generate::StreamGen`]) once each with the recorder
-//! attached — the code path that produced the reported numbers, with
-//! nothing collected. That is one replay per core for multi-core
+//! generators ([`crate::generate::StreamGen`]) with the recorder attached
+//! (after the counting replay) — the code path that produced the reported
+//! numbers, with nothing collected. That is one replay per core for multi-core
 //! decisions and one chained replay for single-core sequential
 //! partitions. The audit ([`crate::audit::check_report_conservation`])
 //! checks the recorded replay's events against an independent residency
@@ -140,17 +140,27 @@ impl SimContext {
     ) -> LayerTrace {
         let (report, decision) = self.backward(gemm, density, config, technique, is_first);
         let engine = Engine::new(config);
-        let cores = record_decided(gemm, density, config, decision, is_first, |shape| {
-            CoreRecorder {
+        let cores = record_decided(
+            gemm,
+            density,
+            config,
+            decision,
+            is_first,
+            |shape, memory_slices| CoreRecorder {
                 events: 0,
                 metrics: MetricsFold::new(
                     engine.residency_bytes(),
                     shape.dy_accesses,
                     DY_SERIES_CAP,
                 ),
-                tracks: TrackBuilder::new(engine.bytes_per_cycle(), engine.burst_latency(), shape),
-            }
-        })
+                tracks: TrackBuilder::new(
+                    engine.bytes_per_cycle(),
+                    engine.burst_latency(),
+                    shape,
+                    memory_slices,
+                ),
+            },
+        )
         .into_iter()
         .enumerate()
         .map(|(core, (report, recorder))| CoreTrace {
@@ -319,15 +329,21 @@ mod tests {
         technique: Technique,
     ) -> (LayerTrace, usize) {
         let trace = trace(gemm, config, technique);
-        let logs = record_decided(gemm, 1.0, config, trace.decision, false, |_| {
+        let logs = record_decided(gemm, 1.0, config, trace.decision, false, |_, _| {
             EventLog::new()
         });
+        let engine = Engine::new(config);
         assert_eq!(logs.len(), trace.cores.len());
         let mut longest = 0;
         for ((report, log), core) in logs.iter().zip(&trace.cores) {
             assert_eq!(*report, core.report);
             assert_eq!(log.events.len(), core.event_count);
-            assert_matches_finish_time_caps(&log.events, &core.tracks);
+            assert_matches_finish_time_caps(
+                &log.events,
+                &core.tracks,
+                engine.bytes_per_cycle(),
+                engine.burst_latency(),
+            );
             let mut dy = (0, 0);
             let full: Vec<DyReusePoint> = log
                 .events

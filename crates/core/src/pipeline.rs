@@ -59,6 +59,7 @@ use crate::select::select_order;
 use crate::simcache::{CacheKey, CacheStats, CandidateKey, Memo, PassKey, DEFAULT_CACHE_CAP};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
+use crate::tracks::MemorySlices;
 use igo_npu_sim::{
     replay_input, replay_multicore, replay_multicore_bounded, replay_recorded,
     replay_sequential_partitions_bounded, AnalyticCollector, AnalyticScratch, Engine, NpuConfig,
@@ -765,9 +766,11 @@ pub(crate) fn candidate_streams(
 /// Replay a decided backward execution with a recorder attached: the
 /// candidate `decision` names is built exactly as the selection loop builds
 /// it and its generators are replayed — one on a single core (partition
-/// segments chained), one per core otherwise — each once, uncut, with
-/// `make_recorder(shape)` attached, where `shape` is the [`StreamShape`]
-/// of the events that replay will emit.
+/// segments chained), one per core otherwise — each uncut, with
+/// `make_recorder(shape, memory_slices)` attached, where `shape` is the
+/// [`StreamShape`] of the events that replay will emit and
+/// `memory_slices` the number of memory slices it records
+/// ([`MemorySlices`], counted on one replay of the same generator first).
 ///
 /// Returns each core's replay report (cross-partition reductions, which no
 /// core executes, are left out) with its recorder.
@@ -777,7 +780,7 @@ pub(crate) fn record_decided<R: Recorder>(
     config: &NpuConfig,
     decision: LayerDecision,
     is_first: bool,
-    mut make_recorder: impl FnMut(StreamShape) -> R,
+    mut make_recorder: impl FnMut(StreamShape, u64) -> R,
 ) -> Vec<(SimReport, R)> {
     let layer = LayerInputs::new(gemm, density, config, is_first);
     let streams = layer.decided(decision).streams(&layer);
@@ -785,7 +788,10 @@ pub(crate) fn record_decided<R: Recorder>(
         streams
             .iter()
             .map(|g| {
-                let mut recorder = make_recorder(StreamShape::of_input(g));
+                let mut count = MemorySlices::default();
+                replay_recorded(g, &layer.engine, s, None, &mut count)
+                    .expect("an uncut replay completes");
+                let mut recorder = make_recorder(StreamShape::of_input(g), count.finish());
                 let report = replay_recorded(g, &layer.engine, s, None, &mut recorder)
                     .expect("an uncut replay completes")
                     .report;

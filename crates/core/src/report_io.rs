@@ -12,20 +12,22 @@
 //! Perfetto / `chrome://tracing`, and CSV summaries of the derived
 //! metrics. It only serialises what a trace already holds — the capped
 //! per-core tracks ([`crate::tracks`]) and the run metrics with their
-//! capped dY series — and never sees an event stream. Chrome events are
-//! kept as 48-byte records (label indices and numbers; layer and thread
-//! names sit in one table) until `finish` orders them in place, by
-//! timestamp and then emission order, and renders them into one output
-//! string reserved up front. See `docs/observability.md` for the event
-//! taxonomy and formats.
+//! capped dY series — and never sees an event stream. It borrows the
+//! layers and writes each artifact into any [`io::Write`], holding nothing
+//! per event: each track is already in timestamp order, so the timeline
+//! is a k-way merge of the layers' tracks, rendered as it is merged. See
+//! `docs/observability.md` for the event taxonomy and formats.
 
-use crate::observe::LayerTrace;
+use crate::observe::{CoreTrace, LayerTrace};
 use crate::pipeline::ModelReport;
 use crate::tracks::{Slice, TrackTag};
-use igo_npu_sim::{decimate, DY_SERIES_CAP};
+use igo_npu_sim::{decimate, Phase, DY_SERIES_CAP};
 use igo_tensor::TensorClass;
 use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt::Write as _;
+use std::io;
 
 /// RFC-4180 field quoting: a field containing a comma, double quote or
 /// newline is wrapped in double quotes with embedded quotes doubled; any
@@ -181,8 +183,8 @@ fn label_index<T: TrackTag>(tag: T) -> u8 {
 #[derive(Debug, Clone, Copy)]
 enum Args {
     None,
-    /// `{"name": …}` of a metadata event: the exporter's name table at
-    /// index `a`.
+    /// `{"name": …}` of a metadata event: its layer's process name, or
+    /// the name of its thread.
     Name,
     /// `{"ops": a, "busy_cycles": b}` of a compute slice.
     Compute,
@@ -192,10 +194,10 @@ enum Args {
     Bytes,
 }
 
-/// One Chrome trace event: a 48-byte record that owns no heap memory.
-/// Layer and thread names live in the exporter's name table and labels in
-/// [`LABELS`]; everything else is a number, serialised manually (no JSON
-/// dependency) when the trace is rendered.
+/// One Chrome trace event, built from a track entry when it is rendered.
+/// Labels live in [`LABELS`] and names are read from the layer the `pid`
+/// indexes; everything else is a number, serialised manually (no JSON
+/// dependency).
 #[derive(Debug, Clone, Copy)]
 struct ChromeEvent {
     ts: u64,
@@ -203,10 +205,11 @@ struct ChromeEvent {
     dur: u64,
     a: u64,
     b: u64,
-    pid: u32,
-    tid: u32,
-    /// Emission order: the tie-break among equal timestamps.
-    seq: u32,
+    /// The layer's index in the export.
+    pid: usize,
+    /// `core * 2` for a core's compute thread, `core * 2 + 1` for its
+    /// memory thread.
+    tid: usize,
     ph: u8,
     label: u8,
     /// A coalesced slice that merged slices with different tags: its
@@ -215,15 +218,8 @@ struct ChromeEvent {
     args: Args,
 }
 
-/// A trace id as the `u32` an event stores. Layer, core and event counts
-/// stay far below 2³²: every event is a resident 48-byte record.
-fn id32(n: usize) -> u32 {
-    u32::try_from(n).expect("trace ids fit in u32")
-}
-
 impl ChromeEvent {
-    /// An event whose `args` are `args` over the payloads `(a, b)`; its
-    /// `seq` is set when the trace is rendered.
+    /// An event whose `args` are `args` over the payloads `(a, b)`.
     fn new(
         ph: u8,
         ts: u64,
@@ -237,9 +233,8 @@ impl ChromeEvent {
             dur: 0,
             a,
             b,
-            pid: id32(pid),
-            tid: id32(tid),
-            seq: 0,
+            pid,
+            tid,
             ph,
             label,
             mixed: false,
@@ -262,63 +257,484 @@ impl ChromeEvent {
             )
         }
     }
-}
 
-/// Append `raw` as a JSON string literal (quoted, escaped).
-fn push_json_str(out: &mut String, raw: &str) {
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    /// The `B` (`end` false) or `E` (`end` true) event of a phase span.
+    fn phase(pid: usize, tid: usize, s: &Slice<Phase>, end: bool) -> Self {
+        let (ph, ts) = if end {
+            (b'E', s.ts + s.dur)
+        } else {
+            (b'B', s.ts)
+        };
+        Self {
+            mixed: s.mixed,
+            ..Self::new(ph, ts, pid, tid, label_index(s.tag), (Args::None, 0, 0))
         }
     }
-    out.push('"');
 }
 
-/// Convert one recorded layer into Chrome trace events, appended to
-/// `events` under process id `pid`; the layer's process and thread names
-/// are appended to `names`.
+/// Write the characters of `raw` escaped for a JSON string literal.
+fn write_json_escaped(out: &mut impl io::Write, raw: &str) -> io::Result<()> {
+    for c in raw.chars() {
+        match c {
+            '"' => out.write_all(b"\\\"")?,
+            '\\' => out.write_all(b"\\\\")?,
+            '\n' => out.write_all(b"\\n")?,
+            '\r' => out.write_all(b"\\r")?,
+            '\t' => out.write_all(b"\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_all(c.encode_utf8(&mut [0; 4]).as_bytes())?,
+        }
+    }
+    Ok(())
+}
+
+/// Write one event as a Chrome trace-event JSON object, reading metadata
+/// names from `layers`.
+fn write_event(
+    out: &mut impl io::Write,
+    e: &ChromeEvent,
+    layers: &[&LayerTrace],
+) -> io::Result<()> {
+    // Static labels need no JSON escaping.
+    write!(out, "\n{{\"name\":\"{}", LABELS[e.label as usize])?;
+    if e.label == SPM {
+        write!(out, "{}", e.b)?;
+    }
+    if e.mixed {
+        out.write_all(b"+")?;
+    }
+    write!(
+        out,
+        "\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
+        e.ph as char, e.ts, e.pid, e.tid
+    )?;
+    if e.ph == b'X' {
+        write!(out, ",\"dur\":{}", e.dur)?;
+    }
+    let (a, b) = (e.a, e.b);
+    match e.args {
+        Args::None => {}
+        Args::Name if e.label == PROCESS_NAME => {
+            let layer = layers[e.pid];
+            out.write_all(b",\"args\":{\"name\":\"")?;
+            write_json_escaped(out, &layer.name)?;
+            out.write_all(b" [")?;
+            write_json_escaped(out, layer.technique.label())?;
+            out.write_all(b"]\"}")?;
+        }
+        Args::Name => {
+            let thread = if e.tid.is_multiple_of(2) {
+                "compute"
+            } else {
+                "memory"
+            };
+            write!(out, ",\"args\":{{\"name\":\"core{} {thread}\"}}", e.tid / 2)?;
+        }
+        Args::Compute => write!(out, ",\"args\":{{\"ops\":{a},\"busy_cycles\":{b}}}")?,
+        Args::Memory => write!(out, ",\"args\":{{\"ops\":{a},\"bytes\":{b}}}")?,
+        Args::Bytes => write!(out, ",\"args\":{{\"bytes\":{a}}}")?,
+    }
+    out.write_all(b"}")
+}
+
+/// Write `events`, in the order given, as the Chrome trace JSON object
+/// format.
+fn write_chrome_json(
+    out: &mut impl io::Write,
+    events: impl IntoIterator<Item = ChromeEvent>,
+    layers: &[&LayerTrace],
+) -> io::Result<()> {
+    out.write_all(b"{\"traceEvents\":[")?;
+    for (i, e) in events.into_iter().enumerate() {
+        if i > 0 {
+            out.write_all(b",")?;
+        }
+        write_event(out, &e, layers)?;
+    }
+    out.write_all(b"\n],\"displayTimeUnit\":\"ms\"}\n")
+}
+
+/// One of a core's tracks, as a timestamp-ordered run of Chrome events.
+#[derive(Debug, Clone, Copy)]
+enum Track {
+    /// The compute and memory thread names.
+    Threads,
+    Compute,
+    Memory,
+    /// Each phase span's `B` and `E`.
+    Phases,
+    Occupancy,
+    Barriers,
+}
+
+impl Track {
+    /// A core's tracks in emission order.
+    const ALL: [Track; 6] = [
+        Track::Threads,
+        Track::Compute,
+        Track::Memory,
+        Track::Phases,
+        Track::Occupancy,
+        Track::Barriers,
+    ];
+}
+
+/// One source of the merge: a timestamp-ordered run of one layer's Chrome
+/// events, rendered on demand from the track it reads.
 ///
 /// Layout: one *process* per layer, two *threads* per core — `core*2` is
 /// the compute timeline (tile-GEMM slices and dX/dW phase begin/end
 /// markers), `core*2+1` is the memory timeline (transfer/stream/flush
 /// slices, barrier instants) — plus an SPM-occupancy counter track per
 /// core. Merged slice counts and byte totals are kept in `args`.
-fn push_layer_chrome_events(
-    events: &mut Vec<ChromeEvent>,
-    names: &mut Vec<String>,
+#[derive(Debug, Clone, Copy)]
+struct Source<'a> {
     pid: usize,
-    layer: &LayerTrace,
-) {
-    let mut name_event = |events: &mut Vec<ChromeEvent>, tid, label, name: String| {
-        let args = (Args::Name, names.len() as u64, 0);
-        events.push(ChromeEvent::new(b'M', 0, pid, tid, label, args));
-        names.push(name);
-    };
-    name_event(
-        events,
-        0,
-        PROCESS_NAME,
-        format!("{} [{}]", layer.name, layer.technique.label()),
-    );
+    /// `None` for the layer's process name.
+    core: Option<(&'a CoreTrace, Track)>,
+}
+
+impl Source<'_> {
+    /// Every source of `layers` in emission order: each layer's process
+    /// name, then each core's tracks in [`Track::ALL`] order.
+    fn of_layers<'a>(layers: &[&'a LayerTrace]) -> Vec<Source<'a>> {
+        let mut sources = Vec::new();
+        for (pid, layer) in layers.iter().enumerate() {
+            sources.push(Source { pid, core: None });
+            for core in &layer.cores {
+                for track in Track::ALL {
+                    sources.push(Source {
+                        pid,
+                        core: Some((core, track)),
+                    });
+                }
+            }
+        }
+        sources
+    }
+
+    fn len(&self) -> usize {
+        let Some((core, track)) = self.core else {
+            return 1;
+        };
+        let t = &core.tracks;
+        match track {
+            Track::Threads => 2,
+            Track::Compute => t.compute.len(),
+            Track::Memory => t.memory.len(),
+            Track::Phases => 2 * t.phases.len(),
+            Track::Occupancy => t.occupancy.len(),
+            Track::Barriers => t.barriers.len(),
+        }
+    }
+
+    /// The source's `i`-th event.
+    fn event(&self, i: usize) -> ChromeEvent {
+        let pid = self.pid;
+        let Some((core, track)) = self.core else {
+            return ChromeEvent::new(b'M', 0, pid, 0, PROCESS_NAME, (Args::Name, 0, 0));
+        };
+        let (compute, memory) = (core.core * 2, core.core * 2 + 1);
+        let t = &core.tracks;
+        match track {
+            Track::Threads => {
+                ChromeEvent::new(b'M', 0, pid, compute + i, THREAD_NAME, (Args::Name, 0, 0))
+            }
+            Track::Compute => ChromeEvent::slice(pid, compute, &t.compute[i], Args::Compute),
+            Track::Memory => ChromeEvent::slice(pid, memory, &t.memory[i], Args::Memory),
+            Track::Phases => ChromeEvent::phase(pid, compute, &t.phases[i / 2], i % 2 == 1),
+            Track::Occupancy => {
+                let (cycle, bytes) = t.occupancy[i];
+                let args = (Args::Bytes, bytes, core.core as u64);
+                ChromeEvent::new(b'C', cycle, pid, memory, SPM, args)
+            }
+            Track::Barriers => {
+                let args = (Args::None, 0, 0);
+                ChromeEvent::new(b'i', t.barriers[i], pid, memory, BARRIER, args)
+            }
+        }
+    }
+}
+
+/// The Chrome events of a set of layers in timestamp order: a k-way merge
+/// of their [`Source`]s, each already in timestamp order. Equal
+/// timestamps come in emission order (source index, then position), so
+/// an `E` at the same cycle as the next phase's `B` stays before it. It
+/// holds one cursor per source and nothing per event.
+struct Merge<'a> {
+    /// The non-empty sources, in emission order.
+    sources: Vec<Source<'a>>,
+    /// Each source's position and event at its cursor.
+    heads: Vec<(usize, ChromeEvent)>,
+    /// `(timestamp, source)` of each unfinished source's head.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(layers: &[&'a LayerTrace]) -> Self {
+        let mut sources = Source::of_layers(layers);
+        sources.retain(|s| s.len() > 0);
+        let heads: Vec<_> = sources.iter().map(|s| (0, s.event(0))).collect();
+        let heap = heads
+            .iter()
+            .enumerate()
+            .map(|(k, (_, e))| Reverse((e.ts, k)))
+            .collect();
+        Self {
+            sources,
+            heads,
+            heap,
+        }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = ChromeEvent;
+
+    fn next(&mut self) -> Option<ChromeEvent> {
+        let mut top = self.heap.peek_mut()?;
+        let Reverse((ts, k)) = *top;
+        let source = &self.sources[k];
+        let (pos, head) = &mut self.heads[k];
+        *pos += 1;
+        if *pos == source.len() {
+            PeekMut::pop(top);
+            return Some(*head);
+        }
+        let event = std::mem::replace(head, source.event(*pos));
+        debug_assert!(head.ts >= ts, "a merged source goes back in time");
+        *top = Reverse((head.ts, k));
+        Some(event)
+    }
+}
+
+/// One file a trace export writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Artifact {
+    /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
+    TraceJson,
+    /// Per-(layer, core, class) metrics CSV.
+    MetricsCsv,
+    /// dY reuse-ratio-over-time CSV.
+    DyReuseCsv,
+    /// Per-dY-tile reuse CSV.
+    DyTilesCsv,
+}
+
+impl Artifact {
+    /// Every artifact, in [`TraceArtifacts`] field order.
+    pub const ALL: [Artifact; 4] = [
+        Artifact::TraceJson,
+        Artifact::MetricsCsv,
+        Artifact::DyReuseCsv,
+        Artifact::DyTilesCsv,
+    ];
+
+    /// The artifact's file name.
+    pub fn file_name(self) -> &'static str {
+        match self {
+            Artifact::TraceJson => "trace.json",
+            Artifact::MetricsCsv => "metrics.csv",
+            Artifact::DyReuseCsv => "dy_reuse.csv",
+            Artifact::DyTilesCsv => "dy_tiles.csv",
+        }
+    }
+}
+
+/// The finished export artifacts of a trace run.
+#[derive(Debug, Clone)]
+pub struct TraceArtifacts {
+    /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
+    pub trace_json: String,
+    /// Per-(layer, core, class) metrics CSV.
+    pub metrics_csv: String,
+    /// dY reuse-ratio-over-time CSV.
+    pub dy_reuse_csv: String,
+    /// Per-dY-tile reuse CSV.
+    pub dy_tiles_csv: String,
+}
+
+/// Trace exporter: add recorded layers in order with
+/// [`TraceExport::add_layer`], then write each [`Artifact`] into any
+/// [`io::Write`] with [`TraceExport::write`], or render all four into
+/// strings with [`TraceExport::finish`].
+///
+/// The export borrows the layers and renders every artifact straight from
+/// them, so it holds nothing per event: `trace.json` is a merge of the
+/// layers' capped tracks, which are already in timestamp order. Each
+/// track is bounded per (layer, core) by its cap and the dY series by its
+/// cap; `dy_tiles.csv` has one row per dY tile.
+#[derive(Debug)]
+pub struct TraceExport<'a> {
+    max_reuse_points: usize,
+    layers: Vec<&'a LayerTrace>,
+}
+
+/// Default per-(layer, core) row cap of the dY reuse time-series CSV: the
+/// cap the recorder already applies to the dY series.
+pub const DEFAULT_REUSE_POINTS: usize = DY_SERIES_CAP;
+
+impl<'a> TraceExport<'a> {
+    /// Start an export writing at most `max_reuse_points` dY reuse CSV rows
+    /// per (layer, core), plus the final point.
+    ///
+    /// A recorded dY series is already decimated to [`DY_SERIES_CAP`]
+    /// points plus the final one ([`igo_npu_sim::MetricsFold`]). A value at
+    /// or above that cap, such as [`DEFAULT_REUSE_POINTS`], writes the
+    /// stored series unchanged; a smaller value thins it further with the
+    /// same even-stride decimation.
+    pub fn new(max_reuse_points: usize) -> Self {
+        Self {
+            max_reuse_points: max_reuse_points.max(1),
+            layers: Vec::new(),
+        }
+    }
+
+    /// Add the next recorded layer to the export.
+    pub fn add_layer(&mut self, layer: &'a LayerTrace) {
+        self.layers.push(layer);
+    }
+
+    /// Write `artifact` of every layer added so far into `out`.
+    pub fn write(&self, artifact: Artifact, out: &mut impl io::Write) -> io::Result<()> {
+        match artifact {
+            Artifact::TraceJson => write_chrome_json(out, Merge::new(&self.layers), &self.layers),
+            Artifact::MetricsCsv => self.write_metrics(out),
+            Artifact::DyReuseCsv => self.write_dy_reuse(out),
+            Artifact::DyTilesCsv => self.write_dy_tiles(out),
+        }
+    }
+
+    fn write_metrics(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"layer,core,capacity,high_water,class,accesses,hits,misses,cold")?;
+        for i in 0..igo_npu_sim::REUSE_BUCKETS {
+            write!(out, ",d2^{i}")?;
+        }
+        out.write_all(b"\n")?;
+        for layer in &self.layers {
+            for core in &layer.cores {
+                for class in TensorClass::ALL {
+                    let m = core.metrics.class(class);
+                    if m.accesses == 0 {
+                        continue;
+                    }
+                    write!(
+                        out,
+                        "{},{},{},{},{},{},{},{},{}",
+                        csv_field(&layer.name),
+                        core.core,
+                        core.metrics.capacity,
+                        core.metrics.occupancy_high_water,
+                        class.label(),
+                        m.accesses,
+                        m.hits,
+                        m.misses(),
+                        m.histogram.cold
+                    )?;
+                    for bucket in m.histogram.buckets {
+                        write!(out, ",{bucket}")?;
+                    }
+                    out.write_all(b"\n")?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn write_dy_reuse(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"layer,core,cycle,dy_accesses,dy_hits,ratio\n")?;
+        for layer in &self.layers {
+            for core in &layer.cores {
+                let series = &core.metrics.dy_timeline;
+                let thinned = (self.max_reuse_points < DY_SERIES_CAP)
+                    .then(|| decimate(series, self.max_reuse_points));
+                for p in thinned.as_deref().unwrap_or(series) {
+                    writeln!(
+                        out,
+                        "{},{},{},{},{},{:.6}",
+                        csv_field(&layer.name),
+                        core.core,
+                        p.cycle,
+                        p.accesses,
+                        p.hits,
+                        p.ratio()
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn write_dy_tiles(&self, out: &mut impl io::Write) -> io::Result<()> {
+        out.write_all(b"layer,core,row,col,bytes,accesses,hits,reuse_ratio\n")?;
+        for layer in &self.layers {
+            for core in &layer.cores {
+                for t in &core.metrics.dy_tiles {
+                    writeln!(
+                        out,
+                        "{},{},{},{},{},{},{},{:.6}",
+                        csv_field(&layer.name),
+                        core.core,
+                        t.key.coord.r,
+                        t.key.coord.c,
+                        t.bytes,
+                        t.accesses,
+                        t.hits,
+                        t.reuse_ratio()
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Render `artifact` into a string.
+    fn render(&self, artifact: Artifact) -> String {
+        let mut out = Vec::new();
+        self.write(artifact, &mut out)
+            .expect("writing into memory cannot fail");
+        String::from_utf8(out).expect("the artifacts are UTF-8")
+    }
+
+    /// Render every artifact into a string.
+    pub fn finish(self) -> TraceArtifacts {
+        let [trace_json, metrics_csv, dy_reuse_csv, dy_tiles_csv] =
+            Artifact::ALL.map(|a| self.render(a));
+        TraceArtifacts {
+            trace_json,
+            metrics_csv,
+            dy_reuse_csv,
+            dy_tiles_csv,
+        }
+    }
+}
+
+/// The merge's test oracle, a sort-based renderer: every event of every
+/// layer collected in emission order, stably sorted by timestamp, then
+/// written.
+#[cfg(test)]
+fn sorted_chrome_json(layers: &[&LayerTrace]) -> String {
+    let mut events = Vec::new();
+    for (pid, layer) in layers.iter().enumerate() {
+        push_layer_chrome_events(&mut events, pid, layer);
+    }
+    events.sort_by_key(|e| e.ts);
+    let mut out = Vec::new();
+    write_chrome_json(&mut out, events, layers).expect("writing into memory cannot fail");
+    String::from_utf8(out).expect("the trace is UTF-8")
+}
+
+/// Append one recorded layer's Chrome events to `events` under process id
+/// `pid`, in emission order.
+#[cfg(test)]
+fn push_layer_chrome_events(events: &mut Vec<ChromeEvent>, pid: usize, layer: &LayerTrace) {
+    let name = (Args::Name, 0, 0);
+    events.push(ChromeEvent::new(b'M', 0, pid, 0, PROCESS_NAME, name));
     for core in &layer.cores {
         let tid_compute = core.core * 2;
         let tid_memory = core.core * 2 + 1;
-        for (tid, label) in [(tid_compute, "compute"), (tid_memory, "memory")] {
-            name_event(
-                events,
-                tid,
-                THREAD_NAME,
-                format!("core{} {label}", core.core),
-            );
+        for tid in [tid_compute, tid_memory] {
+            events.push(ChromeEvent::new(b'M', 0, pid, tid, THREAD_NAME, name));
         }
         let tracks = &core.tracks;
         events.extend(
@@ -354,213 +770,15 @@ fn push_layer_chrome_events(
     }
 }
 
-/// Rendered bytes reserved per event: a rendered event averages 85–89
-/// bytes on the edge traces of faster-rcnn, resnet50 and bert-tiny, so
-/// the output rarely has to grow.
-const BYTES_PER_EVENT: usize = 100;
-
-/// Render the collected events as the Chrome trace JSON object format,
-/// looking metadata names up in `names`.
-fn render_chrome_json(mut events: Vec<ChromeEvent>, names: &[String]) -> String {
-    // Equal timestamps keep emission order, so an `E` at the same cycle as
-    // the next phase's `B` stays before it. Sorting by `(ts, seq)` gives
-    // that stable order in place, without a stable sort's scratch copy.
-    for (seq, e) in events.iter_mut().enumerate() {
-        e.seq = id32(seq);
-    }
-    events.sort_unstable_by_key(|e| (e.ts, e.seq));
-
-    let names_len: usize = names.iter().map(String::len).sum();
-    let mut out = String::with_capacity(events.len() * BYTES_PER_EVENT + names_len + 64);
-    out.push_str("{\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n{\"name\":\"");
-        // Static labels need no JSON escaping.
-        out.push_str(LABELS[e.label as usize]);
-        if e.label == SPM {
-            let _ = write!(out, "{}", e.b);
-        }
-        if e.mixed {
-            out.push('+');
-        }
-        let _ = write!(
-            out,
-            "\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            e.ph as char, e.ts, e.pid, e.tid
-        );
-        if e.ph == b'X' {
-            let _ = write!(out, ",\"dur\":{}", e.dur);
-        }
-        let (a, b) = (e.a, e.b);
-        match e.args {
-            Args::None => {}
-            Args::Name => {
-                out.push_str(",\"args\":{\"name\":");
-                push_json_str(&mut out, &names[a as usize]);
-                out.push('}');
-            }
-            Args::Compute => {
-                let _ = write!(out, ",\"args\":{{\"ops\":{a},\"busy_cycles\":{b}}}");
-            }
-            Args::Memory => {
-                let _ = write!(out, ",\"args\":{{\"ops\":{a},\"bytes\":{b}}}");
-            }
-            Args::Bytes => {
-                let _ = write!(out, ",\"args\":{{\"bytes\":{a}}}");
-            }
-        }
-        out.push('}');
-    }
-    out.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-    out
-}
-
-/// The finished export artifacts of a trace run.
-#[derive(Debug, Clone)]
-pub struct TraceArtifacts {
-    /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
-    pub trace_json: String,
-    /// Per-(layer, core, class) metrics CSV.
-    pub metrics_csv: String,
-    /// dY reuse-ratio-over-time CSV.
-    pub dy_reuse_csv: String,
-    /// Per-dY-tile reuse CSV.
-    pub dy_tiles_csv: String,
-}
-
-/// Incremental trace exporter: feed recorded layers one at a time with
-/// [`TraceExport::add_layer`], then [`TraceExport::finish`].
-///
-/// Between layers it holds the serialised CSV rows and the Chrome events
-/// of every layer added so far (events are ordered by timestamp only in
-/// `finish`, with an in-place sort that allocates nothing). Both are
-/// bounded per (layer, core) by the track caps and the dY series cap,
-/// except `dy_tiles.csv`, which has one row per dY tile. A Chrome event
-/// is a 48-byte record; the only strings it refers to, the layer and
-/// thread names, sit in one table.
-#[derive(Debug)]
-pub struct TraceExport {
-    max_reuse_points: usize,
-    layers: usize,
-    events: Vec<ChromeEvent>,
-    names: Vec<String>,
-    metrics: String,
-    reuse: String,
-    tiles: String,
-}
-
-/// Default per-(layer, core) row cap of the dY reuse time-series CSV: the
-/// cap the recorder already applies to the dY series.
-pub const DEFAULT_REUSE_POINTS: usize = DY_SERIES_CAP;
-
-impl TraceExport {
-    /// Start an export writing at most `max_reuse_points` dY reuse CSV rows
-    /// per (layer, core), plus the final point.
-    ///
-    /// A recorded dY series is already decimated to [`DY_SERIES_CAP`]
-    /// points plus the final one ([`igo_npu_sim::MetricsFold`]). A value at
-    /// or above that cap, such as [`DEFAULT_REUSE_POINTS`], writes the
-    /// stored series unchanged; a smaller value thins it further with the
-    /// same even-stride decimation.
-    pub fn new(max_reuse_points: usize) -> Self {
-        let mut metrics =
-            String::from("layer,core,capacity,high_water,class,accesses,hits,misses,cold");
-        for i in 0..igo_npu_sim::REUSE_BUCKETS {
-            let _ = write!(metrics, ",d2^{i}");
-        }
-        metrics.push('\n');
-        Self {
-            max_reuse_points: max_reuse_points.max(1),
-            layers: 0,
-            events: Vec::new(),
-            names: Vec::new(),
-            metrics,
-            reuse: String::from("layer,core,cycle,dy_accesses,dy_hits,ratio\n"),
-            tiles: String::from("layer,core,row,col,bytes,accesses,hits,reuse_ratio\n"),
-        }
-    }
-
-    /// Fold one recorded layer into every export artifact.
-    pub fn add_layer(&mut self, layer: &LayerTrace) {
-        push_layer_chrome_events(&mut self.events, &mut self.names, self.layers, layer);
-        self.layers += 1;
-        for core in &layer.cores {
-            for class in TensorClass::ALL {
-                let m = core.metrics.class(class);
-                if m.accesses == 0 {
-                    continue;
-                }
-                let _ = write!(
-                    self.metrics,
-                    "{},{},{},{},{},{},{},{},{}",
-                    csv_field(&layer.name),
-                    core.core,
-                    core.metrics.capacity,
-                    core.metrics.occupancy_high_water,
-                    class.label(),
-                    m.accesses,
-                    m.hits,
-                    m.misses(),
-                    m.histogram.cold
-                );
-                for bucket in m.histogram.buckets {
-                    let _ = write!(self.metrics, ",{bucket}");
-                }
-                self.metrics.push('\n');
-            }
-            let series = &core.metrics.dy_timeline;
-            let thinned = (self.max_reuse_points < DY_SERIES_CAP)
-                .then(|| decimate(series, self.max_reuse_points));
-            for p in thinned.as_deref().unwrap_or(series) {
-                let _ = writeln!(
-                    self.reuse,
-                    "{},{},{},{},{},{:.6}",
-                    csv_field(&layer.name),
-                    core.core,
-                    p.cycle,
-                    p.accesses,
-                    p.hits,
-                    p.ratio()
-                );
-            }
-            for t in &core.metrics.dy_tiles {
-                let _ = writeln!(
-                    self.tiles,
-                    "{},{},{},{},{},{},{},{:.6}",
-                    csv_field(&layer.name),
-                    core.core,
-                    t.key.coord.r,
-                    t.key.coord.c,
-                    t.bytes,
-                    t.accesses,
-                    t.hits,
-                    t.reuse_ratio()
-                );
-            }
-        }
-    }
-
-    /// Render the final artifacts.
-    pub fn finish(self) -> TraceArtifacts {
-        TraceArtifacts {
-            trace_json: render_chrome_json(self.events, &self.names),
-            metrics_csv: self.metrics,
-            dy_reuse_csv: self.reuse,
-            dy_tiles_csv: self.tiles,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::simulate_model;
+    use crate::pipeline::{simulate_model, LayerDecision};
+    use crate::schedule::BackwardOrder;
     use crate::technique::Technique;
-    use crate::tracks::MemKind;
-    use igo_npu_sim::{NpuConfig, Phase};
+    use crate::tracks::{CoreTracks, MemKind};
+    use igo_npu_sim::{NpuConfig, RunMetrics, SimReport};
+    use igo_tensor::rng::SplitMix64;
     use igo_workloads::{zoo, ModelId};
 
     fn reports() -> (ModelReport, ModelReport) {
@@ -702,11 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn chrome_events_stay_compact() {
-        assert!(std::mem::size_of::<ChromeEvent>() <= 48);
-    }
-
-    #[test]
     fn every_track_tag_has_a_label() {
         for phase in [Phase::Dx, Phase::Dw, Phase::Other] {
             assert_eq!(LABELS[label_index(phase) as usize], phase.label());
@@ -716,71 +929,238 @@ mod tests {
         }
     }
 
-    /// Events with equal timestamps, across layers (pids) and threads
-    /// (tids), render in emission order: a phase's `E` stays before the
-    /// next phase's `B` on the same cycle.
+    /// A recorded layer named `name` whose cores hold `tracks`, and
+    /// nothing else the Chrome trace reads.
+    fn layer_of_tracks(name: &str, tracks: Vec<CoreTracks>) -> LayerTrace {
+        LayerTrace {
+            name: name.to_owned(),
+            gemm: igo_tensor::GemmShape::new(1, 1, 1),
+            technique: Technique::Interleaving,
+            decision: LayerDecision {
+                order: BackwardOrder::Interleaved,
+                partition: None,
+            },
+            report: SimReport::default(),
+            capacity: 0,
+            cores: tracks
+                .into_iter()
+                .enumerate()
+                .map(|(core, tracks)| CoreTrace {
+                    core,
+                    schedule: String::new(),
+                    event_count: 0,
+                    metrics: RunMetrics::default(),
+                    tracks,
+                    report: SimReport::default(),
+                })
+                .collect(),
+        }
+    }
+
+    /// The merged `trace.json` of `layers`, checked byte for byte against
+    /// the sort-based oracle.
+    fn merged_chrome_json(layers: &[LayerTrace]) -> String {
+        let mut export = TraceExport::new(DEFAULT_REUSE_POINTS);
+        for layer in layers {
+            export.add_layer(layer);
+        }
+        let merged = export.render(Artifact::TraceJson);
+        assert_eq!(merged, sorted_chrome_json(&export.layers));
+        merged
+    }
+
+    fn phase(ts: u64, dur: u64, tag: Phase) -> Slice<Phase> {
+        Slice {
+            ts,
+            dur,
+            tag,
+            mixed: false,
+            ops: 1,
+            extra: 0,
+        }
+    }
+
+    /// Events with equal timestamps, across layers (pids), cores and
+    /// threads (tids), render in emission order: a phase's `E` stays
+    /// before the next phase's `B` on the same cycle, and a core's thread
+    /// names come after the earlier core's events at cycle 0.
     #[test]
     fn equal_timestamps_render_in_emission_order() {
-        let none = (Args::None, 0, 0);
-        let dx = label_index(Phase::Dx);
-        let dw = label_index(Phase::Dw);
-        let slice = Slice {
-            ts: 10,
-            dur: 4,
-            tag: MemKind::Xfer,
-            mixed: true,
-            ops: 2,
-            extra: 96,
+        let layer0 = CoreTracks {
+            phases: vec![phase(0, 10, Phase::Dx), phase(10, 5, Phase::Dw)],
+            occupancy: vec![(10, 64)],
+            ..CoreTracks::default()
         };
-        let events = vec![
-            ChromeEvent::new(b'M', 0, 1, 0, PROCESS_NAME, (Args::Name, 1, 0)),
-            ChromeEvent::new(b'E', 10, 1, 2, dw, none),
-            ChromeEvent::new(b'B', 0, 0, 0, dx, none),
-            ChromeEvent::new(b'E', 10, 0, 0, dx, none),
-            ChromeEvent::slice(1, 3, &slice, Args::Memory),
-            ChromeEvent::new(b'B', 10, 0, 0, dw, none),
-            ChromeEvent::new(b'C', 10, 0, 7, SPM, (Args::Bytes, 64, 3)),
-            ChromeEvent::new(b'i', 10, 1, 3, BARRIER, none),
-            ChromeEvent::new(b'M', 0, 0, 0, PROCESS_NAME, (Args::Name, 0, 0)),
-        ];
-        let names = ["layer0".to_owned(), "layer1".to_owned()];
-        let json = render_chrome_json(events, &names);
+        let layer1_core0 = CoreTracks {
+            memory: vec![Slice {
+                ts: 10,
+                dur: 4,
+                tag: MemKind::Xfer,
+                mixed: true,
+                ops: 2,
+                extra: 96,
+            }],
+            occupancy: vec![(0, 32)],
+            barriers: vec![10],
+            ..CoreTracks::default()
+        };
+        let layer1_core1 = CoreTracks {
+            phases: vec![phase(0, 10, Phase::Dw)],
+            ..CoreTracks::default()
+        };
+        let json = merged_chrome_json(&[
+            layer_of_tracks("layer0", vec![layer0]),
+            layer_of_tracks("layer\"1\"", vec![layer1_core0, layer1_core1]),
+        ]);
         let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(lines[0], r#"{"traceEvents":["#);
         assert_eq!(
             lines[1..lines.len() - 1],
             [
-                r#"{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"layer1"}},"#,
+                r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"layer0 [Interleaving]"}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"core0 compute"}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":0,"tid":1,"args":{"name":"core0 memory"}},"#,
                 r#"{"name":"dX","ph":"B","ts":0,"pid":0,"tid":0},"#,
-                r#"{"name":"process_name","ph":"M","ts":0,"pid":0,"tid":0,"args":{"name":"layer0"}},"#,
-                r#"{"name":"dW","ph":"E","ts":10,"pid":1,"tid":2},"#,
+                r#"{"name":"process_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"layer\"1\" [Interleaving]"}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":0,"args":{"name":"core0 compute"}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":1,"args":{"name":"core0 memory"}},"#,
+                r#"{"name":"SPM core0","ph":"C","ts":0,"pid":1,"tid":1,"args":{"bytes":32}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":2,"args":{"name":"core1 compute"}},"#,
+                r#"{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":3,"args":{"name":"core1 memory"}},"#,
+                r#"{"name":"dW","ph":"B","ts":0,"pid":1,"tid":2},"#,
                 r#"{"name":"dX","ph":"E","ts":10,"pid":0,"tid":0},"#,
-                r#"{"name":"xfer+","ph":"X","ts":10,"pid":1,"tid":3,"dur":4,"args":{"ops":2,"bytes":96}},"#,
                 r#"{"name":"dW","ph":"B","ts":10,"pid":0,"tid":0},"#,
-                r#"{"name":"SPM core3","ph":"C","ts":10,"pid":0,"tid":7,"args":{"bytes":64}},"#,
-                r#"{"name":"barrier","ph":"i","ts":10,"pid":1,"tid":3}"#,
+                r#"{"name":"SPM core0","ph":"C","ts":10,"pid":0,"tid":1,"args":{"bytes":64}},"#,
+                r#"{"name":"xfer+","ph":"X","ts":10,"pid":1,"tid":1,"dur":4,"args":{"ops":2,"bytes":96}},"#,
+                r#"{"name":"barrier","ph":"i","ts":10,"pid":1,"tid":1},"#,
+                r#"{"name":"dW","ph":"E","ts":10,"pid":1,"tid":2},"#,
+                r#"{"name":"dW","ph":"E","ts":15,"pid":0,"tid":0}"#,
             ]
         );
+        assert_eq!(lines[lines.len() - 1], r#"],"displayTimeUnit":"ms"}"#);
+    }
 
-        // Enough ties that the sort cannot fall back to an insertion sort:
-        // within each timestamp, tids (the emission order) still ascend.
-        let events: Vec<ChromeEvent> = (0..500)
-            .map(|i| ChromeEvent::new(b'i', (i * 7 % 3) as u64, 0, i, BARRIER, none))
-            .collect();
-        let json = render_chrome_json(events, &[]);
-        let order: Vec<(u64, usize)> = json
+    /// The merge equals the oracle on recorded traces with equal
+    /// timestamps across layers and cores: `serverx4` layers partitioned
+    /// over four identical cores and `edge` layers, among them chained
+    /// sequential partitions.
+    #[test]
+    fn merged_render_equals_sorted_oracle_on_recorded_traces() {
+        let context = crate::SimContext::new(crate::SimOptions::sequential());
+        let server = NpuConfig::large_server(4);
+        let edge = NpuConfig::small_edge();
+        let layers = [
+            ("fc1", (512, 256, 256), &server, Technique::DataPartitioning),
+            ("fc2", (768, 512, 384), &server, Technique::DataPartitioning),
+            ("conv", (512, 312, 1200), &edge, Technique::DataPartitioning),
+            ("fc3", (300, 200, 180), &edge, Technique::Rearrangement),
+        ]
+        .map(|(name, (m, k, n), config, technique)| {
+            let gemm = igo_tensor::GemmShape::new(m, k, n);
+            context.trace_layer(name, gemm, 1.0, config, technique, false)
+        });
+        assert!(layers[..2]
+            .iter()
+            .all(|l| l.cores.len() == 4 && l.decision.partition.is_some()));
+        assert!(layers[2].cores.len() == 1 && layers[2].decision.partition.is_some());
+        let json = merged_chrome_json(&layers);
+        // Ties past cycle 0 between different threads, which only the
+        // emission-order tie-break orders.
+        let stamps: Vec<(&str, &str)> = json
             .lines()
             .filter_map(|l| {
                 let field = |key: &str| l.split(key).nth(1)?.split([',', '}']).next();
-                Some((
-                    field("\"ts\":")?.parse().ok()?,
-                    field("\"tid\":")?.parse().ok()?,
-                ))
+                Some((field("\"ts\":")?, field("\"tid\":")?))
             })
             .collect();
-        let mut expected = order.clone();
-        expected.sort_unstable();
-        assert_eq!(order.len(), 500);
-        assert_eq!(order, expected);
+        assert!(stamps
+            .windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].0 != "0" && w[0].1 != w[1].1));
+    }
+
+    /// A track of `len` timestamps that never decrease, with many ties.
+    fn stamps(rng: &mut SplitMix64, len: usize) -> Vec<u64> {
+        let mut ts = 0;
+        (0..len)
+            .map(|_| {
+                ts += rng.range_u64(0, 3);
+                ts
+            })
+            .collect()
+    }
+
+    /// Up to six random slices tagged from `tags`, in timestamp order.
+    fn random_slices<T: TrackTag>(rng: &mut SplitMix64, tags: &[T]) -> Vec<Slice<T>> {
+        let len = rng.index(7);
+        stamps(rng, len)
+            .into_iter()
+            .map(|ts| Slice {
+                ts,
+                dur: rng.range_u64(0, 4),
+                tag: tags[rng.index(tags.len())],
+                mixed: rng.range_u64(0, 2) == 1,
+                ops: rng.range_u64(1, 9),
+                extra: rng.next_u64() >> rng.range_u64(0, 64),
+            })
+            .collect()
+    }
+
+    /// Random tracks of one core, each up to six entries long.
+    fn random_tracks(rng: &mut SplitMix64) -> CoreTracks {
+        let tags = [Phase::Dx, Phase::Dw, Phase::Other];
+        let compute = random_slices(rng, &tags);
+        let memory = random_slices(rng, &[MemKind::Xfer, MemKind::Stream, MemKind::Flush]);
+        // Phase spans follow each other: the next begins at or after the
+        // previous end.
+        let mut end = 0;
+        let phases = (0..rng.index(7))
+            .map(|_| {
+                let s = Slice {
+                    mixed: rng.range_u64(0, 2) == 1,
+                    ..phase(
+                        end + rng.range_u64(0, 2),
+                        rng.range_u64(0, 3),
+                        tags[rng.index(3)],
+                    )
+                };
+                end = s.ts + s.dur;
+                s
+            })
+            .collect();
+        let len = rng.index(7);
+        let occupancy = stamps(rng, len)
+            .into_iter()
+            .map(|ts| (ts, rng.range_u64(0, 1 << 20)))
+            .collect();
+        let len = rng.index(7);
+        CoreTracks {
+            compute,
+            memory,
+            phases,
+            occupancy,
+            barriers: stamps(rng, len),
+        }
+    }
+
+    /// The merge equals the oracle on seeded random track sets: up to
+    /// three layers of up to three cores, on timestamps drawn from a few
+    /// cycles, under names that need JSON escaping.
+    #[test]
+    fn merged_render_equals_sorted_oracle_on_random_tracks() {
+        for seed in 0..300 {
+            let mut rng = SplitMix64::new(seed);
+            let layers: Vec<LayerTrace> = (0..rng.range_u64(1, 4))
+                .map(|l| {
+                    let cores = (0..rng.index(4)).map(|_| random_tracks(&mut rng)).collect();
+                    layer_of_tracks(&format!("l{l},\"\\\n\u{1}é"), cores)
+                })
+                .collect();
+            let json = merged_chrome_json(&layers);
+            assert!(
+                json.ends_with("\n],\"displayTimeUnit\":\"ms\"}\n"),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

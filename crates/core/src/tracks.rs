@@ -13,15 +13,16 @@
 //! (durations, op counts and byte counts are preserved in the merged
 //! slice) and counter and barrier samples are *decimated* evenly. The
 //! merge group size and the sampling stride depend on the final track
-//! length, which the replayed stream fixes before the replay starts
-//! ([`StreamShape`]): the builder applies the caps online, keeping exactly
-//! what coalescing and [`igo_npu_sim::decimate`] would keep of the full
-//! tracks. Memory slices are the one exception: an op contributes a slice
-//! only when it moved bytes, which depends on hits, so each such op is
-//! kept as a 24-byte record until the run ends, when the records stream
-//! through the same online coalescing.
+//! length, which is known before the replay starts, so the builder
+//! applies the caps online, keeping exactly what coalescing and
+//! [`igo_npu_sim::decimate`] would keep of the full tracks, and holding
+//! no more than each track's cap at any time. The replayed stream fixes
+//! every length but one ([`StreamShape`]). An op contributes a memory
+//! slice only when it moved bytes, which depends on hits, so the memory
+//! track is sized by a counting replay of the same input first
+//! ([`MemorySlices`]; the replay is deterministic).
 
-use igo_npu_sim::{AccessKind, Decimator, Phase, Recorder, StreamShape, TraceEvent};
+use igo_npu_sim::{round_cycles, AccessKind, Decimator, Phase, Recorder, StreamShape, TraceEvent};
 
 /// Most compute or memory slices kept per core.
 pub const SLICE_CAP: usize = 1000;
@@ -127,6 +128,8 @@ fn coalesce<T: TrackTag>(slices: Vec<Slice<T>>, max: usize) -> Vec<Slice<T>> {
 /// yields exactly `coalesce(slices, max)`, holding at most `max` merged
 /// slices and one open group at any time.
 struct Coalescer<T> {
+    len: u64,
+    pushed: u64,
     group: u64,
     /// The group being merged: its slice so far, the end cycle of its
     /// latest member, and its member count.
@@ -138,13 +141,17 @@ impl<T: TrackTag> Coalescer<T> {
     fn new(len: u64, max: usize) -> Self {
         let max = max as u64;
         Self {
+            len,
+            pushed: 0,
             group: if len <= max { 1 } else { len.div_ceil(max) },
             open: None,
             out: Vec::with_capacity(len.min(max) as usize),
         }
     }
 
+    #[inline]
     fn push(&mut self, s: Slice<T>) {
+        self.pushed += 1;
         let end = s.ts + s.dur;
         let members = match &mut self.open {
             None => {
@@ -173,6 +180,7 @@ impl<T: TrackTag> Coalescer<T> {
     }
 
     fn finish(mut self) -> Vec<Slice<T>> {
+        debug_assert_eq!(self.pushed, self.len, "a track's length was mis-sized");
         self.close();
         self.out
     }
@@ -195,12 +203,12 @@ pub struct CoreTracks {
     pub barriers: Vec<u64>,
 }
 
-/// Memory-side aggregation of the op whose events are arriving.
+/// Memory-side aggregation of one op's events.
 #[derive(Default)]
 struct MemAgg {
     start: u64,
     fetch: u64,
-    bursts: u32,
+    bursts: u64,
     writeback: u64,
     stream: u64,
     accesses: bool,
@@ -208,127 +216,191 @@ struct MemAgg {
 }
 
 impl MemAgg {
-    /// The memory slice this op contributes, if it moved bytes.
-    fn into_raw(self) -> Option<RawMem> {
-        let (kind, bytes) = if self.streamed {
+    /// What the op's memory slice did and the bytes it moved; an op that
+    /// moved no bytes contributes no slice.
+    fn kind_bytes(&self) -> (MemKind, u64) {
+        if self.streamed {
             (MemKind::Stream, self.stream)
         } else if self.accesses {
             (MemKind::Xfer, self.fetch + self.writeback)
         } else {
             (MemKind::Flush, self.writeback)
+        }
+    }
+
+    /// Whether the op moved bytes, and so contributes a memory slice.
+    fn moved(&self) -> bool {
+        self.kind_bytes().1 > 0
+    }
+
+    /// The op's memory slice, if it moved bytes, sized with the engine's
+    /// cost model (`bytes / bandwidth + bursts × latency`; one burst
+    /// unless an `Xfer` fetched several).
+    #[inline]
+    fn slice(&self, bytes_per_cycle: f64, burst_latency: u64) -> Option<Slice<MemKind>> {
+        let (kind, bytes) = self.kind_bytes();
+        let bursts = match kind {
+            MemKind::Xfer => self.bursts.max(1),
+            MemKind::Stream | MemKind::Flush => 1,
         };
-        (bytes > 0).then_some(RawMem {
-            ts: self.start,
-            bytes,
-            bursts: self.bursts,
-            kind,
-        })
+        let dur = bytes as f64 / bytes_per_cycle + (bursts * burst_latency) as f64;
+        (bytes > 0).then(|| Slice::new(self.start, round_cycles(dur), kind, bytes))
     }
 }
 
-/// One op's memory slice as the builder holds it until the run ends: 24
-/// bytes, against 40 for a [`Slice`]. Nothing is packed lossily. The
-/// duration is not stored but recomputed by [`RawMem::slice`] from
-/// `bytes` and `bursts`, with the same expression (and so the same
-/// floating-point result) the slice would have been stamped with. A
-/// slice's op count is always 1 and it is never mixed. `bursts` counts
-/// the op's fetched accesses, and an op has fewer accesses than the
-/// replay's stream positions, which stay below
-/// [`igo_npu_sim::REPLAY_ID_LIMIT`] (`u32::MAX`), so it fits in a `u32`.
-#[derive(Debug, Clone, Copy)]
-struct RawMem {
-    ts: u64,
-    bytes: u64,
-    bursts: u32,
-    kind: MemKind,
+/// The per-op aggregation of a replay's memory-side events (accesses,
+/// write-backs, stream I/O), which arrive grouped by op.
+#[derive(Default)]
+struct MemOps {
+    /// The op whose events `agg` is collecting.
+    cur_op: Option<u32>,
+    agg: MemAgg,
 }
 
-impl RawMem {
-    /// The slice, sized with the engine's own cost model (`bytes /
-    /// bandwidth + bursts × latency`; one burst unless an `Xfer` fetched
-    /// several).
-    fn slice(self, bytes_per_cycle: f64, burst_latency: u64) -> Slice<MemKind> {
-        let bursts = match self.kind {
-            MemKind::Xfer => u64::from(self.bursts.max(1)),
-            MemKind::Stream | MemKind::Flush => 1,
+impl MemOps {
+    /// Fold `event` in, handing the previous op's aggregate to `closed`
+    /// when `event` is the first memory-side event of a new op.
+    #[inline]
+    fn fold(&mut self, event: &TraceEvent, closed: impl FnOnce(&MemAgg)) {
+        let (op, cycle) = match *event {
+            TraceEvent::Access { op, cycle, .. }
+            | TraceEvent::WriteBack { op, cycle, .. }
+            | TraceEvent::StreamIo { op, cycle, .. } => (op, cycle),
+            _ => return,
         };
-        let dur = self.bytes as f64 / bytes_per_cycle + (bursts * burst_latency) as f64;
-        Slice::new(self.ts, dur.round() as u64, self.kind, self.bytes)
+        if self.cur_op != Some(op) {
+            if self.cur_op.replace(op).is_some() {
+                closed(&self.agg);
+            }
+            self.agg = MemAgg {
+                start: cycle,
+                ..MemAgg::default()
+            };
+        }
+        let agg = &mut self.agg;
+        match *event {
+            TraceEvent::Access { bytes, kind, .. } => {
+                agg.accesses = true;
+                if kind == AccessKind::Fetch {
+                    agg.fetch += bytes;
+                    agg.bursts += 1;
+                }
+            }
+            TraceEvent::WriteBack { bytes, .. } => agg.writeback += bytes,
+            TraceEvent::StreamIo {
+                read_bytes,
+                write_bytes,
+                ..
+            } => {
+                agg.streamed = true;
+                agg.stream += read_bytes + write_bytes;
+            }
+            _ => unreachable!("only memory-side events reach here"),
+        }
+    }
+
+    /// End the run, handing the last op's aggregate to `closed`.
+    fn finish(&mut self, closed: impl FnOnce(&MemAgg)) {
+        if self.cur_op.take().is_some() {
+            closed(&self.agg);
+        }
+    }
+}
+
+/// A [`Recorder`] that counts the memory slices a [`TrackBuilder`] would
+/// keep of the same replay before capping: one per op that moved bytes.
+/// Which ops move bytes depends on hits, and the replay is deterministic,
+/// so one counting replay sizes the builder's memory track exactly.
+#[derive(Default)]
+pub(crate) struct MemorySlices {
+    ops: MemOps,
+    count: u64,
+}
+
+impl MemorySlices {
+    /// The number of memory slices the replay recorded.
+    pub(crate) fn finish(mut self) -> u64 {
+        let count = &mut self.count;
+        self.ops.finish(|a| *count += u64::from(a.moved()));
+        self.count
+    }
+}
+
+impl Recorder for MemorySlices {
+    #[inline]
+    fn record(&mut self, event: TraceEvent) {
+        let count = &mut self.count;
+        self.ops.fold(&event, |a| *count += u64::from(a.moved()));
+    }
+}
+
+/// A core's memory track: each op's memory slice, sized with the engine's
+/// DRAM bandwidth (bytes per cycle) and per-burst latency, coalesced.
+struct MemTrack {
+    bytes_per_cycle: f64,
+    burst_latency: u64,
+    slices: Coalescer<MemKind>,
+}
+
+impl MemTrack {
+    /// Add the slice of the op `agg` aggregated, if it moved bytes.
+    #[inline]
+    fn push(&mut self, agg: &MemAgg) {
+        if let Some(s) = agg.slice(self.bytes_per_cycle, self.burst_latency) {
+            self.slices.push(s);
+        }
     }
 }
 
 /// A [`Recorder`] that folds one core's event stream into its
 /// [`CoreTracks`].
 ///
-/// Sized by the run's [`StreamShape`], it coalesces compute slices and
-/// phase spans and decimates occupancy and barrier samples as they
-/// arrive, so those tracks never exceed their caps. Memory slices are
-/// held as one 24-byte [`RawMem`] per op that moved bytes and coalesced
-/// by [`TrackBuilder::finish`].
+/// Sized by the run's [`StreamShape`] and its memory-slice count
+/// ([`MemorySlices`]), it coalesces slices and phase spans and decimates
+/// occupancy and barrier samples as they arrive, so no track ever exceeds
+/// its cap.
 pub(crate) struct TrackBuilder {
-    bytes_per_cycle: f64,
-    burst_latency: u64,
     compute: Coalescer<Phase>,
-    memory: Vec<RawMem>,
+    memory: MemTrack,
     phases: Coalescer<Phase>,
     occupancy: Decimator<(u64, u64)>,
     barriers: Decimator<u64>,
     open_phase: Option<(Phase, u64)>,
-    /// The op whose memory events `agg` is collecting.
-    cur_op: Option<u32>,
-    agg: MemAgg,
+    mem_ops: MemOps,
 }
 
 impl TrackBuilder {
     /// A builder for a core with the engine's DRAM bandwidth (bytes per
     /// cycle) and per-burst latency, used to size memory slices, whose
-    /// replay emits `shape`'s events.
-    pub(crate) fn new(bytes_per_cycle: f64, burst_latency: u64, shape: StreamShape) -> Self {
+    /// replay emits `shape`'s events and `memory_slices` memory slices.
+    pub(crate) fn new(
+        bytes_per_cycle: f64,
+        burst_latency: u64,
+        shape: StreamShape,
+        memory_slices: u64,
+    ) -> Self {
         Self {
-            bytes_per_cycle,
-            burst_latency,
             compute: Coalescer::new(shape.gemm_ops, SLICE_CAP),
-            memory: Vec::new(),
+            memory: MemTrack {
+                bytes_per_cycle,
+                burst_latency,
+                slices: Coalescer::new(memory_slices, SLICE_CAP),
+            },
             phases: Coalescer::new(shape.phase_spans, PHASE_CAP),
             occupancy: Decimator::new(shape.accesses, COUNTER_CAP),
             barriers: Decimator::new(shape.barriers, BARRIER_CAP),
             open_phase: None,
-            cur_op: None,
-            agg: MemAgg::default(),
+            mem_ops: MemOps::default(),
         }
     }
 
-    /// Close the previous op's memory slice when `op` starts a new one.
-    fn mem_event(&mut self, op: u32, cycle: u64) {
-        if self.cur_op == Some(op) {
-            return;
-        }
-        self.flush_mem();
-        self.cur_op = Some(op);
-        self.agg = MemAgg {
-            start: cycle,
-            ..MemAgg::default()
-        };
-    }
-
-    fn flush_mem(&mut self) {
-        if self.cur_op.is_some() {
-            let agg = std::mem::take(&mut self.agg);
-            self.memory.extend(agg.into_raw());
-        }
-    }
-
-    /// End the run: close the last memory slice and group, coalesce the
-    /// memory slices, and keep each decimated track's last sample.
+    /// End the run: close the last memory slice and every open group, and
+    /// keep each decimated track's last sample.
     pub(crate) fn finish(mut self) -> CoreTracks {
-        self.flush_mem();
-        let mut memory = Coalescer::new(self.memory.len() as u64, SLICE_CAP);
-        for raw in self.memory {
-            memory.push(raw.slice(self.bytes_per_cycle, self.burst_latency));
-        }
+        self.mem_ops.finish(|a| self.memory.push(a));
         CoreTracks {
             compute: self.compute.finish(),
-            memory: memory.finish(),
+            memory: self.memory.slices.finish(),
             phases: self.phases.finish(),
             occupancy: self.occupancy.finish(),
             barriers: self.barriers.finish(),
@@ -338,40 +410,11 @@ impl TrackBuilder {
 
 impl Recorder for TrackBuilder {
     fn record(&mut self, event: TraceEvent) {
+        self.mem_ops.fold(&event, |a| self.memory.push(a));
         match event {
             TraceEvent::Access {
-                op,
-                bytes,
-                kind,
-                cycle,
-                occupancy,
-                ..
-            } => {
-                self.mem_event(op, cycle);
-                self.agg.accesses = true;
-                if kind == AccessKind::Fetch {
-                    self.agg.fetch += bytes;
-                    self.agg.bursts += 1;
-                }
-                self.occupancy.push((cycle, occupancy));
-            }
-            TraceEvent::WriteBack {
-                op, bytes, cycle, ..
-            } => {
-                self.mem_event(op, cycle);
-                self.agg.writeback += bytes;
-            }
-            TraceEvent::StreamIo {
-                op,
-                read_bytes,
-                write_bytes,
-                cycle,
-                ..
-            } => {
-                self.mem_event(op, cycle);
-                self.agg.streamed = true;
-                self.agg.stream += read_bytes + write_bytes;
-            }
+                cycle, occupancy, ..
+            } => self.occupancy.push((cycle, occupancy)),
             TraceEvent::GemmIssue {
                 start,
                 cycles,
@@ -388,20 +431,30 @@ impl Recorder for TrackBuilder {
                 }
             }
             TraceEvent::Barrier { cycle, .. } => self.barriers.push(cycle),
+            TraceEvent::WriteBack { .. } | TraceEvent::StreamIo { .. } => {}
         }
     }
 }
 
 /// Assert that `tracks` keeps exactly what capping the full tracks of the
-/// recorded run `events` when the run ends would keep. Memory slices are
-/// left out: they are capped when the run ends either way.
+/// recorded run `events` when the run ends would keep, with memory slices
+/// sized by `bytes_per_cycle` and `burst_latency`.
 #[cfg(test)]
-pub(crate) fn assert_matches_finish_time_caps(events: &[TraceEvent], tracks: &CoreTracks) {
+pub(crate) fn assert_matches_finish_time_caps(
+    events: &[TraceEvent],
+    tracks: &CoreTracks,
+    bytes_per_cycle: f64,
+    burst_latency: u64,
+) {
     use igo_npu_sim::decimate;
-    let (mut compute, mut phases, mut occupancy, mut barriers) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut compute, mut memory, mut phases, mut occupancy, mut barriers) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new());
     let mut open = None;
+    let mut mem_ops = MemOps::default();
     for &event in events {
+        mem_ops.fold(&event, |a| {
+            memory.extend(a.slice(bytes_per_cycle, burst_latency));
+        });
         match event {
             TraceEvent::GemmIssue {
                 start,
@@ -423,7 +476,9 @@ pub(crate) fn assert_matches_finish_time_caps(events: &[TraceEvent], tracks: &Co
             TraceEvent::WriteBack { .. } | TraceEvent::StreamIo { .. } => {}
         }
     }
+    mem_ops.finish(|a| memory.extend(a.slice(bytes_per_cycle, burst_latency)));
     assert_eq!(tracks.compute, coalesce(compute, SLICE_CAP), "compute");
+    assert_eq!(tracks.memory, coalesce(memory, SLICE_CAP), "memory");
     assert_eq!(tracks.phases, coalesce(phases, PHASE_CAP), "phases");
     assert_eq!(
         tracks.occupancy,
@@ -527,6 +582,15 @@ mod tests {
         events
     }
 
+    /// The memory slices a replay that emitted `events` records.
+    fn memory_slices(events: &[TraceEvent]) -> u64 {
+        let mut count = MemorySlices::default();
+        for &e in events {
+            count.record(e);
+        }
+        count.finish()
+    }
+
     #[test]
     fn sized_builder_keeps_what_finish_time_caps_keep() {
         let caps = [SLICE_CAP, PHASE_CAP, COUNTER_CAP, BARRIER_CAP];
@@ -542,36 +606,34 @@ mod tests {
                     shape.gemm_ops,
                     shape.phase_spans,
                     shape.accesses,
-                    shape.barriers
+                    shape.barriers,
+                    memory_slices(&events)
                 ),
-                (n, n, n, n)
+                (n, n, n, n, n)
             );
-            let mut b = TrackBuilder::new(2.0, 5, shape);
+            let mut b = TrackBuilder::new(2.0, 5, shape, n);
             for &e in &events {
                 b.record(e);
                 // Bounded while the run lasts, not only once it ends.
                 assert!(b.compute.out.len() <= SLICE_CAP, "n {n}");
+                assert!(b.memory.slices.out.len() <= SLICE_CAP, "n {n}");
                 assert!(b.phases.out.len() <= PHASE_CAP, "n {n}");
                 assert!(b.occupancy.len() <= COUNTER_CAP, "n {n}");
                 assert!(b.barriers.len() <= BARRIER_CAP, "n {n}");
             }
-            assert_matches_finish_time_caps(&events, &b.finish());
+            assert_matches_finish_time_caps(&events, &b.finish(), 2.0, 5);
         }
-    }
-
-    #[test]
-    fn raw_memory_slices_stay_compact() {
-        assert!(std::mem::size_of::<RawMem>() <= 24);
     }
 
     /// Over 2 × [`SLICE_CAP`] memory slices of every kind, with several
     /// fetch bursts, zero-byte ops between them and a last slice of
-    /// `u64::MAX` bytes: the builder keeps exactly `coalesce` of the full
-    /// per-op slices.
+    /// `u64::MAX` bytes: the counting recorder counts every slice, and
+    /// the builder sized by that count keeps exactly `coalesce` of the
+    /// full per-op slices, never holding more than the cap.
     #[test]
     fn packed_memory_slices_coalesce_like_full_slices() {
         let (bytes_per_cycle, latency) = (2.0, 5);
-        let mut b = TrackBuilder::new(bytes_per_cycle, latency, StreamShape::default());
+        let mut events = Vec::new();
         let mut full = Vec::new();
         let slice = |ts, kind, bytes: u64, bursts: u64| {
             let dur = bytes as f64 / bytes_per_cycle + (bursts * latency) as f64;
@@ -603,10 +665,10 @@ mod tests {
                     // An Xfer of 1-3 fetch bursts, a hit and a write-back.
                     let bursts = u64::from(op % 3) + 1;
                     for _ in 0..bursts {
-                        b.record(access(op, AccessKind::Fetch, ts));
+                        events.push(access(op, AccessKind::Fetch, ts));
                     }
-                    b.record(access(op, AccessKind::Hit, ts));
-                    b.record(wb(op, 100 + u64::from(op), ts));
+                    events.push(access(op, AccessKind::Hit, ts));
+                    events.push(wb(op, 100 + u64::from(op), ts));
                     full.push(slice(
                         ts,
                         MemKind::Xfer,
@@ -616,10 +678,10 @@ mod tests {
                 }
                 1 => {
                     // An op that only hit: no slice.
-                    b.record(access(op, AccessKind::Hit, ts));
+                    events.push(access(op, AccessKind::Hit, ts));
                 }
                 2 => {
-                    b.record(TraceEvent::StreamIo {
+                    events.push(TraceEvent::StreamIo {
                         op,
                         class: TensorClass::WGrad,
                         read_bytes: u64::from(op),
@@ -629,23 +691,30 @@ mod tests {
                     full.push(slice(ts, MemKind::Stream, u64::from(op) + 3, 1));
                 }
                 _ => {
-                    b.record(wb(op, 1 << (op % 40), ts));
+                    events.push(wb(op, 1 << (op % 40), ts));
                     full.push(slice(ts, MemKind::Flush, 1 << (op % 40), 1));
                 }
             }
         }
         // Alone in the last merge group, so no sum overflows.
         let ts = u64::from(ops) * 7;
-        b.record(wb(ops, u64::MAX, ts));
+        events.push(wb(ops, u64::MAX, ts));
         full.push(slice(ts, MemKind::Flush, u64::MAX, 1));
         assert!(full.len() > 2 * SLICE_CAP);
         assert_eq!(full.len() % full.len().div_ceil(SLICE_CAP), 1);
+
+        let count = memory_slices(&events);
+        assert_eq!(count, full.len() as u64);
+        let mut b = TrackBuilder::new(bytes_per_cycle, latency, StreamShape::default(), count);
+        for &e in &events {
+            b.record(e);
+            assert!(b.memory.slices.out.len() <= SLICE_CAP);
+        }
         assert_eq!(b.finish().memory, coalesce(full, SLICE_CAP));
     }
 
     #[test]
     fn memory_slices_aggregate_per_op() {
-        let mut b = TrackBuilder::new(2.0, 5, StreamShape::default());
         let wb = |op, bytes, cycle| TraceEvent::WriteBack {
             op,
             key: key(),
@@ -654,16 +723,23 @@ mod tests {
             spill: false,
             cycle,
         };
-        b.record(wb(0, 10, 100));
-        b.record(wb(0, 10, 100));
-        b.record(wb(1, 0, 200)); // zero bytes: no slice
-        b.record(TraceEvent::StreamIo {
-            op: 2,
-            class: TensorClass::WGrad,
-            read_bytes: 4,
-            write_bytes: 4,
-            cycle: 300,
-        });
+        let events = [
+            wb(0, 10, 100),
+            wb(0, 10, 100),
+            wb(1, 0, 200), // zero bytes: no slice
+            TraceEvent::StreamIo {
+                op: 2,
+                class: TensorClass::WGrad,
+                read_bytes: 4,
+                write_bytes: 4,
+                cycle: 300,
+            },
+        ];
+        assert_eq!(memory_slices(&events), 2);
+        let mut b = TrackBuilder::new(2.0, 5, StreamShape::default(), 2);
+        for e in events {
+            b.record(e);
+        }
         let t = b.finish();
         assert_eq!(t.memory.len(), 2);
         assert_eq!(t.memory[0].tag, MemKind::Flush);

@@ -56,7 +56,7 @@
 //! mirrors (`igo-core`'s `generate` module).
 
 use crate::engine::{Engine, Replacement};
-use crate::recorder::{AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
+use crate::recorder::{round_cycles, AccessKind, NullRecorder, Phase, Recorder, TraceEvent};
 use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
@@ -1172,7 +1172,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> Timeline<'_, I, C, R> {
             return;
         }
         if R::ENABLED {
-            let cycle = self.mem_free.round() as u64;
+            let cycle = round_cycles(self.mem_free);
             for &(id, bytes) in self.writebacks.iter() {
                 self.recorder.record(TraceEvent::WriteBack {
                     op,
@@ -1203,7 +1203,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
         // Memory-timeline cycle the op's transfers start at — the stamp of
         // every memory-side event of this op.
         let op_mem_start = if R::ENABLED {
-            self.mem_free.round() as u64
+            round_cycles(self.mem_free)
         } else {
             0
         };
@@ -1277,7 +1277,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
         if R::ENABLED {
             let acc_class = op.acc.then(|| op.accesses[last].class);
             let phase = Phase::of_accumulator(acc_class);
-            let issue_cycle = issue.round() as u64;
+            let issue_cycle = round_cycles(issue);
             if self.cur_phase != Some(phase) {
                 if let Some(prev) = self.cur_phase {
                     self.recorder.record(TraceEvent::PhaseEnd {
@@ -1323,7 +1323,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
                 class: s.class,
                 read_bytes: s.read_bytes,
                 write_bytes: s.write_bytes,
-                cycle: self.mem_free.round() as u64,
+                cycle: round_cycles(self.mem_free),
             });
         }
         if s.read_bytes > 0 {
@@ -1351,7 +1351,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
         if R::ENABLED {
             self.recorder.record(TraceEvent::Barrier {
                 op: op_idx,
-                cycle: self.mem_free.round() as u64,
+                cycle: round_cycles(self.mem_free),
             });
         }
         self.region += 1;
@@ -1452,7 +1452,7 @@ fn timeline_run<I: ReplayInput + ?Sized, R: Recorder, C: Residency>(
             t.recorder.record(TraceEvent::PhaseEnd {
                 op: end_op,
                 phase: prev,
-                cycle: t.compute_free.round() as u64,
+                cycle: round_cycles(t.compute_free),
             });
         }
     }

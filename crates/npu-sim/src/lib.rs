@@ -75,9 +75,9 @@ pub use multicore::{
 };
 pub use opt::OptCache;
 pub use recorder::{
-    decimate, AccessKind, ClassMetrics, Decimator, DyReusePoint, EventLog, MetricsFold,
-    NullRecorder, Phase, Recorder, ReuseHistogram, RunMetrics, StreamShape, TileStats, TraceEvent,
-    DY_SERIES_CAP, REUSE_BUCKETS,
+    decimate, round_cycles, AccessKind, ClassMetrics, Decimator, DyReusePoint, EventLog,
+    MetricsFold, NullRecorder, Phase, Recorder, ReuseHistogram, RunMetrics, StreamShape, TileStats,
+    TraceEvent, DY_SERIES_CAP, REUSE_BUCKETS,
 };
 pub use spm::SpmCache;
 pub use stats::{SimReport, Traffic};

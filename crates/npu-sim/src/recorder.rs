@@ -193,6 +193,17 @@ impl TraceEvent {
     }
 }
 
+/// `x.round() as u64`, the rounding of every cycle stamp, without a call
+/// into the C library's `round` (which `f64::round` is on targets without
+/// SSE4.1). For `0 <= x < 2⁵³` the integer part is exact and so is the
+/// fraction left after subtracting it; larger values are integers, and
+/// negative, NaN and out-of-range values saturate as the cast does.
+#[inline]
+pub fn round_cycles(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
+}
+
 /// How many events of each kind a replay of one stream emits.
 ///
 /// The counts depend on the stream alone, not on which accesses hit, so
@@ -732,6 +743,40 @@ mod tests {
             kind,
             cycle: 0,
             occupancy: occ,
+        }
+    }
+
+    #[test]
+    fn round_cycles_equals_round() {
+        let mut rng = igo_tensor::SplitMix64::new(7);
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            1.0 - f64::EPSILON / 2.0,
+            4_503_599_627_370_495.5,
+            9_007_199_254_740_993.0,
+            1e19,
+            2e19,
+            -0.5,
+            -1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let random = (0..100_000).map(|i| {
+            let x = rng.next_f64() * 2f64.powi(i % 70);
+            if i % 3 == 0 {
+                x.floor() + 0.5
+            } else {
+                x
+            }
+        });
+        for x in edges.into_iter().chain(random) {
+            assert_eq!(round_cycles(x), x.round() as u64, "{x:e}");
         }
     }
 

@@ -71,18 +71,24 @@ peak="$(./target/release/igo-sim --timing layer 65536 8192 8192 server 2>&1 >/de
 echo "layer 65536 8192 8192 server: peak_rss_mib ${peak}"
 awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 64) }'
 
-echo "== trace memory per tile, not per access =="
-# Traces replay the decided candidate's generators as well, so tracing
-# the same layer must stay small too (it peaked at 181.6 MiB when traces
-# replayed a collected stream, and at 51.8 MiB while memory slices were
-# held as 40-byte slices). What remains grows with the ops that move
-# bytes: one 24-byte record each until the core's run ends.
+echo "== trace memory bounded by the track caps =="
+# Traces replay the decided candidate's generators as well, cap every
+# track while the replay runs and merge-render trace.json into the file,
+# so tracing must stay small too and must not grow with the layer's ops:
+# the 65536-row layer peaked at 181.6 MiB when traces replayed a collected
+# stream and at 34.3 MiB while memory slices were held one record per op
+# (8.6 MiB since); the 262144-row layer peaked at 129.1 MiB then (25.0 MiB
+# since).
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-peak="$(./target/release/igo-sim --timing trace 65536x8192x8192 server --out "$tmp" 2>&1 >/dev/null \
-    | grep -o '"peak_rss_mib":[0-9.]*' | cut -d: -f2)"
-echo "trace 65536x8192x8192 server: peak_rss_mib ${peak}"
-awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 48) }'
+for gate in 65536:16 262144:32; do
+    rows="${gate%%:*}"
+    limit="${gate##*:}"
+    peak="$(./target/release/igo-sim --timing trace "${rows}x8192x8192" server --out "$tmp" 2>&1 >/dev/null \
+        | grep -o '"peak_rss_mib":[0-9.]*' | cut -d: -f2)"
+    echo "trace ${rows}x8192x8192 server: peak_rss_mib ${peak} (gate ${limit})"
+    awk -v p="$peak" -v l="$limit" 'BEGIN { exit !(p != "" && p < l) }'
+done
 
 echo "== cargo test =="
 cargo test -q
