@@ -25,7 +25,8 @@
 //!
 //! The global `--jobs N` flag sizes the worker pool of the command's
 //! simulation context (without it, `IGO_SIM_THREADS` or one worker per
-//! hardware thread); results are identical for every worker count.
+//! hardware thread); results are identical for every worker count. Either
+//! value above `MAX_WORKERS` (256) exits 2 before any thread starts.
 //!
 //! `trace` replays the decided backward executions with the cycle-level
 //! recorder attached and writes `trace.json` (Chrome trace-event JSON,
@@ -47,8 +48,9 @@
 
 use igo_bench::wallclock::{measure, peak_rss_mib, Timing};
 use igo_core::{
-    parallel_map_workers, replay_extent, run_audit, select_order, Artifact, LayerTrace, SimContext,
-    SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS,
+    parallel_map_workers, replay_extent, run_audit, select_order, threads_override, Artifact,
+    LayerTrace, SimContext, SimOptions, Technique, TraceExport, DEFAULT_REUSE_POINTS, MAX_WORKERS,
+    THREADS_ENV,
 };
 use igo_npu_sim::{analytic_run_count, engine_run_count, NpuConfig, REPLAY_ID_LIMIT};
 use igo_tensor::GemmShape;
@@ -92,18 +94,24 @@ fn usage() -> ExitCode {
 
 /// Strip the global `--jobs N` flag and return the worker count it sets:
 /// `0` without the flag (the `IGO_SIM_THREADS` or hardware default),
-/// `None` on a malformed value.
+/// `None` on a malformed value or one above [`MAX_WORKERS`], including an
+/// `IGO_SIM_THREADS` the missing flag would fall back to. Nothing has
+/// started a thread yet.
 fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
     let Some(i) = args.iter().position(|a| a == "--jobs") else {
+        if threads_override().is_some_and(|n| n > MAX_WORKERS) {
+            eprintln!("{THREADS_ENV} must be at most {MAX_WORKERS}");
+            return None;
+        }
         return Some(0);
     };
     match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n > 0 => {
+        Some(n) if (1..=MAX_WORKERS).contains(&n) => {
             args.drain(i..=i + 1);
             Some(n)
         }
         _ => {
-            eprintln!("--jobs requires a positive integer");
+            eprintln!("--jobs requires an integer from 1 to {MAX_WORKERS}");
             None
         }
     }

@@ -66,6 +66,11 @@ fn every_subcommand_exits_0_or_2() {
         (&["--jobs", "x", "models"], 2),
         (&["--timing", "--timing", "models"], 0),
         (&["--jobs", "2", "layer", "1", "1", "1", "edge"], 0),
+        // Above the worker ceiling: rejected while parsing, so no thread
+        // starts.
+        (&["--jobs", "100000", "sweep", "zoo"], 2),
+        (&["--jobs", "257", "models"], 2),
+        (&["--jobs", "256", "models"], 0),
     ];
     for &(argv, want) in table {
         let out = igo_sim(argv);
@@ -75,6 +80,29 @@ fn every_subcommand_exits_0_or_2() {
             assert!(out.stdout.is_empty(), "{argv:?} must not simulate");
         }
     }
+}
+
+/// An `IGO_SIM_THREADS` above the worker ceiling is rejected before any
+/// pool starts, unless `--jobs` overrides it.
+#[test]
+fn oversized_thread_override_exits_2() {
+    let argv = ["sweep", "zoo", "--spm", "3"];
+    let out = Command::new(env!("CARGO_BIN_EXE_igo-sim"))
+        .args(argv)
+        .env("IGO_SIM_THREADS", "100000")
+        .output()
+        .expect("igo-sim runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+    assert!(stderr.contains("IGO_SIM_THREADS"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{argv:?} must not simulate");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_igo-sim"))
+        .args(["--jobs", "1", "models"])
+        .env("IGO_SIM_THREADS", "100000")
+        .output()
+        .expect("igo-sim runs");
+    assert_eq!(out.status.code(), Some(0));
 }
 
 #[test]

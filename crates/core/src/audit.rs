@@ -67,8 +67,8 @@ use crate::tiling::TilePolicy;
 use igo_npu_sim::{
     replay_recorded, Access, AccessKind, AnalyticCollector, AnalyticScratch, DramConfig, Engine,
     EventLog, Exactness, GemmAccesses, MetricsFold, NpuConfig, OpVisitor, OptCache, PeArray,
-    RegionSum, ReplayInput, RunMetrics, Schedule, ScheduleOp, SimReport, StreamOp, TileKey,
-    TraceEvent,
+    RegionSum, ReplayInput, RunMetrics, Schedule, ScheduleOp, SimReport, StreamOp, StreamShape,
+    TileKey, TraceEvent,
 };
 use igo_tensor::{GemmShape, SplitMix64, TensorClass, TileCoord};
 use igo_workloads::{Layer, Model, ModelId};
@@ -1445,13 +1445,17 @@ pub fn check_report_conservation(
     // occupancy and access kind agree with the shadow. A recorder bug (or
     // a replay/recorder divergence) shows up as an `occupancy-replay`
     // violation, a fold bug as a `streamed-metrics` one.
+    // The fold's tile ids come from the stream; its dY series is sized
+    // by the shadow's own dY count.
+    let shape = StreamShape {
+        dy_accesses: shadow.per_class[TensorClass::OutGrad.index()].0,
+        ..StreamShape::of_input(&collector)
+    };
     let mut recorders = (
         EventLog::new(),
-        MetricsFold::new(
-            engine.residency_bytes(),
-            shadow.per_class[TensorClass::OutGrad.index()].0,
-            AUDIT_DY_POINTS,
-        ),
+        MetricsFold::new(engine.residency_bytes(), &shape, AUDIT_DY_POINTS, |id| {
+            collector.key_of(id)
+        }),
     );
     replay_recorded(
         &collector,
@@ -1465,13 +1469,13 @@ pub fn check_report_conservation(
     let recorded: Vec<(TileKey, AccessKind, u64)> = log
         .events
         .iter()
-        .filter_map(|e| match e {
+        .filter_map(|e| match *e {
             TraceEvent::Access {
-                key,
+                id,
                 kind,
                 occupancy,
                 ..
-            } => Some((*key, *kind, *occupancy)),
+            } => Some((collector.key_of(id), kind, occupancy)),
             _ => None,
         })
         .collect();
@@ -1888,8 +1892,10 @@ mod tests {
         let engine = Engine::new(&config);
         let report = engine.run(&s);
         let collector = AnalyticCollector::from_schedule(&s);
-        let dy_accesses = StreamShape::of_input(&collector).dy_accesses;
-        let mut fold = MetricsFold::new(engine.residency_bytes(), dy_accesses, AUDIT_DY_POINTS);
+        let shape = StreamShape::of_input(&collector);
+        let mut fold = MetricsFold::new(engine.residency_bytes(), &shape, AUDIT_DY_POINTS, |id| {
+            collector.key_of(id)
+        });
         replay_recorded(
             &collector,
             &engine,

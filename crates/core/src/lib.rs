@@ -63,7 +63,9 @@ pub use bound::{
 };
 pub use exec::{execute_backward, execute_partitioned, DenseLayer, ExecutedGradients};
 pub use observe::{trace_model, CoreTrace, LayerTrace};
-pub use parallel::{default_workers, parallel_map_workers, THREADS_ENV};
+pub use parallel::{
+    default_workers, parallel_map_workers, threads_override, MAX_WORKERS, THREADS_ENV,
+};
 pub use partition::PartitionScheme;
 pub use pipeline::{
     rearranged_order, simulate_model, simulate_model_ladder, simulate_model_with, LayerDecision,

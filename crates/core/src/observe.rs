@@ -16,19 +16,22 @@
 //! Both recorders are sized by the [`igo_npu_sim::StreamShape`] of the
 //! replay they record, which its input fixes before the replay starts
 //! ([`igo_npu_sim::StreamShape::of_input`]), and the track builder also by
-//! the number of memory slices, which a counting replay of the same input
-//! fixes first; so they cap the dY series and every track while the run
+//! the number of memory slices: the ops that moved bytes, which the
+//! selection loop's own replay of the decided candidate counted
+//! ([`igo_npu_sim::AnalyticReport::moved_ops`], memoized with the
+//! decision). So they cap the dY series and every track while the run
 //! lasts. A [`CoreTrace`] therefore keeps the metrics, the capped tracks
-//! and an event count. No recorder state grows with the event count;
-//! `dy_tiles` (one entry per dY tile) grows with the tile grid.
+//! and an event count. No recorder state grows with the event count; the
+//! metrics fold's per-tile state and `dy_tiles` (one entry per dY tile)
+//! grow with the tile grid.
 //!
 //! [`SimContext::trace_layer`] makes the decision exactly as the untraced
 //! pipeline does ([`SimContext::backward`], on the same context and memo),
 //! and `pipeline::record_decided` builds the execution it implies through
 //! the selection loop's own candidate construction and replays its
-//! generators ([`crate::generate::StreamGen`]) with the recorder attached
-//! (after the counting replay) — the code path that produced the reported
-//! numbers, with nothing collected. That is one replay per core for multi-core
+//! generators ([`crate::generate::StreamGen`]) once each with the recorder
+//! attached — the code path that produced the reported numbers, with
+//! nothing collected. That is one replay per core for multi-core
 //! decisions and one chained replay for single-core sequential
 //! partitions. The audit ([`crate::audit::check_report_conservation`])
 //! checks the recorded replay's events against an independent residency
@@ -43,7 +46,8 @@ use crate::pipeline::{record_decided, LayerDecision, SimContext, SimOptions};
 use crate::technique::Technique;
 use crate::tracks::{CoreTracks, TrackBuilder};
 use igo_npu_sim::{
-    Engine, MetricsFold, NpuConfig, Recorder, RunMetrics, SimReport, TraceEvent, DY_SERIES_CAP,
+    Engine, MetricsFold, NpuConfig, Recorder, ReplayInput, RunMetrics, SimReport, TraceEvent,
+    DY_SERIES_CAP,
 };
 use igo_tensor::GemmShape;
 use igo_workloads::Model;
@@ -138,21 +142,21 @@ impl SimContext {
         technique: Technique,
         is_first: bool,
     ) -> LayerTrace {
-        let (report, decision) = self.backward(gemm, density, config, technique, is_first);
+        let (report, decision, moved) =
+            self.backward_moved(gemm, density, config, technique, is_first);
         let engine = Engine::new(config);
         let cores = record_decided(
             gemm,
             density,
             config,
             decision,
+            moved.as_slice(),
             is_first,
-            |shape, memory_slices| CoreRecorder {
+            |stream, shape, memory_slices| CoreRecorder {
                 events: 0,
-                metrics: MetricsFold::new(
-                    engine.residency_bytes(),
-                    shape.dy_accesses,
-                    DY_SERIES_CAP,
-                ),
+                metrics: MetricsFold::new(engine.residency_bytes(), &shape, DY_SERIES_CAP, |id| {
+                    stream.key_of(id)
+                }),
                 tracks: TrackBuilder::new(
                     engine.bytes_per_cycle(),
                     engine.burst_latency(),
@@ -222,7 +226,7 @@ pub fn trace_model(
 mod tests {
     use super::*;
     use crate::report_io::DEFAULT_REUSE_POINTS;
-    use crate::tracks::assert_matches_finish_time_caps;
+    use crate::tracks::{assert_matches_finish_time_caps, memory_slices};
     use igo_npu_sim::{decimate, AccessKind, DyReusePoint, EventLog};
     use igo_tensor::TensorClass;
     use igo_workloads::{zoo, ModelId};
@@ -321,23 +325,34 @@ mod tests {
 
     /// Trace a layer, then replay its decision again with an [`EventLog`]
     /// per core and check that each core's retained tracks and dY series
-    /// are exactly the finish-time caps of that core's full event stream.
-    /// Returns the trace and the largest full dY series length.
+    /// are exactly the finish-time caps of that core's full event stream,
+    /// and that the selection's moved ops count the memory slices of that
+    /// stream. Returns the trace and the largest full dY series length.
     fn assert_retained_equal_finish_time_caps(
         gemm: GemmShape,
         config: &NpuConfig,
         technique: Technique,
     ) -> (LayerTrace, usize) {
         let trace = trace(gemm, config, technique);
-        let logs = record_decided(gemm, 1.0, config, trace.decision, false, |_, _| {
-            EventLog::new()
-        });
+        let (_, decision, moved) = SimContext::new(SimOptions::sequential())
+            .backward_moved(gemm, 1.0, config, technique, false);
+        assert_eq!(decision, trace.decision);
+        let logs = record_decided(
+            gemm,
+            1.0,
+            config,
+            decision,
+            moved.as_slice(),
+            false,
+            |_, _, _| EventLog::new(),
+        );
         let engine = Engine::new(config);
         assert_eq!(logs.len(), trace.cores.len());
         let mut longest = 0;
-        for ((report, log), core) in logs.iter().zip(&trace.cores) {
+        for (((report, log), core), &moved) in logs.iter().zip(&trace.cores).zip(moved.as_slice()) {
             assert_eq!(*report, core.report);
             assert_eq!(log.events.len(), core.event_count);
+            assert_eq!(memory_slices(&log.events), moved);
             assert_matches_finish_time_caps(
                 &log.events,
                 &core.tracks,

@@ -31,20 +31,32 @@ pub fn in_worker() -> bool {
 /// the caller passes `workers == 0`; see [`default_workers`]).
 pub const THREADS_ENV: &str = "IGO_SIM_THREADS";
 
+/// The most workers one pool starts. `igo-sim` rejects a `--jobs` or
+/// `IGO_SIM_THREADS` value above it before any pool starts; a pool asked
+/// for more through the library starts this many. It is a fixed ceiling,
+/// not the hardware thread count: tests force more workers than the
+/// machine has to drive the pool's cross-thread determinism.
+pub const MAX_WORKERS: usize = 256;
+
+/// The worker count the `IGO_SIM_THREADS` environment override asks for,
+/// when it is set to a positive integer.
+pub fn threads_override() -> Option<usize> {
+    std::env::var(THREADS_ENV)
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+}
+
 /// The worker count a `workers == 0` pool resolves to: the
 /// `IGO_SIM_THREADS` environment override when set to a positive integer,
 /// else one worker per hardware thread. Thread count never affects results
 /// (the pool reduces in item order), only wall-clock time.
 pub fn default_workers() -> usize {
-    std::env::var(THREADS_ENV)
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    threads_override().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Map `f` over `items` on up to `workers` workers, returning results in
@@ -53,9 +65,9 @@ pub fn default_workers() -> usize {
 /// worker makes. `workers` of `0` means [`default_workers`] (the
 /// `IGO_SIM_THREADS` override or one per hardware thread); the map runs
 /// inline when that is `1`, when there is at most one item, or when
-/// already running inside a pool worker. Forcing more workers than
-/// hardware threads is how the tests drive the pool's cross-thread
-/// determinism even on small machines.
+/// already running inside a pool worker. At most [`MAX_WORKERS`] start.
+/// Forcing more workers than hardware threads is how the tests drive the
+/// pool's cross-thread determinism even on small machines.
 pub fn parallel_map_workers<S, T, R>(
     items: &[T],
     workers: usize,
@@ -71,7 +83,8 @@ where
     } else {
         workers
     }
-    .min(items.len());
+    .min(items.len())
+    .min(MAX_WORKERS);
     if workers <= 1 || in_worker() {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();

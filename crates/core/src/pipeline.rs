@@ -59,7 +59,6 @@ use crate::select::select_order;
 use crate::simcache::{CacheKey, CacheStats, CandidateKey, Memo, PassKey, DEFAULT_CACHE_CAP};
 use crate::technique::Technique;
 use crate::tiling::TilePolicy;
-use crate::tracks::MemorySlices;
 use igo_npu_sim::{
     replay_input, replay_multicore, replay_multicore_bounded, replay_recorded,
     replay_sequential_partitions_bounded, AnalyticCollector, AnalyticScratch, Engine, NpuConfig,
@@ -160,6 +159,38 @@ pub struct LayerDecision {
     pub order: BackwardOrder,
     /// The partitioning applied, if any: `(scheme, parts)`.
     pub partition: Option<(PartitionScheme, u64)>,
+}
+
+/// The ops that moved DRAM bytes in each stream replay of a candidate
+/// ([`igo_npu_sim::AnalyticReport::moved_ops`]), in stream order: the
+/// memory slices a trace of that stream records. The selection loop's
+/// winner always completes its replay, so its counts come with its report
+/// and traces need no replay to count them. One stream is held inline,
+/// so a memo entry grows by 16 bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum MovedOps {
+    /// A single stream's count.
+    One(u64),
+    /// One count per stream (none for a forward pass's memo entry).
+    Many(Box<[u64]>),
+}
+
+impl MovedOps {
+    /// `counts`, one per stream in stream order.
+    fn of(counts: &[u64]) -> Self {
+        match *counts {
+            [one] => Self::One(one),
+            _ => Self::Many(counts.into()),
+        }
+    }
+
+    /// One count per stream.
+    pub(crate) fn as_slice(&self) -> &[u64] {
+        match self {
+            Self::One(one) => std::slice::from_ref(one),
+            Self::Many(counts) => counts,
+        }
+    }
 }
 
 /// Tensor ids of a layer emitted straight into collectors. They match the
@@ -278,17 +309,19 @@ impl Candidate {
     /// Replay this candidate straight from its generators. With a
     /// `cutoff`, returns `None` as soon as the replay proves the candidate
     /// must exceed `cutoff` cycles (see [`replay_input`]), and generation
-    /// stops there.
+    /// stops there. A completed replay also returns each stream's moved
+    /// ops.
     fn run_bounded(
         &self,
         layer: &LayerInputs,
         cutoff: Option<u64>,
         replay: &mut AnalyticScratch,
-    ) -> Option<SimReport> {
+    ) -> Option<(SimReport, MovedOps)> {
         let streams = self.streams(layer);
-        match &self.exec {
+        let run = match &self.exec {
             Exec::Single(_) => {
-                replay_input(&streams[0], &layer.engine, replay, cutoff).map(|r| r.report)
+                let r = replay_input(&streams[0], &layer.engine, replay, cutoff)?;
+                return Some((r.report, MovedOps::One(r.moved_ops)));
             }
             Exec::Split { reduction, .. } if layer.config.cores == 1 => {
                 replay_sequential_partitions_bounded(
@@ -298,13 +331,12 @@ impl Candidate {
                     replay,
                     cutoff,
                 )
-                .map(|r| r.combined())
             }
             Exec::Split { reduction, .. } => {
                 replay_multicore_bounded(layer.config, &streams, *reduction, replay, cutoff)
-                    .map(|r| r.combined())
             }
-        }
+        }?;
+        Some((run.combined(), MovedOps::of(&run.core_moved_ops)))
     }
 
     /// [`Self::run_bounded`], through the candidate `memo` when there is
@@ -318,20 +350,20 @@ impl Candidate {
         cutoff: Option<u64>,
         memo: Option<&Memo>,
         replay: &mut AnalyticScratch,
-    ) -> Option<SimReport> {
+    ) -> Option<(SimReport, MovedOps)> {
         let Some(memo) = memo else {
             return self.run_bounded(layer, cutoff, replay);
         };
         let pass = PassKey::Candidate(self.key);
         let key = CacheKey::new(layer.gemm, layer.density, layer.config, pass);
-        if let Some((hit, _)) = memo.get(&key) {
-            return Some(hit);
+        if let Some((hit, _, moved)) = memo.get(&key) {
+            return Some((hit, moved));
         }
-        let report = self.run_bounded(layer, cutoff, replay);
-        if let Some(r) = report {
-            memo.put(key, (r, None));
+        let run = self.run_bounded(layer, cutoff, replay);
+        if let Some((r, moved)) = &run {
+            memo.put(key, (*r, None, moved.clone()));
         }
-        report
+        run
     }
 }
 
@@ -557,7 +589,7 @@ impl SimContext {
             self.memo(),
             CacheKey::new(gemm, density, config, PassKey::Forward),
         );
-        if let Some((hit, _)) = memo.and_then(|m| m.get(&key)) {
+        if let Some((hit, ..)) = memo.and_then(|m| m.get(&key)) {
             return hit;
         }
         let policy = TilePolicy::for_config(config);
@@ -569,7 +601,7 @@ impl SimContext {
             .collect();
         let report = with_scratch(|s| replay_multicore(config, &cores, None, s).combined());
         if let Some(m) = memo {
-            m.put(key, (report, None));
+            m.put(key, (report, None, MovedOps::of(&[])));
         }
         report
     }
@@ -588,21 +620,37 @@ impl SimContext {
         technique: Technique,
         is_first: bool,
     ) -> (SimReport, LayerDecision) {
+        let (report, decision, _) = self.backward_moved(gemm, density, config, technique, is_first);
+        (report, decision)
+    }
+
+    /// [`Self::backward`], with the decided candidate's per-stream moved
+    /// ops (from the memo, or from the selection loop's replay of the
+    /// winner).
+    pub(crate) fn backward_moved(
+        &self,
+        gemm: GemmShape,
+        density: f64,
+        config: &NpuConfig,
+        technique: Technique,
+        is_first: bool,
+    ) -> (SimReport, LayerDecision, MovedOps) {
         let memo = self.memo();
         let pass = PassKey::Backward {
             technique,
             is_first,
         };
         let key = CacheKey::new(gemm, density, config, pass);
-        if let Some((report, decision)) = memo.and_then(|m| m.get(&key)) {
-            return (report, decision.expect("backward entries carry a decision"));
+        if let Some((report, decision, moved)) = memo.and_then(|m| m.get(&key)) {
+            let decision = decision.expect("backward entries carry a decision");
+            return (report, decision, moved);
         }
         let layer = LayerInputs::new(gemm, density, config, is_first);
-        let (report, decision) = self.select_best(&layer.candidates(technique), &layer);
+        let (report, decision, moved) = self.select_best(&layer.candidates(technique), &layer);
         if let Some(m) = memo {
-            m.put(key, (report, Some(decision)));
+            m.put(key, (report, Some(decision), moved.clone()));
         }
-        (report, decision)
+        (report, decision, moved)
     }
 
     /// Simulate one model's full training step under `technique`.
@@ -644,7 +692,8 @@ impl SimContext {
 
     /// Evaluate `candidates` and return the winner: the first candidate
     /// (in construction order) with the strictly smallest cycle count —
-    /// the lexicographic minimum of `(cycles, index)`.
+    /// the lexicographic minimum of `(cycles, index)` — with its
+    /// per-stream moved ops.
     ///
     /// Under [`SimOptions::prune`] candidates are evaluated in ascending
     /// `(bound, index)` order against a running best: any candidate whose
@@ -660,7 +709,7 @@ impl SimContext {
         &self,
         candidates: &[Candidate],
         layer: &LayerInputs,
-    ) -> (SimReport, LayerDecision) {
+    ) -> (SimReport, LayerDecision, MovedOps) {
         assert!(!candidates.is_empty(), "no candidates to select from");
         let prune = self.options.prune;
         let mut eval_order: Vec<usize> = (0..candidates.len()).collect();
@@ -668,10 +717,10 @@ impl SimContext {
             eval_order.sort_by_key(|&i| (candidates[i].bound, i));
         }
         with_scratch(|s| {
-            let mut best: Option<(usize, SimReport)> = None;
+            let mut best: Option<(usize, SimReport, MovedOps)> = None;
             for &i in &eval_order {
                 let cutoff = match &best {
-                    Some((_, b)) if prune => {
+                    Some((_, b, _)) if prune => {
                         if candidates[i].bound > b.cycles {
                             continue;
                         }
@@ -679,18 +728,19 @@ impl SimContext {
                     }
                     _ => None,
                 };
-                if let Some(r) = candidates[i].run_memoized(layer, cutoff, self.memo(), s) {
+                if let Some((r, moved)) = candidates[i].run_memoized(layer, cutoff, self.memo(), s)
+                {
                     let wins = match &best {
                         None => true,
-                        Some((bi, b)) => (r.cycles, i) < (b.cycles, *bi),
+                        Some((bi, b, _)) => (r.cycles, i) < (b.cycles, *bi),
                     };
                     if wins {
-                        best = Some((i, r));
+                        best = Some((i, r, moved));
                     }
                 }
             }
-            let (best_idx, report) = best.expect("the first evaluation has no cutoff");
-            (report, candidates[best_idx].decision)
+            let (best_idx, report, moved) = best.expect("the first evaluation has no cutoff");
+            (report, candidates[best_idx].decision, moved)
         })
     }
 }
@@ -765,33 +815,38 @@ pub(crate) fn candidate_streams(
 
 /// Replay a decided backward execution with a recorder attached: the
 /// candidate `decision` names is built exactly as the selection loop builds
-/// it and its generators are replayed — one on a single core (partition
-/// segments chained), one per core otherwise — each uncut, with
-/// `make_recorder(shape, memory_slices)` attached, where `shape` is the
-/// [`StreamShape`] of the events that replay will emit and
-/// `memory_slices` the number of memory slices it records
-/// ([`MemorySlices`], counted on one replay of the same generator first).
+/// it and its generators are replayed once each — one on a single core
+/// (partition segments chained), one per core otherwise — uncut, with
+/// `make_recorder(stream, shape, memory_slices)` attached, where `shape`
+/// is the [`StreamShape`] of the events that replay of `stream` will emit
+/// and `memory_slices` the stream's entry of `moved_ops`: the ops that
+/// moved bytes in the selection loop's replay of the same stream
+/// ([`SimContext::backward_moved`]), one memory slice each.
 ///
 /// Returns each core's replay report (cross-partition reductions, which no
 /// core executes, are left out) with its recorder.
+///
+/// # Panics
+///
+/// Panics if `moved_ops` does not hold one count per stream.
 pub(crate) fn record_decided<R: Recorder>(
     gemm: GemmShape,
     density: f64,
     config: &NpuConfig,
     decision: LayerDecision,
+    moved_ops: &[u64],
     is_first: bool,
-    mut make_recorder: impl FnMut(StreamShape, u64) -> R,
+    mut make_recorder: impl FnMut(&StreamGen, StreamShape, u64) -> R,
 ) -> Vec<(SimReport, R)> {
     let layer = LayerInputs::new(gemm, density, config, is_first);
     let streams = layer.decided(decision).streams(&layer);
+    assert_eq!(moved_ops.len(), streams.len(), "one count per stream");
     with_scratch(|s| {
         streams
             .iter()
-            .map(|g| {
-                let mut count = MemorySlices::default();
-                replay_recorded(g, &layer.engine, s, None, &mut count)
-                    .expect("an uncut replay completes");
-                let mut recorder = make_recorder(StreamShape::of_input(g), count.finish());
+            .zip(moved_ops)
+            .map(|(g, &moved)| {
+                let mut recorder = make_recorder(g, StreamShape::of_input(g), moved);
                 let report = replay_recorded(g, &layer.engine, s, None, &mut recorder)
                     .expect("an uncut replay completes")
                     .report;
@@ -1186,8 +1241,9 @@ mod tests {
                 is_first: false,
             }),
         );
-        let (rearranged, _) = fresh.backward(gemm, 1.0, &config, Technique::Rearrangement, false);
-        assert_eq!(memo.memo.get(&plain), Some((rearranged, None)));
+        let (rearranged, _, moved) =
+            fresh.backward_moved(gemm, 1.0, &config, Technique::Rearrangement, false);
+        assert_eq!(memo.memo.get(&plain), Some((rearranged, None, moved)));
         // Prove selection reads the memo: plant an unbeatable report for
         // that candidate and rerun the selection itself (bypassing the
         // per-layer memo). Without pruning every candidate is looked up.
@@ -1195,7 +1251,7 @@ mod tests {
             cycles: 1,
             ..rearranged
         };
-        memo.memo.put(plain, (planted, None));
+        memo.memo.put(plain, (planted, None, MovedOps::One(7)));
         let served = SimContext {
             options: SimOptions {
                 prune: false,
@@ -1204,9 +1260,10 @@ mod tests {
             memo: Arc::clone(&memo.memo),
         };
         let layer = LayerInputs::new(gemm, 1.0, &config, false);
-        let (report, decision) =
+        let (report, decision, moved) =
             served.select_best(&layer.candidates(Technique::DataPartitioning), &layer);
         assert_eq!(report, planted, "the memo served the plain candidate");
+        assert_eq!(moved, MovedOps::One(7), "with its moved ops");
         assert_eq!(
             decision,
             LayerDecision {
@@ -1426,6 +1483,55 @@ mod tests {
         assert!(per_access <= 11.0, "{per_access:.2} bytes per access");
     }
 
+    /// Every candidate stream's moved ops, as the replay counts them,
+    /// equal the memory slices its recorded events make
+    /// ([`crate::tracks::MemorySlices`], the oracle), on seeded shapes of
+    /// the three stream kinds: one stream on one core, partitions chained
+    /// on one core, and one stream per core. The selection loop hands
+    /// those counts on with each candidate's report.
+    #[test]
+    fn replay_moved_ops_count_the_recorded_memory_slices() {
+        use crate::tracks::memory_slices;
+        use igo_npu_sim::EventLog;
+        let mut rng = igo_tensor::SplitMix64::new(22);
+        let configs = [NpuConfig::small_edge(), NpuConfig::large_server(2)];
+        let mut kinds = [0; 3];
+        for case in 0..12 {
+            let config = &configs[case % 2];
+            let dim = |rng: &mut igo_tensor::SplitMix64| rng.range_u64(16, 1200);
+            let gemm = GemmShape::new(dim(&mut rng), dim(&mut rng), dim(&mut rng));
+            let layer = LayerInputs::new(gemm, 1.0, config, case % 3 == 0);
+            let mut scratch = AnalyticScratch::new();
+            for c in layer.candidates(Technique::DataPartitioning) {
+                let streams = c.streams(&layer);
+                let kind = match &c.exec {
+                    Exec::Single(_) => 0,
+                    Exec::Split { .. } if config.cores == 1 => 1,
+                    Exec::Split { .. } => 2,
+                };
+                kinds[kind] += 1;
+                let mut want = Vec::new();
+                for g in &streams {
+                    let mut log = EventLog::new();
+                    let replayed = replay_recorded(g, &layer.engine, &mut scratch, None, &mut log)
+                        .expect("an uncut replay completes");
+                    want.push(memory_slices(&log.events));
+                    assert_eq!(replayed.moved_ops, want[want.len() - 1], "{gemm:?}");
+                }
+                let (_, moved) = c
+                    .run_bounded(&layer, None, &mut scratch)
+                    .expect("an uncut replay completes");
+                assert_eq!(moved.as_slice(), want, "{gemm:?} {:?}", c.decision);
+            }
+        }
+        assert!(kinds.iter().all(|&n| n > 0), "{kinds:?}");
+    }
+
+    #[test]
+    fn moved_ops_keep_a_single_stream_inline() {
+        assert_eq!(std::mem::size_of::<MovedOps>(), 16);
+    }
+
     #[test]
     fn memoized_layer_reuses_cached_result() {
         let config = NpuConfig::large_single_core();
@@ -1436,17 +1542,17 @@ mod tests {
             workers: 1,
         });
         let technique = Technique::Interleaving;
-        let first = context.backward(gemm, 1.0, &config, technique, false);
+        let first = context.backward_moved(gemm, 1.0, &config, technique, false);
         let pass = PassKey::Backward {
             technique,
             is_first: false,
         };
         assert_eq!(
             context.memo.get(&CacheKey::new(gemm, 1.0, &config, pass)),
-            Some((first.0, Some(first.1))),
+            Some((first.0, Some(first.1), first.2.clone())),
             "the result must land in the memo"
         );
-        let second = context.backward(gemm, 1.0, &config, technique, false);
+        let second = context.backward_moved(gemm, 1.0, &config, technique, false);
         assert_eq!(first, second);
     }
 }

@@ -288,6 +288,29 @@ fn write_json_escaped(out: &mut impl io::Write, raw: &str) -> io::Result<()> {
     Ok(())
 }
 
+/// Write `v` in decimal, byte for byte as `write!(out, "{v}")` does,
+/// without going through `core::fmt`: `trace.json` is mostly integers.
+fn write_u64(out: &mut impl io::Write, mut v: u64) -> io::Result<()> {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.write_all(&digits[start..])
+}
+
+/// Write `key` and then `v` as a JSON member (`key` carries the leading
+/// separator and the colon).
+fn write_member(out: &mut impl io::Write, key: &[u8], v: u64) -> io::Result<()> {
+    out.write_all(key)?;
+    write_u64(out, v)
+}
+
 /// Write one event as a Chrome trace-event JSON object, reading metadata
 /// names from `layers`.
 fn write_event(
@@ -296,20 +319,21 @@ fn write_event(
     layers: &[&LayerTrace],
 ) -> io::Result<()> {
     // Static labels need no JSON escaping.
-    write!(out, "\n{{\"name\":\"{}", LABELS[e.label as usize])?;
+    out.write_all(b"\n{\"name\":\"")?;
+    out.write_all(LABELS[e.label as usize].as_bytes())?;
     if e.label == SPM {
-        write!(out, "{}", e.b)?;
+        write_u64(out, e.b)?;
     }
     if e.mixed {
         out.write_all(b"+")?;
     }
-    write!(
-        out,
-        "\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-        e.ph as char, e.ts, e.pid, e.tid
-    )?;
+    out.write_all(b"\",\"ph\":\"")?;
+    out.write_all(&[e.ph])?;
+    write_member(out, b"\",\"ts\":", e.ts)?;
+    write_member(out, b",\"pid\":", e.pid as u64)?;
+    write_member(out, b",\"tid\":", e.tid as u64)?;
     if e.ph == b'X' {
-        write!(out, ",\"dur\":{}", e.dur)?;
+        write_member(out, b",\"dur\":", e.dur)?;
     }
     let (a, b) = (e.a, e.b);
     match e.args {
@@ -330,9 +354,20 @@ fn write_event(
             };
             write!(out, ",\"args\":{{\"name\":\"core{} {thread}\"}}", e.tid / 2)?;
         }
-        Args::Compute => write!(out, ",\"args\":{{\"ops\":{a},\"busy_cycles\":{b}}}")?,
-        Args::Memory => write!(out, ",\"args\":{{\"ops\":{a},\"bytes\":{b}}}")?,
-        Args::Bytes => write!(out, ",\"args\":{{\"bytes\":{a}}}")?,
+        Args::Compute => {
+            write_member(out, b",\"args\":{\"ops\":", a)?;
+            write_member(out, b",\"busy_cycles\":", b)?;
+            out.write_all(b"}")?;
+        }
+        Args::Memory => {
+            write_member(out, b",\"args\":{\"ops\":", a)?;
+            write_member(out, b",\"bytes\":", b)?;
+            out.write_all(b"}")?;
+        }
+        Args::Bytes => {
+            write_member(out, b",\"args\":{\"bytes\":", a)?;
+            out.write_all(b"}")?;
+        }
     }
     out.write_all(b"}")
 }
@@ -780,6 +815,18 @@ mod tests {
     use igo_npu_sim::{NpuConfig, RunMetrics, SimReport};
     use igo_tensor::rng::SplitMix64;
     use igo_workloads::{zoo, ModelId};
+
+    #[test]
+    fn integers_write_as_fmt_writes_them() {
+        let mut rng = SplitMix64::new(10);
+        let edges = [0, 1, 9, 10, 99, 100, 999_999, u64::MAX - 1, u64::MAX];
+        let random = (0..10_000).map(|i| rng.next_u64() >> (i % 64));
+        for v in edges.into_iter().chain(random) {
+            let mut out = Vec::new();
+            write_u64(&mut out, v).unwrap();
+            assert_eq!(out, v.to_string().into_bytes());
+        }
+    }
 
     fn reports() -> (ModelReport, ModelReport) {
         let config = NpuConfig::large_single_core();

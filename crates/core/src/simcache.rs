@@ -24,7 +24,7 @@
 //! and clocks are `f64`s and are keyed by their bit patterns.
 
 use crate::partition::PartitionScheme;
-use crate::pipeline::LayerDecision;
+use crate::pipeline::{LayerDecision, MovedOps};
 use crate::schedule::BackwardOrder;
 use crate::technique::Technique;
 use igo_npu_sim::{NpuConfig, SimReport};
@@ -117,9 +117,10 @@ impl CacheKey {
     }
 }
 
-/// A memoized layer result (`decision` is `Some` for backward passes
-/// only).
-pub(crate) type CacheEntry = (SimReport, Option<LayerDecision>);
+/// A memoized layer result: the report, the decision (`Some` for
+/// backward passes only) and the per-stream moved ops of the replayed
+/// candidate (of a backward pass's winner; none for a forward pass).
+pub(crate) type CacheEntry = (SimReport, Option<LayerDecision>, MovedOps);
 
 /// Capacity of every memo in entries (an entry is a couple of hundred
 /// bytes, so this bounds a memo to a few tens of megabytes).
@@ -346,6 +347,7 @@ mod tests {
                 ..Default::default()
             },
             None,
+            MovedOps::One(cycles / 2),
         )
     }
 

@@ -19,8 +19,12 @@
 //! no more than each track's cap at any time. The replayed stream fixes
 //! every length but one ([`StreamShape`]). An op contributes a memory
 //! slice only when it moved bytes, which depends on hits, so the memory
-//! track is sized by a counting replay of the same input first
-//! ([`MemorySlices`]; the replay is deterministic).
+//! track is sized by the replay itself: every replay counts the ops that
+//! moved bytes ([`igo_npu_sim::AnalyticReport::moved_ops`]), and the
+//! selection loop's replay of the winning candidate hands that count to
+//! the trace (the replay is deterministic, so the recorded replay moves
+//! bytes in the same ops). A test-only recorder (`MemorySlices`) counts
+//! the same slices from an event stream as the oracle.
 
 use igo_npu_sim::{round_cycles, AccessKind, Decimator, Phase, Recorder, StreamShape, TraceEvent};
 
@@ -229,6 +233,7 @@ impl MemAgg {
     }
 
     /// Whether the op moved bytes, and so contributes a memory slice.
+    #[cfg(test)]
     fn moved(&self) -> bool {
         self.kind_bytes().1 > 0
     }
@@ -309,14 +314,16 @@ impl MemOps {
 
 /// A [`Recorder`] that counts the memory slices a [`TrackBuilder`] would
 /// keep of the same replay before capping: one per op that moved bytes.
-/// Which ops move bytes depends on hits, and the replay is deterministic,
-/// so one counting replay sizes the builder's memory track exactly.
+/// The oracle for the replay's own count
+/// ([`igo_npu_sim::AnalyticReport::moved_ops`]), which sizes the builder.
+#[cfg(test)]
 #[derive(Default)]
 pub(crate) struct MemorySlices {
     ops: MemOps,
     count: u64,
 }
 
+#[cfg(test)]
 impl MemorySlices {
     /// The number of memory slices the replay recorded.
     pub(crate) fn finish(mut self) -> u64 {
@@ -326,12 +333,23 @@ impl MemorySlices {
     }
 }
 
+#[cfg(test)]
 impl Recorder for MemorySlices {
-    #[inline]
     fn record(&mut self, event: TraceEvent) {
         let count = &mut self.count;
         self.ops.fold(&event, |a| *count += u64::from(a.moved()));
     }
+}
+
+/// The memory slices a replay that emitted `events` records
+/// ([`MemorySlices`]).
+#[cfg(test)]
+pub(crate) fn memory_slices(events: &[TraceEvent]) -> u64 {
+    let mut count = MemorySlices::default();
+    for &e in events {
+        count.record(e);
+    }
+    count.finish()
 }
 
 /// A core's memory track: each op's memory slice, sized with the engine's
@@ -355,8 +373,8 @@ impl MemTrack {
 /// A [`Recorder`] that folds one core's event stream into its
 /// [`CoreTracks`].
 ///
-/// Sized by the run's [`StreamShape`] and its memory-slice count
-/// ([`MemorySlices`]), it coalesces slices and phase spans and decimates
+/// Sized by the run's [`StreamShape`] and its memory-slice count (the
+/// replay's moved ops), it coalesces slices and phase spans and decimates
 /// occupancy and barrier samples as they arrive, so no track ever exceeds
 /// its cap.
 pub(crate) struct TrackBuilder {
@@ -563,7 +581,7 @@ mod tests {
             });
             events.push(TraceEvent::Access {
                 op,
-                key: key(),
+                id: 0,
                 class: TensorClass::OutGrad,
                 bytes: 64,
                 kind: AccessKind::Fetch,
@@ -580,15 +598,6 @@ mod tests {
             });
         }
         events
-    }
-
-    /// The memory slices a replay that emitted `events` records.
-    fn memory_slices(events: &[TraceEvent]) -> u64 {
-        let mut count = MemorySlices::default();
-        for &e in events {
-            count.record(e);
-        }
-        count.finish()
     }
 
     #[test]
@@ -641,7 +650,7 @@ mod tests {
         };
         let access = |op, kind, cycle| TraceEvent::Access {
             op,
-            key: key(),
+            id: 0,
             class: TensorClass::OutGrad,
             bytes: 64,
             kind,

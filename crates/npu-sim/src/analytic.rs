@@ -61,7 +61,6 @@ use crate::spm::SpmCache;
 use crate::stats::{SimReport, Traffic};
 use crate::trace::{Schedule, ScheduleOp, ScheduleSink, StreamOp, TensorId, TileKey, TileOpSpec};
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
-use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,6 +82,11 @@ pub struct AnalyticReport {
     pub report: SimReport,
     /// How `report` relates to the exact report.
     pub exactness: Exactness,
+    /// Ops that moved DRAM bytes: tile GEMMs that fetched or wrote back,
+    /// stream ops with bytes, and flushes that wrote back. A recorded
+    /// replay draws one memory slice per such op, so this sizes a trace's
+    /// memory track. A lower bound reports 0.
+    pub moved_ops: u64,
 }
 
 /// Process-wide count of analytic replays, the twin of
@@ -739,18 +743,126 @@ fn victim_key(next_use: u32, id: u32) -> u64 {
 /// Entries per block of the victim index.
 const BLOCK: usize = 16;
 
-/// Belady replacement over an index of the residents sized by residents,
-/// not by the stream: its decisions are those of [`crate::OptCache`], the
-/// `BTreeMap` model the audit shadows every run with.
+/// The largest of `keys` other than `except` (0 if none): a branch-free
+/// pass whose four independent running maxima shorten the dependency
+/// chain. Keys are distinct, so masking `except` drops one entry at most.
+#[inline]
+fn max_key_except(keys: &[u64], except: u64) -> u64 {
+    let mut max = [0u64; 4];
+    let quads = keys.chunks_exact(4);
+    for &k in quads.remainder() {
+        max[0] = max[0].max(if k == except { 0 } else { k });
+    }
+    for quad in quads {
+        for (max, &k) in max.iter_mut().zip(quad) {
+            *max = (*max).max(if k == except { 0 } else { k });
+        }
+    }
+    max[0].max(max[1]).max(max[2].max(max[3]))
+}
+
+/// A set of dense ids that yields its largest member: one bit per id,
+/// and above that one bit per nonzero word of the level below, up to a
+/// single word. Inserting or removing an id touches one word per level
+/// and stops at the first level whose word was (or stays) nonzero; the
+/// maximum follows the highest set bit down from the top word.
+#[derive(Debug, Default)]
+struct IdMaxSet {
+    /// `levels[0]` holds one bit per id, `levels[k + 1]` one bit per word
+    /// of `levels[k]`; the last level is one word.
+    levels: Vec<Vec<u64>>,
+}
+
+impl IdMaxSet {
+    /// Empty the set and size it for ids below `ids`.
+    fn reset(&mut self, ids: usize) {
+        let mut depth = 0;
+        let mut words = ids.max(1).div_ceil(64);
+        loop {
+            if self.levels.len() == depth {
+                self.levels.push(Vec::new());
+            }
+            let level = &mut self.levels[depth];
+            level.clear();
+            level.resize(words, 0);
+            depth += 1;
+            if words == 1 {
+                break;
+            }
+            words = words.div_ceil(64);
+        }
+        self.levels.truncate(depth);
+    }
+
+    /// Empty the set, keeping its size.
+    fn clear(&mut self) {
+        for level in &mut self.levels {
+            level.fill(0);
+        }
+    }
+
+    /// Add `id`, which must not be a member.
+    #[inline]
+    fn insert(&mut self, id: u32) {
+        let mut at = id as usize;
+        for level in &mut self.levels {
+            let word = &mut level[at / 64];
+            let was = *word;
+            *word = was | 1 << (at % 64);
+            if was != 0 {
+                return;
+            }
+            at /= 64;
+        }
+    }
+
+    /// Remove `id`, a member.
+    #[inline]
+    fn remove(&mut self, id: u32) {
+        let mut at = id as usize;
+        for level in &mut self.levels {
+            let word = &mut level[at / 64];
+            *word &= !(1 << (at % 64));
+            if *word != 0 {
+                return;
+            }
+            at /= 64;
+        }
+    }
+
+    /// The largest member, if any.
+    #[inline]
+    fn max(&self) -> Option<u32> {
+        let top = self.levels.last()?;
+        if top[0] == 0 {
+            return None;
+        }
+        let mut at = 0;
+        for level in self.levels.iter().rev() {
+            at = at * 64 + 63 - level[at].leading_zeros() as usize;
+        }
+        Some(at as u32)
+    }
+
+    /// Bytes of the bit levels.
+    fn bytes(&self) -> usize {
+        self.levels.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Belady replacement over an index sized by the residents and the tile
+/// grid, not by the stream: its decisions are those of
+/// [`crate::OptCache`], the `BTreeMap` model the audit shadows every run
+/// with.
 ///
 /// Residents with no further use in their region ([`NO_USE`]) outrank
 /// every other as victims, max id (so max tile key) first, and sit in a
-/// max-heap of ids. Every other resident of a region that can evict holds
-/// one entry of `keys`, and `block_max` caches the largest key of every
-/// [`BLOCK`] entries. A hit raises its tile's key in place — the hit
-/// position was the tile's registered next use and its new next use lies
-/// further on — so the block maximum only grows: two stores. An admission
-/// fills a free entry the same way. Only an eviction of a resident with a
+/// max-set of ids (one bit per tile). Every other resident of a region
+/// that can evict holds one entry of `keys`, and `block_max` caches the
+/// largest key of every [`BLOCK`] entries. A hit raises its tile's key in
+/// place — the hit position was the tile's registered next use and its
+/// new next use lies further on — so the block maximum only grows: two
+/// stores. An admission fills a free entry the same way. Only an eviction of a resident with a
 /// further use scans: the block maxima for the victim's block, then that
 /// block for its entry and its new maximum. Victim selection — including
 /// the bypass rule — is therefore `OptCache`'s.
@@ -760,8 +872,9 @@ pub(crate) struct ReplayOptCache {
     used: u64,
     slots: Vec<ReplaySlot>,
     /// Ids of residents with no further use in their region.
-    dead: BinaryHeap<u32>,
-    /// One [`victim_key`] per entry; 0 marks a free entry.
+    dead: IdMaxSet,
+    /// One [`victim_key`] per entry, in whole blocks; 0 marks a free
+    /// entry.
     keys: Vec<u64>,
     /// The largest key of each block of `keys`.
     block_max: Vec<u64>,
@@ -788,17 +901,19 @@ impl ReplayOptCache {
     #[inline(always)]
     fn insert(&mut self, next_use: u32, id: u32) {
         if next_use == NO_USE {
-            self.dead.push(id);
+            self.dead.insert(id);
             return;
         }
         let at = match self.free.pop() {
             Some(at) => at as usize,
             None => {
-                self.keys.push(0);
-                if self.keys.len() > self.block_max.len() * BLOCK {
-                    self.block_max.push(0);
-                }
-                self.keys.len() - 1
+                // Open a whole block; its other entries are free, lowest
+                // first.
+                let at = self.keys.len();
+                self.keys.resize(at + BLOCK, 0);
+                self.block_max.push(0);
+                self.free.extend((at as u32 + 1..(at + BLOCK) as u32).rev());
+                at
             }
         };
         let slot = &mut self.slots[id as usize];
@@ -818,21 +933,16 @@ impl ReplayOptCache {
     /// The largest key of entry `at`'s block other than its own.
     fn rest_of_block(&self, at: usize) -> u64 {
         let first = at / BLOCK * BLOCK;
-        let end = (first + BLOCK).min(self.keys.len());
-        (first..end)
-            .filter(|&n| n != at)
-            .map(|n| self.keys[n])
-            .max()
-            .unwrap_or(0)
+        max_key_except(&self.keys[first..first + BLOCK], self.keys[at])
     }
 
     /// The victim's next use and id. The caller must ensure a resident
     /// exists (`used > 0`).
     fn victim(&self) -> (u32, u32) {
-        if let Some(&id) = self.dead.peek() {
+        if let Some(id) = self.dead.max() {
             return (NO_USE, id);
         }
-        let key = self.block_max.iter().copied().max().unwrap_or(0);
+        let key = max_key_except(&self.block_max, 0);
         debug_assert!(key > 0, "used > 0 implies a resident victim");
         ((key >> 32) as u32, key as u32)
     }
@@ -840,7 +950,7 @@ impl ReplayOptCache {
     /// Evict the victim `(next_use, id)` [`Self::victim`] named.
     fn evict(&mut self, next_use: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
         if next_use == NO_USE {
-            self.dead.pop();
+            self.dead.remove(id);
         } else {
             let at = self.slots[id as usize].entry();
             debug_assert_eq!(self.keys[at], victim_key(next_use, id), "victim entry");
@@ -869,7 +979,7 @@ impl Residency for ReplayOptCache {
         self.used = 0;
         self.slots.clear();
         self.slots.resize(num_tiles, ReplaySlot::default());
-        self.dead.clear();
+        self.dead.reset(num_tiles);
         self.keys.clear();
         self.block_max.clear();
         self.free.clear();
@@ -913,7 +1023,7 @@ impl Residency for ReplayOptCache {
                     self.block_max[at / BLOCK]
                 };
                 self.free_entry(at, rest);
-                self.dead.push(id);
+                self.dead.insert(id);
             } else {
                 self.raise(at, victim_key(next_use, id));
             }
@@ -951,9 +1061,9 @@ impl Residency for ReplayOptCache {
     /// Specialised to a barrier region whose distinct-tile footprint fits
     /// in `capacity`: no eviction can ever fire (residency grows
     /// monotonically and tops out at the footprint), so the next uses,
-    /// the victim heap, and all capacity checks are dead weight — a first
+    /// the victim index, and all capacity checks are dead weight — a first
     /// touch admits unconditionally and every later touch is a hit. The
-    /// heap is left untouched; the barrier `clear` that ends the region
+    /// index is left untouched; the barrier `clear` that ends the region
     /// resets it before any bounded-path access can observe it. `used`
     /// still grows with each admission, so recorded occupancy is right in
     /// regions that fit.
@@ -1047,10 +1157,11 @@ impl AnalyticScratch {
     }
 
     /// Bytes of the OPT replay's victim index, which grows with the
-    /// residents of the replayed streams.
+    /// residents of the replayed streams (one bit per tile for the dead).
     pub fn victim_bytes(&self) -> usize {
         (self.opt.keys.capacity() + self.opt.block_max.capacity()) * std::mem::size_of::<u64>()
-            + (self.opt.free.capacity() + self.opt.dead.capacity()) * std::mem::size_of::<u32>()
+            + self.opt.free.capacity() * std::mem::size_of::<u32>()
+            + self.opt.dead.bytes()
     }
 }
 
@@ -1146,6 +1257,8 @@ struct Timeline<'a, I: ?Sized, C, R> {
     gemm_ops: u64,
     macs: u64,
     spm_bytes_touched: u64,
+    /// Ops that moved DRAM bytes ([`AnalyticReport::moved_ops`]).
+    moved_ops: u64,
     /// Index of the next op, counting stream ops and barriers.
     op_idx: u32,
     region: usize,
@@ -1189,6 +1302,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> Timeline<'_, I, C, R> {
             self.traffic.add_write(self.input.class_of(vid), vbytes);
             bytes += vbytes;
         }
+        self.moved_ops += u64::from(bytes > 0);
         let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
         self.mem_free += mem_time;
         self.mem_busy_total += mem_time;
@@ -1235,7 +1349,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
                 };
                 self.recorder.record(TraceEvent::Access {
                     op: op_idx,
-                    key: self.input.key_of(a.id),
+                    id: a.id,
                     class: a.class,
                     bytes: a.bytes as u64,
                     kind,
@@ -1268,6 +1382,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
                 + (bursts.max(1) * self.burst_latency) as f64;
             self.mem_free += mem_time;
             self.mem_busy_total += mem_time;
+            self.moved_ops += 1;
         }
 
         let (cycles, macs) = self.shape_costs[op.shape as usize];
@@ -1337,6 +1452,7 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
             let mem_time = bytes as f64 / self.bytes_per_cycle + self.burst_latency as f64;
             self.mem_free += mem_time;
             self.mem_busy_total += mem_time;
+            self.moved_ops += 1;
         }
         ControlFlow::Continue(())
     }
@@ -1432,6 +1548,7 @@ fn timeline_run<I: ReplayInput + ?Sized, R: Recorder, C: Residency>(
         gemm_ops: 0,
         macs: 0,
         spm_bytes_touched: 0,
+        moved_ops: 0,
         op_idx: 0,
         region: 0,
         region_fits: false,
@@ -1470,6 +1587,7 @@ fn timeline_run<I: ReplayInput + ?Sized, R: Recorder, C: Residency>(
             spm_bytes_touched: t.spm_bytes_touched,
         },
         exactness: Exactness::Exact,
+        moved_ops: t.moved_ops,
     })
 }
 
@@ -1676,6 +1794,7 @@ impl BoundAccum {
                 spm_bytes_touched: self.spm_bytes_touched,
             },
             exactness: Exactness::LowerBound,
+            moved_ops: 0,
         }
     }
 }
@@ -1688,6 +1807,55 @@ mod tests {
 
     fn engine() -> Engine {
         Engine::with_params(SystolicModel::new(PeArray::new(16, 16)), 16.0, 10, 4000)
+    }
+
+    /// The dead-resident max-set against a `BinaryHeap` oracle: seeded
+    /// inserts, max removals, removals of arbitrary members and clears,
+    /// over id spaces of one to four bit levels (up to 64³ + 1 ids).
+    #[test]
+    fn id_max_set_matches_a_binary_heap() {
+        use std::collections::{BTreeSet, BinaryHeap};
+        let mut rng = igo_tensor::SplitMix64::new(0x1d_5e7);
+        let mut set = IdMaxSet::default();
+        for ids in [1usize, 63, 64, 65, 4095, 4097, 64 * 64 * 64 + 1] {
+            set.reset(ids);
+            let mut heap = BinaryHeap::new();
+            let mut members = BTreeSet::new();
+            for step in 0..20_000 {
+                match rng.index(10) {
+                    0..=4 => {
+                        let id = rng.index(ids) as u32;
+                        if members.insert(id) {
+                            set.insert(id);
+                            heap.push(id);
+                        }
+                    }
+                    5..=7 => {
+                        let want = heap.pop();
+                        assert_eq!(set.max(), want, "ids {ids}, step {step}");
+                        if let Some(id) = want {
+                            set.remove(id);
+                            members.remove(&id);
+                        }
+                    }
+                    8 => {
+                        // Remove an arbitrary member, as a rebuilt heap.
+                        if let Some(&id) = members.iter().nth(rng.index(members.len().max(1))) {
+                            set.remove(id);
+                            members.remove(&id);
+                            heap = members.iter().copied().collect();
+                        }
+                    }
+                    _ if step % 997 == 0 => {
+                        set.clear();
+                        heap.clear();
+                        members.clear();
+                    }
+                    _ => {}
+                }
+                assert_eq!(set.max(), heap.peek().copied(), "ids {ids}, step {step}");
+            }
+        }
     }
 
     /// Emit the same op stream into a Schedule and a collector; the replay
@@ -1931,15 +2099,15 @@ mod tests {
             for ev in &log.events {
                 match *ev {
                     TraceEvent::Access {
-                        key,
+                        id,
                         bytes,
                         kind,
                         occupancy,
                         ..
                     } => {
                         let (tiles, accesses) = regions.last_mut().unwrap();
-                        if !tiles.iter().any(|&(k, _)| k == key) {
-                            tiles.push((key, bytes));
+                        if !tiles.iter().any(|&(t, _)| t == id) {
+                            tiles.push((id, bytes));
                         }
                         accesses.push((bytes, kind, occupancy));
                     }

@@ -36,6 +36,11 @@ use crate::trace::{Schedule, StreamOp};
 pub struct MultiCoreReport {
     /// Per-core reports (one combined report for the sequential case).
     pub core_reports: Vec<SimReport>,
+    /// Per-core ops that moved DRAM bytes
+    /// ([`crate::AnalyticReport::moved_ops`]), one per core report of a
+    /// replay; empty when the step was combined from bare reports
+    /// ([`sequential_combined`]).
+    pub core_moved_ops: Vec<u64>,
     /// Cycles spent in the cross-partition reduction (0 when none needed).
     pub reduction_cycles: u64,
     /// Step makespan: slowest core plus reduction.
@@ -111,7 +116,7 @@ pub fn sequential_combined(
     inner: SimReport,
     reduction: Option<StreamOp>,
 ) -> SimReport {
-    combine(config, vec![inner], reduction).combined()
+    combine(config, vec![inner], Vec::new(), reduction).combined()
 }
 
 /// The step of `core_reports` run concurrently, then the reduction:
@@ -119,6 +124,7 @@ pub fn sequential_combined(
 fn combine(
     config: &NpuConfig,
     core_reports: Vec<SimReport>,
+    core_moved_ops: Vec<u64>,
     reduction: Option<StreamOp>,
 ) -> MultiCoreReport {
     let mut traffic = Traffic::new();
@@ -129,6 +135,7 @@ fn combine(
     let reduction_cycles = reduction_cost(config, reduction, &mut traffic);
     MultiCoreReport {
         core_reports,
+        core_moved_ops,
         reduction_cycles,
         cycles: slowest + reduction_cycles,
         traffic,
@@ -224,10 +231,13 @@ pub fn replay_multicore_bounded<I: ReplayInput>(
     };
     let engine = Engine::new(config);
     let mut core_reports: Vec<SimReport> = Vec::with_capacity(per_core.len());
+    let mut core_moved_ops = Vec::with_capacity(per_core.len());
     for c in per_core {
-        core_reports.push(replay_input(c, &engine, scratch, inner_cutoff)?.report);
+        let replayed = replay_input(c, &engine, scratch, inner_cutoff)?;
+        core_reports.push(replayed.report);
+        core_moved_ops.push(replayed.moved_ops);
     }
-    Some(combine(config, core_reports, reduction))
+    Some(combine(config, core_reports, core_moved_ops, reduction))
 }
 
 /// Replay one stream holding the partitions' streams back-to-back (the

@@ -34,8 +34,8 @@
 //! at [`DY_SERIES_CAP`] points (+ the last) while the run lasts.
 
 use crate::analytic::{GemmAccesses, OpVisitor, ReplayInput};
-use crate::trace::{StreamOp, TensorId, TileKey};
-use igo_tensor::{TensorClass, TileCoord};
+use crate::trace::{StreamOp, TileKey};
+use igo_tensor::TensorClass;
 use std::ops::ControlFlow;
 
 /// Which interleaved backward sub-stream a tile-GEMM belongs to, judged by
@@ -96,8 +96,10 @@ pub enum TraceEvent {
     Access {
         /// Originating op index.
         op: u32,
-        /// The tile touched.
-        key: TileKey,
+        /// Dense id of the tile touched: ids number the replayed input's
+        /// tiles in [`TileKey`] order ([`crate::ReplayInput::key_of`]
+        /// names the tile).
+        id: u32,
         /// Traffic class of the tile's tensor.
         class: TensorClass,
         /// Clipped tile size in bytes.
@@ -222,6 +224,13 @@ pub struct StreamShape {
     /// Phase spans: one [`TraceEvent::PhaseBegin`] and one
     /// [`TraceEvent::PhaseEnd`] each.
     pub phase_spans: u64,
+    /// One past the largest dense tile id accessed (0 with no access).
+    pub id_end: u32,
+    /// The dense ids of the `dY` tiles accessed lie in
+    /// `dy_id_start..dy_id_end` (both 0 with no `dY` access).
+    pub dy_id_start: u32,
+    /// One past the largest `dY` tile id accessed.
+    pub dy_id_end: u32,
 }
 
 impl StreamShape {
@@ -238,11 +247,8 @@ impl StreamShape {
     pub fn of_events(events: &[TraceEvent]) -> Self {
         let mut shape = Self::default();
         for event in events {
-            match event {
-                TraceEvent::Access { class, .. } => {
-                    shape.accesses += 1;
-                    shape.dy_accesses += u64::from(*class == TensorClass::OutGrad);
-                }
+            match *event {
+                TraceEvent::Access { id, class, .. } => shape.access(id, class),
                 TraceEvent::GemmIssue { .. } => shape.gemm_ops += 1,
                 TraceEvent::Barrier { .. } => shape.barriers += 1,
                 TraceEvent::PhaseBegin { .. } => shape.phase_spans += 1,
@@ -252,6 +258,22 @@ impl StreamShape {
             }
         }
         shape
+    }
+
+    /// Count one access of tile `id` of `class`.
+    #[inline]
+    fn access(&mut self, id: u32, class: TensorClass) {
+        self.accesses += 1;
+        self.id_end = self.id_end.max(id + 1);
+        if class == TensorClass::OutGrad {
+            self.dy_id_start = if self.dy_accesses == 0 {
+                id
+            } else {
+                self.dy_id_start.min(id)
+            };
+            self.dy_accesses += 1;
+            self.dy_id_end = self.dy_id_end.max(id + 1);
+        }
     }
 }
 
@@ -271,12 +293,9 @@ impl OpVisitor for ShapeCount {
             self.phase = Some(phase);
         }
         self.shape.gemm_ops += 1;
-        self.shape.accesses += op.accesses.len() as u64;
-        self.shape.dy_accesses += op
-            .accesses
-            .iter()
-            .filter(|a| a.class == TensorClass::OutGrad)
-            .count() as u64;
+        for a in op.accesses {
+            self.shape.access(a.id, a.class);
+        }
         ControlFlow::Continue(())
     }
 
@@ -314,7 +333,8 @@ pub fn decimate<T: Copy + PartialEq>(values: &[T], max: usize) -> Vec<T> {
 #[derive(Debug, Clone)]
 pub struct Decimator<T> {
     stride: u64,
-    seen: u64,
+    /// Samples to skip before the next kept one.
+    skip: u64,
     kept: Vec<T>,
     last: Option<T>,
 }
@@ -327,18 +347,21 @@ impl<T: Copy + PartialEq> Decimator<T> {
         let stride = if len <= max { 1 } else { len.div_ceil(max) };
         Self {
             stride,
-            seen: 0,
+            skip: 0,
             kept: Vec::with_capacity(len.min(max + 1) as usize),
             last: None,
         }
     }
 
-    /// Offer the next sample.
+    /// Offer the next sample: every `stride`-th is kept, counted down
+    /// rather than divided out.
+    #[inline]
     pub fn push(&mut self, value: T) {
-        if self.seen.is_multiple_of(self.stride) {
+        if self.skip == 0 {
             self.kept.push(value);
+            self.skip = self.stride;
         }
-        self.seen += 1;
+        self.skip -= 1;
         self.last = Some(value);
     }
 
@@ -550,10 +573,15 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Compute the metrics of a recorded run with residency `capacity`.
-    pub fn from_events(events: &[TraceEvent], capacity: u64) -> Self {
-        let dy_accesses = StreamShape::of_events(events).dy_accesses;
-        let mut fold = MetricsFold::new(capacity, dy_accesses, DY_SERIES_CAP);
+    /// Compute the metrics of a recorded run with residency `capacity`,
+    /// whose dense tile ids `key_of` names.
+    pub fn from_events(
+        events: &[TraceEvent],
+        capacity: u64,
+        key_of: impl Fn(u32) -> TileKey,
+    ) -> Self {
+        let shape = StreamShape::of_events(events);
+        let mut fold = MetricsFold::new(capacity, &shape, DY_SERIES_CAP, key_of);
         for &event in events {
             fold.record(event);
         }
@@ -581,25 +609,18 @@ impl RunMetrics {
     }
 }
 
-/// Per-tile fold state: the tile's last access position (for reuse
-/// distances; [`TileState::UNSEEN`] before its first access) and its
-/// access counters, kept for `dY` tiles only.
+/// Per-`dY`-tile fold state: the tile, its bytes (last observed) and its
+/// access counters.
 #[derive(Debug, Clone, Copy)]
-struct TileState {
-    last_seen: u64,
+struct DyTile {
+    key: TileKey,
     bytes: u64,
     accesses: u64,
     hits: u64,
 }
 
-impl TileState {
-    const UNSEEN: TileState = TileState {
-        last_seen: u64::MAX,
-        bytes: 0,
-        accesses: 0,
-        hits: 0,
-    };
-}
+/// "Not accessed yet" in [`MetricsFold`]'s last-seen positions.
+const UNSEEN: u64 = u64::MAX;
 
 /// Most points a traced run's dY series keeps, on top of its last point.
 pub const DY_SERIES_CAP: usize = 512;
@@ -607,10 +628,11 @@ pub const DY_SERIES_CAP: usize = 512;
 /// A recorder that folds each `Access` event into [`RunMetrics`] as it
 /// arrives, so a run's metrics never need its event stream stored.
 ///
-/// Its state is the metrics themselves plus one dense per-tile entry
-/// (last access position, per-dY-tile counters), indexed
-/// `[tensor][row][col]` and grown on first touch, so an access costs no
-/// hashing. That is bounded by the tile grids the run touches. The dY
+/// Its state is the metrics themselves, each tile's last access position
+/// (for reuse distances) in one vector indexed by dense tile id, and
+/// counters for the `dY` ids only, all sized by the run's
+/// [`StreamShape`] before it starts, so an access costs no hashing and no
+/// growth. That is bounded by the tile grids the run touches. The dY
 /// series is decimated while it arrives ([`Decimator`]), which needs the
 /// run's dY access count up front, so it never holds more than its cap
 /// plus one points.
@@ -620,24 +642,46 @@ pub struct MetricsFold {
     /// Global access counter: reuse distances are measured in accesses
     /// across all classes, the stream the SPM actually sees.
     position: u64,
-    tiles: Vec<Vec<Vec<TileState>>>,
+    /// Position of each tile's latest access, by dense id ([`UNSEEN`]
+    /// before its first).
+    last_seen: Vec<u64>,
+    /// First `dY` tile id: `dy[i]` is tile `dy_start + i`.
+    dy_start: u32,
+    dy: Vec<DyTile>,
     dy_series: Decimator<DyReusePoint>,
 }
 
 impl MetricsFold {
     /// An empty fold for a run with residency `capacity` bytes that will
-    /// make `dy_accesses` dY tile accesses ([`StreamShape::dy_accesses`]),
+    /// emit the accesses `shape` counts ([`StreamShape::of_input`]),
     /// keeping at most `max_points` dY series points plus the last
-    /// (traces use [`DY_SERIES_CAP`]).
-    pub fn new(capacity: u64, dy_accesses: u64, max_points: usize) -> Self {
+    /// (traces use [`DY_SERIES_CAP`]); `key_of` names the tile behind a
+    /// dense id ([`crate::ReplayInput::key_of`]), and is asked for the dY
+    /// ids only.
+    pub fn new(
+        capacity: u64,
+        shape: &StreamShape,
+        max_points: usize,
+        key_of: impl Fn(u32) -> TileKey,
+    ) -> Self {
+        let dy = (shape.dy_id_start..shape.dy_id_end)
+            .map(|id| DyTile {
+                key: key_of(id),
+                bytes: 0,
+                accesses: 0,
+                hits: 0,
+            })
+            .collect();
         Self {
             out: RunMetrics {
                 capacity,
                 ..RunMetrics::default()
             },
             position: 0,
-            tiles: Vec::new(),
-            dy_series: Decimator::new(dy_accesses, max_points),
+            last_seen: vec![UNSEEN; shape.id_end as usize],
+            dy_start: shape.dy_id_start,
+            dy,
+            dy_series: Decimator::new(shape.dy_accesses, max_points),
         }
     }
 
@@ -646,32 +690,27 @@ impl MetricsFold {
     pub fn finish(self) -> RunMetrics {
         let mut out = self.out;
         out.dy_timeline = self.dy_series.finish();
-        // Tensor-, row-, then column-major: already in tile-key order.
-        for (tensor, rows) in self.tiles.iter().enumerate() {
-            for (r, row) in rows.iter().enumerate() {
-                for (c, t) in row.iter().enumerate() {
-                    if t.accesses > 0 {
-                        out.dy_tiles.push(TileStats {
-                            key: TileKey {
-                                tensor: TensorId::from_raw(tensor as u32),
-                                coord: TileCoord::new(r as u32, c as u32),
-                            },
-                            bytes: t.bytes,
-                            accesses: t.accesses,
-                            hits: t.hits,
-                        });
-                    }
-                }
-            }
-        }
+        // Dense ids number tiles in key order.
+        out.dy_tiles = self
+            .dy
+            .iter()
+            .filter(|t| t.accesses > 0)
+            .map(|t| TileStats {
+                key: t.key,
+                bytes: t.bytes,
+                accesses: t.accesses,
+                hits: t.hits,
+            })
+            .collect();
         out
     }
 }
 
 impl Recorder for MetricsFold {
+    #[inline]
     fn record(&mut self, event: TraceEvent) {
         let TraceEvent::Access {
-            key,
+            id,
             class,
             bytes,
             kind,
@@ -688,34 +727,18 @@ impl Recorder for MetricsFold {
         let cm = &mut out.per_class[class.index()];
         cm.accesses += 1;
         cm.hits += u64::from(hit);
-        let (tensor, r, c) = (
-            key.tensor.raw() as usize,
-            key.coord.r as usize,
-            key.coord.c as usize,
-        );
-        if self.tiles.len() <= tensor {
-            self.tiles.resize_with(tensor + 1, Vec::new);
-        }
-        let rows = &mut self.tiles[tensor];
-        if rows.len() <= r {
-            rows.resize_with(r + 1, Vec::new);
-        }
-        let row = &mut rows[r];
-        if row.len() <= c {
-            row.resize(c + 1, TileState::UNSEEN);
-        }
-        let stats = &mut row[c];
-        if stats.last_seen == TileState::UNSEEN.last_seen {
+        let last = std::mem::replace(&mut self.last_seen[id as usize], self.position);
+        if last == UNSEEN {
             cm.histogram.cold += 1;
         } else {
-            cm.histogram.add(self.position - stats.last_seen);
+            cm.histogram.add(self.position - last);
         }
-        stats.last_seen = self.position;
         self.position += 1;
         if class == TensorClass::OutGrad {
-            stats.bytes = bytes;
-            stats.accesses += 1;
-            stats.hits += u64::from(hit);
+            let tile = &mut self.dy[(id - self.dy_start) as usize];
+            tile.bytes = bytes;
+            tile.accesses += 1;
+            tile.hits += u64::from(hit);
             self.dy_series.push(DyReusePoint {
                 cycle,
                 accesses: cm.accesses,
@@ -731,13 +754,20 @@ mod tests {
     use crate::trace::TensorId;
     use igo_tensor::TileCoord;
 
+    /// The tile behind dense id `id` in a registry of one-row tensors of
+    /// 100 tiles each.
+    fn key_of(id: u32) -> TileKey {
+        TileKey {
+            tensor: TensorId::from_raw(id / 100),
+            coord: TileCoord::new(0, id % 100),
+        }
+    }
+
+    /// An access of tile `(0, c)` of tensor `t` (see [`key_of`]).
     fn access(t: u32, c: u32, class: TensorClass, kind: AccessKind, occ: u64) -> TraceEvent {
         TraceEvent::Access {
             op: 0,
-            key: TileKey {
-                tensor: TensorId::from_raw(t),
-                coord: TileCoord::new(0, c),
-            },
+            id: 100 * t + c,
             class,
             bytes: 100,
             kind,
@@ -806,7 +836,7 @@ mod tests {
             access(0, 1, OutGrad, Fetch, 300),
             access(0, 0, OutGrad, Hit, 300), // distance 2
         ];
-        let m = RunMetrics::from_events(&events, 1000);
+        let m = RunMetrics::from_events(&events, 1000, key_of);
         assert_eq!(m.total_accesses(), 5);
         assert_eq!(m.total_hits(), 2);
         assert_eq!(m.occupancy_high_water, 300);
@@ -830,7 +860,7 @@ mod tests {
             access(0, 0, TensorClass::OutGrad, Fetch, 200),
             access(0, 1, TensorClass::OutGrad, Hit, 200),
         ];
-        let m = RunMetrics::from_events(&events, 1000);
+        let m = RunMetrics::from_events(&events, 1000, key_of);
         assert_eq!(m.dy_timeline.len(), 3);
         let last = m.dy_timeline.last().unwrap();
         assert_eq!((last.accesses, last.hits), (3, 1));
@@ -873,7 +903,12 @@ mod tests {
                 access(0, i % 7, TensorClass::OutGrad, kind, 100)
             })
             .collect();
-        let mut fold = MetricsFold::new(1000, u64::from(n), DY_SERIES_CAP);
+        let mut fold = MetricsFold::new(
+            1000,
+            &StreamShape::of_events(&events),
+            DY_SERIES_CAP,
+            key_of,
+        );
         let mut full = Vec::new();
         let mut hits = 0;
         for (i, &e) in events.iter().enumerate() {
@@ -893,7 +928,7 @@ mod tests {
         assert_eq!((last.accesses, last.hits), (u64::from(n), hits));
         assert_eq!(
             m.dy_timeline,
-            RunMetrics::from_events(&events, 1000).dy_timeline
+            RunMetrics::from_events(&events, 1000, key_of).dy_timeline
         );
     }
 
@@ -930,13 +965,17 @@ mod tests {
             access(1, 0, TensorClass::Weight, Fetch, 200),
             access(0, 0, TensorClass::OutGrad, Hit, 200),
         ];
-        let mut tee = (EventLog::new(), MetricsFold::new(1000, 2, DY_SERIES_CAP));
+        let shape = StreamShape::of_events(&events);
+        let mut tee = (
+            EventLog::new(),
+            MetricsFold::new(1000, &shape, DY_SERIES_CAP, key_of),
+        );
         for &e in &events {
             tee.record(e);
         }
         assert_eq!(tee.0.events, events, "the tee forwards every event");
         let streamed = tee.1.finish();
-        let sliced = RunMetrics::from_events(&events, 1000);
+        let sliced = RunMetrics::from_events(&events, 1000, key_of);
         assert_eq!(streamed.per_class, sliced.per_class);
         assert_eq!(streamed.dy_timeline, sliced.dy_timeline);
         assert_eq!(streamed.dy_tiles, sliced.dy_tiles);
