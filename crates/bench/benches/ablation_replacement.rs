@@ -7,8 +7,9 @@
 //! compiler-visible reuse distances), so reproductions that model SPM as
 //! LRU overstate the techniques' gains.
 
+use igo_core::generate::StreamGen;
 use igo_core::{BackwardBuilder, BackwardOrder, LayerTensors, TilePolicy};
-use igo_npu_sim::{Engine, NpuConfig, Replacement, Schedule};
+use igo_npu_sim::{replay_input, AnalyticScratch, Engine, NpuConfig, Replacement, Schedule};
 use igo_tensor::GemmShape;
 use igo_workloads::zoo;
 
@@ -19,13 +20,15 @@ fn run(
     order: BackwardOrder,
     repl: Replacement,
 ) -> u64 {
-    let policy = TilePolicy::for_config(config);
-    let mut s = Schedule::new("abl");
-    let tensors = LayerTensors::register(&mut s, "l");
-    BackwardBuilder::new(gemm, policy, tensors)
-        .with_ifmap_density(density)
-        .emit(order, false, &mut s);
-    Engine::new(config).with_replacement(repl).run(&s).cycles
+    let tensors = LayerTensors::register(&mut Schedule::new("abl"), "l");
+    let builder = BackwardBuilder::new(gemm, TilePolicy::for_config(config), tensors)
+        .with_ifmap_density(density);
+    let stream = StreamGen::backward(&[builder], order, false);
+    let engine = Engine::new(config).with_replacement(repl);
+    replay_input(&stream, &engine, &mut AnalyticScratch::new(), None)
+        .expect("an uncut replay completes")
+        .report
+        .cycles
 }
 
 fn main() {

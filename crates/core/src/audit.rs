@@ -1070,9 +1070,10 @@ pub fn check_merge_schedule(
     violations
 }
 
-/// Rebuild the execution the decision describes, re-run it through the
-/// public machine model, compare against the pipeline's report, and
-/// shadow-replay every constituent schedule.
+/// Rebuild the execution the decision describes, run each core's stream
+/// through the public machine model ([`Engine::run`]), combine the cores
+/// as the audit derives it ([`combine_cores`]), compare against the
+/// pipeline's report, and shadow-replay every constituent schedule.
 fn check_decision_conservation(
     case: &AuditCase,
     decision: &LayerDecision,
@@ -1087,7 +1088,13 @@ fn check_decision_conservation(
         *decision,
         case.is_first,
     );
-    let rebuilt = exec.run(&case.config);
+    let reduction = exec_reduction(&exec);
+    // Chained segments run (and are shadowed) as the one stream each core
+    // runs.
+    let streams = exec.into_core_streams();
+    let engine = Engine::new(&case.config);
+    let cores: Vec<SimReport> = streams.iter().map(|s| engine.run(s)).collect();
+    let rebuilt = combine_cores(&case.config, &cores, reduction);
     if rebuilt != *report {
         violations.push(Violation {
             seed: case.seed,
@@ -1097,16 +1104,8 @@ fn check_decision_conservation(
             ),
         });
     }
-
-    // Chained segments are shadowed as the one stream each core runs.
-    for s in &exec.into_core_streams() {
-        let engine_report = Engine::new(&case.config).run(s);
-        violations.extend(check_report_conservation(
-            s,
-            &case.config,
-            &engine_report,
-            case.seed,
-        ));
+    for (s, core) in streams.iter().zip(&cores) {
+        violations.extend(check_report_conservation(s, &case.config, core, case.seed));
     }
     violations
 }
@@ -1328,11 +1327,7 @@ impl Shadow {
 /// counters, then pays the cross-partition reduction: its bytes at the
 /// whole DRAM bandwidth plus one burst, after the cores finish.
 fn shadow_cost(config: &NpuConfig, exec: DecidedBackward) -> SimReport {
-    let reduction = match &exec {
-        DecidedBackward::Single(_) => None,
-        DecidedBackward::Sequential { reduction, .. }
-        | DecidedBackward::Multicore { reduction, .. } => *reduction,
-    };
+    let reduction = exec_reduction(&exec);
     let engine = Engine::new(config);
     let cores: Vec<SimReport> = exec
         .into_core_streams()
@@ -1340,6 +1335,15 @@ fn shadow_cost(config: &NpuConfig, exec: DecidedBackward) -> SimReport {
         .map(|s| Shadow::run(s, &engine).report)
         .collect();
     combine_cores(config, &cores, reduction)
+}
+
+/// The cross-partition reduction `exec` pays after its cores finish.
+fn exec_reduction(exec: &DecidedBackward) -> Option<StreamOp> {
+    match exec {
+        DecidedBackward::Single(_) => None,
+        DecidedBackward::Sequential { reduction, .. }
+        | DecidedBackward::Multicore { reduction, .. } => *reduction,
+    }
 }
 
 /// The audit's own multicore combine of per-core `cores` reports and the
@@ -1812,11 +1816,7 @@ mod tests {
                 if let Some((_, parts)) = &mut decision.partition {
                     *parts = exec.parts() as u64;
                 }
-                let reduction = match &exec {
-                    DecidedBackward::Single(_) => None,
-                    DecidedBackward::Sequential { reduction, .. }
-                    | DecidedBackward::Multicore { reduction, .. } => *reduction,
-                };
+                let reduction = exec_reduction(&exec);
                 let cores: Vec<SimReport> = exec
                     .into_core_streams()
                     .iter()

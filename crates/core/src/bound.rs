@@ -482,7 +482,8 @@ pub fn sequential_candidate_bound(
 
 /// Admissible cycle bound for a multi-core partitioned candidate: the
 /// slowest core's emission bound plus the exact reduction term — mirroring
-/// `run_multicore`'s `max(core cycles) + reduction` makespan.
+/// [`igo_npu_sim::replay_multicore_bounded`]'s `max(core cycles) +
+/// reduction` makespan.
 #[allow(clippy::too_many_arguments)]
 pub fn multicore_candidate_bound(
     config: &NpuConfig,

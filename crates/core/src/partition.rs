@@ -20,10 +20,7 @@
 use crate::pipeline::LayerDecision;
 use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::tiling::TilePolicy;
-use igo_npu_sim::{
-    run_multicore, run_sequential_partitions, Engine, NpuConfig, Schedule, SimReport, StreamOp,
-    TensorId,
-};
+use igo_npu_sim::{NpuConfig, Schedule, StreamOp, TensorId};
 use igo_tensor::{DataType, GemmDim, GemmShape, TensorClass};
 
 /// The three partitioning schemes of Figure 11.
@@ -268,7 +265,10 @@ pub fn plan_partition_backward(
 }
 
 /// A layer's backward decision rebuilt as materialised schedules, in the
-/// execution shape the pipeline evaluates it in.
+/// execution shape the pipeline evaluates it in. Only the audit
+/// ([`crate::audit`]) builds these: it costs each core's stream on its
+/// own shadow and through [`igo_npu_sim::Engine::run`], and compares the
+/// results with the pipeline's generator replays.
 #[derive(Debug, Clone)]
 pub enum DecidedBackward {
     /// One schedule on one core.
@@ -347,23 +347,6 @@ impl DecidedBackward {
             Self::Single(_) => 1,
             Self::Sequential { segments, .. } => segments.len(),
             Self::Multicore { per_core, .. } => per_core.len(),
-        }
-    }
-
-    /// Run the execution through the machine model: [`Engine::run`],
-    /// [`run_sequential_partitions`] or [`run_multicore`], combined into
-    /// one report.
-    pub fn run(&self, config: &NpuConfig) -> SimReport {
-        match self {
-            Self::Single(s) => Engine::new(config).run(s),
-            Self::Sequential {
-                segments,
-                reduction,
-            } => run_sequential_partitions(config, segments, *reduction).combined(),
-            Self::Multicore {
-                per_core,
-                reduction,
-            } => run_multicore(config, per_core, *reduction).combined(),
         }
     }
 

@@ -12,11 +12,11 @@
 //! ground truth; [`knn_partition_experiment`] reproduces the full protocol.
 
 use crate::partition::PartitionScheme;
-use crate::schedule::{BackwardOrder, LayerTensors};
+use crate::pipeline::{run_decided, LayerDecision};
+use crate::schedule::BackwardOrder;
 use crate::select::select_order;
-use crate::tiling::TilePolicy;
 use igo_knn::{repeated_accuracy, Classifier, Split};
-use igo_npu_sim::{run_multicore, run_sequential_partitions, NpuConfig, Schedule};
+use igo_npu_sim::NpuConfig;
 use igo_tensor::GemmShape;
 use igo_tensor::SplitMix64;
 
@@ -63,25 +63,17 @@ impl LabeledLayer {
 
 /// Simulate the three partitioning schemes for one layer on `config` with
 /// `parts` partitions (Algorithm-1 ordering per sub-GEMM) and label the
-/// fastest.
+/// fastest. Each scheme is the pipeline's own DataPartitioning candidate,
+/// replayed as its selection loop replays it.
 pub fn label_layer(gemm: GemmShape, config: &NpuConfig, parts: u64) -> LabeledLayer {
-    let policy = TilePolicy::for_config(config);
-    let mut proto = Schedule::new("label");
-    let tensors = LayerTensors::register(&mut proto, "l");
-    let mut cycles = [0u64; 3];
-    for (idx, scheme) in PartitionScheme::ALL.iter().enumerate() {
+    let cycles = PartitionScheme::ALL.map(|scheme| {
         let sub = gemm.split(scheme.split_dim(), parts)[0];
-        let order = BackwardOrder::from(select_order(sub));
-        let p = crate::partition::partition_backward(
-            &proto, tensors, gemm, policy, *scheme, parts, order, false,
-        );
-        let mc = if config.cores > 1 {
-            run_multicore(config, &p.schedules, p.reduction)
-        } else {
-            run_sequential_partitions(config, &p.schedules, p.reduction)
+        let decision = LayerDecision {
+            order: BackwardOrder::from(select_order(sub)),
+            partition: Some((scheme, parts)),
         };
-        cycles[idx] = mc.cycles;
-    }
+        run_decided(gemm, 1.0, config, decision, false).cycles
+    });
     let best = (0..3).min_by_key(|&i| cycles[i]).expect("three schemes");
     LabeledLayer {
         gemm,
@@ -189,6 +181,8 @@ pub fn knn_partition_experiment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{SimContext, SimOptions};
+    use crate::technique::Technique;
 
     fn sample_layers() -> Vec<GemmShape> {
         vec![
@@ -217,6 +211,30 @@ mod tests {
         let l = label_layer(GemmShape::new(4096, 1024, 4096), &config, 2);
         assert_eq!(l.best_cycles(), *l.cycles.iter().min().unwrap());
         assert_eq!(l.cycles_of(l.label), l.best_cycles());
+    }
+
+    #[test]
+    fn labels_agree_with_the_pipeline_selection() {
+        // The pipeline's DataPartitioning candidates are the labelled
+        // schemes plus each in the baseline order, so its selection can
+        // only be faster, and is exactly the label's minimum whenever its
+        // winner is one of the labelled candidates.
+        let config = NpuConfig::large_server(2);
+        let ctx = SimContext::new(SimOptions::default());
+        let mut labelled_winners = 0;
+        for gemm in sample_layers() {
+            let (report, decision) =
+                ctx.backward(gemm, 1.0, &config, Technique::DataPartitioning, false);
+            let label = label_layer(gemm, &config, 2);
+            assert!(report.cycles <= label.best_cycles(), "{gemm:?}");
+            let (scheme, parts) = decision.partition.expect("multi-core partitions");
+            let sub = gemm.split(scheme.split_dim(), parts)[0];
+            if decision.order == BackwardOrder::from(select_order(sub)) {
+                assert_eq!(report.cycles, label.best_cycles(), "{gemm:?}");
+                labelled_winners += 1;
+            }
+        }
+        assert!(labelled_winners > 0, "no winner was a labelled candidate");
     }
 
     #[test]

@@ -759,6 +759,22 @@ pub(crate) fn candidate_bound(
         .bound
 }
 
+/// The report of `decision`'s candidate, built and replayed uncut exactly
+/// as the selection loop replays it.
+pub(crate) fn run_decided(
+    gemm: GemmShape,
+    density: f64,
+    config: &NpuConfig,
+    decision: LayerDecision,
+    is_first: bool,
+) -> SimReport {
+    let layer = LayerInputs::new(gemm, density, config, is_first);
+    let candidate = layer.decided(decision);
+    with_scratch(|s| candidate.run_bounded(&layer, None, s))
+        .expect("an uncut replay completes")
+        .0
+}
+
 /// One candidate's streams both ways: the collectors its builders emit
 /// into and the generators the selection loop replays, one per core.
 pub(crate) struct CandidateStreams {

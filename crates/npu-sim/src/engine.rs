@@ -2,9 +2,13 @@
 //!
 //! An [`Engine`] holds one core's parameters — systolic array, DRAM
 //! bandwidth share, per-burst latency, SPM residency and replacement
-//! policy. [`Engine::run`] collects a [`Schedule`] into an
-//! [`AnalyticCollector`] and replays it; that replay is the workspace's one
-//! timeline. It resolves each named tile access against an SPM residency
+//! policy. The workspace's one timeline is the replay
+//! ([`crate::replay_input`]) of a stream on an engine; the pipeline, traces
+//! and the LRU ablation feed it the layer's loop-nest generators.
+//! [`Engine::run`] is the entry for a materialised [`Schedule`], which it
+//! collects into an [`AnalyticCollector`] and replays; the audit, the
+//! tests and the examples use it.
+//! The replay resolves each named tile access against an SPM residency
 //! model to obtain the actual DRAM traffic, and advances two timelines:
 //!
 //! * the **memory timeline** — the DRAM channel transfers each op's misses
@@ -22,7 +26,8 @@
 //! is known ahead of time, the default residency model is Belady's OPT
 //! over the schedule's access stream. LRU
 //! ([`crate::SpmCache`]) is available as an ablation via
-//! [`Engine::with_replacement`].
+//! [`Engine::with_replacement`]: any replay on such an engine, a generated
+//! stream's included, runs the LRU residency.
 //!
 //! The audit keeps an independent oracle: `core::audit` shadows every
 //! decided schedule with the `BTreeMap`-based [`crate::OptCache`] and its

@@ -45,7 +45,6 @@
 //! assert_eq!(report.traffic.read_total(), 2 * tile_bytes);
 //! ```
 
-pub mod analysis;
 pub mod analytic;
 pub mod config;
 pub mod energy;
@@ -58,7 +57,6 @@ pub mod stats;
 pub mod systolic;
 pub mod trace;
 
-pub use analysis::{reuse_distances, reuse_profile, Reuse, ReuseProfile};
 pub use analytic::{
     analytic_run_count, compute_sum, grid_sum, replay_input, replay_ladder, replay_recorded,
     Access, AnalyticCollector, AnalyticReport, AnalyticScratch, Axis, BoundAccum, Exactness,
@@ -69,9 +67,8 @@ pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{engine_run_count, Engine, Replacement};
 pub use multicore::{
-    reduction_cycles, replay_multicore, replay_multicore_bounded, replay_sequential_partitions,
-    replay_sequential_partitions_bounded, run_multicore, run_sequential_partitions,
-    sequential_combined, MultiCoreReport,
+    reduction_cycles, replay_multicore, replay_multicore_bounded,
+    replay_sequential_partitions_bounded, sequential_combined, MultiCoreReport,
 };
 pub use opt::OptCache;
 pub use recorder::{

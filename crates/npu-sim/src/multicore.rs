@@ -13,23 +13,21 @@
 //!   accumulates `dW` partials; dY-sharing accumulates `dX`; ifmap-sharing
 //!   needs none — §5).
 //!
-//! [`replay_sequential_partitions`] is the single-core analogue: the
-//! partition streams (compatible forks of one parent) are replayed as one
-//! concatenated stream, so SPM residency — including the shared tensor's
-//! tiles — carries across partition boundaries, plus the same reduction
-//! traffic.
+//! [`replay_sequential_partitions_bounded`] is the single-core analogue:
+//! the partition streams (compatible forks of one parent) are replayed as
+//! one concatenated stream, so SPM residency — including the shared
+//! tensor's tiles — carries across partition boundaries, plus the same
+//! reduction traffic.
 //!
-//! The `replay_*` functions take replay inputs (analytic collectors or
-//! generated streams) and hold the combine
-//! (aggregate traffic, slowest core, reduction); [`run_multicore`] and
-//! [`run_sequential_partitions`] collect materialised schedules and call
-//! them.
+//! The `replay_*` functions are the only entries: they take replay inputs
+//! (the generators the pipeline builds, or analytic collectors) and hold
+//! the combine (aggregate traffic, slowest core, reduction).
 
-use crate::analytic::{replay_input, AnalyticCollector, AnalyticScratch, ReplayInput};
+use crate::analytic::{replay_input, AnalyticScratch, ReplayInput};
 use crate::config::NpuConfig;
 use crate::engine::Engine;
 use crate::stats::{SimReport, Traffic};
-use crate::trace::{Schedule, StreamOp};
+use crate::trace::StreamOp;
 
 /// Result of a multi-core step.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -107,7 +105,7 @@ fn reduction_cost(config: &NpuConfig, reduction: Option<StreamOp>, traffic: &mut
 
 /// Collapse one inner (concatenated-segments) report plus the reduction
 /// into a combined [`SimReport`] — exactly what
-/// [`replay_sequential_partitions`]'s `.combined()` yields, without
+/// [`replay_sequential_partitions_bounded`]'s `.combined()` yields, without
 /// re-running the segments. Lets a caller that replays the inner stream
 /// once per SPM capacity pay the (capacity-independent) reduction
 /// afterwards.
@@ -140,55 +138,6 @@ fn combine(
         cycles: slowest + reduction_cycles,
         traffic,
     }
-}
-
-/// Run one schedule per core concurrently: [`replay_multicore`] over their
-/// collected streams (one analytic run per core).
-///
-/// `per_core.len()` may be smaller than `config.cores` (idle cores), but
-/// not larger.
-///
-/// # Panics
-///
-/// Panics if more schedules than cores are supplied, or if a schedule
-/// exceeds [`Engine::run`]'s limits.
-pub fn run_multicore(
-    config: &NpuConfig,
-    per_core: &[Schedule],
-    reduction: Option<StreamOp>,
-) -> MultiCoreReport {
-    let collectors: Vec<AnalyticCollector> = per_core
-        .iter()
-        .map(AnalyticCollector::from_schedule)
-        .collect();
-    replay_multicore(config, &collectors, reduction, &mut AnalyticScratch::new())
-}
-
-/// Run partition segments back-to-back on a single core (one concatenated
-/// stream, so residency crosses segment boundaries), then pay the
-/// reduction: [`replay_sequential_partitions`] over the concatenation.
-///
-/// # Panics
-///
-/// Panics if the segments' tensor tables differ (they must be compatible
-/// forks of one parent — see [`Schedule::append_compatible`]), or if the
-/// concatenation exceeds [`Engine::run`]'s limits.
-pub fn run_sequential_partitions(
-    config: &NpuConfig,
-    segments: &[Schedule],
-    reduction: Option<StreamOp>,
-) -> MultiCoreReport {
-    let combined = match segments.split_first() {
-        None => AnalyticCollector::new(),
-        Some((first, rest)) => {
-            let mut combined = first.clone();
-            for s in rest {
-                combined.append_compatible(s);
-            }
-            AnalyticCollector::from_schedule(&combined)
-        }
-    };
-    replay_sequential_partitions(config, &combined, reduction, &mut AnalyticScratch::new())
 }
 
 /// Replay one stream per core concurrently and combine: the
@@ -241,23 +190,11 @@ pub fn replay_multicore_bounded<I: ReplayInput>(
 }
 
 /// Replay one stream holding the partitions' streams back-to-back (the
-/// replay-side equivalent of
-/// [`Schedule::append_compatible`] concatenation — no barrier between
-/// segments, so residency crosses partition boundaries), then pay the
-/// reduction.
-pub fn replay_sequential_partitions<I: ReplayInput>(
-    config: &NpuConfig,
-    combined: &I,
-    reduction: Option<StreamOp>,
-    scratch: &mut AnalyticScratch,
-) -> MultiCoreReport {
-    replay_sequential_partitions_bounded(config, combined, reduction, scratch, None)
-        .expect("unbounded replay always completes")
-}
-
-/// [`replay_sequential_partitions`] with an optional cycle `cutoff`: the
-/// concatenation is one core's stream, so this is
-/// [`replay_multicore_bounded`] with one stream.
+/// replay-side equivalent of [`crate::Schedule::append_compatible`]
+/// concatenation — no barrier between segments, so residency crosses
+/// partition boundaries), then pay the reduction. With a cycle `cutoff`,
+/// returns `None` as [`replay_multicore_bounded`] does: the concatenation
+/// is one core's stream, so this is that function with one stream.
 pub fn replay_sequential_partitions_bounded<I: ReplayInput>(
     config: &NpuConfig,
     combined: &I,
@@ -277,7 +214,8 @@ pub fn replay_sequential_partitions_bounded<I: ReplayInput>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TileOp;
+    use crate::analytic::AnalyticCollector;
+    use crate::trace::{Schedule, TileOp};
     use igo_tensor::{GemmShape, TensorClass, TileCoord};
 
     fn schedule(tiles: u32) -> Schedule {
@@ -293,12 +231,43 @@ mod tests {
         s
     }
 
+    fn stream(tiles: u32) -> AnalyticCollector {
+        AnalyticCollector::from_schedule(&schedule(tiles))
+    }
+
+    fn multicore(
+        config: &NpuConfig,
+        cores: &[AnalyticCollector],
+        reduction: Option<StreamOp>,
+    ) -> MultiCoreReport {
+        replay_multicore(config, cores, reduction, &mut AnalyticScratch::new())
+    }
+
+    /// `segments` back-to-back as one core's stream, then the reduction.
+    fn sequential(
+        config: &NpuConfig,
+        segments: &[Schedule],
+        reduction: Option<StreamOp>,
+    ) -> MultiCoreReport {
+        let combined = match segments.split_first() {
+            None => AnalyticCollector::new(),
+            Some((first, rest)) => {
+                let mut combined = first.clone();
+                for s in rest {
+                    combined.append_compatible(s);
+                }
+                AnalyticCollector::from_schedule(&combined)
+            }
+        };
+        let mut scratch = AnalyticScratch::new();
+        replay_sequential_partitions_bounded(config, &combined, reduction, &mut scratch, None)
+            .expect("an uncut replay completes")
+    }
+
     #[test]
     fn multicore_takes_slowest_core() {
         let config = NpuConfig::large_server(2);
-        let fast = schedule(2);
-        let slow = schedule(20);
-        let r = run_multicore(&config, &[fast, slow], None);
+        let r = multicore(&config, &[stream(2), stream(20)], None);
         assert_eq!(r.core_reports.len(), 2);
         assert_eq!(
             r.cycles,
@@ -310,9 +279,9 @@ mod tests {
     #[test]
     fn reduction_adds_cycles_and_traffic() {
         let config = NpuConfig::large_server(2);
-        let parts = [schedule(4), schedule(4)];
-        let without = run_multicore(&config, &parts, None);
-        let with = run_multicore(
+        let parts = [stream(4), stream(4)];
+        let without = multicore(&config, &parts, None);
+        let with = multicore(
             &config,
             &parts,
             Some(StreamOp {
@@ -329,7 +298,7 @@ mod tests {
     #[test]
     fn idle_cores_allowed() {
         let config = NpuConfig::large_server(4);
-        let r = run_multicore(&config, &[schedule(4)], None);
+        let r = multicore(&config, &[stream(4)], None);
         assert_eq!(r.core_reports.len(), 1);
         assert!(r.cycles > 0);
     }
@@ -338,15 +307,15 @@ mod tests {
     #[should_panic(expected = "schedules for")]
     fn too_many_schedules_panics() {
         let config = NpuConfig::large_single_core();
-        let _ = run_multicore(&config, &[schedule(1), schedule(1)], None);
+        let _ = multicore(&config, &[stream(1), stream(1)], None);
     }
 
     #[test]
     fn sequential_partitions_accumulate_time() {
         let config = NpuConfig::large_single_core();
         let parts = [schedule(400), schedule(400)];
-        let seq = run_sequential_partitions(&config, &parts, None);
-        let single = run_sequential_partitions(&config, &parts[..1], None);
+        let seq = sequential(&config, &parts, None);
+        let single = sequential(&config, &parts[..1], None);
         assert!(seq.cycles > single.cycles);
     }
 
@@ -357,8 +326,8 @@ mod tests {
         // traffic equals a single segment's.
         let config = NpuConfig::large_single_core();
         let parts = [schedule(4), schedule(4)];
-        let seq = run_sequential_partitions(&config, &parts, None);
-        let single = run_sequential_partitions(&config, &parts[..1], None);
+        let seq = sequential(&config, &parts, None);
+        let single = sequential(&config, &parts[..1], None);
         assert_eq!(
             seq.traffic.read_total(),
             single.traffic.read_total(),
@@ -369,7 +338,7 @@ mod tests {
     #[test]
     fn empty_reduction_is_free() {
         let config = NpuConfig::large_single_core();
-        let r = run_sequential_partitions(
+        let r = sequential(
             &config,
             &[schedule(1)],
             Some(StreamOp {
@@ -384,13 +353,13 @@ mod tests {
     #[test]
     fn combined_sums_per_core_counters() {
         let config = NpuConfig::large_server(2);
-        let parts = [schedule(4), schedule(6)];
+        let parts = [stream(4), stream(6)];
         let reduction = Some(StreamOp {
             class: TensorClass::WGrad,
             read_bytes: 1 << 16,
             write_bytes: 1 << 16,
         });
-        let mc = run_multicore(&config, &parts, reduction);
+        let mc = multicore(&config, &parts, reduction);
         let c = mc.combined();
         assert_eq!(c.cycles, mc.cycles);
         assert_eq!(c.traffic, mc.traffic);
@@ -406,7 +375,7 @@ mod tests {
     #[test]
     fn empty_segments_are_free() {
         let config = NpuConfig::large_single_core();
-        let r = run_sequential_partitions(&config, &[], None);
+        let r = sequential(&config, &[], None);
         assert_eq!(r.cycles, 0);
     }
 }

@@ -453,8 +453,7 @@ impl<A: Recorder, B: Recorder> Recorder for (A, B) {
 pub const REUSE_BUCKETS: usize = 16;
 
 /// Histogram of tile reuse distances, in *access count* (how many tile
-/// accesses separate two touches of the same tile — the schedule-order
-/// analogue of the byte-stack distances in [`crate::analysis`]).
+/// accesses separate two touches of the same tile, in stream order).
 ///
 /// Every access lands in exactly one bucket: a first-ever touch of a tile
 /// is `cold`; a repeat at distance `d ≥ 1` lands in bucket `⌊log₂ d⌋`

@@ -16,6 +16,10 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, -D warnings) =="
+# Intra-doc links to deleted items fail here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -1,15 +1,21 @@
-//! Pins the LRU ablation path of [`Engine::run`].
+//! Pins the LRU ablation: a layer's loop-nest generator
+//! ([`StreamGen`]) replayed through [`replay_input`] on an
+//! `Engine::with_replacement(Replacement::Lru)` engine.
 //!
-//! `Engine::with_replacement(Replacement::Lru)` is the hardware-cache
-//! ablation behind `cargo bench -p igo-bench --bench ablation_replacement`.
-//! This test digests its reports — cycles, per-class read/write bytes,
-//! hits and misses — for every backward order of one layer on both Table-3
-//! NPU configurations. The digest was recorded on the cycle engine's own
-//! LRU loop, before the engine moved onto the replay, so any change to the
-//! LRU residency model or its timeline shows up here.
+//! That replay is the hardware-cache ablation behind
+//! `cargo bench -p igo-bench --bench ablation_replacement`. This test
+//! digests its reports — cycles, per-class read/write bytes, hits and
+//! misses — for every backward order of one layer on both Table-3 NPU
+//! configurations. The digest was recorded on the cycle engine's own LRU
+//! loop over a materialised schedule, before the engine moved onto the
+//! replay and the ablation onto the generator, so any change to the LRU
+//! residency model, its timeline or the generated stream shows up here.
 
+use igo_core::generate::StreamGen;
 use igo_core::{BackwardBuilder, BackwardOrder, LayerTensors, TilePolicy};
-use igo_npu_sim::{Engine, NpuConfig, Replacement, Schedule, SimReport};
+use igo_npu_sim::{
+    replay_input, AnalyticScratch, Engine, NpuConfig, Replacement, Schedule, SimReport,
+};
 use igo_tensor::{GemmShape, TensorClass};
 
 /// FNV-1a over the little-endian bytes of `values`, continuing from `hash`.
@@ -22,16 +28,19 @@ fn fnv1a(hash: u64, values: &[u64]) -> u64 {
         })
 }
 
-fn backward(config: &NpuConfig, order: BackwardOrder) -> Schedule {
-    let mut s = Schedule::new("lru-pin");
-    let tensors = LayerTensors::register(&mut s, "layer");
-    BackwardBuilder::new(
+/// The layer's backward pass in `order`, replayed from its generator on
+/// `engine`.
+fn backward(engine: &Engine, config: &NpuConfig, order: BackwardOrder) -> SimReport {
+    let tensors = LayerTensors::register(&mut Schedule::new("lru-pin"), "layer");
+    let builder = BackwardBuilder::new(
         GemmShape::new(1024, 768, 640),
         TilePolicy::for_config(config),
         tensors,
-    )
-    .emit(order, false, &mut s);
-    s
+    );
+    let stream = StreamGen::backward(&[builder], order, false);
+    replay_input(&stream, engine, &mut AnalyticScratch::new(), None)
+        .expect("an uncut replay completes")
+        .report
 }
 
 fn digest(hash: u64, r: &SimReport) -> u64 {
@@ -53,11 +62,9 @@ fn lru_engine_reports_are_pinned() {
             BackwardOrder::DxMajor,
             BackwardOrder::DwMajor,
         ] {
-            let s = backward(&config, order);
-            let lru = Engine::new(&config)
-                .with_replacement(Replacement::Lru)
-                .run(&s);
-            let opt = Engine::new(&config).run(&s);
+            let lru_engine = Engine::new(&config).with_replacement(Replacement::Lru);
+            let lru = backward(&lru_engine, &config, order);
+            let opt = backward(&Engine::new(&config), &config, order);
             assert_eq!(lru.spm_accesses(), opt.spm_accesses());
             differs_from_opt += usize::from(lru.traffic != opt.traffic);
             hash = digest(hash, &lru);
