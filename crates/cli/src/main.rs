@@ -34,8 +34,8 @@
 //! `dy_tiles.csv` into `--out` (default `igo-trace`); see
 //! `docs/observability.md`.
 //!
-//! `audit` fuzzes the scheduling pipeline against the sequential reference
-//! path and the engine's conservation invariants, printing a JSON summary;
+//! `audit` fuzzes the scheduling pipeline against a one-worker reference
+//! context, a selection oracle and the engine's conservation invariants, printing a JSON summary;
 //! on failure it exits non-zero and lists the reproducer seeds (rerun one
 //! with `igo-sim audit --seed <seed> --seeds 1`).
 //!
@@ -124,10 +124,7 @@ fn main() -> ExitCode {
     let Some(workers) = take_jobs_flag(&mut args) else {
         return usage();
     };
-    let context = SimContext::new(SimOptions {
-        workers,
-        ..SimOptions::optimized()
-    });
+    let context = SimContext::new(SimOptions { workers });
     let label = args.join(" ");
     let (code, wall) = measure(|| {
         // `audit`, `trace` and `sweep` parse their own flags; every other

@@ -589,7 +589,7 @@ mod tests {
                         b.emit(order, is_first, &mut s);
                         let report = engine.run(&s);
                         let bound = backward_emission_bound(&b, order, is_first, &engine);
-                        let a = bound.finish(&engine).report;
+                        let a = bound.finish(&engine);
                         let label = format!("{order:?} first={is_first} {gemm:?}");
                         assert_eq!(a.compute_cycles, report.compute_cycles, "{label}");
                         assert_eq!(a.gemm_ops, report.gemm_ops, "{label}");

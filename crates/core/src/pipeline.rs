@@ -26,24 +26,24 @@
 //! through [`Engine::run`] — the audit's `generator-links` check compares
 //! every generated stream with the collected one, and its
 //! `selection-oracle` check costs every candidate on its own shadow.
-//! Three composable optimizations keep the sweeps fast without
-//! changing a single reported number (see `tests/golden_determinism.rs`):
+//! Three optimizations keep the sweeps fast without changing a single
+//! reported number (see `tests/golden_determinism.rs`):
 //!
 //! * **parallelism** ([`SimOptions::workers`]) — independent model layers
 //!   are evaluated on a scoped worker pool ([`crate::parallel`]) that
 //!   returns results in layer order; `workers: 1` maps inline;
-//! * **memoization** ([`SimOptions::memoize`]) — layer results are cached
-//!   in the [`SimContext`]'s memo keyed by GEMM shape, density bits,
-//!   config fingerprint and technique, and so is every completed candidate
-//!   replay, keyed by the candidate instead of the technique, so
-//!   techniques that share a candidate replay it once
-//!   ([`crate::simcache`]);
-//! * **pruning** ([`SimOptions::prune`]) — candidates are evaluated in
-//!   ascending order of their closed-form lower bound ([`crate::bound`])
-//!   against the running best; a candidate whose bound exceeds the best
-//!   cycles so far is skipped, and the rest replay under a cutoff that
-//!   aborts them once they provably exceed it. Neither rule can change the
-//!   `(cycles, index)` winner.
+//! * **memoization** — layer results are cached in the [`SimContext`]'s
+//!   memo keyed by GEMM shape, density bits, config fingerprint and
+//!   technique, and so is every completed candidate replay, keyed by the
+//!   candidate instead of the technique, so techniques that share a
+//!   candidate replay it once ([`crate::simcache`]);
+//! * **pruning** — candidates are evaluated in ascending order of their
+//!   closed-form lower bound ([`crate::bound`]) against the running best;
+//!   a candidate whose bound exceeds the best cycles so far is skipped,
+//!   and the rest replay under a cutoff that aborts them once they
+//!   provably exceed it. Neither rule can change the `(cycles, index)`
+//!   winner (`pipeline::tests::pruned_selection_is_the_exhaustive_minimum`
+//!   replays every candidate uncut to check it).
 //!
 //! Traces take the same path: `record_decided` builds a decided
 //! candidate exactly as the selection loop does and replays its
@@ -77,17 +77,11 @@ pub enum TrainingPhase {
     Backward,
 }
 
-/// Execution-strategy toggles for the simulation pipeline. Every
-/// combination produces bit-identical reports; the toggles only trade
-/// wall-clock time. [`SimOptions::default`] enables everything;
-/// [`SimOptions::sequential`] is the plain reference the golden tests pin.
+/// Execution options for the simulation pipeline: the size of the layer
+/// worker pool. Every pool size produces bit-identical reports; it only
+/// trades wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimOptions {
-    /// Serve repeated layer simulations and candidate replays from the
-    /// process-wide memo cache.
-    pub memoize: bool,
-    /// Skip or abort candidates whose lower bound proves them dominated.
-    pub prune: bool,
     /// Layer worker-pool size; `1` evaluates layers inline, `0` means one
     /// worker per hardware thread (or the `IGO_SIM_THREADS` override).
     /// Tests force a pool larger than the machine to exercise cross-thread
@@ -96,22 +90,14 @@ pub struct SimOptions {
 }
 
 impl SimOptions {
-    /// All optimizations on (the default).
+    /// One worker per hardware thread (the default).
     pub const fn optimized() -> Self {
-        Self {
-            memoize: true,
-            prune: true,
-            workers: 0,
-        }
+        Self { workers: 0 }
     }
 
-    /// The plain reference: one worker, no cache, no pruning.
+    /// One worker: layers are evaluated inline, in order.
     pub const fn sequential() -> Self {
-        Self {
-            memoize: false,
-            prune: false,
-            workers: 1,
-        }
+        Self { workers: 1 }
     }
 }
 
@@ -339,21 +325,17 @@ impl Candidate {
         Some((run.combined(), MovedOps::of(&run.core_moved_ops)))
     }
 
-    /// [`Self::run_bounded`], through the candidate `memo` when there is
-    /// one. A memoized report is returned even under a `cutoff` it
-    /// exceeds — it is exact, and a report above the running best cannot
-    /// win the `(cycles, index)` selection — and only completed replays
-    /// are stored.
+    /// [`Self::run_bounded`], through the candidate `memo`. A memoized
+    /// report is returned even under a `cutoff` it exceeds — it is exact,
+    /// and a report above the running best cannot win the `(cycles,
+    /// index)` selection — and only completed replays are stored.
     fn run_memoized(
         &self,
         layer: &LayerInputs,
         cutoff: Option<u64>,
-        memo: Option<&Memo>,
+        memo: &Memo,
         replay: &mut AnalyticScratch,
     ) -> Option<(SimReport, MovedOps)> {
-        let Some(memo) = memo else {
-            return self.run_bounded(layer, cutoff, replay);
-        };
         let pass = PassKey::Candidate(self.key);
         let key = CacheKey::new(layer.gemm, layer.density, layer.config, pass);
         if let Some((hit, _, moved)) = memo.get(&key) {
@@ -576,20 +558,12 @@ impl SimContext {
         self.memo.stats()
     }
 
-    /// The memo, when [`SimOptions::memoize`] is set.
-    fn memo(&self) -> Option<&Memo> {
-        self.options.memoize.then_some(&*self.memo)
-    }
-
     /// Simulate one layer's forward pass on `config`. `density` is the
     /// ifmap density: 1 for a dense layer, below 1 for the raw-layout `X`
     /// traffic of a convolution.
     pub fn forward(&self, gemm: GemmShape, density: f64, config: &NpuConfig) -> SimReport {
-        let (memo, key) = (
-            self.memo(),
-            CacheKey::new(gemm, density, config, PassKey::Forward),
-        );
-        if let Some((hit, ..)) = memo.and_then(|m| m.get(&key)) {
+        let key = CacheKey::new(gemm, density, config, PassKey::Forward);
+        if let Some((hit, ..)) = self.memo.get(&key) {
             return hit;
         }
         let policy = TilePolicy::for_config(config);
@@ -600,9 +574,7 @@ impl SimContext {
             .map(|(sub, t)| StreamGen::forward(*sub, policy, *t, density))
             .collect();
         let report = with_scratch(|s| replay_multicore(config, &cores, None, s).combined());
-        if let Some(m) = memo {
-            m.put(key, (report, None, MovedOps::of(&[])));
-        }
+        self.memo.put(key, (report, None, MovedOps::of(&[])));
         report
     }
 
@@ -635,21 +607,18 @@ impl SimContext {
         technique: Technique,
         is_first: bool,
     ) -> (SimReport, LayerDecision, MovedOps) {
-        let memo = self.memo();
         let pass = PassKey::Backward {
             technique,
             is_first,
         };
         let key = CacheKey::new(gemm, density, config, pass);
-        if let Some((report, decision, moved)) = memo.and_then(|m| m.get(&key)) {
+        if let Some((report, decision, moved)) = self.memo.get(&key) {
             let decision = decision.expect("backward entries carry a decision");
             return (report, decision, moved);
         }
         let layer = LayerInputs::new(gemm, density, config, is_first);
         let (report, decision, moved) = self.select_best(&layer.candidates(technique), &layer);
-        if let Some(m) = memo {
-            m.put(key, (report, Some(decision), moved.clone()));
-        }
+        self.memo.put(key, (report, Some(decision), moved.clone()));
         (report, decision, moved)
     }
 
@@ -695,41 +664,31 @@ impl SimContext {
     /// the lexicographic minimum of `(cycles, index)` — with its
     /// per-stream moved ops.
     ///
-    /// Under [`SimOptions::prune`] candidates are evaluated in ascending
-    /// `(bound, index)` order against a running best: any candidate whose
-    /// closed-form bound exceeds the best cycles so far is skipped
-    /// outright (its true cycles can only be larger), and the rest replay
-    /// under a cutoff that aborts them mid-stream once they provably
-    /// exceed the running best. Neither rule can change the winner — a
-    /// skipped or aborted candidate's true cycle count *strictly* exceeds
-    /// the running best, so it loses even the index tie-break. Memoized
-    /// candidates (see [`Candidate::run_memoized`]) are answered without
-    /// replaying.
+    /// Candidates are evaluated in ascending `(bound, index)` order
+    /// against a running best: any candidate whose closed-form bound
+    /// exceeds the best cycles so far is skipped outright (its true cycles
+    /// can only be larger), and the rest replay under a cutoff that aborts
+    /// them mid-stream once they provably exceed the running best. Neither
+    /// rule can change the winner — a skipped or aborted candidate's true
+    /// cycle count *strictly* exceeds the running best, so it loses even
+    /// the index tie-break. Memoized candidates (see
+    /// [`Candidate::run_memoized`]) are answered without replaying.
     fn select_best(
         &self,
         candidates: &[Candidate],
         layer: &LayerInputs,
     ) -> (SimReport, LayerDecision, MovedOps) {
         assert!(!candidates.is_empty(), "no candidates to select from");
-        let prune = self.options.prune;
         let mut eval_order: Vec<usize> = (0..candidates.len()).collect();
-        if prune {
-            eval_order.sort_by_key(|&i| (candidates[i].bound, i));
-        }
+        eval_order.sort_by_key(|&i| (candidates[i].bound, i));
         with_scratch(|s| {
             let mut best: Option<(usize, SimReport, MovedOps)> = None;
             for &i in &eval_order {
-                let cutoff = match &best {
-                    Some((_, b, _)) if prune => {
-                        if candidates[i].bound > b.cycles {
-                            continue;
-                        }
-                        Some(b.cycles)
-                    }
-                    _ => None,
-                };
-                if let Some((r, moved)) = candidates[i].run_memoized(layer, cutoff, self.memo(), s)
-                {
+                let cutoff = best.as_ref().map(|(_, b, _)| b.cycles);
+                if cutoff.is_some_and(|c| candidates[i].bound > c) {
+                    continue;
+                }
+                if let Some((r, moved)) = candidates[i].run_memoized(layer, cutoff, &self.memo, s) {
                     let wins = match &best {
                         None => true,
                         Some((bi, b, _)) => (r.cycles, i) < (b.cycles, *bi),
@@ -1136,8 +1095,9 @@ mod tests {
 
     #[test]
     fn every_options_combination_selects_identically() {
-        // Every toggle combination on a layer with a non-trivial candidate
-        // space: same report, same decision, bit for bit.
+        // Every pool size on a layer with a non-trivial candidate space,
+        // cold and served from the memo: same report, same decision, bit
+        // for bit.
         let config = NpuConfig::small_edge();
         let gemm = dy_heavy_conv();
         let (want, want_d) = SimContext::new(SimOptions::sequential()).backward(
@@ -1147,47 +1107,78 @@ mod tests {
             Technique::DataPartitioning,
             false,
         );
-        for memoize in [false, true] {
-            for prune in [false, true] {
-                // A 3-worker pool is forced even on a single-CPU machine.
-                for workers in [1, 3] {
-                    let opts = SimOptions {
-                        memoize,
-                        prune,
-                        workers,
-                    };
-                    let (got, got_d) = SimContext::new(opts).backward(
-                        gemm,
-                        1.0,
-                        &config,
-                        Technique::DataPartitioning,
-                        false,
-                    );
-                    assert_eq!(got, want, "{opts:?} diverged from the sequential path");
-                    assert_eq!(got_d, want_d, "{opts:?} picked a different candidate");
-                }
+        // A 3-worker pool is forced even on a single-CPU machine.
+        for workers in [1, 3] {
+            let opts = SimOptions { workers };
+            let context = SimContext::new(opts);
+            for pass in ["cold", "warm"] {
+                let (got, got_d) =
+                    context.backward(gemm, 1.0, &config, Technique::DataPartitioning, false);
+                assert_eq!(got, want, "{pass} {opts:?} diverged from one worker");
+                assert_eq!(
+                    got_d, want_d,
+                    "{pass} {opts:?} picked a different candidate"
+                );
             }
         }
     }
 
+    /// Every candidate of every technique, replayed uncut: the pruned,
+    /// memoized selection returns the `(cycles, index)` minimum, report
+    /// and decision, on one and two cores, first and non-first layers,
+    /// and ragged partition splits. Some candidate's bound exceeds the
+    /// winner's cycles, so the skip rule is exercised.
+    #[test]
+    fn pruned_selection_is_the_exhaustive_minimum() {
+        let mut scratch = AnalyticScratch::new();
+        let mut pruned = 0;
+        for (config, gemm) in [
+            (NpuConfig::small_edge(), GemmShape::new(2009, 64, 256)),
+            // Ragged 2- and 4-way splits along every dimension.
+            (NpuConfig::small_edge(), GemmShape::new(183, 44, 91)),
+            (
+                NpuConfig::large_single_core(),
+                GemmShape::new(3109, 263, 1031),
+            ),
+            (NpuConfig::large_server(2), GemmShape::new(2048, 515, 1027)),
+        ] {
+            for technique in Technique::ALL {
+                for is_first in [false, true] {
+                    let label = format!("{gemm} {technique} first={is_first} on {}", config.name);
+                    let layer = LayerInputs::new(gemm, 1.0, &config, is_first);
+                    let candidates = layer.candidates(technique);
+                    let (want_idx, want) = candidates
+                        .iter()
+                        .map(|c| {
+                            c.run_bounded(&layer, None, &mut scratch)
+                                .expect("an uncut replay completes")
+                                .0
+                        })
+                        .enumerate()
+                        .min_by_key(|(i, r)| (r.cycles, *i))
+                        .expect("every technique has a candidate");
+                    let context = SimContext::new(SimOptions::sequential());
+                    let (got, decision, _) = context.select_best(&candidates, &layer);
+                    assert_eq!(got, want, "{label}");
+                    assert_eq!(decision, candidates[want_idx].decision, "{label}");
+                    pruned += candidates.iter().filter(|c| c.bound > want.cycles).count();
+                }
+            }
+        }
+        assert!(pruned > 0, "no candidate's bound exceeds its winner");
+    }
+
     /// Asserts that `simulate_model_ladder` returns one report per config,
-    /// in the given order, each equal to simulating that config alone with
-    /// the memo off (so a memo the ladder populated cannot vouch for it).
+    /// in the given order, each equal to simulating that config alone on a
+    /// fresh context (so a memo the ladder populated cannot vouch for it).
     fn assert_ladder_is_per_config(configs: &[NpuConfig], techniques: &[Technique]) {
         let model = igo_workloads::zoo::model(igo_workloads::ModelId::Ncf, 8);
-        let opts = SimOptions {
-            workers: 3,
-            ..SimOptions::optimized()
-        };
-        let fresh = SimOptions {
-            memoize: false,
-            ..opts
-        };
+        let opts = SimOptions { workers: 3 };
         for &technique in techniques {
             let got = simulate_model_ladder(&model, configs, technique, &opts);
             assert_eq!(got.len(), configs.len());
             for (rung, config) in got.iter().zip(configs) {
-                let want = SimContext::new(fresh).model(&model, config, technique);
+                let want = SimContext::new(opts).model(&model, config, technique);
                 assert_eq!(rung.config, want.config);
                 assert_eq!(rung.layers.len(), want.layers.len());
                 for (g, w) in rung.layers.iter().zip(&want.layers) {
@@ -1231,20 +1222,13 @@ mod tests {
     fn candidate_memo_serves_later_techniques_exactly() {
         let config = NpuConfig::large_single_core();
         let gemm = GemmShape::new(3109, 263, 1031);
-        let memo = SimContext::new(SimOptions {
-            workers: 1,
-            ..SimOptions::optimized()
-        });
-        let fresh = SimContext::new(SimOptions {
-            memoize: false,
-            ..*memo.options()
-        });
+        let memo = SimContext::new(SimOptions::sequential());
+        let fresh = || SimContext::new(SimOptions::sequential());
         for technique in [Technique::Rearrangement, Technique::DataPartitioning] {
             let got = memo.backward(gemm, 1.0, &config, technique, false);
-            let want = fresh.backward(gemm, 1.0, &config, technique, false);
+            let want = fresh().backward(gemm, 1.0, &config, technique, false);
             assert_eq!(got, want, "{technique} diverged under the candidate memo");
         }
-        assert_eq!(fresh.memo.len(), 0, "memoize: false stores nothing");
         // Rearrangement's one candidate is the plain Algorithm-1 schedule,
         // which DataPartitioning enumerates too.
         let order = rearranged_order(gemm, &config);
@@ -1258,35 +1242,27 @@ mod tests {
             }),
         );
         let (rearranged, _, moved) =
-            fresh.backward_moved(gemm, 1.0, &config, Technique::Rearrangement, false);
+            fresh().backward_moved(gemm, 1.0, &config, Technique::Rearrangement, false);
         assert_eq!(memo.memo.get(&plain), Some((rearranged, None, moved)));
         // Prove selection reads the memo: plant an unbeatable report for
-        // that candidate and rerun the selection itself (bypassing the
-        // per-layer memo). Without pruning every candidate is looked up.
+        // the first candidate in bound order, which is always looked up,
+        // and rerun the selection itself (bypassing the per-layer memo).
+        let layer = LayerInputs::new(gemm, 1.0, &config, false);
+        let candidates = layer.candidates(Technique::DataPartitioning);
+        let first = candidates
+            .iter()
+            .min_by_key(|c| c.bound)
+            .expect("candidates");
         let planted = SimReport {
             cycles: 1,
             ..rearranged
         };
-        memo.memo.put(plain, (planted, None, MovedOps::One(7)));
-        let served = SimContext {
-            options: SimOptions {
-                prune: false,
-                ..memo.options
-            },
-            memo: Arc::clone(&memo.memo),
-        };
-        let layer = LayerInputs::new(gemm, 1.0, &config, false);
-        let (report, decision, moved) =
-            served.select_best(&layer.candidates(Technique::DataPartitioning), &layer);
-        assert_eq!(report, planted, "the memo served the plain candidate");
+        let key = CacheKey::new(gemm, 1.0, &config, PassKey::Candidate(first.key));
+        memo.memo.put(key, (planted, None, MovedOps::One(7)));
+        let (report, decision, moved) = memo.select_best(&candidates, &layer);
+        assert_eq!(report, planted, "the memo served the first candidate");
         assert_eq!(moved, MovedOps::One(7), "with its moved ops");
-        assert_eq!(
-            decision,
-            LayerDecision {
-                order,
-                partition: None
-            }
-        );
+        assert_eq!(decision, first.decision);
     }
 
     #[test]
@@ -1552,11 +1528,7 @@ mod tests {
     fn memoized_layer_reuses_cached_result() {
         let config = NpuConfig::large_single_core();
         let gemm = GemmShape::new(6421, 127, 6337);
-        let context = SimContext::new(SimOptions {
-            memoize: true,
-            prune: false,
-            workers: 1,
-        });
+        let context = SimContext::new(SimOptions::sequential());
         let technique = Technique::Interleaving;
         let first = context.backward_moved(gemm, 1.0, &config, technique, false);
         let pass = PassKey::Backward {

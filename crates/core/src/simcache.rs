@@ -213,8 +213,7 @@ impl Memo {
     /// # Panics
     ///
     /// Panics if `cap` is 0 (every lookup would miss while still paying
-    /// the insertion cost; disable memoization via
-    /// [`crate::SimOptions::memoize`] instead).
+    /// the insertion cost).
     pub(crate) fn new(cap: usize) -> Self {
         Self(Mutex::new(LruCache::new(cap)))
     }
@@ -438,8 +437,7 @@ mod tests {
     }
 
     /// Three dense layers; the last two share a shape, so the third is
-    /// served from the memo. One worker, no pruning: every candidate
-    /// completes, so every miss stores exactly one entry.
+    /// served from the memo.
     fn tiny_model() -> Model {
         Model::new(
             ModelId::Ncf,
@@ -454,11 +452,7 @@ mod tests {
         )
     }
 
-    const SERIAL: SimOptions = SimOptions {
-        memoize: true,
-        prune: false,
-        workers: 1,
-    };
+    const SERIAL: SimOptions = SimOptions::sequential();
 
     fn stats(hits: u64, misses: u64) -> CacheStats {
         CacheStats {
@@ -497,23 +491,37 @@ mod tests {
         assert_eq!(format!("{cold:?}"), format!("{fresh:?}"));
     }
 
+    /// A memo smaller than the working set evicts without changing a
+    /// report. Where every miss stores an entry — Interleaving has one
+    /// candidate per layer, which always completes — each miss past the
+    /// first `cap` evicts exactly one entry. DataPartitioning's pruned
+    /// candidates miss without storing, so there only the reports and the
+    /// memo's size are pinned.
     #[test]
     fn small_memo_evicts_without_changing_reports() {
         let (model, config) = (tiny_model(), NpuConfig::small_edge());
-        let want = SimContext::new(SERIAL).model(&model, &config, Technique::DataPartitioning);
-        for cap in [1, 2, 4] {
-            let small = SimContext {
-                options: SERIAL,
-                memo: Arc::new(Memo::new(cap)),
-            };
-            for _ in 0..2 {
-                let got = small.model(&model, &config, Technique::DataPartitioning);
-                assert_eq!(format!("{got:?}"), format!("{want:?}"), "cap {cap}");
+        for technique in [Technique::Interleaving, Technique::DataPartitioning] {
+            let want = SimContext::new(SERIAL).model(&model, &config, technique);
+            for cap in [1, 2, 4] {
+                let small = SimContext {
+                    options: SERIAL,
+                    memo: Arc::new(Memo::new(cap)),
+                };
+                for _ in 0..2 {
+                    let got = small.model(&model, &config, technique);
+                    assert_eq!(
+                        format!("{got:?}"),
+                        format!("{want:?}"),
+                        "{technique} cap {cap}"
+                    );
+                }
+                let s = small.cache_stats();
+                assert_eq!(small.memo.len(), cap, "{technique} cap {cap}");
+                assert!(s.evictions > 0, "{technique} cap {cap}: {s:?}");
+                if technique == Technique::Interleaving {
+                    assert_eq!(s.evictions, s.misses - cap as u64, "cap {cap}: {s:?}");
+                }
             }
-            let s = small.cache_stats();
-            assert_eq!(small.memo.len(), cap, "cap {cap}");
-            assert!(s.evictions > 0, "cap {cap}: {s:?}");
-            assert_eq!(s.evictions, s.misses - cap as u64, "cap {cap}: {s:?}");
         }
     }
 }

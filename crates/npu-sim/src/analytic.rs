@@ -6,10 +6,9 @@
 //! this reason), and much of a cycle simulation's cost is *mechanical*:
 //! materialising a [`crate::Schedule`] (one heap-allocated
 //! [`crate::TileOp`] per tile GEMM) and interning every tile access through
-//! a hash map. This module avoids that overhead in two tiers, each tagged
-//! with an explicit [`Exactness`]:
+//! a hash map. This module avoids that overhead in two tiers:
 //!
-//! * **[`Exactness::Exact`] — allocation-free replay.** The replay runs
+//! * **Exact — allocation-free replay.** The replay runs
 //!   any [`ReplayInput`]: a stream whose ops, dense tile ids (numbered in
 //!   `TileKey` order, so the id alone breaks victim ties in
 //!   `(next_use, TileKey)` order), bytes, next uses and per-region sums
@@ -37,7 +36,7 @@
 //!   [`NullRecorder`] it compiles to the unrecorded replay; traces run it
 //!   on the generator too.
 //!
-//! * **[`Exactness::LowerBound`] — closed form, no emission at all.** For
+//! * **Lower bound — closed form, no emission at all.** For
 //!   candidate pruning, [`BoundAccum`] assembles an admissible lower bound
 //!   directly from grid extents: exact compute cycles / MAC / op counts
 //!   (the tile-cycle sum is separable over the three grid axes, see
@@ -64,28 +63,16 @@ use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How an analytic result relates to the exact report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exactness {
-    /// Bit-identical to [`Engine::run`] on the same op stream.
-    Exact,
-    /// Admissible: cycles, traffic and miss count never exceed the exact
-    /// report's; hit count never falls below it; compute cycles, op and
-    /// MAC counts are exact.
-    LowerBound,
-}
-
-/// An analytic evaluation: the estimated report plus its exactness tag.
+/// A completed replay: the report, bit-identical to [`Engine::run`] on
+/// the same op stream, plus the ops that moved bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticReport {
-    /// The estimated (or exact) simulation report.
+    /// The simulation report.
     pub report: SimReport,
-    /// How `report` relates to the exact report.
-    pub exactness: Exactness,
     /// Ops that moved DRAM bytes: tile GEMMs that fetched or wrote back,
     /// stream ops with bytes, and flushes that wrote back. A recorded
     /// replay draws one memory slice per such op, so this sizes a trace's
-    /// memory track. A lower bound reports 0.
+    /// memory track.
     pub moved_ops: u64,
 }
 
@@ -1586,15 +1573,13 @@ fn timeline_run<I: ReplayInput + ?Sized, R: Recorder, C: Residency>(
             macs: t.macs,
             spm_bytes_touched: t.spm_bytes_touched,
         },
-        exactness: Exactness::Exact,
         moved_ops: t.moved_ops,
     })
 }
 
 impl AnalyticCollector {
     /// Replay the collected op stream against `engine`'s machine model
-    /// and return the report, tagged [`Exactness::Exact`]: it is
-    /// [`Engine::run`]'s report on the materialised [`crate::Schedule`].
+    /// and return the report: it is [`Engine::run`]'s report on the materialised [`crate::Schedule`].
     pub fn replay(&self, engine: &Engine, scratch: &mut AnalyticScratch) -> AnalyticReport {
         self.replay_bounded(engine, scratch, None)
             .expect("unbounded replay always completes")
@@ -1722,8 +1707,10 @@ pub fn compute_sum(engine: &Engine, m: Axis, k: Axis, n: Axis) -> u64 {
 }
 
 /// Accumulates the closed-form lower-bound terms of one candidate
-/// execution; [`BoundAccum::finish`] assembles the admissible
-/// [`AnalyticReport`].
+/// execution; [`BoundAccum::finish`] assembles the admissible report:
+/// cycles, traffic and miss count never exceed the exact report's, the hit
+/// count never falls below it, and compute cycles, op and MAC counts are
+/// exact.
 #[derive(Debug, Clone, Default)]
 pub struct BoundAccum {
     /// Exact serial compute cycles.
@@ -1768,33 +1755,30 @@ impl BoundAccum {
         self.spm_bytes_touched += other.spm_bytes_touched;
     }
 
+    /// The memory-channel cycle floor.
+    fn mem_cycles(&self, engine: &Engine) -> u64 {
+        (self.mem_bytes as f64 / engine.bytes_per_cycle()
+            + (self.bursts * engine.burst_latency()) as f64)
+            .ceil() as u64
+    }
+
     /// The cycle lower bound alone (for candidate pruning).
     pub fn cycles(&self, engine: &Engine) -> u64 {
-        let mem = (self.mem_bytes as f64 / engine.bytes_per_cycle()
-            + (self.bursts * engine.burst_latency()) as f64)
-            .ceil() as u64;
-        self.compute_cycles.max(mem) + self.serial_cycles
+        self.compute_cycles.max(self.mem_cycles(engine)) + self.serial_cycles
     }
 
     /// Assemble the admissible report.
-    pub fn finish(&self, engine: &Engine) -> AnalyticReport {
-        let mem_cycles = (self.mem_bytes as f64 / engine.bytes_per_cycle()
-            + (self.bursts * engine.burst_latency()) as f64)
-            .ceil() as u64;
-        AnalyticReport {
-            report: SimReport {
-                cycles: self.cycles(engine),
-                compute_cycles: self.compute_cycles,
-                mem_cycles,
-                traffic: self.traffic,
-                spm_hits: self.accesses - self.misses,
-                spm_misses: self.misses,
-                gemm_ops: self.gemm_ops,
-                macs: self.macs,
-                spm_bytes_touched: self.spm_bytes_touched,
-            },
-            exactness: Exactness::LowerBound,
-            moved_ops: 0,
+    pub fn finish(&self, engine: &Engine) -> SimReport {
+        SimReport {
+            cycles: self.cycles(engine),
+            compute_cycles: self.compute_cycles,
+            mem_cycles: self.mem_cycles(engine),
+            traffic: self.traffic,
+            spm_hits: self.accesses - self.misses,
+            spm_misses: self.misses,
+            gemm_ops: self.gemm_ops,
+            macs: self.macs,
+            spm_bytes_touched: self.spm_bytes_touched,
         }
     }
 }
@@ -1897,7 +1881,6 @@ mod tests {
         let e = engine();
         let expected = e.run(&s);
         let got = c.replay(&e, &mut AnalyticScratch::new());
-        assert_eq!(got.exactness, Exactness::Exact);
         assert_eq!(got.report, expected);
     }
 
@@ -2024,7 +2007,6 @@ mod tests {
             let solo = c.replay(&rung(cap), &mut scratch);
             let got = got.expect("an uncut rung completes");
             assert_eq!(got.report, solo.report, "rung {cap} vs solo replay");
-            assert_eq!(got.exactness, Exactness::Exact);
         }
     }
 

@@ -52,9 +52,12 @@ pub enum Replacement {
     Lru,
 }
 
-/// Process-wide count of `Engine` runs, for the `--timing` self-measurement
-/// harness (how many full schedule simulations the sweep actually executed,
-/// after memoization and pruning).
+/// Process-wide count of [`Engine::run`] calls, for the `--timing`
+/// self-measurement harness. No product path runs the engine: candidate
+/// selection, forward passes and traces replay generated streams (counted
+/// by [`crate::analytic_run_count`]), so `igo-sim sweep`, `ladder` and
+/// `layer` report `engine_runs: 0`. The audit, the tests and the examples
+/// are its callers.
 static ENGINE_RUNS: AtomicU64 = AtomicU64::new(0);
 
 /// Total [`Engine::run`] invocations so far in this process. Monotonic;

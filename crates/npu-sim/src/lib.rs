@@ -59,9 +59,8 @@ pub mod trace;
 
 pub use analytic::{
     analytic_run_count, compute_sum, grid_sum, replay_input, replay_ladder, replay_recorded,
-    Access, AnalyticCollector, AnalyticReport, AnalyticScratch, Axis, BoundAccum, Exactness,
-    GemmAccesses, GridSum, LadderScratch, OpVisitor, RegionSum, ReplayInput, NO_USE,
-    REPLAY_ID_LIMIT,
+    Access, AnalyticCollector, AnalyticReport, AnalyticScratch, Axis, BoundAccum, GemmAccesses,
+    GridSum, LadderScratch, OpVisitor, RegionSum, ReplayInput, NO_USE, REPLAY_ID_LIMIT,
 };
 pub use config::{DramConfig, NpuConfig, PeArray};
 pub use energy::{EnergyModel, EnergyReport};

@@ -58,6 +58,12 @@ echo "== cargo bench --no-run (bench-rot gate) =="
 # them here keeps them from rotting without paying their runtime in CI.
 cargo bench -p igo-bench --no-run
 
+echo "== igo-bench unit tests =="
+# The paper harness crate is outside the default members, so `cargo test`
+# below skips it, and `--no-run` compiles without running. Its unit tests
+# pin the `--timing` JSON shape among others.
+cargo test -q -p igo-bench --lib
+
 echo "== paper harness goldens =="
 # Every printing harness (all but `criterion_micro`) is deterministic; its
 # stdout is the reproduction's table or figure, pinned byte for byte.

@@ -3,12 +3,13 @@
 //! Every zoo model, under every technique, on both Table-3 NPU
 //! configurations, has its per-layer results pinned by an FNV-1a digest:
 //! forward and backward cycles plus per-class DRAM read/write bytes. The
-//! pipeline's performance features — worker-pool parallelism, memoization,
-//! bound pruning (`SimOptions`) — must be invisible in the results: a cold
-//! run on a forced 3-worker pool, on a fresh private `SimContext`, and a
-//! warm rerun served from that context's memo must both reproduce the
-//! pinned reference bit for bit, decisions included. The forced pool exercises real cross-thread reductions even
-//! on a single-CPU machine.
+//! pinned digests are the reference. The pipeline's performance features —
+//! the worker pool (`SimOptions::workers`), memoization and bound pruning —
+//! must be invisible in the results: a cold run on a forced 3-worker pool,
+//! on a fresh private `SimContext`, must reproduce the pinned digest, and a
+//! warm rerun served from that context's memo must reproduce the cold run
+//! bit for bit, decisions included. The forced pool exercises real
+//! cross-thread reductions even on a single-CPU machine.
 
 use igo_core::{ModelReport, SimContext, SimOptions, Technique};
 use igo_npu_sim::{
@@ -17,13 +18,9 @@ use igo_npu_sim::{
 use igo_tensor::{GemmShape, TensorClass};
 use igo_workloads::{zoo, ModelId};
 
-/// Optimized options with a pool forced larger than one worker, so the
-/// deterministic-reduction claim is tested with real threads everywhere.
-const OPTIMIZED: SimOptions = SimOptions {
-    memoize: true,
-    prune: true,
-    workers: 3,
-};
+/// A pool forced larger than one worker, so the deterministic-reduction
+/// claim is tested with real threads everywhere.
+const POOLED: SimOptions = SimOptions { workers: 3 };
 
 /// Every distinct zoo model (the union of the server and edge suites).
 fn all_zoo_models() -> Vec<ModelId> {
@@ -61,40 +58,40 @@ fn digest(reports: &[ModelReport]) -> u64 {
     hash
 }
 
-fn assert_identical(seq: &ModelReport, opt: &ModelReport) {
+fn assert_identical(a: &ModelReport, b: &ModelReport) {
     assert_eq!(
-        seq.layers.len(),
-        opt.layers.len(),
+        a.layers.len(),
+        b.layers.len(),
         "{}: layer count diverged",
-        seq.model
+        a.model
     );
-    for (l, r) in seq.layers.iter().zip(&opt.layers) {
+    for (l, r) in a.layers.iter().zip(&b.layers) {
         assert_eq!(
             l.forward, r.forward,
             "{}/{}: forward report diverged",
-            seq.model, l.name
+            a.model, l.name
         );
         assert_eq!(
             l.backward, r.backward,
             "{}/{}: backward report diverged",
-            seq.model, l.name
+            a.model, l.name
         );
         assert_eq!(
             l.decision, r.decision,
             "{}/{}: scheduler decision diverged",
-            seq.model, l.name
+            a.model, l.name
         );
         assert_eq!(l.multiplicity, r.multiplicity);
     }
-    assert_eq!(seq.total_cycles(), opt.total_cycles());
-    assert_eq!(seq.total_traffic(), opt.total_traffic());
-    assert_eq!(seq.backward_traffic(), opt.backward_traffic());
+    assert_eq!(a.total_cycles(), b.total_cycles());
+    assert_eq!(a.total_traffic(), b.total_traffic());
+    assert_eq!(a.backward_traffic(), b.backward_traffic());
 }
 
-/// Simulate `models` at `batch` under `technique` on `config`, pin the
-/// sequential reference to `want`, and demand that a cold run on a forced
-/// 3-worker pool and a warm (memo-served) rerun on the same fresh context
-/// reproduce it bit for bit.
+/// Simulate `models` at `batch` under `technique` on `config` on a fresh
+/// context with a forced 3-worker pool, pin the cold run's digest to
+/// `want`, and demand that a warm (memo-served) rerun on the same context
+/// reproduces the cold run bit for bit.
 fn golden_sweep(
     models: &[ModelId],
     config: &NpuConfig,
@@ -108,26 +105,17 @@ fn golden_sweep(
             .map(|&id| context.model(&zoo::model(id, batch), config, technique))
             .collect()
     };
-    // The reference shares no state with the cold run, so the two run
-    // side by side.
-    let optimized = SimContext::new(OPTIMIZED);
-    let (reference, cold) = std::thread::scope(|scope| {
-        let reference = scope.spawn(|| run(&SimContext::new(SimOptions::sequential())));
-        let cold = run(&optimized);
-        (reference.join().expect("reference run"), cold)
-    });
-    let got = digest(&reference);
+    let context = SimContext::new(POOLED);
+    let cold = run(&context);
+    let got = digest(&cold);
     assert_eq!(
         got, want,
         "{technique} on {}: digest {got:#018x} != pinned {want:#018x}",
         config.name
     );
-    let warm = run(&optimized);
-    for (pass, optimized) in [("cold", cold), ("warm", warm)] {
-        for (r, o) in reference.iter().zip(&optimized) {
-            assert_identical(r, o);
-        }
-        assert_eq!(digest(&optimized), want, "{pass} run of {technique}");
+    let warm = run(&context);
+    for (c, w) in cold.iter().zip(&warm) {
+        assert_identical(c, w);
     }
 }
 

@@ -33,11 +33,9 @@ fn tracing_a_decided_layer_replays_each_stream_once() {
     ];
     let mut cores_seen = Vec::new();
     for (gemm, config, technique) in cases {
-        // A memoizing context, warmed by the selection the trace repeats.
-        let context = SimContext::new(SimOptions {
-            workers: 1,
-            ..SimOptions::optimized()
-        });
+        // A one-worker context, its memo warmed by the selection the trace
+        // repeats.
+        let context = SimContext::new(SimOptions::sequential());
         let (report, decision) = context.backward(gemm, 1.0, config, technique, false);
         let before = analytic_run_count();
         let trace = context.trace_layer("layer", gemm, 1.0, config, technique, false);
