@@ -30,8 +30,8 @@
 use crate::schedule::{BackwardBuilder, BackwardOrder, LayerTensors};
 use crate::tiling::{Blocking, TilePolicy};
 use igo_npu_sim::{
-    Access, GemmAccesses, OpVisitor, RegionSum, ReplayInput, ScheduleSink, StreamOp, TensorId,
-    TileKey, TileOpSpec, NO_USE, REPLAY_ID_LIMIT,
+    Access, GemmAccesses, OpVisitor, Phase, RegionSum, ReplayInput, ScheduleSink, StreamOp,
+    StreamShape, TensorId, TileKey, TileOpSpec, NO_USE, REPLAY_ID_LIMIT,
 };
 use igo_tensor::{DataType, GemmShape, TensorClass, TileCoord, TileGrid};
 use std::ops::ControlFlow;
@@ -770,34 +770,60 @@ struct Piece {
 
 impl Piece {
     fn accesses(&self) -> u64 {
-        match &self.nest {
-            Nest::Blocked(b) => b.ops() * b.apo,
-            Nest::Fused(f) => 2 * f.sn * f.on * f.kt * 3,
-            Nest::Interleaved(x, w) => (x.ops() + w.ops()) * 3,
-        }
+        self.slots().iter().map(|&(_, n, _)| n).sum()
     }
 
-    /// The piece's operands, for region sums: `(operand, dirty)`.
-    fn operands(&self) -> Vec<(Operand, bool)> {
+    /// The piece's operand slots `(operand, accesses, dirty)`: how many
+    /// accesses each makes (every op accesses each slot of its nest once)
+    /// and whether it is an accumulator.
+    fn slots(&self) -> Vec<(Operand, u64, bool)> {
         let blocked = |b: &Blocked| {
-            let mut v = vec![(b.l, false)];
-            v.extend(b.rt.map(|rt| (rt, false)));
-            v.push((b.o, true));
+            let mut v = vec![(b.l, b.ops(), false)];
+            v.extend(b.rt.map(|rt| (rt, b.ops(), false)));
+            v.push((b.o, b.ops(), true));
             v
         };
         match &self.nest {
             Nest::Blocked(b) => blocked(b),
-            Nest::Fused(f) => f
-                .ops
-                .iter()
-                .flatten()
-                .enumerate()
-                .map(|(n, &(op, _))| (op, n % 3 == 2))
-                .collect(),
+            Nest::Fused(f) => {
+                let per_phase = f.sn * f.on * f.kt;
+                f.ops
+                    .iter()
+                    .flatten()
+                    .enumerate()
+                    .map(|(n, &(op, _))| (op, per_phase, n % 3 == 2))
+                    .collect()
+            }
             Nest::Interleaved(x, w) => {
                 let mut v = blocked(x);
                 v.extend(blocked(w));
                 v
+            }
+        }
+    }
+
+    /// The phases of the piece's ops in stream order, as runs: the first
+    /// op's phase, the last op's, and the number of runs. A GEMM's phase
+    /// is its accumulator's ([`Phase::of_accumulator`]).
+    fn phase_runs(&self) -> (Phase, Phase, u64) {
+        let phase = |o: &Operand| Phase::of_accumulator(Some(o.class));
+        match &self.nest {
+            Nest::Blocked(b) => (phase(&b.o), phase(&b.o), 1),
+            // Every (o, s) group runs its first phase's ops, then its
+            // second's.
+            Nest::Fused(f) => (
+                phase(&f.ops[0][2].0),
+                phase(&f.ops[1][2].0),
+                2 * f.nchunks * f.sn * f.on,
+            ),
+            // `dX` block t, then `dW` block t; the longer nest's surplus
+            // blocks run last, one run if they are `dX`'s, none more if
+            // they are `dW`'s.
+            Nest::Interleaved(x, w) => {
+                let (px, pw) = (phase(&x.o), phase(&w.o));
+                let (bx, bw) = (x.blocks(), w.blocks());
+                let last = if bx > bw { px } else { pw };
+                (px, last, 2 * bx.min(bw) + u64::from(bx > bw))
             }
         }
     }
@@ -1018,7 +1044,7 @@ impl StreamGen {
                 seen.clear();
             }
             let sum = regions.last_mut().expect("a stream has a region");
-            for (op, dirty) in piece.operands() {
+            for (op, _, dirty) in piece.slots() {
                 if seen.contains(&op.tensor) {
                     continue;
                 }
@@ -1050,6 +1076,38 @@ impl StreamGen {
     /// Total tile accesses of the stream.
     pub fn stream_len(&self) -> u64 {
         self.pieces.last().map_or(0, |p| p.start + p.accesses())
+    }
+
+    /// The [`StreamShape`] a replay of the stream emits, in closed form
+    /// over its pieces: op and access counts from the nests, phase spans
+    /// from the runs of their phases, and id ranges from the operands
+    /// touched, since a nest touches every tile of each of its operands.
+    /// [`StreamShape::of_input`] counts the same by driving the stream.
+    pub fn shape(&self) -> StreamShape {
+        let mut shape = StreamShape::default();
+        let mut phase: Option<Phase> = None;
+        for piece in &self.pieces {
+            shape.barriers += u64::from(piece.barrier);
+            let (first, last, runs) = piece.phase_runs();
+            shape.phase_spans += runs - u64::from(phase == Some(first));
+            phase = Some(last);
+            for (op, accesses, _) in piece.slots() {
+                shape.accesses += accesses;
+                let end = op.base + op.tiles as u32;
+                shape.id_end = shape.id_end.max(end);
+                if op.class == TensorClass::OutGrad {
+                    shape.dy_id_start = if shape.dy_accesses == 0 {
+                        op.base
+                    } else {
+                        shape.dy_id_start.min(op.base)
+                    };
+                    shape.dy_id_end = shape.dy_id_end.max(end);
+                    shape.dy_accesses += accesses;
+                }
+            }
+        }
+        shape.gemm_ops = self.shapes.iter().map(|&(_, ops)| ops).sum();
+        shape
     }
 
     /// The first access of `operand`'s tile `(r, c)` in a piece after

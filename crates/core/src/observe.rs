@@ -14,8 +14,9 @@
 //!   phase slices, SPM-occupancy samples and barriers.
 //!
 //! Both recorders are sized by the [`igo_npu_sim::StreamShape`] of the
-//! replay they record, which its input fixes before the replay starts
-//! ([`igo_npu_sim::StreamShape::of_input`]), and the track builder also by
+//! replay they record, which its generator gives in closed form before the
+//! replay starts ([`crate::generate::StreamGen::shape`]), and the track
+//! builder also by
 //! the number of memory slices: the ops that moved bytes, which the
 //! selection loop's own replay of the decided candidate counted
 //! ([`igo_npu_sim::AnalyticReport::moved_ops`], memoized with the
@@ -105,6 +106,10 @@ struct CoreRecorder {
 }
 
 impl Recorder for CoreRecorder {
+    /// Forced inline down the chain (with [`TrackBuilder`]'s and
+    /// [`MetricsFold`]'s), so the replay builds each event where it is
+    /// matched away.
+    #[inline(always)]
     fn record(&mut self, event: TraceEvent) {
         self.events += 1;
         self.metrics.record(event);

@@ -794,9 +794,10 @@ pub(crate) fn candidate_streams(
 /// (partition segments chained), one per core otherwise — uncut, with
 /// `make_recorder(stream, shape, memory_slices)` attached, where `shape`
 /// is the [`StreamShape`] of the events that replay of `stream` will emit
-/// and `memory_slices` the stream's entry of `moved_ops`: the ops that
-/// moved bytes in the selection loop's replay of the same stream
-/// ([`SimContext::backward_moved`]), one memory slice each.
+/// ([`StreamGen::shape`], in closed form) and `memory_slices` the stream's
+/// entry of `moved_ops`: the ops that moved bytes in the selection loop's
+/// replay of the same stream ([`SimContext::backward_moved`]), one memory
+/// slice each.
 ///
 /// Returns each core's replay report (cross-partition reductions, which no
 /// core executes, are left out) with its recorder.
@@ -821,7 +822,11 @@ pub(crate) fn record_decided<R: Recorder>(
             .iter()
             .zip(moved_ops)
             .map(|(g, &moved)| {
-                let mut recorder = make_recorder(g, StreamShape::of_input(g), moved);
+                let shape = g.shape();
+                // The closed form against a count of the generated ops, so
+                // debug traces of every model check it.
+                debug_assert_eq!(shape, StreamShape::of_input(g));
+                let mut recorder = make_recorder(g, shape, moved);
                 let report = replay_recorded(g, &layer.engine, s, None, &mut recorder)
                     .expect("an uncut replay completes")
                     .report;
@@ -1391,9 +1396,9 @@ mod tests {
     }
 
     /// Traces size their recorders from the generator: on every candidate
-    /// of the boundary layers, each generated stream's counted shape is the
-    /// shape its recorded replay emits, and that replay reports what the
-    /// collected stream's replay reports.
+    /// of the boundary layers, each generated stream's closed-form shape
+    /// and its counted shape are the shape its recorded replay emits, and
+    /// that replay reports what the collected stream's replay reports.
     #[test]
     fn generated_streams_size_their_recorders() {
         let mut scratch = AnalyticScratch::new();
@@ -1409,11 +1414,9 @@ mod tests {
                             replay_recorded(g, &layer.engine, &mut scratch, None, &mut log)
                                 .expect("an uncut replay completes")
                                 .report;
-                        assert_eq!(
-                            StreamShape::of_input(g),
-                            StreamShape::of_events(&log.events),
-                            "{label}"
-                        );
+                        let emitted = StreamShape::of_events(&log.events);
+                        assert_eq!(g.shape(), emitted, "{label}");
+                        assert_eq!(StreamShape::of_input(g), emitted, "{label}");
                         assert_eq!(
                             report,
                             collector.replay(&layer.engine, &mut scratch).report,

@@ -427,6 +427,7 @@ impl TrackBuilder {
 }
 
 impl Recorder for TrackBuilder {
+    #[inline(always)]
     fn record(&mut self, event: TraceEvent) {
         self.mem_ops.fold(&event, |a| self.memory.push(a));
         match event {

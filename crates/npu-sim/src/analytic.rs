@@ -751,13 +751,17 @@ fn max_key_except(keys: &[u64], except: u64) -> u64 {
 /// A set of dense ids that yields its largest member: one bit per id,
 /// and above that one bit per nonzero word of the level below, up to a
 /// single word. Inserting or removing an id touches one word per level
-/// and stops at the first level whose word was (or stays) nonzero; the
-/// maximum follows the highest set bit down from the top word.
+/// and stops at the first level whose word was (or stays) nonzero. The
+/// maximum is cached: an insert above it replaces it, and removing it
+/// takes the next one from the removed id's own bottom word, walking the
+/// levels down from the top word only when that word empties.
 #[derive(Debug, Default)]
 struct IdMaxSet {
     /// `levels[0]` holds one bit per id, `levels[k + 1]` one bit per word
     /// of `levels[k]`; the last level is one word.
     levels: Vec<Vec<u64>>,
+    /// The largest member.
+    max: Option<u32>,
 }
 
 impl IdMaxSet {
@@ -779,6 +783,7 @@ impl IdMaxSet {
             words = words.div_ceil(64);
         }
         self.levels.truncate(depth);
+        self.max = None;
     }
 
     /// Empty the set, keeping its size.
@@ -786,11 +791,15 @@ impl IdMaxSet {
         for level in &mut self.levels {
             level.fill(0);
         }
+        self.max = None;
     }
 
     /// Add `id`, which must not be a member.
     #[inline]
     fn insert(&mut self, id: u32) {
+        if self.max.is_none_or(|max| id > max) {
+            self.max = Some(id);
+        }
         let mut at = id as usize;
         for level in &mut self.levels {
             let word = &mut level[at / 64];
@@ -807,19 +816,34 @@ impl IdMaxSet {
     #[inline]
     fn remove(&mut self, id: u32) {
         let mut at = id as usize;
-        for level in &mut self.levels {
+        for (depth, level) in self.levels.iter_mut().enumerate() {
             let word = &mut level[at / 64];
             *word &= !(1 << (at % 64));
             if *word != 0 {
-                return;
+                if depth == 0 && self.max == Some(id) {
+                    // The next maximum shares the removed id's word.
+                    self.max = Some((at / 64 * 64 + 63 - word.leading_zeros() as usize) as u32);
+                    return;
+                }
+                break;
             }
             at /= 64;
+        }
+        if self.max == Some(id) {
+            self.max = self.walk();
         }
     }
 
     /// The largest member, if any.
     #[inline]
     fn max(&self) -> Option<u32> {
+        debug_assert_eq!(self.max, self.walk(), "cached maximum");
+        self.max
+    }
+
+    /// The largest member, found by following the highest set bit down
+    /// from the top word.
+    fn walk(&self) -> Option<u32> {
         let top = self.levels.last()?;
         if top[0] == 0 {
             return None;
@@ -849,10 +873,13 @@ impl IdMaxSet {
 /// largest key of every [`BLOCK`] entries. A hit raises its tile's key in
 /// place — the hit position was the tile's registered next use and its
 /// new next use lies further on — so the block maximum only grows: two
-/// stores. An admission fills a free entry the same way. Only an eviction of a resident with a
-/// further use scans: the block maxima for the victim's block, then that
-/// block for its entry and its new maximum. Victim selection — including
-/// the bypass rule — is therefore `OptCache`'s.
+/// stores. An admission fills a free entry the same way. The largest key
+/// of all, `top`, is cached too: a raise keeps it, and only freeing the
+/// entry that holds it (evicting a keyed victim, or that tile's last use)
+/// leaves it stale, so the next victim query scans the block maxima once
+/// and a bypass that keeps the victim scans nothing. Freeing an entry
+/// rescans its block for the block's new maximum. Victim selection —
+/// including the bypass rule — is therefore `OptCache`'s.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayOptCache {
     capacity: u64,
@@ -867,12 +894,19 @@ pub(crate) struct ReplayOptCache {
     block_max: Vec<u64>,
     /// Free entries of `keys`.
     free: Vec<u32>,
+    /// The largest key of `keys` (0 if none), or [`STALE`].
+    top: u64,
     hits: u64,
     misses: u64,
 }
 
+/// The mark of a stale [`ReplayOptCache::top`]: above every key, since a
+/// key's next use is never [`NO_USE`].
+const STALE: u64 = u64::MAX;
+
 impl ReplayOptCache {
-    /// Set entry `at` to `key`, which is above its previous key.
+    /// Set entry `at` to `key`, which is above its previous key. A stale
+    /// `top` stays stale, as no key exceeds [`STALE`].
     #[inline]
     fn raise(&mut self, at: usize, key: u64) {
         debug_assert!(key > self.keys[at], "a next use lies past the last");
@@ -880,6 +914,9 @@ impl ReplayOptCache {
         let block = &mut self.block_max[at / BLOCK];
         if key > *block {
             *block = key;
+        }
+        if key > self.top {
+            self.top = key;
         }
     }
 
@@ -909,32 +946,48 @@ impl ReplayOptCache {
     }
 
     /// Free entry `at` of block `block`, whose other entries' largest key
-    /// is `rest`.
+    /// is `rest`. Keys are distinct, so `top` goes stale exactly when this
+    /// entry holds it.
     #[inline]
     fn free_entry(&mut self, at: usize, rest: u64) {
+        if self.keys[at] == self.top {
+            self.top = STALE;
+        }
         self.keys[at] = 0;
         self.block_max[at / BLOCK] = rest;
         self.free.push(at as u32);
     }
 
     /// The largest key of entry `at`'s block other than its own.
+    #[inline(always)]
     fn rest_of_block(&self, at: usize) -> u64 {
         let first = at / BLOCK * BLOCK;
         max_key_except(&self.keys[first..first + BLOCK], self.keys[at])
     }
 
     /// The victim's next use and id. The caller must ensure a resident
-    /// exists (`used > 0`).
-    fn victim(&self) -> (u32, u32) {
+    /// exists (`used > 0`). Scans the block maxima only when `top` is
+    /// stale.
+    #[inline(always)]
+    fn victim(&mut self) -> (u32, u32) {
         if let Some(id) = self.dead.max() {
             return (NO_USE, id);
         }
-        let key = max_key_except(&self.block_max, 0);
+        if self.top == STALE {
+            self.top = max_key_except(&self.block_max, 0);
+        }
+        debug_assert_eq!(
+            self.top,
+            max_key_except(&self.block_max, 0),
+            "cached top key"
+        );
+        let key = self.top;
         debug_assert!(key > 0, "used > 0 implies a resident victim");
         ((key >> 32) as u32, key as u32)
     }
 
     /// Evict the victim `(next_use, id)` [`Self::victim`] named.
+    #[inline(always)]
     fn evict(&mut self, next_use: u32, id: u32, writebacks: &mut Vec<(u32, u64)>) {
         if next_use == NO_USE {
             self.dead.remove(id);
@@ -970,6 +1023,7 @@ impl Residency for ReplayOptCache {
         self.keys.clear();
         self.block_max.clear();
         self.free.clear();
+        self.top = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -1093,6 +1147,7 @@ impl Residency for ReplayOptCache {
         self.keys.clear();
         self.block_max.clear();
         self.free.clear();
+        self.top = 0;
         self.used = 0;
     }
 
@@ -1185,7 +1240,7 @@ pub fn replay_input<I: ReplayInput + ?Sized>(
 /// recording sites only observe the timelines and the residency model,
 /// never steer them. Every site sits under `if R::ENABLED`, so with
 /// [`NullRecorder`] this compiles to the unrecorded loop. A recorder can
-/// be sized before the run by [`crate::StreamShape::of_input`]. Counts one
+/// be sized before the run by its [`crate::StreamShape`]. Counts one
 /// analytic run ([`analytic_run_count`]).
 pub fn replay_recorded<I: ReplayInput + ?Sized, R: Recorder>(
     input: &I,
@@ -1294,10 +1349,36 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> Timeline<'_, I, C, R> {
         self.mem_free += mem_time;
         self.mem_busy_total += mem_time;
     }
+
+    /// Pay the spills an op's accesses left in `writebacks` as write
+    /// traffic, stamped `op` at `cycle` in recorded events; returns their
+    /// bytes.
+    #[inline(always)]
+    fn drain_spills(&mut self, op: u32, cycle: u64) -> u64 {
+        let mut bytes = 0;
+        for (vid, vbytes) in self.writebacks.drain(..) {
+            let class = self.input.class_of(vid);
+            self.traffic.add_write(class, vbytes);
+            bytes += vbytes;
+            if R::ENABLED {
+                self.recorder.record(TraceEvent::WriteBack {
+                    op,
+                    key: self.input.key_of(vid),
+                    class,
+                    bytes: vbytes,
+                    spill: true,
+                    cycle,
+                });
+            }
+        }
+        bytes
+    }
 }
 
 impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<'_, I, C, R> {
-    #[inline]
+    /// Forced inline: otherwise each instantiation keeps an out-of-line
+    /// copy called once per op.
+    #[inline(always)]
     fn gemm(&mut self, op: GemmAccesses<'_>) -> ControlFlow<()> {
         let op_idx = self.op_idx;
         self.op_idx += 1;
@@ -1311,10 +1392,11 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
         let mut fetched = 0u64;
         let mut writeback = 0u64;
         let mut bursts = 0u64;
+        let mut touched = 0u64;
         let last = op.accesses.len().wrapping_sub(1);
         for (n, a) in op.accesses.iter().enumerate() {
             let dirty = op.acc && n == last;
-            self.spm_bytes_touched += a.bytes as u64;
+            touched += a.bytes as u64;
             let hits_before = if R::ENABLED { self.cache.hits() } else { 0 };
             let got = if self.region_fits {
                 self.cache.access_unbounded(a, dirty, self.writebacks)
@@ -1344,23 +1426,15 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
                     occupancy: self.cache.used(),
                 });
             }
-            if !self.writebacks.is_empty() {
-                for (vid, vbytes) in self.writebacks.drain(..) {
-                    let class = self.input.class_of(vid);
-                    self.traffic.add_write(class, vbytes);
-                    writeback += vbytes;
-                    if R::ENABLED {
-                        self.recorder.record(TraceEvent::WriteBack {
-                            op: op_idx,
-                            key: self.input.key_of(vid),
-                            class,
-                            bytes: vbytes,
-                            spill: true,
-                            cycle: op_mem_start,
-                        });
-                    }
-                }
+            // A recorded run reports each access's spills right after it;
+            // an unrecorded one pays the op's spills once, below.
+            if R::ENABLED && !self.writebacks.is_empty() {
+                writeback += self.drain_spills(op_idx, op_mem_start);
             }
+        }
+        self.spm_bytes_touched += touched;
+        if !R::ENABLED && !self.writebacks.is_empty() {
+            writeback += self.drain_spills(op_idx, op_mem_start);
         }
 
         let move_bytes = fetched + writeback;
@@ -1374,7 +1448,12 @@ impl<I: ReplayInput + ?Sized, C: Residency, R: Recorder> OpVisitor for Timeline<
 
         let (cycles, macs) = self.shape_costs[op.shape as usize];
         let data_ready = if move_bytes > 0 { self.mem_free } else { 0.0 };
-        let issue = self.compute_free.max(data_ready);
+        // `f64::max` without its NaN handling: no NaN reaches here.
+        let issue = if data_ready > self.compute_free {
+            data_ready
+        } else {
+            self.compute_free
+        };
         self.compute_free = issue + cycles as f64;
         if R::ENABLED {
             let acc_class = op.acc.then(|| op.accesses[last].class);
@@ -1793,14 +1872,21 @@ mod tests {
         Engine::with_params(SystolicModel::new(PeArray::new(16, 16)), 16.0, 10, 4000)
     }
 
-    /// The dead-resident max-set against a `BinaryHeap` oracle: seeded
+    /// The max-set yields what a binary heap yields, under random
     /// inserts, max removals, removals of arbitrary members and clears,
-    /// over id spaces of one to four bit levels (up to 64³ + 1 ids).
+    /// over id spaces of one to four bit levels (up to 64³ + 1 ids). Its
+    /// cached maximum is checked against a walk of the levels after every
+    /// step, and the streams reach each way the cache is refilled: from
+    /// the removed maximum's own word, by the level walk when that word
+    /// empties, and to nothing when the set empties.
     #[test]
     fn id_max_set_matches_a_binary_heap() {
         use std::collections::{BTreeSet, BinaryHeap};
         let mut rng = igo_tensor::SplitMix64::new(0x1d_5e7);
         let mut set = IdMaxSet::default();
+        // Max removals whose next maximum shares the removed id's word,
+        // lies in another word, or does not exist.
+        let (mut same_word, mut walked, mut emptied) = (0, 0, 0);
         for ids in [1usize, 63, 64, 65, 4095, 4097, 64 * 64 * 64 + 1] {
             set.reset(ids);
             let mut heap = BinaryHeap::new();
@@ -1820,6 +1906,11 @@ mod tests {
                         if let Some(id) = want {
                             set.remove(id);
                             members.remove(&id);
+                            match heap.peek() {
+                                Some(&next) if next / 64 == id / 64 => same_word += 1,
+                                Some(_) => walked += 1,
+                                None => emptied += 1,
+                            }
                         }
                     }
                     8 => {
@@ -1837,8 +1928,147 @@ mod tests {
                     }
                     _ => {}
                 }
+                assert_eq!(set.max, set.walk(), "cached max, ids {ids}, step {step}");
                 assert_eq!(set.max(), heap.peek().copied(), "ids {ids}, step {step}");
             }
+            // Drain what is left, maximum first, down to the empty set.
+            while let Some(id) = heap.pop() {
+                assert_eq!(set.max(), Some(id), "draining ids {ids}");
+                set.remove(id);
+                assert_eq!(set.max, set.walk(), "cached max, draining ids {ids}");
+            }
+            assert_eq!(set.max(), None, "drained ids {ids}");
+        }
+        assert!(
+            same_word > 0 && walked > 0 && emptied > 0,
+            "same word {same_word}, walked {walked}, emptied {emptied}"
+        );
+    }
+
+    /// The replay's OPT residency decides as [`crate::OptCache`], the
+    /// audit's oracle, access by access, on seeded streams with true next
+    /// uses: tiles of mixed sizes (some above capacity), accumulators and
+    /// stray dirty touches, last uses ([`NO_USE`]) in hits and admissions,
+    /// bypasses, mid-region flushes and region clears, and regions that
+    /// fit on the unbounded path. Each access must fetch the same bytes,
+    /// hit or miss alike, write back the same tiles in the same order and
+    /// leave the same bytes resident; each flush writes back the same
+    /// tiles, in id order.
+    #[test]
+    fn replay_residency_decides_as_the_oracle() {
+        use crate::trace::TensorId;
+        use crate::OptCache;
+        use igo_tensor::TileCoord;
+        // Ids number tiles in key order, as a registry numbers them.
+        let key = |id: u32| TileKey {
+            tensor: TensorId::from_raw(0),
+            coord: TileCoord::new(0, id),
+        };
+        let mut rng = igo_tensor::SplitMix64::new(0x0b7_d1ff);
+        let mut fast = ReplayOptCache::default();
+        let mut writebacks = Vec::new();
+        // How often each decision came up, so the streams provably reach
+        // every path.
+        let (mut last_hits, mut dead_admits, mut bypasses, mut evictions, mut spills) =
+            (0, 0, 0, 0, 0);
+        let mut unbounded = 0;
+        for case in 0..300 {
+            let tiles = 1 + rng.index(40);
+            let capacity = rng.range_u64(1, 12) * 64;
+            let bytes: Vec<u32> = (0..tiles)
+                .map(|_| match rng.index(10) {
+                    0 => (capacity + rng.range_u64(1, 3) * 64) as u32,
+                    _ => rng.range_u64(1, 5) as u32 * 64,
+                })
+                .collect();
+            let accumulator: Vec<bool> = (0..tiles).map(|_| rng.index(4) == 0).collect();
+            fast.reset(capacity, tiles);
+            let mut oracle = OptCache::new(capacity);
+            let mut pos = 0u32;
+            for region in 0..1 + rng.index(4) {
+                let label = format!("case {case}, region {region}");
+                // A region draws from a window of the tiles, so some
+                // regions fit in capacity.
+                let window = 1 + rng.index(tiles);
+                let stream: Vec<u32> = (0..rng.index(300))
+                    .map(|_| rng.index(window) as u32)
+                    .collect();
+                let mut next = vec![NO_USE; stream.len()];
+                let mut later = vec![NO_USE; tiles];
+                for (i, &id) in stream.iter().enumerate().rev() {
+                    next[i] = std::mem::replace(&mut later[id as usize], pos + i as u32);
+                }
+                let mut distinct: Vec<u32> = stream.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                let footprint: u64 = distinct.iter().map(|&id| bytes[id as usize] as u64).sum();
+                let fits = footprint <= capacity && rng.index(2) == 0;
+                unbounded += u64::from(fits);
+                for (i, &id) in stream.iter().enumerate() {
+                    let a = Access {
+                        id,
+                        bytes: bytes[id as usize],
+                        class: TensorClass::Ifmap,
+                        next_use: next[i],
+                    };
+                    let dirty = accumulator[id as usize] || rng.index(16) == 0;
+                    let (hits, used) = (fast.hits(), fast.used());
+                    writebacks.clear();
+                    let got = if fits {
+                        fast.access_unbounded(&a, dirty, &mut writebacks)
+                    } else {
+                        fast.access(&a, dirty, &mut writebacks)
+                    };
+                    let oracle_next = if a.next_use == NO_USE {
+                        usize::MAX
+                    } else {
+                        a.next_use as usize
+                    };
+                    let out = oracle.access(key(id), a.bytes as u64, dirty, oracle_next);
+                    let at = format!("{label}, access {i} of tile {id}");
+                    assert_eq!(got, out.fetched_bytes, "fetched bytes, {at}");
+                    assert_eq!(fast.hits() > hits, out.hit, "hit, {at}");
+                    let fast_writebacks: Vec<_> =
+                        writebacks.iter().map(|&(id, b)| (key(id), b)).collect();
+                    assert_eq!(fast_writebacks, out.writebacks, "write-backs, {at}");
+                    assert_eq!(fast.used(), oracle.used(), "used, {at}");
+                    let resident = oracle.contains(&key(id));
+                    last_hits += u64::from(out.hit && a.next_use == NO_USE);
+                    dead_admits += u64::from(!out.hit && resident && a.next_use == NO_USE);
+                    bypasses += u64::from(!resident && a.bytes as u64 <= capacity);
+                    evictions +=
+                        u64::from(!out.hit && resident && used + a.bytes as u64 > capacity);
+                    spills += u64::from(!out.writebacks.is_empty());
+                    if rng.index(64) == 0 {
+                        writebacks.clear();
+                        fast.flush(&mut writebacks);
+                        let mut flushed = oracle.flush();
+                        flushed.sort_unstable();
+                        let fast_flushed: Vec<_> =
+                            writebacks.iter().map(|&(id, b)| (key(id), b)).collect();
+                        assert_eq!(fast_flushed, flushed, "flush, {at}");
+                    }
+                }
+                writebacks.clear();
+                fast.flush(&mut writebacks);
+                let mut flushed = oracle.flush();
+                flushed.sort_unstable();
+                let fast_flushed: Vec<_> = writebacks.iter().map(|&(id, b)| (key(id), b)).collect();
+                assert_eq!(fast_flushed, flushed, "region-end flush, {label}");
+                fast.clear();
+                oracle.clear();
+                pos += stream.len() as u32;
+            }
+        }
+        for (what, n) in [
+            ("last-use hits", last_hits),
+            ("last-use admissions", dead_admits),
+            ("bypasses", bypasses),
+            ("evicting admissions", evictions),
+            ("accesses that wrote back", spills),
+            ("unbounded regions", unbounded),
+        ] {
+            assert!(n > 0, "no {what}");
         }
     }
 

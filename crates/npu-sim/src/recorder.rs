@@ -27,8 +27,9 @@
 //! compare the raw stream against an independent model.
 //!
 //! How many events of each kind a replay emits is fixed by its input
-//! alone ([`StreamShape`], from [`StreamShape::of_input`]), so a recorder
-//! can size its caps before the run starts. [`Decimator`] uses that to
+//! alone ([`StreamShape`]: counted by [`StreamShape::of_input`], or given
+//! in closed form by the input's generator), so a recorder can size its
+//! caps before the run starts. [`Decimator`] uses that to
 //! keep exactly the samples [`decimate`] would keep of the full series,
 //! without ever holding the full series: the fold's dY series is capped
 //! at [`DY_SERIES_CAP`] points (+ the last) while the run lasts.
@@ -235,8 +236,9 @@ pub struct StreamShape {
 
 impl StreamShape {
     /// Count the events a replay of `input` emits, in one pass over its ops
-    /// that replays nothing. A GEMM's phase is judged, as in the replay, by
-    /// the class of its accumulator.
+    /// that replays nothing: the oracle for a shape known in closed form. A
+    /// GEMM's phase is judged, as in the replay, by the class of its
+    /// accumulator.
     pub fn of_input<I: ReplayInput + ?Sized>(input: &I) -> Self {
         let mut count = ShapeCount::default();
         let _ = input.drive(&mut count);
@@ -706,7 +708,7 @@ impl MetricsFold {
 }
 
 impl Recorder for MetricsFold {
-    #[inline]
+    #[inline(always)]
     fn record(&mut self, event: TraceEvent) {
         let TraceEvent::Access {
             id,

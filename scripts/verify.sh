@@ -28,10 +28,15 @@ echo "== replay hot loop inlined =="
 # per-access calls into `Timeline::gemm`. With one more instantiation of
 # the replay in `igo-core`, the default 16 codegen units stopped inlining
 # them, and `sweep zoo` cost ~9% more CPU until both were forced
-# `#[inline(always)]`. An out-of-line copy of either in the release
-# binary means that inlining was lost again.
+# `#[inline(always)]`. The victim path (`victim`, `evict`,
+# `rest_of_block`) and the trace recorder chain (`CoreRecorder::record`)
+# are forced inline too: out of line, the first three cost ~18% of
+# `zoo_sweep` samples as calls through the GOT from `igo-core`, and the
+# recorder built and matched each trace event through a call. An
+# out-of-line copy of any of them in the release binary means that
+# inlining was lost again.
 outlined="$(nm -C target/release/igo-sim \
-    | grep -E 'ReplayOptCache as [^ ]*Residency>::access$|ReplayOptCache::insert$' || true)"
+    | grep -E 'ReplayOptCache as [^ ]*Residency>::access$|ReplayOptCache::(insert|victim|evict|rest_of_block)$|CoreRecorder as [^ ]*Recorder>::record$' || true)"
 if [ -n "$outlined" ]; then
     echo "out-of-line replay residency calls:"
     echo "$outlined"
